@@ -81,7 +81,8 @@ def layer_metrics(
     processes = counts.get("sim.process", 0)
     waits = recorder.queue_waits_ms()
     jobs = calls("service.submit_http")
-    daemons = [result.daemon for result in traced if result.daemon]
+    # Daemon health does not depend on the probes: count every pass.
+    daemons = [result.daemon for result in (*untraced, *traced) if result.daemon]
     hit_ms, hit_n = outcome_ms("batch.build_one", True)
     miss_ms, miss_n = outcome_ms("batch.build_one", False)
 

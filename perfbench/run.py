@@ -3,7 +3,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload flow_cold --seed 1 --seconds 32 --trace 0
+    python3 perfbench/run.py --workload flow_cold --seed 1 --seconds 30 --trace 0
 
 Workloads are ``flow_cold``, ``deploy_fig4`` and ``service_mixed`` (see
 ``workloads.py`` and ``NOTES.md``). The program under test is imported
@@ -42,12 +42,9 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 #: Set-up is measured this many times per run, each in a fresh process
-#: (interpreter start, ``import repro``, workload set-up); the median
-#: is reported.
-SETUP_PROBES = 3
-#: A run starts no new pass after this many seconds, whatever
-#: ``--seconds`` says, so it ends well inside its time limit.
-HARD_STOP_S = 60.0
+#: (interpreter start, ``import repro``, workload set-up), spread evenly
+#: over the run between passes; the median is reported.
+SETUP_PROBES = 5
 
 
 def parse_args(argv: List[str]) -> argparse.Namespace:
@@ -68,64 +65,65 @@ def percentile(values: List[float], pct: int) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[pct - 1]
 
 
-def measure_setup(args: argparse.Namespace) -> List[float]:
-    """Seconds from process spawn to 'ready' for fresh set-up processes."""
-    samples = []
-    for probe in range(SETUP_PROBES):
-        command = [
-            sys.executable,
-            str(Path(__file__).resolve()),
-            "--workload", args.workload,
-            "--seed", str(args.seed),
-            "--seconds", "0",
-            "--setup-probe",
-        ]
-        start = time.perf_counter()
-        child = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, cwd=str(ROOT))
-        try:
-            line = child.stdout.readline()
-            elapsed = time.perf_counter() - start
-            child.stdout.read()
-            child.wait(timeout=60)
-        finally:
-            if child.poll() is None:
-                child.kill()
-                child.wait()
-            child.stdout.close()
-        if line.strip() != "ready" or child.returncode != 0:
-            raise RuntimeError(f"set-up probe {probe} failed (exit {child.returncode})")
-        samples.append(elapsed)
-    return samples
+def measure_setup(args: argparse.Namespace) -> float:
+    """Seconds from process spawn to 'ready' for a fresh set-up process."""
+    command = [
+        sys.executable,
+        str(Path(__file__).resolve()),
+        "--workload", args.workload,
+        "--seed", str(args.seed),
+        "--seconds", "0",
+        "--setup-probe",
+    ]
+    start = time.perf_counter()
+    child = subprocess.Popen(command, stdout=subprocess.PIPE, text=True, cwd=str(ROOT))
+    try:
+        line = child.stdout.readline()
+        elapsed = time.perf_counter() - start
+        child.stdout.read()
+        child.wait(timeout=60)
+    finally:
+        if child.poll() is None:
+            child.kill()
+            child.wait()
+        child.stdout.close()
+    if line.strip() != "ready" or child.returncode != 0:
+        raise RuntimeError(f"set-up probe failed (exit {child.returncode})")
+    return elapsed
 
 
-def run_passes(workload, seconds: float, recorder=None) -> list:
-    """Whole passes until ``seconds`` have elapsed (at least one).
+def run_passes(workload, seconds: float, recorder=None, between=None) -> list:
+    """Whole passes until ``seconds`` of pass time have elapsed (at
+    least one).
 
     With a ``recorder``, passes alternate untraced and traced (probes
     installed for the odd ones), so host-speed drift during the run
     hits both halves alike; the run ends after a traced pass.
+    ``between(elapsed)`` runs before each pass, outside its timed window.
 
     Garbage is collected before each pass, outside its timed window:
     a stopped daemon is a web of reference cycles, and leaving it to a
     later collection would make peak memory depend on the pass count.
     """
     passes = []
-    start = time.perf_counter()
+    elapsed = 0.0
     while True:
+        if between is not None:
+            between(elapsed)
         gc.collect()
         index = len(passes)
         traced = recorder is not None and index % 2 == 1
         if traced:
             recorder.pass_index = index
             recorder.install()
+        start = time.perf_counter()
         try:
             passes.append(workload.run_pass(index))
         finally:
+            elapsed += time.perf_counter() - start
             if traced:
                 recorder.uninstall()
-        elapsed = time.perf_counter() - start
-        done = elapsed >= seconds or elapsed >= HARD_STOP_S
-        if done and (recorder is None or traced):
+        if elapsed >= seconds and (recorder is None or traced):
             return passes
 
 
@@ -227,7 +225,6 @@ def main(argv: List[str]) -> int:
             workload.setup()
             print("ready", flush=True)
             return 0
-        setup_samples = [] if args.trace else measure_setup(args)
         workload.setup()
         if args.trace:
             from layers import layer_metrics
@@ -243,7 +240,19 @@ def main(argv: List[str]) -> int:
             recorder.write(trace_path, getattr(workload, "op_of_job", {}))
             extra.append(f"spans: {len(recorder.spans)} written to {trace_path.relative_to(ROOT)}")
         else:
-            passes = run_passes(workload, args.seconds)
+            setup_samples: List[float] = []
+
+            def probe_when_due(elapsed: float) -> None:
+                # Probe k is due once k / SETUP_PROBES of the run is over.
+                while (
+                    len(setup_samples) < SETUP_PROBES
+                    and len(setup_samples) * args.seconds <= elapsed * SETUP_PROBES
+                ):
+                    setup_samples.append(measure_setup(args))
+
+            passes = run_passes(workload, args.seconds, between=probe_when_due)
+            while len(setup_samples) < SETUP_PROBES:
+                setup_samples.append(measure_setup(args))
             problems, failed_checks, digest = verify(workload)
             metrics = end_to_end(passes, failed_checks, setup_samples)
             extra = [

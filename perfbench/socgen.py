@@ -12,36 +12,46 @@ while every design stays distinct.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 BOARDS = ("vcu118", "vcu128")
 MIN_TILES, MAX_TILES = 2, 8
 MAX_MODES = 3
 
 
-def render(name: str, board: str, tiles: Sequence[Sequence[str]]) -> str:
-    """One esp_config text: the CPU/MEM/AUX trio plus ``tiles``."""
-    total = 3 + len(tiles)
-    cols = 3 if total <= 9 else 4
-    rows = -(-total // cols)
-    sections = [
-        f"[soc]\nname = {name}\nboard = {board}\nrows = {rows}\ncols = {cols}\n",
-        "[tile cpu0]\ntype = cpu\ncore = leon3\n",
-        "[tile mem0]\ntype = mem\n",
-        "[tile aux0]\ntype = aux\n",
-    ]
-    for index, modes in enumerate(tiles):
-        sections.append(
-            f"[tile rt{index}]\ntype = reconf\nmodes = {', '.join(modes)}\n"
-        )
-    return "\n".join(sections)
+@dataclass(frozen=True)
+class Design:
+    """One generated SoC: reconfigurable tile ``rt<i>`` hosts ``tiles[i]``."""
+
+    name: str
+    board: str
+    tiles: Tuple[Tuple[str, ...], ...]
+
+    def render(self) -> str:
+        """The esp_config text: the CPU/MEM/AUX trio plus the tiles."""
+        total = 3 + len(self.tiles)
+        cols = 3 if total <= 9 else 4
+        rows = -(-total // cols)
+        sections = [
+            f"[soc]\nname = {self.name}\nboard = {self.board}\n"
+            f"rows = {rows}\ncols = {cols}\n",
+            "[tile cpu0]\ntype = cpu\ncore = leon3\n",
+            "[tile mem0]\ntype = mem\n",
+            "[tile aux0]\ntype = aux\n",
+        ]
+        for index, modes in enumerate(self.tiles):
+            sections.append(
+                f"[tile rt{index}]\ntype = reconf\nmodes = {', '.join(modes)}\n"
+            )
+        return "\n".join(sections)
 
 
 def generate(
     seed: int, count: int, prefix: str, catalog: Sequence[str]
-) -> List[str]:
-    """``count`` distinct esp_config texts drawn from ``seed``.
+) -> List[Design]:
+    """``count`` distinct designs drawn from ``seed``.
 
     Design ``i`` has ``2 + i % 7`` reconfigurable tiles on board
     ``BOARDS[(i // 7) % 2]``; each tile hosts 1 to 3 distinct
@@ -50,23 +60,23 @@ def generate(
     rng = random.Random(f"socgen:{seed}:{prefix}")
     names = sorted(catalog)
     span = MAX_TILES - MIN_TILES + 1
-    texts = []
+    designs = []
     for index in range(count):
-        tiles = [
-            rng.sample(names, rng.randint(1, MAX_MODES))
+        tiles = tuple(
+            tuple(rng.sample(names, rng.randint(1, MAX_MODES)))
             for _ in range(MIN_TILES + index % span)
-        ]
+        )
         board = BOARDS[(index // span) % len(BOARDS)]
-        texts.append(render(f"{prefix}{index}", board, tiles))
-    return texts
+        designs.append(Design(f"{prefix}{index}", board, tiles))
+    return designs
 
 
-def write(texts: Sequence[str], directory: Path, prefix: str) -> List[str]:
-    """Write ``texts`` as ``<prefix><i>.esp_config`` files; their paths."""
+def write(designs: Sequence[Design], directory: Path) -> List[str]:
+    """Write each design as ``<name>.esp_config``; their paths."""
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
-    for index, text in enumerate(texts):
-        path = directory / f"{prefix}{index}.esp_config"
-        path.write_text(text, encoding="utf-8")
+    for design in designs:
+        path = directory / f"{design.name}.esp_config"
+        path.write_text(design.render(), encoding="utf-8")
         paths.append(str(path))
     return paths

@@ -8,8 +8,8 @@ job; every op's output is kept as canonical JSON and checked after the
 timed window.
 
 * ``flow_cold`` — in-process ``repro.api.build`` of generated
-  esp_config SoCs, no FlowCache, ``jobs=1``, one closed-loop caller.
-  Only the flow layers work.
+  esp_config SoCs and of the Table IV designs, no FlowCache,
+  ``jobs=1``, one closed-loop caller. Only the flow layers work.
 * ``deploy_fig4`` — in-process ``repro.api.deploy`` of the Fig. 4 SoCs
   with and without power gating, flow results built in set-up. Only
   the deploy path (DES, runtime manager, PRC/NoC, energy) works.
@@ -20,6 +20,7 @@ timed window.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -32,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import repro.api as api
 from repro.core.designs import (
-    WAMI_FLOW_SOC_ACCS,
     paper_designs,
     resolve_config,
     wami_deployment_socs,
@@ -52,6 +52,8 @@ DEPLOY_FRAMES = 8
 SERVICE_DEPLOY_FRAMES = 2
 
 FIG4_SOCS = ("soc_x", "soc_y", "soc_z")
+#: The paper designs of Tables IV and V.
+TABLE4_SOCS = ("soc_a", "soc_b", "soc_c", "soc_d")
 
 #: Modelled floats must match the committed baselines this closely;
 #: they are computed by the same code, so only summation order differs.
@@ -113,7 +115,8 @@ class Outputs:
 # flow_cold
 # ----------------------------------------------------------------------
 class FlowCold:
-    """Cold in-process builds of distinct generated SoCs."""
+    """Cold in-process builds of distinct generated SoCs and of the
+    Table IV designs."""
 
     name = "flow_cold"
     service_layers = False
@@ -124,62 +127,113 @@ class FlowCold:
     def __init__(self, seed: int, work_dir: Path, root: Path) -> None:
         self.seed = seed
         self.work_dir = work_dir
-        self.paths: List[str] = []
+        self.root = root
+        #: Every op's input: a generated config path or a paper design.
+        self.inputs: List[str] = []
+        self.designs: Dict[str, socgen.Design] = {}
         self.platform = None
         self.outputs = Outputs()
 
     def setup(self) -> None:
         catalog = sorted(default_catalog())
-        texts = socgen.generate(self.seed, self.PASS_SIZE, f"f{self.seed}_", catalog)
-        self.paths = socgen.write(texts, self.work_dir / "configs", f"f{self.seed}_")
+        designs = socgen.generate(self.seed, self.PASS_SIZE, f"f{self.seed}_", catalog)
+        self.designs = {design.name: design for design in designs}
+        self.inputs = socgen.write(designs, self.work_dir / "configs")
+        self.inputs += list(TABLE4_SOCS)
         self.platform = api.platform(BuildOptions(cache=None, jobs=1))
-        # Warm-up on a design outside the list: lazy imports and the
+        # Warm-up on designs outside the list: lazy imports and the
         # per-board device tables load here, not in the first op.
-        warm = socgen.generate(self.seed, 7, "warm", catalog)
-        for text in warm:
-            api.build(parse_esp_config(text), platform=self.platform)
+        for design in socgen.generate(self.seed, 7, "warm", catalog):
+            api.build(parse_esp_config(design.render()), platform=self.platform)
 
     def run_pass(self, index: int) -> PassResult:
         result = PassResult(wall_s=0.0)
-        for op, path in enumerate(self.paths):
+        for op, spec in enumerate(self.inputs):
             result.attempted += 1
             token = CURRENT_OP.set(f"p{index}-{op}")
             try:
                 start = time.perf_counter()
-                build = api.build(resolve_config(path), platform=self.platform)
+                build = api.build(resolve_config(spec), platform=self.platform)
                 elapsed = time.perf_counter() - start
             except Exception as error:  # noqa: BLE001 - a failed op is data
-                result.errors.append(f"{Path(path).name}: {error!r}")
+                result.errors.append(f"{Path(spec).name}: {error!r}")
                 continue
             finally:
                 CURRENT_OP.reset(token)
             result.wall_s += elapsed
             result.latencies.append(("build", elapsed * 1000.0))
-            self.outputs.add(Path(path).stem, canonical(build.flow.to_summary_dict()))
+            self.outputs.add(Path(spec).stem, canonical(build.flow.to_summary_dict()))
         return result
 
     def check(self, key: str, output: str) -> Optional[str]:
         summary = json.loads(output)
-        return check_flow_summary(key, summary)
+        if key in TABLE4_SOCS:
+            return check_table4(self.root, key, summary) or check_flow_summary(
+                key, summary
+            )
+        return check_generated(self.designs[key], summary)
 
     def close(self) -> None:
         self.platform = None
 
 
 def check_flow_summary(key: str, summary: Dict) -> Optional[str]:
-    """Invariants every successful build of a generated SoC keeps."""
+    """What every successful build keeps, whatever the design.
+
+    Not degraded; floorplan regions that do not overlap and fill (0, 1]
+    of their area; P&R minutes that add up for the chosen strategy.
+    """
     floorplan = summary["floorplan"]
     minutes = summary["minutes"]
     if summary["fault_tolerance"]["degraded"]:
         return f"{key}: build degraded"
     if len(floorplan) != summary["metrics"]["num_rps"]:
         return f"{key}: {len(floorplan)} regions for {summary['metrics']['num_rps']} RPs"
-    if not 0.0 < minutes["synthesis"] < minutes["total"]:
-        return f"{key}: implausible minutes {minutes}"
     for region in floorplan:
         if not 0.0 < region["utilization"] <= 1.0:
             return f"{key}: region {region['rp']} utilization {region['utilization']}"
+    for first, second in itertools.combinations(floorplan, 2):
+        if all(
+            first[axis][0] <= second[axis][1] and second[axis][0] <= first[axis][1]
+            for axis in ("cols", "rows")
+        ):
+            return f"{key}: regions {first['rp']} and {second['rp']} overlap"
+    if not 0.0 < minutes["synthesis"] < minutes["total"] or not math.isclose(
+        minutes["total"], minutes["synthesis"] + minutes["par_makespan"], rel_tol=1e-9
+    ):
+        return f"{key}: minutes do not add up: {minutes}"
+    if summary["strategy"] == "serial":
+        parallel_terms = (minutes["t_static"], minutes["max_omega"]) != (None, None)
+    else:
+        parallel_terms = not math.isclose(
+            minutes["par_makespan"],
+            minutes["t_static"] + minutes["max_omega"],
+            rel_tol=1e-9,
+        )
+    if parallel_terms:
+        return f"{key}: {summary['strategy']} P&R terms do not add up: {minutes}"
     return None
+
+
+def check_generated(design: socgen.Design, summary: Dict) -> Optional[str]:
+    """A generated SoC's build against what the generator asked for:
+    its board, one region per reconfigurable tile, and one full
+    bitstream plus, per tile, one partial per accelerator and a blank."""
+    key = design.name
+    tiles = {f"rt{index}": modes for index, modes in enumerate(design.tiles)}
+    if (summary["soc"], summary["board"]) != (design.name, design.board):
+        return f"{key}: built {summary['soc']} on {summary['board']}"
+    if sorted(region["rp"] for region in summary["floorplan"]) != sorted(tiles):
+        return f"{key}: floorplan regions {[r['rp'] for r in summary['floorplan']]}"
+    expected = {("full", None, None)} | {
+        ("partial", tile, mode)
+        for tile, modes in tiles.items()
+        for mode in (*modes, "blank")
+    }
+    built = [(b["kind"], b["target"], b["mode"]) for b in summary["bitstreams"]]
+    if sorted(built, key=str) != sorted(expected, key=str):
+        return f"{key}: bitstreams {sorted(built, key=str)}"
+    return check_flow_summary(key, summary)
 
 
 # ----------------------------------------------------------------------
@@ -282,13 +336,18 @@ def check_fig4(root: Path, soc: str, summary: Dict) -> Optional[str]:
 
 
 def check_table4(root: Path, soc: str, summary: Dict) -> Optional[str]:
-    """The chosen strategy and its P&R time against Table IV."""
+    """The chosen strategy and its P&R time against Table IV, the
+    total compile time against Table V."""
     table4 = load_baseline(root, "table4_parallelism")
+    table5 = load_baseline(root, "table5_vs_monolithic")
     chosen = summary["strategy"].replace("-", "_")
     measured = summary["minutes"]["par_makespan"]
     for metric in (f"{soc}_chosen_total_min", f"{soc}_{chosen}_total_min"):
         if not _close(measured, table4[metric]):
             return f"{soc}: {summary['strategy']} P&R {measured!r}, {metric} {table4[metric]!r}"
+    expected = table5[f"{soc}_presp_total_min"]
+    if not _close(summary["minutes"]["total"], expected):
+        return f"{soc}: total {summary['minutes']['total']!r} min, Table V {expected!r}"
     return None
 
 
@@ -296,12 +355,15 @@ def check_table4(root: Path, soc: str, summary: Dict) -> Optional[str]:
 # service_mixed
 # ----------------------------------------------------------------------
 #: Jobs of each kind per pass. Paper-design builds are FlowCache hits
-#: (the cache is warmed in set-up; 77 = each of the 11 designs 7 times),
-#: generated configs are never-seen misses that run on the warm pool
-#: and write checkpoints and cache entries (28 = each board and tile
-#: count twice), deploys run the flow and the DES in the daemon process
-#: (30 = each Fig. 4 SoC 10 times).
-MIX = {"hit": 77, "miss": 28, "deploy": 30}
+#: (the cache is warmed in set-up; 110 = each of the 11 designs 10
+#: times), generated configs are never-seen misses that run on the warm
+#: pool and write checkpoints and cache entries (14 = each board and
+#: tile count once), deploys run the flow and the DES in the daemon
+#: process (21 = each Fig. 4 SoC 7 times). Hits are three quarters of
+#: the jobs, misses a tenth and deploys a seventh, so the overall p50
+#: falls inside the hits' latency range and p95 inside the misses', not
+#: on the edge between two kinds.
+MIX = {"hit": 110, "miss": 14, "deploy": 21}
 
 
 def spread_evenly(counts: Dict[str, int], rng: random.Random) -> List[str]:
@@ -348,6 +410,7 @@ class ServiceMixed:
         self._previous_hook = None
         #: (pass, job ID) -> op key, for the span file.
         self.op_of_job: Dict[Tuple[int, str], str] = {}
+        self.designs: Dict[str, socgen.Design] = {}
         #: (job kind, input name) -> in-process summary, computed once.
         self._expected: Dict[Tuple[str, str], str] = {}
         self.outputs = Outputs()
@@ -355,10 +418,11 @@ class ServiceMixed:
     # ------------------------------------------------------------------
     def setup(self) -> None:
         rng = random.Random(f"service_mixed:{self.seed}")
-        texts = socgen.generate(
+        designs = socgen.generate(
             self.seed, MIX["miss"], f"s{self.seed}_", sorted(default_catalog())
         )
-        misses = socgen.write(texts, self.work_dir / "configs", f"s{self.seed}_")
+        self.designs = {design.name: design for design in designs}
+        misses = socgen.write(designs, self.work_dir / "configs")
         rng.shuffle(misses)
         builds = sorted(paper_designs())
         decks = {
@@ -485,11 +549,13 @@ class ServiceMixed:
         summary = json.loads(output)
         if kind == "deploy":
             return check_fig4(self.root, name, summary)
-        if name in WAMI_FLOW_SOC_ACCS:
-            return check_table4(self.root, name, summary)
+        if name in TABLE4_SOCS:
+            return check_table4(self.root, name, summary) or check_flow_summary(
+                key, summary
+            )
         if label == "miss":
-            return check_flow_summary(key, summary)
-        return None
+            return check_generated(self.designs[name], summary)
+        return check_flow_summary(key, summary)
 
     def expected(self, kind: str, name: str) -> str:
         """The in-process ``to_summary_dict()`` for the same input."""
