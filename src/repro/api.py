@@ -210,7 +210,7 @@ def monitor(
     Returns the run report, the end-of-run health verdict and the bus.
     ``runtime_options`` supplies the runtime fault model and recovery
     policy under which the deployment runs. Extra keyword arguments
-    (watchdog thresholds, ``inject_failures=``) pass through to
+    (the watchdog thresholds) pass through to
     :meth:`PrEspPlatform.monitor_wami`.
     """
     return _platform_for(platform, options, None).monitor_wami(

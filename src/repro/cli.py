@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -99,11 +100,13 @@ from repro.service.schema import envelope
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.obs.tsdb import TelemetryStore
 from repro.runtime.faults import (
+    NO_RUNTIME_FAULTS,
     PERSISTENT,
     RuntimeFaultKind,
     RuntimeFaultModel,
     RuntimeFaultOptions,
 )
+from repro.service.faults import NO_SERVICE_FAULTS, ServiceFaultKind, ServiceFaultModel
 from repro.soc.validation import check_design
 from repro.vivado.faults import NO_FAULTS, CadFaultModel
 from repro.vivado.runtime_model import CALIBRATED_MODEL, JobKind
@@ -140,157 +143,112 @@ def cache_from_args(args) -> Optional[FlowCache]:
     return FlowCache(disk_dir=args.cache_dir or True)
 
 
-def parse_cad_injections(specs) -> list:
-    """``STAGE:JOB[:COUNT]`` flags -> (stage, job, count) triples."""
-    injections = []
-    for spec in specs or []:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise PrEspError(
-                f"bad --inject-cad-fault {spec!r}; expected STAGE:JOB[:COUNT]"
-            )
-        try:
-            count = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise PrEspError(
-                f"bad --inject-cad-fault count in {spec!r}; expected an integer"
-            ) from None
-        injections.append((parts[0], parts[1], count))
-    return injections
+def _count(spec: str, parts: list, default: int) -> int:
+    """The optional trailing ``:N`` of an ``--inject`` spec."""
+    if not parts:
+        return default
+    try:
+        return int(parts[0])
+    except ValueError:
+        raise PrEspError(f"bad --inject count in {spec!r}; expected an integer") from None
 
 
-def faults_from_args(args):
-    """The CAD fault model a build asked for (NO_FAULTS when healthy)."""
-    injections = parse_cad_injections(getattr(args, "inject_cad_fault", None))
-    rate = getattr(args, "fault_rate", 0.0) or 0.0
-    if not 0.0 <= rate < 1.0:
-        raise PrEspError(f"--fault-rate must be in [0, 1), got {rate}")
-    if not injections and rate <= 0.0:
-        return NO_FAULTS
-    rates = {kind: rate for kind in JobKind} if rate > 0.0 else None
-    model = CadFaultModel(seed=getattr(args, "fault_seed", 0) or 0, rates=rates)
-    for stage, job, count in injections:
-        model.inject_fault(stage, job, count=count)
-    return model
+def _arm_cad(model: CadFaultModel, spec: str, parts: list) -> None:
+    if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
+        raise PrEspError(f"bad --inject {spec!r}; expected cad:STAGE:JOB[:N]")
+    model.inject_fault(parts[0], parts[1], count=_count(spec, parts[2:], 1))
 
 
-def parse_runtime_rates(specs) -> dict:
-    """``[KIND=]RATE`` flags -> {RuntimeFaultKind: rate}."""
+def _arm_runtime(model: RuntimeFaultModel, spec: str, parts: list) -> None:
     kinds = {k.value: k for k in RuntimeFaultKind}
-    rates = {}
-    for spec in specs or []:
-        name, _, value = spec.rpartition("=")
-        try:
-            rate = float(value)
-        except ValueError:
-            raise PrEspError(
-                f"bad --runtime-fault-rate {spec!r}; expected [KIND=]RATE"
-            ) from None
-        if name and name not in kinds:
-            raise PrEspError(
-                f"bad --runtime-fault-rate kind in {spec!r}; choose from "
-                + ", ".join(sorted(kinds))
-            )
-        for kind in [kinds[name]] if name else list(RuntimeFaultKind):
-            rates[kind] = rate
-    return rates
-
-
-def parse_runtime_injections(specs) -> list:
-    """``TILE:MODE[:KIND]`` flags -> (tile, mode, kind) triples."""
-    kinds = {k.value: k for k in RuntimeFaultKind}
-    injections = []
-    for spec in specs or []:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise PrEspError(
-                f"bad --inject-runtime-fault {spec!r}; expected TILE:MODE[:KIND]"
-            )
-        kind = parts[2] if len(parts) == 3 else RuntimeFaultKind.BITSTREAM_CORRUPTION.value
-        if kind not in kinds:
-            raise PrEspError(
-                f"bad --inject-runtime-fault kind in {spec!r}; choose from "
-                + ", ".join(sorted(kinds))
-            )
-        injections.append((parts[0], parts[1], kinds[kind]))
-    return injections
-
-
-def runtime_faults_from_args(args) -> Optional[RuntimeFaultOptions]:
-    """The runtime fault options a deployment asked for (None = healthy)."""
-    injections = parse_runtime_injections(
-        getattr(args, "inject_runtime_fault", None)
+    if not 2 <= len(parts) <= 4 or not parts[0] or not parts[1]:
+        raise PrEspError(
+            f"bad --inject {spec!r}; expected runtime:TILE:MODE[:KIND[:N]]"
+        )
+    kind = parts[2] if len(parts) > 2 else RuntimeFaultKind.BITSTREAM_CORRUPTION.value
+    if kind not in kinds:
+        raise PrEspError(
+            f"bad --inject kind in {spec!r}; choose from " + ", ".join(sorted(kinds))
+        )
+    model.inject(
+        parts[0], parts[1], kinds[kind], count=_count(spec, parts[3:], PERSISTENT)
     )
-    rates = parse_runtime_rates(getattr(args, "runtime_fault_rate", None))
-    if not injections and not rates:
-        return None
-    model = RuntimeFaultModel(
-        seed=getattr(args, "runtime_fault_seed", 0) or 0,
-        rates=rates or None,
-    )
-    for tile, mode, kind in injections:
-        model.inject(tile, mode, kind, count=PERSISTENT)
-    return RuntimeFaultOptions(faults=model)
 
 
-def parse_service_rates(specs) -> dict:
-    """``[KIND=]RATE`` flags -> {ServiceFaultKind: rate}."""
-    from repro.service.faults import ServiceFaultKind
-
+def _arm_service(model: ServiceFaultModel, spec: str, parts: list) -> None:
     kinds = {k.value: k for k in ServiceFaultKind}
-    rates = {}
-    for spec in specs or []:
-        name, _, value = spec.rpartition("=")
+    if len(parts) not in (1, 2) or parts[0] not in kinds:
+        raise PrEspError(
+            f"bad --inject {spec!r}; expected service:KIND[:N] with KIND one of "
+            + ", ".join(sorted(kinds))
+        )
+    model.inject(kinds[parts[0]], count=_count(spec, parts[1:], 1))
+
+
+#: The fault tiers ``--fault``/``--inject`` address: the tier's model
+#: class, its shared null model, and how an ``--inject`` target arms it.
+FAULT_TIERS = {
+    "cad": (CadFaultModel, NO_FAULTS, _arm_cad),
+    "runtime": (RuntimeFaultModel, NO_RUNTIME_FAULTS, _arm_runtime),
+    "service": (ServiceFaultModel, NO_SERVICE_FAULTS, _arm_service),
+}
+
+_FAULT_SPEC = re.compile(
+    r"(?P<tier>[a-z]+)(?::(?P<kind>[a-z_]+))?=(?P<rate>[^@]+)(?:@(?P<seed>\d+))?"
+)
+
+
+def fault_model(args):
+    """The fault model the ``--fault``/``--inject`` flags ask for.
+
+    ``--fault TIER[:KIND]=RATE[@SEED]`` sets a per-attempt failure rate
+    (every kind of the tier without ``:KIND``) and the tier's seed;
+    ``--inject TIER:TARGET[:N]`` arms targeted faults. Every flag must
+    name the tier the subcommand runs (``args.fault_tier``). With no
+    positive rate and no injection the tier's shared null model is used.
+    """
+    tier = args.fault_tier
+    model_class, null_model, arm = FAULT_TIERS[tier]
+    kinds = {kind.value: kind for kind in model_class.kinds}
+    seed, rates, injections = None, {}, []
+    specs = [("--fault", spec) for spec in args.fault or []]
+    specs += [("--inject", spec) for spec in args.inject or []]
+    for flag, spec in specs:
+        name = re.split("[:=]", spec, maxsplit=1)[0]
+        if name != tier:
+            raise PrEspError(
+                f"bad {flag} {spec!r}; this command runs the {tier} fault tier"
+            )
+        if flag == "--inject":
+            injections.append((spec, spec.split(":")[1:]))
+            continue
+        match = _FAULT_SPEC.fullmatch(spec)
         try:
-            rate = float(value)
-        except ValueError:
+            rate = float(match["rate"])  # TypeError: the spec did not match
+        except (TypeError, ValueError):
             raise PrEspError(
-                f"bad --service-fault-rate {spec!r}; expected [KIND=]RATE"
+                f"bad --fault {spec!r}; expected TIER[:KIND]=RATE[@SEED]"
             ) from None
-        if name and name not in kinds:
+        if match["kind"] and match["kind"] not in kinds:
             raise PrEspError(
-                f"bad --service-fault-rate kind in {spec!r}; choose from "
+                f"bad --fault kind in {spec!r}; choose from "
                 + ", ".join(sorted(kinds))
             )
-        for kind in [kinds[name]] if name else list(ServiceFaultKind):
+        if match["seed"] is not None:
+            if seed not in (None, int(match["seed"])):
+                raise PrEspError(f"bad --fault {spec!r}; conflicting {tier} seeds")
+            seed = int(match["seed"])
+        for kind in [kinds[match["kind"]]] if match["kind"] else kinds.values():
             rates[kind] = rate
-    return rates
-
-
-def service_faults_from_args(args):
-    """The service fault model a daemon run asked for (disabled = None)."""
-    from repro.service.faults import (
-        NO_SERVICE_FAULTS,
-        ServiceFaultKind,
-        ServiceFaultModel,
-    )
-
-    kinds = {k.value: k for k in ServiceFaultKind}
-    injections = []
-    for spec in getattr(args, "inject_service_fault", None) or []:
-        parts = spec.split(":")
-        if len(parts) not in (1, 2) or parts[0] not in kinds:
-            raise PrEspError(
-                f"bad --inject-service-fault {spec!r}; expected KIND[:COUNT] "
-                "with KIND one of " + ", ".join(sorted(kinds))
-            )
-        try:
-            count = int(parts[1]) if len(parts) == 2 else 1
-        except ValueError:
-            raise PrEspError(
-                f"bad --inject-service-fault count in {spec!r}; expected an "
-                "integer"
-            ) from None
-        injections.append((kinds[parts[0]], count))
-    rates = parse_service_rates(getattr(args, "service_fault_rate", None))
-    if not injections and not rates:
-        return NO_SERVICE_FAULTS
-    model = ServiceFaultModel(
-        seed=getattr(args, "service_fault_seed", 0) or 0,
-        rates=rates or None,
-    )
-    for kind, count in injections:
-        model.inject(kind, count=count)
+    rates = {kind: rate for kind, rate in rates.items() if rate != 0.0}
+    if not rates and not injections:
+        return null_model
+    try:
+        model = model_class(seed=seed or 0, rates=rates)
+    except PrEspError as error:
+        raise PrEspError(f"bad --fault for the {tier} tier: {error}") from None
+    for spec, parts in injections:
+        arm(model, spec, parts)
     return model
 
 
@@ -319,7 +277,7 @@ def cmd_build(args) -> int:
     )
     options = BuildOptions(
         cache=cache_from_args(args),
-        faults=faults_from_args(args),
+        faults=fault_model(args),
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
@@ -469,7 +427,7 @@ def cmd_deploy(args) -> int:
         instrumentation=Instrumentation(
             tracer=tracer, metrics=registry, profiler=profiler
         ),
-        runtime_options=runtime_faults_from_args(args),
+        runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
     )
     if args.trace:
         write_chrome_trace(
@@ -513,25 +471,6 @@ def cmd_deploy(args) -> int:
     return 0
 
 
-def parse_injections(specs) -> list:
-    """``TILE:MODE[:COUNT]`` flags -> (tile, mode, count) triples."""
-    injections = []
-    for spec in specs or []:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
-            raise PrEspError(
-                f"bad --inject-failure {spec!r}; expected TILE:MODE[:COUNT]"
-            )
-        try:
-            count = int(parts[2]) if len(parts) == 3 else 1
-        except ValueError:
-            raise PrEspError(
-                f"bad --inject-failure count in {spec!r}; expected an integer"
-            ) from None
-        injections.append((parts[0], parts[1], count))
-    return injections
-
-
 def cmd_monitor(args) -> int:
     config = resolve_config(args.config)
     registry = MetricsRegistry()
@@ -543,8 +482,7 @@ def cmd_monitor(args) -> int:
         failure_rate_degraded=args.failure_rate_degraded,
         failure_rate_critical=args.failure_rate_critical,
         queue_depth_degraded=args.queue_depth_degraded,
-        inject_failures=parse_injections(args.inject_failure),
-        runtime_options=runtime_faults_from_args(args),
+        runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
         metrics=registry,
     )
     # One end-of-run snapshot is enough for the SLO verdict, but burn
@@ -646,8 +584,7 @@ def cmd_dashboard(args) -> int:
         config,
         frames=args.frames,
         flow_result=built.flow,
-        inject_failures=parse_injections(args.inject_failure),
-        runtime_options=runtime_faults_from_args(args),
+        runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
         metrics=registry,
         bus=bus,
         platform=plat,
@@ -960,7 +897,7 @@ def cmd_serve(args) -> int:
         default_quota=TenantQuota(
             max_queued=args.max_queued, max_active=args.max_active
         ),
-        faults=service_faults_from_args(args),
+        faults=fault_model(args),
         default_deadline_s=args.deadline,
         tenant_deadlines=parse_tenant_deadlines(args.tenant_deadline),
         default_max_attempts=args.max_attempts,
@@ -1093,31 +1030,33 @@ def cmd_model(_args) -> int:
 
 
 # ----------------------------------------------------------------------
-def _add_runtime_fault_options(command: argparse.ArgumentParser) -> None:
+_INJECT_TARGETS = {
+    "cad": "cad:STAGE:JOB[:N], N defaulting to 1",
+    "runtime": (
+        "runtime:TILE:MODE[:KIND[:N]], KIND crc (default)/stuck/hang, "
+        "every attempt failing when N is omitted"
+    ),
+    "service": "service:KIND[:N], KIND crash/slow/io/torn, N defaulting to 1",
+}
+
+
+def _add_fault_options(command: argparse.ArgumentParser, tier: str) -> None:
+    """``--fault``/``--inject`` for a subcommand that runs the ``tier`` tier."""
+    command.set_defaults(fault_tier=tier)
     command.add_argument(
-        "--runtime-fault-rate",
+        "--fault",
         action="append",
-        metavar="[KIND=]R",
+        metavar="TIER[:KIND]=RATE[@SEED]",
         help=(
-            "per-attempt runtime failure probability; plain R applies to "
-            "every kind, KIND=R (crc/stuck/hang) to one; repeatable"
+            f"seeded per-attempt failure rate for the {tier} tier; without "
+            "KIND it applies to every kind; repeatable"
         ),
     )
     command.add_argument(
-        "--runtime-fault-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the deterministic runtime fault model",
-    )
-    command.add_argument(
-        "--inject-runtime-fault",
+        "--inject",
         action="append",
-        metavar="TILE:MODE[:KIND]",
-        help=(
-            "fail every (tile, mode) attempt with KIND (crc default, stuck, "
-            "hang) until recovery quarantines the tile; repeatable"
-        ),
+        metavar="TIER:TARGET[:N]",
+        help="arm N targeted faults: " + _INJECT_TARGETS[tier] + "; repeatable",
     )
 
 
@@ -1184,29 +1123,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restore completed stages from --checkpoint-dir before building",
     )
     build.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        metavar="R",
-        help="per-attempt CAD job failure probability (seeded, deterministic)",
-    )
-    build.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the deterministic CAD fault model",
-    )
-    build.add_argument(
-        "--inject-cad-fault",
-        action="append",
-        metavar="STAGE:JOB[:COUNT]",
-        help=(
-            "arm COUNT failures for one tool job, e.g. "
-            "synthesis:synth_rt0:3; repeatable"
-        ),
-    )
-    build.add_argument(
         "--profile",
         metavar="PATH",
         help=(
@@ -1215,6 +1131,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_cache_options(build)
+    _add_fault_options(build, "cad")
     build.set_defaults(func=cmd_build)
 
     sweep = sub.add_parser(
@@ -1273,7 +1190,7 @@ def build_parser() -> argparse.ArgumentParser:
             "tree plus a sibling .collapsed flamegraph input)"
         ),
     )
-    _add_runtime_fault_options(deploy)
+    _add_fault_options(deploy, "runtime")
     deploy.set_defaults(func=cmd_deploy)
 
     monitor = sub.add_parser(
@@ -1323,12 +1240,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-tile lock queue depth that degrades the verdict",
     )
     monitor.add_argument(
-        "--inject-failure",
-        action="append",
-        metavar="TILE:MODE[:COUNT]",
-        help="arm COUNT transfer failures for (tile, mode); repeatable",
-    )
-    monitor.add_argument(
         "--events",
         type=int,
         default=10,
@@ -1338,7 +1249,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument(
         "--json", action="store_true", help="emit the health report as JSON"
     )
-    _add_runtime_fault_options(monitor)
+    _add_fault_options(monitor, "runtime")
     monitor.set_defaults(func=cmd_monitor)
 
     dashboard = sub.add_parser(
@@ -1387,12 +1298,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay the recorded samples as a live-refresh timeline",
     )
     dashboard.add_argument(
-        "--inject-failure",
-        action="append",
-        metavar="TILE:MODE[:COUNT]",
-        help="arm COUNT transfer failures for (tile, mode); repeatable",
-    )
-    dashboard.add_argument(
         "--prom",
         metavar="PATH",
         help="write the Prometheus text exposition page to PATH",
@@ -1405,7 +1310,7 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.add_argument(
         "--json", action="store_true", help="emit the dashboard as JSON"
     )
-    _add_runtime_fault_options(dashboard)
+    _add_fault_options(dashboard, "runtime")
     dashboard.set_defaults(func=cmd_dashboard)
 
     bench_diff = sub.add_parser(
@@ -1650,28 +1555,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="SIGTERM drain deadline before in-flight jobs are requeued",
     )
     serve.add_argument(
-        "--service-fault-rate",
-        action="append",
-        metavar="[KIND=]RATE",
-        help=(
-            "seeded service-tier fault rate (crash, slow, io, torn); "
-            "bare RATE applies to every kind; repeatable"
-        ),
-    )
-    serve.add_argument(
-        "--service-fault-seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed of the deterministic service fault model",
-    )
-    serve.add_argument(
-        "--inject-service-fault",
-        action="append",
-        metavar="KIND[:COUNT]",
-        help="deterministically fire COUNT faults of KIND; repeatable",
-    )
-    serve.add_argument(
         "--breaker-window",
         type=int,
         default=20,
@@ -1706,6 +1589,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="canary jobs a half-open breaker admits",
     )
+    _add_fault_options(serve, "service")
     serve.set_defaults(func=cmd_serve)
 
     jobs = sub.add_parser(

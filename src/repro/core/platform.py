@@ -37,12 +37,7 @@ from repro.obs.tsdb import TelemetryStore
 from repro.runtime.api import DprUserApi
 from repro.runtime.driver import AcceleratorDriver, DriverRegistry
 from repro.runtime.executor import AppExecutor, ExecutionTimeline
-from repro.runtime.faults import (
-    NO_RUNTIME_FAULTS,
-    RuntimeFaultKind,
-    RuntimeFaultModel,
-    RuntimeFaultOptions,
-)
+from repro.runtime.faults import NO_RUNTIME_FAULTS, RuntimeFaultOptions
 from repro.runtime.manager import ReconfigurationManager
 from repro.runtime.memory import BitstreamStore
 from repro.runtime.prc import PrcDevice
@@ -559,7 +554,6 @@ class PrEspPlatform:
         failure_rate_degraded: float = 0.05,
         failure_rate_critical: float = 0.5,
         queue_depth_degraded: int = 4,
-        inject_failures: Optional[Sequence[Tuple[str, str, int]]] = None,
         bus: Optional[EventBus] = None,
         metrics=NULL_METRICS,
         tracer=NULL_TRACER,
@@ -573,13 +567,10 @@ class PrEspPlatform:
         :class:`~repro.obs.health.HealthMonitor` into
         :meth:`deploy_wami` and returns the run report, the end-of-run
         health verdict, and the bus (its ring buffer holds the recent
-        events for the dashboard). ``inject_failures`` is a sequence of
-        ``(tile, mode, count)`` triples armed as targeted CRC faults on
-        the run's :class:`RuntimeFaultModel` — the way to exercise the
-        failure-rate watchdog deliberately. ``runtime_options``
-        (falling back to the platform's bundle) supplies the base fault
-        model and recovery policy; injections are layered on a per-call
-        copy, so the bundle itself is never mutated.
+        events for the dashboard). ``runtime_options`` (falling back to
+        the platform's bundle) supplies the fault model and recovery
+        policy; arm targeted faults on its model to exercise the
+        failure-rate watchdog deliberately.
         """
         bus = bus if bus is not None else EventBus()
         monitor = HealthMonitor(
@@ -590,22 +581,6 @@ class PrEspPlatform:
             failure_rate_critical=failure_rate_critical,
             queue_depth_degraded=queue_depth_degraded,
         )
-        ropts = (
-            runtime_options if runtime_options is not None else self.runtime_options
-        )
-        if inject_failures:
-            base = ropts.faults
-            model = (
-                base.fresh() if base is not NO_RUNTIME_FAULTS else RuntimeFaultModel()
-            )
-            for tile, mode, count in inject_failures:
-                model.inject(
-                    str(tile),
-                    str(mode),
-                    RuntimeFaultKind.BITSTREAM_CORRUPTION,
-                    count=int(count),
-                )
-            ropts = RuntimeFaultOptions(faults=model, recovery=ropts.recovery)
         with self._request("monitor", context) as ctx:
             report = self.deploy_wami(
                 config,
@@ -614,7 +589,7 @@ class PrEspPlatform:
                 instrumentation=Instrumentation(
                     tracer=tracer, metrics=metrics, events=bus, profiler=profiler
                 ),
-                runtime_options=ropts,
+                runtime_options=runtime_options,
                 context=ctx,
             )
         return report, monitor.report(), bus

@@ -83,12 +83,12 @@ class Counter:
     def series(self) -> Dict[str, float]:
         return {
             _series_name(self.name, key): value
-            for key, value in self._values.items()
+            for key, value in self._values.copy().items()
         }
 
     def items(self) -> List[Tuple[LabelKey, float]]:
         """``(label_key, value)`` pairs, label-ordered (exporter view)."""
-        return sorted(self._values.items())
+        return sorted(self._values.copy().items())
 
 
 class Gauge:
@@ -112,12 +112,12 @@ class Gauge:
     def series(self) -> Dict[str, float]:
         return {
             _series_name(self.name, key): value
-            for key, value in self._values.items()
+            for key, value in self._values.copy().items()
         }
 
     def items(self) -> List[Tuple[LabelKey, float]]:
         """``(label_key, value)`` pairs, label-ordered (exporter view)."""
-        return sorted(self._values.items())
+        return sorted(self._values.copy().items())
 
 
 #: Default histogram buckets: wide enough for both milliseconds of
@@ -209,7 +209,7 @@ class Histogram:
         key = _label_key(_contextual(labels))
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = _HistogramSeries(len(self.buckets))
+            series = self._series.setdefault(key, _HistogramSeries(len(self.buckets)))
         series.count += 1
         series.total += value
         series.minimum = value if series.minimum is None else min(series.minimum, value)
@@ -256,7 +256,7 @@ class Histogram:
 
     def series(self) -> Dict[str, float]:
         out: Dict[str, float] = {}
-        for key, series in self._series.items():
+        for key, series in self._series.copy().items():
             base = _series_name(self.name, key)
             out[f"{base}.count"] = float(series.count)
             out[f"{base}.sum"] = series.total
@@ -282,7 +282,7 @@ class Histogram:
 
     def items(self) -> List[Tuple[LabelKey, "_HistogramSeries"]]:
         """``(label_key, series)`` pairs, label-ordered (exporter view)."""
-        return sorted(self._series.items(), key=lambda item: item[0])
+        return sorted(self._series.copy().items(), key=lambda item: item[0])
 
 
 class MetricsRegistry:
@@ -291,6 +291,12 @@ class MetricsRegistry:
     Instrument registration is idempotent by (name, kind): asking for
     an existing counter returns it; asking for the same name as a
     different kind is an error.
+
+    Readers may run while other threads record: every read walks a
+    copy of a series table (``dict.copy`` is atomic under the GIL), so
+    a snapshot never sees a table change size mid-iteration, and
+    concurrent first registrations of one name or label set settle on
+    a single object via ``dict.setdefault``. Writes take no lock.
     """
 
     enabled = True
@@ -299,16 +305,14 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
 
     def _get(self, name: str, kind, *args, **kwargs):
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, kind):
-                raise MetricsError(
-                    f"metric {name!r} already registered as "
-                    f"{existing.kind}, not {kind.kind}"
-                )
-            return existing
-        instrument = kind(name, *args, **kwargs)
-        self._instruments[name] = instrument
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            instrument = self._instruments.setdefault(name, kind(name, *args, **kwargs))
+        if not isinstance(instrument, kind):
+            raise MetricsError(
+                f"metric {name!r} already registered as "
+                f"{instrument.kind}, not {kind.kind}"
+            )
         return instrument
 
     def counter(self, name: str, description: str = "") -> Counter:
@@ -327,7 +331,8 @@ class MetricsRegistry:
 
     def instruments(self) -> List[object]:
         """All registered instruments, name-ordered."""
-        return [self._instruments[name] for name in sorted(self._instruments)]
+        instruments = self._instruments.copy()
+        return [instruments[name] for name in sorted(instruments)]
 
     def snapshot(self) -> Dict[str, float]:
         """Flat ``{series_name: value}`` dict, deterministically ordered."""

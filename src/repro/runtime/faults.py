@@ -27,15 +27,12 @@ injection so a test cannot accidentally poison every other run.
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import ReconfigurationError
-
-#: Injection count meaning "every attempt fails until the tile is
-#: quarantined" — the CLI's default for ``--inject-runtime-fault``.
-PERSISTENT = -1
+from repro.faults import PERSISTENT as PERSISTENT  # re-exported for callers
+from repro.faults import Backoff, FaultModel
 
 
 class RuntimeFaultKind(enum.Enum):
@@ -59,25 +56,14 @@ TRANSFER_KINDS = (
 )
 
 
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in [0, 1) keyed by ``parts``.
-
-    SHA-256 over the joined key gives order-independence: the same
-    (seed, kind, tile, mode, attempt) tuple draws the same number
-    whichever executor thread asks first, in whatever frame.
-    """
-    key = "|".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
-class RuntimeFaultModel:
+class RuntimeFaultModel(FaultModel):
     """Seeded, order-independent runtime operation failures.
 
     ``rates`` maps a :class:`RuntimeFaultKind` to its per-attempt
     failure probability (absent kinds never fail stochastically). The
-    two transfer kinds are stacked into one draw per attempt, so their
-    rates must sum below 1.
+    two transfer kinds are stacked into one draw per attempt, keyed by
+    ``(seed, "transfer", tile, mode, attempt)``, so their rates must sum
+    below 1; hangs draw ``(seed, "invoke", tile, mode, attempt)``.
 
     Attempts are numbered per ``(tile, mode, operation)`` by an
     internal counter — the per-tile lock already serializes operations
@@ -91,40 +77,20 @@ class RuntimeFaultModel:
     *specification* from attempt one.
     """
 
+    kinds = RuntimeFaultKind
+    error = ReconfigurationError
+    stacks = (TRANSFER_KINDS,)
+
     def __init__(
         self,
         seed: int = 0,
         rates: Optional[Mapping[RuntimeFaultKind, float]] = None,
     ) -> None:
-        for kind, rate in (rates or {}).items():
-            if not isinstance(kind, RuntimeFaultKind):
-                raise ReconfigurationError(
-                    f"fault rates must be keyed by RuntimeFaultKind, got {kind!r}"
-                )
-            if not 0.0 <= rate < 1.0:
-                raise ReconfigurationError(
-                    f"failure probability for {kind.value} must be in [0, 1), "
-                    f"got {rate}"
-                )
-        self.seed = seed
-        self.rates: Dict[RuntimeFaultKind, float] = dict(rates or {})
-        transfer_total = sum(self.rates.get(k, 0.0) for k in TRANSFER_KINDS)
-        if transfer_total >= 1.0:
-            raise ReconfigurationError(
-                "crc + stuck rates are stacked into one transfer draw and "
-                f"must sum below 1, got {transfer_total}"
-            )
-        self._injected: Dict[Tuple[str, str, RuntimeFaultKind], int] = {}
+        super().__init__(seed, rates)
         self._attempts: Dict[Tuple[str, str, str], int] = {}
         #: Faults this model produced, by kind (shared accounting for
         #: both the stochastic draws and the targeted injections).
         self.drawn: Dict[RuntimeFaultKind, int] = {k: 0 for k in RuntimeFaultKind}
-
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """True when any stochastic rate or injection is armed."""
-        return any(r > 0.0 for r in self.rates.values()) or bool(self._injected)
 
     def inject(
         self,
@@ -142,21 +108,13 @@ class RuntimeFaultModel:
             raise ReconfigurationError(
                 f"kind must be a RuntimeFaultKind, got {kind!r}"
             )
-        if count != PERSISTENT and count <= 0:
-            raise ReconfigurationError(
-                f"fault count must be positive (or PERSISTENT), got {count}"
-            )
-        key = (tile_name, mode_name, kind)
-        if count == PERSISTENT or self._injected.get(key, 0) == PERSISTENT:
-            self._injected[key] = PERSISTENT
-        else:
-            self._injected[key] = self._injected.get(key, 0) + count
+        self.injections.arm((tile_name, mode_name, kind), count)
 
     def injected_count(
         self, tile_name: str, mode_name: str, kind: RuntimeFaultKind
     ) -> int:
         """Armed targeted faults for (tile, mode, kind); -1 = persistent."""
-        return self._injected.get((tile_name, mode_name, kind), 0)
+        return self.injections.count((tile_name, mode_name, kind))
 
     # ------------------------------------------------------------------
     def _next_attempt(self, tile_name: str, mode_name: str, op: str) -> int:
@@ -164,12 +122,9 @@ class RuntimeFaultModel:
         self._attempts[key] = self._attempts.get(key, 0) + 1
         return self._attempts[key]
 
-    def _covered(self, tile_name: str, mode_name: str, kind: RuntimeFaultKind,
-                 attempt: int, offset: int = 0) -> bool:
-        armed = self._injected.get((tile_name, mode_name, kind), 0)
-        if armed == PERSISTENT:
-            return True
-        return attempt - offset <= armed
+    def _fire(self, kind: RuntimeFaultKind) -> RuntimeFaultKind:
+        self.drawn[kind] += 1
+        return kind
 
     def transfer_fault(
         self, tile_name: str, mode_name: str
@@ -181,49 +136,28 @@ class RuntimeFaultModel:
         decides between corruption, stuck, and healthy.
         """
         attempt = self._next_attempt(tile_name, mode_name, "transfer")
-        crc_armed = self._injected.get(
-            (tile_name, mode_name, RuntimeFaultKind.BITSTREAM_CORRUPTION), 0
-        )
-        if self._covered(
-            tile_name, mode_name, RuntimeFaultKind.BITSTREAM_CORRUPTION, attempt
+        crc = (tile_name, mode_name, RuntimeFaultKind.BITSTREAM_CORRUPTION)
+        if self.injections.covers(crc, attempt):
+            return self._fire(RuntimeFaultKind.BITSTREAM_CORRUPTION)
+        stuck = (tile_name, mode_name, RuntimeFaultKind.STUCK_TRANSFER)
+        if self.injections.covers(
+            stuck, attempt, offset=max(0, self.injections.count(crc))
         ):
-            self.drawn[RuntimeFaultKind.BITSTREAM_CORRUPTION] += 1
-            return RuntimeFaultKind.BITSTREAM_CORRUPTION
-        if self._covered(
-            tile_name,
-            mode_name,
-            RuntimeFaultKind.STUCK_TRANSFER,
-            attempt,
-            offset=max(0, crc_armed),
-        ):
-            self.drawn[RuntimeFaultKind.STUCK_TRANSFER] += 1
-            return RuntimeFaultKind.STUCK_TRANSFER
-        draw = _unit_draw(self.seed, "transfer", tile_name, mode_name, attempt)
-        threshold = 0.0
-        for kind in TRANSFER_KINDS:
-            threshold += self.rates.get(kind, 0.0)
-            if draw < threshold:
-                self.drawn[kind] += 1
-                return kind
-        return None
+            return self._fire(RuntimeFaultKind.STUCK_TRANSFER)
+        kind = self.draw(TRANSFER_KINDS, "transfer", tile_name, mode_name, attempt)
+        return None if kind is None else self._fire(kind)
 
     def invoke_fault(self, tile_name: str, mode_name: str) -> bool:
         """True when the next invocation attempt for (tile, mode) hangs."""
         attempt = self._next_attempt(tile_name, mode_name, "invoke")
-        if self._covered(
-            tile_name, mode_name, RuntimeFaultKind.KERNEL_HANG, attempt
-        ):
-            self.drawn[RuntimeFaultKind.KERNEL_HANG] += 1
-            return True
-        rate = self.rates.get(RuntimeFaultKind.KERNEL_HANG, 0.0)
-        if rate <= 0.0:
-            return False
-        if _unit_draw(self.seed, "invoke", tile_name, mode_name, attempt) < rate:
-            self.drawn[RuntimeFaultKind.KERNEL_HANG] += 1
+        hang = RuntimeFaultKind.KERNEL_HANG
+        if self.injections.covers(
+            (tile_name, mode_name, hang), attempt
+        ) or self.draw((hang,), "invoke", tile_name, mode_name, attempt):
+            self._fire(hang)
             return True
         return False
 
-    # ------------------------------------------------------------------
     def fresh(self) -> "RuntimeFaultModel":
         """A copy of this fault *specification* with virgin counters.
 
@@ -231,28 +165,9 @@ class RuntimeFaultModel:
         same-seed deploys replay the identical fault timeline instead
         of continuing a shared attempt numbering.
         """
-        model = RuntimeFaultModel(seed=self.seed, rates=dict(self.rates))
-        model._injected.update(self._injected)
+        model = RuntimeFaultModel(seed=self.seed, rates=self.rates)
+        model.injections = self.injections.copy()
         return model
-
-    def fingerprint(self) -> Dict:
-        """Everything that can change a deployment's fault timeline."""
-        return {
-            "seed": self.seed,
-            "rates": {
-                kind.value: rate
-                for kind, rate in sorted(
-                    self.rates.items(), key=lambda kv: kv[0].value
-                )
-            },
-            "injected": {
-                f"{tile}/{mode}/{kind.value}": count
-                for (tile, mode, kind), count in sorted(
-                    self._injected.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].value),
-                )
-            },
-        }
 
 
 class _NoRuntimeFaults(RuntimeFaultModel):
@@ -262,11 +177,7 @@ class _NoRuntimeFaults(RuntimeFaultModel):
     so the shared instance carries no cross-run state at all.
     """
 
-    def inject(self, tile_name, mode_name, kind=RuntimeFaultKind.BITSTREAM_CORRUPTION, count=1):
-        raise ReconfigurationError(
-            "cannot inject faults into the shared NO_RUNTIME_FAULTS model; "
-            "construct a RuntimeFaultModel instead"
-        )
+    enabled = False
 
     def transfer_fault(self, tile_name, mode_name):
         return None
@@ -276,7 +187,7 @@ class _NoRuntimeFaults(RuntimeFaultModel):
 
 
 #: Shared disabled model: no runtime operation ever fails.
-NO_RUNTIME_FAULTS = _NoRuntimeFaults()
+NO_RUNTIME_FAULTS = _NoRuntimeFaults().refusing("NO_RUNTIME_FAULTS", "RuntimeFaultModel")
 
 
 @dataclass(frozen=True)
@@ -315,14 +226,7 @@ class RecoveryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1 or self.hang_max_attempts < 1:
             raise ReconfigurationError("recovery needs >= 1 attempt per operation")
-        if self.backoff_s < 0 or self.cap_s < 0:
-            raise ReconfigurationError("backoff and cap must be non-negative")
-        if self.factor < 1.0:
-            raise ReconfigurationError(
-                f"backoff factor must be >= 1, got {self.factor}"
-            )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ReconfigurationError(f"jitter must be in [0, 1], got {self.jitter}")
+        self.backoff.check(ReconfigurationError)
         if self.reconfig_deadline_s <= 0:
             raise ReconfigurationError("reconfiguration deadline must be positive")
         if self.exec_deadline_factor <= 1.0:
@@ -333,9 +237,13 @@ class RecoveryPolicy:
             raise ReconfigurationError("quarantine threshold must be >= 1")
 
     @property
+    def backoff(self) -> Backoff:
+        return Backoff(self.backoff_s, self.factor, self.cap_s, self.jitter)
+
+    @property
     def max_backoff_s(self) -> float:
         """Upper bound of any single backoff wait."""
-        return self.cap_s * (1.0 + self.jitter)
+        return self.backoff.bound
 
     def backoff_before(
         self, attempt: int, seed: int, tile_name: str, mode_name: str
@@ -348,11 +256,9 @@ class RecoveryPolicy:
         """
         if attempt <= 1:
             return 0.0
-        base = min(self.backoff_s * self.factor ** (attempt - 2), self.cap_s)
-        jitter = self.jitter * _unit_draw(
-            seed, "rbackoff", tile_name, mode_name, attempt
+        return self.backoff.delay(
+            attempt - 1, seed, "rbackoff", tile_name, mode_name, attempt
         )
-        return base * (1.0 + jitter)
 
 
 #: The default watchdog: retry-once with 2 ms backoff, 250 ms transfer

@@ -182,23 +182,6 @@ class PrcDevice:
             self.mem_position, self.aux_position, size_bytes
         )
 
-    def inject_failure(self, *args, **kwargs) -> None:
-        """Removed. Inject faults through the runtime fault model.
-
-        The deprecation-era shim is gone; the replacement is::
-
-            model = RuntimeFaultModel()
-            model.inject(tile, mode, RuntimeFaultKind.BITSTREAM_CORRUPTION)
-            platform = PrEspPlatform(
-                runtime_options=RuntimeFaultOptions(faults=model)
-            )
-        """
-        raise TypeError(
-            "PrcDevice.inject_failure was removed; inject via "
-            "RuntimeFaultModel.inject and pass RuntimeFaultOptions to the "
-            "platform (or a prc_setup hook that sets prc.faults) instead"
-        )
-
     def abort_transfer(self, tile_name: str, mode_name: str) -> bool:
         """Abort an in-flight transfer for (tile, mode) — DFXC reset.
 

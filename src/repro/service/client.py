@@ -11,7 +11,6 @@ No third-party HTTP stack, matching the daemon's stdlib server.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 import urllib.error
@@ -20,6 +19,7 @@ from typing import Callable, Dict, Optional, TypeVar
 from urllib.parse import urlencode
 
 from repro.errors import PrEspError
+from repro.faults import Backoff
 from repro.service.schema import check_envelope
 
 #: Job states the poll loop treats as finished. ``dead`` is terminal
@@ -28,12 +28,6 @@ from repro.service.schema import check_envelope
 _TERMINAL = ("succeeded", "failed", "cancelled", "dead")
 
 _T = TypeVar("_T")
-
-
-def _retry_jitter(seed: int, attempt: int) -> float:
-    """Deterministic jitter fraction in [0, 0.25) for one retry."""
-    digest = hashlib.sha256(f"{seed}|client-retry|{attempt}".encode()).digest()
-    return 0.25 * (int.from_bytes(digest[:8], "big") / 2**64)
 
 
 class ServiceUnavailable(PrEspError):
@@ -86,8 +80,10 @@ class ServiceClient:
             except ServiceUnavailable:
                 if attempt >= self.retries:
                     raise
-                delay = self.retry_backoff_s * (2**attempt)
-                time.sleep(delay * (1.0 + _retry_jitter(self.seed, attempt)))
+                backoff = Backoff(self.retry_backoff_s, jitter=0.25)
+                time.sleep(
+                    backoff.delay(attempt + 1, self.seed, "client-retry", attempt)
+                )
                 attempt += 1
 
     # ------------------------------------------------------------------

@@ -4,15 +4,15 @@ The CAD layer loses Vivado jobs (:mod:`repro.vivado.faults`) and the
 runtime loses reconfigurations (:mod:`repro.runtime.faults`); this
 module models what the *daemon's own machinery* loses — crashed worker
 threads, workers that wedge and never return, job-store writes that
-hit transient IO errors, and writes torn mid-flight. Same discipline
-as its two siblings:
+hit transient IO errors, and writes torn mid-flight. It is built on
+the same core as its two siblings (:mod:`repro.faults`):
 
-* every stochastic draw is a pure SHA-256 hash of ``(seed, kind,
+* every stochastic draw is a pure SHA-256 hash of ``(seed, kinds,
   job_id, attempt)``, so the fault timeline of a daemon run depends
   only on the seed and the job identities — never on worker-thread
   interleaving, queue order, or how many restarts came before;
 * targeted :meth:`ServiceFaultModel.inject` arming consumes counts in
-  attempt order, for tests and the ``--inject-service-fault`` CLI;
+  arming order, for tests and ``repro serve --inject service:KIND``;
 * :data:`NO_SERVICE_FAULTS` is the always-healthy shared model that
   refuses injection so one test cannot poison every other run.
 
@@ -27,11 +27,11 @@ the corrupted artifact, and recovery must shrug the junk off.
 from __future__ import annotations
 
 import enum
-import hashlib
 import threading
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.errors import PrEspError
+from repro.faults import Backoff, FaultModel
 
 
 class ServiceFaultError(PrEspError):
@@ -75,19 +75,7 @@ EXECUTION_KINDS = (ServiceFaultKind.WORKER_CRASH, ServiceFaultKind.SLOW_WORKER)
 STORE_KINDS = (ServiceFaultKind.STORE_IO, ServiceFaultKind.TORN_WRITE)
 
 
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in [0, 1) keyed by ``parts``.
-
-    SHA-256 over the joined key gives order-independence: the same
-    (seed, kind, job_id, attempt) tuple draws the same number
-    whichever worker thread asks first, before or after any restart.
-    """
-    key = "|".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
-class ServiceFaultModel:
+class ServiceFaultModel(FaultModel):
     """Seeded, order-independent service-tier failures.
 
     ``rates`` maps a :class:`ServiceFaultKind` to its per-attempt (or
@@ -104,47 +92,26 @@ class ServiceFaultModel:
     that kind fire deterministically, regardless of the rates.
     """
 
+    kinds = ServiceFaultKind
+    stacks = (EXECUTION_KINDS, STORE_KINDS)
+
     def __init__(
         self,
         seed: int = 0,
         rates: Optional[Mapping[ServiceFaultKind, float]] = None,
         hang_s: float = 30.0,
     ) -> None:
-        for kind, rate in (rates or {}).items():
-            if not isinstance(kind, ServiceFaultKind):
-                raise PrEspError(
-                    f"fault rates must be keyed by ServiceFaultKind, got {kind!r}"
-                )
-            if not 0.0 <= rate < 1.0:
-                raise PrEspError(
-                    f"failure probability for {kind.value} must be in [0, 1), "
-                    f"got {rate}"
-                )
+        super().__init__(int(seed), rates)
         if hang_s <= 0:
             raise PrEspError(f"hang_s must be positive, got {hang_s}")
-        self.seed = int(seed)
-        self.rates: Dict[ServiceFaultKind, float] = dict(rates or {})
-        for pair, label in ((EXECUTION_KINDS, "crash + slow"), (STORE_KINDS, "io + torn")):
-            total = sum(self.rates.get(k, 0.0) for k in pair)
-            if total >= 1.0:
-                raise PrEspError(
-                    f"{label} rates are stacked into one draw and must sum "
-                    f"below 1, got {total}"
-                )
         #: How long a SLOW_WORKER fault wedges before giving up on its
         #: own (the watchdog normally abandons it much earlier).
         self.hang_s = float(hang_s)
-        self._injected: Dict[ServiceFaultKind, int] = {}
         self._save_counts: Dict[str, int] = {}
         self._lock = threading.Lock()
         #: Faults this model produced, by kind value (shared accounting
         #: for stochastic draws and targeted injections).
         self.fired: Dict[str, int] = {}
-
-    @property
-    def enabled(self) -> bool:
-        """True when any stochastic rate or injection is armed."""
-        return bool(self.rates) or bool(self._injected)
 
     # ------------------------------------------------------------------
     def inject(self, kind: ServiceFaultKind, count: int = 1) -> None:
@@ -155,68 +122,37 @@ class ServiceFaultModel:
         """
         if not isinstance(kind, ServiceFaultKind):
             raise PrEspError(f"inject needs a ServiceFaultKind, got {kind!r}")
-        if count <= 0:
-            raise PrEspError(f"fault count must be positive, got {count}")
         with self._lock:
-            self._injected[kind] = self._injected.get(kind, 0) + count
+            self.injections.arm((kind,), count)
 
     def injected_count(self, kind: ServiceFaultKind) -> int:
         with self._lock:
-            return self._injected.get(kind, 0)
+            return self.injections.count((kind,))
 
-    def _consume_injection(self, kinds: Tuple[ServiceFaultKind, ...]):
-        for kind in kinds:
-            if self._injected.get(kind, 0) > 0:
-                self._injected[kind] -= 1
-                if self._injected[kind] == 0:
-                    del self._injected[kind]
-                return kind
-        return None
-
-    def _record(self, kind: ServiceFaultKind) -> ServiceFaultKind:
-        self.fired[kind.value] = self.fired.get(kind.value, 0) + 1
+    def _fault(self, kinds: Tuple[ServiceFaultKind, ...], *key: object):
+        """An armed injection of ``kinds``, else one stacked draw."""
+        injected = self.injections.consume([(kind,) for kind in kinds])
+        if injected is not None:
+            kind = injected[0]
+        else:
+            kind = self.draw(kinds, "/".join(k.value for k in kinds), *key)
+        if kind is not None:
+            self.fired[kind.value] = self.fired.get(kind.value, 0) + 1
         return kind
 
-    def _stacked_draw(
-        self,
-        kinds: Tuple[ServiceFaultKind, ...],
-        *key: object,
-    ) -> Optional[ServiceFaultKind]:
-        """One draw shared by ``kinds``: at most one fires."""
-        draw = _unit_draw(self.seed, "/".join(k.value for k in kinds), *key)
-        threshold = 0.0
-        for kind in kinds:
-            threshold += self.rates.get(kind, 0.0)
-            if draw < threshold:
-                return kind
-        return None
-
-    # ------------------------------------------------------------------
     def execution_fault(
         self, job_id: str, attempt: int
     ) -> Optional[ServiceFaultKind]:
         """The fault (if any) hitting ``attempt`` (1-based) of a job."""
         with self._lock:
-            injected = self._consume_injection(EXECUTION_KINDS)
-            if injected is not None:
-                return self._record(injected)
-            drawn = self._stacked_draw(EXECUTION_KINDS, job_id, attempt)
-            if drawn is not None:
-                return self._record(drawn)
-            return None
+            return self._fault(EXECUTION_KINDS, job_id, attempt)
 
     def store_fault(self, job_id: str) -> Optional[ServiceFaultKind]:
         """The fault (if any) hitting the next save of ``job_id``."""
         with self._lock:
             save = self._save_counts.get(job_id, 0) + 1
             self._save_counts[job_id] = save
-            injected = self._consume_injection(STORE_KINDS)
-            if injected is not None:
-                return self._record(injected)
-            drawn = self._stacked_draw(STORE_KINDS, job_id, save)
-            if drawn is not None:
-                return self._record(drawn)
-            return None
+            return self._fault(STORE_KINDS, job_id, save)
 
     # ------------------------------------------------------------------
     def backoff_s(
@@ -228,43 +164,17 @@ class ServiceFaultModel:
         jitter in [1, 1.25) — the service-tier mirror of the CAD
         retry policy, in real seconds.
         """
-        base = min(base_s * 2.0 ** max(0, attempt - 1), cap_s)
-        jitter = 0.25 * _unit_draw(self.seed, "backoff", job_id, attempt)
-        return base * (1.0 + jitter)
+        return Backoff(base_s, 2.0, cap_s, 0.25).delay(
+            attempt, self.seed, "backoff", job_id, attempt
+        )
 
     def fingerprint(self) -> Dict:
         """JSON form of everything that can change a run's timeline."""
         with self._lock:
-            return {
-                "seed": self.seed,
-                "rates": {
-                    kind.value: rate
-                    for kind, rate in sorted(
-                        self.rates.items(), key=lambda kv: kv[0].value
-                    )
-                },
-                "injected": {
-                    kind.value: count
-                    for kind, count in sorted(
-                        self._injected.items(), key=lambda kv: kv[0].value
-                    )
-                },
-                "hang_s": self.hang_s,
-            }
-
-
-class _NoServiceFaults(ServiceFaultModel):
-    """The always-healthy model the service defaults to."""
-
-    def __init__(self) -> None:
-        super().__init__(seed=0, rates=None)
-
-    def inject(self, kind: ServiceFaultKind, count: int = 1) -> None:
-        raise PrEspError(
-            "cannot inject faults into the shared NO_SERVICE_FAULTS model; "
-            "construct a ServiceFaultModel instead"
-        )
+            return {**super().fingerprint(), "hang_s": self.hang_s}
 
 
 #: Shared disabled model: no worker ever crashes, no save ever tears.
-NO_SERVICE_FAULTS = _NoServiceFaults()
+NO_SERVICE_FAULTS = ServiceFaultModel().refusing(
+    "NO_SERVICE_FAULTS", "ServiceFaultModel"
+)

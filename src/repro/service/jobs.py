@@ -31,6 +31,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import PrEspError
+from repro.faults import Backoff
 from repro.obs.context import RequestIdFactory, TelemetryContext
 from repro.obs.logconfig import get_logger
 from repro.service.faults import (
@@ -380,7 +381,7 @@ class JobStore:
                         error,
                     )
                     return False
-                time.sleep(backoff_s * 2 ** (attempt - 1))
+                time.sleep(Backoff(backoff_s).delay(attempt))
         return False
 
     def load(self, job_id: str) -> Optional[JobRecord]:

@@ -6,15 +6,11 @@ stays push-button if the flow absorbs those failures. This module
 models them the same way the rest of the reproduction models CAD cost:
 *deterministically*, on the modelled CAD-minute clock.
 
-Two ingredients:
+Two ingredients, both built on the shared core in :mod:`repro.faults`:
 
 * :class:`CadFaultModel` — seeded per-:class:`~repro.vivado.
   runtime_model.JobKind` failure probabilities plus targeted
-  :meth:`~CadFaultModel.inject_fault` arming (the compile-time mirror
-  of :meth:`repro.runtime.faults.RuntimeFaultModel.inject`). Every draw is
-  a pure hash of ``(seed, kind, job, attempt)``, so the failure
-  timeline of a build depends only on the seed and the job identities —
-  never on execution order, process count, or resume boundaries.
+  :meth:`~CadFaultModel.inject_fault` arming;
 * :class:`RetryPolicy` — bounded attempts with exponential backoff and
   seeded jitter, charged in modelled CAD minutes so retried jobs
   genuinely reshape the schedule makespan.
@@ -27,11 +23,11 @@ VivadoInstance` and surfaces in reports, events and checkpoints.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import FlowError
+from repro.faults import Backoff, FaultModel
 from repro.vivado.runtime_model import JobKind
 
 
@@ -49,18 +45,6 @@ class CadFaultError(FlowError):
             f"permanently after {len(execution.attempts)} attempts "
             f"({execution.total_minutes:.1f} CAD minutes burned)"
         )
-
-
-def _unit_draw(*parts: object) -> float:
-    """A deterministic uniform draw in [0, 1) keyed by ``parts``.
-
-    SHA-256 over the joined key gives order-independence: the same
-    (seed, kind, job, attempt) tuple draws the same number whether the
-    job runs first, last, in a worker process, or after a resume.
-    """
-    key = "|".join(str(p) for p in parts).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 @dataclass(frozen=True)
@@ -85,17 +69,16 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise FlowError(f"retry policy needs >= 1 attempt, got {self.max_attempts}")
-        if self.backoff_minutes < 0 or self.cap_minutes < 0:
-            raise FlowError("backoff and cap must be non-negative")
-        if self.factor < 1.0:
-            raise FlowError(f"backoff factor must be >= 1, got {self.factor}")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise FlowError(f"jitter must be in [0, 1], got {self.jitter}")
+        self.backoff.check(FlowError)
+
+    @property
+    def backoff(self) -> Backoff:
+        return Backoff(self.backoff_minutes, self.factor, self.cap_minutes, self.jitter)
 
     @property
     def max_backoff_minutes(self) -> float:
         """Upper bound of any single backoff wait."""
-        return self.cap_minutes * (1.0 + self.jitter)
+        return self.backoff.bound
 
     def backoff_before(self, attempt: int, seed: int, job_name: str) -> float:
         """Backoff minutes charged before ``attempt`` (1-based).
@@ -105,11 +88,7 @@ class RetryPolicy:
         """
         if attempt <= 1:
             return 0.0
-        base = min(
-            self.backoff_minutes * self.factor ** (attempt - 2), self.cap_minutes
-        )
-        jitter = self.jitter * _unit_draw(seed, "backoff", job_name, attempt)
-        return base * (1.0 + jitter)
+        return self.backoff.delay(attempt - 1, seed, "backoff", job_name, attempt)
 
 
 #: Retry policy of the default flow: three attempts, 2-minute base
@@ -172,7 +151,7 @@ class JobExecution:
         }
 
 
-class CadFaultModel:
+class CadFaultModel(FaultModel):
     """Seeded, order-independent CAD job failures.
 
     ``rates`` maps a :class:`JobKind` to its per-attempt failure
@@ -182,35 +161,16 @@ class CadFaultModel:
     ``RuntimeFaultModel.inject`` hook, but on the compile side.
 
     The model is stateless with respect to stochastic draws (pure
-    hashing), so re-planning the same job after a resume reproduces the
-    same outcome. Targeted injections are consumed per (stage, job)
-    pair in attempt order and also survive re-planning: an injection of
-    ``count`` faults makes the job's first ``count`` attempts fail
-    deterministically.
+    hashing of ``(seed, kind, stage, job, attempt)``), so re-planning
+    the same job after a resume reproduces the same outcome. Targeted
+    injections are consumed per (stage, job) pair in attempt order and
+    also survive re-planning: an injection of ``count`` faults makes
+    the job's first ``count`` attempts fail deterministically.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        rates: Optional[Mapping[JobKind, float]] = None,
-    ) -> None:
-        for kind, rate in (rates or {}).items():
-            if not isinstance(kind, JobKind):
-                raise FlowError(f"fault rates must be keyed by JobKind, got {kind!r}")
-            if not 0.0 <= rate < 1.0:
-                raise FlowError(
-                    f"failure probability for {kind.value} must be in [0, 1), got {rate}"
-                )
-        self.seed = seed
-        self.rates: Dict[JobKind, float] = dict(rates or {})
-        self._injected: Dict[Tuple[str, str], int] = {}
+    kinds = JobKind
+    error = FlowError
 
-    @property
-    def enabled(self) -> bool:
-        """True when any stochastic rate or injection is armed."""
-        return bool(self.rates) or bool(self._injected)
-
-    # ------------------------------------------------------------------
     def inject_fault(self, stage: str, job: str, count: int = 1) -> None:
         """Arm ``count`` deterministic failures for ``job`` in ``stage``.
 
@@ -219,54 +179,21 @@ class CadFaultModel:
         (``synth_rt0``, ``impl_ctx_1``...). With ``count`` at or above
         the retry policy's attempt budget the job fails permanently.
         """
-        if count <= 0:
-            raise FlowError(f"fault count must be positive, got {count}")
-        self._injected[(stage, job)] = self._injected.get((stage, job), 0) + count
+        self.injections.arm((stage, job), count)
 
     def injected_count(self, stage: str, job: str) -> int:
         """Armed targeted failures for (stage, job)."""
-        return self._injected.get((stage, job), 0)
+        return self.injections.count((stage, job))
 
     def attempt_fails(self, kind: JobKind, stage: str, job: str, attempt: int) -> bool:
         """Deterministic outcome of one attempt (1-based)."""
-        if attempt <= self._injected.get((stage, job), 0):
+        if self.injections.covers((stage, job), attempt):
             return True
-        rate = self.rates.get(kind, 0.0)
-        if rate <= 0.0:
-            return False
-        return _unit_draw(self.seed, kind.value, stage, job, attempt) < rate
-
-    # ------------------------------------------------------------------
-    def fingerprint(self) -> Dict:
-        """Cache-key form: everything that can change a build's outcome."""
-        return {
-            "seed": self.seed,
-            "rates": {
-                kind.value: rate
-                for kind, rate in sorted(self.rates.items(), key=lambda kv: kv[0].value)
-            },
-            "injected": {
-                f"{stage}/{job}": count
-                for (stage, job), count in sorted(self._injected.items())
-            },
-        }
-
-
-class _NoFaults(CadFaultModel):
-    """The always-healthy model instrumented code defaults to."""
-
-    def __init__(self) -> None:
-        super().__init__(seed=0, rates=None)
-
-    def inject_fault(self, stage: str, job: str, count: int = 1) -> None:
-        raise FlowError(
-            "cannot inject faults into the shared NO_FAULTS model; "
-            "construct a CadFaultModel instead"
-        )
+        return self.draw((kind,), kind.value, stage, job, attempt) is not None
 
 
 #: Shared disabled model: no job ever fails.
-NO_FAULTS = _NoFaults()
+NO_FAULTS = CadFaultModel().refusing("NO_FAULTS", "CadFaultModel")
 
 
 def plan_job_execution(

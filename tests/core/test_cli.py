@@ -211,7 +211,7 @@ class TestSweep:
 class TestFaultFlags:
     def test_degraded_build_exits_zero(self, capsys):
         assert main(
-            ["build", "soc_3", "--inject-cad-fault", "synthesis:synth_rt_sort:3"]
+            ["build", "soc_3", "--inject", "cad:synthesis:synth_rt_sort:3"]
         ) == 0
         out = capsys.readouterr().out
         assert "DEGRADED: dark tiles rt_sort" in out
@@ -219,18 +219,24 @@ class TestFaultFlags:
 
     def test_fault_rate_retries_show_in_json(self, capsys):
         assert main(
-            ["build", "soc_3", "--fault-rate", "0.5", "--fault-seed", "0", "--json"]
+            ["build", "soc_3", "--fault", "cad=0.5@0", "--json"]
         ) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["fault_tolerance"]["retries"] > 0
 
     def test_bad_injection_spec_fails_cleanly(self, capsys):
-        assert main(["build", "soc_3", "--inject-cad-fault", "nocolon"]) == 1
-        assert "inject-cad-fault" in capsys.readouterr().err
+        assert main(["build", "soc_3", "--inject", "cad:nocolon"]) == 1
+        assert "--inject" in capsys.readouterr().err
 
     def test_fault_rate_out_of_range_fails_cleanly(self, capsys):
-        assert main(["build", "soc_3", "--fault-rate", "1.5"]) == 1
-        assert "fault-rate" in capsys.readouterr().err
+        assert main(["build", "soc_3", "--fault", "cad=1.5"]) == 1
+        assert "--fault" in capsys.readouterr().err
+
+    def test_foreign_fault_tier_fails_cleanly(self, capsys):
+        assert main(["build", "soc_3", "--fault", "runtime=0.1"]) == 1
+        assert "runs the cad fault tier" in capsys.readouterr().err
+        assert main(["build", "soc_3", "--inject", "service:crash"]) == 1
+        assert "runs the cad fault tier" in capsys.readouterr().err
 
     def test_resume_without_checkpoint_dir_fails_cleanly(self, capsys):
         assert main(["build", "soc_3", "--resume"]) == 1

@@ -15,6 +15,7 @@ from repro.obs import events as ev
 from repro.obs.events import EventBus
 from repro.obs.health import HealthMonitor, Verdict
 from repro.runtime.driver import AcceleratorDriver, DriverRegistry
+from repro.runtime.faults import RuntimeFaultModel, RuntimeFaultOptions
 from repro.runtime.manager import ReconfigurationManager
 from repro.runtime.memory import BitstreamStore
 from repro.runtime.prc import PrcDevice
@@ -100,12 +101,14 @@ class TestMonitorWami:
         assert ev.RECONFIG_COMPLETED in kinds
 
     def test_injected_failures_degrade_the_verdict(self):
+        faults = RuntimeFaultModel()
+        faults.inject("rt1", "change_detection", count=1)
         platform = PrEspPlatform()
         _report, health, bus = platform.monitor_wami(
             wami_soc_z(),
             frames=2,
             failure_rate_degraded=0.001,
-            inject_failures=[("rt1", "change_detection", 1)],
+            runtime_options=RuntimeFaultOptions(faults=faults),
         )
         assert health.verdict is Verdict.DEGRADED
         assert health.failures >= 1
@@ -124,7 +127,7 @@ class TestMonitorCli:
     def test_injected_failure_exits_one(self, capsys):
         code = main([
             "monitor", "soc_z", "--frames", "2",
-            "--inject-failure", "rt1:change_detection:1",
+            "--inject", "runtime:rt1:change_detection:crc:1",
             "--failure-rate-degraded", "0.001",
         ])
         assert code == 1
@@ -146,7 +149,7 @@ class TestMonitorCli:
         )
 
     def test_bad_injection_spec_is_an_error(self, capsys):
-        assert main(["monitor", "soc_z", "--inject-failure", "rt1"]) == 1
+        assert main(["monitor", "soc_z", "--inject", "runtime:rt1"]) == 1
         assert "error:" in capsys.readouterr().err
 
 

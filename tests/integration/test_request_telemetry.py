@@ -245,8 +245,8 @@ class TestDashboardCli:
             "soc_y",
             "--frames",
             "2",
-            "--inject-failure",
-            "rt1:change_detection:2",
+            "--inject",
+            "runtime:rt1:change_detection:crc:2",
         ])
         assert code != 0
         out = capsys.readouterr().out

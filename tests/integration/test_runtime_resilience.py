@@ -148,8 +148,8 @@ class TestDeployCli:
                 "soc_y",
                 "--frames",
                 "2",
-                "--inject-runtime-fault",
-                "rt1:change_detection",
+                "--inject",
+                "runtime:rt1:change_detection",
             ]
         )
         out = capsys.readouterr().out
@@ -165,8 +165,8 @@ class TestDeployCli:
                 "--frames",
                 "1",
                 "--json",
-                "--inject-runtime-fault",
-                "rt1:change_detection:crc",
+                "--inject",
+                "runtime:rt1:change_detection:crc",
             ]
         )
         assert code == 0
@@ -183,10 +183,8 @@ class TestDeployCli:
             "--frames",
             "1",
             "--json",
-            "--runtime-fault-rate",
-            "crc=0.15",
-            "--runtime-fault-seed",
-            "3",
+            "--fault",
+            "runtime:crc=0.15@3",
         ]
         assert main(args) == 0
         first = json.loads(capsys.readouterr().out)
@@ -195,16 +193,16 @@ class TestDeployCli:
         assert first["runtime"] == second["runtime"]
 
     def test_bad_specs_are_errors(self, capsys):
-        assert main(["deploy", "soc_y", "--inject-runtime-fault", "rt1"]) == 1
+        assert main(["deploy", "soc_y", "--inject", "runtime:rt1"]) == 1
         assert "error:" in capsys.readouterr().err
         assert (
-            main(["deploy", "soc_y", "--inject-runtime-fault", "rt1:fft:nope"])
+            main(["deploy", "soc_y", "--inject", "runtime:rt1:fft:nope"])
             == 1
         )
         assert "error:" in capsys.readouterr().err
-        assert main(["deploy", "soc_y", "--runtime-fault-rate", "wat"]) == 1
+        assert main(["deploy", "soc_y", "--fault", "runtime=wat"]) == 1
         assert "error:" in capsys.readouterr().err
-        assert main(["deploy", "soc_y", "--runtime-fault-rate", "crc=2.0"]) == 1
+        assert main(["deploy", "soc_y", "--fault", "runtime:crc=2.0"]) == 1
         assert "error:" in capsys.readouterr().err
 
 
@@ -216,8 +214,8 @@ class TestMonitorCli:
                 "soc_y",
                 "--frames",
                 "2",
-                "--inject-runtime-fault",
-                "rt1:change_detection",
+                "--inject",
+                "runtime:rt1:change_detection",
             ]
         )
         out = capsys.readouterr().out
@@ -234,8 +232,8 @@ class TestMonitorCli:
                 "--frames",
                 "2",
                 "--json",
-                "--inject-runtime-fault",
-                "rt1:change_detection",
+                "--inject",
+                "runtime:rt1:change_detection",
             ]
         )
         assert code == 1
@@ -253,8 +251,8 @@ class TestMonitorCli:
                 "soc_y",
                 "--frames",
                 "1",
-                "--inject-runtime-fault",
-                "rt2:hessian:hang",
+                "--inject",
+                "runtime:rt2:hessian:hang",
             ]
         )
         out = capsys.readouterr().out

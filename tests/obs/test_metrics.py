@@ -1,5 +1,8 @@
 """Tests for the metrics registry."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.obs.metrics import (
@@ -181,3 +184,50 @@ class TestNullRegistry:
     def test_shared_instrument(self):
         # One object serves every name: nothing accumulates per call.
         assert NULL_METRICS.counter("a") is NULL_METRICS.gauge("b")
+
+
+class TestConcurrentSnapshots:
+    """Readers must survive writers adding labelled series concurrently.
+
+    The service's workers register new ``{request=...}`` series while
+    the snapshotting thread walks the registry; iterating a live dict
+    there used to raise ``dictionary changed size during iteration``.
+    """
+
+    def test_reads_survive_concurrent_inserts(self, registry):
+        counter = registry.counter("jobs")
+        gauge = registry.gauge("depth")
+        hist = registry.histogram("latency")
+
+        def writer(tag):
+            for n in range(400):
+                counter.inc(job=f"{tag}{n}")
+                gauge.set(n, job=f"{tag}{n}")
+                hist.observe(0.01 * (n % 50), job=f"{tag}{n}")
+                registry.counter(f"{tag}_{n}").inc()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        writers = [threading.Thread(target=writer, args=(t,)) for t in "ab"]
+        errors = []
+        try:
+            for thread in writers:
+                thread.start()
+            while any(thread.is_alive() for thread in writers):
+                try:
+                    registry.snapshot()
+                    for instrument in registry.instruments():
+                        instrument.items()
+                except RuntimeError as error:  # pragma: no cover - the bug
+                    errors.append(error)
+                    break
+        finally:
+            for thread in writers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in writers)
+        assert errors == []
+        snapshot = registry.snapshot()
+        assert snapshot["jobs{job=a0}"] == 1.0
+        assert snapshot["latency{job=b399}.count"] == 1.0
+        assert list(snapshot) == sorted(snapshot)

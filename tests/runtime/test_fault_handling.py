@@ -63,11 +63,6 @@ class TestPrcInjection:
         with pytest.raises(ReconfigurationError):
             prc.faults.inject("rt0", "fft", count=0)
 
-    def test_removed_shim_raises_type_error(self, sim):
-        _, prc = make_stack(sim)
-        with pytest.raises(TypeError, match="inject_failure was removed"):
-            prc.inject_failure("rt0", "fft")
-
     def test_failures_are_consumed(self, sim):
         manager, prc = make_stack(sim)
         inject(prc, "rt0", "fft", count=1)

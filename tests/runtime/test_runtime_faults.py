@@ -190,11 +190,6 @@ class TestRecoveryPolicy:
 
 
 class TestRemovedShim:
-    def test_inject_failure_raises_type_error(self, sim):
-        _, prc = make_stack(sim)
-        with pytest.raises(TypeError, match="inject_failure was removed"):
-            prc.inject_failure("rt0", "fft", count=2)
-
     def test_model_injection_is_shared_with_the_manager(self, sim):
         model = RuntimeFaultModel()
         model.inject("rt0", "fft", CRC, count=2)

@@ -247,7 +247,7 @@ class TestSigtermDrain:
         first, port = start_daemon(
             state,
             "--drain-timeout", "1.0",
-            "--inject-service-fault", "slow",
+            "--inject", "service:slow",
         )
         try:
             client = ServiceClient(port=port, timeout=10)

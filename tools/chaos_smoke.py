@@ -41,6 +41,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.faults import unit_draw as draw  # noqa: E402
 from repro.service.client import ServiceClient  # noqa: E402
 
 CONFIGS = ["soc_1", "soc_2", "soc_3", "soc_4"]
@@ -55,13 +56,6 @@ def check(condition: bool, message: str) -> None:
         print(f"FAIL: {message}", file=sys.stderr)
         sys.exit(1)
     print(f"ok: {message}")
-
-
-def draw(seed: int, *parts) -> float:
-    """Order-independent uniform [0, 1) draw — the repo's SHA-256 idiom."""
-    key = "|".join(str(p) for p in (seed, *parts)).encode("utf-8")
-    digest = hashlib.sha256(key).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
 def start_daemon(state_dir: Path) -> tuple:

@@ -28,7 +28,7 @@ import tempfile
 from repro.cli import main
 from repro.flow.dpr_flow import DprFlow
 
-FAULT_FLAGS = ["--fault-rate", "0.3", "--fault-seed", "7"]
+FAULT_FLAGS = ["--fault", "cad=0.3@7"]
 
 
 def run_cli(argv: list) -> tuple:
@@ -94,7 +94,7 @@ def main_smoke() -> None:
     code, out = run_cli(
         [
             "build", "soc_2",
-            "--inject-cad-fault", "synthesis:synth_rt_sort:3", "--json",
+            "--inject", "cad:synthesis:synth_rt_sort:3", "--json",
         ]
     )
     check(code == 0, "degraded build exits 0")

@@ -24,11 +24,8 @@ import sys
 
 from repro.cli import main
 
-QUARANTINE_FLAGS = ["--inject-runtime-fault", "rt1:change_detection"]
-STOCHASTIC_FLAGS = [
-    "--runtime-fault-rate", "crc=0.15",
-    "--runtime-fault-seed", "3",
-]
+QUARANTINE_FLAGS = ["--inject", "runtime:rt1:change_detection"]
+STOCHASTIC_FLAGS = ["--fault", "runtime:crc=0.15@3"]
 
 
 def run_cli(argv: list) -> tuple:

@@ -32,7 +32,7 @@ from repro.obs.export import parse_prometheus_text
 
 #: Fault injection that burns the deploy-failure-rate budget on SoC_Y
 #: without sinking every attempt (DEGRADED, never CRITICAL).
-BURN_INJECTION = "rt1:change_detection:2"
+BURN_INJECTION = "runtime:rt1:change_detection:crc:2"
 
 
 def run_cli(argv: list) -> tuple:
@@ -87,7 +87,7 @@ def main_smoke() -> None:
 
     # 2. Injected faults burn the budget and flip the exit code.
     code, text = run_cli(
-        base + ["--json", "--inject-failure", BURN_INJECTION]
+        base + ["--json", "--inject", BURN_INJECTION]
     )
     check(code == 1, "budget burn flips dashboard exit code 0 -> 1")
     burned = json.loads(text)
