@@ -13,7 +13,8 @@ The platform's capabilities behind plain functions::
 Every in-process verb accepts ``options=`` (a :class:`~repro.flow.
 options.BuildOptions` — cache, parallel jobs, fault/retry policy,
 checkpoint directory) and ``instrumentation=`` (an :class:`~repro.obs.
-instrumentation.Instrumentation` — tracer, metrics, event bus), or a
+instrumentation.Instrumentation` — the one probe carrying the tracer,
+metrics registry, event bus and profiler), or a
 pre-built ``platform=`` when several calls should share state (flow
 cache, batch workers).
 
@@ -200,6 +201,7 @@ def monitor(
     config: SocConfig,
     frames: int = 1,
     options: Optional[BuildOptions] = None,
+    instrumentation: Optional[Instrumentation] = None,
     platform: Optional[PrEspPlatform] = None,
     runtime_options: Optional[RuntimeFaultOptions] = None,
     context: Optional[TelemetryContext] = None,
@@ -207,13 +209,14 @@ def monitor(
 ) -> Tuple[WamiRunReport, HealthReport, EventBus]:
     """Deploy WAMI with the event bus and health monitor wired in.
 
-    Returns the run report, the end-of-run health verdict and the bus.
+    Returns the run report, the end-of-run health verdict and the bus
+    (the probe's own bus when ``instrumentation`` carries one).
     ``runtime_options`` supplies the runtime fault model and recovery
     policy under which the deployment runs. Extra keyword arguments
     (the watchdog thresholds) pass through to
     :meth:`PrEspPlatform.monitor_wami`.
     """
-    return _platform_for(platform, options, None).monitor_wami(
+    return _platform_for(platform, options, instrumentation).monitor_wami(
         config,
         frames=frames,
         runtime_options=runtime_options,

@@ -65,7 +65,7 @@ from repro.obs.logconfig import (
     configure_logging,
     level_from_verbosity,
 )
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.perfbase import (
     baseline_from_summary,
     compare_directories,
@@ -85,7 +85,6 @@ from repro.obs.profdiff import (
     write_profile_baseline,
 )
 from repro.obs.profiler import (
-    NULL_PROFILER,
     Profiler,
     collapsed_stacks,
     find_profiles,
@@ -97,7 +96,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.slo import SloTracker
 from repro.service.schema import envelope
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.obs.tsdb import TelemetryStore
 from repro.runtime.faults import (
     NO_RUNTIME_FAULTS,
@@ -281,8 +280,8 @@ def cmd_build(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
-    tracer = Tracer(time_unit="min") if args.trace else NULL_TRACER
-    profiler = Profiler() if args.profile else NULL_PROFILER
+    tracer = Tracer(time_unit="min") if args.trace else None
+    profiler = Profiler() if args.profile else None
     platform = api.platform(
         options=options,
         instrumentation=Instrumentation(tracer=tracer, profiler=profiler),
@@ -418,9 +417,9 @@ def cmd_compare(args) -> int:
 def cmd_deploy(args) -> int:
     config = resolve_config(args.config)
     want_metrics = args.metrics or args.json
-    tracer = Tracer() if args.trace else NULL_TRACER
-    registry = MetricsRegistry() if want_metrics else NULL_METRICS
-    profiler = Profiler() if args.profile else NULL_PROFILER
+    tracer = Tracer() if args.trace else None
+    registry = MetricsRegistry() if want_metrics else None
+    profiler = Profiler() if args.profile else None
     report = api.deploy(
         config,
         frames=args.frames,
@@ -483,7 +482,7 @@ def cmd_monitor(args) -> int:
         failure_rate_critical=args.failure_rate_critical,
         queue_depth_degraded=args.queue_depth_degraded,
         runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
-        metrics=registry,
+        instrumentation=Instrumentation(metrics=registry),
     )
     # One end-of-run snapshot is enough for the SLO verdict, but burn
     # over a single sample is all-or-nothing, so a breached budget
@@ -585,8 +584,6 @@ def cmd_dashboard(args) -> int:
         frames=args.frames,
         flow_result=built.flow,
         runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
-        metrics=registry,
-        bus=bus,
         platform=plat,
     )
     # One final snapshot: the end-of-run runtime gauges are published

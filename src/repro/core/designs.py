@@ -11,7 +11,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+import functools
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.soc.config import SocConfig
 from repro.soc.esp_library import stock_accelerator
@@ -80,9 +81,19 @@ def soc_4() -> SocConfig:
     return SocConfig.assemble("soc_4", board="vc707", rows=3, cols=3, tiles=tiles)
 
 
+_Factory = Callable[[], SocConfig]
+
+
+def _by_name(factories: Sequence[_Factory]) -> Dict[str, SocConfig]:
+    return {cfg.name: cfg for cfg in (factory() for factory in factories)}
+
+
+_CHARACTERIZATION: Tuple[_Factory, ...] = (soc_1, soc_2, soc_3, soc_4)
+
+
 def characterization_socs() -> Dict[str, SocConfig]:
     """Name -> config for SOC_1..SOC_4."""
-    return {cfg.name: cfg for cfg in (soc_1(), soc_2(), soc_3(), soc_4())}
+    return _by_name(_CHARACTERIZATION)
 
 
 # ----------------------------------------------------------------------
@@ -129,12 +140,12 @@ def wami_soc_d() -> SocConfig:
     return _wami_flow_soc("soc_d", host_cpu=True)
 
 
+_PARALLELISM: Tuple[_Factory, ...] = (wami_soc_a, wami_soc_b, wami_soc_c, wami_soc_d)
+
+
 def wami_parallelism_socs() -> Dict[str, SocConfig]:
     """Name -> config for SoC_A..SoC_D."""
-    return {
-        cfg.name: cfg
-        for cfg in (wami_soc_a(), wami_soc_b(), wami_soc_c(), wami_soc_d())
-    }
+    return _by_name(_PARALLELISM)
 
 
 # ----------------------------------------------------------------------
@@ -174,18 +185,25 @@ def wami_soc_z() -> SocConfig:
     return _wami_deployment_soc("soc_z")
 
 
+_DEPLOYMENT: Tuple[_Factory, ...] = (wami_soc_x, wami_soc_y, wami_soc_z)
+
+
 def wami_deployment_socs() -> Dict[str, SocConfig]:
     """Name -> config for SoC_X/Y/Z."""
-    return {cfg.name: cfg for cfg in (wami_soc_x(), wami_soc_y(), wami_soc_z())}
+    return _by_name(_DEPLOYMENT)
 
 
 def paper_designs() -> Dict[str, SocConfig]:
     """All named designs of the evaluation."""
-    return {
-        **characterization_socs(),
-        **wami_parallelism_socs(),
-        **wami_deployment_socs(),
-    }
+    return _by_name(_CHARACTERIZATION + _PARALLELISM + _DEPLOYMENT)
+
+
+@functools.lru_cache(maxsize=None)
+def _factories_by_name() -> Dict[str, _Factory]:
+    """Design name -> factory, keyed by each factory's own config name,
+    so :func:`resolve_config` builds only the design it returns."""
+    factories = _CHARACTERIZATION + _PARALLELISM + _DEPLOYMENT
+    return {factory().name: factory for factory in factories}
 
 
 def resolve_config(spec: str) -> SocConfig:
@@ -200,12 +218,13 @@ def resolve_config(spec: str) -> SocConfig:
     from repro.errors import PrEspError
     from repro.soc.esp_parser import load_esp_config
 
-    designs = paper_designs()
-    if spec in designs:
-        return designs[spec]
+    factory = _factories_by_name().get(spec)
+    if factory is not None:
+        return factory()
     if os.path.exists(spec):
         return load_esp_config(spec)
     raise PrEspError(
-        f"{spec!r} is neither a known design ({', '.join(sorted(designs))}) "
+        f"{spec!r} is neither a known design "
+        f"({', '.join(sorted(_factories_by_name()))}) "
         "nor an existing esp_config file"
     )

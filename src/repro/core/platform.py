@@ -12,7 +12,7 @@ returning performance and energy (the Fig. 4 experiment).
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.strategy import ImplementationStrategy
@@ -30,9 +30,6 @@ from repro.obs.context import RequestIdFactory, TelemetryContext, activate
 from repro.obs.events import EventBus
 from repro.obs.health import HealthMonitor, HealthReport
 from repro.obs.instrumentation import OFF, Instrumentation
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profiler import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
 from repro.obs.tsdb import TelemetryStore
 from repro.runtime.api import DprUserApi
 from repro.runtime.driver import AcceleratorDriver, DriverRegistry
@@ -145,10 +142,11 @@ class PrEspPlatform:
         request_ids: Optional[RequestIdFactory] = None,
         telemetry: Optional[TelemetryStore] = None,
     ) -> None:
-        """``instrumentation`` bundles tracer/metrics/events once for
-        every platform operation; ``options`` bundles the build-side
-        configuration (cache, batch jobs, fault/retry policy,
-        checkpoint directory); ``runtime_options`` bundles the
+        """``instrumentation`` is the one probe (tracer, metrics, event
+        bus, profiler) every platform operation observes through;
+        ``options`` bundles the build-side configuration (cache, batch
+        jobs, fault/retry policy, checkpoint directory);
+        ``runtime_options`` bundles the
         deploy-side runtime fault model and watchdog/recovery policy
         (the DES mirror of the CAD fault options).
 
@@ -216,18 +214,16 @@ class PrEspPlatform:
                 yield context
         finally:
             if self.telemetry is not None:
-                self.telemetry.record(self.instrumentation.metrics)
+                metrics = self.instrumentation.metrics
+                self.telemetry.record(metrics if metrics is not None else {})
 
     def _make_batch(self, jobs: int) -> BatchBuilder:
-        """A build service sharing the platform's flow/cache/obs bundle."""
+        """A build service sharing the platform's flow, cache and probe."""
         return BatchBuilder(
             flow=self.flow,
             cache=self.cache,
             jobs=jobs,
-            metrics=self.instrumentation.metrics,
-            events=self.instrumentation.events,
-            tracer=self.instrumentation.tracer,
-            profiler=self.instrumentation.profiler,
+            instrumentation=self.instrumentation,
         )
 
     # ------------------------------------------------------------------
@@ -257,17 +253,13 @@ class PrEspPlatform:
         without one the platform's ID factory (when configured) mints a
         fresh ``build-...`` context.
         """
-        tracer = self.instrumentation.tracer
         with self._request("build", context):
             flow_result, cached = cached_build(
                 self.flow,
                 self.cache,
                 config,
                 strategy_override=strategy_override,
-                tracer=tracer,
-                events=self.instrumentation.events,
-                profiler=self.instrumentation.profiler,
-                registry=self.instrumentation.metrics,
+                instrumentation=self.instrumentation,
                 checkpoint_dir=self.options.checkpoint_dir,
                 resume=self.options.resume if resume is None else resume,
             )
@@ -379,7 +371,7 @@ class PrEspPlatform:
         paper processes frames without pipelining).
 
         Observability comes from ``instrumentation`` (falling back to
-        the platform's bundle): the tracer is bound to the DES clock
+        the platform's probe): the tracer is bound to the DES clock
         (simulated seconds) and receives the kernel-level protocol
         spans (lock-wait, decouple, ICAP, exec) live plus the
         application-level timeline spans via the lossless bridge — one
@@ -408,23 +400,13 @@ class PrEspPlatform:
         inst = (
             instrumentation if instrumentation is not None else self.instrumentation
         )
-        profiler = inst.profiler
-        with self._request("deploy", context):
-            if not profiler.enabled:
-                return self._deploy_wami(
-                    config, flow_result, frames, app, power_gating, pipelined,
-                    prc_setup, inst, runtime_options,
-                )
-            # One deployment = one profile subtree: the DES dispatch, NoC
-            # and runtime-recovery attributions all nest under it.
-            profiler.begin(f"deploy.{config.name}")
-            try:
-                return self._deploy_wami(
-                    config, flow_result, frames, app, power_gating, pipelined,
-                    prc_setup, inst, runtime_options,
-                )
-            finally:
-                profiler.end()
+        # One deployment = one profile subtree: the DES dispatch, NoC
+        # and runtime-recovery attributions all nest under it.
+        with self._request("deploy", context), inst.frame(f"deploy.{config.name}"):
+            return self._deploy_wami(
+                config, flow_result, frames, app, power_gating, pipelined,
+                prc_setup, inst, runtime_options,
+            )
 
     def _deploy_wami(
         self,
@@ -438,11 +420,11 @@ class PrEspPlatform:
         inst: Instrumentation,
         runtime_options: Optional[RuntimeFaultOptions],
     ) -> WamiRunReport:
-        tracer, metrics, events = inst.tracer, inst.metrics, inst.events
-        profiler = inst.profiler
         if flow_result is None:
+            # The flow's spans run on the CAD-minute clock, so they stay
+            # out of the deployment's simulated-second trace.
             flow_result = self.flow.build(
-                config, events=events, profiler=profiler, registry=metrics
+                config, instrumentation=replace(inst, tracer=None)
             )
         if flow_result.config.name != config.name:
             raise ConfigurationError(
@@ -458,9 +440,8 @@ class PrEspPlatform:
             faults = faults.fresh()
 
         sim = Simulator()
-        tracer.use_clock(lambda: sim.now)
-        events.use_clock(lambda: sim.now)
-        sim.attach_observability(profiler=profiler, tracer=tracer)
+        inst.use_clock(lambda: sim.now)
+        sim.attach_observability(inst)
         mesh = Mesh(
             rows=config.rows, cols=config.cols, clock_hz=DEPLOYMENT_CLOCK_HZ
         )
@@ -477,9 +458,7 @@ class PrEspPlatform:
             mem_position=config.position_of(mem_tile.name),
             aux_position=config.position_of(aux_tile.name),
             clock_hz=DEPLOYMENT_CLOCK_HZ,
-            tracer=tracer,
-            metrics=metrics,
-            profiler=profiler,
+            instrumentation=inst,
             faults=faults,
             **prc_kwargs,
         )
@@ -499,10 +478,7 @@ class PrEspPlatform:
             prc,
             store,
             registry,
-            tracer=tracer,
-            metrics=metrics,
-            events=events,
-            profiler=profiler,
+            instrumentation=inst,
             recovery=ropts.recovery,
         )
         for tile in config.reconfigurable_tiles:
@@ -511,7 +487,7 @@ class PrEspPlatform:
         api = DprUserApi(manager)
         tasks = application.tasks_for_soc(config)
         executor = AppExecutor(
-            sim, api, tasks, blank_after_frame=power_gating, events=events
+            sim, api, tasks, blank_after_frame=power_gating, instrumentation=inst
         )
         timeline = executor.run(frames=frames, pipelined=pipelined)
 
@@ -532,8 +508,8 @@ class PrEspPlatform:
             ),
         )
         runtime_stats = collect_stats(manager, failovers=executor.failovers)
-        bridge_timeline(timeline, tracer)
-        publish_runtime_stats(runtime_stats, metrics)
+        bridge_timeline(timeline, inst)
+        publish_runtime_stats(runtime_stats, inst)
         return WamiRunReport(
             config=config,
             frames=frames,
@@ -554,25 +530,29 @@ class PrEspPlatform:
         failure_rate_degraded: float = 0.05,
         failure_rate_critical: float = 0.5,
         queue_depth_degraded: int = 4,
-        bus: Optional[EventBus] = None,
-        metrics=NULL_METRICS,
-        tracer=NULL_TRACER,
-        profiler=NULL_PROFILER,
+        instrumentation: Optional[Instrumentation] = None,
         runtime_options: Optional[RuntimeFaultOptions] = None,
         context: Optional[TelemetryContext] = None,
     ) -> Tuple[WamiRunReport, HealthReport, EventBus]:
         """Deploy WAMI with a health monitor attached (``repro monitor``).
 
-        Wires an :class:`~repro.obs.events.EventBus` plus a
-        :class:`~repro.obs.health.HealthMonitor` into
-        :meth:`deploy_wami` and returns the run report, the end-of-run
-        health verdict, and the bus (its ring buffer holds the recent
-        events for the dashboard). ``runtime_options`` (falling back to
+        Subscribes a :class:`~repro.obs.health.HealthMonitor` to the
+        event bus of ``instrumentation`` (falling back to the
+        platform's probe; a fresh :class:`~repro.obs.events.EventBus`
+        joins it when it has none), runs :meth:`deploy_wami` through
+        that probe and returns the run report, the end-of-run health
+        verdict, and the bus (its ring buffer holds the recent events
+        for the dashboard). ``runtime_options`` (falling back to
         the platform's bundle) supplies the fault model and recovery
         policy; arm targeted faults on its model to exercise the
         failure-rate watchdog deliberately.
         """
-        bus = bus if bus is not None else EventBus()
+        inst = (
+            instrumentation if instrumentation is not None else self.instrumentation
+        )
+        if inst.events is None:
+            inst = replace(inst, events=EventBus())
+        bus = inst.events
         monitor = HealthMonitor(
             bus,
             window_s=window_s,
@@ -586,9 +566,7 @@ class PrEspPlatform:
                 config,
                 flow_result=flow_result,
                 frames=frames,
-                instrumentation=Instrumentation(
-                    tracer=tracer, metrics=metrics, events=bus, profiler=profiler
-                ),
+                instrumentation=inst,
                 runtime_options=runtime_options,
                 context=ctx,
             )

@@ -21,14 +21,17 @@ re-warm per batch. ``close()`` (or the context-manager exit) shuts the
 pool down deterministically; a ``weakref.finalize`` safety net reaps
 abandoned builders.
 
-Observability crosses the pool boundary: when the batch's profiler or
-tracer is live, each work item carries a picklable
-:class:`~repro.obs.profiler.ProfileCapsule`; the worker activates
-fresh hooks, runs the build against them and ships the raw profile
-tree and span records back with the outcome. The parent grafts each
-payload under the request's label — tagged with the worker process
-name — so a pooled sweep produces one coherent profile and one merged
-trace instead of per-fork blind spots.
+Observability crosses the pool boundary: when any sink of the batch's
+probe is live, each work item carries a picklable
+:class:`~repro.obs.profiler.ProfileCapsule`; the build activates
+fresh sinks for the live ones, runs against them and ships the raw
+profile tree, span records, events and metrics back with
+the outcome. The parent replays each payload in request order — the
+profile under the request's label, spans tagged with the worker
+process name — so a pooled sweep produces one coherent profile, one
+merged trace and the same event stream and metrics as a serial one.
+In-thread builds (``jobs=1``) take the same path, so both observe
+identically.
 """
 
 from __future__ import annotations
@@ -47,12 +50,13 @@ from repro.flow.cache import FlowCache, flow_cache_key
 from repro.flow.dpr_flow import DprFlow, FlowResult
 from repro.obs import events as ev
 from repro.obs.context import bind, current_context, unbind
-from repro.obs.events import NULL_EVENTS
+from repro.obs.events import EventBus
 from repro.obs.export import merge_span_records, span_records
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profiler import NULL_PROFILER, ProfileCapsule
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import ProfileCapsule
+from repro.obs.tracer import Tracer
 from repro.soc.config import SocConfig
 
 logger = get_logger("flow.batch")
@@ -108,6 +112,23 @@ class BuildOutcome:
         return self.result
 
 
+#: Ring size of a worker's event bus: far above the events one flow
+#: build emits, so the replayed stream is never truncated.
+_WORKER_EVENT_CAPACITY = 1 << 16
+
+
+def _activate(capsule: Optional[ProfileCapsule]) -> Instrumentation:
+    """Fresh worker-side sinks for the ones live in the parent."""
+    if capsule is None:
+        return OFF
+    return Instrumentation(
+        tracer=Tracer(time_unit="min") if capsule.trace else None,
+        metrics=MetricsRegistry() if capsule.metrics else None,
+        events=EventBus(capacity=_WORKER_EVENT_CAPACITY) if capsule.events else None,
+        profiler=capsule.activate(),
+    )
+
+
 def _execute(
     flow: DprFlow,
     request: BuildRequest,
@@ -117,11 +138,13 @@ def _execute(
 ) -> Tuple[Optional[FlowResult], Optional[BuildError], float, Optional[Dict]]:
     """Run one build, capturing any failure.
 
-    Returns ``(result, error, seconds, obs)``. ``obs`` is the worker's
-    observability payload when the capsule activated any hook — the raw
-    profile tree, the recorded span dicts and the worker process name
-    the parent tags the merge with — or None when observability is off.
-    Flow frames balance on failure too, so the payload always exports.
+    Returns ``(result, error, seconds, obs)``. ``obs`` is the build's
+    observability payload when the capsule activated any sink — the
+    raw profile tree, the recorded span dicts, the emitted events as
+    ``(kind, time, source, attrs)``, the registry's instruments (every
+    kind) and the worker process name the parent tags the merge with — or None when
+    observability is off. Flow frames balance on failure too, so the
+    payload always exports.
 
     The capsule's request context (if any) is re-activated around the
     build, so worker-side spans, profile leaves and log records carry
@@ -131,12 +154,7 @@ def _execute(
     in the worker process, so a daemon SIGKILL loses at most the stage
     in flight).
     """
-    profiler = capsule.activate() if capsule is not None else NULL_PROFILER
-    tracer = (
-        Tracer(time_unit="min")
-        if capsule is not None and capsule.trace
-        else NULL_TRACER
-    )
+    instrumentation = _activate(capsule)
     token = bind(capsule.context) if capsule is not None else None
     start = time.perf_counter()
     try:
@@ -144,8 +162,7 @@ def _execute(
             request.config,
             strategy_override=request.strategy_override,
             semi_tau=request.semi_tau,
-            tracer=tracer,
-            profiler=profiler,
+            instrumentation=instrumentation,
             checkpoint_dir=checkpoint_dir,
             resume=resume,
         )
@@ -156,14 +173,24 @@ def _execute(
     finally:
         unbind(token)
     elapsed = time.perf_counter() - start
-    obs: Optional[Dict] = None
-    if profiler.enabled or tracer.enabled:
-        obs = {
-            "worker": multiprocessing.current_process().name,
-            "profile": profiler.payload() if profiler.enabled else None,
-            "spans": span_records(tracer) if tracer.enabled else None,
-        }
+    obs = _observations(instrumentation) if instrumentation.enabled else None
     return result, error, elapsed, obs
+
+
+def _observations(instrumentation: Instrumentation) -> Dict:
+    """The picklable payload of one build's live sinks (see _execute)."""
+    tracer, metrics = instrumentation.tracer, instrumentation.metrics
+    events, profiler = instrumentation.events, instrumentation.profiler
+    return {
+        "worker": multiprocessing.current_process().name,
+        "profile": profiler.payload() if profiler is not None else None,
+        "spans": span_records(tracer) if tracer is not None else None,
+        "events": [
+            (event.kind, event.time, event.source, event.attrs)
+            for event in (events.events() if events is not None else ())
+        ],
+        "metrics": metrics.instruments() if metrics is not None else [],
+    }
 
 
 def _pool_execute(payload: Tuple[DprFlow, BuildRequest, Optional[ProfileCapsule]]):
@@ -188,52 +215,80 @@ def _reap_pool(pool: ProcessPoolExecutor) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _cache_lookup(
+    flow: DprFlow,
+    cache: FlowCache,
+    request: BuildRequest,
+    instrumentation: Instrumentation,
+    source: str,
+    frame: Optional[str] = None,
+) -> Tuple[str, Optional[FlowResult]]:
+    """Look ``request`` up in ``cache``; returns ``(key, result)``.
+
+    The one cache path of every build entry point. It emits
+    ``CACHE_HIT``/``CACHE_MISS`` from ``source``, and a hit replays the
+    cached build's trace and profile projections (the profile inside a
+    ``frame`` frame when one is named), so a cached build observes
+    identically to a fresh one: the same modelled time and call paths,
+    at near-zero host time, which is the point of the cache. ``result``
+    is None on a miss.
+    """
+    key = flow_cache_key(
+        flow, request.config, request.strategy_override, request.semi_tau
+    )
+    result = cache.get(key)
+    if result is None:
+        instrumentation.emit(ev.CACHE_MISS, source=source, key=key)
+        return key, None
+    instrumentation.emit(ev.CACHE_HIT, source=source, key=key)
+    if instrumentation.tracer is not None:
+        flow.record_trace(result, instrumentation.tracer)
+    profiler = instrumentation.profiler
+    if profiler is not None:
+        if frame is None:
+            flow.record_profile(result, profiler)
+        else:
+            with profiler.frame(frame):
+                flow.record_profile(result, profiler)
+    return key, result
+
+
 def cached_build(
     flow: DprFlow,
     cache: Optional[FlowCache],
     config: SocConfig,
     strategy_override: Optional[ImplementationStrategy] = None,
     semi_tau: int = 2,
-    tracer=NULL_TRACER,
-    events=NULL_EVENTS,
-    profiler=NULL_PROFILER,
-    registry=NULL_METRICS,
+    instrumentation: Instrumentation = OFF,
     checkpoint_dir=None,
     resume: bool = False,
 ) -> Tuple[FlowResult, bool]:
     """One build through the cache; returns (result, was_cached).
 
-    On a hit the flow's trace and profile projections are replayed onto
-    ``tracer``/``profiler``, so a cached build observes identically to
-    a fresh one (modelled time and call paths; the replay costs near
-    zero host time, which is the point of the cache). ``events``
-    receives the hit/miss decision plus the flow's stage events for
-    fresh builds. ``checkpoint_dir``/``resume`` pass through to
+    A hit is observed through :func:`_cache_lookup`; a miss builds with
+    the whole ``instrumentation`` probe, so the bus also receives the
+    flow's stage events. ``checkpoint_dir``/``resume`` pass through to
     :meth:`DprFlow.build` on misses — a cache hit supersedes any
     checkpoint (both are keyed by the same content digest).
     """
-    if cache is None:
-        return flow.build(
-            config, strategy_override=strategy_override, semi_tau=semi_tau,
-            tracer=tracer, events=events, profiler=profiler, registry=registry,
-            checkpoint_dir=checkpoint_dir, resume=resume,
-        ), False
-    key = flow_cache_key(flow, config, strategy_override, semi_tau)
-    result = cache.get(key)
-    if result is not None:
-        events.emit(ev.CACHE_HIT, source=config.name, key=key)
-        if tracer.enabled:
-            flow.record_trace(result, tracer)
-        if profiler.enabled:
-            flow.record_profile(result, profiler)
-        return result, True
-    events.emit(ev.CACHE_MISS, source=config.name, key=key)
+    key = None
+    if cache is not None:
+        request = BuildRequest(config, strategy_override, semi_tau)
+        key, result = _cache_lookup(
+            flow, cache, request, instrumentation, source=config.name
+        )
+        if result is not None:
+            return result, True
     result = flow.build(
-        config, strategy_override=strategy_override, semi_tau=semi_tau, tracer=tracer,
-        events=events, profiler=profiler, registry=registry,
-        checkpoint_dir=checkpoint_dir, resume=resume,
+        config,
+        strategy_override=strategy_override,
+        semi_tau=semi_tau,
+        instrumentation=instrumentation,
+        checkpoint_dir=checkpoint_dir,
+        resume=resume,
     )
-    cache.put(key, result)
+    if cache is not None:
+        cache.put(key, result)
     return result, False
 
 
@@ -245,23 +300,18 @@ class BatchBuilder:
         flow: Optional[DprFlow] = None,
         cache: Optional[FlowCache] = None,
         jobs: int = 1,
-        metrics=NULL_METRICS,
-        events=NULL_EVENTS,
-        tracer=NULL_TRACER,
-        profiler=NULL_PROFILER,
+        instrumentation: Instrumentation = OFF,
     ) -> None:
         if jobs <= 0:
             raise FlowError(f"batch needs at least one job slot, got {jobs}")
         self.flow = flow or DprFlow()
         self.cache = cache
         self.jobs = jobs
-        self.events = events
-        self.tracer = tracer
-        self.profiler = profiler
-        self._requests_counter = metrics.counter(
+        self.obs = instrumentation
+        self._requests_counter = instrumentation.counter(
             "flow_batch_requests_total", "batch build requests by status"
         )
-        self._build_seconds = metrics.histogram(
+        self._build_seconds = instrumentation.histogram(
             "flow_batch_build_seconds", "wall seconds per executed build"
         )
         # Warm worker pool: created lazily on the first parallel batch,
@@ -318,87 +368,29 @@ class BatchBuilder:
         rest of the batch completes normally. With a live profiler the
         whole batch runs under a ``build_many`` frame: cache hits
         replay the flow's profile projection, executed builds come
-        back with worker-side trees merged in deterministic request
-        order under each request's label.
+        back with their observations (profile trees, spans, events,
+        metrics) replayed in deterministic request order under each
+        request's label.
         """
-        if not self.profiler.enabled:
-            return self._build_many(requests)
-        self.profiler.begin("build_many")
-        try:
-            return self._build_many(requests)
-        finally:
-            self.profiler.end()
-
-    def _build_many(self, requests: Sequence[BuildRequest]) -> List[BuildOutcome]:
-        requests = list(requests)
-        outcomes: List[Optional[BuildOutcome]] = [None] * len(requests)
-        keys: Dict[int, str] = {}
-        pending: List[int] = []
-
-        for index, request in enumerate(requests):
-            if self.cache is not None:
-                key = flow_cache_key(
-                    self.flow,
-                    request.config,
-                    request.strategy_override,
-                    request.semi_tau,
-                )
-                keys[index] = key
-                start = time.perf_counter()
-                result = self.cache.get(key)
-                if result is not None:
-                    outcomes[index] = BuildOutcome(
-                        request=request,
-                        result=result,
-                        error=None,
-                        cached=True,
-                        elapsed_s=time.perf_counter() - start,
+        with self.obs.frame("build_many"):
+            requests = list(requests)
+            outcomes: List[Optional[BuildOutcome]] = [None] * len(requests)
+            keys: Dict[int, Optional[str]] = {}
+            pending: List[int] = []
+            for index, request in enumerate(requests):
+                keys[index], outcomes[index] = self._lookup(request)
+                if outcomes[index] is None:
+                    pending.append(index)
+            if pending:
+                executed = self._execute_pending(requests, pending)
+                # Finish in pending (= input) order, not completion
+                # order, so the merged observations are deterministic
+                # across pool schedules.
+                for index in pending:
+                    outcomes[index] = self._finish(
+                        requests[index], keys[index], executed[index]
                     )
-                    self._requests_counter.inc(status="cache_hit")
-                    self.events.emit(ev.CACHE_HIT, source=request.label, key=key)
-                    if self.profiler.enabled:
-                        # Replay the cached build's profile projection
-                        # under the same label path a fresh build gets.
-                        self.profiler.begin(request.label)
-                        try:
-                            self.flow.record_profile(result, self.profiler)
-                        finally:
-                            self.profiler.end()
-                    if self.tracer.enabled:
-                        self.flow.record_trace(result, self.tracer)
-                    continue
-                self.events.emit(ev.CACHE_MISS, source=request.label, key=key)
-            pending.append(index)
-
-        if pending:
-            executed = self._execute_pending(requests, pending)
-            # Merge in pending (= input) order, not completion order, so
-            # the merged tree is deterministic across pool schedules.
-            for index in pending:
-                result, error, elapsed, obs = executed[index]
-                outcomes[index] = BuildOutcome(
-                    request=requests[index],
-                    result=result,
-                    error=error,
-                    cached=False,
-                    elapsed_s=elapsed,
-                )
-                self._build_seconds.observe(elapsed)
-                if obs is not None:
-                    self._merge_observability(requests[index].label, obs)
-                if error is None:
-                    self._requests_counter.inc(status="built")
-                    if self.cache is not None and result is not None:
-                        self.cache.put(keys[index], result)
-                else:
-                    self._requests_counter.inc(status="error")
-                    logger.warning(
-                        "build %s failed: %s", requests[index].label, error
-                    )
-
-        done = [outcome for outcome in outcomes if outcome is not None]
-        assert len(done) == len(requests)
-        return done
+        return outcomes
 
     # ------------------------------------------------------------------
     def build_one(
@@ -421,27 +413,9 @@ class BatchBuilder:
         and a broken pool degrades to in-thread execution instead of
         failing the job — the daemon must outlive its workers.
         """
-        if self.cache is not None:
-            key = flow_cache_key(
-                self.flow,
-                request.config,
-                request.strategy_override,
-                request.semi_tau,
-            )
-            start = time.perf_counter()
-            result = self.cache.get(key)
-            if result is not None:
-                self._requests_counter.inc(status="cache_hit")
-                self.events.emit(ev.CACHE_HIT, source=request.label, key=key)
-                return BuildOutcome(
-                    request=request,
-                    result=result,
-                    error=None,
-                    cached=True,
-                    elapsed_s=time.perf_counter() - start,
-                )
-            self.events.emit(ev.CACHE_MISS, source=request.label, key=key)
-
+        key, hit = self._lookup(request)
+        if hit is not None:
+            return hit
         payload = (
             self.flow,
             request,
@@ -462,7 +436,39 @@ class BatchBuilder:
                 self.close()
         if executed is None:
             executed = _execute(*payload)
+        return self._finish(request, key, executed)
 
+    # ------------------------------------------------------------------
+    def _lookup(
+        self, request: BuildRequest
+    ) -> Tuple[Optional[str], Optional[BuildOutcome]]:
+        """The request's cache key and, on a hit, its outcome."""
+        if self.cache is None:
+            return None, None
+        start = time.perf_counter()
+        key, result = _cache_lookup(
+            self.flow,
+            self.cache,
+            request,
+            self.obs,
+            source=request.label,
+            frame=request.label,
+        )
+        if result is None:
+            return key, None
+        self._requests_counter.inc(status="cache_hit")
+        return key, BuildOutcome(
+            request=request,
+            result=result,
+            error=None,
+            cached=True,
+            elapsed_s=time.perf_counter() - start,
+        )
+
+    def _finish(
+        self, request: BuildRequest, key: Optional[str], executed
+    ) -> BuildOutcome:
+        """Account one executed build and replay its observations."""
         result, error, elapsed, obs = executed
         self._build_seconds.observe(elapsed)
         if obs is not None:
@@ -482,31 +488,37 @@ class BatchBuilder:
             elapsed_s=elapsed,
         )
 
-    # ------------------------------------------------------------------
     def _capsule(self, request: BuildRequest) -> Optional[ProfileCapsule]:
         """The observability context one work item carries, or None.
 
         The batch's active request context rides along too, so worker
         processes re-activate the same ``request_id`` the parent verb
-        minted — a context alone (no profiler/tracer) still yields a
+        minted — a context alone (no live sink) still yields a
         capsule, because worker-side log attribution needs it.
         """
-        profile = self.profiler.enabled
-        trace = self.tracer.enabled
         context = current_context()
-        if not (profile or trace) and context is None:
+        if not self.obs.enabled and context is None:
             return None
         return ProfileCapsule(
-            path=(request.label,), profile=profile, trace=trace, context=context
+            path=(request.label,),
+            profile=self.obs.profiler is not None,
+            trace=self.obs.tracer is not None,
+            events=self.obs.events is not None,
+            metrics=self.obs.metrics is not None,
+            context=context,
         )
 
     def _merge_observability(self, label: str, obs: Dict) -> None:
-        """Graft one worker payload back under the request's label."""
-        worker = obs.get("worker")
-        if self.profiler.enabled and obs.get("profile"):
-            self.profiler.merge_tree(obs["profile"], at=(label,), tag=worker)
-        if self.tracer.enabled and obs.get("spans"):
-            merge_span_records(self.tracer, obs["spans"], worker=worker)
+        """Replay one build's observations onto the batch's probe."""
+        worker = obs["worker"]
+        if obs["profile"]:
+            self.obs.profiler.merge_tree(obs["profile"], at=(label,), tag=worker)
+        if obs["spans"]:
+            merge_span_records(self.obs.tracer, obs["spans"], worker=worker)
+        for kind, time_, source, attrs in obs["events"]:
+            self.obs.emit(kind, time_, source, **attrs)
+        for instrument in obs["metrics"]:
+            self.obs.metrics.merge(instrument)
 
     def _execute_pending(
         self, requests: Sequence[BuildRequest], pending: Sequence[int]

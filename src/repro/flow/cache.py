@@ -25,8 +25,9 @@ The cache itself is two-tiered. The in-memory tier is a bounded LRU of
 caller mutating a served result can never poison later hits. The
 optional on-disk tier (``~/.cache/repro-flow/`` or a caller-supplied
 directory) persists entries across processes; disk hits are promoted
-into memory. Hit/miss/eviction counters land in an
-:class:`~repro.obs.metrics.MetricsRegistry` when one is supplied.
+into memory. Hit/miss/eviction counters land in the
+registry of the :class:`~repro.obs.instrumentation.Instrumentation`
+probe when it carries one.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Union
 
 from repro.errors import FlowError
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import NULL_METRICS
 from repro.soc.config import SocConfig
 from repro.soc.tiles import ReconfigurableTile, TileKind
 from repro.vivado.runtime_model import RuntimeModel
@@ -162,7 +163,7 @@ class FlowCache:
 
     ``max_entries`` bounds the memory tier; ``disk_dir`` enables the
     persistent tier (``default_disk_dir()`` when passed ``True``).
-    ``metrics`` receives the counters::
+    ``instrumentation`` receives the counters::
 
         flow_cache_requests_total
         flow_cache_hits_total{tier=memory|disk}
@@ -175,7 +176,7 @@ class FlowCache:
         self,
         max_entries: int = 256,
         disk_dir: Union[None, bool, str, Path] = None,
-        metrics=NULL_METRICS,
+        instrumentation: Instrumentation = OFF,
     ) -> None:
         if max_entries <= 0:
             raise FlowError(f"cache needs at least one entry, got {max_entries}")
@@ -193,23 +194,23 @@ class FlowCache:
         # is GIL-atomic), so two writers never share a tmp path.
         self._lock = threading.RLock()
         self._tmp_ids = itertools.count()
-        self._requests = metrics.counter(
+        self._requests = instrumentation.counter(
             "flow_cache_requests_total", "flow-cache lookups"
         )
-        self._hits = metrics.counter(
+        self._hits = instrumentation.counter(
             "flow_cache_hits_total", "flow-cache hits per tier"
         )
-        self._misses = metrics.counter(
+        self._misses = instrumentation.counter(
             "flow_cache_misses_total", "flow-cache misses"
         )
-        self._evictions = metrics.counter(
+        self._evictions = instrumentation.counter(
             "flow_cache_evictions_total", "memory-tier LRU evictions"
         )
-        self._disk_errors = metrics.counter(
+        self._disk_errors = instrumentation.counter(
             "flow_cache_disk_errors_total", "unreadable/unwritable disk entries"
         )
         # Plain integers mirror the counters so ``stats()`` works with
-        # the default NULL_METRICS registry too.
+        # metrics off too.
         self._stat = {
             "requests": 0,
             "hits_memory": 0,

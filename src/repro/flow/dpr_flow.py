@@ -29,6 +29,7 @@ The flow is fault-tolerant and resumable:
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -42,11 +43,10 @@ from repro.core.strategy import (
 from repro.errors import FlowError
 from repro.fabric.device import Device
 from repro.obs import events as ev
-from repro.obs.events import NULL_EVENTS
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profiler import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.profiler import Profiler
+from repro.obs.tracer import Tracer
 from repro.floorplan.constraints import validate_floorplan
 from repro.floorplan.flora import Floorplan, FloraFloorplanner
 from repro.flow.blackbox import BlackBoxWrapper, generate_blackboxes
@@ -225,6 +225,21 @@ class FlowResult:
         }
 
 
+@contextlib.contextmanager
+def _tool_frame(instrumentation: Instrumentation, tool: VivadoInstance):
+    """A ``vivado.<job>`` profiler frame around one tool run.
+
+    The frame is charged the tool's CPU minutes as simulated seconds,
+    burned (retried or failed) attempts included, also when the run
+    raises.
+    """
+    with instrumentation.frame(f"vivado.{tool.name}"):
+        try:
+            yield
+        finally:
+            instrumentation.add_sim(tool.cpu_minutes * 60.0)
+
+
 class DprFlow:
     """The automated PR-ESP FPGA flow."""
 
@@ -252,10 +267,7 @@ class DprFlow:
         config: SocConfig,
         strategy_override: Optional[ImplementationStrategy] = None,
         semi_tau: int = 2,
-        tracer=NULL_TRACER,
-        events=NULL_EVENTS,
-        profiler=NULL_PROFILER,
-        registry=NULL_METRICS,
+        instrumentation: Instrumentation = OFF,
         checkpoint_dir: Union[None, str, Path, FlowCheckpointer] = None,
         resume: bool = False,
     ) -> FlowResult:
@@ -263,12 +275,13 @@ class DprFlow:
 
         ``strategy_override`` forces a P&R strategy (used by the
         evaluation to sweep all three); by default the size-driven
-        algorithm decides. ``tracer`` (modelled CAD minutes) receives
-        one span per Fig. 1 stage plus one per scheduled tool job;
-        ``events`` receives a start/finish pair per stage, stamped on
-        the same modelled-minute clock, plus retry/failure/degradation
-        events when the fault model bites. ``profiler`` gets a
-        ``build.<soc>`` frame over the whole flow, a ``flow.<stage>``
+        algorithm decides. The ``instrumentation`` probe's tracer
+        (modelled CAD minutes) receives one span per Fig. 1 stage plus
+        one per scheduled tool job; its bus receives a start/finish
+        pair per stage, stamped on the same modelled-minute clock, plus
+        retry/failure/degradation events when the fault model bites.
+        Its profiler gets a ``build.<soc>`` frame over the whole flow, a
+        ``flow.<stage>``
         frame per Fig. 1 stage (charged the stage's modelled minutes as
         simulated seconds) and a ``vivado.<job>`` frame per tool run
         (charged the tool's CPU minutes, burned attempts included).
@@ -279,34 +292,23 @@ class DprFlow:
         of re-running it. Without ``resume`` the directory is cleared
         first, so a fresh build never trusts stale state.
 
-        ``registry`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
-        receives per-stage CAD job accounting: ``flow.jobs_total``,
-        ``flow.job_retries_total`` and ``flow.job_failures_total`` —
-        the counters the ``cad-retry-rate`` SLO reads.
+        Its registry receives per-stage CAD job accounting:
+        ``flow.jobs_total``, ``flow.job_retries_total`` and
+        ``flow.job_failures_total`` — the counters the
+        ``cad-retry-rate`` SLO reads.
         """
-        if not profiler.enabled:
+        with instrumentation.frame(f"build.{config.name}"):
             return self._build(
-                config, strategy_override, semi_tau, tracer, events,
-                NULL_PROFILER, registry, checkpoint_dir, resume,
+                config, strategy_override, semi_tau, instrumentation,
+                checkpoint_dir, resume,
             )
-        profiler.begin(f"build.{config.name}")
-        try:
-            return self._build(
-                config, strategy_override, semi_tau, tracer, events,
-                profiler, registry, checkpoint_dir, resume,
-            )
-        finally:
-            profiler.end()
 
     def _build(
         self,
         config: SocConfig,
         strategy_override: Optional[ImplementationStrategy],
         semi_tau: int,
-        tracer,
-        events,
-        profiler,
-        registry,
+        instrumentation: Instrumentation,
         checkpoint_dir: Union[None, str, Path, FlowCheckpointer],
         resume: bool,
     ) -> FlowResult:
@@ -331,13 +333,13 @@ class DprFlow:
         def add_stage(stage: str, wall_minutes: float, detail: str) -> None:
             """Record one Fig. 1 stage and emit its start/finish pair."""
             start = sum(s.wall_minutes for s in stages)
-            events.emit(
+            instrumentation.emit(
                 ev.FLOW_STAGE_STARTED, time=start, source=stage, soc=config.name
             )
             stages.append(
                 StageTrace(stage=stage, wall_minutes=wall_minutes, detail=detail)
             )
-            events.emit(
+            instrumentation.emit(
                 ev.FLOW_STAGE_FINISHED,
                 time=start + wall_minutes,
                 source=stage,
@@ -361,10 +363,8 @@ class DprFlow:
                     StageTrace(stage=name, wall_minutes=wall, detail=detail)
                 )
                 resumed.append(name)
-                profiler.record_leaf(
-                    (f"flow.{name}", "resumed"), sim_s=wall * 60.0
-                )
-                events.emit(
+                instrumentation.leaf((f"flow.{name}", "resumed"), sim_s=wall * 60.0)
+                instrumentation.emit(
                     ev.FLOW_STAGE_RESUMED,
                     time=start + wall,
                     source=name,
@@ -375,18 +375,15 @@ class DprFlow:
                 logger.info("build %s: resumed stage %s from checkpoint",
                             config.name, name)
                 return payload
-            profiler.begin(f"flow.{name}")
-            try:
+            with instrumentation.frame(f"flow.{name}"):
                 payload, wall, detail = compute()
                 # The stage's modelled CAD minutes are its simulated-
                 # time attribution (the flow clock runs in minutes).
-                profiler.add_sim(wall * 60.0)
-            finally:
-                profiler.end()
+                instrumentation.add_sim(wall * 60.0)
             add_stage(name, wall, detail)
             if ckpt is not None:
                 ckpt.save_stage(name, payload, wall, detail)
-                events.emit(
+                instrumentation.emit(
                     ev.FLOW_CHECKPOINT_SAVED,
                     time=sum(s.wall_minutes for s in stages),
                     source=name,
@@ -406,13 +403,13 @@ class DprFlow:
             CAD accounting counters — every scheduled job counts, not
             just the retried/failed ones the event loop below reports.
             """
-            jobs_total = registry.counter(
+            jobs_total = instrumentation.counter(
                 "flow.jobs_total", "CAD jobs scheduled, by stage"
             )
-            retries_total = registry.counter(
+            retries_total = instrumentation.counter(
                 "flow.job_retries_total", "retried CAD job attempts, by stage"
             )
-            failures_total = registry.counter(
+            failures_total = instrumentation.counter(
                 "flow.job_failures_total",
                 "CAD jobs that exhausted their retry budget, by stage",
             )
@@ -434,7 +431,7 @@ class DprFlow:
                     if not attempt.succeeded and attempt.index < len(
                         execution.attempts
                     ):
-                        events.emit(
+                        instrumentation.emit(
                             ev.CAD_JOB_RETRIED,
                             time=base + offset,
                             source=stage_name,
@@ -445,7 +442,7 @@ class DprFlow:
                             ].backoff_minutes,
                         )
                 if not execution.succeeded:
-                    events.emit(
+                    instrumentation.emit(
                         ev.CAD_JOB_FAILED,
                         time=base + offset,
                         source=stage_name,
@@ -477,7 +474,7 @@ class DprFlow:
 
         # -- 3. parallel OoC synthesis ----------------------------------
         def compute_synthesis():
-            payload = self._synthesize(partition, planner, ckpt, profiler)
+            payload = self._synthesize(partition, planner, ckpt, instrumentation)
             makespan = payload["schedule"].makespan_minutes
             return (
                 payload,
@@ -588,7 +585,7 @@ class DprFlow:
                 planner,
                 ckpt,
                 dark_synth,
-                profiler,
+                instrumentation,
             )
             return (
                 payload,
@@ -649,7 +646,7 @@ class DprFlow:
             resumed_stages=tuple(resumed),
         )
         if degraded:
-            events.emit(
+            instrumentation.emit(
                 ev.FLOW_DEGRADED,
                 time=result.total_minutes,
                 source="flow",
@@ -669,12 +666,12 @@ class DprFlow:
             result.total_minutes,
             " [degraded]" if degraded else "",
         )
-        if tracer.enabled:
-            self.record_trace(result, tracer)
+        if instrumentation.tracer is not None:
+            self.record_trace(result, instrumentation.tracer)
         return result
 
     # ------------------------------------------------------------------
-    def record_trace(self, result: FlowResult, tracer) -> None:
+    def record_trace(self, result: FlowResult, tracer: Tracer) -> None:
         """Project a finished build onto the tracer (CAD minutes).
 
         Public because cache hits replay it: a ``FlowResult`` served
@@ -741,7 +738,7 @@ class DprFlow:
                     tiles=list(run_tiles.get(placed.job.name, ())),
                 )
 
-    def record_profile(self, result: FlowResult, profiler) -> None:
+    def record_profile(self, result: FlowResult, profiler: Profiler) -> None:
         """Project a finished build onto the profiler (cache hits).
 
         A cache hit costs no host time, but its modelled CAD minutes
@@ -750,8 +747,6 @@ class DprFlow:
         shape a fresh build produces (``build.<soc>`` → ``flow.<stage>``
         → ``vivado.<job>``), marked with a ``cache_hit`` leaf.
         """
-        if not profiler.enabled:
-            return
         base = (f"build.{result.config.name}",)
         profiler.record_leaf(base + ("cache_hit",))
         for stage in result.stages:
@@ -776,7 +771,7 @@ class DprFlow:
         partition: DesignPartition,
         planner: FaultPlanner,
         ckpt: Optional[FlowCheckpointer],
-        profiler=NULL_PROFILER,
+        instrumentation: Instrumentation = OFF,
     ) -> Dict:
         """Run the static + per-tile OoC syntheses in parallel.
 
@@ -806,7 +801,7 @@ class DprFlow:
                     jobs.append(
                         ToolJob(name=job_name, cpu_minutes=cached["cpu_minutes"])
                     )
-                    profiler.record_leaf(
+                    instrumentation.leaf(
                         (f"vivado.{job_name}", "resumed"),
                         sim_s=cached["cpu_minutes"] * 60.0,
                     )
@@ -816,8 +811,7 @@ class DprFlow:
             )
             netlist = None
             failure = None
-            profiler.begin(f"vivado.{job_name}")
-            try:
+            with _tool_frame(instrumentation, tool):
                 try:
                     netlist = tool.synth_design(
                         module, ooc=True, black_box_names=black_boxes
@@ -830,10 +824,6 @@ class DprFlow:
                         attempts=len(error.execution.attempts),
                         minutes_burned=error.execution.total_minutes,
                     )
-            finally:
-                # CPU minutes include burned (retried/failed) attempts.
-                profiler.add_sim(tool.cpu_minutes * 60.0)
-                profiler.end()
             execution = planner.executions.get(job_name)
             if execution is not None:
                 executions[job_name] = execution
@@ -926,7 +916,7 @@ class DprFlow:
         planner: FaultPlanner,
         ckpt: Optional[FlowCheckpointer],
         dark_synth: frozenset,
-        profiler=NULL_PROFILER,
+        instrumentation: Instrumentation = OFF,
     ) -> Dict:
         """Execute the implementation plan.
 
@@ -974,7 +964,7 @@ class DprFlow:
                 jobs.append(
                     ToolJob(name=run.name, cpu_minutes=cached["cpu_minutes"])
                 )
-                profiler.record_leaf(
+                instrumentation.leaf(
                     (f"vivado.{run.name}", "resumed"),
                     sim_s=cached["cpu_minutes"] * 60.0,
                 )
@@ -990,8 +980,7 @@ class DprFlow:
                 # The serial run implements the static design too; a
                 # permanent fault here aborts — no degraded SoC exists
                 # without its static logic.
-                profiler.begin(f"vivado.{run.name}")
-                try:
+                with _tool_frame(instrumentation, tool):
                     tool.implement_full(
                         static_netlist,
                         rp_netlists,
@@ -1007,9 +996,6 @@ class DprFlow:
                     run_bitstreams += self._write_rp_bitstreams(
                         tool, partition, floorplan, run.rp_names
                     )
-                finally:
-                    profiler.add_sim(tool.cpu_minutes * 60.0)
-                    profiler.end()
                 bitstreams += run_bitstreams
                 jobs.append(ToolJob(name=run.name, cpu_minutes=tool.cpu_minutes))
                 if ckpt is not None:
@@ -1030,7 +1016,7 @@ class DprFlow:
                 jobs.append(
                     ToolJob(name="impl_static", cpu_minutes=static_minutes)
                 )
-                profiler.record_leaf(
+                instrumentation.leaf(
                     ("vivado.impl_static", "resumed"),
                     sim_s=static_minutes * 60.0,
                 )
@@ -1044,8 +1030,7 @@ class DprFlow:
                 )
                 # A permanent fault on the static pre-route aborts: every
                 # in-context run depends on the locked static design.
-                profiler.begin("vivado.impl_static")
-                try:
+                with _tool_frame(instrumentation, static_tool):
                     static_routed = static_tool.implement_static(
                         static_netlist, device, pblocks, demands
                     )
@@ -1055,9 +1040,6 @@ class DprFlow:
                     full_bitstream = static_tool.write_full_bitstream(
                         config.name, device
                     )
-                finally:
-                    profiler.add_sim(static_tool.cpu_minutes * 60.0)
-                    profiler.end()
                 bitstreams.append(full_bitstream)
                 static_minutes = static_tool.cpu_minutes
                 jobs.append(
@@ -1088,7 +1070,7 @@ class DprFlow:
                             depends_on=("impl_static",),
                         )
                     )
-                    profiler.record_leaf(
+                    instrumentation.leaf(
                         (f"vivado.{run.name}", "resumed"),
                         sim_s=cached["cpu_minutes"] * 60.0,
                     )
@@ -1104,8 +1086,7 @@ class DprFlow:
                 targets = [pblock_by_rp[name] for name in run.rp_names]
                 failure = None
                 run_bitstreams: List[Bitstream] = []
-                profiler.begin(f"vivado.{run.name}")
-                try:
+                with _tool_frame(instrumentation, tool):
                     try:
                         tool.implement_in_context(static_routed, group, targets)
                     except CadFaultError as error:
@@ -1126,9 +1107,6 @@ class DprFlow:
                         )
                         bitstreams += run_bitstreams
                         omegas[run.name] = tool.cpu_minutes
-                finally:
-                    profiler.add_sim(tool.cpu_minutes * 60.0)
-                    profiler.end()
                 record_execution(run.name)
                 jobs.append(
                     ToolJob(
@@ -1160,8 +1138,7 @@ class DprFlow:
                 self.model,
                 compress_bitstreams=self.compress_bitstreams,
             )
-            profiler.begin("vivado.impl_recovery")
-            try:
+            with _tool_frame(instrumentation, recovery):
                 for rp_name in dark_all:
                     assignment = floorplan.assignment_for(rp_name)
                     bitstreams.append(
@@ -1169,9 +1146,6 @@ class DprFlow:
                             rp_name, assignment.provided
                         )
                     )
-            finally:
-                profiler.add_sim(recovery.cpu_minutes * 60.0)
-                profiler.end()
             depends = (
                 ("impl_static",)
                 if plan.strategy is not ImplementationStrategy.SERIAL

@@ -20,9 +20,7 @@ from repro.errors import NocError
 from repro.noc.mesh import Mesh
 from repro.noc.packet import Packet
 from repro.obs import events as ev
-from repro.obs.events import NULL_EVENTS
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profiler import NULL_PROFILER
+from repro.obs.instrumentation import OFF, Instrumentation
 
 #: Default congestion watermark: a packet stalling this many cycles on
 #: busy links is reported on the event bus. Tuned above the router
@@ -56,9 +54,7 @@ class NocSimulator:
     def __init__(
         self,
         mesh: Mesh,
-        metrics=NULL_METRICS,
-        events=NULL_EVENTS,
-        profiler=NULL_PROFILER,
+        instrumentation: Instrumentation = OFF,
         congestion_watermark_cycles: int = DEFAULT_CONGESTION_WATERMARK_CYCLES,
         vectorize: bool = True,
     ) -> None:
@@ -69,9 +65,7 @@ class NocSimulator:
         #: False forces the sequential per-flit loop (the reference the
         #: equivalence tests compare against).
         self.vectorize = vectorize
-        self.metrics = metrics
-        self.events = events
-        self.profiler = profiler
+        self.obs = instrumentation
         self.congestion_watermark_cycles = congestion_watermark_cycles
         self._link_free: Dict[LinkKey, int] = {}
         self._pending: List[Tuple[int, int, Packet]] = []  # (inject_cycle, seq, pkt)
@@ -96,17 +90,15 @@ class NocSimulator:
     def run(self) -> List[TransferRecord]:
         """Route every injected packet; returns records in delivery order."""
         self._pending.sort()
-        packets = self.metrics.counter("noc.packets", "packets delivered")
-        flits = self.metrics.counter("noc.flits", "flits crossing the NoC")
-        payload = self.metrics.counter("noc.bytes", "payload bytes crossing the NoC")
-        latency = self.metrics.histogram(
+        packets = self.obs.counter("noc.packets", "packets delivered")
+        flits = self.obs.counter("noc.flits", "flits crossing the NoC")
+        payload = self.obs.counter("noc.bytes", "payload bytes crossing the NoC")
+        latency = self.obs.histogram(
             "noc.latency_cycles", "end-to-end packet latency"
         )
-        profiler = self.profiler if self.profiler.enabled else None
+        profiler = self.obs.profiler
         cycle_s = 1.0 / self.mesh.clock_hz
-        if profiler is not None:
-            profiler.begin("noc.run")
-        try:
+        with self.obs.frame("noc.run"):
             new_records: Optional[List[TransferRecord]] = None
             if profiler is None and self.vectorize and not self._link_free:
                 new_records = self._route_batch_vectorized()
@@ -118,12 +110,9 @@ class NocSimulator:
                     else:
                         # Per-packet flit-advancement frame; the packet's
                         # end-to-end latency is its simulated attribution.
-                        profiler.begin("noc.route")
-                        try:
+                        with profiler.frame("noc.route"):
                             record = self._route(packet, inject_cycle)
                             profiler.add_sim(record.latency_cycles * cycle_s)
-                        finally:
-                            profiler.end()
                     new_records.append(record)
             for record in new_records:
                 packet = record.packet
@@ -133,9 +122,6 @@ class NocSimulator:
                 flits.inc(packet.size_flits, plane=plane)
                 payload.inc(packet.payload_bytes, plane=plane)
                 latency.observe(record.latency_cycles, plane=plane)
-        finally:
-            if profiler is not None:
-                profiler.end()
         self._pending.clear()
         self.records.sort(key=lambda r: r.delivered_at)
         return list(self.records)
@@ -224,11 +210,11 @@ class NocSimulator:
         delivered = head_time + packet.size_flits - 1
         if stall_cycles > self.max_stall_cycles:
             self.max_stall_cycles = stall_cycles
-            self.metrics.gauge(
+            self.obs.gauge(
                 "noc.max_stall_cycles", "worst head-flit stall (high watermark)"
             ).set(stall_cycles)
         if stall_cycles >= self.congestion_watermark_cycles:
-            self.events.emit(
+            self.obs.emit(
                 ev.NOC_CONGESTION,
                 time=float(inject_cycle),
                 source=f"{packet.src}->{packet.dst}",

@@ -11,8 +11,9 @@ and flat metrics dicts. A :class:`Profiler` collects a deterministic
 call-path tree (host self time + attributed simulated time) exported
 as JSON documents and collapsed flamegraph stacks, with profdiff
 gating hot-path share drift against committed baselines.
-``NULL_TRACER``/``NULL_METRICS``/``NULL_PROFILER`` are the
-zero-overhead disabled paths instrumented code defaults to.
+Instrumented code takes the four sinks as one
+:class:`Instrumentation` probe; a sink that is off is ``None``, and
+``OFF`` (every sink off) is the zero-overhead disabled path.
 
 Request-scoped telemetry joins all of it: a
 :class:`TelemetryContext` (deterministic seeded IDs, contextvars
@@ -39,8 +40,6 @@ from repro.obs.events import (
     Event,
     EventBus,
     EventBusError,
-    NULL_EVENTS,
-    NullEventBus,
 )
 from repro.obs.export import (
     chrome_trace_dict,
@@ -60,7 +59,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_otlp_jsonl,
     write_prometheus_text,
-    write_spans_jsonl,
 )
 from repro.obs.health import (
     HealthError,
@@ -70,6 +68,7 @@ from repro.obs.health import (
     Verdict,
     WindowStats,
 )
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import (
     LEVELS,
     RequestIdFilter,
@@ -83,8 +82,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
     bucket_quantile,
 )
 from repro.obs.perfbase import (
@@ -116,8 +113,6 @@ from repro.obs.profdiff import (
     write_profile_baseline,
 )
 from repro.obs.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
     ProfileCapsule,
     ProfileNode,
     Profiler,
@@ -140,8 +135,6 @@ from repro.obs.slo import (
     SloTracker,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     TracingError,
@@ -169,18 +162,12 @@ __all__ = [
     "HealthMonitor",
     "HealthReport",
     "Histogram",
+    "Instrumentation",
     "LEVELS",
     "MetricDelta",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_EVENTS",
-    "NULL_METRICS",
-    "NULL_PROFILER",
-    "NULL_TRACER",
-    "NullEventBus",
-    "NullMetricsRegistry",
-    "NullProfiler",
-    "NullTracer",
+    "OFF",
     "PerfBaseError",
     "ProfDiffError",
     "ProfileBaseline",
@@ -255,6 +242,5 @@ __all__ = [
     "write_prometheus_text",
     "write_profile",
     "write_profile_baseline",
-    "write_spans_jsonl",
     "write_summary",
 ]

@@ -10,22 +10,19 @@ by construction — both views read the same records.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Union
+from typing import TYPE_CHECKING, List
 
-from repro.obs.metrics import MetricsRegistry, NullMetricsRegistry
-from repro.obs.tracer import NullTracer, Span, Tracer
+from repro.obs.instrumentation import Instrumentation
+from repro.obs.tracer import Span
 
 if TYPE_CHECKING:  # avoid a circular import; the bridge is duck-typed
     from repro.runtime.executor import ExecutionTimeline
     from repro.runtime.stats import RuntimeStats
 
-AnyTracer = Union[Tracer, NullTracer]
-AnyRegistry = Union[MetricsRegistry, NullMetricsRegistry]
-
 
 def bridge_timeline(
     timeline: "ExecutionTimeline",
-    tracer: AnyTracer,
+    instrumentation: Instrumentation,
     process: str = "app",
 ) -> List[Span]:
     """Record every `TimelineEvent` as a span — the application view.
@@ -38,7 +35,7 @@ def bridge_timeline(
     """
     spans: List[Span] = []
     for event in timeline.events:
-        span = tracer.record(
+        span = instrumentation.record(
             name=event.task,
             start=event.start_s,
             end=event.end_s,
@@ -52,14 +49,16 @@ def bridge_timeline(
     return spans
 
 
-def publish_runtime_stats(stats: "RuntimeStats", registry: AnyRegistry) -> None:
+def publish_runtime_stats(
+    stats: "RuntimeStats", instrumentation: Instrumentation
+) -> None:
     """Project `RuntimeStats` onto registry gauges.
 
     These are the exact numbers `summary_lines()` prints — published
     from the same aggregate object, so report and telemetry cannot
     disagree.
     """
-    totals = registry.gauge(
+    totals = instrumentation.gauge(
         "runtime.totals", "whole-SoC aggregates of one deployment"
     )
     totals.set(stats.total_invocations, stat="invocations")
@@ -69,7 +68,7 @@ def publish_runtime_stats(stats: "RuntimeStats", registry: AnyRegistry) -> None:
     totals.set(stats.span_s, stat="span_s")
     totals.set(stats.icap_utilization, stat="icap_utilization")
 
-    tile_gauge = registry.gauge("runtime.tile", "per-tile aggregates")
+    tile_gauge = instrumentation.gauge("runtime.tile", "per-tile aggregates")
     for tile in stats.tiles.values():
         tile_gauge.set(tile.invocations, tile=tile.tile_name, stat="invocations")
         tile_gauge.set(

@@ -20,10 +20,11 @@ mints the same sequence. Cross-process propagation rides the existing
 into each pool work item and the worker re-activates it, so
 worker-side spans and log records stay attributable.
 
-The null paths (``NULL_TRACER`` et al.) never consult the context
-variable at all — an *active* context with *disabled* instrumentation
-costs exactly nothing, which keeps the DES kernel's uninstrumented
-``_run_fast`` loop selected.
+Sinks that are off (``None`` on the
+:class:`~repro.obs.instrumentation.Instrumentation` probe) never
+consult the context variable at all — an *active* context with
+*disabled* instrumentation costs exactly nothing, which keeps the DES
+kernel's uninstrumented ``_run_fast`` loop selected.
 """
 
 from __future__ import annotations

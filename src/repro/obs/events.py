@@ -16,13 +16,14 @@ tracer, the bus never reads a wall clock — emitters stamp events from
 their own clock (DES seconds, modelled CAD minutes), or the bus falls
 back to an injected clock callable.
 
-``NULL_EVENTS`` is the zero-overhead disabled path instrumented code
-defaults to, mirroring ``NULL_TRACER``/``NULL_METRICS``.
+Events are off when a layer's probe carries no bus; emitting then
+costs one ``None`` test.
 
 When a :class:`~repro.obs.context.TelemetryContext` is active, every
 emitted event carries its ``request_id`` in ``attrs`` (an explicit
 ``request_id`` attr wins), so event streams from concurrent requests
-stay separable. The null bus never consults the context variable.
+stay separable. With the bus off the context variable is never
+consulted.
 """
 
 from __future__ import annotations
@@ -141,8 +142,6 @@ class EventBus:
     receives those.
     """
 
-    enabled = True
-
     def __init__(
         self,
         capacity: int = 1024,
@@ -229,42 +228,3 @@ class EventBus:
 
     def __len__(self) -> int:
         return len(self._ring)
-
-
-class NullEventBus:
-    """The zero-overhead disabled bus: no events, no storage, ever."""
-
-    enabled = False
-    capacity = 0
-    dropped = 0
-    emitted = 0
-
-    __slots__ = ()
-
-    def use_clock(self, clock) -> None:
-        pass
-
-    def subscribe(self, subscriber, kinds=None):
-        return subscriber
-
-    def unsubscribe(self, subscriber) -> None:
-        pass
-
-    def emit(self, kind, time=None, source="", **attrs) -> None:
-        return None
-
-    def events(self, kind=None) -> list:
-        return []
-
-    def last(self, count: int = 10) -> list:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The process-wide disabled bus instrumented code defaults to.
-NULL_EVENTS = NullEventBus()

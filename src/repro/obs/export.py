@@ -28,13 +28,11 @@ import json
 import re
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.obs.metrics import LabelKey, MetricsRegistry, NullMetricsRegistry
-from repro.obs.tracer import NullTracer, Tracer
+from repro.obs.metrics import LabelKey, MetricsRegistry
+from repro.obs.tracer import Tracer
 
 #: Microseconds per tracer time unit.
 _US_PER_UNIT = {"s": 1e6, "min": 60e6}
-
-AnyTracer = Union[Tracer, NullTracer]
 
 
 def _split_track(track: str) -> Tuple[str, str]:
@@ -56,7 +54,7 @@ def _jsonable(value) -> object:
     return str(value)
 
 
-def chrome_trace_events(tracer: AnyTracer) -> List[Dict]:
+def chrome_trace_events(tracer: Tracer) -> List[Dict]:
     """The ``traceEvents`` list for the tracer's closed spans."""
     spans = [s for s in tracer.spans if s.closed]
     scale = _US_PER_UNIT[tracer.time_unit]
@@ -125,7 +123,7 @@ def chrome_trace_events(tracer: AnyTracer) -> List[Dict]:
     return events
 
 
-def chrome_trace_dict(tracer: AnyTracer, profile: Union[Dict, None] = None) -> Dict:
+def chrome_trace_dict(tracer: Tracer, profile: Union[Dict, None] = None) -> Dict:
     """The full Chrome trace-event document.
 
     ``profile`` (a profile document from
@@ -143,13 +141,13 @@ def chrome_trace_dict(tracer: AnyTracer, profile: Union[Dict, None] = None) -> D
     }
 
 
-def chrome_trace_json(tracer: AnyTracer, profile: Union[Dict, None] = None) -> str:
+def chrome_trace_json(tracer: Tracer, profile: Union[Dict, None] = None) -> str:
     """Deterministic JSON text of the Chrome trace document."""
     return json.dumps(chrome_trace_dict(tracer, profile), sort_keys=True, indent=1)
 
 
 def write_chrome_trace(
-    path: str, tracer: AnyTracer, profile: Union[Dict, None] = None
+    path: str, tracer: Tracer, profile: Union[Dict, None] = None
 ) -> None:
     """Write the Chrome trace-event file to ``path``."""
     with open(path, "w") as handle:
@@ -158,7 +156,7 @@ def write_chrome_trace(
 
 
 # ----------------------------------------------------------------------
-def span_records(tracer: AnyTracer) -> List[Dict]:
+def span_records(tracer: Tracer) -> List[Dict]:
     """Spans as plain dicts (the JSONL rows)."""
     records = []
     for span in tracer.spans:
@@ -185,7 +183,7 @@ def span_records(tracer: AnyTracer) -> List[Dict]:
 
 
 def merge_span_records(
-    tracer: AnyTracer, records: List[Dict], worker: Union[str, None] = None
+    tracer: Tracer, records: List[Dict], worker: Union[str, None] = None
 ) -> None:
     """Re-record exported span records onto ``tracer`` (closed spans).
 
@@ -193,11 +191,8 @@ def merge_span_records(
     its spans with :func:`span_records`, the parent replays them here.
     Parent/child links are remapped onto the parent tracer's span ids;
     ``worker`` (the worker process name) is stamped into each replayed
-    span's attrs so merged traces stay attributable. No-op on a
-    disabled tracer.
+    span's attrs so merged traces stay attributable.
     """
-    if not getattr(tracer, "enabled", False):
-        return
     id_map: Dict[int, object] = {}
     for record in sorted(records, key=lambda r: r["span_id"]):
         attrs = dict(record.get("attrs", {}))
@@ -212,29 +207,19 @@ def merge_span_records(
             parent=id_map.get(record.get("parent_id")),
             **attrs,
         )
-        if span is not None:
-            span.instant = bool(record.get("instant", False))
-            id_map[record["span_id"]] = span
+        span.instant = bool(record.get("instant", False))
+        id_map[record["span_id"]] = span
 
 
-def spans_jsonl(tracer: AnyTracer) -> str:
+def spans_jsonl(tracer: Tracer) -> str:
     """One JSON object per line, one line per closed span."""
     return "\n".join(
         json.dumps(record, sort_keys=True) for record in span_records(tracer)
     )
 
 
-def write_spans_jsonl(path: str, tracer: AnyTracer) -> None:
-    """Write the JSONL span log to ``path``."""
-    text = spans_jsonl(tracer)
-    with open(path, "w") as handle:
-        handle.write(text)
-        if text:
-            handle.write("\n")
-
-
 # ----------------------------------------------------------------------
-def metrics_dict(registry: Union[MetricsRegistry, NullMetricsRegistry]) -> Dict[str, float]:
+def metrics_dict(registry: MetricsRegistry) -> Dict[str, float]:
     """The registry's flat snapshot (alias with exporter naming)."""
     return registry.snapshot()
 
@@ -255,7 +240,7 @@ def format_metric_value(value: float) -> str:
     return repr(as_float)
 
 
-def metrics_lines(registry: Union[MetricsRegistry, NullMetricsRegistry]) -> List[str]:
+def metrics_lines(registry: MetricsRegistry) -> List[str]:
     """Human-readable ``name value`` lines, name-ordered."""
     return [
         f"{name} {format_metric_value(value)}"
@@ -268,8 +253,6 @@ def metrics_lines(registry: Union[MetricsRegistry, NullMetricsRegistry]) -> List
 # ----------------------------------------------------------------------
 _PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
 _PROM_LABEL_INVALID = re.compile(r"[^a-zA-Z0-9_]")
-
-AnyRegistry = Union[MetricsRegistry, NullMetricsRegistry]
 
 
 def prometheus_name(name: str) -> str:
@@ -316,7 +299,7 @@ def _prom_value(value: float) -> str:
     return format_metric_value(as_float)
 
 
-def prometheus_text(registry: AnyRegistry) -> str:
+def prometheus_text(registry: MetricsRegistry) -> str:
     """The registry in Prometheus text exposition format.
 
     Counters gain the conventional ``_total`` suffix, histograms
@@ -361,7 +344,7 @@ def prometheus_text(registry: AnyRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def write_prometheus_text(path: str, registry: AnyRegistry) -> None:
+def write_prometheus_text(path: str, registry: MetricsRegistry) -> None:
     """Write the Prometheus exposition page to ``path``."""
     with open(path, "w") as handle:
         handle.write(prometheus_text(registry))
@@ -562,7 +545,7 @@ def _otlp_envelope(metrics: List[Dict], resource: Dict[str, str]) -> Dict:
 
 
 def otlp_metrics_dict(
-    registry: AnyRegistry,
+    registry: MetricsRegistry,
     time_s: float = 0.0,
     resource: Optional[Dict[str, str]] = None,
 ) -> Dict:
@@ -582,7 +565,7 @@ def otlp_metrics_dict(
 
 
 def otlp_metrics_lines(
-    registry: AnyRegistry,
+    registry: MetricsRegistry,
     time_s: float = 0.0,
     resource: Optional[Dict[str, str]] = None,
 ) -> List[str]:
@@ -606,7 +589,7 @@ def otlp_metrics_lines(
 
 def write_otlp_jsonl(
     path: str,
-    registry: AnyRegistry,
+    registry: MetricsRegistry,
     time_s: float = 0.0,
     resource: Optional[Dict[str, str]] = None,
 ) -> None:

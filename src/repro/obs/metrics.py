@@ -13,9 +13,9 @@ series. Snapshot keys render as ``name{k=v,...}``.
 When a :class:`~repro.obs.context.TelemetryContext` is active, every
 recording implicitly carries its ``request``/``tenant`` labels
 (explicit labels of the same name win), so per-request series appear
-without threading the context through call sites. The null registry
-never consults the context variable — disabled instrumentation stays
-free.
+without threading the context through call sites. With metrics off
+(no registry on the probe) the context variable is never consulted —
+disabled instrumentation stays free.
 """
 
 from __future__ import annotations
@@ -90,6 +90,11 @@ class Counter:
         """``(label_key, value)`` pairs, label-ordered (exporter view)."""
         return sorted(self._values.copy().items())
 
+    def merge(self, other: "Counter") -> None:
+        """Add ``other``'s series into this counter's."""
+        for key, value in other.items():
+            self._values[key] = self._values.get(key, 0.0) + value
+
 
 class Gauge:
     """A point-in-time value per label combination."""
@@ -118,6 +123,10 @@ class Gauge:
     def items(self) -> List[Tuple[LabelKey, float]]:
         """``(label_key, value)`` pairs, label-ordered (exporter view)."""
         return sorted(self._values.copy().items())
+
+    def merge(self, other: "Gauge") -> None:
+        """Overwrite this gauge's series with ``other``'s."""
+        self._values.update(other.items())
 
 
 #: Default histogram buckets: wide enough for both milliseconds of
@@ -284,6 +293,24 @@ class Histogram:
         """``(label_key, series)`` pairs, label-ordered (exporter view)."""
         return sorted(self._series.copy().items(), key=lambda item: item[0])
 
+    def merge(self, other: "Histogram") -> None:
+        """Add ``other``'s samples into this histogram's series."""
+        if other.buckets != self.buckets:
+            raise MetricsError(f"histogram {self.name}: merge across bucket layouts")
+        for key, theirs in other.items():
+            series = self._series.setdefault(key, _HistogramSeries(len(self.buckets)))
+            if theirs.count and series.count:
+                series.minimum = min(series.minimum, theirs.minimum)
+                series.maximum = max(series.maximum, theirs.maximum)
+            elif theirs.count:
+                series.minimum, series.maximum = theirs.minimum, theirs.maximum
+            series.count += theirs.count
+            series.total += theirs.total
+            series.bucket_counts = [
+                mine + count
+                for mine, count in zip(series.bucket_counts, theirs.bucket_counts)
+            ]
+
 
 class MetricsRegistry:
     """Registers and snapshots instruments.
@@ -298,8 +325,6 @@ class MetricsRegistry:
     concurrent first registrations of one name or label set settle on
     a single object via ``dict.setdefault``. Writes take no lock.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
@@ -329,6 +354,17 @@ class MetricsRegistry:
         """Get-or-create a histogram."""
         return self._get(name, Histogram, description, buckets)
 
+    def merge(self, instrument) -> None:
+        """Fold another registry's ``instrument`` in, series by series.
+
+        Counters and histograms add up, gauges take the incoming value
+        — how a batch replays the metrics of a build run elsewhere.
+        """
+        extra = (instrument.buckets,) if instrument.kind == "histogram" else ()
+        self._get(
+            instrument.name, type(instrument), instrument.description, *extra
+        ).merge(instrument)
+
     def instruments(self) -> List[object]:
         """All registered instruments, name-ordered."""
         instruments = self._instruments.copy()
@@ -340,74 +376,3 @@ class MetricsRegistry:
         for instrument in self.instruments():
             flat.update(instrument.series())
         return dict(sorted(flat.items()))
-
-
-class _NullInstrument:
-    """One shared do-nothing instrument for the disabled registry."""
-
-    __slots__ = ()
-    name = "null"
-    description = ""
-    kind = "null"
-
-    def inc(self, value: float = 1.0, **labels) -> None:
-        pass
-
-    def set(self, value: float, **labels) -> None:
-        pass
-
-    def observe(self, value: float, **labels) -> None:
-        pass
-
-    def value(self, **labels) -> float:
-        return 0.0
-
-    def total(self) -> float:
-        return 0.0
-
-    def count(self, **labels) -> int:
-        return 0
-
-    def sum(self, **labels) -> float:
-        return 0.0
-
-    def mean(self, **labels) -> float:
-        return 0.0
-
-    def quantile(self, q: float, **labels) -> None:
-        return None
-
-    def series(self) -> Dict[str, float]:
-        return {}
-
-    def items(self) -> list:
-        return []
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """Disabled registry: hands out one shared no-op instrument."""
-
-    enabled = False
-    __slots__ = ()
-
-    def counter(self, name: str, description: str = "") -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, description: str = "") -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, description: str = "", buckets=DEFAULT_BUCKETS) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def instruments(self) -> list:
-        return []
-
-    def snapshot(self) -> Dict[str, float]:
-        return {}
-
-
-#: The process-wide disabled registry instrumented code defaults to.
-NULL_METRICS = NullMetricsRegistry()

@@ -22,12 +22,13 @@ Like every obs layer the profiler is deterministic: paths, call
 counts and simulated seconds are identical run to run for a seeded
 workload (:func:`canonical_tree` strips the host-clock and worker
 fields so tests can compare trees across runs and across process
-pools). ``NULL_PROFILER`` is the zero-overhead disabled path; hot
-loops guard on ``profiler.enabled`` and skip even the no-op calls.
+pools). Profiling is off when a layer's probe carries no profiler;
+hot loops test that once and skip even the no-op calls.
 
 Cross-process propagation: a :class:`ProfileCapsule` is pickled into
-each ``BatchBuilder`` work item, the worker activates a fresh profiler
-(and tracer), and the parent merges the returned payload back under
+each ``BatchBuilder`` work item, the worker activates fresh sinks for
+the ones live in the parent, and the parent merges the returned
+payload back under
 the request's path — tagged with the worker id as a non-canonical
 annotation — so a pooled sweep produces one coherent profile instead
 of per-fork blind spots.
@@ -93,26 +94,27 @@ class ProfileCapsule:
     """Picklable profiling context carried into pool workers.
 
     ``path`` is where the parent will graft the worker's subtree;
-    ``profile``/``trace`` say which hooks the worker should activate.
-    A disabled capsule (the default) activates nothing.
+    ``profile``/``trace``/``events``/``metrics`` say which sinks the
+    worker should activate. A disabled capsule (the default) activates
+    nothing.
     """
 
     path: Tuple[str, ...] = ()
     profile: bool = False
     trace: bool = False
+    events: bool = False
+    metrics: bool = False
     #: The request context the worker re-activates around its build, so
     #: worker-side spans/metrics/log records stay attributable.
     context: Optional[TelemetryContext] = None
 
-    def activate(self) -> "Profiler":
-        """A fresh worker-side profiler (or the null one when off)."""
-        return Profiler() if self.profile else NULL_PROFILER
+    def activate(self) -> Optional["Profiler"]:
+        """A fresh worker-side profiler (None when profiling is off)."""
+        return Profiler() if self.profile else None
 
 
 class Profiler:
     """Collects a call-path tree against an injectable host clock."""
-
-    enabled = True
 
     def __init__(self, host_clock: Optional[Callable[[], float]] = None) -> None:
         self._host = host_clock if host_clock is not None else time.perf_counter
@@ -277,58 +279,6 @@ def _merge_payload(node: ProfileNode, payload: Dict) -> None:
     node.requests.update(payload.get("requests", ()))
     for child in payload.get("children", ()):
         _merge_payload(node.child(str(child["name"])), child)
-
-
-class _NullFrame:
-    """Shared no-op frame context of the disabled profiler."""
-
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_FRAME = _NullFrame()
-
-
-class NullProfiler:
-    """The zero-overhead disabled profiler: no tree, ever."""
-
-    enabled = False
-    open_frames = 0
-
-    __slots__ = ()
-
-    def begin(self, name) -> None:
-        return None
-
-    def end(self) -> None:
-        return None
-
-    def frame(self, name) -> _NullFrame:
-        return _NULL_FRAME
-
-    def add_sim(self, seconds) -> None:
-        return None
-
-    def record_leaf(self, path, sim_s=0.0, calls=1, anchor="current") -> None:
-        return None
-
-    def current_path(self) -> tuple:
-        return ()
-
-    def payload(self) -> dict:
-        return {}
-
-    def merge_tree(self, payload, at=(), tag=None, anchor="current") -> None:
-        return None
-
-
-#: The process-wide disabled profiler instrumented code defaults to.
-NULL_PROFILER = NullProfiler()
 
 
 # ----------------------------------------------------------------------

@@ -14,21 +14,21 @@ pid/tid pair of the Chrome trace-event export. Each track keeps its
 own open-span stack, so concurrent DES processes (one per tile) nest
 independently and the exported trace is always well-formed per track.
 
-``NULL_TRACER`` is the disabled path: every call is a no-op that
-allocates nothing, so instrumented code can call it unconditionally
-with zero overhead when tracing is off.
+Tracing is off when a layer's :class:`~repro.obs.instrumentation.
+Instrumentation` probe carries no tracer; no span object is ever
+allocated then.
 
 When a :class:`~repro.obs.context.TelemetryContext` is active, every
 created span is stamped with its ``request_id`` (explicit attrs win) —
 the single creation point :meth:`Tracer._new_span` does it, so live,
-instant, post-hoc, and replayed spans all stay joinable. The null
-tracer never consults the context variable.
+instant, post-hoc, and replayed spans all stay joinable. With tracing
+off the context variable is never consulted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import PrEspError
 from repro.obs.context import current_request_id
@@ -79,8 +79,6 @@ class Tracer:
     be (re)bound later with :meth:`use_clock` — the platform binds the
     deployment tracer to ``sim.now`` once the simulator exists.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -268,66 +266,3 @@ class Tracer:
                     f"parent {parent.name!r} [{parent.start}, {parent.end}]"
                 )
         return problems
-
-
-class _NullSpanContext:
-    """Shared no-op context manager of the disabled tracer."""
-
-    __slots__ = ()
-    span = None
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NULL_CONTEXT = _NullSpanContext()
-
-
-class NullTracer:
-    """The zero-overhead disabled tracer: no span objects, ever."""
-
-    enabled = False
-    time_unit = "s"
-    spans: Tuple[Span, ...] = ()
-
-    __slots__ = ()
-
-    def use_clock(self, clock) -> None:
-        pass
-
-    def now(self) -> float:
-        return 0.0
-
-    def begin(self, name, category="", track=DEFAULT_TRACK, **attrs) -> None:
-        return None
-
-    def end(self, span, **attrs) -> None:
-        return None
-
-    def span(self, name, category="", track=DEFAULT_TRACK, **attrs) -> _NullSpanContext:
-        return _NULL_CONTEXT
-
-    def instant(self, name, category="", track=DEFAULT_TRACK, time=None, **attrs) -> None:
-        return None
-
-    def record(self, name, start, end, category="", track=DEFAULT_TRACK, parent=None, **attrs) -> None:
-        return None
-
-    def open_spans(self) -> list:
-        return []
-
-    def spans_in(self, category) -> list:
-        return []
-
-    def total_duration(self, category) -> float:
-        return 0.0
-
-    def nesting_violations(self) -> list:
-        return []
-
-
-#: The process-wide disabled tracer instrumented code defaults to.
-NULL_TRACER = NullTracer()

@@ -28,7 +28,7 @@ from repro.errors import (
     TileQuarantinedError,
 )
 from repro.obs import events as ev
-from repro.obs.events import NULL_EVENTS
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.runtime.api import DprUserApi, TileHandle
 from repro.sim.kernel import Event, Simulator
 
@@ -107,7 +107,7 @@ class AppExecutor:
         tasks: Sequence[StageTask],
         cpu_worker: str = "cpu",
         blank_after_frame: bool = False,
-        events=NULL_EVENTS,
+        instrumentation: Instrumentation = OFF,
     ) -> None:
         """``blank_after_frame`` enables the power-gating policy: each
         tile thread erases its region (greybox bitstream) once its last
@@ -129,7 +129,7 @@ class AppExecutor:
         self.tasks = list(tasks)
         self.cpu_worker = cpu_worker
         self.blank_after_frame = blank_after_frame
-        self.events = events
+        self.obs = instrumentation
         #: Instances re-planned off a quarantined tile this run.
         self.failovers = 0
         self._handles: Dict[str, TileHandle] = {}
@@ -373,7 +373,7 @@ class AppExecutor:
                 "software fallback"
             )
         self.failovers += 1
-        self.events.emit(
+        self.obs.emit(
             ev.SCHED_FAILOVER,
             time=self.sim.now,
             source=from_tile,

@@ -38,11 +38,8 @@ from repro.errors import (
     TileQuarantinedError,
 )
 from repro.obs import events as ev
-from repro.obs.events import NULL_EVENTS
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profiler import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
 from repro.runtime.driver import DriverRegistry
 from repro.runtime.faults import DEFAULT_RECOVERY, RecoveryPolicy, RuntimeFaultModel
 from repro.runtime.memory import BitstreamStore
@@ -133,25 +130,19 @@ class ReconfigurationManager:
         prc: PrcDevice,
         store: BitstreamStore,
         registry: DriverRegistry,
-        tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
-        events=NULL_EVENTS,
-        profiler=NULL_PROFILER,
+        instrumentation: Instrumentation = OFF,
         recovery: Optional[RecoveryPolicy] = None,
     ) -> None:
         self.sim = sim
         self.prc = prc
         self.store = store
         self.registry = registry
-        self.tracer = tracer
-        self.metrics = metrics
-        self.events = events
-        #: Call-path profiler. The manager's protocol runs inside DES
-        #: callbacks (whose host time lands under the kernel dispatch
-        #: frames), so it contributes *semantic* root-anchored leaves —
-        #: the ``runtime.*`` view of where simulated time went — rather
-        #: than opening frames across generator yields.
-        self.profiler = profiler
+        #: The probe. The manager's protocol runs inside DES callbacks
+        #: (whose host time lands under the kernel dispatch frames), so
+        #: its profiler contributions are *semantic* root-anchored
+        #: leaves — the ``runtime.*`` view of where simulated time went
+        #: — rather than frames opened across generator yields.
+        self.obs = instrumentation
         self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
         self.tiles: Dict[str, TileState] = {}
         self.invocations: List[InvocationRecord] = []
@@ -230,12 +221,12 @@ class ReconfigurationManager:
         def body():
             self._check_quarantine(state)
             requested = self.sim.now
-            self.events.emit(
+            self.obs.emit(
                 ev.LOCK_REQUESTED, time=requested, source=tile_name, mode=mode_name
             )
             yield state.lock.acquire()
             acquired = self.sim.now
-            self.events.emit(
+            self.obs.emit(
                 ev.LOCK_ACQUIRED,
                 time=acquired,
                 source=tile_name,
@@ -243,7 +234,7 @@ class ReconfigurationManager:
                 wait_s=acquired - requested,
             )
             if acquired > requested:
-                self.tracer.record(
+                self.obs.record(
                     "lock_wait",
                     requested,
                     acquired,
@@ -251,10 +242,10 @@ class ReconfigurationManager:
                     track=track,
                     mode=mode_name,
                 )
-            self.metrics.histogram(
+            self.obs.histogram(
                 "runtime.lock_wait_s", "queueing delay before tile acquisition"
             ).observe(acquired - requested, tile=tile_name)
-            self.profiler.record_leaf(
+            self.obs.leaf(
                 ("runtime", "lock_wait"),
                 sim_s=acquired - requested,
                 anchor="root",
@@ -283,7 +274,7 @@ class ReconfigurationManager:
                     hang_attempts=hang_attempts,
                 )
                 self.invocations.append(record)
-                self.metrics.counter(
+                self.obs.counter(
                     "runtime.invocations", "completed accelerator invocations"
                 ).inc(tile=tile_name)
                 logger.debug(
@@ -328,14 +319,14 @@ class ReconfigurationManager:
             return None  # already dark
         blank = self.store.lookup(state.name, "blank")
         start = self.sim.now
-        self.events.emit(
+        self.obs.emit(
             ev.RECONFIG_REQUESTED,
             time=start,
             source=state.name,
             mode="blank",
             size_bytes=blank.size_bytes,
         )
-        span = self.tracer.begin(
+        span = self.obs.begin(
             "blank",
             category="kernel.decouple",
             track=f"kernel/{state.name}",
@@ -343,10 +334,10 @@ class ReconfigurationManager:
         )
         state.decoupler.decouple()
         self.registry.swap(state.name, None)
-        self.events.emit(
+        self.obs.emit(
             ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
         )
-        self.events.emit(
+        self.obs.emit(
             ev.RECONFIG_STARTED,
             time=self.sim.now,
             source=state.name,
@@ -358,20 +349,20 @@ class ReconfigurationManager:
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
         state.reconfigurations += 1
-        self.metrics.counter(
+        self.obs.counter(
             "runtime.reconfigurations", "completed tile reconfigurations"
         ).inc(tile=state.name)
-        self.metrics.histogram(
+        self.obs.histogram(
             "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
         ).observe(self.sim.now - start, tile=state.name)
-        self.events.emit(
+        self.obs.emit(
             ev.RECONFIG_COMPLETED,
             time=self.sim.now,
             source=state.name,
             mode="blank",
             duration_s=self.sim.now - start,
         )
-        self.tracer.end(span)
+        self.obs.end(span)
         return "blank"
 
     def preload(self, tile_name: str, mode_name: str) -> Process:
@@ -444,14 +435,14 @@ class ReconfigurationManager:
         loaded = self.store.lookup(state.name, mode_name)
         start = self.sim.now
         track = f"kernel/{state.name}"
-        self.events.emit(
+        self.obs.emit(
             ev.RECONFIG_REQUESTED,
             time=start,
             source=state.name,
             mode=mode_name,
             size_bytes=loaded.size_bytes,
         )
-        decouple_span = self.tracer.begin(
+        decouple_span = self.obs.begin(
             f"reconfigure:{mode_name}",
             category="kernel.decouple",
             track=track,
@@ -462,11 +453,11 @@ class ReconfigurationManager:
         state.decoupler.decouple()
         # 2. the old driver is unregistered while the region is dark
         self.registry.swap(state.name, None)
-        self.events.emit(
+        self.obs.emit(
             ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
         )
         # 3. queue on the PRC; it fetches and streams the bitstream
-        self.events.emit(
+        self.obs.emit(
             ev.RECONFIG_STARTED,
             time=self.sim.now,
             source=state.name,
@@ -489,11 +480,11 @@ class ReconfigurationManager:
                     state.loaded_mode = None
                     state.mark_dark(self.sim.now)
                     state.decoupler.recouple()
-                    self.metrics.counter(
+                    self.obs.counter(
                         "runtime.reconfig_failures",
                         "reconfigurations abandoned after retries",
                     ).inc(tile=state.name)
-                    self.events.emit(
+                    self.obs.emit(
                         ev.RECONFIG_FAILED,
                         time=self.sim.now,
                         source=state.name,
@@ -502,8 +493,8 @@ class ReconfigurationManager:
                         abandoned=True,
                         reason=reason,
                     )
-                    self.tracer.end(decouple_span, failed=True)
-                    self.profiler.record_leaf(
+                    self.obs.end(decouple_span, failed=True)
+                    self.obs.leaf(
                         ("runtime", "recovery", "abandon"),
                         sim_s=self.sim.now - start,
                         anchor="root",
@@ -516,10 +507,10 @@ class ReconfigurationManager:
                     )
                     yield from self._recover_abandoned_locked(state, mode_name, reason)
                     raise
-                self.metrics.counter(
+                self.obs.counter(
                     "runtime.reconfig_retries", "transfer retries after CRC errors"
                 ).inc(tile=state.name)
-                self.events.emit(
+                self.obs.emit(
                     ev.RECONFIG_FAILED,
                     time=self.sim.now,
                     source=state.name,
@@ -531,7 +522,7 @@ class ReconfigurationManager:
                 backoff = self.recovery.backoff_before(
                     attempts + 1, self.faults.seed, state.name, mode_name
                 )
-                self.profiler.record_leaf(
+                self.obs.leaf(
                     ("runtime", "recovery", "retry"), sim_s=backoff, anchor="root"
                 )
                 if backoff > 0.0:
@@ -543,24 +534,24 @@ class ReconfigurationManager:
         state.mark_configured(self.sim.now)
         state.last_good_mode = mode_name
         state.reconfigurations += 1
-        self.metrics.counter(
+        self.obs.counter(
             "runtime.reconfigurations", "completed tile reconfigurations"
         ).inc(tile=state.name)
-        self.metrics.histogram(
+        self.obs.histogram(
             "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
         ).observe(self.sim.now - start, tile=state.name)
-        self.events.emit(
+        self.obs.emit(
             ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=mode_name
         )
-        self.events.emit(
+        self.obs.emit(
             ev.RECONFIG_COMPLETED,
             time=self.sim.now,
             source=state.name,
             mode=mode_name,
             duration_s=self.sim.now - start,
         )
-        self.tracer.end(decouple_span)
-        self.profiler.record_leaf(
+        self.obs.end(decouple_span)
+        self.obs.leaf(
             ("runtime", "reconfigure"), sim_s=self.sim.now - start, anchor="root"
         )
         return self.sim.now - start
@@ -581,7 +572,7 @@ class ReconfigurationManager:
             hung = self.faults.enabled and self.faults.invoke_fault(
                 state.name, mode_name
             )
-            exec_span = self.tracer.begin(
+            exec_span = self.obs.begin(
                 mode_name,
                 category="kernel.exec",
                 track=track,
@@ -590,8 +581,8 @@ class ReconfigurationManager:
             )
             if not hung:
                 yield self.sim.timeout(duration)
-                self.tracer.end(exec_span)
-                self.profiler.record_leaf(
+                self.obs.end(exec_span)
+                self.obs.leaf(
                     ("runtime", "exec"), sim_s=duration, anchor="root"
                 )
                 return hang_attempts
@@ -602,16 +593,16 @@ class ReconfigurationManager:
             self.kernel_hangs_by_tile[state.name] = (
                 self.kernel_hangs_by_tile.get(state.name, 0) + 1
             )
-            self.metrics.counter(
+            self.obs.counter(
                 "runtime.kernel_hangs", "hung invocations caught by the watchdog"
             ).inc(tile=state.name)
-            self.tracer.end(exec_span, failed=True)
-            self.profiler.record_leaf(
+            self.obs.end(exec_span, failed=True)
+            self.obs.leaf(
                 ("runtime", "recovery", "kernel_hang"),
                 sim_s=duration * self.recovery.exec_deadline_factor,
                 anchor="root",
             )
-            self.events.emit(
+            self.obs.emit(
                 ev.KERNEL_HUNG,
                 time=self.sim.now,
                 source=state.name,
@@ -640,12 +631,12 @@ class ReconfigurationManager:
     def _abandon_hung_locked(self, state: TileState, mode_name: str):
         """Reset a tile whose kernel would not come back; lock held."""
         self.registry.swap(state.name, None)
-        self.events.emit(
+        self.obs.emit(
             ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
         )
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
-        self.metrics.counter(
+        self.obs.counter(
             "runtime.hang_abandons", "invocations abandoned after repeated hangs"
         ).inc(tile=state.name)
         yield from self._recover_abandoned_locked(state, mode_name, reason="hang")
@@ -688,7 +679,7 @@ class ReconfigurationManager:
         good = state.last_good_mode
         image = self.store.lookup(state.name, good)
         start = self.sim.now
-        span = self.tracer.begin(
+        span = self.obs.begin(
             f"fallback:{good}",
             category="kernel.decouple",
             track=f"kernel/{state.name}",
@@ -703,7 +694,7 @@ class ReconfigurationManager:
                 state.name, good, reason=getattr(exc, "fault_kind", "crc")
             )
             state.decoupler.recouple()
-            self.tracer.end(span, failed=True)
+            self.obs.end(span, failed=True)
             logger.warning(
                 "%s: fallback to last-known-good %s failed", state.name, good
             )
@@ -717,19 +708,19 @@ class ReconfigurationManager:
         self.fallbacks_by_tile[state.name] = (
             self.fallbacks_by_tile.get(state.name, 0) + 1
         )
-        self.metrics.counter(
+        self.obs.counter(
             "runtime.reconfigurations", "completed tile reconfigurations"
         ).inc(tile=state.name)
-        self.metrics.histogram(
+        self.obs.histogram(
             "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
         ).observe(self.sim.now - start, tile=state.name)
-        self.metrics.counter(
+        self.obs.counter(
             "runtime.fallbacks", "fallbacks to a last-known-good bitstream"
         ).inc(tile=state.name)
-        self.events.emit(
+        self.obs.emit(
             ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=good
         )
-        self.events.emit(
+        self.obs.emit(
             ev.RECONFIG_FALLBACK,
             time=self.sim.now,
             source=state.name,
@@ -737,8 +728,8 @@ class ReconfigurationManager:
             failed_mode=failed_mode,
             duration_s=self.sim.now - start,
         )
-        self.tracer.end(span)
-        self.profiler.record_leaf(
+        self.obs.end(span)
+        self.obs.leaf(
             ("runtime", "recovery", "fallback"),
             sim_s=self.sim.now - start,
             anchor="root",
@@ -777,13 +768,13 @@ class ReconfigurationManager:
                 )
             finally:
                 state.decoupler.recouple()
-        self.metrics.counter(
+        self.obs.counter(
             "runtime.quarantines", "tiles quarantined after persistent failures"
         ).inc(tile=state.name)
-        self.profiler.record_leaf(
+        self.obs.leaf(
             ("runtime", "recovery", "quarantine"), anchor="root"
         )
-        self.events.emit(
+        self.obs.emit(
             ev.TILE_QUARANTINED,
             time=self.sim.now,
             source=state.name,
@@ -807,7 +798,7 @@ class ReconfigurationManager:
         self.failed_attempts_by_tile[tile_name] = (
             self.failed_attempts_by_tile.get(tile_name, 0) + 1
         )
-        self.metrics.counter(
+        self.obs.counter(
             "runtime.failed_attempts", "failed bitstream transfer attempts"
         ).inc(tile=tile_name)
         logger.warning(

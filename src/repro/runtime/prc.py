@@ -28,9 +28,7 @@ from repro.noc.analytic import (
 from repro.noc.mesh import Mesh
 from repro.noc.packet import FLIT_BYTES, HEADER_FLITS
 from repro.obs.logconfig import get_logger
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.profiler import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.runtime.faults import (
     NO_RUNTIME_FAULTS,
     RuntimeFaultKind,
@@ -95,9 +93,7 @@ class PrcDevice:
         aux_position: Tuple[int, int],
         clock_hz: float = 78e6,
         fetch_bytes_per_cycle: float = FETCH_BYTES_PER_CYCLE,
-        tracer=NULL_TRACER,
-        metrics=NULL_METRICS,
-        profiler=NULL_PROFILER,
+        instrumentation: Instrumentation = OFF,
         faults: RuntimeFaultModel = NO_RUNTIME_FAULTS,
         noc_model: NocModel = NocModel.ANALYTIC,
     ) -> None:
@@ -111,9 +107,7 @@ class PrcDevice:
         self.aux_position = aux_position
         self.clock_hz = clock_hz
         self.fetch_bytes_per_cycle = fetch_bytes_per_cycle
-        self.tracer = tracer
-        self.metrics = metrics
-        self.profiler = profiler
+        self.obs = instrumentation
         #: The fault model every transfer attempt draws from. Shared
         #: with the manager (which reads it back for invoke-side draws)
         #: so injected and stochastic faults use one set of counters.
@@ -144,18 +138,16 @@ class PrcDevice:
         """
         if size_bytes <= 0:
             raise ReconfigurationError(f"bitstream size must be positive: {size_bytes}")
-        if not self.profiler.enabled:
+        profiler = self.obs.profiler
+        if profiler is None:
             return self._transfer_seconds(size_bytes)
         # The NoC-bounded fetch window is the model's flit-loop cost:
         # the frame carries both the host cost of evaluating the model
         # and the modelled NoC seconds it produces. The full transfer
         # duration is charged by the Timeout dispatch that simulates it.
-        self.profiler.begin("noc.transfer")
-        try:
+        with profiler.frame("noc.transfer"):
             seconds, noc_seconds = self._transfer_seconds(size_bytes, split=True)
-            self.profiler.add_sim(noc_seconds)
-        finally:
-            self.profiler.end()
+            profiler.add_sim(noc_seconds)
         return seconds
 
     def _transfer_seconds(self, size_bytes: int, split: bool = False):
@@ -248,7 +240,7 @@ class PrcDevice:
                     end_s=self.sim.now,
                 )
                 self.records.append(record)
-                self.tracer.record(
+                self.obs.record(
                     f"{tile_name}/{mode_name}",
                     record.start_s,
                     record.end_s,
@@ -258,10 +250,10 @@ class PrcDevice:
                     mode=mode_name,
                     size_bytes=size_bytes,
                 )
-                self.metrics.counter(
+                self.obs.counter(
                     "prc.transfers", "completed bitstream transfers"
                 ).inc(tile=tile_name)
-                self.metrics.counter(
+                self.obs.counter(
                     "prc.icap_busy_s", "time the ICAP spent streaming"
                 ).inc(record.duration_s)
                 logger.debug(
@@ -283,10 +275,10 @@ class PrcDevice:
     ) -> None:
         """Account one failed transfer attempt (CRC error or abort)."""
         self.failed_transfers += 1
-        self.metrics.counter(
+        self.obs.counter(
             "prc.transfer_failures", "transfers ending in a CRC error"
         ).inc(tile=tile_name)
-        self.tracer.record(
+        self.obs.record(
             f"{tile_name}/{mode_name}",
             start,
             self.sim.now,
@@ -306,10 +298,10 @@ class PrcDevice:
         so the registry's NoC numbers are consistent across layers.
         """
         flits = HEADER_FLITS + math.ceil(size_bytes / FLIT_BYTES)
-        self.metrics.counter("noc.bytes", "payload bytes crossing the NoC").inc(
+        self.obs.counter("noc.bytes", "payload bytes crossing the NoC").inc(
             size_bytes, source="prc"
         )
-        self.metrics.counter("noc.flits", "flits crossing the NoC").inc(
+        self.obs.counter("noc.flits", "flits crossing the NoC").inc(
             flits, source="prc"
         )
 

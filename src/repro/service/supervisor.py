@@ -165,10 +165,15 @@ class Supervisor:
 
         # One observability plane for every tenant's jobs.
         self.registry = MetricsRegistry()
-        self.events = EventBus(capacity=4096)
+        # The ring holds about 1300 consecutive never-seen builds (about
+        # 25 events each with the flow's stage events, 4 for a cache
+        # hit, about 166 for a 2-frame Fig. 4 deploy) before the health
+        # monitor's events-dropped rule trips; about 420 bytes an event.
+        self.events = EventBus(capacity=32768)
         self.telemetry = TelemetryStore()
         self.health = HealthMonitor(self.events)
         self.slo = SloTracker(self.telemetry)
+        probe = Instrumentation(metrics=self.registry, events=self.events)
 
         #: Admission breaker: executed-job outcomes open it, half-open
         #: probes close it; submit() consults it before the quotas.
@@ -182,13 +187,11 @@ class Supervisor:
         self.cache = FlowCache(
             max_entries=cache_entries,
             disk_dir=self.state_dir / "cache",
-            metrics=self.registry,
+            instrumentation=probe,
         )
         self.platform = PrEspPlatform(
             options=BuildOptions(cache=self.cache, jobs=jobs),
-            instrumentation=Instrumentation(
-                metrics=self.registry, events=self.events
-            ),
+            instrumentation=probe,
         )
         self.batch = self.platform.batch
 

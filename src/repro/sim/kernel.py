@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
+
+if TYPE_CHECKING:
+    from repro.obs.instrumentation import Instrumentation
 
 
 class Event:
@@ -206,19 +209,18 @@ class Simulator:
         # instrumented loop does not rebuild the string per event.
         self._dispatch_names: dict = {}
 
-    def attach_observability(self, profiler=None, tracer=None) -> None:
-        """Bind profiling/tracing hooks to the dispatch loop.
+    def attach_observability(self, instrumentation: "Instrumentation") -> None:
+        """Bind a probe's profiler and tracer to the dispatch loop.
 
-        Only live hooks are kept — null objects (``enabled`` False)
-        collapse to None so the hot path stays a plain loop when
-        observability is off. The profiler gets a ``dispatch:<Type>``
-        frame per processed event (charged the clock advance as
-        simulated time) and a frame per callback site; the tracer gets
-        a zero-duration instant for every cancelled event withdrawn
-        from the heap.
+        The loop keeps the two sinks themselves; with both off (None)
+        the hot path stays a plain loop. The profiler gets a
+        ``dispatch:<Type>`` frame per processed event (charged the
+        clock advance as simulated time) and a frame per callback site;
+        the tracer gets a zero-duration instant for every cancelled
+        event withdrawn from the heap.
         """
-        self._profiler = profiler if getattr(profiler, "enabled", False) else None
-        self._tracer = tracer if getattr(tracer, "enabled", False) else None
+        self._profiler = instrumentation.profiler
+        self._tracer = instrumentation.tracer
 
     # ------------------------------------------------------------------
     # event construction helpers

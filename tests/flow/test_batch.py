@@ -10,8 +10,15 @@ from repro.flow.batch import BatchBuilder, BuildRequest, cached_build
 from repro.flow.cache import FlowCache
 from repro.flow.dpr_flow import DprFlow
 from repro.flow.options import BuildOptions
+from repro.obs.events import EventBus
+from repro.obs.export import chrome_trace_json
+from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import Profiler, canonical_tree, profile_document
+from repro.obs.tracer import Tracer
 from repro.vivado.characterization import characterization_design
+from repro.vivado.faults import CadFaultModel
+from repro.vivado.runtime_model import JobKind
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +131,9 @@ class TestCacheShortCircuit:
     def test_metrics_report_hit_and_error_statuses(self, flow, socs):
         registry = MetricsRegistry()
         cache = FlowCache()
-        builder = BatchBuilder(flow=flow, cache=cache, metrics=registry)
+        builder = BatchBuilder(
+            flow=flow, cache=cache, instrumentation=Instrumentation(metrics=registry)
+        )
         requests = [
             BuildRequest(config=socs["soc_a"]),
             BuildRequest(config=oversized_config()),
@@ -160,6 +169,94 @@ class TestCachedBuildHelper:
         _, first = cached_build(flow, cache, socs["soc_a"])
         _, second = cached_build(flow, cache, socs["soc_a"])
         assert (first, second) == (False, True)
+
+
+class GaugedFlow(DprFlow):
+    """A flow that also records a gauge and a histogram per build."""
+
+    def build(self, config, *args, instrumentation=OFF, **kwargs):
+        instrumentation.gauge("flow.test_tiles").set(len(config.tiles), soc=config.name)
+        instrumentation.histogram("flow.test_sizes").observe(
+            len(config.name), soc=config.name
+        )
+        return super().build(config, *args, instrumentation=instrumentation, **kwargs)
+
+
+class TestObservationParity:
+    """Every build entry point hands the flow's observations to its probe."""
+
+    NAMES = ("soc_a", "soc_b")
+
+    def observe(self, socs, run):
+        """Build NAMES with seeded CAD faults; (flow metrics, events).
+
+        The metrics are the whole registry snapshot except the batch's
+        own wall-clock instruments.
+        """
+        flow = GaugedFlow(
+            faults=CadFaultModel(seed=1, rates={JobKind.OOC_SYNTH: 0.3})
+        )
+        registry, bus = MetricsRegistry(), EventBus()
+        run(flow, Instrumentation(metrics=registry, events=bus))
+        metrics = {
+            name: value
+            for name, value in registry.snapshot().items()
+            if not name.startswith("flow_batch_")
+        }
+        events = [(e.kind, e.time, e.source, e.attrs) for e in bus.events()]
+        return metrics, events
+
+    def test_every_entry_point_observes_the_same_flow(self, socs):
+        requests = [BuildRequest(config=socs[name]) for name in self.NAMES]
+
+        def direct(flow, probe):
+            for request in requests:
+                cached_build(flow, None, request.config, instrumentation=probe)
+
+        def one_by_one(jobs):
+            def run(flow, probe):
+                with BatchBuilder(flow=flow, jobs=jobs, instrumentation=probe) as batch:
+                    assert all(batch.build_one(r).ok for r in requests)
+            return run
+
+        def batched(jobs):
+            def run(flow, probe):
+                with BatchBuilder(flow=flow, jobs=jobs, instrumentation=probe) as batch:
+                    assert all(o.ok for o in batch.build_many(requests))
+            return run
+
+        reference = self.observe(socs, direct)
+        metrics, events = reference
+        assert metrics["flow.job_retries_total{stage=synthesis}"] > 0
+        assert metrics["flow.job_failures_total{stage=synthesis}"] > 0
+        assert metrics["flow.test_tiles{soc=soc_b}"] > 0
+        assert metrics["flow.test_sizes{soc=soc_a}.count"] == 1
+        assert [kind for kind, *_ in events].count("flow.stage_finished") == 14
+        for run in (one_by_one(1), batched(1), one_by_one(2), batched(2)):
+            assert self.observe(socs, run) == reference
+
+    def test_build_one_hit_observes_like_a_cached_build_hit(self, flow, socs):
+        cache = FlowCache()
+        cached_build(flow, cache, socs["soc_a"])
+
+        def live():
+            return Instrumentation(tracer=Tracer(time_unit="min"), profiler=Profiler())
+
+        direct = live()
+        _, hit = cached_build(flow, cache, socs["soc_a"], instrumentation=direct)
+        batched = live()
+        outcome = BatchBuilder(flow=flow, cache=cache, instrumentation=batched).build_one(
+            BuildRequest(config=socs["soc_a"])
+        )
+        assert hit and outcome.cached
+        assert chrome_trace_json(batched.tracer) == chrome_trace_json(direct.tracer)
+        # The batch files each request under its label, so the hit's
+        # leaves sit one level down: root -> soc_a/auto -> build.soc_a.
+        (label,) = canonical_tree(profile_document(batched.profiler))["children"]
+        assert label["name"] == "soc_a/auto"
+        assert label["children"] == canonical_tree(
+            profile_document(direct.profiler)
+        )["children"]
 
 
 class TestPlatformIntegration:

@@ -15,6 +15,7 @@ from repro.flow.cache import (
 )
 from repro.flow.dpr_flow import DprFlow
 from repro.obs.export import chrome_trace_json
+from repro.obs.instrumentation import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.soc.config import SocConfig
@@ -116,7 +117,7 @@ class TestCorrectness:
     def test_cached_trace_identical_to_fresh(self, flow, soc):
         """A replayed trace must be byte-identical to a live one."""
         live_tracer = Tracer(time_unit="min")
-        fresh = flow.build(soc, tracer=live_tracer)
+        fresh = flow.build(soc, instrumentation=Instrumentation(tracer=live_tracer))
         cache = FlowCache()
         cache.put(flow_cache_key(flow, soc), fresh)
 
@@ -246,7 +247,7 @@ class TestTiers:
 class TestInstrumentation:
     def test_counters_land_in_registry(self, flow, soc):
         registry = MetricsRegistry()
-        cache = FlowCache(metrics=registry)
+        cache = FlowCache(instrumentation=Instrumentation(metrics=registry))
         key = flow_cache_key(flow, soc)
         cache.get(key)  # miss
         cache.put(key, flow.build(soc))

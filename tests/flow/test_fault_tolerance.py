@@ -13,6 +13,7 @@ import pytest
 from repro.core.strategy import ImplementationStrategy
 from repro.errors import FlowError
 from repro.flow.dpr_flow import DprFlow
+from repro.obs.instrumentation import Instrumentation
 from repro.obs.events import (
     CAD_JOB_FAILED,
     CAD_JOB_RETRIED,
@@ -168,7 +169,9 @@ class TestDegradation:
         faults.inject_fault("synthesis", "synth_rt0", count=3)
         faults.inject_fault("synthesis", "synth_rt1", count=1)
         bus = EventBus()
-        flow_result = DprFlow(faults=faults).build(duo_soc, events=bus)
+        flow_result = DprFlow(faults=faults).build(
+            duo_soc, instrumentation=Instrumentation(events=bus)
+        )
         kinds = [event.kind for event in bus.events()]
         assert CAD_JOB_RETRIED in kinds
         assert CAD_JOB_FAILED in kinds
@@ -238,7 +241,10 @@ class TestCheckpointResume:
         flow.build(duo_soc, checkpoint_dir=tmp_path / "ckpt")
         bus = EventBus()
         flow.build(
-            duo_soc, checkpoint_dir=tmp_path / "ckpt", resume=True, events=bus
+            duo_soc,
+            checkpoint_dir=tmp_path / "ckpt",
+            resume=True,
+            instrumentation=Instrumentation(events=bus),
         )
         kinds = [event.kind for event in bus.events()]
         assert FLOW_STAGE_RESUMED in kinds

@@ -14,6 +14,7 @@ from repro.noc.mesh import Mesh
 from repro.obs import events as ev
 from repro.obs.events import EventBus
 from repro.obs.health import HealthMonitor, Verdict
+from repro.obs.instrumentation import Instrumentation
 from repro.runtime.driver import AcceleratorDriver, DriverRegistry
 from repro.runtime.faults import RuntimeFaultModel, RuntimeFaultOptions
 from repro.runtime.manager import ReconfigurationManager
@@ -42,7 +43,9 @@ def build_manager(sim, bus, size_bytes):
     registry = DriverRegistry()
     registry.install(AcceleratorDriver(accelerator="fft", exec_time_s=0.010))
     bus.use_clock(lambda: sim.now)
-    manager = ReconfigurationManager(sim, prc, store, registry, events=bus)
+    manager = ReconfigurationManager(
+        sim, prc, store, registry, instrumentation=Instrumentation(events=bus)
+    )
     manager.attach_tile("rt0")
     return manager
 

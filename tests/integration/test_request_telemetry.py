@@ -22,10 +22,8 @@ from repro.flow.batch import BuildRequest
 from repro.obs.context import RequestIdFactory, TelemetryContext, activate
 from repro.obs.events import EventBus
 from repro.obs.export import parse_prometheus_text
-from repro.obs.instrumentation import Instrumentation
-from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.profiler import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
+from repro.obs.instrumentation import OFF, Instrumentation
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tsdb import TelemetryStore
 from repro.sim.kernel import Simulator
 from repro.soc.config import SocConfig
@@ -123,6 +121,16 @@ class TestRequestScoping:
         assert len(store) == 2
         assert store.latest().values  # snapshots carry the flow counters
 
+    def test_platform_store_without_metrics_records_empty_samples(
+        self, small_soc
+    ):
+        store = TelemetryStore()
+        plat = PrEspPlatform(telemetry=store)
+        plat.build(small_soc)
+        plat.build_many([BuildRequest(config=small_soc)])
+        assert len(store) == 2
+        assert store.latest().values == {}
+
 
 class TestConcurrentBatches:
     def test_two_batches_stay_disjoint_and_joinable(self):
@@ -212,7 +220,7 @@ class TestNullParity:
 
     def test_fast_dispatch_loop_survives_null_hooks(self):
         sim = Simulator()
-        sim.attach_observability(profiler=NULL_PROFILER, tracer=NULL_TRACER)
+        sim.attach_observability(OFF)
         assert sim._profiler is None
         assert sim._tracer is None
 
@@ -224,12 +232,6 @@ class TestNullParity:
         elapsed = time.perf_counter() - start
         assert scoped == plain
         assert elapsed < _smoke_ceiling()
-
-    def test_exporters_accept_the_null_registry(self):
-        from repro.obs.export import otlp_metrics_lines, prometheus_text
-
-        assert prometheus_text(NULL_METRICS) == ""
-        assert otlp_metrics_lines(NULL_METRICS) == []
 
 
 class TestDashboardCli:

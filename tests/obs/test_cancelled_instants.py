@@ -30,7 +30,9 @@ class TestKernelLevel:
         tracer = Tracer()
         tracer.use_clock(lambda: sim.now)
         profiler = Profiler()
-        sim.attach_observability(profiler=profiler, tracer=tracer)
+        sim.attach_observability(
+            Instrumentation(tracer=tracer, profiler=profiler)
+        )
         return sim, tracer, profiler
 
     def test_cancelled_timeout_becomes_an_instant(self):

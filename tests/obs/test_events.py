@@ -3,7 +3,9 @@
 import pytest
 
 from repro.obs import events as ev
-from repro.obs.events import NULL_EVENTS, Event, EventBus, EventBusError
+from repro.obs.events import Event, EventBus, EventBusError
+from repro.obs.instrumentation import OFF, Instrumentation
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestEmit:
@@ -138,16 +140,24 @@ class TestRingBuffer:
 
 
 class TestNullBus:
+    """Events off is the probe's ``events=None``: emitting does nothing."""
+
     def test_null_bus_is_inert(self):
-        NULL_EVENTS.use_clock(lambda: 1.0)
-        assert NULL_EVENTS.emit("k", time=0.0, source="x", a=1) is None
-        assert NULL_EVENTS.events() == []
-        assert NULL_EVENTS.last() == []
-        assert len(NULL_EVENTS) == 0
-        assert not NULL_EVENTS.enabled
-        assert EventBus().enabled
+        OFF.use_clock(lambda: 1.0)
+        assert OFF.emit("k", time=0.0, source="x", a=1) is None
+        assert OFF.emit("k") is None
+        assert OFF.events is None
+        assert not OFF.enabled
+        assert Instrumentation(events=EventBus()).enabled
 
     def test_null_bus_subscribe_noop(self):
-        cb = lambda e: None  # noqa: E731
-        assert NULL_EVENTS.subscribe(cb) is cb
-        NULL_EVENTS.unsubscribe(cb)  # never raises
+        # A subscriber hears nothing from a probe whose bus is off, even
+        # while the probe's other sinks are live.
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        probe = Instrumentation(metrics=MetricsRegistry())
+        assert probe.emit("k", source="x") is None
+        assert seen == []
+        assert len(bus) == 0
+

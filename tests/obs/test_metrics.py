@@ -5,11 +5,11 @@ import threading
 
 import pytest
 
+from repro.obs.instrumentation import OFF
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsError,
     MetricsRegistry,
-    NULL_METRICS,
     bucket_quantile,
 )
 
@@ -168,22 +168,53 @@ class TestRegistry:
         assert first == second
         assert list(first) == list(second)
 
+    def test_merge_folds_every_kind(self, registry):
+        def record(target, samples):
+            target.counter("c").inc(len(samples), tile="rt1")
+            target.gauge("g").set(samples[-1])
+            for sample in samples:
+                target.histogram("h").observe(sample, tile="rt1")
+
+        record(registry, [0.5, 2.0])
+        other = MetricsRegistry()
+        record(other, [0.02, 7.0, 3.0])
+        for instrument in other.instruments():
+            registry.merge(instrument)
+        together = MetricsRegistry()
+        record(together, [0.5, 2.0, 0.02, 7.0, 3.0])
+        assert registry.snapshot() == together.snapshot()
+
+    def test_merge_into_an_empty_registry_copies(self, registry):
+        other = MetricsRegistry()
+        other.histogram("h", "desc", buckets=(1.0, 2.0)).observe(1.5)
+        registry.merge(other.histogram("h"))
+        assert registry.snapshot() == other.snapshot()
+        assert registry.histogram("h").buckets == (1.0, 2.0)
+
+    def test_merge_rejects_another_bucket_layout(self, registry):
+        registry.histogram("h", buckets=(1.0,))
+        other = MetricsRegistry()
+        other.histogram("h", buckets=(2.0,)).observe(1.0)
+        with pytest.raises(MetricsError):
+            registry.merge(other.histogram("h"))
+
 
 class TestNullRegistry:
+    """Metrics off is the probe's ``metrics=None``: one inert instrument."""
+
     def test_all_operations_are_noops(self):
-        counter = NULL_METRICS.counter("x")
-        counter.inc(5.0, tile="rt0")
-        assert counter.value() == 0.0
-        gauge = NULL_METRICS.gauge("g")
-        gauge.set(1.0)
-        hist = NULL_METRICS.histogram("h")
-        hist.observe(1.0)
-        assert hist.count() == 0
-        assert NULL_METRICS.snapshot() == {}
+        counter = OFF.counter("x")
+        assert counter.inc(5.0, tile="rt0") is None
+        gauge = OFF.gauge("g")
+        assert gauge.set(1.0) is None
+        hist = OFF.histogram("h")
+        assert hist.observe(1.0) is None
+        assert OFF.metrics is None
 
     def test_shared_instrument(self):
         # One object serves every name: nothing accumulates per call.
-        assert NULL_METRICS.counter("a") is NULL_METRICS.gauge("b")
+        assert OFF.counter("a") is OFF.gauge("b")
+        assert OFF.gauge("b") is OFF.histogram("c")
 
 
 class TestConcurrentSnapshots:

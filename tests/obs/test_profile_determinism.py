@@ -101,7 +101,9 @@ class TestBuildDeterminism:
         # A permanent failure (all retries burned) is itself fine —
         # the trees of two identical failing runs must still match.
         with contextlib.suppress(PrEspError):
-            flow.build(wami_soc_y(), profiler=profiler)
+            flow.build(
+                wami_soc_y(), instrumentation=Instrumentation(profiler=profiler)
+            )
         return canonical_tree(profile_document(profiler, "build"))
 
     def test_seeded_cad_fault_builds_produce_identical_trees(self):
@@ -112,7 +114,9 @@ class TestBuildDeterminism:
         # stage carries more modelled seconds (retries are charged to
         # the job leaf they retried).
         profiler = Profiler()
-        DprFlow().build(wami_soc_y(), profiler=profiler)
+        DprFlow().build(
+            wami_soc_y(), instrumentation=Instrumentation(profiler=profiler)
+        )
         fault_free = canonical_tree(profile_document(profiler, "build"))
         assert first != fault_free
 
@@ -137,7 +141,9 @@ class TestPoolDeterminism:
             for _, config in sorted(wami_parallelism_socs().items())
         ]
         outcomes = BatchBuilder(
-            flow=DprFlow(), jobs=jobs, profiler=profiler
+            flow=DprFlow(),
+            jobs=jobs,
+            instrumentation=Instrumentation(profiler=profiler),
         ).build_many(requests)
         assert all(o.ok for o in outcomes)
         return canonical_tree(profile_document(profiler, "batch"))

@@ -10,8 +10,8 @@ import pickle
 
 import pytest
 
+from repro.obs.instrumentation import OFF
 from repro.obs.profiler import (
-    NULL_PROFILER,
     ProfileCapsule,
     Profiler,
     ProfilerError,
@@ -229,33 +229,32 @@ class TestMerge:
 
 class TestCapsule:
     def test_disabled_capsule_activates_null(self):
-        assert ProfileCapsule().activate() is NULL_PROFILER
+        assert ProfileCapsule().activate() is None
 
     def test_enabled_capsule_activates_fresh_profiler(self):
         capsule = ProfileCapsule(path=("req",), profile=True)
         first = capsule.activate()
         second = capsule.activate()
-        assert first.enabled and second.enabled
+        assert isinstance(first, Profiler) and isinstance(second, Profiler)
         assert first is not second
 
     def test_capsule_pickles(self):
         capsule = ProfileCapsule(path=("soc_a/auto",), profile=True, trace=True)
         clone = pickle.loads(pickle.dumps(capsule))
         assert clone == capsule
-        assert clone.activate().enabled
+        assert isinstance(clone.activate(), Profiler)
 
 
 class TestNullProfiler:
     def test_null_profiler_is_inert(self):
-        NULL_PROFILER.begin("x")
-        NULL_PROFILER.end()
-        with NULL_PROFILER.frame("y"):
-            NULL_PROFILER.add_sim(1.0)
-        NULL_PROFILER.record_leaf("z", sim_s=1.0)
-        NULL_PROFILER.merge_tree({"name": "root"})
-        assert NULL_PROFILER.enabled is False
-        assert NULL_PROFILER.open_frames == 0
-        assert NULL_PROFILER.payload() == {}
+        # Profiling off is the probe's ``profiler=None``.
+        assert OFF.profiler is None
+        with OFF.frame("y") as frame:
+            assert OFF.add_sim(1.0) is None
+        assert frame is None
+        assert OFF.leaf("z", sim_s=1.0) is None
+        assert OFF.leaf(("runtime", "retry"), sim_s=2.0, anchor="root") is None
+        assert OFF.enabled is False
 
 
 class TestExports:

@@ -26,7 +26,7 @@ from repro.obs.export import (
     write_prometheus_text,
 )
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry
 
 SCHEMA_PATH = Path(__file__).parent / "data" / "otlp_schema.json"
 
@@ -113,9 +113,9 @@ class TestPrometheusRoundTrip:
         flat = prometheus_samples(prometheus_text(reg))
         assert flat == {"c_total{request=r-1,tenant=acme}": 1.0}
 
-    def test_null_registry_renders_empty_page(self):
-        assert prometheus_text(NULL_METRICS) == ""
-        assert otlp_metrics_lines(NULL_METRICS) == []
+    def test_empty_registry_renders_empty_page(self):
+        assert prometheus_text(MetricsRegistry()) == ""
+        assert otlp_metrics_lines(MetricsRegistry()) == []
 
     def test_malformed_page_rejected(self):
         with pytest.raises(ValueError):

@@ -51,7 +51,9 @@ class TestDeterminism:
         texts = []
         for _ in range(2):
             tracer = Tracer(time_unit="min")
-            platform.flow.build(config, tracer=tracer)
+            platform.flow.build(
+                config, instrumentation=Instrumentation(tracer=tracer)
+            )
             texts.append(chrome_trace_json(tracer))
         assert texts[0] == texts[1]
 
@@ -65,7 +67,9 @@ class TestWellFormedness:
     def test_flow_spans_nest(self, built_socy):
         platform, config, _ = built_socy
         tracer = Tracer(time_unit="min")
-        result = platform.flow.build(config, tracer=tracer)
+        result = platform.flow.build(
+            config, instrumentation=Instrumentation(tracer=tracer)
+        )
         assert tracer.nesting_violations() == []
         root = next(s for s in tracer.spans if s.category == "flow.build")
         for span in tracer.spans:
@@ -75,7 +79,9 @@ class TestWellFormedness:
     def test_flow_stage_spans_match_report(self, built_socy):
         platform, config, _ = built_socy
         tracer = Tracer(time_unit="min")
-        result = platform.flow.build(config, tracer=tracer)
+        result = platform.flow.build(
+            config, instrumentation=Instrumentation(tracer=tracer)
+        )
         stages = {s.name: s for s in tracer.spans_in("flow.stage")}
         assert stages["synthesis"].duration == pytest.approx(
             result.synth_makespan_minutes

@@ -6,6 +6,7 @@ from repro.errors import TileQuarantinedError
 from repro.noc.mesh import Mesh
 from repro.obs import events as ev
 from repro.obs.events import EventBus
+from repro.obs.instrumentation import Instrumentation
 from repro.runtime.api import DprUserApi
 from repro.runtime.driver import AcceleratorDriver, DriverRegistry
 from repro.runtime.executor import AppExecutor, StageTask
@@ -51,7 +52,7 @@ def make_cluster(sim, faults, placement, events=None):
                 tile,
             )
     manager = ReconfigurationManager(
-        sim, prc, store, registry, events=events or ev.NULL_EVENTS
+        sim, prc, store, registry, instrumentation=Instrumentation(events=events)
     )
     for tile in placement:
         manager.attach_tile(tile)
@@ -78,7 +79,7 @@ class TestFailover:
             sim,
             api,
             [StageTask(name="t", duration_s=0.01, tile_name="rt0", mode_name="fft")],
-            events=bus,
+            instrumentation=Instrumentation(events=bus),
         )
         timeline = executor.run(frames=1)
         assert manager.tile_quarantined("rt0")
@@ -108,7 +109,7 @@ class TestFailover:
                     sw_duration_s=0.07,
                 )
             ],
-            events=bus,
+            instrumentation=Instrumentation(events=bus),
         )
         timeline = executor.run(frames=1)
         sw = timeline.spans("sw")

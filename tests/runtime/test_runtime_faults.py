@@ -11,6 +11,7 @@ from repro.errors import (
 from repro.noc.mesh import Mesh
 from repro.obs import events as ev
 from repro.obs.events import EventBus
+from repro.obs.instrumentation import Instrumentation
 from repro.runtime.driver import AcceleratorDriver, DriverRegistry
 from repro.runtime.faults import (
     NO_RUNTIME_FAULTS,
@@ -62,7 +63,7 @@ def make_stack(sim, faults=None, recovery=None, events=None, blank=False):
         prc,
         store,
         registry,
-        events=events if events is not None else ev.NULL_EVENTS,
+        instrumentation=Instrumentation(events=events),
         recovery=recovery,
     )
     manager.attach_tile("rt0")

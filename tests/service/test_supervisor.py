@@ -1,6 +1,7 @@
 """The supervisor: execution, scheduling, recovery and health."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -95,9 +96,17 @@ class TestExecution:
         assert "bitstreams" in stages
 
     def test_lifecycle_events_on_the_bus(self, supervisor):
+        # JOB_FINISHED is emitted just after the terminal state lands
+        # (persist and telemetry come first), so wait for the event
+        # itself rather than for the state.
+        finished = threading.Event()
+        supervisor.events.subscribe(
+            lambda event: finished.set(), kinds=[JOB_FINISHED]
+        )
         supervisor.start()
         record = supervisor.submit(JobSpec(config="soc_2"))
         wait_terminal(supervisor, [record])
+        assert finished.wait(timeout=10.0)
         kinds = [event.kind for event in supervisor.events.last(1000)]
         assert JOB_SUBMITTED in kinds
         assert JOB_FINISHED in kinds
