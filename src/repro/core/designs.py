@@ -206,6 +206,13 @@ def _factories_by_name() -> Dict[str, _Factory]:
     return {factory().name: factory for factory in factories}
 
 
+@functools.lru_cache(maxsize=None)
+def _named_config(name: str) -> SocConfig:
+    """One shared (frozen) config per design name: repeated service jobs
+    then hit the flow cache's per-config key memo."""
+    return _factories_by_name()[name]()
+
+
 def resolve_config(spec: str) -> SocConfig:
     """A design name or an ``esp_config`` path.
 
@@ -218,9 +225,8 @@ def resolve_config(spec: str) -> SocConfig:
     from repro.errors import PrEspError
     from repro.soc.esp_parser import load_esp_config
 
-    factory = _factories_by_name().get(spec)
-    if factory is not None:
-        return factory()
+    if spec in _factories_by_name():
+        return _named_config(spec)
     if os.path.exists(spec):
         return load_esp_config(spec)
     raise PrEspError(

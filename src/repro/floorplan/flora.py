@@ -7,25 +7,32 @@ column avoidance, non-overlap — with a deterministic best-fit heuristic
 in place of the MILP (the flow only needs *a* legal floorplan; pblock
 geometry does not feed the runtime model).
 
-The candidate search is fully vectorized over the column axis: the
-fabric's per-resource column prefix sums turn "does window [lo, hi]
-cover the demand" into an O(1) subtraction, and for a fixed clock-region
-band the *minimal* satisfying ``col_hi`` for every anchor column is one
-``np.searchsorted`` per resource kind (prefix sums are non-decreasing,
-so the minimal window is a binary search, not a scan). Occupancy is a
-boolean column x region-row grid, so blocking a band is a single
-``any(axis=1)`` reduction instead of a per-cell tuple-set probe.
+Each placement runs in two vectorized steps:
 
-:class:`ReferenceFloraFloorplanner` keeps the original scalar
-per-window search as the executable specification; the equivalence
-tests pin the vectorized planner to it bit for bit.
+1. **Window search.** Whether a window covers the inflated demand does
+   not depend on occupancy: a window of height ``h`` anchored at column
+   ``a`` satisfies resource ``k`` iff its column sum reaches
+   ``ceil(need_k / h)``. The fabric's per-resource column prefix sums
+   are non-decreasing, so the minimal satisfying ``col_hi`` for every
+   (height, anchor) pair is one ``np.searchsorted`` per resource kind
+   over a ``(max_height, num_columns)`` array of targets. The feasible
+   pairs are then ordered best first by (area, col_lo, height).
+2. **Free-band check.** The ordered windows are tested in growing
+   batches against a summed-area table of blocked cells (occupied, or
+   in a forbidden column): a row band is free iff its blocked count is
+   zero. The first batch with a free window stops the search; the
+   winner is the lexicographic minimum of (area, col_lo, row_lo,
+   height) — leftmost, bottom-most, then shortest on equal area.
+
+The scalar two-pointer search this replaces lives on in the tests as
+the executable specification the plans are pinned to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -34,9 +41,9 @@ from repro.fabric.device import Device
 from repro.fabric.pblock import Pblock
 from repro.fabric.resources import ResourceKind, ResourceVector
 
-#: Either occupancy representation ``_place_one`` accepts: the planner's
-#: boolean (column, region_row) grid or a legacy set of (col, row) cells.
-Occupancy = Union[np.ndarray, Set[Tuple[int, int]]]
+#: Windows tested against the occupancy in the first free-band batch;
+#: each further batch doubles.
+FIRST_BATCH = 64
 
 
 @dataclass(frozen=True)
@@ -77,21 +84,6 @@ class Floorplan:
         return assignment
 
 
-def _unblocked_runs(blocked: np.ndarray) -> List[Tuple[int, int]]:
-    """Maximal inclusive [lo, hi] runs of False in a boolean mask."""
-    runs: List[Tuple[int, int]] = []
-    start: Optional[int] = None
-    for index, is_blocked in enumerate(blocked):
-        if not is_blocked and start is None:
-            start = index
-        elif is_blocked and start is not None:
-            runs.append((start, index - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(blocked) - 1))
-    return runs
-
-
 class FloraFloorplanner:
     """Deterministic best-fit floorplanner over a device."""
 
@@ -108,21 +100,22 @@ class FloraFloorplanner:
         self.device = device
         self.target_utilization = target_utilization
         self.max_height = max_height_regions or device.region_rows
-        self._forbidden: Set[int] = set(device.forbidden_columns())
         self._forbidden_mask = np.zeros(device.num_columns, dtype=bool)
-        for x in self._forbidden:
-            self._forbidden_mask[x] = True
+        self._forbidden_mask[device.forbidden_columns()] = True
         # Per-resource prefix sums over column segments: prefix[x][k] is
         # the sum of resource k over columns [0, x) — owned and cached
         # by the device, shared across every planner instance.
-        kinds = list(ResourceKind)
+        self._kinds = list(ResourceKind)
         self._prefix = device.resource_prefix()
         # Contiguous per-kind views: searchsorted needs 1-D sorted input.
         self._prefix_by_kind = [
-            np.ascontiguousarray(self._prefix[:, k]) for k in range(len(kinds))
+            np.ascontiguousarray(self._prefix[:, k]) for k in range(len(self._kinds))
         ]
-        self._kinds = kinds
-        self._column_indices = np.arange(device.num_columns, dtype=np.int64)
+        # Broadcast axes of the window search: band heights down, anchor
+        # columns across.
+        self._heights = np.arange(1, self.max_height + 1, dtype=np.int64)[:, None]
+        self._anchors = np.arange(device.num_columns, dtype=np.int64)
+        self._rows = np.arange(device.region_rows, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def plan(self, demands: Sequence[Tuple[str, ResourceVector]]) -> Floorplan:
@@ -137,42 +130,26 @@ class FloraFloorplanner:
         if len(set(names)) != len(names):
             raise FloorplanError("RP names must be unique")
 
-        occupied = self._empty_occupancy()
+        device = self.device
+        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
         placed: Dict[str, RegionAssignment] = {}
         order = sorted(demands, key=lambda item: (-item[1].lut, item[0]))
         for rp_name, demand in order:
             assignment = self._place_with_relaxation(rp_name, demand, occupied)
             placed[rp_name] = assignment
-            self._mark_occupied(occupied, assignment.pblock)
+            pb = assignment.pblock
+            occupied[pb.col_lo : pb.col_hi + 1, pb.row_lo : pb.row_hi + 1] = True
         return Floorplan(
-            device_name=self.device.name,
+            device_name=device.name,
             assignments=tuple(placed[name] for name in names),
         )
-
-    # ------------------------------------------------------------------
-    # occupancy representation (the reference planner overrides these)
-    # ------------------------------------------------------------------
-    def _empty_occupancy(self) -> Occupancy:
-        return np.zeros((self.device.num_columns, self.device.region_rows), dtype=bool)
-
-    def _mark_occupied(self, occupied: Occupancy, pb: Pblock) -> None:
-        occupied[pb.col_lo : pb.col_hi + 1, pb.row_lo : pb.row_hi + 1] = True
-
-    def _occupancy_grid(self, occupied: Occupancy) -> np.ndarray:
-        """Normalize either occupancy representation to the boolean grid."""
-        if isinstance(occupied, np.ndarray):
-            return occupied
-        grid = np.zeros((self.device.num_columns, self.device.region_rows), dtype=bool)
-        for col, row in occupied:
-            grid[col, row] = True
-        return grid
 
     # ------------------------------------------------------------------
     def _place_with_relaxation(
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: Occupancy,
+        occupied: np.ndarray,
     ) -> RegionAssignment:
         """Place one RP, relaxing the routability headroom if needed.
 
@@ -210,175 +187,129 @@ class FloraFloorplanner:
             dsp=demand.dsp,
         )
 
-    def _window_satisfies(
-        self, need: np.ndarray, col_lo: int, col_hi: int, height: int
-    ) -> bool:
-        window = (self._prefix[col_hi + 1] - self._prefix[col_lo]) * height
-        return bool(np.all(window >= need))
+    def _windows(self, need: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """Every covering (height, anchor) window, best first.
+
+        Returns ``(area, col_lo, col_end, height)`` arrays (``col_end``
+        is ``col_hi + 1``) sorted by (area, col_lo, height); a pair
+        whose minimal window runs off the fabric is dropped.
+        """
+        # A window of height h satisfies resource k iff its column sum
+        # reaches ceil(need_k / h) — both sides of "sum * h >= need" are
+        # integers. Sums start at the anchor, so the minimal end column
+        # is the first prefix index reaching prefix[anchor] + threshold.
+        thresholds = -(-need // self._heights)
+        col_end = self._anchors + 1
+        for k, prefix_k in enumerate(self._prefix_by_kind):
+            targets = prefix_k[:-1] + thresholds[:, k : k + 1]
+            col_end = np.maximum(
+                col_end, np.searchsorted(prefix_k, targets, side="left")
+            )
+        # One integer sort key over the (height, anchor) grid — area,
+        # then col_lo, then height — unique per pair, so any sort gives
+        # the same order; windows that run off the fabric sort last.
+        num_columns = self.device.num_columns
+        area = (col_end - self._anchors) * self._heights
+        key = (area * num_columns + self._anchors) * self.max_height + self._heights
+        fits = col_end <= num_columns
+        key[~fits] = np.iinfo(np.int64).max
+        order = np.argsort(key, axis=None)[: np.count_nonzero(fits)]
+        height_index, col_lo = np.divmod(order, num_columns)
+        return area.ravel()[order], col_lo, col_end.ravel()[order], height_index + 1
+
+    def _lowest_free_rows(
+        self,
+        blocked_sat: np.ndarray,
+        col_lo: np.ndarray,
+        col_end: np.ndarray,
+        height: np.ndarray,
+    ) -> np.ndarray:
+        """Lowest free ``row_lo`` of each window, or ``region_rows`` if none.
+
+        ``blocked_sat[c, r]`` counts the blocked cells in columns
+        ``[0, c)`` x rows ``[0, r)``, so a band's blocked count is four
+        lookups.
+        """
+        region_rows = self.device.region_rows
+        rows = self._rows
+        top = rows + height[:, None]
+        fits = top <= region_rows
+        np.minimum(top, region_rows, out=top)
+        lo = col_lo[:, None]
+        end = col_end[:, None]
+        blocked = (
+            blocked_sat[end, top]
+            - blocked_sat[lo, top]
+            - blocked_sat[end, rows]
+            + blocked_sat[lo, rows]
+        )
+        free = fits & (blocked == 0)
+        return np.where(free.any(axis=1), free.argmax(axis=1), region_rows)
 
     def _place_one(
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: Occupancy,
+        occupied: np.ndarray,
         utilization: Optional[float] = None,
     ) -> RegionAssignment:
         """Smallest legal rectangle covering the inflated demand.
 
         Ties on area prefer the leftmost, bottom-most anchor so regions
         pack densely instead of fragmenting the fabric; area ties
-        between band heights resolve to the shorter band (the scan goes
-        height-ascending and only strictly better keys replace).
+        between band heights resolve to the shorter band.
         """
         inflated = self._inflated(demand, utilization)
         need = np.array([inflated.get(kind) for kind in self._kinds], dtype=np.int64)
+        area, col_lo, col_end, height = self._windows(need)
         device = self.device
-        grid = self._occupancy_grid(occupied)
-        num_columns = device.num_columns
-        columns = self._column_indices
-        best: Optional[Pblock] = None
-        best_key: Optional[Tuple[int, int, int]] = None
-
-        for height in range(1, self.max_height + 1):
-            # Any candidate of this height has area >= height (width is
-            # at least one column), so once a best key exists no taller
-            # band can beat or tie it — identical results, less work.
-            if best_key is not None and height > best_key[0]:
-                break
-            # A window of this height satisfies resource k iff its
-            # column sum reaches ceil(need_k / height) — both sides of
-            # "window * height >= need" are integers.
-            thresholds = -(-need // height)
-            for row_lo in range(0, device.region_rows - height + 1):
-                blocked = self._forbidden_mask | grid[:, row_lo : row_lo + height].any(
-                    axis=1
-                )
-                anchors = np.nonzero(~blocked)[0]
-                if anchors.size == 0:
-                    continue
-                # Minimal satisfying col_hi per anchor: one binary
-                # search per resource kind over the prefix sums.
-                hi = anchors.copy()
-                feasible = np.ones(anchors.size, dtype=bool)
-                for k, threshold in enumerate(thresholds):
-                    if threshold <= 0:
-                        continue
-                    prefix_k = self._prefix_by_kind[k]
-                    hi_plus1 = np.searchsorted(
-                        prefix_k, prefix_k[anchors] + threshold, side="left"
-                    )
-                    feasible &= hi_plus1 <= num_columns
-                    np.maximum(hi, hi_plus1 - 1, out=hi)
-                # The window may not cross a blocked column: col_hi must
-                # stay below the next blocked index at/after the anchor.
-                # A fully unblocked band needs no run bookkeeping.
-                if anchors.size < num_columns:
-                    next_blocked = np.minimum.accumulate(
-                        np.where(blocked, columns, num_columns)[::-1]
-                    )[::-1]
-                    feasible &= hi < next_blocked[anchors]
-                if not feasible.any():
-                    continue
-                anchor_ok = anchors[feasible]
-                hi_ok = hi[feasible]
-                area = (hi_ok - anchor_ok + 1) * height
-                pick = np.lexsort((anchor_ok, area))[0]
-                key = (int(area[pick]), int(anchor_ok[pick]), row_lo)
-                if best_key is None or key < best_key:
-                    best = Pblock(
-                        name=f"pblock_{rp_name}",
-                        col_lo=int(anchor_ok[pick]),
-                        col_hi=int(hi_ok[pick]),
-                        row_lo=row_lo,
-                        row_hi=row_lo + height - 1,
-                    )
-                    best_key = key
-
-        if best is None:
-            raise FloorplanError(
-                f"cannot place RP {rp_name!r}: demand {demand} (inflated "
-                f"{inflated}) does not fit the remaining fabric of {device.name}"
-            )
-        return RegionAssignment(
-            rp_name=rp_name,
-            pblock=best,
-            demand=demand,
-            provided=best.resources(self.device),
+        blocked = occupied | self._forbidden_mask[:, None]
+        blocked_sat = np.zeros(
+            (device.num_columns + 1, device.region_rows + 1), dtype=np.int64
         )
+        blocked_sat[1:, 1:] = blocked.cumsum(axis=0).cumsum(axis=1)
 
-
-class ReferenceFloraFloorplanner(FloraFloorplanner):
-    """The original scalar per-window search, kept as the spec.
-
-    Enumerates every candidate window with a two-pointer sweep and an
-    O(1) prefix-sum check per step. Orders of magnitude slower than the
-    vectorized planner but trivially auditable; the equivalence tests
-    assert both produce identical :class:`Floorplan`s (relaxation
-    ladder included) on seeded random demand sets.
-    """
-
-    def _empty_occupancy(self) -> Occupancy:
-        return set()
-
-    def _mark_occupied(self, occupied: Occupancy, pb: Pblock) -> None:
-        for col in range(pb.col_lo, pb.col_hi + 1):
-            for row in range(pb.row_lo, pb.row_hi + 1):
-                occupied.add((col, row))
-
-    def _place_one(
-        self,
-        rp_name: str,
-        demand: ResourceVector,
-        occupied: Occupancy,
-        utilization: Optional[float] = None,
-    ) -> RegionAssignment:
-        inflated = self._inflated(demand, utilization)
-        need = np.array([inflated.get(kind) for kind in self._kinds], dtype=np.int64)
-        device = self.device
-        best: Optional[Pblock] = None
-        best_key: Optional[Tuple[int, int, int]] = None
-
-        for height in range(1, self.max_height + 1):
-            for row_lo in range(0, device.region_rows - height + 1):
-                row_hi = row_lo + height - 1
-                blocked = np.array(
-                    [
-                        (x in self._forbidden)
-                        or any((x, row) in occupied for row in range(row_lo, row_hi + 1))
-                        for x in range(device.num_columns)
-                    ]
-                )
-                # Two-pointer sweep within each maximal unblocked run.
-                for run_lo, run_hi in _unblocked_runs(blocked):
-                    col_hi = run_lo
-                    for col_lo in range(run_lo, run_hi + 1):
-                        col_hi = max(col_hi, col_lo)
-                        while col_hi <= run_hi and not self._window_satisfies(
-                            need, col_lo, col_hi, height
-                        ):
-                            col_hi += 1
-                        if col_hi > run_hi:
-                            break  # even the full run cannot satisfy the need
-                        area = (col_hi - col_lo + 1) * height
-                        key = (area, col_lo, row_lo)
-                        if best_key is None or key < best_key:
-                            best = Pblock(
-                                name=f"pblock_{rp_name}",
-                                col_lo=col_lo,
-                                col_hi=col_hi,
-                                row_lo=row_lo,
-                                row_hi=row_hi,
-                            )
-                            best_key = key
-
-        if best is None:
+        first: Optional[int] = None
+        start, size = 0, FIRST_BATCH
+        while first is None and start < area.size:
+            batch = slice(start, start + size)
+            rows = self._lowest_free_rows(
+                blocked_sat, col_lo[batch], col_end[batch], height[batch]
+            )
+            hits = np.flatnonzero(rows < device.region_rows)
+            if hits.size:
+                first = start + int(hits[0])
+            start, size = start + size, size * 2
+        if first is None:
             raise FloorplanError(
                 f"cannot place RP {rp_name!r}: demand {demand} (inflated "
                 f"{inflated}) does not fit the remaining fabric of {device.name}"
             )
+
+        # The first free window fixes (area, col_lo). Its tie group holds
+        # at most one window per height, contiguous in height order, and
+        # may run past the batch; the lowest free row wins, then the
+        # shorter band (argmin keeps the first minimum).
+        group = first + np.flatnonzero(
+            (area[first : first + self.max_height] == area[first])
+            & (col_lo[first : first + self.max_height] == col_lo[first])
+        )
+        rows = self._lowest_free_rows(
+            blocked_sat, col_lo[group], col_end[group], height[group]
+        )
+        pick = int(np.argmin(rows))
+        winner = int(group[pick])
+        row_lo = int(rows[pick])
+        pblock = Pblock(
+            name=f"pblock_{rp_name}",
+            col_lo=int(col_lo[winner]),
+            col_hi=int(col_end[winner]) - 1,
+            row_lo=row_lo,
+            row_hi=row_lo + int(height[winner]) - 1,
+        )
         return RegionAssignment(
             rp_name=rp_name,
-            pblock=best,
+            pblock=pblock,
             demand=demand,
-            provided=best.resources(self.device),
+            provided=pblock.resources(self.device),
         )

@@ -20,33 +20,51 @@ the size-driven algorithm would have chosen anyway digests differently
 from the no-override request, so a miss can never alias two requests
 that *might* diverge.
 
+The request half of a key changes per call, but the config half and
+the flow half rarely do: each is rendered to canonical JSON once and
+memoized, and the digest is taken over the composed document (sorted
+JSON objects compose member by member, so the bytes are exactly those
+of one ``json.dumps`` over the whole payload).
+
 The cache itself is two-tiered. The in-memory tier is a bounded LRU of
 *pickled* results — ``get`` deserializes a private copy per call, so a
 caller mutating a served result can never poison later hits. The
-optional on-disk tier (``~/.cache/repro-flow/`` or a caller-supplied
-directory) persists entries across processes; disk hits are promoted
-into memory. Hit/miss/eviction counters land in the
-registry of the :class:`~repro.obs.instrumentation.Instrumentation`
-probe when it carries one.
+exceptions are the deeply immutable parts — the
+:class:`~repro.soc.partition.DesignPartition` (config and RTL tree
+included), pblocks, resource vectors and bitstreams: the memory tier
+keeps one live object of each per entry and every hit shares it
+instead of unpickling a copy. The optional on-disk tier
+(``~/.cache/repro-flow/`` or a caller-supplied directory) holds full
+pickles and persists entries across processes; disk hits are promoted
+into memory. Hit/miss/eviction counters land in the registry of the
+:class:`~repro.obs.instrumentation.Instrumentation` probe when it
+carries one.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import itertools
 import json
 import os
 import pickle
 import threading
+import weakref
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
 
 from repro.errors import FlowError
+from repro.fabric.pblock import Pblock
+from repro.fabric.resources import ResourceVector
+from repro.floorplan.flora import RegionAssignment
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
 from repro.soc.config import SocConfig
+from repro.soc.partition import DesignPartition
 from repro.soc.tiles import ReconfigurableTile, TileKind
+from repro.vivado.bitstream import Bitstream
 from repro.vivado.runtime_model import RuntimeModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,6 +135,81 @@ def model_fingerprint(model: RuntimeModel) -> Dict:
     }
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: id(config) -> (config, JSON). A SocConfig is deeply frozen, so its
+#: rendering never changes; the held reference keeps the id unique.
+_CONFIG_JSON: Dict[int, Tuple[SocConfig, str]] = {}
+
+
+def _config_json(config: SocConfig) -> str:
+    entry = _CONFIG_JSON.get(id(config))
+    if entry is None:
+        if len(_CONFIG_JSON) >= 256:
+            _CONFIG_JSON.clear()
+        entry = (config, _canonical(config_fingerprint(config)))
+        _CONFIG_JSON[id(config)] = entry
+    return entry[1]
+
+
+def _flow_inputs(flow: "DprFlow") -> Tuple:
+    """What the flow half of a key reads; cheap to compare by identity
+    (the model's curves and the retry policy are frozen)."""
+    model = flow.model
+    return (
+        model,
+        tuple(model.curves.items()),
+        model.reconf_weight,
+        flow.max_instances,
+        flow.compress_bitstreams,
+        flow.floorplan_utilization,
+        flow.faults.fingerprint(),
+        flow.retry,
+    )
+
+
+#: flow -> (inputs, member JSON): recomputed only when an input changes
+#: (e.g. a fault injection armed after the flow's first build).
+_FLOW_MEMBERS: "weakref.WeakKeyDictionary[DprFlow, Tuple[Tuple, Dict[str, str]]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _flow_members(flow: "DprFlow") -> Dict[str, str]:
+    inputs = _flow_inputs(flow)
+    memo = _FLOW_MEMBERS.get(flow)
+    if memo is not None and memo[0] == inputs:
+        return memo[1]
+    members = {
+        "version": str(CACHE_SCHEMA_VERSION),
+        "model": _canonical(model_fingerprint(flow.model)),
+        "options": _canonical(
+            {
+                "max_instances": flow.max_instances,
+                "compress_bitstreams": flow.compress_bitstreams,
+                "floorplan_utilization": flow.floorplan_utilization,
+            }
+        ),
+        # Fault model and retry policy change retry timelines, burned
+        # minutes, and possibly which tiles survive — a degraded build
+        # must never alias the clean one.
+        "faults": _canonical(flow.faults.fingerprint()),
+        "retry": _canonical(
+            {
+                "max_attempts": flow.retry.max_attempts,
+                "backoff_minutes": flow.retry.backoff_minutes,
+                "factor": flow.retry.factor,
+                "cap_minutes": flow.retry.cap_minutes,
+                "jitter": flow.retry.jitter,
+            }
+        ),
+    }
+    _FLOW_MEMBERS[flow] = (inputs, members)
+    return members
+
+
 def flow_cache_key(
     flow: "DprFlow",
     config: SocConfig,
@@ -124,40 +217,66 @@ def flow_cache_key(
     semi_tau: int = 2,
 ) -> str:
     """SHA-256 digest of everything a ``flow.build()`` call reads."""
-    payload = {
-        "version": CACHE_SCHEMA_VERSION,
-        "config": config_fingerprint(config),
-        "model": model_fingerprint(flow.model),
-        "options": {
-            "max_instances": flow.max_instances,
-            "compress_bitstreams": flow.compress_bitstreams,
-            "floorplan_utilization": flow.floorplan_utilization,
-        },
-        # Fault model and retry policy change retry timelines, burned
-        # minutes, and possibly which tiles survive — a degraded build
-        # must never alias the clean one.
-        "faults": flow.faults.fingerprint(),
-        "retry": {
-            "max_attempts": flow.retry.max_attempts,
-            "backoff_minutes": flow.retry.backoff_minutes,
-            "factor": flow.retry.factor,
-            "cap_minutes": flow.retry.cap_minutes,
-            "jitter": flow.retry.jitter,
-        },
-        "request": {
-            "strategy_override": (
-                None if strategy_override is None else strategy_override.value
-            ),
-            "semi_tau": semi_tau,
-        },
+    members = {
+        **_flow_members(flow),
+        "config": _config_json(config),
+        "request": _canonical(
+            {
+                "strategy_override": (
+                    None if strategy_override is None else strategy_override.value
+                ),
+                "semi_tau": semi_tau,
+            }
+        ),
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    # Member names are plain identifiers: json.dumps(name) == f'"{name}"'.
+    canonical = (
+        "{" + ",".join(f'"{name}":{members[name]}' for name in sorted(members)) + "}"
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
 # the cache
 # ----------------------------------------------------------------------
+#: Deeply immutable types (frozen dataclasses over immutable fields).
+#: The memory tier keeps one live instance of each per entry and every
+#: hit shares it; everything else a result holds is unpickled afresh.
+_SHARED_TYPES = frozenset(
+    {DesignPartition, SocConfig, RegionAssignment, Pblock, ResourceVector, Bitstream}
+)
+
+#: A memory-tier entry: the result pickled with its shared objects left
+#: out as persistent references, plus those objects.
+_Entry = Tuple[bytes, Tuple[object, ...]]
+
+
+def _dumps_sharing(result: "FlowResult") -> _Entry:
+    shared: List[object] = []
+    index: Dict[int, int] = {}
+
+    def persistent_id(obj: object) -> Optional[int]:
+        if type(obj) not in _SHARED_TYPES:
+            return None
+        if id(obj) not in index:
+            index[id(obj)] = len(shared)
+            shared.append(obj)
+        return index[id(obj)]
+
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.persistent_id = persistent_id
+    pickler.dump(result)
+    return buffer.getvalue(), tuple(shared)
+
+
+def _loads_sharing(entry: _Entry) -> "FlowResult":
+    payload, shared = entry
+    unpickler = pickle.Unpickler(io.BytesIO(payload))
+    unpickler.persistent_load = shared.__getitem__
+    return unpickler.load()
+
+
 class FlowCache:
     """Two-tier (memory LRU + optional disk) store of flow results.
 
@@ -186,7 +305,7 @@ class FlowCache:
         elif disk_dir is False:
             disk_dir = None
         self.disk_dir: Optional[Path] = Path(disk_dir) if disk_dir else None
-        self._memory: "OrderedDict[str, bytes]" = OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         # The service daemon's worker threads share one cache; the lock
         # keeps the LRU bookkeeping (move_to_end/popitem) and the stat
         # mirrors coherent under concurrent get/put. Disk-tier tmp
@@ -246,17 +365,17 @@ class FlowCache:
         """The cached result for ``key``, or None.
 
         Every hit deserializes a fresh copy, so callers own what they
-        receive.
+        receive; only the immutable parts are shared.
         """
         self._requests.inc()
         with self._lock:
             self._stat["requests"] += 1
-            payload = self._memory.get(key)
-            if payload is not None:
+            entry = self._memory.get(key)
+            if entry is not None:
                 self._memory.move_to_end(key)
                 self._hits.inc(tier="memory")
                 self._stat["hits_memory"] += 1
-                return pickle.loads(payload)
+                return _loads_sharing(entry)
         # Disk I/O happens outside the lock — only the promotion into
         # the memory tier re-enters it.
         payload = self._disk_read(key)
@@ -267,7 +386,7 @@ class FlowCache:
                 self._count_disk_error()
                 self._disk_evict(key)
             else:
-                self._memory_store(key, payload)
+                self._memory_store(key, _dumps_sharing(result))
                 self._hits.inc(tier="disk")
                 with self._lock:
                     self._stat["hits_disk"] += 1
@@ -279,16 +398,17 @@ class FlowCache:
 
     def put(self, key: str, result: "FlowResult") -> None:
         """Store ``result`` in both tiers."""
-        payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        self._memory_store(key, payload)
-        self._disk_write(key, payload)
+        self._memory_store(key, _dumps_sharing(result))
+        if self.disk_dir is not None:
+            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
+            self._disk_write(key, payload)
 
     # ------------------------------------------------------------------
     # memory tier
     # ------------------------------------------------------------------
-    def _memory_store(self, key: str, payload: bytes) -> None:
+    def _memory_store(self, key: str, entry: _Entry) -> None:
         with self._lock:
-            self._memory[key] = payload
+            self._memory[key] = entry
             self._memory.move_to_end(key)
             while len(self._memory) > self.max_entries:
                 evicted, _ = self._memory.popitem(last=False)

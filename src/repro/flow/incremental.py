@@ -131,10 +131,12 @@ class IncrementalFlow:
             wrapper = Module(
                 name=f"{tile.name}_wrapper",
                 luts=RECONF_WRAPPER_LUTS,
+                children=[
+                    Module(name=f"{tile.name}_{ip.name}", luts=ip.luts)
+                    for ip in tile.modes
+                ],
                 reconfigurable=True,
             )
-            for ip in tile.modes:
-                wrapper.add(Module(name=f"{tile.name}_{ip.name}", luts=ip.luts))
             netlist = tool.synth_design(wrapper, ooc=True)
 
             # 2. In-context P&R against the locked static checkpoint.

@@ -85,10 +85,11 @@ def partition_design(config: SocConfig) -> DesignPartition:
             f"config has {len(reconf_tiles)} reconfigurable tiles"
         )
 
+    wrappers = {root.name: root for root in wrapper_roots}
     rps: List[ReconfigurablePartition] = []
     for tile in reconf_tiles:
-        wrapper = rtl.find(f"{tile.name}_wrapper")
-        if wrapper is None or not wrapper.reconfigurable:
+        wrapper = wrappers.get(f"{tile.name}_wrapper")
+        if wrapper is None:
             raise FlowError(f"missing reconfigurable wrapper for tile {tile.name}")
         rps.append(
             ReconfigurablePartition(

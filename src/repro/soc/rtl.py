@@ -10,8 +10,8 @@ to produce netlist checkpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, DprRuleViolation
 from repro.soc.config import SocConfig
@@ -27,7 +27,7 @@ from repro.soc.tiles import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Module:
     """A node of the RTL hierarchy.
 
@@ -36,20 +36,25 @@ class Module:
     ``reconfigurable`` marks the root of a reconfigurable partition;
     ``clock_modifying`` and ``route_through`` flag constructs that are
     illegal inside one (the two DPR rules Sec. III cites).
+
+    Modules are immutable (trees are built bottom-up, ``children`` is
+    stored as a tuple), so a generated hierarchy can be shared freely.
     """
 
     name: str
     luts: int = 0
-    children: List["Module"] = field(default_factory=list)
+    children: Tuple["Module", ...] = ()
     reconfigurable: bool = False
     black_box: bool = False
     clock_modifying: bool = False
     route_through: bool = False
 
-    def add(self, child: "Module") -> "Module":
-        """Append a child and return it (builder style)."""
-        self.children.append(child)
-        return child
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "children", tuple(self.children))
+
+    def __setstate__(self, state: Dict) -> None:
+        # Pickles of the earlier mutable Module carry list children.
+        self.__dict__.update(state, children=tuple(state["children"]))
 
     def walk(self) -> Iterator["Module"]:
         """Pre-order traversal of the subtree."""
@@ -127,58 +132,69 @@ _AUX_SUBBLOCKS = [
 
 def _socket_module(tile: Tile) -> Module:
     """The static socket (router + proxies [+ decoupler]) of a tile."""
-    socket = Module(name=f"{tile.name}_socket")
-    socket.add(Module(name=f"{tile.name}_router", luts=ROUTER_SOCKET_LUTS - 120))
-    socket.add(Module(name=f"{tile.name}_proxies", luts=100))
     if tile.kind is TileKind.RECONF:
-        socket.add(Module(name=f"{tile.name}_decoupler", luts=20))
+        buffer = Module(name=f"{tile.name}_decoupler", luts=20)
     else:
-        socket.add(Module(name=f"{tile.name}_queues", luts=20))
-    return socket
+        buffer = Module(name=f"{tile.name}_queues", luts=20)
+    return Module(
+        name=f"{tile.name}_socket",
+        children=(
+            Module(name=f"{tile.name}_router", luts=ROUTER_SOCKET_LUTS - 120),
+            Module(name=f"{tile.name}_proxies", luts=100),
+            buffer,
+        ),
+    )
 
 
 def _tile_module(tile: Tile) -> Module:
     """Build the subtree of one tile."""
-    node = Module(name=tile.name)
-    node.add(_socket_module(tile))
+    children = [_socket_module(tile)]
     if tile.kind is TileKind.CPU:
         assert tile.cpu_core is not None
-        node.add(Module(name=f"{tile.name}_{tile.cpu_core.value}_core",
-                        luts=CPU_TILE_LUTS[tile.cpu_core]))
+        children.append(Module(name=f"{tile.name}_{tile.cpu_core.value}_core",
+                               luts=CPU_TILE_LUTS[tile.cpu_core]))
     elif tile.kind is TileKind.ACC:
         assert tile.accelerator is not None
-        node.add(Module(name=f"{tile.name}_{tile.accelerator.name}",
-                        luts=tile.accelerator.luts))
+        children.append(Module(name=f"{tile.name}_{tile.accelerator.name}",
+                               luts=tile.accelerator.luts))
     elif tile.kind is TileKind.AUX:
-        aux = node.add(Module(name=f"{tile.name}_aux_logic"))
-        for sub_name, sub_luts in _AUX_SUBBLOCKS:
-            aux.add(Module(name=f"{tile.name}_{sub_name}", luts=sub_luts))
-    elif tile.kind in (TileKind.MEM, TileKind.SLM):
-        node.add(Module(name=f"{tile.name}_{tile.kind.value}_ctrl",
-                        luts=TILE_BASE_LUTS[tile.kind]))
-    elif tile.kind is TileKind.RECONF:
-        assert isinstance(tile, ReconfigurableTile)
-        wrapper = node.add(
+        children.append(
             Module(
-                name=f"{tile.name}_wrapper",
-                luts=RECONF_WRAPPER_LUTS,
-                reconfigurable=True,
+                name=f"{tile.name}_aux_logic",
+                children=[
+                    Module(name=f"{tile.name}_{sub_name}", luts=sub_luts)
+                    for sub_name, sub_luts in _AUX_SUBBLOCKS
+                ],
             )
         )
-        for ip in tile.modes:
-            wrapper.add(Module(name=f"{tile.name}_{ip.name}", luts=ip.luts))
+    elif tile.kind in (TileKind.MEM, TileKind.SLM):
+        children.append(Module(name=f"{tile.name}_{tile.kind.value}_ctrl",
+                               luts=TILE_BASE_LUTS[tile.kind]))
+    elif tile.kind is TileKind.RECONF:
+        assert isinstance(tile, ReconfigurableTile)
+        modes = [
+            Module(name=f"{tile.name}_{ip.name}", luts=ip.luts) for ip in tile.modes
+        ]
         if tile.host_cpu:
-            wrapper.add(
+            modes.append(
                 Module(
                     name=f"{tile.name}_{tile.hosted_cpu_core.value}_core",
                     luts=CPU_TILE_LUTS[tile.hosted_cpu_core],
                 )
             )
+        children.append(
+            Module(
+                name=f"{tile.name}_wrapper",
+                luts=RECONF_WRAPPER_LUTS,
+                children=modes,
+                reconfigurable=True,
+            )
+        )
     elif tile.kind is TileKind.EMPTY:
         pass
     else:  # pragma: no cover - exhaustive over TileKind
         raise ConfigurationError(f"unhandled tile kind {tile.kind}")
-    return node
+    return Module(name=tile.name, children=children)
 
 
 def generate_rtl(config: SocConfig) -> Module:
@@ -188,10 +204,11 @@ def generate_rtl(config: SocConfig) -> Module:
     ``config.static_luts()`` by construction, and each reconfigurable
     tile contributes one reconfigurable wrapper subtree.
     """
-    top = Module(name=f"{config.name}_top")
-    top.add(Module(name="soc_misc", luts=SOC_MISC_LUTS))
-    for tile in config.tiles:
-        top.add(_tile_module(tile))
+    top = Module(
+        name=f"{config.name}_top",
+        children=[Module(name="soc_misc", luts=SOC_MISC_LUTS)]
+        + [_tile_module(tile) for tile in config.tiles],
+    )
     violations = top.check_dpr_rules()
     if violations:  # cannot happen for generated trees; guards extensions
         raise DprRuleViolation("; ".join(violations))

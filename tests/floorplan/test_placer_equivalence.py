@@ -4,20 +4,24 @@ The numpy ``FloraFloorplanner._place_one`` is an optimization, not a
 behavior change: for every demand set the plan it produces must be
 *identical* — same pblocks, same order, same relaxation outcomes — to
 the original two-pointer sweep kept alive as
-:class:`~repro.floorplan.flora.ReferenceFloraFloorplanner`. These tests
+:class:`~tests.floorplan.reference.ReferenceFloraFloorplanner`. These tests
 pin that equivalence over seeded random demand sets on every catalog
 part, including demand mixes dense enough to walk the relaxation
 ladder and ones that fail outright.
 """
 
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import FloorplanError
 from repro.fabric.parts import PART_CATALOG, make_device
-from repro.fabric.resources import ResourceVector
-from repro.floorplan.flora import FloraFloorplanner, ReferenceFloraFloorplanner
+from repro.fabric.resources import ResourceKind, ResourceVector
+from repro.floorplan import flora
+from repro.floorplan.flora import FloraFloorplanner
+from tests.floorplan.reference import ReferenceFloraFloorplanner
 
 BOARDS = sorted(PART_CATALOG)
 
@@ -108,12 +112,191 @@ class TestSeededEquivalence:
 
     def test_reference_is_meaningfully_slower_shape(self):
         # Not a benchmark — just pins that the two classes really are
-        # different implementations (occupancy representations differ),
+        # different implementations (the reference overrides the
+        # placement search and never reaches the vectorized helpers),
         # so the equivalence tests cannot silently compare a planner
         # with itself after a refactor.
-        device = make_device("vc707")
-        fast = FloraFloorplanner(device)
-        reference = ReferenceFloraFloorplanner(device)
-        assert type(fast._empty_occupancy()) is not type(
-            reference._empty_occupancy()
+        assert ReferenceFloraFloorplanner._place_one is not (
+            FloraFloorplanner._place_one
         )
+        device = make_device("vc707")
+        reference = ReferenceFloraFloorplanner(device)
+        reference._windows = None  # any call into the fast path would fail
+        reference.plan([("rp0", ResourceVector(lut=2000, ff=2000))])
+
+
+# ----------------------------------------------------------------------
+# the 600-set sweep
+# ----------------------------------------------------------------------
+SWEEP_SETS = 600
+SWEEP_BOARDS = ("vc707", "vcu118", "vcu128")
+SWEEP_UTILIZATIONS = (0.5, 0.7, 0.9)
+
+#: sha256 (first 16 hex digits) of each (board, utilization) group's
+#: plan lines, as planned by the per-band search this planner replaced
+#: (itself pinned to the scalar reference by the tests above).
+SWEEP_DIGESTS = {
+    ("vc707", 0.5): "57c3dbfb0dacb486",
+    ("vc707", 0.7): "1af6ad16c8638e3c",
+    ("vc707", 0.9): "966e8aca4745d8f0",
+    ("vcu118", 0.5): "983de7f17ff0b368",
+    ("vcu118", 0.7): "cd6fe8713bcc2357",
+    ("vcu118", 0.9): "5b5c0c15a0eb2a9e",
+    ("vcu128", 0.5): "3441d76ef524bb51",
+    ("vcu128", 0.7): "888d83953074b29d",
+    ("vcu128", 0.9): "d454a2d073e0441f",
+}
+
+
+def sweep_groups():
+    """(board, utilization) -> [(device, demands)]: 1-10 RPs per set."""
+    groups = {}
+    for index in range(SWEEP_SETS):
+        board = SWEEP_BOARDS[index % 3]
+        utilization = SWEEP_UTILIZATIONS[index // 3 % 3]
+        rng = random.Random(f"sweep:{index}")
+        device = make_device(board)
+        demands = random_demands(
+            rng, device, count=rng.randint(1, 10), utilization=utilization
+        )
+        groups.setdefault((board, utilization), []).append((device, demands))
+    return groups
+
+
+def plan_line(planner_class, device, demands):
+    """One set's outcome as text: every pblock, or ``infeasible``."""
+    try:
+        plan = planner_class(device).plan(demands)
+    except FloorplanError:
+        return "infeasible"
+    return " ".join(
+        f"{a.rp_name}:{a.pblock.col_lo}-{a.pblock.col_hi}/{a.pblock.row_lo}-{a.pblock.row_hi}"
+        for a in plan.assignments
+    )
+
+
+class TestSweep:
+    def test_600_random_sets_plan_as_before(self):
+        groups = sweep_groups()
+        assert sum(len(sets) for sets in groups.values()) == SWEEP_SETS
+        for group, sets in sorted(groups.items()):
+            lines = [plan_line(FloraFloorplanner, device, demands) for device, demands in sets]
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+            if digest != SWEEP_DIGESTS[group]:
+                # Name the first diverging set (slow: the scalar search).
+                for (device, demands), line in zip(sets, lines):
+                    expected = plan_line(ReferenceFloraFloorplanner, device, demands)
+                    assert line == expected, (group, demands)
+                pytest.fail(f"{group}: digest {digest}, reference agrees; stale pin?")
+
+    def test_sweep_covers_plans_and_failures(self):
+        lines = [
+            plan_line(FloraFloorplanner, device, demands)
+            for sets in sweep_groups().values()
+            for device, demands in sets[:10]
+        ]
+        assert "infeasible" in lines
+        assert any(line != "infeasible" for line in lines)
+
+
+# ----------------------------------------------------------------------
+# batch boundaries of the free-band check
+# ----------------------------------------------------------------------
+def need_of(planner, demand, utilization=None):
+    inflated = planner._inflated(demand, utilization)
+    return np.array([inflated.get(kind) for kind in planner._kinds], dtype=np.int64)
+
+
+def rank_of(planner, need, pblock):
+    """Position of ``pblock``'s window in the best-first order."""
+    _, col_lo, _, height = planner._windows(need)
+    return int(np.flatnonzero((col_lo == pblock.col_lo) & (height == pblock.height))[0])
+
+
+def place_both(device, demand, occupied):
+    """One placement by both planners: same assignment, or both fail
+    (the assignment is then None)."""
+    fast = FloraFloorplanner(device)
+    reference = ReferenceFloraFloorplanner(device)
+    try:
+        expected = reference._place_one("rp", demand, occupied)
+    except FloorplanError:
+        with pytest.raises(FloorplanError):
+            fast._place_one("rp", demand, occupied)
+        return fast, None
+    assert fast._place_one("rp", demand, occupied) == expected
+    return fast, expected
+
+
+class TestFreeBandBatches:
+    def test_crowded_fabric_searches_past_the_first_batch(self):
+        # Only the rightmost 40 columns are free: every window that
+        # starts further left, best ones included, is blocked.
+        device = make_device("vcu118")
+        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
+        occupied[: device.num_columns - 40, :] = True
+        demand = ResourceVector(lut=6000, ff=6000)
+        fast, assignment = place_both(device, demand, occupied)
+        assert rank_of(fast, need_of(fast, demand), assignment.pblock) >= flora.FIRST_BATCH
+
+    def test_crowded_plan_matches_reference(self):
+        # A half-full fabric from a real plan, then one more RP.
+        device = make_device("vc707")
+        rng = random.Random("crowded")
+        demands = random_demands(rng, device, count=6, utilization=0.45)
+        plan = FloraFloorplanner(device).plan(demands)
+        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
+        for pb in plan.pblocks():
+            occupied[pb.col_lo : pb.col_hi + 1, pb.row_lo : pb.row_hi + 1] = True
+        placed = [
+            place_both(device, ResourceVector(lut=lut, ff=lut, bram=4), occupied)[1]
+            for lut in (500, 3000, 12000, 40000)
+        ]
+        assert placed[0] is not None and placed[-1] is None
+
+    @pytest.mark.parametrize("first_batch", [1, 2, 64])
+    def test_tie_group_straddling_a_batch_boundary(self, monkeypatch, first_batch):
+        # The two best windows share (area, col_lo): a short wide band
+        # and a taller narrow one. Blocking the wide window's last
+        # column at row 0 pushes it up to row 1, so the taller window
+        # (still free at row 0) must win — also when a batch ends
+        # between the two.
+        device = make_device("vc707")
+        demand = ResourceVector(lut=1000, ff=1000)
+        planner = FloraFloorplanner(device)
+        area, col_lo, col_end, height = planner._windows(need_of(planner, demand))
+        assert (area[1], col_lo[1]) == (area[0], col_lo[0])
+        assert height[0] < height[1] and col_end[1] < col_end[0]
+        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
+        occupied[col_end[0] - 1, 0] = True
+        monkeypatch.setattr(flora, "FIRST_BATCH", first_batch)
+        _, assignment = place_both(device, demand, occupied)
+        pblock = assignment.pblock
+        assert (pblock.col_lo, pblock.col_hi) == (col_lo[1], col_end[1] - 1)
+        assert (pblock.row_lo, pblock.height) == (0, height[1])
+
+
+class TestSearchCost:
+    def test_one_searchsorted_per_resource_kind(self, monkeypatch):
+        # The window search is occupancy-independent: one searchsorted
+        # per resource kind covers every height and anchor. A per-band
+        # loop would make this count scale with rows x heights.
+        calls = []
+        searchsorted = np.searchsorted
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return searchsorted(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counting)
+        device = make_device("vcu128")
+        planner = FloraFloorplanner(device)
+        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
+        occupied[: device.num_columns // 2, :] = True
+        for demand in (
+            ResourceVector(lut=800, ff=800),
+            ResourceVector(lut=40000, ff=30000, bram=40, dsp=60),
+        ):
+            calls.clear()
+            planner._place_one("rp", demand, occupied)
+            assert len(calls) == len(ResourceKind)

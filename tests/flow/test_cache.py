@@ -1,6 +1,10 @@
 """Tests for the content-addressed flow cache."""
 
+import enum
+import hashlib
+import json
 import pickle
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -8,10 +12,12 @@ from repro.core.designs import wami_parallelism_socs
 from repro.core.strategy import ImplementationStrategy
 from repro.errors import FlowError
 from repro.flow.cache import (
+    CACHE_SCHEMA_VERSION,
     FlowCache,
     config_fingerprint,
     default_disk_dir,
     flow_cache_key,
+    model_fingerprint,
 )
 from repro.flow.dpr_flow import DprFlow
 from repro.obs.export import chrome_trace_json
@@ -21,6 +27,7 @@ from repro.obs.tracer import Tracer
 from repro.soc.config import SocConfig
 from repro.soc.esp_library import STOCK_ACCELERATORS, stock_accelerator
 from repro.vivado.characterization import characterization_design
+from repro.vivado.faults import CadFaultModel, RetryPolicy
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +149,136 @@ class TestCorrectness:
         first.bitstreams.clear()
         again = cache.get(key)
         assert again.to_summary_dict() == baseline
+
+
+def reachable_containers(obj, seen=None):
+    """Every list and dict reachable from ``obj`` (attributes included)."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, (enum.Enum, type, str, bytes)):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, list):
+        yield obj
+        children = list(obj)
+    elif isinstance(obj, dict):
+        yield obj
+        children = list(obj.keys()) + list(obj.values())
+    elif isinstance(obj, (tuple, set, frozenset)):
+        children = list(obj)
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+    else:
+        return
+    for child in children:
+        yield from reachable_containers(child, seen)
+
+
+class TestSharedParts:
+    def test_mutating_any_container_does_not_poison_hits(self, flow, soc):
+        cache = FlowCache()
+        key = flow_cache_key(flow, soc)
+        fresh = flow.build(soc)
+        cache.put(key, fresh)
+        served = cache.get(key)
+        served.floorplan.assignment_for(served.partition.rps[0].name)  # fill its lazy map
+        containers = list(reachable_containers(served))
+        for field in (served.bitstreams, served.executions, served.floorplan._by_name):
+            assert any(container is field for container in containers)
+        for container in containers:
+            container.clear()
+        again = cache.get(key)
+        assert again == flow.build(soc)
+        assert again.to_summary_dict() == fresh.to_summary_dict()
+
+    def test_partition_is_shared_and_frozen(self, flow, soc):
+        cache = FlowCache()
+        key = flow_cache_key(flow, soc)
+        cache.put(key, flow.build(soc))
+        first, second = cache.get(key), cache.get(key)
+        assert first is not second
+        assert first.partition is second.partition
+        assert first.config is first.partition.config
+        assert first.bitstreams is not second.bitstreams
+        with pytest.raises(FrozenInstanceError):
+            first.partition.rps = ()
+        with pytest.raises(FrozenInstanceError):
+            first.partition.rtl.luts = 0
+        assert isinstance(first.partition.rtl.children, tuple)
+
+    def test_disk_entry_with_mutable_rtl_serves_frozen_partition(
+        self, flow, soc, tmp_path
+    ):
+        # Entries pickled before Module was frozen hold list children.
+        fresh = flow.build(soc)
+        legacy = pickle.loads(pickle.dumps(fresh))
+        for module in legacy.partition.rtl.walk():
+            object.__setattr__(module, "children", list(module.children))
+        key = flow_cache_key(flow, soc)
+        (tmp_path / f"{key}.pkl").write_bytes(pickle.dumps(legacy))
+        served = FlowCache(disk_dir=tmp_path).get(key)
+        assert served.to_summary_dict() == fresh.to_summary_dict()
+        assert all(isinstance(m.children, tuple) for m in served.partition.rtl.walk())
+
+    def test_disk_tier_holds_full_pickles(self, flow, soc, tmp_path):
+        key = flow_cache_key(flow, soc)
+        fresh = flow.build(soc)
+        FlowCache(disk_dir=tmp_path).put(key, fresh)
+        assert pickle.loads((tmp_path / f"{key}.pkl").read_bytes()) == fresh
+
+
+class TestKeyBytes:
+    @staticmethod
+    def spec_key(flow, config, strategy_override=None, semi_tau=2):
+        """The key as one json.dumps over the whole payload."""
+        payload = {
+            "version": CACHE_SCHEMA_VERSION,
+            "config": config_fingerprint(config),
+            "model": model_fingerprint(flow.model),
+            "options": {
+                "max_instances": flow.max_instances,
+                "compress_bitstreams": flow.compress_bitstreams,
+                "floorplan_utilization": flow.floorplan_utilization,
+            },
+            "faults": flow.faults.fingerprint(),
+            "retry": {
+                "max_attempts": flow.retry.max_attempts,
+                "backoff_minutes": flow.retry.backoff_minutes,
+                "factor": flow.retry.factor,
+                "cap_minutes": flow.retry.cap_minutes,
+                "jitter": flow.retry.jitter,
+            },
+            "request": {
+                "strategy_override": (
+                    None if strategy_override is None else strategy_override.value
+                ),
+                "semi_tau": semi_tau,
+            },
+        }
+        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+    def test_memoized_key_matches_one_dump(self, soc):
+        faults = CadFaultModel(seed=7)
+        flows = [
+            DprFlow(),
+            DprFlow(max_instances=3, compress_bitstreams=False, floorplan_utilization=0.8),
+            DprFlow(faults=faults, retry=RetryPolicy(max_attempts=5)),
+        ]
+        for config in wami_parallelism_socs().values():
+            for each in flows:
+                for strategy in (None, *ImplementationStrategy):
+                    assert flow_cache_key(each, config, strategy, 3) == self.spec_key(
+                        each, config, strategy, 3
+                    )
+
+    def test_flow_changes_after_first_key_are_seen(self, soc):
+        faults = CadFaultModel(seed=7)
+        flow = DprFlow(faults=faults)
+        before = flow_cache_key(flow, soc)
+        faults.inject_fault("synthesis", "synth_rt0", 2)
+        assert flow_cache_key(flow, soc) != before
+        flow.max_instances = 2
+        assert flow_cache_key(flow, soc) == self.spec_key(flow, soc)
 
 
 class TestTiers:

@@ -1,61 +1,82 @@
 """Tests for RTL hierarchy generation and DPR rule checking."""
 
+import pickle
+from dataclasses import FrozenInstanceError
+
+import pytest
 
 from repro.soc.rtl import Module, generate_rtl
 
 
 class TestModuleTree:
     def test_walk_is_preorder(self):
-        root = Module("root")
-        a = root.add(Module("a"))
-        a.add(Module("a1"))
-        root.add(Module("b"))
+        root = Module("root", children=[Module("a", children=[Module("a1")]), Module("b")])
         assert [m.name for m in root.walk()] == ["root", "a", "a1", "b"]
 
     def test_total_luts_sums_subtree(self):
-        root = Module("root", luts=1)
-        root.add(Module("a", luts=10)).add(Module("a1", luts=100))
+        root = Module(
+            "root",
+            luts=1,
+            children=[Module("a", luts=10, children=[Module("a1", luts=100)])],
+        )
         assert root.total_luts() == 111
 
     def test_find(self):
-        root = Module("root")
-        root.add(Module("needle"))
+        root = Module("root", children=[Module("needle")])
         assert root.find("needle") is not None
         assert root.find("missing") is None
 
     def test_reconfigurable_roots_do_not_nest(self):
-        root = Module("root")
-        wrapper = root.add(Module("w", reconfigurable=True))
-        wrapper.add(Module("inner", reconfigurable=True))
+        inner = Module("inner", reconfigurable=True)
+        root = Module("root", children=[Module("w", children=[inner], reconfigurable=True)])
         assert [m.name for m in root.reconfigurable_roots()] == ["w"]
 
     def test_static_luts_excludes_rp_subtrees(self):
-        root = Module("root", luts=5)
-        wrapper = root.add(Module("w", luts=100, reconfigurable=True))
-        wrapper.add(Module("acc", luts=1000))
+        wrapper = Module(
+            "w", luts=100, children=[Module("acc", luts=1000)], reconfigurable=True
+        )
+        root = Module("root", luts=5, children=[wrapper])
         assert root.static_luts() == 5
         assert root.total_luts() == 1105
+
+    def test_modules_are_immutable(self):
+        root = Module("root", children=[Module("a")])
+        assert isinstance(root.children, tuple)
+        with pytest.raises(FrozenInstanceError):
+            root.luts = 1
+
+    def test_pickles_with_list_children_load_as_tuples(self):
+        # Pickles written when Module was mutable carry list children.
+        legacy = Module("root", children=[Module("a")])
+        object.__setattr__(legacy, "children", list(legacy.children))
+        restored = pickle.loads(pickle.dumps(legacy))
+        assert restored.children == (Module("a"),)
 
 
 class TestDprRules:
     def test_clock_modifier_inside_rp_flagged(self):
-        root = Module("root")
-        wrapper = root.add(Module("w", reconfigurable=True))
-        wrapper.add(Module("pll", clock_modifying=True))
-        violations = root.check_dpr_rules()
+        wrapper = Module(
+            "w", children=[Module("pll", clock_modifying=True)], reconfigurable=True
+        )
+        violations = Module("root", children=[wrapper]).check_dpr_rules()
         assert len(violations) == 1
         assert "clock-modifying" in violations[0]
 
     def test_route_through_inside_rp_flagged(self):
-        root = Module("root")
-        wrapper = root.add(Module("w", reconfigurable=True))
-        wrapper.add(Module("feedthrough", route_through=True))
+        wrapper = Module(
+            "w", children=[Module("feedthrough", route_through=True)], reconfigurable=True
+        )
+        root = Module("root", children=[wrapper])
         assert any("route-through" in v for v in root.check_dpr_rules())
 
     def test_clock_modifier_in_static_is_fine(self):
-        root = Module("root")
-        root.add(Module("pll", clock_modifying=True))
-        root.add(Module("w", reconfigurable=True))
+        root = Module(
+            "root",
+            children=[
+                Module("pll", clock_modifying=True),
+                Module("w", reconfigurable=True),
+            ],
+        )
         assert root.check_dpr_rules() == []
 
 

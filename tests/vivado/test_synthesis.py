@@ -14,11 +14,10 @@ def engine():
 
 
 def small_tree():
-    root = Module("top", luts=100)
-    root.add(Module("a", luts=1000))
-    wrapper = root.add(Module("wrapper", luts=50, reconfigurable=True))
-    wrapper.add(Module("acc", luts=5000))
-    return root
+    wrapper = Module(
+        "wrapper", luts=50, children=[Module("acc", luts=5000)], reconfigurable=True
+    )
+    return Module("top", luts=100, children=[Module("a", luts=1000), wrapper])
 
 
 class TestSynthesis:

@@ -15,10 +15,10 @@ def device():
 
 
 def tree():
-    root = Module("top", luts=500)
-    wrapper = root.add(Module("rp0_wrapper", luts=20, reconfigurable=True))
-    wrapper.add(Module("acc", luts=8000))
-    return root
+    wrapper = Module(
+        "rp0_wrapper", luts=20, children=[Module("acc", luts=8000)], reconfigurable=True
+    )
+    return Module("top", luts=500, children=[wrapper])
 
 
 class TestJournal:
