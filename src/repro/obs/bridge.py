@@ -34,6 +34,8 @@ def bridge_timeline(
     is lossless: one span per event, bounds copied verbatim.
     """
     spans: List[Span] = []
+    if instrumentation.tracer is None:
+        return spans
     for event in timeline.events:
         span = instrumentation.record(
             name=event.task,
@@ -58,6 +60,8 @@ def publish_runtime_stats(
     from the same aggregate object, so report and telemetry cannot
     disagree.
     """
+    if instrumentation.metrics is None:
+        return
     totals = instrumentation.gauge(
         "runtime.totals", "whole-SoC aggregates of one deployment"
     )

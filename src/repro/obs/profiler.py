@@ -128,7 +128,12 @@ class Profiler:
     # ------------------------------------------------------------------
     def begin(self, name: str) -> ProfileNode:
         """Open a frame; it nests under the innermost open frame."""
-        node = self._stack[-1][0].child(name)
+        # ProfileNode.child, inlined: the DES kernel opens two frames
+        # per dispatched event.
+        siblings = self._stack[-1][0].children
+        node = siblings.get(name)
+        if node is None:
+            node = siblings[name] = ProfileNode(name)
         request_id = current_request_id()
         if request_id is not None:
             node.requests.add(request_id)

@@ -176,17 +176,23 @@ class AppExecutor:
             )
         timeline = ExecutionTimeline()
         start = self.sim.now
+        # The DAG does not change between frames: order it once per run.
+        ordered = self._topo_order()
         if pipelined:
-            self._run_pipelined(timeline, frames)
+            self._run_pipelined(timeline, frames, ordered)
         else:
+            instances = [(t.name, t, t.deps) for t in ordered]
             for _ in range(frames):
-                self._run_one_frame(timeline)
+                self._execute_instances(
+                    timeline, instances, blank=self.blank_after_frame
+                )
         timeline.makespan_s = self.sim.now - start
         return timeline
 
-    def _run_pipelined(self, timeline: ExecutionTimeline, frames: int) -> None:
+    def _run_pipelined(
+        self, timeline: ExecutionTimeline, frames: int, ordered: List[StageTask]
+    ) -> None:
         """All frames' task instances in flight at once."""
-        ordered = self._topo_order()
         instances: List[Tuple[str, StageTask, Tuple[str, ...]]] = []
         for frame in range(frames):
             for task in ordered:
@@ -198,11 +204,6 @@ class AppExecutor:
                     deps = deps + (f"f{frame - 1}:{task.name}",)
                 instances.append((name, task, deps))
         self._execute_instances(timeline, instances)
-
-    def _run_one_frame(self, timeline: ExecutionTimeline) -> None:
-        ordered = self._topo_order()
-        instances = [(t.name, t, t.deps) for t in ordered]
-        self._execute_instances(timeline, instances, blank=self.blank_after_frame)
 
     def _execute_instances(
         self,

@@ -143,6 +143,13 @@ class ReconfigurationManager:
         #: leaves — the ``runtime.*`` view of where simulated time went
         #: — rather than frames opened across generator yields.
         self.obs = instrumentation
+        #: Read once: with every sink off the protocol skips its
+        #: ``_observe_*`` steps, and the names and attributes they
+        #: build, entirely. The fault-free steps also test the sink each
+        #: call feeds, so a partly live probe (a profiler alone, as
+        #: ``repro profile`` runs) makes no calls that would do nothing.
+        #: Logging is configured on its own and stays.
+        self._observed = instrumentation.enabled
         self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
         self.tiles: Dict[str, TileState] = {}
         self.invocations: List[InvocationRecord] = []
@@ -216,40 +223,16 @@ class ReconfigurationManager:
         driver = self.registry.driver_for(mode_name)
         duration = exec_time_s if exec_time_s is not None else driver.exec_time_s
 
-        track = f"kernel/{tile_name}"
-
         def body():
             self._check_quarantine(state)
             requested = self.sim.now
-            self.obs.emit(
-                ev.LOCK_REQUESTED, time=requested, source=tile_name, mode=mode_name
-            )
-            yield state.lock.acquire()
-            acquired = self.sim.now
-            self.obs.emit(
-                ev.LOCK_ACQUIRED,
-                time=acquired,
-                source=tile_name,
-                mode=mode_name,
-                wait_s=acquired - requested,
-            )
-            if acquired > requested:
-                self.obs.record(
-                    "lock_wait",
-                    requested,
-                    acquired,
-                    category="kernel.lock-wait",
-                    track=track,
-                    mode=mode_name,
+            if self.obs.events is not None:
+                self.obs.emit(
+                    ev.LOCK_REQUESTED, time=requested, source=tile_name, mode=mode_name
                 )
-            self.obs.histogram(
-                "runtime.lock_wait_s", "queueing delay before tile acquisition"
-            ).observe(acquired - requested, tile=tile_name)
-            self.obs.leaf(
-                ("runtime", "lock_wait"),
-                sim_s=acquired - requested,
-                anchor="root",
-            )
+            yield state.lock.acquire()
+            if self._observed:
+                self._observe_lock_acquired(state, mode_name, requested)
             try:
                 self._check_quarantine(state)
                 reconfig_time = 0.0
@@ -258,7 +241,7 @@ class ReconfigurationManager:
                     reconfig_time = yield from self._reconfigure_locked(state, mode_name)
                 start_exec = self.sim.now
                 hang_attempts = yield from self._execute_locked(
-                    state, mode_name, duration, track
+                    state, mode_name, duration
                 )
                 record = InvocationRecord(
                     tile_name=tile_name,
@@ -274,9 +257,10 @@ class ReconfigurationManager:
                     hang_attempts=hang_attempts,
                 )
                 self.invocations.append(record)
-                self.obs.counter(
-                    "runtime.invocations", "completed accelerator invocations"
-                ).inc(tile=tile_name)
+                if self.obs.metrics is not None:
+                    self.obs.counter(
+                        "runtime.invocations", "completed accelerator invocations"
+                    ).inc(tile=tile_name)
                 logger.debug(
                     "%s: ran %s for %.6fs (reconfig %.6fs, wait %.6fs)",
                     tile_name,
@@ -290,6 +274,35 @@ class ReconfigurationManager:
                 state.lock.release()
 
         return self.sim.process(body())
+
+    def _observe_lock_acquired(
+        self, state: TileState, mode_name: str, requested: float
+    ) -> None:
+        """The tile lock is held: LOCK_ACQUIRED and the wait it took."""
+        obs = self.obs
+        acquired = self.sim.now
+        if obs.events is not None:
+            obs.emit(
+                ev.LOCK_ACQUIRED,
+                time=acquired,
+                source=state.name,
+                mode=mode_name,
+                wait_s=acquired - requested,
+            )
+        if obs.tracer is not None and acquired > requested:
+            obs.record(
+                "lock_wait",
+                requested,
+                acquired,
+                category="kernel.lock-wait",
+                track=f"kernel/{state.name}",
+                mode=mode_name,
+            )
+        if obs.metrics is not None:
+            obs.histogram(
+                "runtime.lock_wait_s", "queueing delay before tile acquisition"
+            ).observe(acquired - requested, tile=state.name)
+        obs.leaf(("runtime", "lock_wait"), sim_s=acquired - requested, anchor="root")
 
     def blank_tile(self, tile_name: str) -> Process:
         """Erase a tile's region with its blanking (greybox) bitstream.
@@ -319,50 +332,22 @@ class ReconfigurationManager:
             return None  # already dark
         blank = self.store.lookup(state.name, "blank")
         start = self.sim.now
-        self.obs.emit(
-            ev.RECONFIG_REQUESTED,
-            time=start,
-            source=state.name,
-            mode="blank",
-            size_bytes=blank.size_bytes,
-        )
-        span = self.obs.begin(
-            "blank",
-            category="kernel.decouple",
-            track=f"kernel/{state.name}",
-            size_bytes=blank.size_bytes,
-        )
+        span = None
+        if self._observed:
+            span = self._observe_reconfig_requested(
+                state, "blank", blank.size_bytes, "blank"
+            )
         state.decoupler.decouple()
         self.registry.swap(state.name, None)
-        self.obs.emit(
-            ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
-        )
-        self.obs.emit(
-            ev.RECONFIG_STARTED,
-            time=self.sim.now,
-            source=state.name,
-            mode="blank",
-            size_bytes=blank.size_bytes,
-        )
+        if self._observed:
+            self._observe_decoupled(state, "blank", blank.size_bytes)
         yield self.prc.reconfigure(state.name, "blank", blank.size_bytes)
         state.decoupler.recouple()
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
         state.reconfigurations += 1
-        self.obs.counter(
-            "runtime.reconfigurations", "completed tile reconfigurations"
-        ).inc(tile=state.name)
-        self.obs.histogram(
-            "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
-        ).observe(self.sim.now - start, tile=state.name)
-        self.obs.emit(
-            ev.RECONFIG_COMPLETED,
-            time=self.sim.now,
-            source=state.name,
-            mode="blank",
-            duration_s=self.sim.now - start,
-        )
-        self.obs.end(span)
+        if self._observed:
+            self._observe_reconfigured(state, "blank", start, span, blanked=True)
         return "blank"
 
     def preload(self, tile_name: str, mode_name: str) -> Process:
@@ -434,36 +419,19 @@ class ReconfigurationManager:
         """
         loaded = self.store.lookup(state.name, mode_name)
         start = self.sim.now
-        track = f"kernel/{state.name}"
-        self.obs.emit(
-            ev.RECONFIG_REQUESTED,
-            time=start,
-            source=state.name,
-            mode=mode_name,
-            size_bytes=loaded.size_bytes,
-        )
-        decouple_span = self.obs.begin(
-            f"reconfigure:{mode_name}",
-            category="kernel.decouple",
-            track=track,
-            mode=mode_name,
-            size_bytes=loaded.size_bytes,
-        )
+        decouple_span = None
+        if self._observed:
+            decouple_span = self._observe_reconfig_requested(
+                state, mode_name, loaded.size_bytes, f"reconfigure:{mode_name}",
+                mode=mode_name,
+            )
         # 1. software decouples the tile (disables the NoC queue inputs)
         state.decoupler.decouple()
         # 2. the old driver is unregistered while the region is dark
         self.registry.swap(state.name, None)
-        self.obs.emit(
-            ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
-        )
         # 3. queue on the PRC; it fetches and streams the bitstream
-        self.obs.emit(
-            ev.RECONFIG_STARTED,
-            time=self.sim.now,
-            source=state.name,
-            mode=mode_name,
-            size_bytes=loaded.size_bytes,
-        )
+        if self._observed:
+            self._observe_decoupled(state, mode_name, loaded.size_bytes)
         attempts = 0
         while True:
             try:
@@ -480,25 +448,10 @@ class ReconfigurationManager:
                     state.loaded_mode = None
                     state.mark_dark(self.sim.now)
                     state.decoupler.recouple()
-                    self.obs.counter(
-                        "runtime.reconfig_failures",
-                        "reconfigurations abandoned after retries",
-                    ).inc(tile=state.name)
-                    self.obs.emit(
-                        ev.RECONFIG_FAILED,
-                        time=self.sim.now,
-                        source=state.name,
-                        mode=mode_name,
-                        attempts=attempts,
-                        abandoned=True,
-                        reason=reason,
-                    )
-                    self.obs.end(decouple_span, failed=True)
-                    self.obs.leaf(
-                        ("runtime", "recovery", "abandon"),
-                        sim_s=self.sim.now - start,
-                        anchor="root",
-                    )
+                    if self._observed:
+                        self._observe_abandoned(
+                            state, mode_name, attempts, reason, start, decouple_span
+                        )
                     logger.warning(
                         "%s: reconfiguration to %s abandoned after %d attempts",
                         state.name,
@@ -507,24 +460,11 @@ class ReconfigurationManager:
                     )
                     yield from self._recover_abandoned_locked(state, mode_name, reason)
                     raise
-                self.obs.counter(
-                    "runtime.reconfig_retries", "transfer retries after CRC errors"
-                ).inc(tile=state.name)
-                self.obs.emit(
-                    ev.RECONFIG_FAILED,
-                    time=self.sim.now,
-                    source=state.name,
-                    mode=mode_name,
-                    attempts=attempts,
-                    abandoned=False,
-                    reason=reason,
-                )
                 backoff = self.recovery.backoff_before(
                     attempts + 1, self.faults.seed, state.name, mode_name
                 )
-                self.obs.leaf(
-                    ("runtime", "recovery", "retry"), sim_s=backoff, anchor="root"
-                )
+                if self._observed:
+                    self._observe_retry(state, mode_name, attempts, reason, backoff)
                 if backoff > 0.0:
                     yield self.sim.timeout(backoff)
         # 4. interrupt received: load the new driver, re-enable queues
@@ -534,31 +474,128 @@ class ReconfigurationManager:
         state.mark_configured(self.sim.now)
         state.last_good_mode = mode_name
         state.reconfigurations += 1
-        self.obs.counter(
-            "runtime.reconfigurations", "completed tile reconfigurations"
-        ).inc(tile=state.name)
-        self.obs.histogram(
-            "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
-        ).observe(self.sim.now - start, tile=state.name)
+        if self._observed:
+            self._observe_reconfigured(state, mode_name, start, decouple_span)
+        return self.sim.now - start
+
+    # ------------------------------------------------------------------
+    # reconfiguration telemetry, one step each (called only when observed)
+    # ------------------------------------------------------------------
+    def _observe_reconfig_requested(
+        self, state: TileState, mode_name: str, size_bytes: int, span_name: str,
+        **span_attrs,
+    ):
+        """RECONFIG_REQUESTED and the decouple-window span it opens."""
+        obs = self.obs
+        if obs.events is not None:
+            obs.emit(
+                ev.RECONFIG_REQUESTED,
+                time=self.sim.now,
+                source=state.name,
+                mode=mode_name,
+                size_bytes=size_bytes,
+            )
+        if obs.tracer is None:
+            return None
+        return obs.begin(
+            span_name,
+            category="kernel.decouple",
+            track=f"kernel/{state.name}",
+            **span_attrs,
+            size_bytes=size_bytes,
+        )
+
+    def _observe_decoupled(
+        self, state: TileState, mode_name: str, size_bytes: int
+    ) -> None:
+        """The old driver is gone; the transfer is queued on the PRC."""
+        if self.obs.events is None:
+            return
         self.obs.emit(
-            ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=mode_name
+            ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
         )
         self.obs.emit(
-            ev.RECONFIG_COMPLETED,
+            ev.RECONFIG_STARTED,
             time=self.sim.now,
             source=state.name,
             mode=mode_name,
-            duration_s=self.sim.now - start,
+            size_bytes=size_bytes,
         )
-        self.obs.end(decouple_span)
-        self.obs.leaf(
-            ("runtime", "reconfigure"), sim_s=self.sim.now - start, anchor="root"
-        )
-        return self.sim.now - start
 
-    def _execute_locked(
-        self, state: TileState, mode_name: str, duration: float, track: str
-    ):
+    def _observe_reconfigured(
+        self, state: TileState, mode_name: str, start: float, span,
+        blanked: bool = False,
+    ) -> None:
+        """A completed reconfiguration (or, ``blanked``, blanking)."""
+        obs = self.obs
+        duration = self.sim.now - start
+        if obs.metrics is not None:
+            obs.counter(
+                "runtime.reconfigurations", "completed tile reconfigurations"
+            ).inc(tile=state.name)
+            obs.histogram(
+                "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
+            ).observe(duration, tile=state.name)
+        if obs.events is not None:
+            if not blanked:
+                obs.emit(
+                    ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name,
+                    driver=mode_name,
+                )
+            obs.emit(
+                ev.RECONFIG_COMPLETED,
+                time=self.sim.now,
+                source=state.name,
+                mode=mode_name,
+                duration_s=duration,
+            )
+        if span is not None:
+            obs.end(span)
+        if not blanked:
+            obs.leaf(("runtime", "reconfigure"), sim_s=duration, anchor="root")
+
+    def _observe_retry(
+        self, state: TileState, mode_name: str, attempts: int, reason: str,
+        backoff: float,
+    ) -> None:
+        """A failed transfer attempt, retried after ``backoff``."""
+        self.obs.counter(
+            "runtime.reconfig_retries", "transfer retries after CRC errors"
+        ).inc(tile=state.name)
+        self._emit_reconfig_failed(state, mode_name, attempts, reason, False)
+        self.obs.leaf(("runtime", "recovery", "retry"), sim_s=backoff, anchor="root")
+
+    def _observe_abandoned(
+        self, state: TileState, mode_name: str, attempts: int, reason: str,
+        start: float, span,
+    ) -> None:
+        """A reconfiguration given up after its last failed attempt."""
+        self.obs.counter(
+            "runtime.reconfig_failures", "reconfigurations abandoned after retries"
+        ).inc(tile=state.name)
+        self._emit_reconfig_failed(state, mode_name, attempts, reason, True)
+        self.obs.end(span, failed=True)
+        self.obs.leaf(
+            ("runtime", "recovery", "abandon"),
+            sim_s=self.sim.now - start,
+            anchor="root",
+        )
+
+    def _emit_reconfig_failed(
+        self, state: TileState, mode_name: str, attempts: int, reason: str,
+        abandoned: bool,
+    ) -> None:
+        self.obs.emit(
+            ev.RECONFIG_FAILED,
+            time=self.sim.now,
+            source=state.name,
+            mode=mode_name,
+            attempts=attempts,
+            abandoned=abandoned,
+            reason=reason,
+        )
+
+    def _execute_locked(self, state: TileState, mode_name: str, duration: float):
         """One accelerator execution under the hang watchdog.
 
         Generator sub-routine; returns the number of hung attempts the
@@ -572,19 +609,21 @@ class ReconfigurationManager:
             hung = self.faults.enabled and self.faults.invoke_fault(
                 state.name, mode_name
             )
-            exec_span = self.obs.begin(
-                mode_name,
-                category="kernel.exec",
-                track=track,
-                tile=state.name,
-                mode=mode_name,
-            )
+            exec_span = None
+            if self.obs.tracer is not None:
+                exec_span = self.obs.begin(
+                    mode_name,
+                    category="kernel.exec",
+                    track=f"kernel/{state.name}",
+                    tile=state.name,
+                    mode=mode_name,
+                )
             if not hung:
                 yield self.sim.timeout(duration)
-                self.obs.end(exec_span)
-                self.obs.leaf(
-                    ("runtime", "exec"), sim_s=duration, anchor="root"
-                )
+                if self._observed:
+                    if exec_span is not None:
+                        self.obs.end(exec_span)
+                    self.obs.leaf(("runtime", "exec"), sim_s=duration, anchor="root")
                 return hang_attempts
             # No completion interrupt: wait out the watchdog deadline.
             yield self.sim.timeout(duration * self.recovery.exec_deadline_factor)
@@ -593,22 +632,8 @@ class ReconfigurationManager:
             self.kernel_hangs_by_tile[state.name] = (
                 self.kernel_hangs_by_tile.get(state.name, 0) + 1
             )
-            self.obs.counter(
-                "runtime.kernel_hangs", "hung invocations caught by the watchdog"
-            ).inc(tile=state.name)
-            self.obs.end(exec_span, failed=True)
-            self.obs.leaf(
-                ("runtime", "recovery", "kernel_hang"),
-                sim_s=duration * self.recovery.exec_deadline_factor,
-                anchor="root",
-            )
-            self.obs.emit(
-                ev.KERNEL_HUNG,
-                time=self.sim.now,
-                source=state.name,
-                mode=mode_name,
-                attempts=hang_attempts,
-            )
+            if self._observed:
+                self._observe_hang(state, mode_name, hang_attempts, duration, exec_span)
             logger.warning(
                 "%s: %s hung (attempt %d); watchdog fired after %.6fs",
                 state.name,
@@ -628,17 +653,40 @@ class ReconfigurationManager:
             if backoff > 0.0:
                 yield self.sim.timeout(backoff)
 
+    def _observe_hang(
+        self, state: TileState, mode_name: str, hang_attempts: int,
+        duration: float, span,
+    ) -> None:
+        """A hung execution the watchdog caught at its deadline."""
+        self.obs.counter(
+            "runtime.kernel_hangs", "hung invocations caught by the watchdog"
+        ).inc(tile=state.name)
+        self.obs.end(span, failed=True)
+        self.obs.leaf(
+            ("runtime", "recovery", "kernel_hang"),
+            sim_s=duration * self.recovery.exec_deadline_factor,
+            anchor="root",
+        )
+        self.obs.emit(
+            ev.KERNEL_HUNG,
+            time=self.sim.now,
+            source=state.name,
+            mode=mode_name,
+            attempts=hang_attempts,
+        )
+
     def _abandon_hung_locked(self, state: TileState, mode_name: str):
         """Reset a tile whose kernel would not come back; lock held."""
         self.registry.swap(state.name, None)
-        self.obs.emit(
-            ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
-        )
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
-        self.obs.counter(
-            "runtime.hang_abandons", "invocations abandoned after repeated hangs"
-        ).inc(tile=state.name)
+        if self._observed:
+            self.obs.emit(
+                ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
+            )
+            self.obs.counter(
+                "runtime.hang_abandons", "invocations abandoned after repeated hangs"
+            ).inc(tile=state.name)
         yield from self._recover_abandoned_locked(state, mode_name, reason="hang")
 
     # ------------------------------------------------------------------
@@ -679,13 +727,15 @@ class ReconfigurationManager:
         good = state.last_good_mode
         image = self.store.lookup(state.name, good)
         start = self.sim.now
-        span = self.obs.begin(
-            f"fallback:{good}",
-            category="kernel.decouple",
-            track=f"kernel/{state.name}",
-            mode=good,
-            size_bytes=image.size_bytes,
-        )
+        span = None
+        if self._observed:
+            span = self.obs.begin(
+                f"fallback:{good}",
+                category="kernel.decouple",
+                track=f"kernel/{state.name}",
+                mode=good,
+                size_bytes=image.size_bytes,
+            )
         state.decoupler.decouple()
         try:
             yield from self._transfer_attempt(state, good, image.size_bytes)
@@ -694,7 +744,8 @@ class ReconfigurationManager:
                 state.name, good, reason=getattr(exc, "fault_kind", "crc")
             )
             state.decoupler.recouple()
-            self.obs.end(span, failed=True)
+            if self._observed:
+                self.obs.end(span, failed=True)
             logger.warning(
                 "%s: fallback to last-known-good %s failed", state.name, good
             )
@@ -708,6 +759,21 @@ class ReconfigurationManager:
         self.fallbacks_by_tile[state.name] = (
             self.fallbacks_by_tile.get(state.name, 0) + 1
         )
+        if self._observed:
+            self._observe_fallback(state, failed_mode, start, span)
+        logger.warning(
+            "%s: fell back to last-known-good %s after %s failed",
+            state.name,
+            good,
+            failed_mode,
+        )
+        return True
+
+    def _observe_fallback(
+        self, state: TileState, failed_mode: str, start: float, span
+    ) -> None:
+        """The tile is back on its last-known-good bitstream."""
+        good = state.loaded_mode
         self.obs.counter(
             "runtime.reconfigurations", "completed tile reconfigurations"
         ).inc(tile=state.name)
@@ -734,13 +800,6 @@ class ReconfigurationManager:
             sim_s=self.sim.now - start,
             anchor="root",
         )
-        logger.warning(
-            "%s: fell back to last-known-good %s after %s failed",
-            state.name,
-            good,
-            failed_mode,
-        )
-        return True
 
     def _quarantine_locked(self, state: TileState, reason: str):
         """Quarantine a persistently failing tile; caller holds the lock.
@@ -768,20 +827,19 @@ class ReconfigurationManager:
                 )
             finally:
                 state.decoupler.recouple()
-        self.obs.counter(
-            "runtime.quarantines", "tiles quarantined after persistent failures"
-        ).inc(tile=state.name)
-        self.obs.leaf(
-            ("runtime", "recovery", "quarantine"), anchor="root"
-        )
-        self.obs.emit(
-            ev.TILE_QUARANTINED,
-            time=self.sim.now,
-            source=state.name,
-            reason=reason,
-            blanked=blanked,
-            abandoned_ops=state.abandoned_ops,
-        )
+        if self._observed:
+            self.obs.counter(
+                "runtime.quarantines", "tiles quarantined after persistent failures"
+            ).inc(tile=state.name)
+            self.obs.leaf(("runtime", "recovery", "quarantine"), anchor="root")
+            self.obs.emit(
+                ev.TILE_QUARANTINED,
+                time=self.sim.now,
+                source=state.name,
+                reason=reason,
+                blanked=blanked,
+                abandoned_ops=state.abandoned_ops,
+            )
         logger.error(
             "%s: quarantined after %d abandoned operations (%s); blanked=%s",
             state.name,
@@ -798,9 +856,10 @@ class ReconfigurationManager:
         self.failed_attempts_by_tile[tile_name] = (
             self.failed_attempts_by_tile.get(tile_name, 0) + 1
         )
-        self.obs.counter(
-            "runtime.failed_attempts", "failed bitstream transfer attempts"
-        ).inc(tile=tile_name)
+        if self._observed:
+            self.obs.counter(
+                "runtime.failed_attempts", "failed bitstream transfer attempts"
+            ).inc(tile=tile_name)
         logger.warning(
             "%s: transfer of %s failed (%s)", tile_name, mode_name, reason
         )

@@ -108,6 +108,10 @@ class PrcDevice:
         self.clock_hz = clock_hz
         self.fetch_bytes_per_cycle = fetch_bytes_per_cycle
         self.obs = instrumentation
+        #: Read once: with every sink off a transfer builds no span
+        #: names, metric labels or NoC traffic counts (and with the
+        #: tracer or the registry off, none of those it would feed).
+        self._observed = instrumentation.enabled
         #: The fault model every transfer attempt draws from. Shared
         #: with the manager (which reads it back for invoke-side draws)
         #: so injected and stochastic faults use one set of counters.
@@ -224,7 +228,8 @@ class PrcDevice:
                         f"(aborted after {self.sim.now - start:.6f}s)"
                     )
                 yield self.sim.timeout(duration)
-                self._count_fetch_traffic(size_bytes)
+                if self.obs.metrics is not None:
+                    self._count_fetch_traffic(size_bytes)
                 if fault is RuntimeFaultKind.BITSTREAM_CORRUPTION:
                     self._record_transfer_failure(
                         tile_name, mode_name, size_bytes, start, reason="crc"
@@ -240,22 +245,8 @@ class PrcDevice:
                     end_s=self.sim.now,
                 )
                 self.records.append(record)
-                self.obs.record(
-                    f"{tile_name}/{mode_name}",
-                    record.start_s,
-                    record.end_s,
-                    category="kernel.icap",
-                    track="kernel/icap",
-                    tile=tile_name,
-                    mode=mode_name,
-                    size_bytes=size_bytes,
-                )
-                self.obs.counter(
-                    "prc.transfers", "completed bitstream transfers"
-                ).inc(tile=tile_name)
-                self.obs.counter(
-                    "prc.icap_busy_s", "time the ICAP spent streaming"
-                ).inc(record.duration_s)
+                if self._observed:
+                    self._observe_transfer(record)
                 logger.debug(
                     "icap: streamed %s/%s (%d bytes) in %.6fs",
                     tile_name,
@@ -269,12 +260,36 @@ class PrcDevice:
 
         return self.sim.process(body())
 
+    def _observe_transfer(self, record: ReconfigurationRecord) -> None:
+        """One completed transfer: its ICAP span and the PRC counters."""
+        if self.obs.tracer is not None:
+            self.obs.record(
+                f"{record.tile_name}/{record.mode_name}",
+                record.start_s,
+                record.end_s,
+                category="kernel.icap",
+                track="kernel/icap",
+                tile=record.tile_name,
+                mode=record.mode_name,
+                size_bytes=record.size_bytes,
+            )
+        if self.obs.metrics is None:
+            return
+        self.obs.counter(
+            "prc.transfers", "completed bitstream transfers"
+        ).inc(tile=record.tile_name)
+        self.obs.counter(
+            "prc.icap_busy_s", "time the ICAP spent streaming"
+        ).inc(record.duration_s)
+
     def _record_transfer_failure(
         self, tile_name: str, mode_name: str, size_bytes: int, start: float,
         reason: str,
     ) -> None:
         """Account one failed transfer attempt (CRC error or abort)."""
         self.failed_transfers += 1
+        if not self._observed:
+            return
         self.obs.counter(
             "prc.transfer_failures", "transfers ending in a CRC error"
         ).inc(tile=tile_name)

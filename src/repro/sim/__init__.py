@@ -4,8 +4,9 @@ The PR-ESP runtime evaluation needs a model of concurrent software
 (multi-threaded Linux application, kernel workqueue, interrupt-driven
 reconfiguration controller). SimPy is not available offline, so this
 package provides the same core abstractions from scratch: a simulator
-with an event heap, processes written as generators that ``yield``
-events, timeouts, locks and FIFO stores.
+with a ready queue for events due now and a heap for later ones,
+processes written as generators that ``yield`` events, timeouts, locks
+and FIFO stores.
 """
 
 from repro.sim.kernel import Event, Simulator, Timeout

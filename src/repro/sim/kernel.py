@@ -1,9 +1,30 @@
-"""Event heap and primitive events of the simulation kernel."""
+"""Ready queue, event heap and primitive events of the simulation kernel.
+
+Dispatch order is exact (time, seq) order: events due at different
+times run in time order, and events due at the same time run in the
+order they were queued. The kernel keeps that order with two queues:
+
+* a FIFO *ready queue* (a ``deque``) holding every event due at the
+  current time ``now``, in the order it was queued;
+* a *future heap* of ``(time, seq, event)`` entries strictly later
+  than ``now``, ``seq`` breaking ties in queue order.
+
+An event whose computed fire time equals ``now`` — a ``succeed``, a
+zero delay, or a delay too small to move a large clock — is appended
+to the ready queue and never touches the heap. Only when the ready
+queue drains does the clock advance: cancelled heap heads are dropped
+without moving the clock, ``now`` jumps to the next head's time and
+every heap entry due at exactly that time moves, in (time, seq) order,
+into the ready queue. Everything a heap entry at that time could have
+been queued behind was queued earlier, so the moved entries precede
+anything queued later at the same time and FIFO order is preserved.
+"""
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -14,9 +35,10 @@ if TYPE_CHECKING:
 class Event:
     """A one-shot occurrence processes can wait on.
 
-    Lifecycle: *pending* → ``succeed()``/``fail()`` → *triggered* (queued
-    on the heap) → *processed* (callbacks ran). Waiting on an already
-    processed event resumes the waiter immediately at the current time.
+    Lifecycle: *pending* → ``succeed()``/``fail()`` → *triggered*
+    (queued on the ready queue) → *processed* (callbacks ran). Waiting
+    on an already processed event resumes the waiter immediately at the
+    current time.
 
     Events are the unit object of every simulated operation, so the
     whole hierarchy is ``__slots__``-flattened: no per-instance dict,
@@ -64,7 +86,7 @@ class Event:
             raise SimulationError("event already triggered")
         self._value = value
         self.triggered = True
-        self.sim._queue_event(self)
+        self.sim._ready.append(self)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -75,7 +97,7 @@ class Event:
             raise TypeError("fail() needs an exception instance")
         self._exception = exception
         self.triggered = True
-        self.sim._queue_event(self)
+        self.sim._ready.append(self)
         return self
 
     def cancel(self) -> "Event":
@@ -105,30 +127,9 @@ class Event:
                 immediate._value = self._value
                 immediate._exception = self._exception
                 immediate.triggered = True
-                self.sim._queue_event(immediate)
+                self.sim._ready.append(immediate)
         else:
             self.callbacks.append(callback)
-
-    def _process(self) -> None:
-        self.processed = True
-        callbacks, self.callbacks = self.callbacks, []
-        profiler = self.sim._profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(self)
-            return
-        # Per-callback-site attribution: the frame name is the
-        # callback's qualified name (``Process._resume``,
-        # ``AllOf.__init__.<locals>.<lambda>``, ...), which is stable
-        # run to run and names the layer the time belongs to.
-        for callback in callbacks:
-            profiler.begin(
-                getattr(callback, "__qualname__", None) or type(callback).__name__
-            )
-            try:
-                callback(self)
-            finally:
-                profiler.end()
 
 
 class Timeout(Event):
@@ -137,13 +138,24 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
+        if not delay >= 0:
+            if delay != delay:
+                raise SimulationError("timeout delay is NaN")
             raise SimulationError(f"negative timeout delay: {delay}")
         super().__init__(sim)
         self.delay = delay
         self._value = value
         self.triggered = True
-        sim._queue_event(self, delay=delay)
+        # Route by the computed fire time, not by ``delay == 0``: a
+        # delay below the clock's resolution fires now, and must queue
+        # behind everything already due now.
+        now = sim.now
+        when = now + delay
+        if when == now:
+            sim._ready.append(self)
+        else:
+            heapq.heappush(sim._heap, (when, sim._seq, self))
+            sim._seq += 1
 
 
 class AllOf(Event):
@@ -195,10 +207,13 @@ class AnyOf(Event):
 
 
 class Simulator:
-    """The event loop: a time-ordered heap of triggered events."""
+    """The event loop: a ready queue for now, a heap for later."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: Triggered events due at ``now``, in queue order.
+        self._ready: Deque[Event] = deque()
+        #: ``(time, seq, event)`` entries strictly later than ``now``.
         self._heap: List[Tuple[float, int, Event]] = []
         self._seq = 0
         # Optional observability hooks; None keeps the dispatch loop on
@@ -217,7 +232,7 @@ class Simulator:
         ``dispatch:<Type>`` frame per processed event (charged the
         clock advance as simulated time) and a frame per callback site;
         the tracer gets a zero-duration instant for every cancelled
-        event withdrawn from the heap.
+        event withdrawn from the queues.
         """
         self._profiler = instrumentation.profiler
         self._tracer = instrumentation.tracer
@@ -243,19 +258,13 @@ class Simulator:
 
     def process(self, generator) -> "Process":
         """Spawn a process from a generator (see :class:`Process`)."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     # ------------------------------------------------------------------
     # scheduling and execution
     # ------------------------------------------------------------------
-    def _queue_event(self, event: Event, delay: float = 0.0) -> None:
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-        self._seq += 1
-
     def _discard_cancelled(self, event: Event) -> None:
-        """Account a withdrawn event popped off the heap.
+        """Account a withdrawn event taken off a queue.
 
         Cancelled events run no callbacks and never advance the clock;
         observability still sees them — as a ``cancelled:<Type>`` leaf
@@ -272,54 +281,111 @@ class Simulator:
             )
 
     def step(self) -> None:
-        """Process the single next event."""
-        if not self._heap:
-            raise SimulationError("no scheduled events")
-        when, _seq, event = heapq.heappop(self._heap)
+        """Process the single next queue entry.
+
+        A cancelled entry is withdrawn (one step, no clock advance).
+        """
+        advance = 0.0
+        if not self._ready:
+            heap = self._heap
+            if not heap:
+                raise SimulationError("no scheduled events")
+            if heap[0][2].cancelled:
+                self._discard_cancelled(heapq.heappop(heap)[2])
+                return
+            advance = self._advance()
+        event = self._ready.popleft()
         if event.cancelled:
-            # Withdrawn: no callbacks, no clock advance.
             self._discard_cancelled(event)
             return
+        self._dispatch(event, advance)
+
+    def _advance(self) -> float:
+        """Move the clock to the heap head's time; return the advance.
+
+        Called with the ready queue drained and a live heap head: every
+        heap entry due at exactly the new time moves, in (time, seq)
+        order, into the ready queue.
+        """
+        heap = self._heap
+        when = heap[0][0]
         if when < self.now:
             raise SimulationError("time went backwards (kernel bug)")
-        if self._profiler is None:
-            self.now = when
-            event._process()
-            return
-        # Dispatch frame per event type; the clock advance this event
-        # causes is its simulated-time attribution, so the dispatch
-        # nodes' sim_s sums to the final simulation time.
         advance = when - self.now
         self.now = when
+        ready = self._ready
+        while heap and heap[0][0] == when:
+            ready.append(heapq.heappop(heap)[2])
+        return advance
+
+    def _dispatch(self, event: Event, advance: float) -> None:
+        """Process ``event``: mark it, then run its callbacks.
+
+        With a profiler attached the event runs in a ``dispatch:<Type>``
+        frame charged ``advance`` — the clock advance it is the first
+        event to see — as simulated time, so the dispatch frames'
+        ``sim_s`` sums to the final simulation time; each callback runs
+        in a frame named by its qualified name (``Process._resume``,
+        ``AllOf.__init__.<locals>.<lambda>``, ...), which is stable run
+        to run and names the layer the time belongs to.
+        """
+        event.processed = True
+        callbacks = event.callbacks
+        event.callbacks = []
+        profiler = self._profiler
+        if profiler is None:
+            for callback in callbacks:
+                callback(event)
+            return
         event_type = type(event)
         name = self._dispatch_names.get(event_type)
         if name is None:
             name = self._dispatch_names[event_type] = f"dispatch:{event_type.__name__}"
-        self._profiler.begin(name)
+        profiler.begin(name)
         try:
-            self._profiler.add_sim(advance)
-            event._process()
+            if advance:  # adding 0.0 would leave the frame's sim_s as is
+                profiler.add_sim(advance)
+            for callback in callbacks:
+                profiler.begin(
+                    getattr(callback, "__qualname__", None) or type(callback).__name__
+                )
+                try:
+                    callback(event)
+                finally:
+                    profiler.end()
         finally:
-            self._profiler.end()
+            profiler.end()
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the heap drains or simulated time reaches ``until``.
+        """Run until both queues drain or simulated time reaches ``until``.
 
         Returns the final simulation time.
         """
-        if until is not None and until < self.now:
-            raise SimulationError(f"until={until} is in the past (now={self.now})")
+        if until is not None:
+            if until != until:
+                raise SimulationError("until is NaN")
+            if until < self.now:
+                raise SimulationError(f"until={until} is in the past (now={self.now})")
         if self._profiler is None and self._tracer is None:
             return self._run_fast(until)
-        while self._heap:
-            if self._heap[0][2].cancelled:
-                self._discard_cancelled(heapq.heappop(self._heap)[2])
+        ready = self._ready
+        heap = self._heap
+        while True:
+            advance = 0.0
+            if not ready:
+                while heap and heap[0][2].cancelled:
+                    self._discard_cancelled(heapq.heappop(heap)[2])
+                if not heap:
+                    break
+                if until is not None and heap[0][0] > until:
+                    self.now = until
+                    return until
+                advance = self._advance()
+            event = ready.popleft()
+            if event.cancelled:
+                self._discard_cancelled(event)
                 continue
-            when = self._heap[0][0]
-            if until is not None and when > until:
-                self.now = until
-                return self.now
-            self.step()
+            self._dispatch(event, advance)
         if until is not None:
             self.now = max(self.now, until)
         return self.now
@@ -328,35 +394,47 @@ class Simulator:
         """The monomorphic uninstrumented dispatch loop.
 
         With no profiler and no tracer attached there is exactly one
-        shape of work per event: peek, skip if withdrawn, advance the
-        clock, run the callbacks. Hoisting the heap and heappop into
-        locals and bypassing :meth:`step`'s per-call re-dispatch keeps
-        this loop free of attribute lookups and branch soup — it is the
-        innermost loop of every deployment.
+        shape of work per event: pop the ready queue, skip it if
+        withdrawn, run its callbacks (``_dispatch`` inlined). The heap
+        is touched once per distinct fire time, not once per event: it
+        is the innermost loop of every deployment.
         """
+        ready = self._ready
+        popleft = ready.popleft
         heap = self._heap
         pop = heapq.heappop
-        while heap:
-            entry = heap[0]
-            if entry[2].cancelled:
-                # Lazy deletion: withdrawn entries pop without running
-                # callbacks or advancing the clock.
+        while True:
+            while ready:
+                event = popleft()
+                if event.cancelled:
+                    continue
+                event.processed = True
+                callbacks = event.callbacks
+                event.callbacks = []
+                for callback in callbacks:
+                    callback(event)
+            # Lazy deletion: withdrawn heap heads go without running
+            # callbacks or advancing the clock.
+            while heap and heap[0][2].cancelled:
                 pop(heap)
-                continue
-            when = entry[0]
-            if until is not None and when > until:
+            if not heap:
+                break
+            if until is not None and heap[0][0] > until:
                 self.now = until
                 return until
-            if when < self.now:
-                raise SimulationError("time went backwards (kernel bug)")
-            pop(heap)
-            self.now = when
-            entry[2]._process()
+            self._advance()
         if until is not None and until > self.now:
             self.now = until
         return self.now
 
     @property
     def pending_events(self) -> int:
-        """Number of triggered-but-unprocessed events on the heap."""
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        """Number of triggered-but-unprocessed events still queued."""
+        return sum(1 for event in self._ready if not event.cancelled) + sum(
+            1 for _, _, event in self._heap if not event.cancelled
+        )
+
+
+# Process subclasses Event, so it lives in its own module and is bound
+# here once, after Event exists, instead of imported on every spawn.
+from repro.sim.process import Process  # noqa: E402  (import cycle, see above)

@@ -19,7 +19,7 @@ from repro.sim.kernel import Event, Simulator
 class Process(Event):
     """A running coroutine inside a :class:`Simulator`."""
 
-    __slots__ = ("_generator",)
+    __slots__ = ("_generator", "_resume_cb")
 
     def __init__(self, sim: Simulator, generator: Generator[Event, Any, Any]) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -28,9 +28,11 @@ class Process(Event):
             )
         super().__init__(sim)
         self._generator = generator
+        # One bound method per process, reused for every re-subscription.
+        self._resume_cb = self._resume
         # Kick off the process at the current time via an immediate event.
         start = Event(sim)
-        start.callbacks.append(self._resume)
+        start.callbacks.append(self._resume_cb)
         start.succeed()
 
     @property
@@ -43,12 +45,13 @@ class Process(Event):
         if self.triggered:
             return
         try:
-            if event.exception is not None:
-                target = self._generator.throw(event.exception)
+            exception = event._exception
+            if exception is not None:
+                target = self._generator.throw(exception)
             else:
-                target = self._generator.send(event.value)
+                target = self._generator.send(event._value)
         except StopIteration as stop:
-            self.succeed(getattr(stop, "value", None))
+            self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - process bodies may raise anything
             self.fail(exc)
@@ -64,4 +67,7 @@ class Process(Event):
         if target.sim is not self.sim:
             self.fail(SimulationError("process yielded an event from another simulator"))
             return
-        target.add_callback(self._resume)
+        if target.processed:
+            target.add_callback(self._resume_cb)
+        else:
+            target.callbacks.append(self._resume_cb)

@@ -33,7 +33,7 @@ class Lock:
 
     def acquire(self) -> Event:
         """Request the lock; the returned event fires once it is held."""
-        event = self.sim.event()
+        event = Event(self.sim)
         if not self._locked:
             self._locked = True
             event.succeed(self)

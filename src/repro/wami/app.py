@@ -35,6 +35,9 @@ from repro.wami.kernels import (
     lucas_kanade,
 )
 
+#: Catalog accelerator name -> the WAMI stage it implements.
+_STAGE_OF_KERNEL: Dict[str, WamiStage] = {s.kernel_name: s for s in WamiStage}
+
 
 @dataclass
 class WamiGoldenResult:
@@ -118,14 +121,15 @@ class WamiApplication:
         mapping: Dict[WamiStage, Optional[str]] = {s: None for s in WamiStage}
         for tile in config.reconfigurable_tiles:
             for ip in tile.modes:
-                for stage in WamiStage:
-                    if stage.kernel_name == ip.name:
-                        if mapping[stage] is not None:
-                            raise ConfigurationError(
-                                f"stage {stage.name} mapped to two tiles "
-                                f"({mapping[stage]} and {tile.name})"
-                            )
-                        mapping[stage] = tile.name
+                stage = _STAGE_OF_KERNEL.get(ip.name)
+                if stage is None:
+                    continue
+                if mapping[stage] is not None:
+                    raise ConfigurationError(
+                        f"stage {stage.name} mapped to two tiles "
+                        f"({mapping[stage]} and {tile.name})"
+                    )
+                mapping[stage] = tile.name
         return mapping
 
     def tasks_for_soc(self, config: SocConfig) -> List[StageTask]:

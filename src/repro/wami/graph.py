@@ -75,6 +75,9 @@ class WamiGraph:
         if not nx.is_directed_acyclic_graph(graph):
             raise ConfigurationError("WAMI dataflow must be acyclic")
         self._graph = graph
+        self._order = tuple(
+            nx.lexicographical_topological_sort(graph, key=lambda s: s.value)
+        )
 
     @property
     def graph(self) -> nx.DiGraph:
@@ -91,9 +94,7 @@ class WamiGraph:
 
     def topological_order(self) -> List[WamiStage]:
         """A deterministic topological order (ties broken by index)."""
-        return list(
-            nx.lexicographical_topological_sort(self._graph, key=lambda s: s.value)
-        )
+        return list(self._order)
 
     def levels(self) -> List[List[WamiStage]]:
         """ASAP levels: stages in the same level can run concurrently."""

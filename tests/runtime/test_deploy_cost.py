@@ -1,0 +1,134 @@
+"""Wall-clock-free cost guards on the uninstrumented deploy path.
+
+Each guard counts calls instead of timing them, so it holds on any
+host: a two-frame ``soc_y`` deployment must touch the event heap only
+for timeouts that fire later, must not call into an all-off probe from
+the reconfiguration manager or the PRC (nor make span, event or metric
+calls into a profiler-only one), and must order the task DAG once per
+run rather than once per frame.
+"""
+
+import heapq
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+import repro.api as api
+import repro.sim.kernel as kernel
+from repro.core.designs import wami_soc_y
+from repro.obs.events import EventBus
+from repro.obs.instrumentation import Instrumentation
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import Profiler
+from repro.runtime.executor import AppExecutor
+
+#: Every operation of the probe a layer could call.
+PROBE_METHODS = (
+    "begin", "end", "record", "frame", "leaf", "add_sim",
+    "emit", "counter", "gauge", "histogram", "use_clock",
+)
+
+#: The layers that must stay silent while every sink is off.
+RUNTIME_MODULES = {"repro.runtime.manager", "repro.runtime.prc"}
+
+
+@pytest.fixture(scope="module")
+def soc_y_flow():
+    soc = wami_soc_y()
+    return soc, api.build(soc).flow
+
+
+def deploy(soc_y_flow, **kwargs):
+    soc, flow = soc_y_flow
+    return api.deploy(soc, frames=2, flow_result=flow, **kwargs)
+
+
+def counting_probe(**sinks):
+    """A probe that logs (method, calling module) for every call."""
+    calls = []
+
+    def counted(name):
+        operation = getattr(Instrumentation, name)
+
+        def method(self, *args, **kwargs):
+            calls.append((name, sys._getframe(1).f_globals["__name__"]))
+            return operation(self, *args, **kwargs)
+
+        return method
+
+    probe_type = type(
+        "CountingProbe",
+        (Instrumentation,),
+        {name: counted(name) for name in PROBE_METHODS},
+    )
+    return probe_type(**sinks), calls
+
+
+def test_only_future_timeouts_touch_the_heap(soc_y_flow, monkeypatch):
+    pushes = []
+    timeouts = []
+
+    def counting_push(heap, entry):
+        pushes.append(entry[0])
+        heapq.heappush(heap, entry)
+
+    timeout_init = kernel.Timeout.__init__
+
+    def counting_init(self, sim, delay, value=None):
+        timeouts.append(delay)
+        timeout_init(self, sim, delay, value)
+
+    monkeypatch.setattr(
+        kernel,
+        "heapq",
+        SimpleNamespace(heappush=counting_push, heappop=heapq.heappop),
+    )
+    monkeypatch.setattr(kernel.Timeout, "__init__", counting_init)
+    report = deploy(soc_y_flow)
+    assert report.reconfigurations > 0
+    assert timeouts and all(delay > 0 for delay in timeouts)
+    # One push per timeout: succeed(), lock grants, process starts and
+    # barriers all go through the ready queue.
+    assert len(pushes) == len(timeouts)
+
+
+def test_all_off_probe_sees_no_runtime_calls(soc_y_flow):
+    probe, calls = counting_probe()
+    assert not probe.enabled
+    deploy(soc_y_flow, instrumentation=probe)
+    # The probe does see the platform's calls, so the count is live.
+    assert calls
+    assert [call for call in calls if call[1] in RUNTIME_MODULES] == []
+
+
+def test_live_probe_still_hears_the_runtime(soc_y_flow):
+    probe, calls = counting_probe(events=EventBus(), metrics=MetricsRegistry())
+    deploy(soc_y_flow, instrumentation=probe)
+    callers = {module for _name, module in calls}
+    assert RUNTIME_MODULES <= callers
+
+
+def test_profiler_only_probe_gets_only_profile_calls(soc_y_flow):
+    # `repro profile` runs a profiler alone: the runtime's span, event
+    # and metric calls would all do nothing, so none is made.
+    probe, calls = counting_probe(profiler=Profiler())
+    deploy(soc_y_flow, instrumentation=probe)
+    runtime_calls = {name for name, module in calls if module in RUNTIME_MODULES}
+    assert runtime_calls == {"leaf"}
+
+
+def test_topological_order_once_per_run(soc_y_flow, monkeypatch):
+    orders = []
+    topo_order = AppExecutor._topo_order
+
+    def counting_order(self):
+        orders.append(1)
+        return topo_order(self)
+
+    monkeypatch.setattr(AppExecutor, "_topo_order", counting_order)
+    deploy(soc_y_flow)
+    assert len(orders) == 1
+    orders.clear()
+    deploy(soc_y_flow, pipelined=True)
+    assert len(orders) == 1

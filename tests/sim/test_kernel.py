@@ -62,6 +62,21 @@ class TestTimeouts:
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
 
+    def test_nan_delay_rejected(self, sim):
+        sim.timeout(1.0)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.timeout(float("nan"))
+        # The refused timeout left no entry behind to poison the clock.
+        assert sim.run() == 1.0
+        assert sim.pending_events == 0
+
+    def test_nan_until_rejected(self, sim):
+        sim.timeout(1.0)
+        with pytest.raises(SimulationError, match="NaN"):
+            sim.run(until=float("nan"))
+        assert sim.now == 0.0
+        assert sim.run() == 1.0
+
     def test_timeouts_fire_in_order(self, sim):
         order = []
         sim.timeout(3.0).add_callback(lambda e: order.append(3))
