@@ -15,7 +15,11 @@ Tiles are opened like file descriptors and close like them too —
 and ``esp_run`` returns a typed :class:`InvocationResult` instead of a
 raw simulation process: yield its ``.process`` from DES code, then read
 the accelerator name, wait/reconfig/exec times and the degraded flag
-from the result itself.
+from the result itself. A DES thread that blocks on the call itself,
+as ESP's ``esp_run()`` blocks its caller, runs the protocol inline
+instead and spends no process on it::
+
+    record = yield from api.run(handle, "fft")
 """
 
 from __future__ import annotations
@@ -146,7 +150,36 @@ class DprUserApi:
                 f"tile {handle.tile_name!r} is not open (handle closed?)"
             )
 
+    def _check_accelerator(self, handle: TileHandle, accelerator: str) -> None:
+        self._check_open(handle)
+        if accelerator not in handle.modes:
+            raise ReconfigurationError(
+                f"accelerator {accelerator!r} has no bitstream for tile "
+                f"{handle.tile_name!r}; available: {list(handle.modes)}"
+            )
+
     # ------------------------------------------------------------------
+    def run(
+        self,
+        handle: TileHandle,
+        accelerator: str,
+        exec_time_s: Optional[float] = None,
+    ):
+        """Generator sub-routine: ``esp_run`` in the calling thread.
+
+        ``record = yield from api.run(handle, "fft")`` blocks the
+        calling DES thread through the whole protocol — tile lock, ICAP
+        queue, completion interrupt, execution — and returns the
+        :class:`InvocationRecord`, as ESP's ``esp_run()`` blocks its
+        caller. A closed handle or an unknown accelerator raises here,
+        at the call.
+        """
+        self._check_accelerator(handle, accelerator)
+        manager = self._manager
+        return manager.inline(
+            manager.invocation(handle.tile_name, accelerator, exec_time_s)
+        )
+
     def esp_run(
         self,
         handle: TileHandle,
@@ -159,20 +192,22 @@ class DprUserApi:
         written, the accelerator runs to its completion interrupt. The
         returned :class:`InvocationResult` wraps the simulation process
         (``yield result.process`` to wait) and exposes the typed
-        telemetry once complete.
+        telemetry once complete. :meth:`run` is the same protocol
+        without the process.
         """
-        self._check_open(handle)
-        if accelerator not in handle.modes:
-            raise ReconfigurationError(
-                f"accelerator {accelerator!r} has no bitstream for tile "
-                f"{handle.tile_name!r}; available: {list(handle.modes)}"
-            )
+        self._check_accelerator(handle, accelerator)
         process = self._manager.invoke(handle.tile_name, accelerator, exec_time_s)
         return InvocationResult(
             process=process,
             tile_name=handle.tile_name,
             accelerator=accelerator,
         )
+
+    def blank(self, handle: TileHandle):
+        """Generator sub-routine: ``esp_blank`` in the calling thread."""
+        self._check_open(handle)
+        manager = self._manager
+        return manager.inline(manager.blanking(handle.tile_name))
 
     def esp_blank(self, handle: TileHandle) -> Process:
         """Erase the tile's region (power gating / fault clearing)."""
@@ -181,12 +216,7 @@ class DprUserApi:
 
     def esp_load(self, handle: TileHandle, accelerator: str) -> Process:
         """Pre-load an accelerator without running it (warm-up)."""
-        self._check_open(handle)
-        if accelerator not in handle.modes:
-            raise ReconfigurationError(
-                f"accelerator {accelerator!r} has no bitstream for tile "
-                f"{handle.tile_name!r}"
-            )
+        self._check_accelerator(handle, accelerator)
         return self._manager.preload(handle.tile_name, accelerator)
 
     # ------------------------------------------------------------------

@@ -117,7 +117,7 @@ class BaremetalDriver:
                     decoupler = self._decouplers[tile_name]
                     decoupler.decouple()
                     start = self.sim.now
-                    yield self.prc.reconfigure(
+                    yield from self.prc.reconfigure(
                         tile_name, mode_name, loaded.size_bytes
                     )
                     # Poll until the status register shows DONE: the

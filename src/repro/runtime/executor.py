@@ -243,7 +243,14 @@ class AppExecutor:
                 done[name].succeed()
             if blank and worker != self.cpu_worker:
                 blank_start = self.sim.now
-                yield self.api.esp_blank(self._handle_for(worker))
+                try:
+                    yield from self.api.blank(self._handle_for(worker))
+                except ReconfigurationError:
+                    # Gating is best effort: a blank abandoned after its
+                    # retries is left to the manager's recovery (the
+                    # region is dark, or the tile quarantined).
+                    if not self.api.faults_enabled:
+                        raise
                 if self.sim.now > blank_start:
                     timeline.events.append(
                         TimelineEvent(
@@ -295,11 +302,10 @@ class AppExecutor:
         retries = 0
         while tile is not None:
             handle = self._handle_for(tile)
-            result = self.api.esp_run(
-                handle, task.mode_name, exec_time_s=task.duration_s
-            )
             try:
-                record = yield result.process
+                record = yield from self.api.run(
+                    handle, task.mode_name, exec_time_s=task.duration_s
+                )
             except TileQuarantinedError:
                 tile = self._replan(name, task, from_tile=tile)
                 continue

@@ -209,15 +209,35 @@ class ReconfigurationManager:
             )
 
     # ------------------------------------------------------------------
-    def invoke(self, tile_name: str, mode_name: str, exec_time_s: Optional[float] = None) -> Process:
-        """Run ``mode_name`` on ``tile_name``, reconfiguring if needed.
+    # the protocol: generator sub-routines of the calling thread
+    # ------------------------------------------------------------------
+    def inline(self, steps):
+        """Enter a protocol sub-routine in the calling thread.
 
-        Returns a process whose value is the :class:`InvocationRecord`.
-        The process blocks (FIFO) while other threads hold the tile —
-        including through their reconfigurations — which is the paper's
-        locking discipline. Raises :class:`TileQuarantinedError` when
-        the tile has been quarantined (checked again after the lock is
-        acquired, since quarantine can happen while queued).
+        Returns ``steps`` itself, for the caller to run with ``yield
+        from``: the thread that asked for the work does it, as the
+        thread calling ``esp_run`` does, and no process, start event or
+        completion event is spent on it. Every entry into a sub-routine
+        that could run as a process of its own (an invocation, a blank,
+        a fault-free transfer) goes through here, so the
+        reference-equivalence test can spawn each one instead and check
+        that the dispatch order does not change.
+        """
+        return steps
+
+    def invocation(
+        self, tile_name: str, mode_name: str, exec_time_s: Optional[float] = None
+    ):
+        """Generator sub-routine: run ``mode_name`` on ``tile_name``.
+
+        Reconfigures if needed and returns the
+        :class:`InvocationRecord`. The calling thread blocks (FIFO)
+        while other threads hold the tile — including through their
+        reconfigurations — which is the paper's locking discipline.
+        Raises :class:`TileQuarantinedError` when the tile has been
+        quarantined (checked again after the lock is acquired, since
+        quarantine can happen while queued). An unattached tile or a
+        missing driver raises here, at the call.
         """
         state = self.tile(tile_name)
         driver = self.registry.driver_for(mode_name)
@@ -273,7 +293,13 @@ class ReconfigurationManager:
             finally:
                 state.lock.release()
 
-        return self.sim.process(body())
+        return body()
+
+    def invoke(
+        self, tile_name: str, mode_name: str, exec_time_s: Optional[float] = None
+    ) -> Process:
+        """:meth:`invocation` as a process (value: the record)."""
+        return self.sim.process(self.invocation(tile_name, mode_name, exec_time_s))
 
     def _observe_lock_acquired(
         self, state: TileState, mode_name: str, requested: float
@@ -304,12 +330,13 @@ class ReconfigurationManager:
             ).observe(acquired - requested, tile=state.name)
         obs.leaf(("runtime", "lock_wait"), sim_s=acquired - requested, anchor="root")
 
-    def blank_tile(self, tile_name: str) -> Process:
-        """Erase a tile's region with its blanking (greybox) bitstream.
+    def blanking(self, tile_name: str):
+        """Generator sub-routine: erase a tile's region (greybox image).
 
         Used for power saving and for clearing a faulty accelerator:
         the driver is unregistered, the region is cleared, and the tile
-        reports no loaded mode afterwards. Requires the flow to have
+        reports no loaded mode afterwards; returns ``"blank"`` (None
+        when the tile was already dark). Requires the flow to have
         produced a blanking image for the tile. Serializes on the
         per-tile lock, so blanking can never interleave with an
         in-flight reconfiguration or invocation on the same tile.
@@ -324,10 +351,20 @@ class ReconfigurationManager:
             finally:
                 state.lock.release()
 
-        return self.sim.process(body())
+        return body()
+
+    def blank_tile(self, tile_name: str) -> Process:
+        """:meth:`blanking` as a process."""
+        return self.sim.process(self.blanking(tile_name))
 
     def _blank_locked(self, state: TileState):
-        """Blanking protocol; caller must hold the tile lock."""
+        """Blanking protocol; caller must hold the tile lock.
+
+        The blank is a transfer like any other: watched, and retried
+        with the recovery policy's backoff and attempt budget. An
+        exhausted blank leaves the region dark, counts as an abandoned
+        operation and raises.
+        """
         if state.loaded_mode is None:
             return None  # already dark
         blank = self.store.lookup(state.name, "blank")
@@ -341,7 +378,9 @@ class ReconfigurationManager:
         self.registry.swap(state.name, None)
         if self._observed:
             self._observe_decoupled(state, "blank", blank.size_bytes)
-        yield self.prc.reconfigure(state.name, "blank", blank.size_bytes)
+        yield from self._transfer_retried(
+            state, "blank", blank.size_bytes, start, span
+        )
         state.decoupler.recouple()
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
@@ -377,18 +416,20 @@ class ReconfigurationManager:
         """One watched transfer attempt; caller must hold the tile lock.
 
         Without an enabled fault model this is a plain blocking
-        transfer (zero watchdog overhead on healthy deployments). With
-        one, the recovery policy's reconfiguration deadline races the
-        transfer: a transfer still wedged past the deadline is aborted
+        transfer run inside the calling thread (zero watchdog overhead
+        on healthy deployments). With one, the recovery policy's
+        reconfiguration deadline races the transfer, spawned as a
+        process: a transfer still wedged past the deadline is aborted
         (DFXC reset, freeing the ICAP) and raised as
         :class:`StuckTransferError`. A transfer merely *queued* behind
         the ICAP past the deadline is not stuck — the watchdog extends
         and keeps watching.
         """
-        transfer = self.prc.reconfigure(state.name, mode_name, size_bytes)
+        steps = self.prc.reconfigure(state.name, mode_name, size_bytes)
         if not self.faults.enabled:
-            record: ReconfigurationRecord = yield transfer
+            record: ReconfigurationRecord = yield from self.inline(steps)
             return record
+        transfer = self.sim.process(steps)
         deadline_s = self.recovery.reconfig_deadline_s
         while True:
             deadline = self.sim.timeout(deadline_s)
@@ -409,13 +450,10 @@ class ReconfigurationManager:
         """The reconfiguration protocol; caller must hold the tile lock.
 
         Generator sub-routine (used via ``yield from``); returns the
-        time spent. A failed transfer (CRC error or watchdog abort) is
-        retried with seeded exponential backoff up to the recovery
-        policy's attempt budget; if all attempts fail the region is
-        left dark (no driver, no loaded mode, decoupler re-enabled so
-        the blank region cannot wedge the NoC), recovery — fallback to
-        the last-known-good bitstream, or quarantine — runs, and the
-        error propagates to the calling thread.
+        time spent. The transfer is retried as :meth:`_transfer_retried`
+        describes; once abandoned, recovery — fallback to the
+        last-known-good bitstream, or quarantine — runs and the error
+        propagates to the calling thread.
         """
         loaded = self.store.lookup(state.name, mode_name)
         start = self.sim.now
@@ -432,13 +470,40 @@ class ReconfigurationManager:
         # 3. queue on the PRC; it fetches and streams the bitstream
         if self._observed:
             self._observe_decoupled(state, mode_name, loaded.size_bytes)
+        yield from self._transfer_retried(
+            state, mode_name, loaded.size_bytes, start, decouple_span
+        )
+        # 4. interrupt received: load the new driver, re-enable queues
+        self.registry.swap(state.name, mode_name)
+        state.decoupler.recouple()
+        state.loaded_mode = mode_name
+        state.mark_configured(self.sim.now)
+        state.last_good_mode = mode_name
+        state.reconfigurations += 1
+        if self._observed:
+            self._observe_reconfigured(state, mode_name, start, decouple_span)
+        return self.sim.now - start
+
+    def _transfer_retried(
+        self, state: TileState, mode_name: str, size_bytes: int, start: float,
+        span,
+    ):
+        """Transfer with retries; caller holds the lock, tile decoupled.
+
+        Generator sub-routine; returns the transfer's record. A failed
+        attempt (CRC error or watchdog abort) is retried with seeded
+        exponential backoff up to the recovery policy's attempt budget;
+        if all attempts fail the region is left dark (no loaded mode,
+        decoupler re-enabled so the blank region cannot wedge the NoC),
+        recovery runs and the error propagates.
+        """
         attempts = 0
         while True:
             try:
                 record: ReconfigurationRecord = yield from self._transfer_attempt(
-                    state, mode_name, loaded.size_bytes
+                    state, mode_name, size_bytes
                 )
-                break
+                return record
             except ReconfigurationError as exc:
                 attempts += 1
                 reason = getattr(exc, "fault_kind", "crc")
@@ -450,7 +515,7 @@ class ReconfigurationManager:
                     state.decoupler.recouple()
                     if self._observed:
                         self._observe_abandoned(
-                            state, mode_name, attempts, reason, start, decouple_span
+                            state, mode_name, attempts, reason, start, span
                         )
                     logger.warning(
                         "%s: reconfiguration to %s abandoned after %d attempts",
@@ -467,16 +532,6 @@ class ReconfigurationManager:
                     self._observe_retry(state, mode_name, attempts, reason, backoff)
                 if backoff > 0.0:
                     yield self.sim.timeout(backoff)
-        # 4. interrupt received: load the new driver, re-enable queues
-        self.registry.swap(state.name, mode_name)
-        state.decoupler.recouple()
-        state.loaded_mode = mode_name
-        state.mark_configured(self.sim.now)
-        state.last_good_mode = mode_name
-        state.reconfigurations += 1
-        if self._observed:
-            self._observe_reconfigured(state, mode_name, start, decouple_span)
-        return self.sim.now - start
 
     # ------------------------------------------------------------------
     # reconfiguration telemetry, one step each (called only when observed)
@@ -700,7 +755,8 @@ class ReconfigurationManager:
         Charges the abandonment against the tile's quarantine budget,
         then either quarantines the tile or — when a *different*
         last-known-good bitstream exists — falls back to it so the tile
-        keeps serving its old mode instead of going dark.
+        keeps serving its old mode instead of going dark. An abandoned
+        blank does not fall back: dark is what it was for.
         """
         state.abandoned_ops += 1
         if state.abandoned_ops >= self.recovery.quarantine_after:
@@ -708,6 +764,7 @@ class ReconfigurationManager:
             return
         if (
             self.recovery.fallback_to_last_good
+            and mode_name != "blank"
             and state.last_good_mode is not None
             and state.last_good_mode != mode_name
             and self.store.has_image(state.name, state.last_good_mode)

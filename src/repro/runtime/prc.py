@@ -192,73 +192,72 @@ class PrcDevice:
         return True
 
     def reconfigure(self, tile_name: str, mode_name: str, size_bytes: int):
-        """Process generator: stream one partial bitstream.
+        """Generator sub-routine: stream one partial bitstream.
 
-        Yields from a :class:`~repro.sim.process.Process`; returns the
+        The single entry point of every transfer. The calling thread
+        runs it with ``yield from`` and gets the
         :class:`ReconfigurationRecord` once the completion interrupt
-        fires. Serializes on the single ICAP. Fails (after the full
-        transfer window) when a failure has been injected.
+        fires; a caller that needs an event to wait on (the manager's
+        watchdog race) spawns it with ``sim.process(...)``. Serializes
+        on the single ICAP. Fails (after the full transfer window) when
+        a failure has been injected.
         """
-
-        def body():
-            yield self._lock.acquire()
-            try:
-                start = self.sim.now
-                duration = self.transfer_seconds(size_bytes)
-                fault = self.faults.transfer_fault(tile_name, mode_name)
-                if fault is RuntimeFaultKind.STUCK_TRANSFER:
-                    # The DFXC wedges: the ICAP is held until the
-                    # watchdog aborts the transfer (or, unwatched, the
-                    # stall finally times out on its own).
-                    abort = self.sim.event()
-                    self._aborts[(tile_name, mode_name)] = abort
-                    stall = self.sim.timeout(duration * STUCK_STALL_FACTOR)
-                    try:
-                        yield self.sim.any_of([stall, abort])
-                    finally:
-                        # An aborted stall must not drag the clock out
-                        # to its original 1000x expiry.
-                        stall.cancel()
-                        self._aborts.pop((tile_name, mode_name), None)
-                    self._record_transfer_failure(
-                        tile_name, mode_name, size_bytes, start, reason="stuck"
-                    )
-                    raise StuckTransferError(
-                        f"{tile_name}/{mode_name}: transfer stuck "
-                        f"(aborted after {self.sim.now - start:.6f}s)"
-                    )
-                yield self.sim.timeout(duration)
-                if self.obs.metrics is not None:
-                    self._count_fetch_traffic(size_bytes)
-                if fault is RuntimeFaultKind.BITSTREAM_CORRUPTION:
-                    self._record_transfer_failure(
-                        tile_name, mode_name, size_bytes, start, reason="crc"
-                    )
-                    raise ReconfigurationError(
-                        f"{tile_name}/{mode_name}: configuration CRC error"
-                    )
-                record = ReconfigurationRecord(
-                    tile_name=tile_name,
-                    mode_name=mode_name,
-                    size_bytes=size_bytes,
-                    start_s=start,
-                    end_s=self.sim.now,
+        yield self._lock.acquire()
+        try:
+            start = self.sim.now
+            duration = self.transfer_seconds(size_bytes)
+            fault = self.faults.transfer_fault(tile_name, mode_name)
+            if fault is RuntimeFaultKind.STUCK_TRANSFER:
+                # The DFXC wedges: the ICAP is held until the
+                # watchdog aborts the transfer (or, unwatched, the
+                # stall finally times out on its own).
+                abort = self.sim.event()
+                self._aborts[(tile_name, mode_name)] = abort
+                stall = self.sim.timeout(duration * STUCK_STALL_FACTOR)
+                try:
+                    yield self.sim.any_of([stall, abort])
+                finally:
+                    # An aborted stall must not drag the clock out
+                    # to its original 1000x expiry.
+                    stall.cancel()
+                    self._aborts.pop((tile_name, mode_name), None)
+                self._record_transfer_failure(
+                    tile_name, mode_name, size_bytes, start, reason="stuck"
                 )
-                self.records.append(record)
-                if self._observed:
-                    self._observe_transfer(record)
-                logger.debug(
-                    "icap: streamed %s/%s (%d bytes) in %.6fs",
-                    tile_name,
-                    mode_name,
-                    size_bytes,
-                    record.duration_s,
+                raise StuckTransferError(
+                    f"{tile_name}/{mode_name}: transfer stuck "
+                    f"(aborted after {self.sim.now - start:.6f}s)"
                 )
-                return record
-            finally:
-                self._lock.release()
-
-        return self.sim.process(body())
+            yield self.sim.timeout(duration)
+            if self.obs.metrics is not None:
+                self._count_fetch_traffic(size_bytes)
+            if fault is RuntimeFaultKind.BITSTREAM_CORRUPTION:
+                self._record_transfer_failure(
+                    tile_name, mode_name, size_bytes, start, reason="crc"
+                )
+                raise ReconfigurationError(
+                    f"{tile_name}/{mode_name}: configuration CRC error"
+                )
+            record = ReconfigurationRecord(
+                tile_name=tile_name,
+                mode_name=mode_name,
+                size_bytes=size_bytes,
+                start_s=start,
+                end_s=self.sim.now,
+            )
+            self.records.append(record)
+            if self._observed:
+                self._observe_transfer(record)
+            logger.debug(
+                "icap: streamed %s/%s (%d bytes) in %.6fs",
+                tile_name,
+                mode_name,
+                size_bytes,
+                record.duration_s,
+            )
+            return record
+        finally:
+            self._lock.release()
 
     def _observe_transfer(self, record: ReconfigurationRecord) -> None:
         """One completed transfer: its ICAP span and the PRC counters."""

@@ -37,7 +37,7 @@ GOLDEN = {
     },
     "deploy": {
         "trace": "f47e17ee33226889b1698a0970b336a205e439594520ef87390df29f1d39cda2",
-        "profile": "bb58a37c1721fb391bc0169ea037f1eed0fbdb1557a379fd710eea42d637835b",
+        "profile": "c9c5078c7906df0f6ba5e7953612da19f9f55f1d191e89d92aceaf3aa4288460",
         "events": "6991d501094525e39431fb10dddf45a1b4e3716bd75fcd5828ed00310d2b4447",
         "metrics": "64d9efe570e8d98e1d0191f2f839a1c1ceca72f81b105a1a7d9b69f1badd007c",
     },

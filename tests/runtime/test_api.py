@@ -65,6 +65,11 @@ class TestOpen:
             api.esp_run(handle, "fft")
         with pytest.raises(ReconfigurationError, match="not open"):
             api.esp_blank(handle)
+        # The in-thread forms reject at the call, not at the first step.
+        with pytest.raises(ReconfigurationError, match="not open"):
+            api.run(handle, "fft")
+        with pytest.raises(ReconfigurationError, match="not open"):
+            api.blank(handle)
 
     def test_close_is_idempotent(self, api):
         handle = api.open_tile("rt0")
@@ -94,6 +99,22 @@ class TestRun:
         handle = api.open_tile("rt0")
         with pytest.raises(ReconfigurationError, match="no bitstream"):
             api.esp_run(handle, "sort")
+        with pytest.raises(ReconfigurationError, match="no bitstream"):
+            api.run(handle, "sort")
+
+    def test_run_blocks_the_calling_thread(self, api, sim):
+        handle = api.open_tile("rt0")
+
+        def thread():
+            record = yield from api.run(handle, "fft")
+            return record, sim.now
+
+        proc = sim.process(thread())
+        sim.run()
+        record, finished = proc.value
+        assert record.mode_name == "fft"
+        assert record.end_exec_s == finished
+        assert api.invocation_log() == [record]
 
     def test_esp_load_prefetches(self, api, sim):
         handle = api.open_tile("rt0")

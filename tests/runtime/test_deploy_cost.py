@@ -22,6 +22,9 @@ from repro.obs.instrumentation import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
 from repro.runtime.executor import AppExecutor
+from repro.runtime.prc import PrcDevice
+from repro.sim.kernel import Simulator
+from repro.wami.app import WamiApplication
 
 #: Every operation of the probe a layer could call.
 PROBE_METHODS = (
@@ -132,3 +135,34 @@ def test_topological_order_once_per_run(soc_y_flow, monkeypatch):
     orders.clear()
     deploy(soc_y_flow, pipelined=True)
     assert len(orders) == 1
+
+
+@pytest.mark.parametrize("power_gating", [False, True])
+def test_one_process_per_worker_thread_per_frame(
+    soc_y_flow, monkeypatch, power_gating
+):
+    spawned = []
+    transfers = []
+    prcs = []
+    spawn = Simulator.process
+    reconfigure = PrcDevice.reconfigure
+
+    def counting_spawn(sim, generator):
+        spawned.append(generator)
+        return spawn(sim, generator)
+
+    def counting_reconfigure(prc, *args):
+        transfers.append(args)
+        return reconfigure(prc, *args)
+
+    monkeypatch.setattr(Simulator, "process", counting_spawn)
+    monkeypatch.setattr(PrcDevice, "reconfigure", counting_reconfigure)
+    report = deploy(soc_y_flow, power_gating=power_gating, prc_setup=prcs.append)
+    soc, _flow = soc_y_flow
+    workers = {
+        task.tile_name or "cpu" for task in WamiApplication().tasks_for_soc(soc)
+    }
+    assert len(spawned) == report.frames * len(workers)
+    (prc,) = prcs
+    assert report.reconfigurations > 0
+    assert len(transfers) == len(prc.records) == report.reconfigurations

@@ -53,7 +53,7 @@ class TestPrcInjection:
         manager, prc = make_stack(sim)
         inject(prc, "rt0", "fft")
         # Direct PRC use: the transfer process fails.
-        proc = prc.reconfigure("rt0", "fft", 250_000)
+        proc = sim.process(prc.reconfigure("rt0", "fft", 250_000))
         sim.run()
         assert isinstance(proc.exception, ReconfigurationError)
         assert prc.failed_transfers == 1
@@ -66,8 +66,8 @@ class TestPrcInjection:
     def test_failures_are_consumed(self, sim):
         manager, prc = make_stack(sim)
         inject(prc, "rt0", "fft", count=1)
-        first = prc.reconfigure("rt0", "fft", 250_000)
-        second = prc.reconfigure("rt0", "fft", 250_000)
+        first = sim.process(prc.reconfigure("rt0", "fft", 250_000))
+        second = sim.process(prc.reconfigure("rt0", "fft", 250_000))
         sim.run()
         assert first.exception is not None
         assert second.exception is None
@@ -75,7 +75,7 @@ class TestPrcInjection:
     def test_icap_lock_released_after_failure(self, sim):
         _, prc = make_stack(sim)
         inject(prc, "rt0", "fft")
-        prc.reconfigure("rt0", "fft", 250_000)
+        sim.process(prc.reconfigure("rt0", "fft", 250_000))
         sim.run()
         assert not prc.busy
 

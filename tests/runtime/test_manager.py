@@ -63,12 +63,19 @@ class TestInvocation:
         assert manager.total_reconfigurations() == 2
 
     def test_unattached_tile_rejected(self, manager):
+        # The sub-routine forms validate at the call, like the processes.
         with pytest.raises(ReconfigurationError):
             manager.invoke("ghost", "fft")
+        with pytest.raises(ReconfigurationError):
+            manager.invocation("ghost", "fft")
+        with pytest.raises(ReconfigurationError):
+            manager.blanking("ghost")
 
     def test_missing_driver_rejected(self, manager):
         with pytest.raises(Exception):
             manager.invoke("rt0", "not_installed")
+        with pytest.raises(Exception):
+            manager.invocation("rt0", "not_installed")
 
     def test_custom_exec_time(self, manager, sim):
         proc = manager.invoke("rt0", "fft", exec_time_s=0.5)

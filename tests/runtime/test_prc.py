@@ -47,7 +47,7 @@ class TestLatencyModel:
 class TestSerialization:
     def test_single_reconfiguration(self, sim):
         prc = make_prc(sim)
-        proc = prc.reconfigure("rt0", "fft", 300_000)
+        proc = sim.process(prc.reconfigure("rt0", "fft", 300_000))
         sim.run()
         assert proc.value.tile_name == "rt0"
         assert proc.value.duration_s == pytest.approx(
@@ -56,8 +56,8 @@ class TestSerialization:
 
     def test_concurrent_requests_serialize_on_icap(self, sim):
         prc = make_prc(sim)
-        a = prc.reconfigure("rt0", "fft", 300_000)
-        b = prc.reconfigure("rt1", "gemm", 300_000)
+        a = sim.process(prc.reconfigure("rt0", "fft", 300_000))
+        b = sim.process(prc.reconfigure("rt1", "gemm", 300_000))
         sim.run()
         ra, rb = a.value, b.value
         # The second transfer starts only after the first ends.
@@ -67,7 +67,7 @@ class TestSerialization:
     def test_records_accumulate(self, sim):
         prc = make_prc(sim)
         for i in range(3):
-            prc.reconfigure("rt0", f"m{i}", 100_000)
+            sim.process(prc.reconfigure("rt0", f"m{i}", 100_000))
         sim.run()
         assert len(prc.records) == 3
         assert prc.total_reconfiguration_time_s() == pytest.approx(
@@ -77,7 +77,7 @@ class TestSerialization:
     def test_busy_flag(self, sim):
         prc = make_prc(sim)
         assert not prc.busy
-        prc.reconfigure("rt0", "fft", 300_000)
+        sim.process(prc.reconfigure("rt0", "fft", 300_000))
         sim.run(until=prc.transfer_seconds(300_000) / 2)
         assert prc.busy
         sim.run()

@@ -213,7 +213,7 @@ class TestStuckTransfers:
         model = RuntimeFaultModel()
         model.inject("rt0", "fft", STUCK)
         _, prc = make_stack(sim, faults=model)
-        proc = prc.reconfigure("rt0", "fft", 250_000)
+        proc = sim.process(prc.reconfigure("rt0", "fft", 250_000))
         sim.run()
         assert isinstance(proc.exception, StuckTransferError)
         assert not prc.busy
@@ -223,7 +223,7 @@ class TestStuckTransfers:
         model = RuntimeFaultModel()
         model.inject("rt0", "fft", STUCK)
         _, prc = make_stack(sim, faults=model)
-        prc.reconfigure("rt0", "fft", 250_000)
+        sim.process(prc.reconfigure("rt0", "fft", 250_000))
 
         def aborter():
             yield sim.timeout(0.01)
@@ -431,3 +431,58 @@ class TestBlankReconfigureSerialization:
         assert blanked.value is None
         assert invoke.value.mode_name == "fft"
         assert manager.tile("rt0").loaded_mode == "fft"
+
+
+class TestBlankRecovery:
+    """A blank is a watched, retried transfer like any other."""
+
+    def test_transient_crc_on_a_blank_is_retried(self, sim):
+        model = RuntimeFaultModel()
+        model.inject("rt0", "blank", CRC, count=1)
+        manager, prc = make_stack(sim, faults=model, blank=True)
+        manager.invoke("rt0", "fft")
+        blanked = manager.blank_tile("rt0")
+        sim.run()
+        assert blanked.value == "blank"
+        assert manager.failed_attempts_by_tile == {"rt0": 1}
+        assert manager.tile("rt0").abandoned_ops == 0
+        assert [r.mode_name for r in prc.records] == ["fft", "blank"]
+
+    def test_stuck_blank_is_aborted_at_the_deadline(self, sim):
+        model = RuntimeFaultModel()
+        model.inject("rt0", "blank", STUCK, count=1)
+        bus = EventBus()
+        manager, prc = make_stack(sim, faults=model, events=bus, blank=True)
+        manager.invoke("rt0", "fft")
+        blanked = manager.blank_tile("rt0")
+        sim.run()
+        assert blanked.value == "blank"
+        (started,) = [
+            e for e in bus.events(ev.RECONFIG_STARTED) if e.attrs["mode"] == "blank"
+        ]
+        (failed,) = bus.events(ev.RECONFIG_FAILED)
+        assert failed.attrs == {
+            "mode": "blank", "attempts": 1, "abandoned": False, "reason": "stuck",
+        }
+        # Aborted by the watchdog, not after the 1000x stall.
+        assert failed.time - started.time == pytest.approx(
+            manager.recovery.reconfig_deadline_s
+        )
+        assert not prc.busy
+
+    def test_exhausted_blank_is_an_abandoned_operation(self, sim):
+        model = RuntimeFaultModel()
+        model.inject("rt0", "blank", CRC, count=PERSISTENT)
+        manager, _ = make_stack(sim, faults=model, blank=True)
+        manager.invoke("rt0", "fft")
+        blanked = manager.blank_tile("rt0")
+        sim.run()
+        assert isinstance(blanked.exception, ReconfigurationError)
+        state = manager.tile("rt0")
+        assert manager.failed_attempts == manager.recovery.max_attempts
+        assert state.abandoned_ops == 1
+        # Dark, as the blank intended: no fallback to the old mode.
+        assert state.loaded_mode is None
+        assert manager.fallbacks == 0
+        assert state.decoupler.queues_enabled
+        assert not state.lock.locked
