@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,6 +60,46 @@ class Column:
 
     x: int
     kind: ColumnKind
+
+
+@dataclass(frozen=True)
+class LevelTable:
+    """One resource kind's column prefix, inverted into a lookup table.
+
+    Every prefix value ``P[x]`` is a multiple of ``step``, the gcd of the
+    kind's per-column values, so ``P[x] >= v`` iff ``P[x] / step >=
+    ceil(v / step)``. The first prefix index reaching ``v`` — what
+    ``np.searchsorted(P, v, side="left")`` returns — is therefore
+    ``first_column[ceil(v / step)]``: one gather instead of a binary
+    search. Levels past the top of the table mean "off the fabric"
+    (``num_columns + 1``). A kind no column provides has ``step`` 1 and
+    a two-entry table.
+    """
+
+    step: int
+    #: ``level[x] = P[x] / step`` for every anchor column ``x``.
+    level: np.ndarray
+    #: ``first_column[L]``: the first prefix index whose level is ``L``
+    #: or more; the last entry is ``num_columns + 1``.
+    first_column: np.ndarray
+
+    @classmethod
+    def of(cls, prefix: np.ndarray) -> "LevelTable":
+        """The table of one non-decreasing prefix column (``P[0] == 0``)."""
+        step = int(np.gcd.reduce(np.diff(prefix))) or 1
+        levels = prefix // step
+        first_column = np.searchsorted(levels, np.arange(levels[-1] + 2), side="left")
+        for array in (levels, first_column):
+            array.flags.writeable = False
+        return cls(step=step, level=levels[:-1], first_column=first_column)
+
+    def first_reaching(
+        self, start_level: Union[int, np.ndarray], threshold: np.ndarray
+    ) -> np.ndarray:
+        """First prefix index ``x`` with ``P[x] >= start_level * step +
+        threshold``, broadcast over both arguments (``threshold >= 0``)."""
+        levels = start_level + -(-threshold // self.step)
+        return self.first_column.take(levels, mode="clip")
 
 
 class Device:
@@ -123,6 +163,16 @@ class Device:
             [np.zeros((1, len(kinds)), dtype=np.int64), np.cumsum(per_column, axis=0)]
         )
         self._capacity = self._rect_vector(0, self.num_columns - 1, region_rows)
+        # The floorplanner's window search gathers from these instead of
+        # binary-searching the prefix columns; like the prefix matrix,
+        # they are built once per device and shared by every planner.
+        self._level_tables = tuple(
+            LevelTable.of(self._prefix[:, k]) for k in range(len(kinds))
+        )
+        self._forbidden = [c.x for c in self.columns if c.kind in FORBIDDEN_IN_RP]
+        self._forbidden_mask = np.zeros(self.num_columns, dtype=bool)
+        self._forbidden_mask[self._forbidden] = True
+        self._forbidden_mask.flags.writeable = False
 
     # ------------------------------------------------------------------
     # geometry
@@ -178,10 +228,14 @@ class Device:
         """The (num_columns + 1, len(ResourceKind)) prefix-sum matrix.
 
         Row ``x`` holds the per-region column sums over ``[0, x)`` in
-        :class:`ResourceKind` declaration order. Treat as read-only —
-        the floorplanner binary-searches directly on these columns.
+        :class:`ResourceKind` declaration order. Treat as read-only.
         """
         return self._prefix
+
+    def level_tables(self) -> Tuple[LevelTable, ...]:
+        """One :class:`LevelTable` per resource kind, in
+        :class:`ResourceKind` declaration order."""
+        return self._level_tables
 
     def rect_resources(self, col_lo: int, col_hi: int, row_lo: int, row_hi: int) -> ResourceVector:
         """Resources inside the inclusive column/region-row rectangle."""
@@ -206,8 +260,13 @@ class Device:
     # misc
     # ------------------------------------------------------------------
     def forbidden_columns(self) -> List[int]:
-        """Fabric columns that no reconfigurable pblock may contain."""
-        return [c.x for c in self.columns if c.kind in FORBIDDEN_IN_RP]
+        """Fabric columns that no reconfigurable pblock may contain, in
+        ascending order."""
+        return list(self._forbidden)
+
+    def forbidden_mask(self) -> np.ndarray:
+        """Read-only boolean mask of :meth:`forbidden_columns`."""
+        return self._forbidden_mask
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

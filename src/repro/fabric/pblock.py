@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import FabricError
-from repro.fabric.device import Device, FORBIDDEN_IN_RP
+from repro.fabric.device import Device
 from repro.fabric.resources import ResourceVector
 
 
@@ -126,10 +126,11 @@ def check_pblock(
             pblock=pblock, demand=demand, provided=ResourceVector.zero(), violations=violations
         )
 
-    for x in range(pblock.col_lo, pblock.col_hi + 1):
-        kind = device.column_kind(x)
-        if kind in FORBIDDEN_IN_RP:
-            violations.append(f"contains forbidden {kind.value} column at x={x}")
+    for x in device.forbidden_columns():
+        if pblock.col_lo <= x <= pblock.col_hi:
+            violations.append(
+                f"contains forbidden {device.columns[x].kind.value} column at x={x}"
+            )
 
     provided = pblock.resources(device)
     if not demand.fits_in(provided):

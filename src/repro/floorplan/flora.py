@@ -12,17 +12,24 @@ Each placement runs in two vectorized steps:
 1. **Window search.** Whether a window covers the inflated demand does
    not depend on occupancy: a window of height ``h`` anchored at column
    ``a`` satisfies resource ``k`` iff its column sum reaches
-   ``ceil(need_k / h)``. The fabric's per-resource column prefix sums
-   are non-decreasing, so the minimal satisfying ``col_hi`` for every
-   (height, anchor) pair is one ``np.searchsorted`` per resource kind
-   over a ``(max_height, num_columns)`` array of targets. The feasible
-   pairs are then ordered best first by (area, col_lo, height).
-2. **Free-band check.** The ordered windows are tested in growing
-   batches against a summed-area table of blocked cells (occupied, or
-   in a forbidden column): a row band is free iff its blocked count is
-   zero. The first batch with a free window stops the search; the
-   winner is the lexicographic minimum of (area, col_lo, row_lo,
-   height) — leftmost, bottom-most, then shortest on equal area.
+   ``ceil(need_k / h)``. The minimal satisfying ``col_hi`` of every
+   (height, anchor) pair comes from one gather per resource kind into
+   the device's *level tables* (:class:`~repro.fabric.device.LevelTable`):
+   every column prefix of kind ``k`` is a multiple of ``step_k``, the
+   gcd of its per-column values, so the first column whose prefix
+   reaches ``P_k[a] + t`` is ``first_column_k[P_k[a] / step_k +
+   ceil(t / step_k)]`` — what a binary search would find, without one.
+   Each pair gets one integer key, (area, col_lo, height) best first.
+2. **Free-band check.** Only the ``FIRST_BATCH`` smallest keys are
+   ordered (``np.argpartition``, then a sort of that *best-first head*)
+   and tested against a summed-area table of blocked cells (occupied,
+   or in a forbidden column): a row band is free iff its blocked count
+   is zero. If no window of the head is free, the whole grid is sorted
+   and tested in batches that double. The first free window fixes
+   (area, col_lo); its tie group, the other heights of the same area in
+   the same grid column, picks the lowest free row, then the shorter
+   band — the lexicographic minimum of (area, col_lo, row_lo, height):
+   leftmost, bottom-most, then shortest on equal area.
 
 The scalar two-pointer search this replaces lives on in the tests as
 the executable specification the plans are pinned to.
@@ -41,9 +48,14 @@ from repro.fabric.device import Device
 from repro.fabric.pblock import Pblock
 from repro.fabric.resources import ResourceKind, ResourceVector
 
-#: Windows tested against the occupancy in the first free-band batch;
-#: each further batch doubles.
+#: Windows ordered and tested against the occupancy first; only if none
+#: of them is free is the whole grid sorted and tested in batches that
+#: double from there.
 FIRST_BATCH = 64
+
+#: The sort key of a (height, anchor) pair whose minimal window runs
+#: off the fabric.
+KEY_OFF_FABRIC = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -85,7 +97,12 @@ class Floorplan:
 
 
 class FloraFloorplanner:
-    """Deterministic best-fit floorplanner over a device."""
+    """Deterministic best-fit floorplanner over a device.
+
+    ``max_height_regions`` caps the band height in clock-region rows
+    (default: every row); caps above the device's row count can never
+    bind and are clamped to it.
+    """
 
     def __init__(
         self,
@@ -97,25 +114,33 @@ class FloraFloorplanner:
             raise FloorplanError(
                 f"target utilization must be in [0.1, 1.0], got {target_utilization}"
             )
+        if max_height_regions is not None and max_height_regions < 1:
+            raise FloorplanError(
+                f"max height must be at least one region row, got {max_height_regions}"
+            )
         self.device = device
         self.target_utilization = target_utilization
-        self.max_height = max_height_regions or device.region_rows
-        self._forbidden_mask = np.zeros(device.num_columns, dtype=bool)
-        self._forbidden_mask[device.forbidden_columns()] = True
-        # Per-resource prefix sums over column segments: prefix[x][k] is
-        # the sum of resource k over columns [0, x) — owned and cached
-        # by the device, shared across every planner instance.
+        self.max_height = min(max_height_regions or device.region_rows, device.region_rows)
         self._kinds = list(ResourceKind)
+        # Per-resource prefix sums over column segments (prefix[x][k] is
+        # the sum of resource k over columns [0, x)) and the level tables
+        # the window search gathers from. The device builds both once,
+        # with the forbidden-column mask, so a planner costs nothing to
+        # construct.
         self._prefix = device.resource_prefix()
-        # Contiguous per-kind views: searchsorted needs 1-D sorted input.
-        self._prefix_by_kind = [
-            np.ascontiguousarray(self._prefix[:, k]) for k in range(len(self._kinds))
-        ]
+        self._level_tables = device.level_tables()
         # Broadcast axes of the window search: band heights down, anchor
         # columns across.
         self._heights = np.arange(1, self.max_height + 1, dtype=np.int64)[:, None]
         self._anchors = np.arange(device.num_columns, dtype=np.int64)
         self._rows = np.arange(device.region_rows, dtype=np.int64)
+        # The sort key (area * num_columns + col_lo) * max_height +
+        # height - 1, with area = (col_end - col_lo) * height, expanded
+        # to col_end * scale + offset: two operations per placement.
+        self._key_scale = self._heights * (device.num_columns * self.max_height)
+        self._key_offset = (
+            self._anchors * (self.max_height - self._key_scale) + self._heights - 1
+        )
 
     # ------------------------------------------------------------------
     def plan(self, demands: Sequence[Tuple[str, ResourceVector]]) -> Floorplan:
@@ -187,35 +212,35 @@ class FloraFloorplanner:
             dsp=demand.dsp,
         )
 
-    def _windows(self, need: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """Every covering (height, anchor) window, best first.
+    def _windows(self, need: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The minimal window of every (height, anchor) pair, and its key.
 
-        Returns ``(area, col_lo, col_end, height)`` arrays (``col_end``
-        is ``col_hi + 1``) sorted by (area, col_lo, height); a pair
-        whose minimal window runs off the fabric is dropped.
+        Returns two ``(max_height, num_columns)`` arrays: ``col_end``
+        (``col_hi + 1``) and the best-first sort key — area, then
+        col_lo, then height, as ``(area * num_columns + col_lo) *
+        max_height + height - 1`` — with ``KEY_OFF_FABRIC`` where the
+        minimal window runs off the fabric.
         """
         # A window of height h satisfies resource k iff its column sum
         # reaches ceil(need_k / h) — both sides of "sum * h >= need" are
         # integers. Sums start at the anchor, so the minimal end column
-        # is the first prefix index reaching prefix[anchor] + threshold.
+        # is the first prefix index reaching prefix[anchor] + threshold:
+        # a gather into the kind's level table. A kind with no demand is
+        # met by the anchor column alone and cannot move the end.
         thresholds = -(-need // self._heights)
-        col_end = self._anchors + 1
-        for k, prefix_k in enumerate(self._prefix_by_kind):
-            targets = prefix_k[:-1] + thresholds[:, k : k + 1]
-            col_end = np.maximum(
-                col_end, np.searchsorted(prefix_k, targets, side="left")
-            )
-        # One integer sort key over the (height, anchor) grid — area,
-        # then col_lo, then height — unique per pair, so any sort gives
-        # the same order; windows that run off the fabric sort last.
-        num_columns = self.device.num_columns
-        area = (col_end - self._anchors) * self._heights
-        key = (area * num_columns + self._anchors) * self.max_height + self._heights
-        fits = col_end <= num_columns
-        key[~fits] = np.iinfo(np.int64).max
-        order = np.argsort(key, axis=None)[: np.count_nonzero(fits)]
-        height_index, col_lo = np.divmod(order, num_columns)
-        return area.ravel()[order], col_lo, col_end.ravel()[order], height_index + 1
+        anchors = self._anchors
+        col_end = np.repeat(anchors[None, :] + 1, self.max_height, axis=0)
+        for k, table in enumerate(self._level_tables):
+            if need[k]:
+                np.maximum(
+                    col_end,
+                    table.first_reaching(table.level, thresholds[:, k : k + 1]),
+                    out=col_end,
+                )
+        key = col_end * self._key_scale
+        key += self._key_offset
+        key[col_end > self.device.num_columns] = KEY_OFF_FABRIC
+        return col_end, key
 
     def _lowest_free_rows(
         self,
@@ -227,24 +252,42 @@ class FloraFloorplanner:
         """Lowest free ``row_lo`` of each window, or ``region_rows`` if none.
 
         ``blocked_sat[c, r]`` counts the blocked cells in columns
-        ``[0, c)`` x rows ``[0, r)``, so a band's blocked count is four
-        lookups.
+        ``[0, c)`` x rows ``[0, r)``, so two row lookups give a window's
+        column strip, and a band's blocked count is one difference in it.
         """
         region_rows = self.device.region_rows
         rows = self._rows
+        strip = blocked_sat[col_end] - blocked_sat[col_lo]
         top = rows + height[:, None]
         fits = top <= region_rows
         np.minimum(top, region_rows, out=top)
-        lo = col_lo[:, None]
-        end = col_end[:, None]
-        blocked = (
-            blocked_sat[end, top]
-            - blocked_sat[lo, top]
-            - blocked_sat[end, rows]
-            + blocked_sat[lo, rows]
+        # A last column of True makes argmax say region_rows when no band
+        # is free.
+        free = np.ones((height.size, region_rows + 1), dtype=bool)
+        np.logical_and(
+            fits,
+            np.take_along_axis(strip, top, axis=1) == strip[:, :region_rows],
+            out=free[:, :region_rows],
         )
-        free = fits & (blocked == 0)
-        return np.where(free.any(axis=1), free.argmax(axis=1), region_rows)
+        return free.argmax(axis=1)
+
+    def _first_free(
+        self,
+        blocked_sat: np.ndarray,
+        col_end: np.ndarray,
+        order: np.ndarray,
+    ) -> Optional[Tuple[int, int]]:
+        """The first window in ``order`` (flat window indices, best
+        first) with a free row band, as (flat index, lowest free row),
+        or None."""
+        height_index, col_lo = np.divmod(order, self.device.num_columns)
+        rows = self._lowest_free_rows(
+            blocked_sat, col_lo, col_end.ravel()[order], height_index + 1
+        )
+        hits = np.flatnonzero(rows < self.device.region_rows)
+        if not hits.size:
+            return None
+        return int(order[hits[0]]), int(rows[hits[0]])
 
     def _place_one(
         self,
@@ -261,51 +304,57 @@ class FloraFloorplanner:
         """
         inflated = self._inflated(demand, utilization)
         need = np.array([inflated.get(kind) for kind in self._kinds], dtype=np.int64)
-        area, col_lo, col_end, height = self._windows(need)
+        col_end, key = self._windows(need)
         device = self.device
-        blocked = occupied | self._forbidden_mask[:, None]
+        blocked = occupied | device.forbidden_mask()[:, None]
         blocked_sat = np.zeros(
             (device.num_columns + 1, device.region_rows + 1), dtype=np.int64
         )
         blocked_sat[1:, 1:] = blocked.cumsum(axis=0).cumsum(axis=1)
 
-        first: Optional[int] = None
-        start, size = 0, FIRST_BATCH
-        while first is None and start < area.size:
-            batch = slice(start, start + size)
-            rows = self._lowest_free_rows(
-                blocked_sat, col_lo[batch], col_end[batch], height[batch]
-            )
-            hits = np.flatnonzero(rows < device.region_rows)
-            if hits.size:
-                first = start + int(hits[0])
-            start, size = start + size, size * 2
-        if first is None:
+        # Best first: only the FIRST_BATCH smallest keys are sorted; the
+        # whole grid is sorted only if none of them has a free band.
+        feasible = int(np.count_nonzero(key != KEY_OFF_FABRIC))
+        order = _smallest(key, min(FIRST_BATCH, feasible))
+        winner = self._first_free(blocked_sat, col_end, order)
+        if winner is None and feasible > order.size:
+            order = _smallest(key, feasible)
+            start, size = FIRST_BATCH, 2 * FIRST_BATCH
+            while winner is None and start < feasible:
+                winner = self._first_free(
+                    blocked_sat, col_end, order[start : start + size]
+                )
+                start, size = start + size, size * 2
+        if winner is None:
             raise FloorplanError(
                 f"cannot place RP {rp_name!r}: demand {demand} (inflated "
                 f"{inflated}) does not fit the remaining fabric of {device.name}"
             )
 
         # The first free window fixes (area, col_lo). Its tie group holds
-        # at most one window per height, contiguous in height order, and
-        # may run past the batch; the lowest free row wins, then the
-        # shorter band (argmin keeps the first minimum).
-        group = first + np.flatnonzero(
-            (area[first : first + self.max_height] == area[first])
-            & (col_lo[first : first + self.max_height] == col_lo[first])
-        )
-        rows = self._lowest_free_rows(
-            blocked_sat, col_lo[group], col_end[group], height[group]
-        )
-        pick = int(np.argmin(rows))
-        winner = int(group[pick])
-        row_lo = int(rows[pick])
+        # at most one window per height, all in the winner's grid column
+        # (key // max_height is area * num_columns + col_lo). Within a
+        # group the lowest free row wins, then the shorter band (argmin
+        # keeps the first minimum).
+        index, row_lo = winner
+        height_index, col_lo = divmod(index, device.num_columns)
+        column = key[:, col_lo] // self.max_height
+        group = np.flatnonzero(column == column[height_index])
+        if group.size > 1:
+            rows = self._lowest_free_rows(
+                blocked_sat,
+                np.full(group.size, col_lo),
+                col_end[group, col_lo],
+                group + 1,
+            )
+            pick = int(np.argmin(rows))
+            height_index, row_lo = int(group[pick]), int(rows[pick])
         pblock = Pblock(
             name=f"pblock_{rp_name}",
-            col_lo=int(col_lo[winner]),
-            col_hi=int(col_end[winner]) - 1,
+            col_lo=col_lo,
+            col_hi=int(col_end[height_index, col_lo]) - 1,
             row_lo=row_lo,
-            row_hi=row_lo + int(height[winner]) - 1,
+            row_hi=row_lo + height_index,
         )
         return RegionAssignment(
             rp_name=rp_name,
@@ -313,3 +362,12 @@ class FloraFloorplanner:
             demand=demand,
             provided=pblock.resources(self.device),
         )
+
+
+def _smallest(key: np.ndarray, count: int) -> np.ndarray:
+    """Flat indices of the ``count`` smallest keys, in ascending order."""
+    flat = key.ravel()
+    if count >= flat.size:
+        return np.argsort(flat)
+    head = np.argpartition(flat, count - 1)[:count]
+    return head[np.argsort(flat[head])]

@@ -32,7 +32,9 @@ Example::
 from __future__ import annotations
 
 import configparser
-from typing import Dict, List, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError
 from repro.soc.config import SocConfig
@@ -40,20 +42,28 @@ from repro.soc.esp_library import AcceleratorIP, STOCK_ACCELERATORS
 from repro.soc.tiles import CpuCore, ReconfigurableTile, Tile, TileKind
 
 
-def default_catalog() -> Dict[str, AcceleratorIP]:
-    """Stock ESP accelerators plus the WAMI kernels."""
+@lru_cache(maxsize=None)
+def _shared_catalog() -> Mapping[str, AcceleratorIP]:
+    """The default catalog, built once: the IPs are immutable, and a
+    read-only view keeps the shared mapping so."""
     from repro.wami.accelerators import wami_catalog
 
     catalog = dict(STOCK_ACCELERATORS)
     catalog.update(wami_catalog())
-    return catalog
+    return MappingProxyType(catalog)
+
+
+def default_catalog() -> Dict[str, AcceleratorIP]:
+    """Stock ESP accelerators plus the WAMI kernels, as a fresh dict the
+    caller may change."""
+    return dict(_shared_catalog())
 
 
 def parse_esp_config(
-    text: str, catalog: Optional[Dict[str, AcceleratorIP]] = None
+    text: str, catalog: Optional[Mapping[str, AcceleratorIP]] = None
 ) -> SocConfig:
     """Parse an ``.esp_config``-style description into a SocConfig."""
-    catalog = catalog if catalog is not None else default_catalog()
+    catalog = catalog if catalog is not None else _shared_catalog()
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
@@ -153,7 +163,9 @@ def render_esp_config(config: SocConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_esp_config(path, catalog: Optional[Dict[str, AcceleratorIP]] = None) -> SocConfig:
+def load_esp_config(
+    path, catalog: Optional[Mapping[str, AcceleratorIP]] = None
+) -> SocConfig:
     """Parse an esp_config file from disk."""
     with open(path, "r", encoding="utf-8") as handle:
         return parse_esp_config(handle.read(), catalog=catalog)

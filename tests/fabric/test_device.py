@@ -1,10 +1,12 @@
 """Tests for the column-organized device model."""
 
+import numpy as np
 import pytest
 
 from repro.errors import FabricError
 from repro.fabric.device import ClockRegion, ColumnKind, Device, repeat_pattern
-from repro.fabric.resources import ResourceVector
+from repro.fabric.parts import PART_CATALOG
+from repro.fabric.resources import ResourceKind, ResourceVector
 
 
 def tiny_device(rows=2, cols=2) -> Device:
@@ -115,6 +117,71 @@ class TestForbiddenColumns:
     def test_clk_columns_are_forbidden(self):
         dev = tiny_device(cols=2)
         assert dev.forbidden_columns() == [4, 10]
+
+    def test_mask_matches_the_list(self):
+        dev = tiny_device(cols=2)
+        assert np.flatnonzero(dev.forbidden_mask()).tolist() == [4, 10]
+        assert not dev.forbidden_mask().flags.writeable
+
+    def test_callers_get_their_own_list(self):
+        dev = tiny_device(cols=2)
+        dev.forbidden_columns().append(0)
+        assert dev.forbidden_columns() == [4, 10]
+
+
+def assert_gather_is_searchsorted(device):
+    """Every level table gathers what ``np.searchsorted(P_k, v,
+    side="left")`` returns, for every ``v`` from 0 to one step past the
+    top, from the first anchor and from every anchor."""
+    prefix = device.resource_prefix()
+    kinds = list(ResourceKind)
+    for k, table in enumerate(device.level_tables()):
+        p_k = prefix[:, k]
+        values = np.arange(p_k[-1] + table.step + 1)
+        np.testing.assert_array_equal(
+            table.first_reaching(0, values),
+            np.searchsorted(p_k, values, side="left"),
+            err_msg=f"{device.name} {kinds[k].value}",
+        )
+        # From every anchor, thresholds around each level boundary.
+        levels = np.arange(0, p_k[-1] // table.step + 2) * table.step
+        thresholds = np.unique(np.concatenate([levels - 1, levels, levels + 1]))
+        thresholds = thresholds[thresholds >= 0][:, None]
+        np.testing.assert_array_equal(
+            table.first_reaching(table.level, thresholds),
+            np.searchsorted(p_k, p_k[:-1] + thresholds, side="left"),
+        )
+
+
+class TestLevelTables:
+    @pytest.mark.parametrize("board", sorted(PART_CATALOG))
+    def test_gather_equals_searchsorted_on_catalog_parts(self, board):
+        assert_gather_is_searchsorted(PART_CATALOG[board]())
+
+    def test_steps_are_the_per_column_gcds(self):
+        steps = [table.step for table in PART_CATALOG["vcu118"]().level_tables()]
+        assert steps == [480, 960, 12, 24]
+
+    def test_zero_capacity_kind(self):
+        # No DSP columns at all: the DSP table maps level 0 to column 0
+        # and anything above it off the fabric.
+        dev = Device(
+            name="no-dsp",
+            columns=[ColumnKind.CLB, ColumnKind.BRAM, ColumnKind.CLK, ColumnKind.CLB],
+            region_rows=2,
+            region_cols=1,
+            segment_resources={
+                ColumnKind.CLB: ResourceVector(lut=400, ff=800),
+                ColumnKind.BRAM: ResourceVector(bram=10),
+            },
+        )
+        dsp = dev.level_tables()[list(ResourceKind).index(ResourceKind.DSP)]
+        assert dsp.step == 1
+        assert dsp.first_column.tolist() == [0, dev.num_columns + 1]
+        assert_gather_is_searchsorted(dev)
+
+    def test_small_synthetic_device(self):
+        assert_gather_is_searchsorted(tiny_device(rows=3, cols=2))
 
 
 class TestRepeatPattern:

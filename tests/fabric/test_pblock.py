@@ -93,6 +93,17 @@ class TestLegality:
         assert not report.legal
         assert any("forbidden" in v for v in report.violations)
 
+    def test_every_enclosed_forbidden_column_reported_in_order(self, device):
+        first, second = device.forbidden_columns()[:2]
+        pb = Pblock("p", first, second, 0, 0)
+        report = check_pblock(device, pb, ResourceVector())
+        assert report.violations == [
+            f"contains forbidden clk column at x={first}",
+            f"contains forbidden clk column at x={second}",
+        ]
+        edge = Pblock("q", first + 1, second - 1, 0, 0)
+        assert check_pblock(device, edge, ResourceVector()).legal
+
     def test_insufficient_resources(self, device):
         pb = Pblock("p", 0, 1, 0, 0)
         demand = ResourceVector(lut=10**6)

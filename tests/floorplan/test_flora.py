@@ -59,6 +59,22 @@ class TestSinglePlacement:
         with pytest.raises(FloorplanError):
             FloraFloorplanner(device, target_utilization=1.5)
 
+    @pytest.mark.parametrize("max_height", [0, -1, -7])
+    def test_max_height_below_one_rejected(self, device, max_height):
+        with pytest.raises(FloorplanError, match="at least one region row"):
+            FloraFloorplanner(device, max_height_regions=max_height)
+
+    def test_max_height_above_the_rows_is_clamped(self, device):
+        demands = [("rp0", demand(30000, bram=20)), ("rp1", demand(8000, dsp=40))]
+        tall = FloraFloorplanner(device, max_height_regions=device.region_rows + 5)
+        assert tall.max_height == device.region_rows
+        assert tall.plan(demands) == FloraFloorplanner(device).plan(demands)
+
+    def test_max_height_caps_every_band(self, device):
+        planner = FloraFloorplanner(device, max_height_regions=2)
+        plan = planner.plan([("rp0", demand(30000)), ("rp1", demand(5000))])
+        assert all(pb.height <= 2 for pb in plan.pblocks())
+
 
 class TestMultiPlacement:
     def test_no_overlaps(self, device):

@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import FloorplanError
 from repro.fabric.parts import PART_CATALOG, make_device
-from repro.fabric.resources import ResourceKind, ResourceVector
+from repro.fabric.resources import ResourceVector
 from repro.floorplan import flora
 from repro.floorplan.flora import FloraFloorplanner
 from tests.floorplan.reference import ReferenceFloraFloorplanner
@@ -176,7 +176,20 @@ def plan_line(planner_class, device, demands):
 
 
 class TestSweep:
-    def test_600_random_sets_plan_as_before(self):
+    @pytest.mark.parametrize("first_batch", [flora.FIRST_BATCH, 1, 2])
+    def test_600_random_sets_plan_as_before(self, monkeypatch, first_batch):
+        # A head of one or two windows misses on nearly every crowded
+        # placement, so the full-sort fallback and tie groups that run
+        # past the head are swept too.
+        monkeypatch.setattr(flora, "FIRST_BATCH", first_batch)
+        sorted_counts = []
+        smallest = flora._smallest
+
+        def recording(key, count):
+            sorted_counts.append(count)
+            return smallest(key, count)
+
+        monkeypatch.setattr(flora, "_smallest", recording)
         groups = sweep_groups()
         assert sum(len(sets) for sets in groups.values()) == SWEEP_SETS
         for group, sets in sorted(groups.items()):
@@ -188,6 +201,7 @@ class TestSweep:
                     expected = plan_line(ReferenceFloraFloorplanner, device, demands)
                     assert line == expected, (group, demands)
                 pytest.fail(f"{group}: digest {digest}, reference agrees; stale pin?")
+        assert any(count > first_batch for count in sorted_counts)
 
     def test_sweep_covers_plans_and_failures(self):
         lines = [
@@ -207,9 +221,20 @@ def need_of(planner, demand, utilization=None):
     return np.array([inflated.get(kind) for kind in planner._kinds], dtype=np.int64)
 
 
+def best_first(planner, need):
+    """Every covering window as ``(area, col_lo, col_end, height)``
+    arrays, fully sorted best first."""
+    col_end, key = planner._windows(need)
+    order = np.argsort(key, axis=None)[: np.count_nonzero(key != flora.KEY_OFF_FABRIC)]
+    height_index, col_lo = np.divmod(order, planner.device.num_columns)
+    col_end = col_end.ravel()[order]
+    height = height_index + 1
+    return (col_end - col_lo) * height, col_lo, col_end, height
+
+
 def rank_of(planner, need, pblock):
     """Position of ``pblock``'s window in the best-first order."""
-    _, col_lo, _, height = planner._windows(need)
+    _, col_lo, _, height = best_first(planner, need)
     return int(np.flatnonzero((col_lo == pblock.col_lo) & (height == pblock.height))[0])
 
 
@@ -264,7 +289,7 @@ class TestFreeBandBatches:
         device = make_device("vc707")
         demand = ResourceVector(lut=1000, ff=1000)
         planner = FloraFloorplanner(device)
-        area, col_lo, col_end, height = planner._windows(need_of(planner, demand))
+        area, col_lo, col_end, height = best_first(planner, need_of(planner, demand))
         assert (area[1], col_lo[1]) == (area[0], col_lo[0])
         assert height[0] < height[1] and col_end[1] < col_end[0]
         occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
@@ -277,26 +302,45 @@ class TestFreeBandBatches:
 
 
 class TestSearchCost:
-    def test_one_searchsorted_per_resource_kind(self, monkeypatch):
-        # The window search is occupancy-independent: one searchsorted
-        # per resource kind covers every height and anchor. A per-band
-        # loop would make this count scale with rows x heights.
-        calls = []
+    @pytest.mark.parametrize("max_height_regions", [None, 3, 7])
+    def test_one_window_grid_per_placement_and_no_searchsorted(
+        self, monkeypatch, max_height_regions
+    ):
+        # The window search is occupancy-independent: one grid
+        # evaluation covers every height and anchor, by gathers into the
+        # device's level tables, not binary searches. A per-band loop
+        # would make the grid count scale with rows x heights; a
+        # searchsorted fallback would show up in the second count.
+        searches = []
         searchsorted = np.searchsorted
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            searches.append(1)
             return searchsorted(*args, **kwargs)
 
         monkeypatch.setattr(np, "searchsorted", counting)
         device = make_device("vcu128")
-        planner = FloraFloorplanner(device)
+        planner = FloraFloorplanner(device, max_height_regions=max_height_regions)
+        grids = []
+        windows = planner._windows
+
+        def counting_windows(need):
+            grids.append(1)
+            return windows(need)
+
+        monkeypatch.setattr(planner, "_windows", counting_windows)
         occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
         occupied[: device.num_columns // 2, :] = True
-        for demand in (
-            ResourceVector(lut=800, ff=800),
-            ResourceVector(lut=40000, ff=30000, bram=40, dsp=60),
+        for demand, fits in (
+            (ResourceVector(lut=800, ff=800), True),
+            (ResourceVector(lut=40000, ff=30000, bram=40, dsp=60), True),
+            (device.capacity(), False),
         ):
-            calls.clear()
-            planner._place_one("rp", demand, occupied)
-            assert len(calls) == len(ResourceKind)
+            searches.clear()
+            grids.clear()
+            if fits:
+                planner._place_one("rp", demand, occupied)
+            else:
+                with pytest.raises(FloorplanError):
+                    planner._place_one("rp", demand, occupied)
+            assert (len(grids), len(searches)) == (1, 0)

@@ -139,3 +139,16 @@ class TestFileLoading:
         catalog = default_catalog()
         assert "mac" in catalog and "conv2d" in catalog  # stock
         assert "debayer" in catalog and "lk_flow" in catalog  # WAMI
+
+    def test_default_catalog_is_a_fresh_copy(self):
+        mine = default_catalog()
+        del mine["debayer"]
+        assert "debayer" in default_catalog()
+        # Parsing against the shared catalog is unaffected.
+        config = parse_esp_config(VALID.replace("fft, gemm", "debayer"))
+        assert config.reconfigurable_tiles[0].mode_names() == ["debayer"]
+
+    def test_parses_share_one_catalog(self):
+        first = parse_esp_config(VALID).reconfigurable_tiles[0].modes
+        second = parse_esp_config(VALID).reconfigurable_tiles[0].modes
+        assert all(a is b for a, b in zip(first, second))
