@@ -15,7 +15,7 @@ import time
 import pytest
 
 import repro.api
-from repro.obs.perfbase import write_summary
+from repro.obs.baseline import write_summary
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

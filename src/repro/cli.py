@@ -51,6 +51,13 @@ from repro.flow.cache import FlowCache
 from repro.flow.options import BuildOptions
 from repro.obs.instrumentation import Instrumentation
 from repro.flow.report import comparison_report, flow_report
+from repro.obs.baseline import (
+    BENCH,
+    PROFILE,
+    compare_directories,
+    find_files,
+    write_baseline,
+)
 from repro.obs.context import RequestIdFactory
 from repro.obs.events import EventBus
 from repro.obs.export import (
@@ -66,32 +73,13 @@ from repro.obs.logconfig import (
     level_from_verbosity,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.perfbase import (
-    baseline_from_summary,
-    compare_directories,
-    find_baselines,
-    find_summaries,
-    load_summary,
-    write_baseline,
-)
-from repro.obs.profdiff import (
-    DEFAULT_BAND,
-    DEFAULT_HOTSPOT_THRESHOLD,
-    DEFAULT_MIN_SHARE,
-    baseline_from_profile,
-    compare_profile_directories,
-    find_profile_baselines,
-    self_time_shares,
-    write_profile_baseline,
-)
 from repro.obs.profiler import (
     Profiler,
     collapsed_stacks,
-    find_profiles,
-    load_profile,
     profile_document,
     profile_json,
     self_host_total,
+    self_time_shares,
     write_profile,
 )
 from repro.obs.slo import SloTracker
@@ -644,31 +632,31 @@ def cmd_dashboard(args) -> int:
     return verdict.exit_code
 
 
-def cmd_bench_diff(args) -> int:
+def cmd_baseline_diff(args) -> int:
+    """``bench-diff`` / ``profile-diff``: gate result files on baselines."""
+    gate = args.gate
     if args.update:
-        summaries = find_summaries(args.results_dir)
-        if not summaries:
+        produced = find_files(args.results_dir, gate.prefix)
+        if not produced:
             print(
-                f"error: no {args.results_dir}/BENCH_*.json summaries to seed "
-                "baselines from (run the benches first)",
+                f"error: no {args.results_dir}/{gate.prefix}*.json files to "
+                "seed baselines from",
                 file=sys.stderr,
             )
             return 1
-        for experiment, path in sorted(summaries.items()):
-            baseline = baseline_from_summary(
-                load_summary(path), tolerance=args.tolerance
-            )
+        for path in produced.values():
+            baseline = gate.seed(*gate.read(path))
             written = write_baseline(args.baselines_dir, baseline)
             print(f"seeded {written} ({len(baseline.entries)} metrics)")
         return 0
-    if not find_baselines(args.baselines_dir):
+    if not find_files(args.baselines_dir):
         print(
             f"error: no baselines under {args.baselines_dir} "
-            "(seed them with: repro bench-diff --update)",
+            f"(seed them with: repro {args.command} --update)",
             file=sys.stderr,
         )
         return 1
-    results = compare_directories(args.results_dir, args.baselines_dir)
+    results = compare_directories(gate, args.results_dir, args.baselines_dir)
     failed = [r for r in results if not r.ok]
     if getattr(args, "json", False):
         payload = {
@@ -677,14 +665,14 @@ def cmd_bench_diff(args) -> int:
                 {
                     "experiment": result.experiment,
                     "ok": result.ok,
-                    "missing_summary": result.missing_summary,
+                    "missing_summary": result.missing,
                     "deltas": [
                         {
                             "name": delta.name,
                             "baseline": delta.baseline,
                             "current": delta.current,
                             "tolerance": delta.tolerance,
-                            "direction": delta.direction,
+                            "direction": "both",
                             "status": delta.status,
                         }
                         for delta in result.deltas
@@ -696,10 +684,10 @@ def cmd_bench_diff(args) -> int:
         print(json.dumps(envelope("bench_diff", payload), indent=2))
         return 1 if failed else 0
     for result in results:
-        for line in result.summary_lines():
+        for line in result.summary_lines(gate):
             print(line)
     print(
-        f"\n{len(results) - len(failed)}/{len(results)} experiments in band"
+        f"\n{len(results) - len(failed)}/{len(results)} {gate.files} in band"
         + (f", {len(failed)} FAILED" if failed else "")
     )
     return 1 if failed else 0
@@ -782,45 +770,6 @@ def cmd_profile(args) -> int:
     print(f"  partial bits.   : {profile.partial_bitstream_kib:.0f} KB (compressed)")
     print(f"  region          : {profile.region_kluts:.1f} kLUTs")
     return 0
-
-
-def cmd_profile_diff(args) -> int:
-    if args.update:
-        profiles = find_profiles(args.results_dir)
-        if not profiles:
-            print(
-                f"error: no {args.results_dir}/PROFILE_*.json profiles to seed "
-                "baselines from (run `repro profile <workload>` first)",
-                file=sys.stderr,
-            )
-            return 1
-        for experiment, path in sorted(profiles.items()):
-            baseline = baseline_from_profile(
-                load_profile(path),
-                band=args.band,
-                hotspot_threshold=args.hotspot_threshold,
-                min_share=args.min_share,
-            )
-            written = write_profile_baseline(args.baselines_dir, baseline)
-            print(f"seeded {written} ({len(baseline.paths)} hot paths)")
-        return 0
-    if not find_profile_baselines(args.baselines_dir):
-        print(
-            f"error: no profile baselines under {args.baselines_dir} "
-            "(seed them with: repro profile-diff --update)",
-            file=sys.stderr,
-        )
-        return 1
-    results = compare_profile_directories(args.results_dir, args.baselines_dir)
-    for result in results:
-        for line in result.summary_lines():
-            print(line)
-    failed = [r for r in results if not r.ok]
-    print(
-        f"\n{len(results) - len(failed)}/{len(results)} profiles in band"
-        + (f", {len(failed)} FAILED" if failed else "")
-    )
-    return 1 if failed else 0
 
 
 def cmd_check(args) -> int:
@@ -1071,6 +1020,30 @@ def _add_cache_options(command: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_gate_parser(sub, name, gate, baselines_dir, **kwargs):
+    """One baseline-gate verb; they differ only in the gated files."""
+    parser = sub.add_parser(name, **kwargs)
+    parser.add_argument(
+        "--results-dir",
+        default="benchmarks/results",
+        metavar="PATH",
+        help=f"directory holding the {gate.prefix}*.json result files",
+    )
+    parser.add_argument(
+        "--baselines-dir",
+        default=baselines_dir,
+        metavar="PATH",
+        help="directory of committed baseline files",
+    )
+    parser.add_argument(
+        "--update",
+        action="store_true",
+        help="seed/overwrite baselines from the current result files instead",
+    )
+    parser.set_defaults(func=cmd_baseline_diff, gate=gate)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1310,8 +1283,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_options(dashboard, "runtime")
     dashboard.set_defaults(func=cmd_dashboard)
 
-    bench_diff = sub.add_parser(
+    bench_diff = _add_gate_parser(
+        sub,
         "bench-diff",
+        BENCH,
+        "benchmarks/baselines",
         help="compare BENCH_*.json bench summaries against baselines",
         description=(
             "Diff the machine-readable bench summaries against the committed "
@@ -1319,35 +1295,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench_diff.add_argument(
-        "--results-dir",
-        default="benchmarks/results",
-        metavar="PATH",
-        help="directory the benches wrote BENCH_*.json into",
-    )
-    bench_diff.add_argument(
-        "--baselines-dir",
-        default="benchmarks/baselines",
-        metavar="PATH",
-        help="directory of committed baseline files",
-    )
-    bench_diff.add_argument(
-        "--update",
-        action="store_true",
-        help="seed/overwrite baselines from the current summaries instead",
-    )
-    bench_diff.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        metavar="R",
-        help="relative tolerance written into seeded baselines",
-    )
-    bench_diff.add_argument(
         "--json",
         action="store_true",
         help="emit the per-experiment judgements as JSON",
     )
-    bench_diff.set_defaults(func=cmd_bench_diff)
 
     profile = sub.add_parser(
         "profile",
@@ -1394,8 +1345,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.set_defaults(func=cmd_profile)
 
-    profile_diff = sub.add_parser(
+    _add_gate_parser(
+        sub,
         "profile-diff",
+        PROFILE,
+        "benchmarks/baselines/profiles",
         help="compare PROFILE_*.json hot paths against committed baselines",
         description=(
             "Diff the produced call-path profiles against the committed "
@@ -1404,45 +1358,6 @@ def build_parser() -> argparse.ArgumentParser:
             "missing profile exits 1."
         ),
     )
-    profile_diff.add_argument(
-        "--results-dir",
-        default="benchmarks/results",
-        metavar="PATH",
-        help="directory `repro profile` wrote PROFILE_*.json into",
-    )
-    profile_diff.add_argument(
-        "--baselines-dir",
-        default="benchmarks/baselines/profiles",
-        metavar="PATH",
-        help="directory of committed profile baseline files",
-    )
-    profile_diff.add_argument(
-        "--update",
-        action="store_true",
-        help="seed/overwrite baselines from the current profiles instead",
-    )
-    profile_diff.add_argument(
-        "--band",
-        type=float,
-        default=DEFAULT_BAND,
-        metavar="R",
-        help="absolute band on each pinned path's self-time share",
-    )
-    profile_diff.add_argument(
-        "--hotspot-threshold",
-        type=float,
-        default=DEFAULT_HOTSPOT_THRESHOLD,
-        metavar="R",
-        help="share above which an unbaselined path fails as a new hotspot",
-    )
-    profile_diff.add_argument(
-        "--min-share",
-        type=float,
-        default=DEFAULT_MIN_SHARE,
-        metavar="R",
-        help="minimum share for a path to be pinned when seeding",
-    )
-    profile_diff.set_defaults(func=cmd_profile_diff)
 
     check = sub.add_parser("check", help="advisory design-rule check")
     check.add_argument("config", help="design name or esp_config path")

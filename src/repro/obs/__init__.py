@@ -9,8 +9,8 @@ counters/gauges/histograms, and the exporters render Chrome
 trace-event JSON (Perfetto / ``chrome://tracing``), JSONL span logs
 and flat metrics dicts. A :class:`Profiler` collects a deterministic
 call-path tree (host self time + attributed simulated time) exported
-as JSON documents and collapsed flamegraph stacks, with profdiff
-gating hot-path share drift against committed baselines.
+as JSON documents and collapsed flamegraph stacks; ``obs.baseline``
+gates bench metrics and hot-path shares against committed baselines.
 Instrumented code takes the four sinks as one
 :class:`Instrumentation` probe; a sink that is off is ``None``, and
 ``OFF`` (every sink off) is the zero-overhead disabled path.
@@ -84,34 +84,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     bucket_quantile,
 )
-from repro.obs.perfbase import (
-    Baseline,
-    BaselineEntry,
-    BenchSummary,
-    ComparisonResult,
-    MetricDelta,
-    PerfBaseError,
-    baseline_from_summary,
-    compare,
-    compare_directories,
-    load_baseline,
-    load_summary,
-    write_baseline,
-    write_summary,
-)
-from repro.obs.profdiff import (
-    ProfDiffError,
-    ProfileBaseline,
-    ProfileComparisonResult,
-    ShareDelta,
-    baseline_from_profile,
-    compare_profile,
-    compare_profile_directories,
-    find_profile_baselines,
-    load_profile_baseline,
-    self_time_shares,
-    write_profile_baseline,
-)
 from repro.obs.profiler import (
     ProfileCapsule,
     ProfileNode,
@@ -119,7 +91,6 @@ from repro.obs.profiler import (
     ProfilerError,
     canonical_tree,
     collapsed_stacks,
-    find_profiles,
     load_profile,
     profile_document,
     profile_json,
@@ -146,10 +117,6 @@ from repro.obs.tsdb import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "BenchSummary",
-    "ComparisonResult",
     "Counter",
     "DEFAULT_SLOS",
     "DEFAULT_TENANT",
@@ -164,22 +131,16 @@ __all__ = [
     "Histogram",
     "Instrumentation",
     "LEVELS",
-    "MetricDelta",
     "MetricsError",
     "MetricsRegistry",
     "OFF",
-    "PerfBaseError",
-    "ProfDiffError",
-    "ProfileBaseline",
     "ProfileCapsule",
-    "ProfileComparisonResult",
     "ProfileNode",
     "Profiler",
     "ProfilerError",
     "RequestIdFactory",
     "RequestIdFilter",
     "Sample",
-    "ShareDelta",
     "SloError",
     "SloReport",
     "SloSpec",
@@ -194,8 +155,6 @@ __all__ = [
     "Verdict",
     "WindowStats",
     "activate",
-    "baseline_from_profile",
-    "baseline_from_summary",
     "bind",
     "bridge_timeline",
     "bucket_quantile",
@@ -204,22 +163,13 @@ __all__ = [
     "chrome_trace_events",
     "chrome_trace_json",
     "collapsed_stacks",
-    "compare",
-    "compare_directories",
-    "compare_profile",
-    "compare_profile_directories",
     "configure_logging",
     "current_context",
     "current_request_id",
-    "find_profile_baselines",
-    "find_profiles",
     "format_metric_value",
     "get_logger",
     "level_from_verbosity",
-    "load_baseline",
     "load_profile",
-    "load_profile_baseline",
-    "load_summary",
     "merge_span_records",
     "metrics_dict",
     "metrics_lines",
@@ -232,15 +182,11 @@ __all__ = [
     "prometheus_text",
     "publish_runtime_stats",
     "self_host_total",
-    "self_time_shares",
     "span_records",
     "spans_jsonl",
     "unbind",
-    "write_baseline",
     "write_chrome_trace",
     "write_otlp_jsonl",
     "write_prometheus_text",
     "write_profile",
-    "write_profile_baseline",
-    "write_summary",
 ]

@@ -345,6 +345,33 @@ def self_host_total(document: Dict) -> float:
     return walk(document["tree"])
 
 
+def self_time_shares(document: Dict) -> Dict[str, float]:
+    """path -> host self-time share, flattened from a profile document.
+
+    Paths are ``;``-joined frame names starting below the root; the
+    share denominator is the root's inclusive host time (all shares sum
+    to 1 on a non-empty profile).
+    """
+    tree = document.get("tree")
+    if tree is None:
+        raise ProfilerError("profile document has no tree")
+    total = float(tree.get("host_s", 0.0))
+    shares: Dict[str, float] = {}
+
+    def walk(node: Dict, prefix: Tuple[str, ...]) -> None:
+        path = prefix + (str(node["name"]),)
+        self_host = float(node.get("self_host_s", 0.0))
+        if self_host > 0.0 and total > 0.0:
+            key = PATH_SEP.join(path)
+            shares[key] = shares.get(key, 0.0) + self_host / total
+        for child in node.get("children", ()):
+            walk(child, path)
+
+    for child in tree.get("children", ()):
+        walk(child, ())
+    return shares
+
+
 def collapsed_stacks(document: Dict, weight: str = "host") -> List[str]:
     """Collapsed-stack lines (``a;b;c value``) for flamegraph tooling.
 
@@ -434,13 +461,3 @@ def load_profile(path: Union[str, Path]) -> Dict:
     except (OSError, ValueError, KeyError, TypeError) as error:
         raise ProfilerError(f"unreadable profile {path}: {error}") from None
 
-
-def find_profiles(directory: Union[str, Path]) -> Dict[str, Path]:
-    """experiment -> path for every ``PROFILE_*.json`` present."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return {}
-    return {
-        path.stem[len(PROFILE_PREFIX):]: path
-        for path in sorted(directory.glob(f"{PROFILE_PREFIX}*.json"))
-    }

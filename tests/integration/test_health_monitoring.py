@@ -158,7 +158,7 @@ class TestMonitorCli:
 
 class TestBenchDiffCli:
     def write_demo_summary(self, results, value):
-        from repro.obs.perfbase import write_summary
+        from repro.obs.baseline import write_summary
 
         write_summary(results, "demo", {"total_min": value})
 

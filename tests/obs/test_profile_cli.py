@@ -14,8 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.runtime.prc import PrcDevice
-from repro.obs.profiler import load_profile, self_host_total
-from repro.obs.profdiff import self_time_shares
+from repro.obs.profiler import load_profile, self_host_total, self_time_shares
 
 
 def run_profile(tmp_path, capsys, extra=()):
@@ -138,7 +137,9 @@ class TestProfileDiffCommand:
         _, baselines = seeded
         payload = json.loads((baselines / "fig4_smoke.json").read_text())
         assert payload["experiment"] == "fig4_smoke"
-        assert payload["paths"]
+        assert payload["metrics"]
+        assert payload["absolute_band"] and payload["absent_as_zero"]
+        assert payload["hotspot_threshold"] == 0.10
 
     def test_fresh_profile_is_in_band(self, seeded, capsys):
         results, baselines = seeded

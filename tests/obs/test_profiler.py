@@ -10,14 +10,15 @@ import pickle
 
 import pytest
 
+from repro.obs.baseline import find_files
 from repro.obs.instrumentation import OFF
 from repro.obs.profiler import (
+    PROFILE_PREFIX,
     ProfileCapsule,
     Profiler,
     ProfilerError,
     canonical_tree,
     collapsed_stacks,
-    find_profiles,
     load_profile,
     profile_document,
     profile_json,
@@ -293,7 +294,7 @@ class TestExports:
         assert json_path.name == "PROFILE_exp.json"
         assert collapsed_path.name == "exp.collapsed"
         assert load_profile(json_path) == document
-        assert find_profiles(tmp_path) == {"exp": json_path}
+        assert find_files(tmp_path, PROFILE_PREFIX) == {"exp": json_path}
         assert collapsed_path.read_text().splitlines() == collapsed_stacks(
             document
         )

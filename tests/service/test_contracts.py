@@ -59,7 +59,7 @@ class TestCliPayloads:
         assert_valid(document, contract("cli_dashboard"), "dashboard --json")
 
     def test_bench_diff(self, tmp_path, capsys):
-        from repro.obs.perfbase import write_summary
+        from repro.obs.baseline import write_summary
 
         results = tmp_path / "results"
         baselines = tmp_path / "baselines"
@@ -77,7 +77,7 @@ class TestCliPayloads:
         assert document["ok"] is True
 
     def test_bench_diff_regression_payload(self, tmp_path, capsys):
-        from repro.obs.perfbase import write_summary
+        from repro.obs.baseline import write_summary
 
         results = tmp_path / "results"
         baselines = tmp_path / "baselines"

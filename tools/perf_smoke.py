@@ -32,8 +32,7 @@ from pathlib import Path
 from repro.cli import main
 from repro.core.designs import wami_deployment_socs
 from repro.noc import AnalyticNocModel, Mesh, cycle_transfer_latency_cycles
-from repro.obs.profdiff import self_time_shares
-from repro.obs.profiler import load_profile
+from repro.obs.profiler import load_profile, self_time_shares
 from repro.soc.tiles import TileKind
 
 #: Host self-time share of ``flow.floorplan`` in the fig4_smoke
