@@ -30,6 +30,7 @@ judged differently from bench metrics:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -277,7 +278,13 @@ class Delta:
             return "new-hotspot"
         if self.current is None:
             return "missing"
-        return "ok" if abs(self.drift) <= self.tolerance else "regression"
+        # Decimal values seldom subtract exactly (0.40 - 0.25 reads
+        # 0.15000000000000002), so a drift within a few units in the
+        # last place of its operands counts as on the edge of the band,
+        # and the edge is in band.
+        scale = max(abs(self.baseline), abs(self.current))
+        slack = 4 * math.ulp(scale if self.absolute else scale / abs(self.baseline))
+        return "ok" if abs(self.drift) <= self.tolerance + slack else "regression"
 
 
 @dataclass

@@ -9,9 +9,8 @@ Tables IV and VI reference.
 from __future__ import annotations
 
 import enum
+import heapq
 from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
 
 from repro.errors import ConfigurationError
 
@@ -69,28 +68,37 @@ class WamiGraph:
     """The application DAG with scheduling queries."""
 
     def __init__(self, edges: Sequence[Tuple[WamiStage, WamiStage]] = WAMI_EDGES) -> None:
-        graph = nx.DiGraph()
-        graph.add_nodes_from(WamiStage)
-        graph.add_edges_from(edges)
-        if not nx.is_directed_acyclic_graph(graph):
+        # Adjacency as insertion-ordered dicts used as sets: a repeated
+        # edge collapses to its first occurrence, and predecessors are
+        # visited in edge order, which decides critical-path ties.
+        self._preds: Dict[WamiStage, Dict[WamiStage, None]] = {s: {} for s in WamiStage}
+        self._succs: Dict[WamiStage, Dict[WamiStage, None]] = {s: {} for s in WamiStage}
+        for src, dst in edges:
+            self._succs[src][dst] = None
+            self._preds[dst][src] = None
+        # Kahn's sort, always taking the lowest-index ready stage.
+        indegree = {stage: len(p) for stage, p in self._preds.items()}
+        ready = [stage.value for stage, count in indegree.items() if count == 0]
+        heapq.heapify(ready)
+        order: List[WamiStage] = []
+        while ready:
+            stage = WamiStage(heapq.heappop(ready))
+            order.append(stage)
+            for succ in self._succs[stage]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, succ.value)
+        if len(order) < len(indegree):
             raise ConfigurationError("WAMI dataflow must be acyclic")
-        self._graph = graph
-        self._order = tuple(
-            nx.lexicographical_topological_sort(graph, key=lambda s: s.value)
-        )
-
-    @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx DAG."""
-        return self._graph
+        self._order = tuple(order)
 
     def predecessors(self, stage: WamiStage) -> List[WamiStage]:
         """Stages whose outputs ``stage`` consumes."""
-        return sorted(self._graph.predecessors(stage), key=lambda s: s.value)
+        return sorted(self._preds[stage], key=lambda s: s.value)
 
     def successors(self, stage: WamiStage) -> List[WamiStage]:
         """Stages consuming the output of ``stage``."""
-        return sorted(self._graph.successors(stage), key=lambda s: s.value)
+        return sorted(self._succs[stage], key=lambda s: s.value)
 
     def topological_order(self) -> List[WamiStage]:
         """A deterministic topological order (ties broken by index)."""
@@ -100,8 +108,7 @@ class WamiGraph:
         """ASAP levels: stages in the same level can run concurrently."""
         depth: Dict[WamiStage, int] = {}
         for stage in self.topological_order():
-            preds = list(self._graph.predecessors(stage))
-            depth[stage] = 1 + max((depth[p] for p in preds), default=-1)
+            depth[stage] = 1 + max((depth[p] for p in self._preds[stage]), default=-1)
         num_levels = max(depth.values()) + 1
         result: List[List[WamiStage]] = [[] for _ in range(num_levels)]
         for stage, level in depth.items():
@@ -116,7 +123,7 @@ class WamiGraph:
         parent: Dict[WamiStage, WamiStage] = {}
         for stage in self.topological_order():
             best = 0.0
-            for pred in self._graph.predecessors(stage):
+            for pred in self._preds[stage]:
                 if finish[pred] > best:
                     best = finish[pred]
                     parent[stage] = pred

@@ -72,11 +72,21 @@ def bench_baseline(experiment="demo", tolerance=0.05, **values):
 #: is the produced map, ``None`` when no result file was produced, or
 #: an ``(experiment, map)`` pair from another experiment. The statuses
 #: match what the separate bench and profile gates returned on the
-#: same inputs.
+#: same inputs, except the two ``boundary-rounding`` rows: those gates
+#: compared raw float drifts, so a drift of exactly the tolerance in
+#: decimal could read a rounding error past it and fail.
 VERDICTS = [
     ("bench-in-band", BENCH, {"m": 100.0}, {"m": 103.0}, {"m": "ok"}),
     ("bench-exact-boundary", BENCH, {"m": 100.0}, {"m": 105.0}, {"m": "ok"}),
     ("bench-beyond-band", BENCH, {"m": 100.0}, {"m": 106.0}, {"m": "regression"}),
+    ("bench-boundary-rounding", BENCH, {"m": 0.7}, {"m": 0.735}, {"m": "ok"}),
+    (
+        "bench-just-beyond-boundary",
+        BENCH,
+        {"m": 0.7},
+        {"m": 0.7 * (1.05 + 1e-9)},
+        {"m": "regression"},
+    ),
     ("bench-zero-baseline-in-band", BENCH, {"m": 0.0}, {"m": 0.04}, {"m": "ok"}),
     ("bench-zero-baseline-beyond", BENCH, {"m": 0.0}, {"m": 1.0}, {"m": "regression"}),
     ("bench-missing-metric", BENCH, {"m": 100.0}, {}, {"m": "missing"}),
@@ -98,6 +108,14 @@ VERDICTS = [
     ),
     ("profile-exact-boundary", PROFILE, {"a": 0.15}, {"a": 0.3}, {"a": "ok"}),
     ("profile-beyond-band", PROFILE, {"a": 0.5}, {"a": 0.25}, {"a": "regression"}),
+    ("profile-boundary-rounding", PROFILE, {"a": 0.25}, {"a": 0.4}, {"a": "ok"}),
+    (
+        "profile-just-beyond-boundary",
+        PROFILE,
+        {"a": 0.25},
+        {"a": 0.4 + 1e-9},
+        {"a": "regression"},
+    ),
     (
         "profile-vanished-in-band",
         PROFILE,
