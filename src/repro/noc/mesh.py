@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import NocError
 from repro.noc.packet import FLIT_BYTES, Packet
@@ -32,12 +32,6 @@ class Mesh:
         self.planes = planes
         self.clock_hz = clock_hz
         self.pipeline_cycles = pipeline_cycles
-        self._routers: Dict[Tuple[int, int, int], Router] = {
-            (r, c, p): Router(row=r, col=c, plane=p, pipeline_cycles=pipeline_cycles)
-            for r in range(rows)
-            for c in range(cols)
-            for p in range(planes)
-        }
 
     # ------------------------------------------------------------------
     def check_position(self, pos: Tuple[int, int]) -> None:
@@ -47,11 +41,18 @@ class Mesh:
             raise NocError(f"position {pos} outside {self.rows}x{self.cols} mesh")
 
     def router(self, row: int, col: int, plane: int = 0) -> Router:
-        """Router at a position on a plane."""
-        try:
-            return self._routers[(row, col, plane)]
-        except KeyError:
-            raise NocError(f"no router at ({row}, {col}) plane {plane}") from None
+        """Router at a position on a plane.
+
+        Built on demand: routers are stateless values, and no model
+        walks the whole mesh, so a mesh keeps no router table.
+        """
+        if not (
+            0 <= row < self.rows and 0 <= col < self.cols and 0 <= plane < self.planes
+        ):
+            raise NocError(f"no router at ({row}, {col}) plane {plane}")
+        return Router(
+            row=row, col=col, plane=plane, pipeline_cycles=self.pipeline_cycles
+        )
 
     def path(self, src: Tuple[int, int], dst: Tuple[int, int]) -> List[Tuple[int, int]]:
         """XY path between two positions (both validated)."""

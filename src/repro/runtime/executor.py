@@ -19,7 +19,7 @@ application completes degraded instead of deadlocking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -59,9 +59,11 @@ class StageTask:
             )
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
-    """One span on the execution timeline."""
+class TimelineEvent(NamedTuple):
+    """One span on the execution timeline.
+
+    A named tuple, like :class:`~repro.runtime.prc.ReconfigurationRecord`.
+    """
 
     task: str
     worker: str  # tile name or "cpu"
@@ -230,13 +232,7 @@ class AppExecutor:
                     sw_start = self.sim.now
                     yield self.sim.timeout(task.duration_s)
                     timeline.events.append(
-                        TimelineEvent(
-                            task=name,
-                            worker=worker,
-                            kind="sw",
-                            start_s=sw_start,
-                            end_s=self.sim.now,
-                        )
+                        TimelineEvent(name, worker, "sw", sw_start, self.sim.now)
                     )
                 else:
                     yield from self._run_hw_instance(timeline, name, task)
@@ -254,11 +250,11 @@ class AppExecutor:
                 if self.sim.now > blank_start:
                     timeline.events.append(
                         TimelineEvent(
-                            task=f"{worker}_blank",
-                            worker=worker,
-                            kind="reconfig",
-                            start_s=blank_start,
-                            end_s=self.sim.now,
+                            f"{worker}_blank",
+                            worker,
+                            "reconfig",
+                            blank_start,
+                            self.sim.now,
                         )
                     )
 
@@ -325,20 +321,20 @@ class AppExecutor:
             if record.reconfig_s > 0:
                 timeline.events.append(
                     TimelineEvent(
-                        task=name,
-                        worker=tile,
-                        kind="reconfig",
-                        start_s=record.start_exec_s - record.reconfig_s,
-                        end_s=record.start_exec_s,
+                        name,
+                        tile,
+                        "reconfig",
+                        record.start_exec_s - record.reconfig_s,
+                        record.start_exec_s,
                     )
                 )
             timeline.events.append(
                 TimelineEvent(
-                    task=name,
-                    worker=tile,
-                    kind="exec",
-                    start_s=record.start_exec_s,
-                    end_s=record.end_exec_s,
+                    name,
+                    tile,
+                    "exec",
+                    record.start_exec_s,
+                    record.end_exec_s,
                 )
             )
             return
@@ -346,13 +342,7 @@ class AppExecutor:
         sw_start = self.sim.now
         yield self.sim.timeout(task.sw_duration_s)
         timeline.events.append(
-            TimelineEvent(
-                task=name,
-                worker=self.cpu_worker,
-                kind="sw",
-                start_s=sw_start,
-                end_s=self.sim.now,
-            )
+            TimelineEvent(name, self.cpu_worker, "sw", sw_start, self.sim.now)
         )
 
     def _replan(

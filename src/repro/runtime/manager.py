@@ -28,8 +28,9 @@ to further invocations so schedulers can re-plan around it.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import (
     KernelHangError,
@@ -94,9 +95,11 @@ class TileState:
         return total
 
 
-@dataclass(frozen=True)
-class InvocationRecord:
-    """Telemetry of one accelerator invocation."""
+class InvocationRecord(NamedTuple):
+    """Telemetry of one accelerator invocation.
+
+    A named tuple, like :class:`~repro.runtime.prc.ReconfigurationRecord`.
+    """
 
     tile_name: str
     mode_name: str
@@ -201,12 +204,11 @@ class ReconfigurationManager:
         """True when the tile has been quarantined (closed to work)."""
         return self.tile(tile_name).quarantined
 
-    def _check_quarantine(self, state: TileState) -> None:
-        if state.quarantined:
-            raise TileQuarantinedError(
-                f"tile {state.name!r} is quarantined "
-                f"({self.quarantined.get(state.name, 'persistent failures')})"
-            )
+    def _raise_quarantined(self, state: TileState) -> None:
+        raise TileQuarantinedError(
+            f"tile {state.name!r} is quarantined "
+            f"({self.quarantined.get(state.name, 'persistent failures')})"
+        )
 
     # ------------------------------------------------------------------
     # the protocol: generator sub-routines of the calling thread
@@ -242,45 +244,57 @@ class ReconfigurationManager:
         state = self.tile(tile_name)
         driver = self.registry.driver_for(mode_name)
         duration = exec_time_s if exec_time_s is not None else driver.exec_time_s
+        return self._invocation(state, mode_name, duration)
 
-        def body():
-            self._check_quarantine(state)
-            requested = self.sim.now
-            if self.obs.events is not None:
-                self.obs.emit(
-                    ev.LOCK_REQUESTED, time=requested, source=tile_name, mode=mode_name
-                )
-            yield state.lock.acquire()
-            if self._observed:
-                self._observe_lock_acquired(state, mode_name, requested)
-            try:
-                self._check_quarantine(state)
-                reconfig_time = 0.0
-                failed_before = self.failed_attempts_by_tile.get(tile_name, 0)
-                if state.loaded_mode != mode_name:
-                    reconfig_time = yield from self._reconfigure_locked(state, mode_name)
-                start_exec = self.sim.now
+    def _invocation(self, state: TileState, mode_name: str, duration: float):
+        """The invocation protocol behind :meth:`invocation`."""
+        if state.quarantined:
+            self._raise_quarantined(state)
+        sim = self.sim
+        tile_name = state.name
+        requested = sim.now
+        if self.obs.events is not None:
+            self.obs.emit(
+                ev.LOCK_REQUESTED, time=requested, source=tile_name, mode=mode_name
+            )
+        lock = state.lock
+        yield lock.acquire()
+        if self._observed:
+            self._observe_lock_acquired(state, mode_name, requested)
+        try:
+            if state.quarantined:
+                self._raise_quarantined(state)
+            reconfig_time = 0.0
+            failed_by_tile = self.failed_attempts_by_tile
+            failed_before = failed_by_tile.get(tile_name, 0)
+            if state.loaded_mode != mode_name:
+                reconfig_time = yield from self._reconfigure_locked(state, mode_name)
+            start_exec = sim.now
+            # The execution is one timeout unless a kernel can hang or a
+            # sink listens; then the watchdog step runs it.
+            if self._observed or self.faults.enabled:
                 hang_attempts = yield from self._execute_locked(
                     state, mode_name, duration
                 )
-                record = InvocationRecord(
-                    tile_name=tile_name,
-                    mode_name=mode_name,
-                    requested_s=requested,
-                    reconfig_s=reconfig_time,
-                    start_exec_s=start_exec,
-                    end_exec_s=self.sim.now,
-                    failed_attempts=(
-                        self.failed_attempts_by_tile.get(tile_name, 0)
-                        - failed_before
-                    ),
-                    hang_attempts=hang_attempts,
-                )
-                self.invocations.append(record)
-                if self.obs.metrics is not None:
-                    self.obs.counter(
-                        "runtime.invocations", "completed accelerator invocations"
-                    ).inc(tile=tile_name)
+            else:
+                yield sim.timeout(duration)
+                hang_attempts = 0
+            record = InvocationRecord(
+                tile_name,
+                mode_name,
+                requested,
+                reconfig_time,
+                start_exec,
+                sim.now,
+                failed_by_tile.get(tile_name, 0) - failed_before,
+                hang_attempts,
+            )
+            self.invocations.append(record)
+            if self.obs.metrics is not None:
+                self.obs.counter(
+                    "runtime.invocations", "completed accelerator invocations"
+                ).inc(tile=tile_name)
+            if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "%s: ran %s for %.6fs (reconfig %.6fs, wait %.6fs)",
                     tile_name,
@@ -289,11 +303,9 @@ class ReconfigurationManager:
                     record.reconfig_s,
                     record.wait_s,
                 )
-                return record
-            finally:
-                state.lock.release()
-
-        return body()
+            return record
+        finally:
+            lock.release()
 
     def invoke(
         self, tile_name: str, mode_name: str, exec_time_s: Optional[float] = None
@@ -394,10 +406,12 @@ class ReconfigurationManager:
         state = self.tile(tile_name)
 
         def body():
-            self._check_quarantine(state)
+            if state.quarantined:
+                self._raise_quarantined(state)
             yield state.lock.acquire()
             try:
-                self._check_quarantine(state)
+                if state.quarantined:
+                    self._raise_quarantined(state)
                 if state.loaded_mode != mode_name:
                     yield from self._reconfigure_locked(state, mode_name)
                 return state.loaded_mode
@@ -407,28 +421,29 @@ class ReconfigurationManager:
         return self.sim.process(body())
 
     # ------------------------------------------------------------------
-    #: Transfer retries before a reconfiguration is declared failed
-    #: (kept for compatibility; the live value is
-    #: ``recovery.max_attempts - 1``).
-    MAX_RETRIES = 1
-
     def _transfer_attempt(self, state: TileState, mode_name: str, size_bytes: int):
-        """One watched transfer attempt; caller must hold the tile lock.
+        """One transfer attempt; caller must hold the tile lock.
 
-        Without an enabled fault model this is a plain blocking
-        transfer run inside the calling thread (zero watchdog overhead
-        on healthy deployments). With one, the recovery policy's
-        reconfiguration deadline races the transfer, spawned as a
-        process: a transfer still wedged past the deadline is aborted
-        (DFXC reset, freeing the ICAP) and raised as
+        Returns the sub-routine for the caller to run with ``yield
+        from``. Without an enabled fault model that is the plain
+        blocking transfer itself, entered in the calling thread (zero
+        watchdog overhead, and no frame of its own, on healthy
+        deployments). With one, it is :meth:`_watched_transfer`.
+        """
+        steps = self.prc.reconfigure(state.name, mode_name, size_bytes)
+        if not self.faults.enabled:
+            return self.inline(steps)
+        return self._watched_transfer(state, mode_name, steps)
+
+    def _watched_transfer(self, state: TileState, mode_name: str, steps):
+        """A transfer raced against the reconfiguration deadline.
+
+        The transfer is spawned as a process: one still wedged past the
+        deadline is aborted (DFXC reset, freeing the ICAP) and raised as
         :class:`StuckTransferError`. A transfer merely *queued* behind
         the ICAP past the deadline is not stuck — the watchdog extends
         and keeps watching.
         """
-        steps = self.prc.reconfigure(state.name, mode_name, size_bytes)
-        if not self.faults.enabled:
-            record: ReconfigurationRecord = yield from self.inline(steps)
-            return record
         transfer = self.sim.process(steps)
         deadline_s = self.recovery.reconfig_deadline_s
         while True:
@@ -659,11 +674,10 @@ class ReconfigurationManager:
         fires at its deadline) before the restart; exhausting the hang
         budget resets the tile and raises :class:`KernelHangError`.
         """
+        faults = self.faults
         hang_attempts = 0
         while True:
-            hung = self.faults.enabled and self.faults.invoke_fault(
-                state.name, mode_name
-            )
+            hung = faults.enabled and faults.invoke_fault(state.name, mode_name)
             exec_span = None
             if self.obs.tracer is not None:
                 exec_span = self.obs.begin(
@@ -703,7 +717,7 @@ class ReconfigurationManager:
                     f"{hang_attempts} times; invocation abandoned"
                 )
             backoff = self.recovery.backoff_before(
-                hang_attempts + 1, self.faults.seed, state.name, f"{mode_name}#hang"
+                hang_attempts + 1, faults.seed, state.name, f"{mode_name}#hang"
             )
             if backoff > 0.0:
                 yield self.sim.timeout(backoff)

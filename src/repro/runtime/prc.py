@@ -15,9 +15,9 @@ why the flow generates compressed partial bitstreams.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import ReconfigurationError, StuckTransferError
 from repro.noc.analytic import (
@@ -62,9 +62,13 @@ FETCH_BYTES_PER_CYCLE = 1.2
 PRC_OVERHEAD_CYCLES = 2500
 
 
-@dataclass(frozen=True)
-class ReconfigurationRecord:
-    """Telemetry for one completed reconfiguration."""
+class ReconfigurationRecord(NamedTuple):
+    """Telemetry for one completed reconfiguration.
+
+    A named tuple: one is built per transfer, in one step rather than
+    the one ``__setattr__`` per field a frozen dataclass pays. It is
+    immutable, hashable and picklable all the same.
+    """
 
     tile_name: str
     mode_name: str
@@ -239,22 +243,19 @@ class PrcDevice:
                     f"{tile_name}/{mode_name}: configuration CRC error"
                 )
             record = ReconfigurationRecord(
-                tile_name=tile_name,
-                mode_name=mode_name,
-                size_bytes=size_bytes,
-                start_s=start,
-                end_s=self.sim.now,
+                tile_name, mode_name, size_bytes, start, self.sim.now
             )
             self.records.append(record)
             if self._observed:
                 self._observe_transfer(record)
-            logger.debug(
-                "icap: streamed %s/%s (%d bytes) in %.6fs",
-                tile_name,
-                mode_name,
-                size_bytes,
-                record.duration_s,
-            )
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "icap: streamed %s/%s (%d bytes) in %.6fs",
+                    tile_name,
+                    mode_name,
+                    size_bytes,
+                    record.duration_s,
+                )
             return record
         finally:
             self._lock.release()

@@ -142,10 +142,16 @@ class Timeout(Event):
             if delay != delay:
                 raise SimulationError("timeout delay is NaN")
             raise SimulationError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
-        self.delay = delay
+        # The most frequently built event, and born triggered: each
+        # slot is set once, here.
+        self.sim = sim
+        self.callbacks = []
         self._value = value
+        self._exception = None
         self.triggered = True
+        self.processed = False
+        self.cancelled = False
+        self.delay = delay
         # Route by the computed fire time, not by ``delay == 0``: a
         # delay below the clock's resolution fires now, and must queue
         # behind everything already due now.

@@ -25,6 +25,16 @@ class TestConstruction:
         with pytest.raises(NocError):
             Mesh(2, 2).router(5, 5)
 
+    @pytest.mark.parametrize("row, col, plane", [(-1, 0, 0), (0, 2, 0), (0, 0, 2)])
+    def test_router_outside_mesh_or_planes(self, row, col, plane):
+        with pytest.raises(NocError):
+            Mesh(2, 2, planes=2).router(row, col, plane)
+
+    def test_router_carries_the_mesh_pipeline(self):
+        mesh = Mesh(2, 2, pipeline_cycles=7)
+        assert mesh.router(0, 1) == mesh.router(0, 1)
+        assert mesh.router(0, 1).pipeline_cycles == 7
+
     def test_check_position(self):
         mesh = Mesh(3, 3)
         with pytest.raises(NocError):

@@ -4,17 +4,22 @@ Each guard counts calls instead of timing them, so it holds on any
 host: a two-frame ``soc_y`` deployment must touch the event heap only
 for timeouts that fire later, must not call into an all-off probe from
 the reconfiguration manager or the PRC (nor make span, event or metric
-calls into a profiler-only one), and must order the task DAG once per
-run rather than once per frame.
+calls into a profiler-only one), must order the task DAG once per run
+rather than once per frame, must resume no more generator frames per
+invocation than the flattened protocol needs, and must build no NoC
+router.
 """
 
 import heapq
+import inspect
 import sys
 from types import SimpleNamespace
 
 import pytest
 
 import repro.api as api
+import repro.core.platform as platform_module
+import repro.noc.mesh as mesh_module
 import repro.sim.kernel as kernel
 from repro.core.designs import wami_soc_y
 from repro.obs.events import EventBus
@@ -166,3 +171,60 @@ def test_one_process_per_worker_thread_per_frame(
     (prc,) = prcs
     assert report.reconfigurations > 0
     assert len(transfers) == len(prc.records) == report.reconfigurations
+
+
+#: Generator-frame resumptions (profiler ``call`` events on generator
+#: code) and completed invocations of an uninstrumented two-frame
+#: ``soc_y`` deploy. Every resumption of a worker thread re-enters each
+#: frame of its ``yield from`` chain, so each sub-routine frame on the
+#: protocol path costs once per resumption: the fault-free chain is
+#: thread -> hardware instance -> invocation [-> reconfiguration ->
+#: retried transfer -> PRC transfer]. The counts include the
+#: generator expressions the deploy's setup and stats evaluate.
+GENERATOR_RESUMPTIONS = {False: (744, 20), True: (846, 20)}
+
+
+@pytest.mark.parametrize("power_gating", [False, True], ids=["ungated", "gated"])
+def test_generator_resumptions_per_invocation(soc_y_flow, monkeypatch, power_gating):
+    managers = []
+    make_manager = platform_module.ReconfigurationManager
+
+    def recording_manager(*args, **kwargs):
+        managers.append(make_manager(*args, **kwargs))
+        return managers[-1]
+
+    monkeypatch.setattr(platform_module, "ReconfigurationManager", recording_manager)
+    resumptions = [0]
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_flags & inspect.CO_GENERATOR:
+            resumptions[0] += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        deploy(soc_y_flow, power_gating=power_gating)
+    finally:
+        sys.setprofile(outer)
+    (manager,) = managers
+    invocations = len(manager.invocations)
+    assert (resumptions[0], invocations) == GENERATOR_RESUMPTIONS[power_gating], (
+        f"{resumptions[0] / invocations:.1f} resumptions per invocation"
+    )
+
+
+def test_deploy_builds_no_router(soc_y_flow, monkeypatch):
+    routers = []
+    router = mesh_module.Router
+
+    def counting_router(*args, **kwargs):
+        routers.append(args or kwargs)
+        return router(*args, **kwargs)
+
+    monkeypatch.setattr(mesh_module, "Router", counting_router)
+    report = deploy(soc_y_flow)
+    assert report.reconfigurations > 0
+    assert routers == []
+    # The patch is live: a lookup on the deploy's mesh class builds one.
+    mesh_module.Mesh(2, 2).router(1, 1)
+    assert len(routers) == 1
