@@ -162,6 +162,11 @@ class Device:
         self._prefix = np.vstack(
             [np.zeros((1, len(kinds)), dtype=np.int64), np.cumsum(per_column, axis=0)]
         )
+        # The same rows as Python ints: rectangle queries build a
+        # ResourceVector from them without numpy scalar conversions.
+        self._prefix_rows: Tuple[Tuple[int, ...], ...] = tuple(
+            map(tuple, self._prefix.tolist())
+        )
         self._capacity = self._rect_vector(0, self.num_columns - 1, region_rows)
         # The floorplanner's window search gathers from these instead of
         # binary-searching the prefix columns; like the prefix matrix,
@@ -248,9 +253,14 @@ class Device:
         return self._rect_vector(col_lo, col_hi, row_hi - row_lo + 1)
 
     def _rect_vector(self, col_lo: int, col_hi: int, height: int) -> ResourceVector:
-        window = (self._prefix[col_hi + 1] - self._prefix[col_lo]) * height
-        lut, ff, bram, dsp = (int(v) for v in window)
-        return ResourceVector(lut=lut, ff=ff, bram=bram, dsp=dsp)
+        lut_hi, ff_hi, bram_hi, dsp_hi = self._prefix_rows[col_hi + 1]
+        lut_lo, ff_lo, bram_lo, dsp_lo = self._prefix_rows[col_lo]
+        return ResourceVector(
+            lut=(lut_hi - lut_lo) * height,
+            ff=(ff_hi - ff_lo) * height,
+            bram=(bram_hi - bram_lo) * height,
+            dsp=(dsp_hi - dsp_lo) * height,
+        )
 
     def capacity(self) -> ResourceVector:
         """Total device resources."""

@@ -26,6 +26,11 @@ class ResourceKind(enum.Enum):
         return self.value
 
 
+#: Each kind's field, in declaration order (``kind.value`` goes through
+#: the Enum descriptor on every read).
+_FIELD_OF: Dict[ResourceKind, str] = {kind: kind.value for kind in ResourceKind}
+
+
 @dataclass(frozen=True, order=False)
 class ResourceVector:
     """An immutable (LUT, FF, BRAM, DSP) bundle with vector arithmetic.
@@ -42,6 +47,20 @@ class ResourceVector:
     dsp: int = 0
 
     def __post_init__(self) -> None:
+        # One fast test for the common case; the loop only names the
+        # offending field.
+        lut, ff, bram, dsp = self.lut, self.ff, self.bram, self.dsp
+        if (
+            type(lut) is int
+            and type(ff) is int
+            and type(bram) is int
+            and type(dsp) is int
+            and lut >= 0
+            and ff >= 0
+            and bram >= 0
+            and dsp >= 0
+        ):
+            return
         for kind in ResourceKind:
             value = getattr(self, kind.value)
             if not isinstance(value, int):
@@ -124,11 +143,16 @@ class ResourceVector:
     # ------------------------------------------------------------------
     def get(self, kind: ResourceKind) -> int:
         """Component accessor by kind."""
-        return int(getattr(self, kind.value))
+        return int(getattr(self, _FIELD_OF[kind]))
 
     def fits_in(self, capacity: "ResourceVector") -> bool:
         """True if every component fits inside ``capacity``."""
-        return all(self.get(kind) <= capacity.get(kind) for kind in ResourceKind)
+        return (
+            self.lut <= capacity.lut
+            and self.ff <= capacity.ff
+            and self.bram <= capacity.bram
+            and self.dsp <= capacity.dsp
+        )
 
     def dominates(self, other: "ResourceVector") -> bool:
         """True if every component is >= the matching one of ``other``."""
@@ -136,7 +160,7 @@ class ResourceVector:
 
     def is_zero(self) -> bool:
         """True if all components are zero."""
-        return all(self.get(kind) == 0 for kind in ResourceKind)
+        return self.lut == 0 and self.ff == 0 and self.bram == 0 and self.dsp == 0
 
     def utilization(self, capacity: "ResourceVector") -> Dict[ResourceKind, float]:
         """Per-kind utilization ratio against ``capacity``.
@@ -180,11 +204,14 @@ class ResourceVector:
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view (for reports and serialization)."""
-        return {kind.value: self.get(kind) for kind in ResourceKind}
+        return dict(zip(_FIELD_OF.values(), self._counts()))
 
     def items(self) -> Iterator[Tuple[ResourceKind, int]]:
         """Iterate (kind, count) pairs in canonical order."""
-        return iter((kind, self.get(kind)) for kind in ResourceKind)
+        return zip(_FIELD_OF, self._counts())
+
+    def _counts(self) -> Iterator[int]:
+        return map(int, (self.lut, self.ff, self.bram, self.dsp))
 
     def __str__(self) -> str:
         parts = [f"{kind.value}={self.get(kind)}" for kind in ResourceKind if self.get(kind)]

@@ -10,7 +10,10 @@ geometry does not feed the runtime model).
 Each placement runs in two vectorized steps:
 
 1. **Window search.** Whether a window covers the inflated demand does
-   not depend on occupancy: a window of height ``h`` anchored at column
+   not depend on occupancy, so its result is read from the device's
+   *window table* (:class:`WindowTable`), keyed by (height cap, inflated
+   demand, head size), and computed only on a miss: a window of height
+   ``h`` anchored at column
    ``a`` satisfies resource ``k`` iff its column sum reaches
    ``ceil(need_k / h)``. The minimal satisfying ``col_hi`` of every
    (height, anchor) pair comes from one gather per resource kind into
@@ -20,12 +23,14 @@ Each placement runs in two vectorized steps:
    reaches ``P_k[a] + t`` is ``first_column_k[P_k[a] / step_k +
    ceil(t / step_k)]`` — what a binary search would find, without one.
    Each pair gets one integer key, (area, col_lo, height) best first.
-2. **Free-band check.** Only the ``FIRST_BATCH`` smallest keys are
-   ordered (``np.argpartition``, then a sort of that *best-first head*)
-   and tested against a summed-area table of blocked cells (occupied,
-   or in a forbidden column): a row band is free iff its blocked count
-   is zero. If no window of the head is free, the whole grid is sorted
-   and tested in batches that double. The first free window fixes
+   Only the ``FIRST_BATCH`` smallest keys are ordered
+   (``np.argpartition``, then a sort of that *best-first head*); the
+   table stores the ``col_end`` grid, the feasible count and the head.
+2. **Free-band check.** The head is tested against per-row column
+   prefixes of blocked cells (occupied, or in a forbidden column): a
+   row band is free iff its blocked count is zero. If no window of the
+   head is free, the keys are rebuilt from the stored grid, sorted
+   whole and tested in batches that double. The first free window fixes
    (area, col_lo); its tie group, the other heights of the same area in
    the same grid column, picks the lowest free row, then the shorter
    band — the lexicographic minimum of (area, col_lo, row_lo, height):
@@ -37,9 +42,12 @@ the executable specification the plans are pinned to.
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import cached_property, lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,9 +61,88 @@ from repro.fabric.resources import ResourceKind, ResourceVector
 #: double from there.
 FIRST_BATCH = 64
 
+#: Entries a device's window table keeps, least recently used evicted
+#: first. An entry is dominated by its int16 ``col_end`` grid (6.9 KB on
+#: the 12 x 288 VCU128), so a full table stays under 2 MB per board.
+WINDOW_TABLE_SIZE = 256
+
 #: The sort key of a (height, anchor) pair whose minimal window runs
 #: off the fabric.
 KEY_OFF_FABRIC = np.iinfo(np.int64).max
+
+
+class Windows(NamedTuple):
+    """The occupancy-independent half of one placement: a window-table
+    entry. Both arrays are read-only."""
+
+    #: ``col_hi + 1`` of the minimal window of every (height, anchor)
+    #: pair, ``(max_height, num_columns)`` int16; past ``num_columns``
+    #: where that window runs off the fabric.
+    col_end: np.ndarray
+    #: How many windows stay on the fabric.
+    feasible: int
+    #: Flat indices of the ``min(FIRST_BATCH, feasible)`` best windows,
+    #: best first.
+    head: np.ndarray
+
+
+class WindowTable:
+    """One device's :class:`Windows`, keyed by everything an entry
+    depends on: (height cap, the four inflated-need integers, head
+    size). Bounded by ``WINDOW_TABLE_SIZE`` (least recently used out);
+    safe to share between threads."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Tuple[int, ...], Windows]" = OrderedDict()
+
+    def get(self, key: Tuple[int, ...]) -> Optional[Windows]:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: Tuple[int, ...], entry: Windows) -> Windows:
+        """Store ``entry`` unless a thread got there first; the stored
+        entry either way."""
+        with self._lock:
+            entry = self._entries.setdefault(key, entry)
+            while len(self._entries) > WINDOW_TABLE_SIZE:
+                self._entries.popitem(last=False)
+            return entry
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: Keyed on the Device object (not its name, which two different
+#: fabrics may share), held weakly, and never pickled with it.
+_WINDOW_TABLES: "weakref.WeakKeyDictionary[Device, WindowTable]" = (
+    weakref.WeakKeyDictionary()
+)
+_WINDOW_TABLES_LOCK = threading.Lock()
+
+
+def window_table(device: Device) -> WindowTable:
+    """``device``'s window table, created empty on first use."""
+    with _WINDOW_TABLES_LOCK:
+        table = _WINDOW_TABLES.get(device)
+        if table is None:
+            table = _WINDOW_TABLES[device] = WindowTable()
+        return table
+
+
+def clear_window_tables() -> None:
+    """Empty every device's window table."""
+    with _WINDOW_TABLES_LOCK:
+        tables = list(_WINDOW_TABLES.values())
+    for table in tables:
+        table.clear()
 
 
 @dataclass(frozen=True)
@@ -129,18 +216,14 @@ class FloraFloorplanner:
         # construct.
         self._prefix = device.resource_prefix()
         self._level_tables = device.level_tables()
-        # Broadcast axes of the window search: band heights down, anchor
-        # columns across.
-        self._heights = np.arange(1, self.max_height + 1, dtype=np.int64)[:, None]
-        self._anchors = np.arange(device.num_columns, dtype=np.int64)
-        self._rows = np.arange(device.region_rows, dtype=np.int64)
-        # The sort key (area * num_columns + col_lo) * max_height +
-        # height - 1, with area = (col_end - col_lo) * height, expanded
-        # to col_end * scale + offset: two operations per placement.
-        self._key_scale = self._heights * (device.num_columns * self.max_height)
-        self._key_offset = (
-            self._anchors * (self.max_height - self._key_scale) + self._heights - 1
-        )
+        (
+            self._heights,
+            self._anchors,
+            self._rows,
+            self._key_scale,
+            self._key_offset,
+        ) = _search_axes(device.num_columns, device.region_rows, self.max_height)
+        self._table = window_table(device)
 
     # ------------------------------------------------------------------
     def plan(self, demands: Sequence[Tuple[str, ResourceVector]]) -> Floorplan:
@@ -237,43 +320,77 @@ class FloraFloorplanner:
                     table.first_reaching(table.level, thresholds[:, k : k + 1]),
                     out=col_end,
                 )
+        return col_end, self._keys(col_end)
+
+    def _keys(self, col_end: np.ndarray) -> np.ndarray:
+        """The best-first sort key of every window of a ``col_end`` grid."""
         key = col_end * self._key_scale
         key += self._key_offset
         key[col_end > self.device.num_columns] = KEY_OFF_FABRIC
-        return col_end, key
+        return key
+
+    def _window_entry(self, inflated: ResourceVector) -> Windows:
+        """The window-table entry of an inflated demand, computed and
+        stored on a miss."""
+        head_size = FIRST_BATCH
+        key = (
+            self.max_height,
+            inflated.lut,
+            inflated.ff,
+            inflated.bram,
+            inflated.dsp,
+            head_size,
+        )
+        entry = self._table.get(key)
+        if entry is not None:
+            return entry
+        col_end, keys = self._windows(np.array(key[1:5], dtype=np.int64))
+        feasible = int(np.count_nonzero(keys != KEY_OFF_FABRIC))
+        # Grid values stay below num_columns + 2 and flat indices below
+        # keys.size: int16 on every catalog part (289 and 3456 at most).
+        dtype = np.int16 if keys.size < np.iinfo(np.int16).max else np.int32
+        col_end = col_end.astype(dtype)
+        head = _smallest(keys, min(head_size, feasible)).astype(dtype)
+        for array in (col_end, head):
+            array.flags.writeable = False
+        return self._table.put(key, Windows(col_end, feasible, head))
 
     def _lowest_free_rows(
         self,
-        blocked_sat: np.ndarray,
+        blocked_cols: np.ndarray,
         col_lo: np.ndarray,
         col_end: np.ndarray,
         height: np.ndarray,
     ) -> np.ndarray:
         """Lowest free ``row_lo`` of each window, or ``region_rows`` if none.
 
-        ``blocked_sat[c, r]`` counts the blocked cells in columns
-        ``[0, c)`` x rows ``[0, r)``, so two row lookups give a window's
-        column strip, and a band's blocked count is one difference in it.
+        ``blocked_cols[c, r]`` counts the blocked cells of row ``r`` in
+        columns ``[0, c)``, so one difference gives each row's count
+        inside a window's columns; a prefix of those over the rows makes
+        a band's blocked count one more difference.
         """
         region_rows = self.device.region_rows
-        rows = self._rows
-        strip = blocked_sat[col_end] - blocked_sat[col_lo]
-        top = rows + height[:, None]
-        fits = top <= region_rows
-        np.minimum(top, region_rows, out=top)
+        count = height.size
+        width = region_rows + self.max_height
+        # Prefix entries past region_rows are -1, which no count equals:
+        # a band that would run off the top is never free.
+        band = np.empty((count, width), dtype=np.int64)
+        band[:, 0] = 0
+        (blocked_cols[col_end] - blocked_cols[col_lo]).cumsum(
+            axis=1, out=band[:, 1 : region_rows + 1]
+        )
+        band[:, region_rows + 1 :] = -1
+        top = self._rows + height[:, None]
+        top += np.arange(0, count * width, width)[:, None]
         # A last column of True makes argmax say region_rows when no band
         # is free.
-        free = np.ones((height.size, region_rows + 1), dtype=bool)
-        np.logical_and(
-            fits,
-            np.take_along_axis(strip, top, axis=1) == strip[:, :region_rows],
-            out=free[:, :region_rows],
-        )
+        free = np.ones((count, region_rows + 1), dtype=bool)
+        np.equal(band.ravel()[top], band[:, :region_rows], out=free[:, :region_rows])
         return free.argmax(axis=1)
 
     def _first_free(
         self,
-        blocked_sat: np.ndarray,
+        blocked_cols: np.ndarray,
         col_end: np.ndarray,
         order: np.ndarray,
     ) -> Optional[Tuple[int, int]]:
@@ -282,9 +399,9 @@ class FloraFloorplanner:
         or None."""
         height_index, col_lo = np.divmod(order, self.device.num_columns)
         rows = self._lowest_free_rows(
-            blocked_sat, col_lo, col_end.ravel()[order], height_index + 1
+            blocked_cols, col_lo, col_end.ravel()[order], height_index + 1
         )
-        hits = np.flatnonzero(rows < self.device.region_rows)
+        (hits,) = (rows < self.device.region_rows).nonzero()
         if not hits.size:
             return None
         return int(order[hits[0]]), int(rows[hits[0]])
@@ -303,26 +420,26 @@ class FloraFloorplanner:
         between band heights resolve to the shorter band.
         """
         inflated = self._inflated(demand, utilization)
-        need = np.array([inflated.get(kind) for kind in self._kinds], dtype=np.int64)
-        col_end, key = self._windows(need)
+        windows = self._window_entry(inflated)
+        col_end = windows.col_end
         device = self.device
-        blocked = occupied | device.forbidden_mask()[:, None]
-        blocked_sat = np.zeros(
-            (device.num_columns + 1, device.region_rows + 1), dtype=np.int64
+        blocked_cols = np.zeros(
+            (device.num_columns + 1, device.region_rows), dtype=np.int64
         )
-        blocked_sat[1:, 1:] = blocked.cumsum(axis=0).cumsum(axis=1)
+        (occupied | device.forbidden_mask()[:, None]).cumsum(
+            axis=0, out=blocked_cols[1:]
+        )
 
-        # Best first: only the FIRST_BATCH smallest keys are sorted; the
-        # whole grid is sorted only if none of them has a free band.
-        feasible = int(np.count_nonzero(key != KEY_OFF_FABRIC))
-        order = _smallest(key, min(FIRST_BATCH, feasible))
-        winner = self._first_free(blocked_sat, col_end, order)
-        if winner is None and feasible > order.size:
-            order = _smallest(key, feasible)
-            start, size = FIRST_BATCH, 2 * FIRST_BATCH
-            while winner is None and start < feasible:
+        # Best first: only the head is sorted; the whole grid is sorted
+        # only if none of the head has a free band.
+        order = windows.head
+        winner = self._first_free(blocked_cols, col_end, order)
+        if winner is None and windows.feasible > order.size:
+            start, size = order.size, 2 * order.size
+            order = _smallest(self._keys(col_end), windows.feasible)
+            while winner is None and start < windows.feasible:
                 winner = self._first_free(
-                    blocked_sat, col_end, order[start : start + size]
+                    blocked_cols, col_end, order[start : start + size]
                 )
                 start, size = start + size, size * 2
         if winner is None:
@@ -332,19 +449,20 @@ class FloraFloorplanner:
             )
 
         # The first free window fixes (area, col_lo). Its tie group holds
-        # at most one window per height, all in the winner's grid column
-        # (key // max_height is area * num_columns + col_lo). Within a
-        # group the lowest free row wins, then the shorter band (argmin
-        # keeps the first minimum).
+        # at most one window per height, all in the winner's grid column:
+        # the heights whose window there has the same area and stays on
+        # the fabric. Within a group the lowest free row wins, then the
+        # shorter band (argmin keeps the first minimum).
         index, row_lo = winner
         height_index, col_lo = divmod(index, device.num_columns)
-        column = key[:, col_lo] // self.max_height
-        group = np.flatnonzero(column == column[height_index])
+        ends = col_end[:, col_lo]
+        area = (ends - col_lo) * self._heights[:, 0]
+        (group,) = ((area == area[height_index]) & (ends <= device.num_columns)).nonzero()
         if group.size > 1:
             rows = self._lowest_free_rows(
-                blocked_sat,
+                blocked_cols,
                 np.full(group.size, col_lo),
-                col_end[group, col_lo],
+                ends[group],
                 group + 1,
             )
             pick = int(np.argmin(rows))
@@ -362,6 +480,27 @@ class FloraFloorplanner:
             demand=demand,
             provided=pblock.resources(self.device),
         )
+
+
+@lru_cache(maxsize=64)
+def _search_axes(
+    num_columns: int, region_rows: int, max_height: int
+) -> Tuple[np.ndarray, ...]:
+    """The read-only arrays a planner broadcasts over: band heights
+    down, anchor columns across, the row indices, and the key's scale
+    and offset."""
+    heights = np.arange(1, max_height + 1, dtype=np.int64)[:, None]
+    anchors = np.arange(num_columns, dtype=np.int64)
+    rows = np.arange(region_rows, dtype=np.int64)
+    # The sort key (area * num_columns + col_lo) * max_height +
+    # height - 1, with area = (col_end - col_lo) * height, expanded to
+    # col_end * scale + offset: two operations per grid.
+    key_scale = heights * (num_columns * max_height)
+    key_offset = anchors * (max_height - key_scale) + heights - 1
+    axes = (heights, anchors, rows, key_scale, key_offset)
+    for array in axes:
+        array.flags.writeable = False
+    return axes
 
 
 def _smallest(key: np.ndarray, count: int) -> np.ndarray:

@@ -43,6 +43,7 @@ carries one.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import io
 import itertools
@@ -242,6 +243,8 @@ def flow_cache_key(
 #: Deeply immutable types (frozen dataclasses over immutable fields).
 #: The memory tier keeps one live instance of each per entry and every
 #: hit shares it; everything else a result holds is unpickled afresh.
+#: Enum members are shared too: they are singletons, and unpickling one
+#: by value goes through ``EnumType.__call__`` in Python.
 _SHARED_TYPES = frozenset(
     {DesignPartition, SocConfig, RegionAssignment, Pblock, ResourceVector, Bitstream}
 )
@@ -256,7 +259,7 @@ def _dumps_sharing(result: "FlowResult") -> _Entry:
     index: Dict[int, int] = {}
 
     def persistent_id(obj: object) -> Optional[int]:
-        if type(obj) not in _SHARED_TYPES:
+        if type(obj) not in _SHARED_TYPES and not isinstance(obj, enum.Enum):
             return None
         if id(obj) not in index:
             index[id(obj)] = len(shared)
@@ -270,9 +273,25 @@ def _dumps_sharing(result: "FlowResult") -> _Entry:
     return buffer.getvalue(), tuple(shared)
 
 
+#: (module, name) -> the class or function a pickle names.
+_GLOBALS: Dict[Tuple[str, str], object] = {}
+
+
+class _Unpickler(pickle.Unpickler):
+    """Resolves each global a payload names once per process: the
+    default resolution goes through the import system on every load,
+    ~20 times per hit."""
+
+    def find_class(self, module: str, name: str) -> object:
+        found = _GLOBALS.get((module, name))
+        if found is None:
+            found = _GLOBALS[module, name] = super().find_class(module, name)
+        return found
+
+
 def _loads_sharing(entry: _Entry) -> "FlowResult":
     payload, shared = entry
-    unpickler = pickle.Unpickler(io.BytesIO(payload))
+    unpickler = _Unpickler(io.BytesIO(payload))
     unpickler.persistent_load = shared.__getitem__
     return unpickler.load()
 

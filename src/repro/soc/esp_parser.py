@@ -64,7 +64,8 @@ def parse_esp_config(
 ) -> SocConfig:
     """Parse an ``.esp_config``-style description into a SocConfig."""
     catalog = catalog if catalog is not None else _shared_catalog()
-    parser = configparser.ConfigParser()
+    # The format has no interpolation: a '%' in a value is literal.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as error:
@@ -97,12 +98,24 @@ def parse_esp_config(
         if kind_text == "reconf":
             modes_text = body.get("modes", "").strip()
             modes = [resolve(m) for m in modes_text.split(",") if m.strip()]
-            host_cpu = body.getboolean("host_cpu", fallback=False)
+            try:
+                host_cpu = body.getboolean("host_cpu", fallback=False)
+            except ValueError:
+                raise ConfigurationError(
+                    f"[{section}] host_cpu must be a boolean, got {body['host_cpu']!r}"
+                ) from None
             tiles.append(
                 ReconfigurableTile(name=tile_name, modes=modes, host_cpu=host_cpu)
             )
         elif kind_text == "cpu":
-            core = CpuCore(body.get("core", "leon3").strip().lower())
+            core_text = body.get("core", "leon3").strip().lower()
+            try:
+                core = CpuCore(core_text)
+            except ValueError:
+                choices = ", ".join(member.value for member in CpuCore)
+                raise ConfigurationError(
+                    f"[{section}] core must be one of {choices}, got {core_text!r}"
+                ) from None
             tiles.append(Tile(kind=TileKind.CPU, name=tile_name, cpu_core=core))
         elif kind_text == "acc":
             if "accelerator" not in body:
@@ -123,11 +136,19 @@ def parse_esp_config(
                 ) from None
             tiles.append(Tile(kind=kind, name=tile_name))
 
+    def grid_size(key: str) -> int:
+        try:
+            return int(soc[key])
+        except ValueError:
+            raise ConfigurationError(
+                f"[soc] {key} must be an integer, got {soc[key]!r}"
+            ) from None
+
     return SocConfig.assemble(
         name=soc["name"].strip(),
         board=soc["board"].strip(),
-        rows=int(soc["rows"]),
-        cols=int(soc["cols"]),
+        rows=grid_size("rows"),
+        cols=grid_size("cols"),
         tiles=tiles,
     )
 

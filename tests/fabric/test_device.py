@@ -112,6 +112,18 @@ class TestResources:
         full = dev.rect_resources(0, dev.num_columns - 1, 0, dev.region_rows - 1)
         assert full == dev.capacity()
 
+    @pytest.mark.parametrize("board", sorted(PART_CATALOG))
+    def test_rects_match_the_prefix_matrix(self, board):
+        dev = PART_CATALOG[board]()
+        prefix = dev.resource_prefix()
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            col_lo, col_hi = sorted(rng.integers(0, dev.num_columns, size=2).tolist())
+            row_lo, row_hi = sorted(rng.integers(0, dev.region_rows, size=2).tolist())
+            expected = (prefix[col_hi + 1] - prefix[col_lo]) * (row_hi - row_lo + 1)
+            rect = dev.rect_resources(col_lo, col_hi, row_lo, row_hi)
+            assert [rect.get(kind) for kind in ResourceKind] == expected.tolist()
+
 
 class TestForbiddenColumns:
     def test_clk_columns_are_forbidden(self):

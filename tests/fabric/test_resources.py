@@ -1,5 +1,7 @@
 """Unit and property tests for the resource algebra."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,33 @@ class TestConstruction:
     def test_non_integer_component_rejected(self):
         with pytest.raises(TypeError):
             ResourceVector(lut=1.5)
+
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            ({"lut": -1}, ResourceError, "negative lut count: -1"),
+            ({"dsp": -3}, ResourceError, "negative dsp count: -3"),
+            ({"ff": 1.5}, TypeError, "ff count must be int, got float"),
+            ({"bram": "2"}, TypeError, "bram count must be int, got str"),
+            ({"lut": -1, "ff": 1.5}, ResourceError, "negative lut count"),
+        ],
+    )
+    def test_invalid_component_names_the_first_bad_field(self, fields, error, message):
+        with pytest.raises(error, match=message):
+            ResourceVector(**fields)
+
+    def test_bool_components_are_accepted_as_before(self):
+        vec = ResourceVector(lut=True)
+        assert vec.get(ResourceKind.LUT) == 1 and not vec.is_zero()
+
+    def test_pickle_is_pinned(self):
+        # FlowCache disk entries and checkpoints hold pickled vectors;
+        # the dataclass layout (no __slots__) must not change them.
+        assert pickle.dumps(ResourceVector(1, 2, 3, 4), protocol=4) == (
+            b"\x80\x04\x95U\x00\x00\x00\x00\x00\x00\x00\x8c\x16repro.fabric.resources"
+            b"\x94\x8c\x0eResourceVector\x94\x93\x94)\x81\x94}\x94(\x8c\x03lut\x94K\x01"
+            b"\x8c\x02ff\x94K\x02\x8c\x04bram\x94K\x03\x8c\x03dsp\x94K\x04ub."
+        )
 
     def test_from_mapping(self):
         vec = ResourceVector.from_mapping({"lut": 5, "dsp": 2})
@@ -111,6 +140,19 @@ class TestQueries:
         a = ResourceVector(lut=1, bram=9)
         b = ResourceVector(lut=7, dsp=2)
         assert a.component_max(b) == ResourceVector(lut=7, bram=9, dsp=2)
+
+    def test_kind_accessors_agree_with_fields(self):
+        vec = ResourceVector(lut=1, ff=2, bram=3, dsp=4)
+        assert [vec.get(kind) for kind in ResourceKind] == [1, 2, 3, 4]
+        assert list(vec.items()) == list(zip(ResourceKind, [1, 2, 3, 4]))
+        assert vec.as_dict() == {"lut": 1, "ff": 2, "bram": 3, "dsp": 4}
+        assert not vec.is_zero() and ResourceVector().is_zero()
+
+    @pytest.mark.parametrize("kind", list(ResourceKind))
+    def test_fits_in_checks_every_component(self, kind):
+        small = ResourceVector(lut=5, ff=5, bram=5, dsp=5)
+        bigger = ResourceVector.from_mapping({**small.as_dict(), kind.value: 6})
+        assert small.fits_in(bigger) and not bigger.fits_in(small)
 
     def test_as_dict_round_trip(self):
         vec = ResourceVector(lut=1, ff=2, bram=3, dsp=4)

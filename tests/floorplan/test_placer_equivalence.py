@@ -26,6 +26,15 @@ from tests.floorplan.reference import ReferenceFloraFloorplanner
 BOARDS = sorted(PART_CATALOG)
 
 
+@pytest.fixture(autouse=True)
+def cleared_window_tables():
+    """Every test starts from empty window tables, so counts of grid
+    evaluations and sorts do not depend on which tests ran before."""
+    flora.clear_window_tables()
+    yield
+    flora.clear_window_tables()
+
+
 def random_demands(rng, device, count, utilization):
     """A demand set filling roughly ``utilization`` of the device."""
     capacity = device.capacity()
@@ -180,8 +189,11 @@ class TestSweep:
     def test_600_random_sets_plan_as_before(self, monkeypatch, first_batch):
         # A head of one or two windows misses on nearly every crowded
         # placement, so the full-sort fallback and tie groups that run
-        # past the head are swept too.
+        # past the head are swept too. The sweep runs twice: from
+        # cleared window tables, then served wholly from the warm ones
+        # (large enough to keep every entry of the sweep).
         monkeypatch.setattr(flora, "FIRST_BATCH", first_batch)
+        monkeypatch.setattr(flora, "WINDOW_TABLE_SIZE", 1 << 20)
         sorted_counts = []
         smallest = flora._smallest
 
@@ -190,18 +202,35 @@ class TestSweep:
             return smallest(key, count)
 
         monkeypatch.setattr(flora, "_smallest", recording)
+        grids = []
+        windows = FloraFloorplanner._windows
+
+        def counting_windows(planner, need):
+            grids.append(1)
+            return windows(planner, need)
+
+        monkeypatch.setattr(FloraFloorplanner, "_windows", counting_windows)
         groups = sweep_groups()
         assert sum(len(sets) for sets in groups.values()) == SWEEP_SETS
-        for group, sets in sorted(groups.items()):
-            lines = [plan_line(FloraFloorplanner, device, demands) for device, demands in sets]
-            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
-            if digest != SWEEP_DIGESTS[group]:
-                # Name the first diverging set (slow: the scalar search).
-                for (device, demands), line in zip(sets, lines):
-                    expected = plan_line(ReferenceFloraFloorplanner, device, demands)
-                    assert line == expected, (group, demands)
-                pytest.fail(f"{group}: digest {digest}, reference agrees; stale pin?")
-        assert any(count > first_batch for count in sorted_counts)
+        for table in ("cleared", "warm"):
+            sorted_counts.clear()
+            grids.clear()
+            for group, sets in sorted(groups.items()):
+                lines = [
+                    plan_line(FloraFloorplanner, device, demands)
+                    for device, demands in sets
+                ]
+                digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+                if digest != SWEEP_DIGESTS[group]:
+                    # Name the first diverging set (slow: the scalar search).
+                    for (device, demands), line in zip(sets, lines):
+                        expected = plan_line(ReferenceFloraFloorplanner, device, demands)
+                        assert line == expected, (table, group, demands)
+                    pytest.fail(
+                        f"{table} {group}: digest {digest}, reference agrees; stale pin?"
+                    )
+            assert any(count > first_batch for count in sorted_counts), table
+            assert (len(grids) > 0) == (table == "cleared")
 
     def test_sweep_covers_plans_and_failures(self):
         lines = [
@@ -303,14 +332,16 @@ class TestFreeBandBatches:
 
 class TestSearchCost:
     @pytest.mark.parametrize("max_height_regions", [None, 3, 7])
-    def test_one_window_grid_per_placement_and_no_searchsorted(
+    def test_at_most_one_window_grid_per_distinct_key_and_no_searchsorted(
         self, monkeypatch, max_height_regions
     ):
         # The window search is occupancy-independent: one grid
         # evaluation covers every height and anchor, by gathers into the
-        # device's level tables, not binary searches. A per-band loop
-        # would make the grid count scale with rows x heights; a
-        # searchsorted fallback would show up in the second count.
+        # device's level tables, not binary searches, and the window
+        # table keeps it for every later placement of the same key. A
+        # per-band loop would make the grid count scale with rows x
+        # heights; a searchsorted fallback would show up in the second
+        # count; a table miss on a seen key, in the first.
         searches = []
         searchsorted = np.searchsorted
 
@@ -331,16 +362,18 @@ class TestSearchCost:
         monkeypatch.setattr(planner, "_windows", counting_windows)
         occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
         occupied[: device.num_columns // 2, :] = True
-        for demand, fits in (
+        cases = (
             (ResourceVector(lut=800, ff=800), True),
             (ResourceVector(lut=40000, ff=30000, bram=40, dsp=60), True),
             (device.capacity(), False),
-        ):
-            searches.clear()
-            grids.clear()
-            if fits:
-                planner._place_one("rp", demand, occupied)
-            else:
-                with pytest.raises(FloorplanError):
+        )
+        for seen in (0, 1):
+            for demand, fits in cases:
+                searches.clear()
+                grids.clear()
+                if fits:
                     planner._place_one("rp", demand, occupied)
-            assert (len(grids), len(searches)) == (1, 0)
+                else:
+                    with pytest.raises(FloorplanError):
+                        planner._place_one("rp", demand, occupied)
+                assert (len(grids), len(searches)) == (1 - seen, 0)

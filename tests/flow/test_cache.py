@@ -205,6 +205,27 @@ class TestSharedParts:
             first.partition.rtl.luts = 0
         assert isinstance(first.partition.rtl.children, tuple)
 
+    def test_memory_hit_resolves_no_enum_member_by_value(
+        self, flow, soc, monkeypatch
+    ):
+        cache = FlowCache()
+        key = flow_cache_key(flow, soc)
+        fresh = flow.build(soc)
+        cache.put(key, fresh)
+        lookups = []
+        call = enum.EnumMeta.__call__
+
+        def counting(cls, *args, **kwargs):
+            lookups.append(cls)
+            return call(cls, *args, **kwargs)
+
+        monkeypatch.setattr(enum.EnumMeta, "__call__", counting)
+        served = cache.get(key)
+        monkeypatch.undo()
+        assert lookups == []
+        assert served.decision.strategy is fresh.decision.strategy
+        assert served.to_summary_dict() == fresh.to_summary_dict()
+
     def test_disk_entry_with_mutable_rtl_serves_frozen_partition(
         self, flow, soc, tmp_path
     ):

@@ -95,6 +95,32 @@ host_cpu = true
         with pytest.raises(ConfigurationError, match="malformed"):
             parse_esp_config("this is not ini [at all")
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("rows = 2", "rows = two", r"\[soc\] rows must be an integer, got 'two'"),
+            ("cols = 3", "cols = 3.5", r"\[soc\] cols must be an integer, got '3.5'"),
+            (
+                "modes = fft, gemm",
+                "modes = fft, gemm\nhost_cpu = maybe",
+                r"\[tile rt0\] host_cpu must be a boolean, got 'maybe'",
+            ),
+            (
+                "core = leon3",
+                "core = z80",
+                r"\[tile cpu0\] core must be one of leon3, cva6, got 'z80'",
+            ),
+        ],
+    )
+    def test_malformed_value_names_section_and_key(self, old, new, message):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_esp_config(VALID.replace(old, new))
+
+    @pytest.mark.parametrize("name", ["50%", "a%b", "x%(rows)s", "%%"])
+    def test_percent_is_literal(self, name):
+        config = parse_esp_config(VALID.replace("name = demo", f"name = {name}"))
+        assert config.name == name
+
     def test_validation_still_applies(self):
         # No AUX tile -> the SocConfig invariants fire.
         text = VALID.replace("[tile aux0]\ntype = aux\n", "")
@@ -120,6 +146,12 @@ class TestRendering:
         assert [t.mode_names() for t in clone.reconfigurable_tiles] == [
             t.mode_names() for t in config.reconfigurable_tiles
         ]
+
+    def test_round_trip_keeps_percent(self):
+        config = parse_esp_config(VALID.replace("name = demo", "name = soc_%(x)s_50%"))
+        text = render_esp_config(config)
+        assert "name = soc_%(x)s_50%" in text
+        assert parse_esp_config(text).name == config.name
 
     def test_round_trip_host_cpu(self):
         from repro.core.designs import soc_4
@@ -152,3 +184,26 @@ class TestFileLoading:
         first = parse_esp_config(VALID).reconfigurable_tiles[0].modes
         second = parse_esp_config(VALID).reconfigurable_tiles[0].modes
         assert all(a is b for a, b in zip(first, second))
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("rows = 2", "rows = two", "error: [soc] rows must be an integer"),
+            (
+                "modes = fft, gemm",
+                "modes = fft, gemm\nhost_cpu = maybe",
+                "error: [tile rt0] host_cpu must be a boolean",
+            ),
+        ],
+    )
+    def test_build_reports_a_malformed_value_as_an_error(
+        self, tmp_path, capsys, old, new, message
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "bad.esp_config"
+        path.write_text(VALID.replace(old, new))
+        assert main(["build", str(path)]) == 1
+        assert message in capsys.readouterr().err
