@@ -1,7 +1,11 @@
 """Golden pin of everything a fully live probe observes.
 
-One ``api.build`` and one two-frame ``api.deploy`` of ``soc_x``, each
-with every sink live, through the public API only. Each observation is
+One ``api.build`` and one two-frame ``api.deploy`` of ``soc_x``, and a
+checkpointed ``api.build`` of ``soc_y`` under seeded CAD faults
+followed by its resume, each with every sink live, through the public
+API only. The faulty pair pins the times and order of the retry,
+failure, degradation and checkpoint events and the ``resumed`` profile
+leaves. Each observation is
 reduced to canonical JSON and pinned by digest: the Chrome trace, the
 profile's canonical tree (host time stripped), the ordered event
 stream as ``(kind, time, source, attrs)`` and the registry snapshot.
@@ -17,16 +21,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 
 import pytest
 
 import repro.api as api
 from repro.core.designs import wami_deployment_socs
+from repro.flow.options import BuildOptions
 from repro.obs.events import EventBus
 from repro.obs.export import chrome_trace_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler, canonical_tree, profile_document
 from repro.obs.tracer import Tracer
+from repro.vivado.faults import CadFaultModel
+from repro.vivado.runtime_model import JobKind
 
 GOLDEN = {
     "build": {
@@ -41,6 +49,18 @@ GOLDEN = {
         "events": "6991d501094525e39431fb10dddf45a1b4e3716bd75fcd5828ed00310d2b4447",
         "metrics": "64d9efe570e8d98e1d0191f2f839a1c1ceca72f81b105a1a7d9b69f1badd007c",
     },
+    "fault_build": {
+        "trace": "5e37b8d05087abedd9685af2954c909447daa8772a4dc1e96a50840808a5f29e",
+        "profile": "0cdef7302cb3a8625f7207d3d69019c244c45e21bedcd50a0f700593be173e7b",
+        "events": "14111829074c795bd519a3da0896242c2177ac97446c007e21c01d535328cbe8",
+        "metrics": "43680cb1b7a55f605ba05f3373edd3055949322bb8324c5ded92f8dde198ccc2",
+    },
+    "fault_resume": {
+        "trace": "5e37b8d05087abedd9685af2954c909447daa8772a4dc1e96a50840808a5f29e",
+        "profile": "676e1d2ce2d35001dbcc61fc5a9c0718b3bc7a7ca48ada1d21ea62340330a4cf",
+        "events": "d5b6d2756d7138ee82d34aded0d777c8d369fe1684b4381e0165992ce4bfb0ee",
+        "metrics": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
+    },
 }
 
 #: Sizes of each observation, pinned next to the digests so a failure
@@ -48,7 +68,14 @@ GOLDEN = {
 COUNTS = {
     "build": {"trace": 19, "events": 14, "metrics": 2},
     "deploy": {"trace": 112, "events": 154, "metrics": 113},
+    "fault_build": {"trace": 22, "events": 28, "metrics": 5},
+    "fault_resume": {"trace": 22, "events": 8, "metrics": 0},
 }
+
+
+#: Seeded CAD faults on every job kind: soc_y retries, loses a tile and
+#: completes degraded.
+FAULTS = {"seed": 7, "rates": {kind: 0.3 for kind in JobKind}}
 
 
 def _live(time_unit: str) -> api.Instrumentation:
@@ -72,6 +99,17 @@ def observe():
     api.build(soc, instrumentation=build)
     deploy = _live("s")
     api.deploy(soc, frames=2, instrumentation=deploy)
+    faulty = wami_deployment_socs()["soc_y"]
+    fault_build = _live("min")
+    fault_resume = _live("min")
+    with tempfile.TemporaryDirectory() as ckpt:
+        options = BuildOptions(
+            faults=CadFaultModel(**FAULTS), checkpoint_dir=ckpt
+        )
+        api.build(faulty, options=options, instrumentation=fault_build)
+        api.build(
+            faulty, resume=True, options=options, instrumentation=fault_resume
+        )
     return {
         verb: {
             "trace": chrome_trace_dict(inst.tracer),
@@ -82,7 +120,12 @@ def observe():
             ],
             "metrics": inst.metrics.snapshot(),
         }
-        for verb, inst in (("build", build), ("deploy", deploy))
+        for verb, inst in (
+            ("build", build),
+            ("deploy", deploy),
+            ("fault_build", fault_build),
+            ("fault_resume", fault_resume),
+        )
     }
 
 
