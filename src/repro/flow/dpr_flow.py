@@ -9,6 +9,13 @@ partial bitstreams. The returned :class:`FlowResult` carries every
 intermediate the paper's tables report (synthesis makespan, t_static,
 Ω per run, T_P&R, bitstream sizes).
 
+The flow is the table :data:`STAGES`: seven plain stage functions, each
+``BuildState -> (payload, wall_minutes, detail)``. One stage runner
+(:meth:`BuildState.run_stage`) checkpoints, restores, records and
+narrates every stage; one tool-job runner (:meth:`ToolJobs.run`) does
+the same for each tool job inside the synthesis and implementation
+stages.
+
 The flow is fault-tolerant and resumable:
 
 * every synthesis and P&R job runs under the build's
@@ -32,7 +39,7 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.metrics import DesignMetrics, compute_metrics
 from repro.core.strategy import (
@@ -42,6 +49,7 @@ from repro.core.strategy import (
 )
 from repro.errors import FlowError
 from repro.fabric.device import Device
+from repro.fabric.resources import ResourceVector
 from repro.obs import events as ev
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
@@ -54,6 +62,7 @@ from repro.flow.checkpoint import FlowCheckpointer
 from repro.flow.schedule import ImplementationPlan, plan_implementation
 from repro.soc.config import SocConfig
 from repro.soc.partition import DesignPartition, partition_design
+from repro.soc.tiles import CPU_TILE_LUTS
 from repro.vivado.bitstream import Bitstream
 from repro.vivado.checkpoint import NetlistCheckpoint
 from repro.vivado.faults import (
@@ -268,7 +277,7 @@ class DprFlow:
         strategy_override: Optional[ImplementationStrategy] = None,
         semi_tau: int = 2,
         instrumentation: Instrumentation = OFF,
-        checkpoint_dir: Union[None, str, Path, FlowCheckpointer] = None,
+        checkpoint_dir: Union[None, str, Path] = None,
         resume: bool = False,
     ) -> FlowResult:
         """Run the full RTL-to-bitstream flow for ``config``.
@@ -297,378 +306,79 @@ class DprFlow:
         ``flow.job_failures_total`` — the counters the
         ``cad-retry-rate`` SLO reads.
         """
-        with instrumentation.frame(f"build.{config.name}"):
-            return self._build(
-                config, strategy_override, semi_tau, instrumentation,
-                checkpoint_dir, resume,
-            )
-
-    def _build(
-        self,
-        config: SocConfig,
-        strategy_override: Optional[ImplementationStrategy],
-        semi_tau: int,
-        instrumentation: Instrumentation,
-        checkpoint_dir: Union[None, str, Path, FlowCheckpointer],
-        resume: bool,
-    ) -> FlowResult:
         from repro.flow.cache import flow_cache_key
 
-        stages: List[StageTrace] = []
-        resumed: List[str] = []
-        device = config.device()
-        planner = FaultPlanner(faults=self.faults, policy=self.retry)
-        logger.info("build %s: starting flow on %s", config.name, device.name)
-
-        ckpt: Optional[FlowCheckpointer] = None
-        if checkpoint_dir is not None:
-            if isinstance(checkpoint_dir, FlowCheckpointer):
-                ckpt = checkpoint_dir
-            else:
+        with instrumentation.frame(f"build.{config.name}"):
+            device = config.device()
+            logger.info("build %s: starting flow on %s", config.name, device.name)
+            ckpt: Optional[FlowCheckpointer] = None
+            if checkpoint_dir is not None:
                 key = flow_cache_key(self, config, strategy_override, semi_tau)
                 ckpt = FlowCheckpointer(checkpoint_dir, key)
-            if not resume:
-                ckpt.clear()
-
-        def add_stage(stage: str, wall_minutes: float, detail: str) -> None:
-            """Record one Fig. 1 stage and emit its start/finish pair."""
-            start = sum(s.wall_minutes for s in stages)
-            instrumentation.emit(
-                ev.FLOW_STAGE_STARTED, time=start, source=stage, soc=config.name
-            )
-            stages.append(
-                StageTrace(stage=stage, wall_minutes=wall_minutes, detail=detail)
-            )
-            instrumentation.emit(
-                ev.FLOW_STAGE_FINISHED,
-                time=start + wall_minutes,
-                source=stage,
-                soc=config.name,
-                wall_minutes=wall_minutes,
-                detail=detail,
-            )
-
-        def run_stage(name: str, compute):
-            """Load ``name`` from the checkpoint or compute and save it.
-
-            ``compute`` returns ``(payload, wall_minutes, detail)``; the
-            payload must be picklable. A restored stage contributes the
-            same :class:`StageTrace` a fresh run would, so downstream
-            accounting (and the summary) cannot tell the difference.
-            """
-            if ckpt is not None and ckpt.has_stage(name):
-                payload, wall, detail = ckpt.load_stage(name)
-                start = sum(s.wall_minutes for s in stages)
-                stages.append(
-                    StageTrace(stage=name, wall_minutes=wall, detail=detail)
-                )
-                resumed.append(name)
-                instrumentation.leaf((f"flow.{name}", "resumed"), sim_s=wall * 60.0)
-                instrumentation.emit(
-                    ev.FLOW_STAGE_RESUMED,
-                    time=start + wall,
-                    source=name,
-                    soc=config.name,
-                    wall_minutes=wall,
-                    detail=detail,
-                )
-                logger.info("build %s: resumed stage %s from checkpoint",
-                            config.name, name)
-                return payload
-            with instrumentation.frame(f"flow.{name}"):
-                payload, wall, detail = compute()
-                # The stage's modelled CAD minutes are its simulated-
-                # time attribution (the flow clock runs in minutes).
-                instrumentation.add_sim(wall * 60.0)
-            add_stage(name, wall, detail)
-            if ckpt is not None:
-                ckpt.save_stage(name, payload, wall, detail)
-                instrumentation.emit(
-                    ev.FLOW_CHECKPOINT_SAVED,
-                    time=sum(s.wall_minutes for s in stages),
-                    source=name,
-                    soc=config.name,
-                )
-            return payload
-
-        def emit_job_events(
-            stage_name: str,
-            stage_start: float,
-            schedule: ScheduleResult,
-            executions: Dict[str, JobExecution],
-        ) -> None:
-            """Emit retry/failure events placed on the schedule's clock.
-
-            Also folds the stage's job outcomes into the registry's
-            CAD accounting counters — every scheduled job counts, not
-            just the retried/failed ones the event loop below reports.
-            """
-            jobs_total = instrumentation.counter(
-                "flow.jobs_total", "CAD jobs scheduled, by stage"
-            )
-            retries_total = instrumentation.counter(
-                "flow.job_retries_total", "retried CAD job attempts, by stage"
-            )
-            failures_total = instrumentation.counter(
-                "flow.job_failures_total",
-                "CAD jobs that exhausted their retry budget, by stage",
-            )
-            for name, execution in sorted(executions.items()):
-                jobs_total.inc(stage=stage_name)
-                if execution.retries:
-                    retries_total.inc(execution.retries, stage=stage_name)
-                if not execution.succeeded:
-                    failures_total.inc(stage=stage_name)
-            by_name = {placed.job.name: placed for placed in schedule.jobs}
-            for name, execution in sorted(executions.items()):
-                if execution.succeeded and not execution.retries:
-                    continue
-                placed = by_name.get(name)
-                base = stage_start + (placed.start_minutes if placed else 0.0)
-                offset = 0.0
-                for attempt in execution.attempts:
-                    offset += attempt.backoff_minutes + attempt.busy_minutes
-                    if not attempt.succeeded and attempt.index < len(
-                        execution.attempts
-                    ):
-                        instrumentation.emit(
-                            ev.CAD_JOB_RETRIED,
-                            time=base + offset,
-                            source=stage_name,
-                            job=name,
-                            attempt=attempt.index,
-                            backoff_minutes=execution.attempts[
-                                attempt.index
-                            ].backoff_minutes,
-                        )
-                if not execution.succeeded:
-                    instrumentation.emit(
-                        ev.CAD_JOB_FAILED,
-                        time=base + offset,
-                        source=stage_name,
-                        job=name,
-                        attempts=len(execution.attempts),
-                        minutes_burned=execution.total_minutes,
-                    )
-
-        # -- 1. parse the SoC configuration / split the sources --------
-        def compute_parse():
-            parsed = partition_design(config)
-            return (
-                parsed,
-                0.0,
-                f"static={parsed.static.luts} LUTs, "
-                f"{parsed.num_rps} reconfigurable tiles",
-            )
-
-        partition: DesignPartition = run_stage("parse", compute_parse)
-
-        # -- 2. black-box wrapper generation ----------------------------
-        def compute_blackboxes():
-            wrappers = generate_blackboxes(partition)
-            return wrappers, 0.0, f"{len(wrappers)} wrappers"
-
-        blackboxes: List[BlackBoxWrapper] = run_stage(
-            "blackbox_gen", compute_blackboxes
-        )
-
-        # -- 3. parallel OoC synthesis ----------------------------------
-        def compute_synthesis():
-            payload = self._synthesize(partition, planner, ckpt, instrumentation)
-            makespan = payload["schedule"].makespan_minutes
-            return (
-                payload,
-                makespan,
-                f"{1 + len(partition.rps)} parallel OoC runs",
-            )
-
-        synth = run_stage("synthesis", compute_synthesis)
-        for execution in synth["executions"].values():
-            planner.restore(execution)
-        synth_schedule: ScheduleResult = synth["schedule"]
-        netlists: Dict[str, NetlistCheckpoint] = synth["netlists"]
-        static_netlist: NetlistCheckpoint = synth["static_netlist"]
-        synth_failures: Tuple[JobFailure, ...] = synth["failures"]
-        synth_makespan = synth_schedule.makespan_minutes
-        if "synthesis" not in resumed:
-            emit_job_events("synthesis", 0.0, synth_schedule, synth["executions"])
-        logger.info(
-            "build %s: synthesis makespan %.1f min over %d runs",
-            config.name,
-            synth_makespan,
-            len(synth_schedule.jobs),
-        )
-        dark_synth = frozenset(
-            name for failure in synth_failures for name in failure.rp_names
-        )
-        if dark_synth:
-            logger.warning(
-                "build %s: %d tile(s) lost to synthesis faults: %s",
-                config.name,
-                len(dark_synth),
-                ", ".join(sorted(dark_synth)),
-            )
-
-        # -- 4. floorplanning -------------------------------------------
-        def compute_floorplan():
-            floorplanner = FloraFloorplanner(
-                device, target_utilization=self.floorplan_utilization
-            )
-            plan = floorplanner.plan(
-                [(rp.name, rp.demand) for rp in partition.rps]
-            )
-            report = validate_floorplan(device, plan)
-            if not report.legal:
-                raise FlowError(
-                    "floorplan validation failed: " + "; ".join(report.violations)
-                )
-            return (
-                plan,
-                0.0,
-                f"{len(plan.assignments)} pblocks on {device.name}",
-            )
-
-        floorplan: Floorplan = run_stage("floorplan", compute_floorplan)
-
-        # -- 5. size-driven strategy choice ------------------------------
-        # The classification runs on the full design (paper semantics);
-        # the materialized plan excludes tiles already lost to synthesis
-        # faults, so the implementation runs cover survivors only.
-        def compute_choice():
-            metrics = compute_metrics(config)
-            decision = choose_strategy(
-                metrics,
-                estimator=self.model.strategy_estimator(tau=semi_tau),
+                if not resume:
+                    ckpt.clear()
+            build = BuildState(
+                flow=self,
+                config=config,
+                strategy_override=strategy_override,
                 semi_tau=semi_tau,
+                instrumentation=instrumentation,
+                ckpt=ckpt,
+                device=device,
+                planner=FaultPlanner(faults=self.faults, policy=self.retry),
             )
-            if (
-                strategy_override is not None
-                and strategy_override is not decision.strategy
-            ):
-                final = StrategyDecision(
-                    classification=decision.classification,
-                    strategy=strategy_override,
-                    tau=(
-                        1
-                        if strategy_override is ImplementationStrategy.SERIAL
-                        else metrics.num_rps
-                        if strategy_override is ImplementationStrategy.FULLY_PARALLEL
-                        else min(semi_tau, metrics.num_rps)
-                    ),
+            for name, stage in STAGES:
+                build.run_stage(name, stage)
+
+            metrics, decision, plan = build.outputs["choose_parallelism"]
+            synth = build.outputs["synthesis"]
+            impl = build.outputs["implementation"]
+            failures = _failures(build)
+            result = FlowResult(
+                config=config,
+                partition=build.outputs["parse"],
+                metrics=metrics,
+                decision=decision,
+                plan=plan,
+                floorplan=build.outputs["floorplan"],
+                blackboxes=build.outputs["blackbox_gen"],
+                synth_makespan_minutes=synth["schedule"].makespan_minutes,
+                static_par_minutes=impl["static_minutes"],
+                omega_minutes=impl["omegas"],
+                par_makespan_minutes=impl["schedule"].makespan_minutes,
+                bitstreams=impl["bitstreams"],
+                stages=build.stages,
+                schedule=impl["schedule"],
+                synth_schedule=synth["schedule"],
+                degraded=bool(failures),
+                failures=failures,
+                executions=dict(build.planner.executions),
+                resumed_stages=tuple(build.resumed),
+            )
+            if result.degraded:
+                instrumentation.emit(
+                    ev.FLOW_DEGRADED,
+                    time=result.total_minutes,
+                    source="flow",
+                    soc=config.name,
+                    rps=list(result.dark_rps),
                 )
-            else:
-                final = decision
-            plan = plan_implementation(partition, final, exclude=dark_synth)
-            detail = (
-                f"class {final.design_class.value} -> "
-                f"{final.strategy.value} (tau={plan.tau})"
-            )
-            if dark_synth:
-                detail += f", excluding {len(dark_synth)} dark tile(s)"
-            return (metrics, final, plan), 0.0, detail
-
-        metrics, decision, plan = run_stage("choose_parallelism", compute_choice)
-
-        # -- 6. implementation + bitstream generation --------------------
-        # Each tool instance writes the bitstreams of the partitions it
-        # implemented, so bitgen time lands inside the runs (as in the
-        # real flow) and the makespan stays comparable to the baseline.
-        def compute_implementation():
-            payload = self._implement(
-                config,
-                partition,
-                plan,
-                device,
-                floorplan,
-                netlists,
-                static_netlist,
-                planner,
-                ckpt,
-                dark_synth,
-                instrumentation,
-            )
-            return (
-                payload,
-                payload["schedule"].makespan_minutes,
-                f"{len(plan.runs)} runs, strategy {plan.strategy.value}",
-            )
-
-        impl = run_stage("implementation", compute_implementation)
-        for execution in impl["executions"].values():
-            planner.restore(execution)
-        schedule: ScheduleResult = impl["schedule"]
-        par_makespan = schedule.makespan_minutes
-        bitstreams: List[Bitstream] = impl["bitstreams"]
-        if "implementation" not in resumed:
-            emit_job_events(
-                "implementation",
-                sum(s.wall_minutes for s in stages) - par_makespan,
-                schedule,
-                impl["executions"],
-            )
-
-        failures: Tuple[JobFailure, ...] = synth_failures + impl["failures"]
-        degraded = bool(failures)
-
-        def compute_bitstream_stage():
-            detail = (
-                f"{len(bitstreams)} bitstreams "
-                f"({'compressed' if self.compress_bitstreams else 'raw'} partials)"
-            )
-            if degraded:
-                dark = sorted(
-                    {name for f in failures for name in f.rp_names}
+                logger.warning(
+                    "build %s: completed DEGRADED without tiles %s",
+                    config.name,
+                    ", ".join(result.dark_rps),
                 )
-                detail += f", blanking-only for dark tiles: {', '.join(dark)}"
-            return None, 0.0, detail
-
-        run_stage("bitstreams", compute_bitstream_stage)
-
-        result = FlowResult(
-            config=config,
-            partition=partition,
-            metrics=metrics,
-            decision=decision,
-            plan=plan,
-            floorplan=floorplan,
-            blackboxes=blackboxes,
-            synth_makespan_minutes=synth_makespan,
-            static_par_minutes=impl["static_minutes"],
-            omega_minutes=impl["omegas"],
-            par_makespan_minutes=par_makespan,
-            bitstreams=bitstreams,
-            stages=stages,
-            schedule=schedule,
-            synth_schedule=synth_schedule,
-            degraded=degraded,
-            failures=failures,
-            executions=dict(planner.executions),
-            resumed_stages=tuple(resumed),
-        )
-        if degraded:
-            instrumentation.emit(
-                ev.FLOW_DEGRADED,
-                time=result.total_minutes,
-                source="flow",
-                soc=config.name,
-                rps=list(result.dark_rps),
-            )
-            logger.warning(
-                "build %s: completed DEGRADED without tiles %s",
+            logger.info(
+                "build %s: %s (tau=%d), total %.1f min%s",
                 config.name,
-                ", ".join(result.dark_rps),
+                plan.strategy.value,
+                plan.tau,
+                result.total_minutes,
+                " [degraded]" if result.degraded else "",
             )
-        logger.info(
-            "build %s: %s (tau=%d), total %.1f min%s",
-            config.name,
-            plan.strategy.value,
-            plan.tau,
-            result.total_minutes,
-            " [degraded]" if degraded else "",
-        )
-        if instrumentation.tracer is not None:
-            self.record_trace(result, instrumentation.tracer)
-        return result
+            if instrumentation.tracer is not None:
+                self.record_trace(result, instrumentation.tracer)
+            return result
 
     # ------------------------------------------------------------------
     def record_trace(self, result: FlowResult, tracer: Tracer) -> None:
@@ -765,407 +475,542 @@ class DprFlow:
                     sim_s=placed.job.cpu_minutes * 60.0,
                 )
 
-    # ------------------------------------------------------------------
-    def _synthesize(
-        self,
-        partition: DesignPartition,
-        planner: FaultPlanner,
-        ckpt: Optional[FlowCheckpointer],
-        instrumentation: Instrumentation = OFF,
-    ) -> Dict:
-        """Run the static + per-tile OoC syntheses in parallel.
 
-        The static top is synthesized with the reconfigurable wrappers
-        black-boxed; it is charged on the OoC curve because the run is
-        identical in character (no context, netlist-out) even though the
-        result is the design top. A permanent fault on the static
-        synthesis aborts the build; a per-tile fault marks that tile
-        dark and the flow continues without it.
+#: A Fig. 1 stage: reads the build so far and returns ``(payload,
+#: wall_minutes, detail)``. The payload must be picklable; a stage that
+#: runs tool jobs returns the dict of :meth:`ToolJobs.payload`.
+Stage = Callable[["BuildState"], Tuple[object, float, str]]
+
+
+@dataclass
+class BuildState:
+    """One ``DprFlow.build()`` call: its request, its fault ledger and
+    the payload of every stage run or restored so far, by stage name."""
+
+    flow: "DprFlow"
+    config: SocConfig
+    strategy_override: Optional[ImplementationStrategy]
+    semi_tau: int
+    instrumentation: Instrumentation
+    ckpt: Optional[FlowCheckpointer]
+    device: Device
+    planner: FaultPlanner
+    stages: List[StageTrace] = field(default_factory=list)
+    resumed: List[str] = field(default_factory=list)
+    outputs: Dict[str, object] = field(default_factory=dict)
+
+    def run_stage(self, name: str, stage: Stage) -> None:
+        """Restore ``name`` from the checkpoint, or run and save it.
+
+        A restored stage contributes the same :class:`StageTrace` a
+        fresh run would, so downstream accounting (and the summary)
+        cannot tell the difference. A tool-job stage's executions go
+        back into the planner either way; its job events are emitted
+        only when it ran.
         """
-        black_box_names = [rp.wrapper.name for rp in partition.rps]
-        jobs: List[ToolJob] = []
-        failures: List[JobFailure] = []
-        executions: Dict[str, JobExecution] = {}
-
-        def run_synth(job_name, module, black_boxes=(), rp_names=()):
-            """One synthesis job: checkpoint-aware, fault-aware.
-
-            Returns (netlist_or_None, failure_or_None)."""
-            if ckpt is not None:
-                cached = ckpt.load_job(job_name)
-                if cached is not None:
-                    execution = cached.get("execution")
-                    if execution is not None:
-                        planner.restore(execution)
-                        executions[job_name] = execution
-                    jobs.append(
-                        ToolJob(name=job_name, cpu_minutes=cached["cpu_minutes"])
-                    )
-                    instrumentation.leaf(
-                        (f"vivado.{job_name}", "resumed"),
-                        sim_s=cached["cpu_minutes"] * 60.0,
-                    )
-                    return cached["netlist"], cached["failure"]
-            tool = VivadoInstance(
-                job_name, self.model, planner=planner, stage="synthesis"
+        inst = self.instrumentation
+        start = sum(s.wall_minutes for s in self.stages)
+        restored = self.ckpt.load_stage(name) if self.ckpt is not None else None
+        if restored is not None:
+            payload, wall, detail = restored
+            self.stages.append(StageTrace(stage=name, wall_minutes=wall, detail=detail))
+            self.resumed.append(name)
+            inst.leaf((f"flow.{name}", "resumed"), sim_s=wall * 60.0)
+            inst.emit(
+                ev.FLOW_STAGE_RESUMED,
+                time=start + wall,
+                source=name,
+                soc=self.config.name,
+                wall_minutes=wall,
+                detail=detail,
             )
-            netlist = None
-            failure = None
-            with _tool_frame(instrumentation, tool):
-                try:
-                    netlist = tool.synth_design(
-                        module, ooc=True, black_box_names=black_boxes
+            logger.info("build %s: resumed stage %s from checkpoint",
+                        self.config.name, name)
+        else:
+            with inst.frame(f"flow.{name}"):
+                payload, wall, detail = stage(self)
+                # The stage's modelled CAD minutes are its simulated-
+                # time attribution (the flow clock runs in minutes).
+                inst.add_sim(wall * 60.0)
+            inst.emit(
+                ev.FLOW_STAGE_STARTED, time=start, source=name, soc=self.config.name
+            )
+            self.stages.append(StageTrace(stage=name, wall_minutes=wall, detail=detail))
+            inst.emit(
+                ev.FLOW_STAGE_FINISHED,
+                time=start + wall,
+                source=name,
+                soc=self.config.name,
+                wall_minutes=wall,
+                detail=detail,
+            )
+            if self.ckpt is not None:
+                self.ckpt.save_stage(name, payload, wall, detail)
+                inst.emit(
+                    ev.FLOW_CHECKPOINT_SAVED,
+                    time=sum(s.wall_minutes for s in self.stages),
+                    source=name,
+                    soc=self.config.name,
+                )
+        self.outputs[name] = payload
+        if isinstance(payload, dict):  # a tool-job stage: ToolJobs.payload
+            for execution in payload["executions"].values():
+                self.planner.restore(execution)
+            if name not in self.resumed:
+                self._emit_job_events(
+                    name,
+                    sum(s.wall_minutes for s in self.stages) - wall,
+                    payload["schedule"],
+                    payload["executions"],
+                )
+
+    def _emit_job_events(
+        self,
+        stage_name: str,
+        stage_start: float,
+        schedule: ScheduleResult,
+        executions: Dict[str, JobExecution],
+    ) -> None:
+        """Emit retry/failure events placed on the schedule's clock.
+
+        Also folds the stage's job outcomes into the registry's CAD
+        accounting counters — every scheduled job counts, not just the
+        retried/failed ones the event loop below reports.
+        """
+        inst = self.instrumentation
+        jobs_total = inst.counter("flow.jobs_total", "CAD jobs scheduled, by stage")
+        retries_total = inst.counter(
+            "flow.job_retries_total", "retried CAD job attempts, by stage"
+        )
+        failures_total = inst.counter(
+            "flow.job_failures_total",
+            "CAD jobs that exhausted their retry budget, by stage",
+        )
+        for name, execution in sorted(executions.items()):
+            jobs_total.inc(stage=stage_name)
+            if execution.retries:
+                retries_total.inc(execution.retries, stage=stage_name)
+            if not execution.succeeded:
+                failures_total.inc(stage=stage_name)
+        by_name = {placed.job.name: placed for placed in schedule.jobs}
+        for name, execution in sorted(executions.items()):
+            if execution.succeeded and not execution.retries:
+                continue
+            placed = by_name.get(name)
+            base = stage_start + (placed.start_minutes if placed else 0.0)
+            offset = 0.0
+            for attempt in execution.attempts:
+                offset += attempt.backoff_minutes + attempt.busy_minutes
+                if not attempt.succeeded and attempt.index < len(execution.attempts):
+                    inst.emit(
+                        ev.CAD_JOB_RETRIED,
+                        time=base + offset,
+                        source=stage_name,
+                        job=name,
+                        attempt=attempt.index,
+                        backoff_minutes=execution.attempts[
+                            attempt.index
+                        ].backoff_minutes,
                     )
+            if not execution.succeeded:
+                inst.emit(
+                    ev.CAD_JOB_FAILED,
+                    time=base + offset,
+                    source=stage_name,
+                    job=name,
+                    attempts=len(execution.attempts),
+                    minutes_burned=execution.total_minutes,
+                )
+
+
+class ToolJobs:
+    """The tool jobs of one long stage, each run or restored by :meth:`run`."""
+
+    def __init__(self, build: BuildState, stage: str) -> None:
+        self.build = build
+        self.stage = stage
+        self.jobs: List[ToolJob] = []
+        self.executions: Dict[str, JobExecution] = {}
+
+    def run(
+        self,
+        name: str,
+        work: Callable[[VivadoInstance], Dict],
+        tiles: Tuple[str, ...] = (),
+        depends_on: Tuple[str, ...] = (),
+    ) -> Dict:
+        """Run one checkpoint-aware, fault-aware tool job, or restore it.
+
+        ``work`` drives a fresh :class:`VivadoInstance` and returns the
+        job's outputs. The returned dict holds them plus ``cpu_minutes``,
+        ``execution`` and ``failure``: a permanent fault darkens
+        ``tiles`` (``failure`` set, no outputs); on a job without tiles
+        it aborts the build.
+        """
+        build = self.build
+        job = build.ckpt.load_job(name) if build.ckpt is not None else None
+        if job is not None:
+            if job["execution"] is not None:
+                build.planner.restore(job["execution"])
+            build.instrumentation.leaf(
+                (f"vivado.{name}", "resumed"), sim_s=job["cpu_minutes"] * 60.0
+            )
+        else:
+            flow = build.flow
+            tool = VivadoInstance(
+                name,
+                flow.model,
+                compress_bitstreams=flow.compress_bitstreams,
+                planner=build.planner,
+                stage=self.stage,
+            )
+            job = {"failure": None}
+            with _tool_frame(build.instrumentation, tool):
+                try:
+                    job.update(work(tool))
                 except CadFaultError as error:
-                    failure = JobFailure(
-                        stage="synthesis",
-                        job=job_name,
-                        rp_names=tuple(rp_names),
+                    if not tiles:
+                        raise
+                    # The burned minutes stay on the schedule so the
+                    # makespan reflects the loss.
+                    job["failure"] = JobFailure(
+                        stage=self.stage,
+                        job=name,
+                        rp_names=tiles,
                         attempts=len(error.execution.attempts),
                         minutes_burned=error.execution.total_minutes,
                     )
-            execution = planner.executions.get(job_name)
-            if execution is not None:
-                executions[job_name] = execution
-            jobs.append(ToolJob(name=job_name, cpu_minutes=tool.cpu_minutes))
-            if ckpt is not None:
-                ckpt.save_job(
-                    job_name,
-                    {
-                        "netlist": netlist,
-                        "cpu_minutes": tool.cpu_minutes,
-                        "execution": execution,
-                        "failure": failure,
-                    },
-                )
-            return netlist, failure
-
-        static_netlist, static_failure = run_synth(
-            "synth_static", partition.rtl, black_boxes=black_box_names
+            job["cpu_minutes"] = tool.cpu_minutes
+            job["execution"] = build.planner.executions.get(name)
+            if build.ckpt is not None:
+                build.ckpt.save_job(name, job)
+        if job["execution"] is not None:
+            self.executions[name] = job["execution"]
+        self.jobs.append(
+            ToolJob(name=name, cpu_minutes=job["cpu_minutes"], depends_on=depends_on)
         )
-        if static_failure is not None:
-            raise CadFaultError(executions["synth_static"])
+        return job
 
-        netlists: Dict[str, NetlistCheckpoint] = {}
-        for rp in partition.rps:
-            netlist, failure = run_synth(
-                f"synth_{rp.name}", rp.wrapper, rp_names=(rp.name,)
+    def payload(self, max_instances: int, **outputs) -> Dict:
+        """The stage payload: the jobs' schedule, executions and ``outputs``."""
+        schedule = VivadoServer(max_instances=max_instances).schedule(self.jobs)
+        return {"schedule": schedule, "executions": self.executions, **outputs}
+
+
+# ----------------------------------------------------------------------
+# the stages of Fig. 1
+# ----------------------------------------------------------------------
+def plan_floorplan(
+    device: Device, partition: DesignPartition, target_utilization: float
+) -> Floorplan:
+    """FLORA pblocks for ``partition``'s RPs; an illegal plan raises."""
+    plan = FloraFloorplanner(device, target_utilization=target_utilization).plan(
+        [(rp.name, rp.demand) for rp in partition.rps]
+    )
+    report = validate_floorplan(device, plan)
+    if not report.legal:
+        raise FlowError("floorplan validation failed: " + "; ".join(report.violations))
+    return plan
+
+
+def _dark_tiles(failures: Sequence[JobFailure]) -> frozenset:
+    """The tiles the given failures took down."""
+    return frozenset(name for failure in failures for name in failure.rp_names)
+
+
+def _failures(build: BuildState) -> Tuple[JobFailure, ...]:
+    """Every permanently failed job, synthesis first."""
+    return (
+        build.outputs["synthesis"]["failures"]
+        + build.outputs["implementation"]["failures"]
+    )
+
+
+def _parse(build: BuildState):
+    """Parse the SoC configuration and split the sources."""
+    parsed = partition_design(build.config)
+    return (
+        parsed,
+        0.0,
+        f"static={parsed.static.luts} LUTs, {parsed.num_rps} reconfigurable tiles",
+    )
+
+
+def _blackbox_gen(build: BuildState):
+    """Generate the black-box wrappers the static synthesis uses."""
+    wrappers = generate_blackboxes(build.outputs["parse"])
+    return wrappers, 0.0, f"{len(wrappers)} wrappers"
+
+
+def _synthesis(build: BuildState):
+    """Run the static + per-tile OoC syntheses in parallel.
+
+    The static top is synthesized with the reconfigurable wrappers
+    black-boxed; it is charged on the OoC curve because the run is
+    identical in character (no context, netlist-out) even though the
+    result is the design top. A permanent fault on the static
+    synthesis aborts the build; a per-tile fault marks that tile dark
+    and the flow continues without it.
+    """
+    partition: DesignPartition = build.outputs["parse"]
+    black_box_names = [rp.wrapper.name for rp in partition.rps]
+    jobs = ToolJobs(build, "synthesis")
+    static = jobs.run(
+        "synth_static",
+        lambda tool: {
+            "netlist": tool.synth_design(
+                partition.rtl, ooc=True, black_box_names=black_box_names
             )
-            if failure is not None:
-                failures.append(failure)
-            else:
-                netlists[rp.name] = netlist
-        server = VivadoServer(max_instances=self.max_instances)
-        schedule = server.schedule(jobs)
-        return {
-            "schedule": schedule,
-            "netlists": netlists,
-            "static_netlist": static_netlist,
-            "failures": tuple(failures),
-            "executions": executions,
-        }
+        },
+    )
+    netlists: Dict[str, NetlistCheckpoint] = {}
+    failures: List[JobFailure] = []
+    for rp in partition.rps:
+        job = jobs.run(
+            f"synth_{rp.name}",
+            lambda tool, rp=rp: {"netlist": tool.synth_design(rp.wrapper, ooc=True)},
+            tiles=(rp.name,),
+        )
+        if job["failure"] is not None:
+            failures.append(job["failure"])
+        else:
+            netlists[rp.name] = job["netlist"]
+    payload = jobs.payload(
+        build.flow.max_instances,
+        netlists=netlists,
+        static_netlist=static["netlist"],
+        failures=tuple(failures),
+    )
+    makespan = payload["schedule"].makespan_minutes
+    logger.info("build %s: synthesis makespan %.1f min over %d runs",
+                build.config.name, makespan, len(jobs.jobs))
+    dark = _dark_tiles(failures)
+    if dark:
+        logger.warning("build %s: %d tile(s) lost to synthesis faults: %s",
+                       build.config.name, len(dark), ", ".join(sorted(dark)))
+    return payload, makespan, f"{1 + len(partition.rps)} parallel OoC runs"
 
-    # ------------------------------------------------------------------
-    def _write_rp_bitstreams(
-        self,
-        tool: VivadoInstance,
-        partition: DesignPartition,
-        floorplan: Floorplan,
-        rp_names: Sequence[str],
-    ) -> List[Bitstream]:
-        """Write the partial bitstreams of the given RPs on ``tool``."""
-        from repro.fabric.resources import ResourceVector
-        from repro.soc.tiles import CPU_TILE_LUTS
 
-        bitstreams: List[Bitstream] = []
-        for rp_name in rp_names:
-            rp = partition.rp_by_name(rp_name)
-            assignment = floorplan.assignment_for(rp.name)
-            for ip in rp.tile.modes:
-                bitstreams.append(
-                    tool.write_partial_bitstream(
-                        rp.name, ip.name, assignment.provided, ip.resources
-                    )
-                )
-            if rp.tile.host_cpu:
-                core_luts = CPU_TILE_LUTS[rp.tile.hosted_cpu_core]
-                bitstreams.append(
-                    tool.write_partial_bitstream(
-                        rp.name,
-                        rp.tile.hosted_cpu_core.value,
-                        assignment.provided,
-                        ResourceVector(lut=core_luts, ff=int(core_luts * 1.2)),
-                    )
-                )
-            # Blanking (greybox) image: lets the runtime erase the
-            # region for power saving or fault clearing.
-            bitstreams.append(
-                tool.write_blanking_bitstream(rp.name, assignment.provided)
+def _floorplan(build: BuildState):
+    """Floorplan the reconfigurable partitions."""
+    plan = plan_floorplan(
+        build.device, build.outputs["parse"], build.flow.floorplan_utilization
+    )
+    return plan, 0.0, f"{len(plan.assignments)} pblocks on {build.device.name}"
+
+
+def _choose_parallelism(build: BuildState):
+    """Size-driven strategy choice.
+
+    The classification runs on the full design (paper semantics); the
+    materialized plan excludes tiles already lost to synthesis faults,
+    so the implementation runs cover survivors only.
+    """
+    semi_tau, override = build.semi_tau, build.strategy_override
+    metrics = compute_metrics(build.config)
+    decision = choose_strategy(
+        metrics,
+        estimator=build.flow.model.strategy_estimator(tau=semi_tau),
+        semi_tau=semi_tau,
+    )
+    if override is not None and override is not decision.strategy:
+        decision = StrategyDecision(
+            classification=decision.classification,
+            strategy=override,
+            tau=(
+                1
+                if override is ImplementationStrategy.SERIAL
+                else metrics.num_rps
+                if override is ImplementationStrategy.FULLY_PARALLEL
+                else min(semi_tau, metrics.num_rps)
+            ),
+        )
+    dark_synth = _dark_tiles(build.outputs["synthesis"]["failures"])
+    plan = plan_implementation(build.outputs["parse"], decision, exclude=dark_synth)
+    detail = (
+        f"class {decision.design_class.value} -> "
+        f"{decision.strategy.value} (tau={plan.tau})"
+    )
+    if dark_synth:
+        detail += f", excluding {len(dark_synth)} dark tile(s)"
+    return (metrics, decision, plan), 0.0, detail
+
+
+def _implementation(build: BuildState):
+    """Execute the implementation plan, bitstream generation included.
+
+    Each tool instance writes the bitstreams of the partitions it
+    implemented, so bitgen time lands inside the runs (as in the real
+    flow) and the makespan stays comparable to the baseline.
+    Static-path faults (the serial full run, the static pre-route)
+    abort the build; a faulted in-context run marks its whole group of
+    tiles dark and the flow continues. Every dark tile — from synthesis
+    or implementation — gets its blanking bitstream from a fault-exempt
+    recovery instance, so a degraded build is always loadable.
+    """
+    flow, config, device = build.flow, build.config, build.device
+    partition: DesignPartition = build.outputs["parse"]
+    synth = build.outputs["synthesis"]
+    netlists: Dict[str, NetlistCheckpoint] = synth["netlists"]
+    floorplan: Floorplan = build.outputs["floorplan"]
+    plan: ImplementationPlan = build.outputs["choose_parallelism"][2]
+    pblocks = floorplan.pblocks()
+    demands = [a.demand for a in floorplan.assignments]
+    pblock_by_rp = {a.rp_name: a.pblock.name for a in floorplan.assignments}
+
+    jobs = ToolJobs(build, "implementation")
+    omegas: Dict[str, float] = {}
+    static_minutes: Optional[float] = None
+    bitstreams: List[Bitstream] = []
+    failures: List[JobFailure] = []
+
+    serial = plan.strategy is ImplementationStrategy.SERIAL
+    if serial:
+        run = plan.runs[0]
+
+        # The serial run implements the static design too; a permanent
+        # fault here aborts — no degraded SoC exists without its
+        # static logic.
+        def full_run(tool: VivadoInstance) -> Dict:
+            tool.implement_full(
+                synth["static_netlist"],
+                [netlists[name] for name in run.rp_names],
+                device,
+                pblocks,
+                demands,
+                mode=ParMode.FULL_SERIAL,
             )
-        return bitstreams
+            return {
+                "bitstreams": [tool.write_full_bitstream(config.name, device)]
+                + _rp_bitstreams(tool, partition, floorplan, run.rp_names)
+            }
 
-    def _implement(
-        self,
-        config: SocConfig,
-        partition: DesignPartition,
-        plan: ImplementationPlan,
-        device: Device,
-        floorplan: Floorplan,
-        netlists: Dict[str, NetlistCheckpoint],
-        static_netlist: NetlistCheckpoint,
-        planner: FaultPlanner,
-        ckpt: Optional[FlowCheckpointer],
-        dark_synth: frozenset,
-        instrumentation: Instrumentation = OFF,
-    ) -> Dict:
-        """Execute the implementation plan.
+        bitstreams += jobs.run(run.name, full_run)["bitstreams"]
+    else:
+        # A permanent fault on the static pre-route aborts: every
+        # in-context run depends on the locked static design. The
+        # static instance assembles and writes the full-device
+        # bitstream (with placeholder greyboxes).
+        static = jobs.run(
+            "impl_static",
+            lambda tool: {
+                "static_routed": tool.implement_static(
+                    synth["static_netlist"], device, pblocks, demands
+                ),
+                "full_bitstream": tool.write_full_bitstream(config.name, device),
+            },
+        )
+        bitstreams.append(static["full_bitstream"])
+        static_minutes = static["cpu_minutes"]
+        for run in plan.context_runs:
 
-        Static-path faults (the serial full run, the static pre-route)
-        abort the build; a faulted in-context run marks its whole group
-        of tiles dark and the flow continues. Every dark tile — from
-        synthesis or implementation — gets its blanking bitstream from
-        a fault-exempt recovery instance, so a degraded build is always
-        loadable.
-        """
-        pblocks = floorplan.pblocks()
-        demands = [a.demand for a in floorplan.assignments]
-        pblock_by_rp = {a.rp_name: a.pblock.name for a in floorplan.assignments}
-
-        jobs: List[ToolJob] = []
-        omegas: Dict[str, float] = {}
-        static_minutes: Optional[float] = None
-        bitstreams: List[Bitstream] = []
-        failures: List[JobFailure] = []
-        executions: Dict[str, JobExecution] = {}
-
-        def record_execution(job_name: str) -> Optional[JobExecution]:
-            execution = planner.executions.get(job_name)
-            if execution is not None:
-                executions[job_name] = execution
-            return execution
-
-        def load_job(job_name: str) -> Optional[Dict]:
-            if ckpt is None:
-                return None
-            cached = ckpt.load_job(job_name)
-            if cached is None:
-                return None
-            execution = cached.get("execution")
-            if execution is not None:
-                planner.restore(execution)
-                executions[job_name] = execution
-            return cached
-
-        if plan.strategy is ImplementationStrategy.SERIAL:
-            run = plan.runs[0]
-            cached = load_job(run.name)
-            if cached is not None:
-                bitstreams += cached["bitstreams"]
-                jobs.append(
-                    ToolJob(name=run.name, cpu_minutes=cached["cpu_minutes"])
+            def in_context(tool: VivadoInstance, run=run) -> Dict:
+                tool.implement_in_context(
+                    static["static_routed"],
+                    [netlists[name] for name in run.rp_names],
+                    [pblock_by_rp[name] for name in run.rp_names],
                 )
-                instrumentation.leaf(
-                    (f"vivado.{run.name}", "resumed"),
-                    sim_s=cached["cpu_minutes"] * 60.0,
-                )
-            else:
-                tool = VivadoInstance(
-                    run.name,
-                    self.model,
-                    compress_bitstreams=self.compress_bitstreams,
-                    planner=planner,
-                    stage="implementation",
-                )
-                rp_netlists = [netlists[name] for name in run.rp_names]
-                # The serial run implements the static design too; a
-                # permanent fault here aborts — no degraded SoC exists
-                # without its static logic.
-                with _tool_frame(instrumentation, tool):
-                    tool.implement_full(
-                        static_netlist,
-                        rp_netlists,
-                        device,
-                        pblocks,
-                        demands,
-                        mode=ParMode.FULL_SERIAL,
-                    )
-                    record_execution(run.name)
-                    run_bitstreams = [
-                        tool.write_full_bitstream(config.name, device)
-                    ]
-                    run_bitstreams += self._write_rp_bitstreams(
+                return {
+                    "bitstreams": _rp_bitstreams(
                         tool, partition, floorplan, run.rp_names
                     )
-                bitstreams += run_bitstreams
-                jobs.append(ToolJob(name=run.name, cpu_minutes=tool.cpu_minutes))
-                if ckpt is not None:
-                    ckpt.save_job(
-                        run.name,
-                        {
-                            "bitstreams": run_bitstreams,
-                            "cpu_minutes": tool.cpu_minutes,
-                            "execution": executions.get(run.name),
-                        },
-                    )
-        else:
-            cached = load_job("impl_static")
-            if cached is not None:
-                static_routed = cached["static_routed"]
-                bitstreams.append(cached["full_bitstream"])
-                static_minutes = cached["cpu_minutes"]
-                jobs.append(
-                    ToolJob(name="impl_static", cpu_minutes=static_minutes)
-                )
-                instrumentation.leaf(
-                    ("vivado.impl_static", "resumed"),
-                    sim_s=static_minutes * 60.0,
-                )
+                }
+
+            job = jobs.run(
+                run.name, in_context, tiles=run.rp_names, depends_on=("impl_static",)
+            )
+            if job["failure"] is not None:
+                failures.append(job["failure"])
             else:
-                static_tool = VivadoInstance(
-                    "impl_static",
-                    self.model,
-                    compress_bitstreams=self.compress_bitstreams,
-                    planner=planner,
-                    stage="implementation",
-                )
-                # A permanent fault on the static pre-route aborts: every
-                # in-context run depends on the locked static design.
-                with _tool_frame(instrumentation, static_tool):
-                    static_routed = static_tool.implement_static(
-                        static_netlist, device, pblocks, demands
-                    )
-                    record_execution("impl_static")
-                    # The static instance assembles and writes the
-                    # full-device bitstream (with placeholder greyboxes).
-                    full_bitstream = static_tool.write_full_bitstream(
-                        config.name, device
-                    )
-                bitstreams.append(full_bitstream)
-                static_minutes = static_tool.cpu_minutes
-                jobs.append(
-                    ToolJob(name="impl_static", cpu_minutes=static_minutes)
-                )
-                if ckpt is not None:
-                    ckpt.save_job(
-                        "impl_static",
-                        {
-                            "static_routed": static_routed,
-                            "full_bitstream": full_bitstream,
-                            "cpu_minutes": static_minutes,
-                            "execution": executions.get("impl_static"),
-                        },
-                    )
-            for run in plan.context_runs:
-                cached = load_job(run.name)
-                if cached is not None:
-                    bitstreams += cached["bitstreams"]
-                    if cached["failure"] is not None:
-                        failures.append(cached["failure"])
-                    else:
-                        omegas[run.name] = cached["cpu_minutes"]
-                    jobs.append(
-                        ToolJob(
-                            name=run.name,
-                            cpu_minutes=cached["cpu_minutes"],
-                            depends_on=("impl_static",),
-                        )
-                    )
-                    instrumentation.leaf(
-                        (f"vivado.{run.name}", "resumed"),
-                        sim_s=cached["cpu_minutes"] * 60.0,
-                    )
-                    continue
-                tool = VivadoInstance(
-                    run.name,
-                    self.model,
-                    compress_bitstreams=self.compress_bitstreams,
-                    planner=planner,
-                    stage="implementation",
-                )
-                group = [netlists[name] for name in run.rp_names]
-                targets = [pblock_by_rp[name] for name in run.rp_names]
-                failure = None
-                run_bitstreams: List[Bitstream] = []
-                with _tool_frame(instrumentation, tool):
-                    try:
-                        tool.implement_in_context(static_routed, group, targets)
-                    except CadFaultError as error:
-                        # The whole group goes dark; the burned minutes
-                        # stay on the schedule so the makespan reflects
-                        # the loss.
-                        failure = JobFailure(
-                            stage="implementation",
-                            job=run.name,
-                            rp_names=run.rp_names,
-                            attempts=len(error.execution.attempts),
-                            minutes_burned=error.execution.total_minutes,
-                        )
-                        failures.append(failure)
-                    else:
-                        run_bitstreams = self._write_rp_bitstreams(
-                            tool, partition, floorplan, run.rp_names
-                        )
-                        bitstreams += run_bitstreams
-                        omegas[run.name] = tool.cpu_minutes
-                record_execution(run.name)
-                jobs.append(
-                    ToolJob(
-                        name=run.name,
-                        cpu_minutes=tool.cpu_minutes,
-                        depends_on=("impl_static",),
-                    )
-                )
-                if ckpt is not None:
-                    ckpt.save_job(
-                        run.name,
-                        {
-                            "bitstreams": run_bitstreams,
-                            "cpu_minutes": tool.cpu_minutes,
-                            "execution": executions.get(run.name),
-                            "failure": failure,
-                        },
-                    )
+                bitstreams += job["bitstreams"]
+                omegas[run.name] = job["cpu_minutes"]
 
-        # -- recovery: blanking bitstreams for every dark tile ----------
-        # Written on a planner-free instance (bitgen is fault-exempt by
-        # design) so a degraded build always ships a loadable image for
-        # each dark region.
-        dark_impl = {name for failure in failures for name in failure.rp_names}
-        dark_all = sorted(dark_synth | dark_impl)
-        if dark_all:
-            recovery = VivadoInstance(
-                "impl_recovery",
-                self.model,
-                compress_bitstreams=self.compress_bitstreams,
-            )
-            with _tool_frame(instrumentation, recovery):
-                for rp_name in dark_all:
-                    assignment = floorplan.assignment_for(rp_name)
-                    bitstreams.append(
-                        recovery.write_blanking_bitstream(
-                            rp_name, assignment.provided
-                        )
-                    )
-            depends = (
-                ("impl_static",)
-                if plan.strategy is not ImplementationStrategy.SERIAL
-                else ()
-            )
-            jobs.append(
-                ToolJob(
-                    name="impl_recovery",
-                    cpu_minutes=recovery.cpu_minutes,
-                    depends_on=depends,
+    # -- recovery: blanking bitstreams for every dark tile --------------
+    # Written on a planner-free instance (bitgen is fault-exempt by
+    # design) so a degraded build always ships a loadable image for
+    # each dark region.
+    dark_all = sorted(_dark_tiles(synth["failures"] + tuple(failures)))
+    if dark_all:
+        recovery = VivadoInstance(
+            "impl_recovery", flow.model, compress_bitstreams=flow.compress_bitstreams
+        )
+        with _tool_frame(build.instrumentation, recovery):
+            for rp_name in dark_all:
+                assignment = floorplan.assignment_for(rp_name)
+                bitstreams.append(
+                    recovery.write_blanking_bitstream(rp_name, assignment.provided)
+                )
+        depends = () if serial else ("impl_static",)
+        jobs.jobs.append(ToolJob("impl_recovery", recovery.cpu_minutes, depends))
+
+    payload = jobs.payload(
+        max(flow.max_instances, plan.tau),
+        static_minutes=static_minutes,
+        omegas=omegas,
+        bitstreams=bitstreams,
+        failures=tuple(failures),
+    )
+    return (
+        payload,
+        payload["schedule"].makespan_minutes,
+        f"{len(plan.runs)} runs, strategy {plan.strategy.value}",
+    )
+
+
+def _bitstreams(build: BuildState):
+    """Account for the bitstreams the implementation runs wrote."""
+    bitstreams = build.outputs["implementation"]["bitstreams"]
+    detail = (
+        f"{len(bitstreams)} bitstreams "
+        f"({'compressed' if build.flow.compress_bitstreams else 'raw'} partials)"
+    )
+    dark = _dark_tiles(_failures(build))
+    if dark:
+        detail += f", blanking-only for dark tiles: {', '.join(sorted(dark))}"
+    return None, 0.0, detail
+
+
+def _rp_bitstreams(
+    tool: VivadoInstance,
+    partition: DesignPartition,
+    floorplan: Floorplan,
+    rp_names: Sequence[str],
+) -> List[Bitstream]:
+    """Write the partial bitstreams of the given RPs on ``tool``."""
+    bitstreams: List[Bitstream] = []
+    for rp_name in rp_names:
+        rp = partition.rp_by_name(rp_name)
+        assignment = floorplan.assignment_for(rp.name)
+        for ip in rp.tile.modes:
+            bitstreams.append(
+                tool.write_partial_bitstream(
+                    rp.name, ip.name, assignment.provided, ip.resources
                 )
             )
+        if rp.tile.host_cpu:
+            core_luts = CPU_TILE_LUTS[rp.tile.hosted_cpu_core]
+            bitstreams.append(
+                tool.write_partial_bitstream(
+                    rp.name,
+                    rp.tile.hosted_cpu_core.value,
+                    assignment.provided,
+                    ResourceVector(lut=core_luts, ff=int(core_luts * 1.2)),
+                )
+            )
+        # Blanking (greybox) image: lets the runtime erase the region
+        # for power saving or fault clearing.
+        bitstreams.append(tool.write_blanking_bitstream(rp.name, assignment.provided))
+    return bitstreams
 
-        server = VivadoServer(max_instances=max(self.max_instances, plan.tau))
-        schedule = server.schedule(jobs)
-        return {
-            "static_minutes": static_minutes,
-            "omegas": omegas,
-            "schedule": schedule,
-            "bitstreams": bitstreams,
-            "failures": tuple(failures),
-            "executions": executions,
-        }
+
+#: The Fig. 1 flow, in order. ``DprFlow.build`` walks this table
+#: through :meth:`BuildState.run_stage`.
+STAGES: Tuple[Tuple[str, Stage], ...] = (
+    ("parse", _parse),
+    ("blackbox_gen", _blackbox_gen),
+    ("synthesis", _synthesis),
+    ("floorplan", _floorplan),
+    ("choose_parallelism", _choose_parallelism),
+    ("implementation", _implementation),
+    ("bitstreams", _bitstreams),
+)

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.metrics import DesignMetrics, compute_metrics
-from repro.errors import FlowError
-from repro.floorplan.constraints import validate_floorplan
-from repro.floorplan.flora import Floorplan, FloraFloorplanner
+from repro.floorplan.flora import Floorplan
+from repro.flow.dpr_flow import plan_floorplan
 from repro.soc.config import SocConfig
 from repro.soc.partition import DesignPartition, partition_design
 from repro.vivado.bitstream import Bitstream
@@ -69,16 +68,8 @@ class MonolithicFlow:
         synth_minutes = tool.cpu_minutes
 
         # Manual-equivalent floorplanning still happens (the standard
-        # flow requires hand-made pblocks; we reuse the same planner).
-        floorplanner = FloraFloorplanner(
-            device, target_utilization=self.floorplan_utilization
-        )
-        floorplan = floorplanner.plan([(rp.name, rp.demand) for rp in partition.rps])
-        report = validate_floorplan(device, floorplan)
-        if not report.legal:
-            raise FlowError(
-                "baseline floorplan validation failed: " + "; ".join(report.violations)
-            )
+        # flow requires hand-made pblocks; we reuse the same step).
+        floorplan = plan_floorplan(device, partition, self.floorplan_utilization)
 
         tool.implement_full(
             global_netlist,

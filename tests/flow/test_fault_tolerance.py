@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.strategy import ImplementationStrategy
 from repro.errors import FlowError
+from repro.flow import dpr_flow
 from repro.flow.dpr_flow import DprFlow
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.events import (
@@ -195,10 +196,17 @@ class TestCheckpointResume:
         baseline = DprFlow().build(duo_soc)
         flow = DprFlow()
 
-        def crash(*args, **kwargs):
+        def crash(build):
             raise KeyboardInterrupt("killed mid-flow")
 
-        monkeypatch.setattr(flow, "_implement", crash)
+        monkeypatch.setattr(
+            dpr_flow,
+            "STAGES",
+            tuple(
+                (name, crash if name == "implementation" else stage)
+                for name, stage in dpr_flow.STAGES
+            ),
+        )
         with pytest.raises(KeyboardInterrupt):
             flow.build(duo_soc, checkpoint_dir=tmp_path / "ckpt")
         monkeypatch.undo()
@@ -213,12 +221,27 @@ class TestCheckpointResume:
     def test_resume_ignores_checkpoints_of_a_different_build(
         self, duo_soc, tmp_path
     ):
+        for other in (
+            DprFlow(faults=CadFaultModel(seed=9, rates=ALL_RATES)),
+            # Same stages, different bitstreams: the job files of the
+            # first build must not leak into this one either.
+            DprFlow(compress_bitstreams=False),
+        ):
+            DprFlow().build(duo_soc, checkpoint_dir=tmp_path / "ckpt")
+            resumed = other.build(
+                duo_soc, checkpoint_dir=tmp_path / "ckpt", resume=True
+            )
+            assert resumed.resumed_stages == ()
+            assert resumed.to_summary_dict() == other.build(duo_soc).to_summary_dict()
+
+    def test_resume_without_a_manifest_ignores_the_job_files(
+        self, duo_soc, tmp_path
+    ):
         DprFlow().build(duo_soc, checkpoint_dir=tmp_path / "ckpt")
-        other = DprFlow(faults=CadFaultModel(seed=9, rates=ALL_RATES))
-        resumed = other.build(
-            duo_soc, checkpoint_dir=tmp_path / "ckpt", resume=True
-        )
-        assert resumed.resumed_stages == ()
+        (tmp_path / "ckpt" / "manifest.json").unlink()
+        raw = DprFlow(compress_bitstreams=False)
+        resumed = raw.build(duo_soc, checkpoint_dir=tmp_path / "ckpt", resume=True)
+        assert resumed.to_summary_dict() == raw.build(duo_soc).to_summary_dict()
 
     def test_fresh_build_clears_stale_checkpoints(self, duo_soc, tmp_path):
         flow = DprFlow()

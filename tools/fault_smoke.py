@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke test for the fault-tolerant, resumable flow.
 
-Three phases, all through the CLI entry point:
+Four phases, all through the CLI entry point:
 
 1. build an SoC with seeded CAD faults, uninterrupted — the baseline
    summary;
@@ -9,9 +9,13 @@ Three phases, all through the CLI entry point:
    (the implementation stage raises ``KeyboardInterrupt``, the
    moral equivalent of ctrl-C on the build host);
 3. resume from the checkpoint directory and assert the resumed
-   summary is byte-identical to the uninterrupted baseline.
+   summary is byte-identical to the uninterrupted baseline;
+4. resume a different build (``--no-compress``) into a checkpoint
+   directory a compressed build filled, and assert it matches a fresh
+   ``--no-compress`` build: another build's stages and job files must
+   not be trusted.
 
-A fourth check builds with one RP forced to permanent failure and
+A last check builds with one RP forced to permanent failure and
 asserts the degraded build still exits 0 with blanking bitstreams.
 
 Run:  PYTHONPATH=src python tools/fault_smoke.py
@@ -26,7 +30,7 @@ import sys
 import tempfile
 
 from repro.cli import main
-from repro.flow.dpr_flow import DprFlow
+from repro.flow import dpr_flow
 
 FAULT_FLAGS = ["--fault", "cad=0.3@7"]
 
@@ -60,12 +64,15 @@ def main_smoke() -> None:
         )
 
         # 2. Same build, checkpointed, killed during implementation.
-        original = DprFlow._implement
+        original = dpr_flow.STAGES
 
-        def killed(*args, **kwargs):
+        def killed(build):
             raise KeyboardInterrupt("simulated kill mid-flow")
 
-        DprFlow._implement = killed
+        dpr_flow.STAGES = tuple(
+            (name, killed if name == "implementation" else stage)
+            for name, stage in original
+        )
         try:
             run_cli(
                 ["build", "soc_2", *FAULT_FLAGS, "--checkpoint-dir", ckpt]
@@ -75,7 +82,7 @@ def main_smoke() -> None:
         else:
             check(False, "interrupted build must not complete")
         finally:
-            DprFlow._implement = original
+            dpr_flow.STAGES = original
 
         # 3. Resume and compare against the uninterrupted baseline.
         code, out = run_cli(
@@ -90,7 +97,21 @@ def main_smoke() -> None:
             "resumed summary equals the uninterrupted baseline",
         )
 
-    # 4. A permanently failed RP degrades instead of aborting.
+        # 4. A different build resumed into that directory starts over.
+        code, out = run_cli(
+            [
+                "build", "soc_2", "--no-compress",
+                "--checkpoint-dir", ckpt, "--resume", "--json",
+            ]
+        )
+        check(code == 0, "foreign-directory resume completes")
+        code, fresh = run_cli(["build", "soc_2", "--no-compress", "--json"])
+        check(
+            code == 0 and json.loads(out) == json.loads(fresh),
+            "resume into another build's checkpoints equals a fresh build",
+        )
+
+    # 5. A permanently failed RP degrades instead of aborting.
     code, out = run_cli(
         [
             "build", "soc_2",
