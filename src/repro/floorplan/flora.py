@@ -46,7 +46,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -171,16 +171,13 @@ class Floorplan:
         """All pblocks in assignment order."""
         return [a.pblock for a in self.assignments]
 
-    @cached_property
-    def _by_name(self) -> Dict[str, RegionAssignment]:
-        return {assignment.rp_name: assignment for assignment in self.assignments}
-
     def assignment_for(self, rp_name: str) -> RegionAssignment:
-        """Assignment lookup by RP name (cached name->assignment map)."""
-        assignment = self._by_name.get(rp_name)
-        if assignment is None:
-            raise FloorplanError(f"no assignment for RP {rp_name!r}")
-        return assignment
+        """Assignment lookup by RP name (a scan: a floorplan holds few RPs,
+        and a cached map would be pickled with every result)."""
+        for assignment in self.assignments:
+            if assignment.rp_name == rp_name:
+                return assignment
+        raise FloorplanError(f"no assignment for RP {rp_name!r}")
 
 
 class FloraFloorplanner:

@@ -1,5 +1,7 @@
 """Tests for the FLORA-style floorplanner."""
 
+import pickle
+
 import pytest
 
 from repro.errors import FloorplanError
@@ -106,6 +108,12 @@ class TestMultiPlacement:
         assert plan.assignment_for("rp0").rp_name == "rp0"
         with pytest.raises(FloorplanError):
             plan.assignment_for("missing")
+
+    def test_lookup_leaves_nothing_to_pickle(self, device):
+        plan = FloraFloorplanner(device).plan([("rp0", demand(1000))])
+        plan.assignment_for("rp0")
+        assert b"_by_name" not in pickle.dumps(plan)
+        assert pickle.loads(pickle.dumps(plan)) == plan
 
     def test_dense_design_relaxes_instead_of_failing(self, device):
         """SOC_4-style density (~80% of the device in RPs) must plan."""

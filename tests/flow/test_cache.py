@@ -180,9 +180,8 @@ class TestSharedParts:
         fresh = flow.build(soc)
         cache.put(key, fresh)
         served = cache.get(key)
-        served.floorplan.assignment_for(served.partition.rps[0].name)  # fill its lazy map
         containers = list(reachable_containers(served))
-        for field in (served.bitstreams, served.executions, served.floorplan._by_name):
+        for field in (served.bitstreams, served.executions):
             assert any(container is field for container in containers)
         for container in containers:
             container.clear()
