@@ -23,7 +23,6 @@ from repro.flow.batch import BatchBuilder, BuildOutcome, BuildRequest, cached_bu
 from repro.flow.dpr_flow import DprFlow, FlowResult
 from repro.flow.monolithic import MonolithicFlow, MonolithicResult
 from repro.flow.options import BuildOptions
-from repro.noc.analytic import NocModel
 from repro.noc.mesh import Mesh
 from repro.obs.bridge import bridge_timeline, publish_runtime_stats
 from repro.obs.context import RequestIdFactory, TelemetryContext, activate
@@ -135,7 +134,6 @@ class PrEspPlatform:
         compress_bitstreams: bool = True,
         power_model: PowerModel = DEFAULT_POWER_MODEL,
         prc_fetch_bytes_per_cycle: Optional[float] = None,
-        noc_model: Optional[NocModel] = None,
         instrumentation: Optional[Instrumentation] = None,
         options: Optional[BuildOptions] = None,
         runtime_options: Optional[RuntimeFaultOptions] = None,
@@ -172,10 +170,6 @@ class PrEspPlatform:
         self.model = model
         self.power_model = power_model
         self.prc_fetch_bytes_per_cycle = prc_fetch_bytes_per_cycle
-        #: NoC timing backend for deployments (None = PrcDevice default,
-        #: the analytic model; ``NocModel.CYCLE`` replays fetch bursts
-        #: through the flit-level simulator as a cross-check).
-        self.noc_model = noc_model
         self.flow = DprFlow(
             model=model,
             max_instances=max_instances,
@@ -450,8 +444,6 @@ class PrEspPlatform:
         prc_kwargs = {}
         if self.prc_fetch_bytes_per_cycle is not None:
             prc_kwargs["fetch_bytes_per_cycle"] = self.prc_fetch_bytes_per_cycle
-        if self.noc_model is not None:
-            prc_kwargs["noc_model"] = self.noc_model
         prc = PrcDevice(
             sim,
             mesh,

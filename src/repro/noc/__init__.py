@@ -1,44 +1,21 @@
-"""Packet-switched 2D-mesh multi-plane NoC model.
+"""The NoC latency model of the runtime evaluation.
 
-ESP tiles communicate over a packet-switched 2D mesh with multiple
-physical planes (separate planes for DMA, register access and
-interrupts). The runtime evaluation needs transfer latencies for DMA
-bursts and partial-bitstream fetches; this package provides XY routing,
-an analytic latency model and a contention-aware transfer simulator.
+ESP tiles communicate over a packet-switched 2D mesh. The runtime
+evaluation needs one NoC figure: how long a partial bitstream takes to
+cross the mesh from the memory tile to the auxiliary tile's DFXC. The
+fetches are serialized on the single ICAP, so the mesh is idle when
+one streams, and :class:`AnalyticNocModel`'s closed-form zero-load
+latency prices it exactly. The flit-level replay that checks that
+claim is a test reference (``tests/noc/reference.py``).
 """
 
-from repro.noc.analytic import (
-    ANALYTIC_TOLERANCE,
-    AnalyticNocModel,
-    NocModel,
-    cycle_transfer_latency_cycles,
-)
-from repro.noc.packet import Packet, FLIT_BYTES
-from repro.noc.router import Port, Router, xy_route
+from repro.noc.analytic import FLIT_BYTES, HEADER_FLITS, AnalyticNocModel, flit_count
 from repro.noc.mesh import Mesh
-from repro.noc.simulator import NocSimulator, TransferRecord
-from repro.noc.traffic import (
-    TrafficReport,
-    TransferDemand,
-    analyze_traffic,
-    wami_traffic_report,
-)
 
 __all__ = [
-    "ANALYTIC_TOLERANCE",
     "AnalyticNocModel",
-    "NocModel",
-    "cycle_transfer_latency_cycles",
-    "Packet",
     "FLIT_BYTES",
-    "Port",
-    "Router",
-    "xy_route",
+    "HEADER_FLITS",
     "Mesh",
-    "NocSimulator",
-    "TransferRecord",
-    "TrafficReport",
-    "TransferDemand",
-    "analyze_traffic",
-    "wami_traffic_report",
+    "flit_count",
 ]

@@ -1,66 +1,51 @@
-"""Calibrated analytic NoC latency model.
+"""Closed-form NoC latency model.
 
-The cycle-level :class:`~repro.noc.simulator.NocSimulator` walks every
-flit of every packet through the mesh — exact, but it sits on the
-deployment's critical path for no benefit when the traffic is
-contention-free (the single-ICAP fetch path serializes transfers by
-construction). The standard architecture-simulation answer is an
-analytic latency model cross-checked against the cycle-accurate one
-(cf. Nguyen & Hoe, arXiv:1710.08270): closed-form wormhole latency
+A partial-bitstream fetch crosses the mesh from the memory tile to the
+auxiliary tile's DFXC. Fetches are serialized on the single ICAP, so
+the mesh is idle when one streams and the closed-form wormhole latency
 
     cycles(src, dst, bytes) = (hops + 1) * pipeline + flits - 1
 
-scaled by a calibrated contention factor. At zero load the factor is
-0 and the model matches the cycle simulator *exactly*; under measured
-contention :meth:`AnalyticNocModel.calibrated` fits the factor from
-observed :class:`~repro.noc.simulator.TransferRecord` latencies so the
-closed form stays within a stated tolerance of the replay.
-
-:class:`NocModel` selects the timing backend of
-:class:`~repro.runtime.prc.PrcDevice`: ``ANALYTIC`` (default, the fast
-path) or ``CYCLE`` (routes the fetch burst through the flit-level
-simulator — the cross-check the equivalence tests run).
+is exact: the head flit pays the router pipeline at every hop (plus
+the injection stage) and the body flits stream behind it at one flit
+per cycle. This is the standard architecture-simulation pattern of an
+analytic latency model checked against a cycle-accurate one (cf.
+Nguyen & Hoe, arXiv:1710.08270); the flit-level replay it is checked
+against lives with the tests (``tests/noc/reference.py``).
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import NocError
 from repro.noc.mesh import Mesh
-from repro.noc.packet import FLIT_BYTES, HEADER_FLITS, Packet
 
-#: Relative tolerance the analytic model is held to against cycle-level
-#: results on the deployment traffic (see tests/noc/test_analytic.py).
-ANALYTIC_TOLERANCE = 0.02
+#: Flit payload width. ESP's NoC planes are 32/64-bit; the model uses
+#: 8-byte flits (64-bit), matching the wide DMA planes.
+FLIT_BYTES = 8
+
+#: Flits consumed by the packet header.
+HEADER_FLITS = 1
 
 
-class NocModel(enum.Enum):
-    """Timing backend for NoC transfer windows."""
-
-    ANALYTIC = "analytic"
-    CYCLE = "cycle"
+def flit_count(num_bytes: int) -> int:
+    """Flits on the wire for a ``num_bytes`` burst (header + payload)."""
+    return HEADER_FLITS + math.ceil(num_bytes / FLIT_BYTES)
 
 
 class AnalyticNocModel:
-    """Closed-form wormhole latency with a calibrated contention factor.
+    """Zero-load wormhole latency on one mesh.
 
     Hop distances are memoized per (src, dst) pair — the runtime asks
     for the same mem->aux window thousands of times per deployment.
     """
 
-    def __init__(self, mesh: Mesh, contention_factor: float = 0.0) -> None:
-        if contention_factor < 0:
-            raise NocError(
-                f"contention factor must be non-negative: {contention_factor}"
-            )
+    def __init__(self, mesh: Mesh) -> None:
         self.mesh = mesh
-        self.contention_factor = contention_factor
         self._hops: Dict[Tuple[Tuple[int, int], Tuple[int, int]], int] = {}
 
-    # ------------------------------------------------------------------
     def hops(self, src: Tuple[int, int], dst: Tuple[int, int]) -> int:
         """Manhattan hop count, validated once then memoized."""
         key = (src, dst)
@@ -75,68 +60,17 @@ class AnalyticNocModel:
     def latency_cycles(
         self, src: Tuple[int, int], dst: Tuple[int, int], num_bytes: int
     ) -> int:
-        """Modelled end-to-end latency of one ``num_bytes`` burst."""
+        """End-to-end latency of one ``num_bytes`` burst on an idle mesh."""
         if num_bytes < 0:
             raise NocError("negative transfer size")
-        flits = HEADER_FLITS + math.ceil(num_bytes / FLIT_BYTES)
-        zero_load = (self.hops(src, dst) + 1) * self.mesh.pipeline_cycles + flits - 1
-        if self.contention_factor == 0.0:
-            return zero_load
-        return int(round(zero_load * (1.0 + self.contention_factor)))
+        return (
+            (self.hops(src, dst) + 1) * self.mesh.pipeline_cycles
+            + flit_count(num_bytes)
+            - 1
+        )
 
     def transfer_time_s(
         self, src: Tuple[int, int], dst: Tuple[int, int], num_bytes: int
     ) -> float:
         """Modelled transfer time in seconds at the mesh clock."""
         return self.latency_cycles(src, dst, num_bytes) / self.mesh.clock_hz
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def calibrated(cls, mesh: Mesh, records: Iterable) -> "AnalyticNocModel":
-        """Fit the contention factor to measured transfer records.
-
-        ``records`` are :class:`~repro.noc.simulator.TransferRecord`
-        instances from a cycle-level replay of representative traffic;
-        the factor is the latency-weighted excess of measured over
-        zero-load latency (total measured / total zero-load - 1), so
-        the calibrated model reproduces the replay's aggregate latency
-        exactly up to rounding. An empty or stall-free record set
-        calibrates to zero (the closed form is already exact there).
-        """
-        base = cls(mesh)
-        total_zero_load = 0
-        total_actual = 0
-        for record in records:
-            packet = record.packet
-            total_zero_load += base.latency_cycles(
-                packet.src, packet.dst, packet.payload_bytes
-            )
-            total_actual += record.delivered_at - record.injected_at
-        factor = (
-            max(0.0, total_actual / total_zero_load - 1.0) if total_zero_load else 0.0
-        )
-        return cls(mesh, contention_factor=factor)
-
-
-def cycle_transfer_latency_cycles(
-    mesh: Mesh,
-    src: Tuple[int, int],
-    dst: Tuple[int, int],
-    num_bytes: int,
-    plane: int = 0,
-) -> int:
-    """Cycle-accurate latency of one burst (the CYCLE backend).
-
-    Replays a single packet through the flit-level simulator on an
-    otherwise idle mesh — the reference the analytic model is checked
-    against, and the :class:`NocModel.CYCLE` timing source of
-    :class:`~repro.runtime.prc.PrcDevice`.
-    """
-    from repro.noc.simulator import NocSimulator
-
-    simulator = NocSimulator(mesh)
-    simulator.inject(
-        Packet(packet_id=0, src=src, dst=dst, plane=plane, payload_bytes=num_bytes)
-    )
-    (record,) = simulator.run()
-    return record.latency_cycles

@@ -9,10 +9,10 @@ code never holds them separately: it takes one
 
 A sink that is off is ``None``, and each operation on an off sink does
 nothing, so ``OFF = Instrumentation()`` is the single null probe and
-call sites need no conditionals. Hot loops (the DES dispatch loop, the
-NoC router, the PRC transfer model) read the sink they need once and
-test it against ``None``, which keeps the uninstrumented fast paths
-selected when the probe is off.
+call sites need no conditionals. Hot paths (the DES dispatch loop, the
+PRC transfer model) read the sink they need once and test it against
+``None``, which keeps the uninstrumented fast paths selected when the
+probe is off.
 """
 
 from __future__ import annotations

@@ -16,17 +16,11 @@ why the flow generates compressed partial bitstreams.
 from __future__ import annotations
 
 import logging
-import math
 from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import ReconfigurationError, StuckTransferError
-from repro.noc.analytic import (
-    AnalyticNocModel,
-    NocModel,
-    cycle_transfer_latency_cycles,
-)
+from repro.noc.analytic import AnalyticNocModel, flit_count
 from repro.noc.mesh import Mesh
-from repro.noc.packet import FLIT_BYTES, HEADER_FLITS
 from repro.obs.logconfig import get_logger
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.runtime.faults import (
@@ -99,7 +93,6 @@ class PrcDevice:
         fetch_bytes_per_cycle: float = FETCH_BYTES_PER_CYCLE,
         instrumentation: Instrumentation = OFF,
         faults: RuntimeFaultModel = NO_RUNTIME_FAULTS,
-        noc_model: NocModel = NocModel.ANALYTIC,
     ) -> None:
         if clock_hz <= 0:
             raise ReconfigurationError("PRC clock must be positive")
@@ -120,11 +113,7 @@ class PrcDevice:
         #: with the manager (which reads it back for invoke-side draws)
         #: so injected and stochastic faults use one set of counters.
         self.faults = faults
-        #: Which NoC timing backend prices the fetch window: the
-        #: closed-form analytic model (default) or a per-transfer
-        #: flit-level replay (``NocModel.CYCLE``). At zero load the two
-        #: agree exactly; CYCLE exists as the cross-check.
-        self.noc_model = noc_model
+        #: Prices the fetch window's mem->aux crossing of the mesh.
         self._analytic_noc = AnalyticNocModel(mesh)
         # Deployments stream the same few bitstream sizes hundreds of
         # times; the transfer window depends only on the size.
@@ -149,7 +138,7 @@ class PrcDevice:
         profiler = self.obs.profiler
         if profiler is None:
             return self._transfer_seconds(size_bytes)
-        # The NoC-bounded fetch window is the model's flit-loop cost:
+        # The NoC-bounded fetch window is the model's NoC cost:
         # the frame carries both the host cost of evaluating the model
         # and the modelled NoC seconds it produces. The full transfer
         # duration is charged by the Timeout dispatch that simulates it.
@@ -163,24 +152,15 @@ class PrcDevice:
         if cached is None:
             fetch_seconds = size_bytes / self.fetch_bytes_per_cycle / self.clock_hz
             icap_seconds = size_bytes / ICAP_BYTES_PER_CYCLE / self.clock_hz
-            noc_seconds = self._noc_seconds(size_bytes)
+            noc_seconds = self._analytic_noc.transfer_time_s(
+                self.mem_position, self.aux_position, size_bytes
+            )
             setup_seconds = PRC_OVERHEAD_CYCLES / self.clock_hz
             total = setup_seconds + max(fetch_seconds, noc_seconds, icap_seconds)
             cached = self._transfer_cache[size_bytes] = (total, noc_seconds)
         if split:
             return cached
         return cached[0]
-
-    def _noc_seconds(self, size_bytes: int) -> float:
-        """Fetch-window NoC crossing time under the selected backend."""
-        if self.noc_model is NocModel.CYCLE:
-            cycles = cycle_transfer_latency_cycles(
-                self.mesh, self.mem_position, self.aux_position, size_bytes
-            )
-            return cycles / self.mesh.clock_hz
-        return self._analytic_noc.transfer_time_s(
-            self.mem_position, self.aux_position, size_bytes
-        )
 
     def abort_transfer(self, tile_name: str, mode_name: str) -> bool:
         """Abort an in-flight transfer for (tile, mode) — DFXC reset.
@@ -309,10 +289,9 @@ class PrcDevice:
         """Account the DFXC fetch's NoC traffic (packets, flits, bytes).
 
         The fetch path crosses the NoC in maximum-size DMA bursts; the
-        flit count mirrors :class:`~repro.noc.packet.Packet` accounting
-        so the registry's NoC numbers are consistent across layers.
+        flit count is the one the latency model charges.
         """
-        flits = HEADER_FLITS + math.ceil(size_bytes / FLIT_BYTES)
+        flits = flit_count(size_bytes)
         self.obs.counter("noc.bytes", "payload bytes crossing the NoC").inc(
             size_bytes, source="prc"
         )

@@ -1,10 +1,11 @@
-"""Tests for mesh construction and analytic latency."""
+"""Tests for mesh construction and the closed-form latency."""
 
 import pytest
 
 from repro.errors import NocError
+from repro.noc.analytic import FLIT_BYTES, HEADER_FLITS, AnalyticNocModel
 from repro.noc.mesh import Mesh
-from repro.noc.packet import FLIT_BYTES, HEADER_FLITS, Packet
+from tests.noc.reference import Packet, PlaneMesh
 
 
 class TestConstruction:
@@ -14,24 +15,24 @@ class TestConstruction:
 
     def test_bad_planes(self):
         with pytest.raises(NocError):
-            Mesh(2, 2, planes=0)
+            PlaneMesh(2, 2, planes=0)
 
     def test_router_lookup(self):
-        mesh = Mesh(2, 3, planes=2)
+        mesh = PlaneMesh(2, 3, planes=2)
         router = mesh.router(1, 2, plane=1)
         assert (router.row, router.col, router.plane) == (1, 2, 1)
 
     def test_missing_router(self):
         with pytest.raises(NocError):
-            Mesh(2, 2).router(5, 5)
+            PlaneMesh(2, 2).router(5, 5)
 
     @pytest.mark.parametrize("row, col, plane", [(-1, 0, 0), (0, 2, 0), (0, 0, 2)])
     def test_router_outside_mesh_or_planes(self, row, col, plane):
         with pytest.raises(NocError):
-            Mesh(2, 2, planes=2).router(row, col, plane)
+            PlaneMesh(2, 2, planes=2).router(row, col, plane)
 
     def test_router_carries_the_mesh_pipeline(self):
-        mesh = Mesh(2, 2, pipeline_cycles=7)
+        mesh = PlaneMesh(2, 2, pipeline_cycles=7)
         assert mesh.router(0, 1) == mesh.router(0, 1)
         assert mesh.router(0, 1).pipeline_cycles == 7
 
@@ -60,42 +61,40 @@ class TestPacket:
 
 class TestLatency:
     def test_hops_is_manhattan(self):
-        mesh = Mesh(3, 3)
-        assert mesh.hops((0, 0), (2, 2)) == 4
+        model = AnalyticNocModel(Mesh(3, 3))
+        assert model.hops((0, 0), (2, 2)) == 4
 
     def test_zero_load_latency_structure(self):
-        mesh = Mesh(3, 3, pipeline_cycles=4)
-        pkt = Packet(0, (0, 0), (0, 2), 0, payload_bytes=8 * FLIT_BYTES)
+        model = AnalyticNocModel(Mesh(3, 3, pipeline_cycles=4))
         # 2 hops -> (2+1)*4 head cycles + (1+8-1) serialization
-        assert mesh.zero_load_latency_cycles(pkt) == 3 * 4 + 8
+        assert model.latency_cycles((0, 0), (0, 2), 8 * FLIT_BYTES) == 3 * 4 + 8
 
     def test_latency_monotone_in_distance(self):
-        mesh = Mesh(4, 4)
-        near = Packet(0, (0, 0), (0, 1), 0, 64)
-        far = Packet(1, (0, 0), (3, 3), 0, 64)
-        assert mesh.zero_load_latency_cycles(far) > mesh.zero_load_latency_cycles(near)
+        model = AnalyticNocModel(Mesh(4, 4))
+        near = model.latency_cycles((0, 0), (0, 1), 64)
+        far = model.latency_cycles((0, 0), (3, 3), 64)
+        assert far > near
 
     def test_latency_monotone_in_size(self):
-        mesh = Mesh(4, 4)
-        small = Packet(0, (0, 0), (1, 1), 0, 64)
-        large = Packet(1, (0, 0), (1, 1), 0, 64 * 100)
-        assert mesh.zero_load_latency_cycles(large) > mesh.zero_load_latency_cycles(small)
+        model = AnalyticNocModel(Mesh(4, 4))
+        small = model.latency_cycles((0, 0), (1, 1), 64)
+        large = model.latency_cycles((0, 0), (1, 1), 64 * 100)
+        assert large > small
 
     def test_seconds_scale_with_clock(self):
-        fast = Mesh(2, 2, clock_hz=100e6)
-        slow = Mesh(2, 2, clock_hz=50e6)
-        pkt = Packet(0, (0, 0), (1, 1), 0, 1024)
-        assert slow.zero_load_latency_s(pkt) == pytest.approx(
-            2 * fast.zero_load_latency_s(pkt)
+        fast = AnalyticNocModel(Mesh(2, 2, clock_hz=100e6))
+        slow = AnalyticNocModel(Mesh(2, 2, clock_hz=50e6))
+        assert slow.transfer_time_s((0, 0), (1, 1), 1024) == pytest.approx(
+            2 * fast.transfer_time_s((0, 0), (1, 1), 1024)
         )
 
     def test_large_transfer_approaches_link_bandwidth(self):
         mesh = Mesh(2, 2, clock_hz=78e6)
         nbytes = 10 * 1024 * 1024
-        t = mesh.transfer_time_s((0, 0), (1, 1), nbytes)
-        ideal = nbytes / mesh.link_bandwidth_bytes_per_s()
+        t = AnalyticNocModel(mesh).transfer_time_s((0, 0), (1, 1), nbytes)
+        ideal = nbytes / (FLIT_BYTES * mesh.clock_hz)
         assert t == pytest.approx(ideal, rel=0.01)
 
     def test_negative_transfer_rejected(self):
         with pytest.raises(NocError):
-            Mesh(2, 2).transfer_time_s((0, 0), (1, 1), -1)
+            AnalyticNocModel(Mesh(2, 2)).transfer_time_s((0, 0), (1, 1), -1)

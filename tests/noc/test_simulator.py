@@ -1,16 +1,22 @@
-"""Tests for the contention-aware NoC transfer simulator."""
+"""Tests for the contention-aware flit-level reference simulator."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import NocError
-from repro.noc.mesh import Mesh
-from repro.noc.packet import Packet
-from repro.noc.simulator import NocSimulator
+from repro.noc.analytic import AnalyticNocModel
+from tests.noc.reference import NocSimulator, Packet, PlaneMesh
 
 
 def make_sim(rows=4, cols=4, planes=2):
-    return NocSimulator(Mesh(rows, cols, planes=planes))
+    return NocSimulator(PlaneMesh(rows, cols, planes=planes))
+
+
+def zero_load(sim, packet):
+    """The closed-form latency of ``packet`` on ``sim``'s idle mesh."""
+    return AnalyticNocModel(sim.mesh).latency_cycles(
+        packet.src, packet.dst, packet.payload_bytes
+    )
 
 
 class TestBasics:
@@ -19,7 +25,7 @@ class TestBasics:
         pkt = Packet(0, (0, 0), (2, 3), 0, 256)
         sim.inject(pkt)
         (record,) = sim.run()
-        assert record.latency_cycles == sim.mesh.zero_load_latency_cycles(pkt)
+        assert record.latency_cycles == zero_load(sim, pkt)
 
     def test_local_packet_delivery(self):
         sim = make_sim()
@@ -53,7 +59,7 @@ class TestContention:
         sim.inject(a)
         sim.inject(b)
         records = sim.run()
-        solo = sim.mesh.zero_load_latency_cycles(a)
+        solo = zero_load(sim, a)
         latencies = sorted(r.latency_cycles for r in records)
         assert latencies[0] == solo
         assert latencies[1] > solo  # queued behind the first packet
@@ -65,7 +71,7 @@ class TestContention:
         sim.inject(a)
         sim.inject(b)
         records = sim.run()
-        solo = sim.mesh.zero_load_latency_cycles(a)
+        solo = zero_load(sim, a)
         assert all(r.latency_cycles == solo for r in records)
 
     def test_disjoint_paths_do_not_contend(self):
@@ -76,9 +82,7 @@ class TestContention:
         sim.inject(b)
         records = sim.run()
         for record in records:
-            assert record.latency_cycles == sim.mesh.zero_load_latency_cycles(
-                record.packet
-            )
+            assert record.latency_cycles == zero_load(sim, record.packet)
 
     def test_no_link_overlap_invariant(self):
         """No two packets may hold the same (link, plane) at once —
@@ -115,7 +119,7 @@ class TestContention:
         records = sim.run()
         assert len(records) == len(specs)
         for record in records:
-            floor = sim.mesh.zero_load_latency_cycles(record.packet)
+            floor = zero_load(sim, record.packet)
             assert record.latency_cycles >= floor
 
 

