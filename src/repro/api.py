@@ -13,8 +13,8 @@ The platform's capabilities behind plain functions::
 Every in-process verb accepts ``options=`` (a :class:`~repro.flow.
 options.BuildOptions` — cache, parallel jobs, fault/retry policy,
 checkpoint directory) and ``instrumentation=`` (an :class:`~repro.obs.
-instrumentation.Instrumentation` — the one probe carrying the tracer,
-metrics registry, event bus and profiler), or a
+instrumentation.Instrumentation` — the one probe carrying the
+recorder, metrics registry and event bus), or a
 pre-built ``platform=`` when several calls should share state (flow
 cache, batch workers).
 

@@ -75,16 +75,15 @@ from repro.obs.logconfig import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
     Profiler,
-    collapsed_stacks,
     profile_document,
-    profile_json,
+    profile_path,
     self_host_total,
     self_time_shares,
     write_profile,
 )
+from repro.obs.recorder import Recorder
 from repro.obs.slo import SloTracker
 from repro.service.schema import envelope
-from repro.obs.tracer import Tracer
 from repro.obs.tsdb import TelemetryStore
 from repro.runtime.faults import (
     NO_RUNTIME_FAULTS,
@@ -239,22 +238,26 @@ def fault_model(args):
     return model
 
 
-def write_profile_to(path: str, profiler, experiment: str) -> str:
-    """Write a profile document to an explicit ``path`` (+ .collapsed).
+def recorder_from_args(args, time_unit: str) -> Optional[Recorder]:
+    """The recorder ``--trace``/``--profile`` ask for, or None."""
+    if not (args.trace or args.profile):
+        return None
+    return Recorder(
+        trace=bool(args.trace), profile=bool(args.profile), time_unit=time_unit
+    )
 
-    The ``--profile PATH`` flag form of the export: the JSON document
-    goes to ``path`` verbatim, the flamegraph-ready collapsed stacks to
-    the sibling ``<path>.collapsed``. Returns the collapsed path.
+
+def write_observations(args, recorder: Optional[Recorder], experiment: str) -> None:
+    """Write the ``--trace`` file and the ``--profile`` document.
+
+    With both flags the profile document also rides in the trace's
+    ``metadata.profile``.
     """
-    document = profile_document(profiler, experiment)
-    out = Path(path)
-    if str(out.parent) not in ("", "."):
-        out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(profile_json(document) + "\n")
-    collapsed = out.with_suffix(".collapsed")
-    lines = collapsed_stacks(document)
-    collapsed.write_text("\n".join(lines) + ("\n" if lines else ""))
-    return str(collapsed)
+    document = profile_document(recorder, experiment) if args.profile else None
+    if args.trace:
+        write_chrome_trace(args.trace, recorder, profile=document)
+    if args.profile:
+        write_profile(args.profile, document)
 
 
 def cmd_build(args) -> int:
@@ -268,11 +271,10 @@ def cmd_build(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
-    tracer = Tracer(time_unit="min") if args.trace else None
-    profiler = Profiler() if args.profile else None
+    recorder = recorder_from_args(args, time_unit="min")
     platform = api.platform(
         options=options,
-        instrumentation=Instrumentation(tracer=tracer, profiler=profiler),
+        instrumentation=Instrumentation(recorder),
         compress_bitstreams=not args.no_compress,
     )
     result = api.build(
@@ -281,18 +283,7 @@ def cmd_build(args) -> int:
         with_baseline=args.baseline,
         platform=platform,
     )
-    if args.trace:
-        write_chrome_trace(
-            args.trace,
-            tracer,
-            profile=(
-                profile_document(profiler, f"build_{config.name}")
-                if args.profile
-                else None
-            ),
-        )
-    if args.profile:
-        write_profile_to(args.profile, profiler, f"build_{config.name}")
+    write_observations(args, recorder, f"build_{config.name}")
     if getattr(args, "json", False):
         print(
             json.dumps(
@@ -405,29 +396,15 @@ def cmd_compare(args) -> int:
 def cmd_deploy(args) -> int:
     config = resolve_config(args.config)
     want_metrics = args.metrics or args.json
-    tracer = Tracer() if args.trace else None
+    recorder = recorder_from_args(args, time_unit="s")
     registry = MetricsRegistry() if want_metrics else None
-    profiler = Profiler() if args.profile else None
     report = api.deploy(
         config,
         frames=args.frames,
-        instrumentation=Instrumentation(
-            tracer=tracer, metrics=registry, profiler=profiler
-        ),
+        instrumentation=Instrumentation(recorder, metrics=registry),
         runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
     )
-    if args.trace:
-        write_chrome_trace(
-            args.trace,
-            tracer,
-            profile=(
-                profile_document(profiler, f"deploy_{config.name}")
-                if args.profile
-                else None
-            ),
-        )
-    if args.profile:
-        write_profile_to(args.profile, profiler, f"deploy_{config.name}")
+    write_observations(args, recorder, f"deploy_{config.name}")
     if args.json:
         print(
             json.dumps(
@@ -722,7 +699,11 @@ def _cmd_profile_workload(args) -> int:
         if gc_was_enabled:
             gc.enable()
     document = profile_document(profiler, args.target)
-    json_path, collapsed_path = write_profile(args.out, args.target, document)
+    json_path, collapsed_path = write_profile(
+        profile_path(args.out, args.target),
+        document,
+        Path(args.out) / f"{args.target}.collapsed",
+    )
     if args.json:
         print(json.dumps(envelope("profile", document), indent=2))
         return 0

@@ -140,8 +140,8 @@ class PrEspPlatform:
         request_ids: Optional[RequestIdFactory] = None,
         telemetry: Optional[TelemetryStore] = None,
     ) -> None:
-        """``instrumentation`` is the one probe (tracer, metrics, event
-        bus, profiler) every platform operation observes through;
+        """``instrumentation`` is the one probe (recorder, metrics,
+        event bus) every platform operation observes through;
         ``options`` bundles the build-side configuration (cache, batch
         jobs, fault/retry policy, checkpoint directory);
         ``runtime_options`` bundles the
@@ -273,7 +273,7 @@ class PrEspPlatform:
         request order; a failing request carries its own ``BuildError``
         instead of aborting the batch. The whole batch runs under one
         telemetry context (``context=`` or a minted ``batch-...`` one);
-        pool workers re-activate it from their shipped capsule, so
+        pool workers re-activate it from their work item, so
         worker-side telemetry joins the batch's request ID.
         """
         batch = self.batch
@@ -365,20 +365,20 @@ class PrEspPlatform:
         paper processes frames without pipelining).
 
         Observability comes from ``instrumentation`` (falling back to
-        the platform's probe): the tracer is bound to the DES clock
+        the platform's probe): the recorder is bound to the DES clock
         (simulated seconds) and receives the kernel-level protocol
-        spans (lock-wait, decouple, ICAP, exec) live plus the
-        application-level timeline spans via the lossless bridge — one
+        records (lock-wait, decouple, ICAP, exec) live plus the
+        application-level timeline records via the lossless bridge — one
         merged Fig. 4 trace; the metrics registry receives the
         manager/PRC counters and the `RuntimeStats` gauges; the event
         bus receives the manager's lifecycle events (reconfig
         requested/started/completed/failed, driver swaps, lock waits)
         — subscribe a :class:`~repro.obs.health.HealthMonitor` for
-        live watchdogs; a live profiler gets a ``deploy.<soc>``
-        call-path subtree (per-event-type DES dispatch frames charged
+        live watchdogs; a live profile gets a ``deploy.<soc>``
+        call-path subtree (per-event-type DES dispatch nodes charged
         the clock advances they cause, per-callback-site frames, NoC
-        transfer windows, and the runtime recovery ladder as
-        root-anchored ``runtime.*`` leaves). ``prc_setup`` is called
+        transfer windows) and the root-anchored ``runtime;*`` view the
+        fold makes of the kernel records. ``prc_setup`` is called
         with the constructed PRC before the run starts — the hook for
         installing a targeted :class:`~repro.runtime.faults.
         RuntimeFaultModel` on ``prc.faults``.
@@ -417,9 +417,7 @@ class PrEspPlatform:
         if flow_result is None:
             # The flow's spans run on the CAD-minute clock, so they stay
             # out of the deployment's simulated-second trace.
-            flow_result = self.flow.build(
-                config, instrumentation=replace(inst, tracer=None)
-            )
+            flow_result = self.flow.build(config, instrumentation=inst.untraced())
         if flow_result.config.name != config.name:
             raise ConfigurationError(
                 "flow result belongs to a different SoC "

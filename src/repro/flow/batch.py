@@ -22,14 +22,15 @@ pool down deterministically; a ``weakref.finalize`` safety net reaps
 abandoned builders.
 
 Observability crosses the pool boundary: when any sink of the batch's
-probe is live, each work item carries a picklable
-:class:`~repro.obs.profiler.ProfileCapsule`; the build activates
-fresh sinks for the live ones, runs against them and ships the raw
-profile tree, span records, events and metrics back with
-the outcome. The parent replays each payload in request order — the
-profile under the request's label, spans tagged with the worker
-process name — so a pooled sweep produces one coherent profile, one
-merged trace and the same event stream and metrics as a serial one.
+probe is live, each work item carries the names of the live sinks and
+the request context; the build activates fresh sinks of those kinds,
+runs against them and ships one worker payload
+(:meth:`~repro.obs.instrumentation.Instrumentation.payload`: records,
+fold tree, events and metrics) back with the outcome. The parent
+replays each payload in request order with one merge — the fold under
+the request's label, records tagged with the worker process name — so
+a pooled sweep produces one coherent profile, one merged trace and the
+same event stream and metrics as a serial one.
 In-thread builds (``jobs=1``) take the same path, so both observe
 identically.
 """
@@ -49,14 +50,12 @@ from repro.errors import FlowError
 from repro.flow.cache import FlowCache, flow_cache_key
 from repro.flow.dpr_flow import DprFlow, FlowResult
 from repro.obs import events as ev
-from repro.obs.context import bind, current_context, unbind
+from repro.obs.context import TelemetryContext, bind, current_context, unbind
 from repro.obs.events import EventBus
-from repro.obs.export import merge_span_records, span_records
-from repro.obs.instrumentation import OFF, Instrumentation
+from repro.obs.instrumentation import NO_FRAME, OFF, Instrumentation
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import ProfileCapsule
-from repro.obs.tracer import Tracer
+from repro.obs.recorder import Recorder
 from repro.soc.config import SocConfig
 
 logger = get_logger("flow.batch")
@@ -117,45 +116,51 @@ class BuildOutcome:
 _WORKER_EVENT_CAPACITY = 1 << 16
 
 
-def _activate(capsule: Optional[ProfileCapsule]) -> Instrumentation:
-    """Fresh worker-side sinks for the ones live in the parent."""
-    if capsule is None:
-        return OFF
+#: What a work item carries across the pool: the names of the batch
+#: probe's live sinks (:attr:`Instrumentation.sinks`) and the request
+#: context the worker re-activates around its build.
+Scope = Tuple[Tuple[str, ...], Optional[TelemetryContext]]
+
+
+def _activate(sinks: Tuple[str, ...]) -> Instrumentation:
+    """Fresh worker-side sinks of the kinds live in the parent."""
+    trace, profile = "trace" in sinks, "profile" in sinks
     return Instrumentation(
-        tracer=Tracer(time_unit="min") if capsule.trace else None,
-        metrics=MetricsRegistry() if capsule.metrics else None,
-        events=EventBus(capacity=_WORKER_EVENT_CAPACITY) if capsule.events else None,
-        profiler=capsule.activate(),
+        recorder=(
+            Recorder(trace=trace, profile=profile, time_unit="min")
+            if trace or profile
+            else None
+        ),
+        metrics=MetricsRegistry() if "metrics" in sinks else None,
+        events=EventBus(capacity=_WORKER_EVENT_CAPACITY) if "events" in sinks else None,
     )
 
 
 def _execute(
     flow: DprFlow,
     request: BuildRequest,
-    capsule: Optional[ProfileCapsule] = None,
+    scope: Optional[Scope] = None,
     checkpoint_dir=None,
     resume: bool = False,
 ) -> Tuple[Optional[FlowResult], Optional[BuildError], float, Optional[Dict]]:
     """Run one build, capturing any failure.
 
     Returns ``(result, error, seconds, obs)``. ``obs`` is the build's
-    observability payload when the capsule activated any sink — the
-    raw profile tree, the recorded span dicts, the emitted events as
-    ``(kind, time, source, attrs)``, the registry's instruments (every
-    kind) and the worker process name the parent tags the merge with — or None when
+    worker payload when the scope activated any sink, or None when
     observability is off. Flow frames balance on failure too, so the
     payload always exports.
 
-    The capsule's request context (if any) is re-activated around the
-    build, so worker-side spans, profile leaves and log records carry
+    The scope's request context (if any) is re-activated around the
+    build, so worker-side records, profile nodes and log records carry
     the originating request's ID even across the process boundary.
     ``checkpoint_dir``/``resume`` pass through to :meth:`DprFlow.build`
     — the service daemon's crash-safety path (checkpoints are written
     in the worker process, so a daemon SIGKILL loses at most the stage
     in flight).
     """
-    instrumentation = _activate(capsule)
-    token = bind(capsule.context) if capsule is not None else None
+    sinks, context = scope if scope is not None else ((), None)
+    instrumentation = _activate(sinks)
+    token = bind(context) if scope is not None else None
     start = time.perf_counter()
     try:
         result = flow.build(
@@ -173,27 +178,11 @@ def _execute(
     finally:
         unbind(token)
     elapsed = time.perf_counter() - start
-    obs = _observations(instrumentation) if instrumentation.enabled else None
+    obs = instrumentation.payload() if instrumentation.enabled else None
     return result, error, elapsed, obs
 
 
-def _observations(instrumentation: Instrumentation) -> Dict:
-    """The picklable payload of one build's live sinks (see _execute)."""
-    tracer, metrics = instrumentation.tracer, instrumentation.metrics
-    events, profiler = instrumentation.events, instrumentation.profiler
-    return {
-        "worker": multiprocessing.current_process().name,
-        "profile": profiler.payload() if profiler is not None else None,
-        "spans": span_records(tracer) if tracer is not None else None,
-        "events": [
-            (event.kind, event.time, event.source, event.attrs)
-            for event in (events.events() if events is not None else ())
-        ],
-        "metrics": metrics.instruments() if metrics is not None else [],
-    }
-
-
-def _pool_execute(payload: Tuple[DprFlow, BuildRequest, Optional[ProfileCapsule]]):
+def _pool_execute(payload: Tuple[DprFlow, BuildRequest, Optional[Scope]]):
     """Module-level pool entry point (must be picklable by reference)."""
     return _execute(*payload)
 
@@ -227,11 +216,11 @@ def _cache_lookup(
 
     The one cache path of every build entry point. It emits
     ``CACHE_HIT``/``CACHE_MISS`` from ``source``, and a hit replays the
-    cached build's trace and profile projections (the profile inside a
+    cached build's one projection into both exports (inside a
     ``frame`` frame when one is named), so a cached build observes
-    identically to a fresh one: the same modelled time and call paths,
-    at near-zero host time, which is the point of the cache. ``result``
-    is None on a miss.
+    identically to a fresh one: the same trace, modelled time and call
+    paths, at near-zero host time, which is the point of the cache.
+    ``result`` is None on a miss.
     """
     key = flow_cache_key(
         flow, request.config, request.strategy_override, request.semi_tau
@@ -241,15 +230,9 @@ def _cache_lookup(
         instrumentation.emit(ev.CACHE_MISS, source=source, key=key)
         return key, None
     instrumentation.emit(ev.CACHE_HIT, source=source, key=key)
-    if instrumentation.tracer is not None:
-        flow.record_trace(result, instrumentation.tracer)
-    profiler = instrumentation.profiler
-    if profiler is not None:
-        if frame is None:
-            flow.record_profile(result, profiler)
-        else:
-            with profiler.frame(frame):
-                flow.record_profile(result, profiler)
+    if instrumentation.recorder is not None:
+        with instrumentation.frame(frame) if frame is not None else NO_FRAME:
+            flow.record_trace(result, instrumentation, replay=True)
     return key, result
 
 
@@ -365,12 +348,12 @@ class BatchBuilder:
 
         Cached requests never reach the pool; a request whose build
         raises is reported as a per-entry :class:`BuildError` while the
-        rest of the batch completes normally. With a live profiler the
+        rest of the batch completes normally. With a live profile the
         whole batch runs under a ``build_many`` frame: cache hits
-        replay the flow's profile projection, executed builds come
-        back with their observations (profile trees, spans, events,
-        metrics) replayed in deterministic request order under each
-        request's label.
+        replay the flow's projection, executed builds come back with
+        their worker payloads (records, fold trees, events, metrics)
+        merged in deterministic request order under each request's
+        label.
         """
         with self.obs.frame("build_many"):
             requests = list(requests)
@@ -419,7 +402,7 @@ class BatchBuilder:
         payload = (
             self.flow,
             request,
-            self._capsule(request),
+            self._scope(),
             checkpoint_dir,
             resume,
         )
@@ -472,7 +455,7 @@ class BatchBuilder:
         result, error, elapsed, obs = executed
         self._build_seconds.observe(elapsed)
         if obs is not None:
-            self._merge_observability(request.label, obs)
+            self.obs.merge(obs, at=(request.label,))
         if error is None:
             self._requests_counter.inc(status="built")
             if self.cache is not None and result is not None:
@@ -488,46 +471,25 @@ class BatchBuilder:
             elapsed_s=elapsed,
         )
 
-    def _capsule(self, request: BuildRequest) -> Optional[ProfileCapsule]:
-        """The observability context one work item carries, or None.
+    def _scope(self) -> Optional[Scope]:
+        """What one work item carries across the pool, or None.
 
         The batch's active request context rides along too, so worker
         processes re-activate the same ``request_id`` the parent verb
-        minted — a context alone (no live sink) still yields a
-        capsule, because worker-side log attribution needs it.
+        minted — a context alone (no live sink) still yields a scope,
+        because worker-side log attribution needs it.
         """
         context = current_context()
         if not self.obs.enabled and context is None:
             return None
-        return ProfileCapsule(
-            path=(request.label,),
-            profile=self.obs.profiler is not None,
-            trace=self.obs.tracer is not None,
-            events=self.obs.events is not None,
-            metrics=self.obs.metrics is not None,
-            context=context,
-        )
-
-    def _merge_observability(self, label: str, obs: Dict) -> None:
-        """Replay one build's observations onto the batch's probe."""
-        worker = obs["worker"]
-        if obs["profile"]:
-            self.obs.profiler.merge_tree(obs["profile"], at=(label,), tag=worker)
-        if obs["spans"]:
-            merge_span_records(self.obs.tracer, obs["spans"], worker=worker)
-        for kind, time_, source, attrs in obs["events"]:
-            self.obs.emit(kind, time_, source, **attrs)
-        for instrument in obs["metrics"]:
-            self.obs.metrics.merge(instrument)
+        return self.obs.sinks, context
 
     def _execute_pending(
         self, requests: Sequence[BuildRequest], pending: Sequence[int]
     ) -> Dict[int, Tuple[Optional[FlowResult], Optional[BuildError], float, Optional[Dict]]]:
         if self.jobs == 1 or len(pending) == 1:
             return {
-                index: _execute(
-                    self.flow, requests[index], self._capsule(requests[index])
-                )
+                index: _execute(self.flow, requests[index], self._scope())
                 for index in pending
             }
         logger.info(
@@ -546,7 +508,7 @@ class BatchBuilder:
             try:
                 futures[index] = pool.submit(
                     _pool_execute,
-                    (self.flow, requests[index], self._capsule(requests[index])),
+                    (self.flow, requests[index], self._scope()),
                 )
             except Exception as error:  # pool already broken/shut down
                 broken = broken or isinstance(error, (BrokenExecutor, RuntimeError))

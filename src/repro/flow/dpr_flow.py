@@ -53,8 +53,7 @@ from repro.fabric.resources import ResourceVector
 from repro.obs import events as ev
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
-from repro.obs.profiler import Profiler
-from repro.obs.tracer import Tracer
+from repro.obs.recorder import Recorder
 from repro.floorplan.constraints import validate_floorplan
 from repro.floorplan.flora import Floorplan, FloraFloorplanner
 from repro.flow.blackbox import BlackBoxWrapper, generate_blackboxes
@@ -236,17 +235,17 @@ class FlowResult:
 
 @contextlib.contextmanager
 def _tool_frame(instrumentation: Instrumentation, tool: VivadoInstance):
-    """A ``vivado.<job>`` profiler frame around one tool run.
+    """A ``vivado.<job>`` host frame around one tool run.
 
     The frame is charged the tool's CPU minutes as simulated seconds,
     burned (retried or failed) attempts included, also when the run
     raises.
     """
-    with instrumentation.frame(f"vivado.{tool.name}"):
+    with instrumentation.frame(f"vivado.{tool.name}") as frame:
         try:
             yield
         finally:
-            instrumentation.add_sim(tool.cpu_minutes * 60.0)
+            frame.charge(tool.cpu_minutes * 60.0)
 
 
 class DprFlow:
@@ -284,12 +283,12 @@ class DprFlow:
 
         ``strategy_override`` forces a P&R strategy (used by the
         evaluation to sweep all three); by default the size-driven
-        algorithm decides. The ``instrumentation`` probe's tracer
-        (modelled CAD minutes) receives one span per Fig. 1 stage plus
+        algorithm decides. The ``instrumentation`` probe's trace
+        (modelled CAD minutes) receives one record per Fig. 1 stage plus
         one per scheduled tool job; its bus receives a start/finish
         pair per stage, stamped on the same modelled-minute clock, plus
         retry/failure/degradation events when the fault model bites.
-        Its profiler gets a ``build.<soc>`` frame over the whole flow, a
+        Its profile gets a ``build.<soc>`` frame over the whole flow, a
         ``flow.<stage>``
         frame per Fig. 1 stage (charged the stage's modelled minutes as
         simulated seconds) and a ``vivado.<job>`` frame per tool run
@@ -381,27 +380,42 @@ class DprFlow:
             return result
 
     # ------------------------------------------------------------------
-    def record_trace(self, result: FlowResult, tracer: Tracer) -> None:
-        """Project a finished build onto the tracer (CAD minutes).
+    def record_trace(
+        self, result: FlowResult, recorder: Recorder, replay: bool = False
+    ) -> None:
+        """Project a finished build onto the record stream (CAD minutes).
 
         Public because cache hits replay it: a ``FlowResult`` served
         from the :class:`repro.flow.cache.FlowCache` carries everything
         the projection reads, so a cached build traces byte-identically
-        to the fresh one.
+        to the fresh one. A fresh build's live frames already folded
+        it, so its projection reaches the trace only; with ``replay``
+        each record also names its fold path and simulated seconds, so
+        the one projection feeds both exports. A hit costs no host time
+        but keeps its modelled CAD minutes, in the shape a fresh build
+        folds to (``build.<soc>`` → ``flow.<stage>`` → ``vivado.<job>``),
+        marked with a ``cache_hit`` leaf.
 
-        The stage spans tile the ``flow/build`` track back to back
-        (zero-cost stages become instants); each scheduled tool job
-        lands on its instance's track, offset to its stage's window,
-        so every job span nests inside its stage span. Reading from
-        the same `FlowResult` the report renders keeps the trace and
-        the human report in agreement by construction.
+        The stage records tile the ``flow/build`` track back to back;
+        each scheduled tool job lands on its instance's track, offset
+        to its stage's window, so every job record nests inside its
+        stage record. Reading from the same `FlowResult` the report
+        renders keeps the trace and the human report in agreement by
+        construction.
         """
-        root = tracer.record(
+        build = f"build.{result.config.name}"
+
+        def fold(*names: str) -> Optional[Tuple[str, ...]]:
+            return (build, *names) if replay else None
+
+        root = recorder.record(
             f"build {result.config.name}",
             0.0,
             result.total_minutes,
             category="flow.build",
             track="flow/build",
+            sim_s=0.0,
+            path=fold("cache_hit"),
             soc=result.config.name,
             board=result.config.board,
             strategy=result.strategy.value,
@@ -415,13 +429,15 @@ class DprFlow:
         offset = 0.0
         stage_spans: Dict[str, "object"] = {}
         for stage in result.stages:
-            stage_spans[stage.stage] = tracer.record(
+            stage_spans[stage.stage] = recorder.record(
                 stage.stage,
                 offset,
                 offset + stage.wall_minutes,
                 category="flow.stage",
                 track="flow/build",
                 parent=root,
+                sim_s=stage.wall_minutes * 60.0,
+                path=fold(f"flow.{stage.stage}"),
                 detail=stage.detail,
             )
             offset += stage.wall_minutes
@@ -436,43 +452,18 @@ class DprFlow:
             stage_span = stage_spans.get(stage_name)
             base = stage_span.start if stage_span is not None else 0.0
             for placed in schedule.jobs:
-                tracer.record(
+                recorder.record(
                     placed.job.name,
                     base + placed.start_minutes,
                     base + placed.end_minutes,
                     category="flow.job",
                     track=f"flow/vivado{placed.instance:02d}",
                     parent=stage_span,
+                    sim_s=placed.job.cpu_minutes * 60.0,
+                    path=fold(f"flow.{stage_name}", f"vivado.{placed.job.name}"),
                     cpu_minutes=placed.job.cpu_minutes,
                     stage=stage_name,
                     tiles=list(run_tiles.get(placed.job.name, ())),
-                )
-
-    def record_profile(self, result: FlowResult, profiler: Profiler) -> None:
-        """Project a finished build onto the profiler (cache hits).
-
-        A cache hit costs no host time, but its modelled CAD minutes
-        still belong in the profile — otherwise a cached sweep would
-        report zero simulated flow time. The projection mirrors the
-        shape a fresh build produces (``build.<soc>`` → ``flow.<stage>``
-        → ``vivado.<job>``), marked with a ``cache_hit`` leaf.
-        """
-        base = (f"build.{result.config.name}",)
-        profiler.record_leaf(base + ("cache_hit",))
-        for stage in result.stages:
-            profiler.record_leaf(
-                base + (f"flow.{stage.stage}",), sim_s=stage.wall_minutes * 60.0
-            )
-        for schedule, stage_name in (
-            (result.synth_schedule, "synthesis"),
-            (result.schedule, "implementation"),
-        ):
-            if schedule is None:
-                continue
-            for placed in schedule.jobs:
-                profiler.record_leaf(
-                    base + (f"flow.{stage_name}", f"vivado.{placed.job.name}"),
-                    sim_s=placed.job.cpu_minutes * 60.0,
                 )
 
 
@@ -515,7 +506,10 @@ class BuildState:
             payload, wall, detail = restored
             self.stages.append(StageTrace(stage=name, wall_minutes=wall, detail=detail))
             self.resumed.append(name)
-            inst.leaf((f"flow.{name}", "resumed"), sim_s=wall * 60.0)
+            inst.record(
+                f"flow.{name}", start, start + wall, track=None,
+                sim_s=wall * 60.0, path=(f"flow.{name}", "resumed"),
+            )
             inst.emit(
                 ev.FLOW_STAGE_RESUMED,
                 time=start + wall,
@@ -527,11 +521,11 @@ class BuildState:
             logger.info("build %s: resumed stage %s from checkpoint",
                         self.config.name, name)
         else:
-            with inst.frame(f"flow.{name}"):
+            with inst.frame(f"flow.{name}") as frame:
                 payload, wall, detail = stage(self)
                 # The stage's modelled CAD minutes are its simulated-
                 # time attribution (the flow clock runs in minutes).
-                inst.add_sim(wall * 60.0)
+                frame.charge(wall * 60.0)
             inst.emit(
                 ev.FLOW_STAGE_STARTED, time=start, source=name, soc=self.config.name
             )
@@ -652,8 +646,10 @@ class ToolJobs:
         if job is not None:
             if job["execution"] is not None:
                 build.planner.restore(job["execution"])
-            build.instrumentation.leaf(
-                (f"vivado.{name}", "resumed"), sim_s=job["cpu_minutes"] * 60.0
+            cpu_minutes = job["cpu_minutes"]
+            build.instrumentation.record(
+                f"vivado.{name}", 0.0, cpu_minutes, track=None,
+                sim_s=cpu_minutes * 60.0, path=(f"vivado.{name}", "resumed"),
             )
         else:
             flow = build.flow

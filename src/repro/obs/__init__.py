@@ -1,23 +1,25 @@
-"""Unified observability: span tracing, metrics, logging, exporters.
+"""Unified observability: one record stream, metrics, logging, exporters.
 
 The reproduction's two performance stories — the flow's compile-time
 makespan (modelled CAD minutes) and the runtime manager's
 reconfiguration overhead (DES simulated seconds) — share one
-telemetry substrate. A :class:`Tracer` collects spans against an
-injected clock, a :class:`MetricsRegistry` collects labeled
-counters/gauges/histograms, and the exporters render Chrome
-trace-event JSON (Perfetto / ``chrome://tracing``), JSONL span logs
-and flat metrics dicts. A :class:`Profiler` collects a deterministic
-call-path tree (host self time + attributed simulated time) exported
-as JSON documents and collapsed flamegraph stacks; ``obs.baseline``
-gates bench metrics and hot-path shares against committed baselines.
-Instrumented code takes the four sinks as one
+telemetry substrate. A :class:`Recorder` keeps one stream of
+:class:`Record` facts against an injected layer clock, plus
+host-clocked frames; two exporters read it: the Chrome trace-event
+JSON (Perfetto / ``chrome://tracing``, also JSONL rows) and the
+call-path profile, a fold of the stream by name path into calls, host
+self time and simulated seconds (JSON documents and collapsed
+flamegraph stacks). A :class:`Tracer` is the recorder with the profile
+off, a :class:`Profiler` the recorder with the trace off. A
+:class:`MetricsRegistry` collects labeled counters/gauges/histograms;
+``obs.baseline`` gates bench metrics and hot-path shares against
+committed baselines. Instrumented code takes the three sinks as one
 :class:`Instrumentation` probe; a sink that is off is ``None``, and
 ``OFF`` (every sink off) is the zero-overhead disabled path.
 
 Request-scoped telemetry joins all of it: a
 :class:`TelemetryContext` (deterministic seeded IDs, contextvars
-propagation) stamps every span, event, metric sample, profile leaf
+propagation) stamps every record, event, metric sample, profile node
 and log record; a :class:`TelemetryStore` keeps a bounded ring of
 registry snapshots with windowed rate/delta queries; an
 :class:`SloTracker` evaluates declarative SLO specs (error-budget
@@ -46,7 +48,6 @@ from repro.obs.export import (
     chrome_trace_events,
     chrome_trace_json,
     format_metric_value,
-    merge_span_records,
     metrics_dict,
     metrics_lines,
     otlp_metrics_dict,
@@ -54,7 +55,6 @@ from repro.obs.export import (
     parse_prometheus_text,
     prometheus_samples,
     prometheus_text,
-    span_records,
     spans_jsonl,
     write_chrome_trace,
     write_otlp_jsonl,
@@ -85,8 +85,6 @@ from repro.obs.metrics import (
     bucket_quantile,
 )
 from repro.obs.profiler import (
-    ProfileCapsule,
-    ProfileNode,
     Profiler,
     ProfilerError,
     canonical_tree,
@@ -97,6 +95,12 @@ from repro.obs.profiler import (
     self_host_total,
     write_profile,
 )
+from repro.obs.recorder import (
+    ProfileNode,
+    Record,
+    Recorder,
+    RecordingError,
+)
 from repro.obs.slo import (
     DEFAULT_SLOS,
     SloError,
@@ -105,11 +109,7 @@ from repro.obs.slo import (
     SloStatus,
     SloTracker,
 )
-from repro.obs.tracer import (
-    Span,
-    Tracer,
-    TracingError,
-)
+from repro.obs.tracer import Tracer
 from repro.obs.tsdb import (
     Sample,
     TelemetryStore,
@@ -134,10 +134,12 @@ __all__ = [
     "MetricsError",
     "MetricsRegistry",
     "OFF",
-    "ProfileCapsule",
     "ProfileNode",
     "Profiler",
     "ProfilerError",
+    "Record",
+    "Recorder",
+    "RecordingError",
     "RequestIdFactory",
     "RequestIdFilter",
     "Sample",
@@ -146,12 +148,10 @@ __all__ = [
     "SloSpec",
     "SloStatus",
     "SloTracker",
-    "Span",
     "TelemetryContext",
     "TelemetryStore",
     "TelemetryStoreError",
     "Tracer",
-    "TracingError",
     "Verdict",
     "WindowStats",
     "activate",
@@ -170,7 +170,6 @@ __all__ = [
     "get_logger",
     "level_from_verbosity",
     "load_profile",
-    "merge_span_records",
     "metrics_dict",
     "metrics_lines",
     "otlp_metrics_dict",
@@ -182,7 +181,6 @@ __all__ = [
     "prometheus_text",
     "publish_runtime_stats",
     "self_host_total",
-    "span_records",
     "spans_jsonl",
     "unbind",
     "write_chrome_trace",

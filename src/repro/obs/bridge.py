@@ -1,7 +1,7 @@
 """Bridges between existing record types and the observability layer.
 
 The executor's `ExecutionTimeline`, the manager's `RuntimeStats` and
-the flow's `FlowResult` all pre-date the tracer/registry; these
+the flow's `FlowResult` all pre-date the recorder/registry; these
 adapters map them in **losslessly** so a Fig. 4 deployment produces
 one merged trace (application-level task spans alongside the kernel's
 protocol spans) and one registry that agrees with `summary_lines()`
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List
 
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.tracer import Span
+from repro.obs.recorder import Record
 
 if TYPE_CHECKING:  # avoid a circular import; the bridge is duck-typed
     from repro.runtime.executor import ExecutionTimeline
@@ -24,16 +24,18 @@ def bridge_timeline(
     timeline: "ExecutionTimeline",
     instrumentation: Instrumentation,
     process: str = "app",
-) -> List[Span]:
-    """Record every `TimelineEvent` as a span — the application view.
+) -> List[Record]:
+    """Record every `TimelineEvent` on the trace — the application view.
 
     Tracks are ``"app/<worker>"`` (one per tile thread plus the CPU
     thread); categories are the timeline kinds (``exec``/``reconfig``/
     ``sw``) prefixed with ``app.`` so kernel-level spans of the same
     protocol step stay distinguishable in the merged trace. The bridge
-    is lossless: one span per event, bounds copied verbatim.
+    is lossless: one record per event, bounds copied verbatim. The
+    categories have no fold path, so with the trace off nothing is
+    recorded.
     """
-    spans: List[Span] = []
+    spans: List[Record] = []
     if instrumentation.tracer is None:
         return spans
     for event in timeline.events:

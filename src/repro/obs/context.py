@@ -1,12 +1,12 @@
 """Request-scoped telemetry context with deterministic IDs.
 
-Every other obs layer answers a question about *one process*: spans,
-events, metric samples and profile leaves are all process-global, so
+Every other obs layer answers a question about *one process*: records,
+events, metric samples and profile nodes are all process-global, so
 two concurrent ``repro.api`` calls through one platform are
 indistinguishable in every export. :class:`TelemetryContext` fixes the
 join key: a small immutable value carrying a ``request_id`` and a
 ``tenant``, activated around each platform verb and propagated with
-:mod:`contextvars` — the live tracer/bus/registry/profiler stamp the
+:mod:`contextvars` — the live recorder/bus/registry stamp the
 current context onto everything they record, so every telemetry row of
 a request is joinable on ``request_id`` without threading an extra
 argument through every layer.
@@ -15,10 +15,10 @@ Determinism is non-negotiable (the whole repo's exports are
 byte-stable across seeded runs), so IDs never come from a wall clock
 or ``uuid4``: a :class:`RequestIdFactory` derives a short seed hash
 once and then counts — ``req-<hash8>-<n>`` — and the same seed always
-mints the same sequence. Cross-process propagation rides the existing
-:class:`~repro.obs.profiler.ProfileCapsule` path: the context pickles
-into each pool work item and the worker re-activates it, so
-worker-side spans and log records stay attributable.
+mints the same sequence. Cross-process propagation rides the pool
+work item: the context pickles into each one and the worker
+re-activates it, so worker-side records and log records stay
+attributable.
 
 Sinks that are off (``None`` on the
 :class:`~repro.obs.instrumentation.Instrumentation` probe) never
@@ -53,7 +53,7 @@ class TelemetryContext:
     admission/quota identity a multi-tenant service accounts against;
     ``attrs`` carries free-form propagated baggage (verb, batch index).
     Instances are immutable and picklable — they cross the
-    ``BatchBuilder`` pool boundary inside ``ProfileCapsule``.
+    ``BatchBuilder`` pool boundary inside each work item.
     """
 
     request_id: str
@@ -156,7 +156,7 @@ def bind(context: Optional[TelemetryContext]) -> Optional[contextvars.Token]:
     """Imperatively set the current context; pair with :func:`unbind`.
 
     The pool-worker form of :func:`activate` — ``BatchBuilder`` workers
-    activate the shipped capsule context around one build.
+    activate the shipped context around one build.
     """
     if context is None:
         return None

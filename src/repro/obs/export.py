@@ -9,7 +9,7 @@ export byte-identical files:
   instant markers (cancelled DES events) become ``"ph": "I"`` events;
   tracks (``"process/thread"``) map onto pid/tid pairs announced with
   ``process_name``/``thread_name`` metadata events.
-* **JSONL** — one span object per line, for ad-hoc ``jq`` analysis.
+* **JSONL** — one record object per line, for ad-hoc ``jq`` analysis.
 * **Metrics dict** — the registry snapshot, flat and JSON-ready.
 * **Prometheus text exposition** — the registry rendered in the
   text-format a Prometheus server scrapes (``_total`` counters,
@@ -29,18 +29,10 @@ import re
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import LabelKey, MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.recorder import Record, Recorder
 
-#: Microseconds per tracer time unit.
+#: Microseconds per recorder time unit.
 _US_PER_UNIT = {"s": 1e6, "min": 60e6}
-
-
-def _split_track(track: str) -> Tuple[str, str]:
-    """``"proc/thread"`` -> (proc, thread); bare names get proc==thread."""
-    if "/" in track:
-        proc, thread = track.split("/", 1)
-        return proc, thread
-    return track, track
 
 
 def _jsonable(value) -> object:
@@ -54,8 +46,16 @@ def _jsonable(value) -> object:
     return str(value)
 
 
-def chrome_trace_events(tracer: Tracer) -> List[Dict]:
-    """The ``traceEvents`` list for the tracer's closed spans."""
+def _split_track(track: str) -> Tuple[str, str]:
+    """``"proc/thread"`` -> (proc, thread); bare names get proc==thread."""
+    if "/" in track:
+        proc, thread = track.split("/", 1)
+        return proc, thread
+    return track, track
+
+
+def chrome_trace_events(tracer: Recorder) -> List[Dict]:
+    """The ``traceEvents`` list for the recorder's closed kept records."""
     spans = [s for s in tracer.spans if s.closed]
     scale = _US_PER_UNIT[tracer.time_unit]
 
@@ -123,7 +123,7 @@ def chrome_trace_events(tracer: Tracer) -> List[Dict]:
     return events
 
 
-def chrome_trace_dict(tracer: Tracer, profile: Union[Dict, None] = None) -> Dict:
+def chrome_trace_dict(tracer: Recorder, profile: Union[Dict, None] = None) -> Dict:
     """The full Chrome trace-event document.
 
     ``profile`` (a profile document from
@@ -141,13 +141,13 @@ def chrome_trace_dict(tracer: Tracer, profile: Union[Dict, None] = None) -> Dict
     }
 
 
-def chrome_trace_json(tracer: Tracer, profile: Union[Dict, None] = None) -> str:
+def chrome_trace_json(tracer: Recorder, profile: Union[Dict, None] = None) -> str:
     """Deterministic JSON text of the Chrome trace document."""
     return json.dumps(chrome_trace_dict(tracer, profile), sort_keys=True, indent=1)
 
 
 def write_chrome_trace(
-    path: str, tracer: Tracer, profile: Union[Dict, None] = None
+    path: str, tracer: Recorder, profile: Union[Dict, None] = None
 ) -> None:
     """Write the Chrome trace-event file to ``path``."""
     with open(path, "w") as handle:
@@ -156,65 +156,31 @@ def write_chrome_trace(
 
 
 # ----------------------------------------------------------------------
-def span_records(tracer: Tracer) -> List[Dict]:
-    """Spans as plain dicts (the JSONL rows)."""
-    records = []
-    for span in tracer.spans:
-        if not span.closed:
-            continue
-        record = {
-            "span_id": span.span_id,
-            "name": span.name,
-            "category": span.category,
-            "track": span.track,
-            "start": span.start,
-            "end": span.end,
-            "duration": span.duration,
-            "parent_id": span.parent_id,
-        }
-        if span.instant:
-            record["instant"] = True
-        if span.attrs:
-            record["attrs"] = {
-                k: _jsonable(v) for k, v in sorted(span.attrs.items())
-            }
-        records.append(record)
-    return records
+def _span_row(span: Record) -> Dict:
+    """One record as a plain dict (the JSONL row)."""
+    row = {
+        "span_id": span.span_id,
+        "name": span.name,
+        "category": span.category,
+        "track": span.track,
+        "start": span.start,
+        "end": span.end,
+        "duration": span.duration,
+        "parent_id": span.parent_id,
+    }
+    if span.instant:
+        row["instant"] = True
+    if span.attrs:
+        row["attrs"] = {k: _jsonable(v) for k, v in sorted(span.attrs.items())}
+    return row
 
 
-def merge_span_records(
-    tracer: Tracer, records: List[Dict], worker: Union[str, None] = None
-) -> None:
-    """Re-record exported span records onto ``tracer`` (closed spans).
-
-    The cross-process half of trace propagation: a pool worker exports
-    its spans with :func:`span_records`, the parent replays them here.
-    Parent/child links are remapped onto the parent tracer's span ids;
-    ``worker`` (the worker process name) is stamped into each replayed
-    span's attrs so merged traces stay attributable.
-    """
-    id_map: Dict[int, object] = {}
-    for record in sorted(records, key=lambda r: r["span_id"]):
-        attrs = dict(record.get("attrs", {}))
-        if worker is not None:
-            attrs["worker"] = worker
-        span = tracer.record(
-            record["name"],
-            record["start"],
-            record["end"],
-            category=record.get("category", ""),
-            track=record.get("track", "main/main"),
-            parent=id_map.get(record.get("parent_id")),
-            **attrs,
-        )
-        span.instant = bool(record.get("instant", False))
-        id_map[record["span_id"]] = span
-
-
-def spans_jsonl(tracer: Tracer) -> str:
-    """One JSON object per line, one line per closed span."""
+def spans_jsonl(tracer: Recorder) -> str:
+    """One JSON object per line, one line per closed kept record."""
     return "\n".join(
-        json.dumps(record, sort_keys=True) for record in span_records(tracer)
+        json.dumps(_span_row(span), sort_keys=True)
+        for span in tracer.spans
+        if span.closed
     )
 
 

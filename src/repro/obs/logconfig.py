@@ -9,7 +9,7 @@ time and stay silent until a handler is attached.
 Every record carries a ``request_id`` field injected by a filter from
 the active :class:`~repro.obs.context.TelemetryContext` (``-`` when no
 request is active), so log lines from concurrent platform verbs — and
-from pool workers, which re-activate the shipped capsule context — are
+from pool workers, which re-activate the shipped context — are
 attributable without touching any call site.
 """
 

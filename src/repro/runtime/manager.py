@@ -142,14 +142,15 @@ class ReconfigurationManager:
         self.registry = registry
         #: The probe. The manager's protocol runs inside DES callbacks
         #: (whose host time lands under the kernel dispatch frames), so
-        #: its profiler contributions are *semantic* root-anchored
-        #: leaves — the ``runtime.*`` view of where simulated time went
-        #: — rather than frames opened across generator yields.
+        #: it opens no frames across generator yields: the records it
+        #: closes (lock waits, decouple windows, executions, recovery
+        #: steps) are what the fold turns into the root-anchored
+        #: ``runtime;*`` view of where simulated time went.
         self.obs = instrumentation
         #: Read once: with every sink off the protocol skips its
         #: ``_observe_*`` steps, and the names and attributes they
         #: build, entirely. The fault-free steps also test the sink each
-        #: call feeds, so a partly live probe (a profiler alone, as
+        #: call feeds, so a partly live probe (a recorder alone, as
         #: ``repro profile`` runs) makes no calls that would do nothing.
         #: Logging is configured on its own and stays.
         self._observed = instrumentation.enabled
@@ -327,20 +328,20 @@ class ReconfigurationManager:
                 mode=mode_name,
                 wait_s=acquired - requested,
             )
-        if obs.tracer is not None and acquired > requested:
+        if obs.recorder is not None:
             obs.record(
                 "lock_wait",
                 requested,
                 acquired,
                 category="kernel.lock-wait",
-                track=f"kernel/{state.name}",
+                # A wait of zero is counted, but has no interval to trace.
+                track=f"kernel/{state.name}" if acquired > requested else None,
                 mode=mode_name,
             )
         if obs.metrics is not None:
             obs.histogram(
                 "runtime.lock_wait_s", "queueing delay before tile acquisition"
             ).observe(acquired - requested, tile=state.name)
-        obs.leaf(("runtime", "lock_wait"), sim_s=acquired - requested, anchor="root")
 
     def blanking(self, tile_name: str):
         """Generator sub-routine: erase a tile's region (greybox image).
@@ -390,9 +391,7 @@ class ReconfigurationManager:
         self.registry.swap(state.name, None)
         if self._observed:
             self._observe_decoupled(state, "blank", blank.size_bytes)
-        yield from self._transfer_retried(
-            state, "blank", blank.size_bytes, start, span
-        )
+        yield from self._transfer_retried(state, "blank", blank.size_bytes, span)
         state.decoupler.recouple()
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
@@ -486,7 +485,7 @@ class ReconfigurationManager:
         if self._observed:
             self._observe_decoupled(state, mode_name, loaded.size_bytes)
         yield from self._transfer_retried(
-            state, mode_name, loaded.size_bytes, start, decouple_span
+            state, mode_name, loaded.size_bytes, decouple_span
         )
         # 4. interrupt received: load the new driver, re-enable queues
         self.registry.swap(state.name, mode_name)
@@ -500,8 +499,7 @@ class ReconfigurationManager:
         return self.sim.now - start
 
     def _transfer_retried(
-        self, state: TileState, mode_name: str, size_bytes: int, start: float,
-        span,
+        self, state: TileState, mode_name: str, size_bytes: int, span
     ):
         """Transfer with retries; caller holds the lock, tile decoupled.
 
@@ -530,7 +528,7 @@ class ReconfigurationManager:
                     state.decoupler.recouple()
                     if self._observed:
                         self._observe_abandoned(
-                            state, mode_name, attempts, reason, start, span
+                            state, mode_name, attempts, reason, span
                         )
                     logger.warning(
                         "%s: reconfiguration to %s abandoned after %d attempts",
@@ -565,7 +563,7 @@ class ReconfigurationManager:
                 mode=mode_name,
                 size_bytes=size_bytes,
             )
-        if obs.tracer is None:
+        if obs.recorder is None:
             return None
         return obs.begin(
             span_name,
@@ -619,10 +617,7 @@ class ReconfigurationManager:
                 mode=mode_name,
                 duration_s=duration,
             )
-        if span is not None:
-            obs.end(span)
-        if not blanked:
-            obs.leaf(("runtime", "reconfigure"), sim_s=duration, anchor="root")
+        obs.end(span)
 
     def _observe_retry(
         self, state: TileState, mode_name: str, attempts: int, reason: str,
@@ -633,11 +628,13 @@ class ReconfigurationManager:
             "runtime.reconfig_retries", "transfer retries after CRC errors"
         ).inc(tile=state.name)
         self._emit_reconfig_failed(state, mode_name, attempts, reason, False)
-        self.obs.leaf(("runtime", "recovery", "retry"), sim_s=backoff, anchor="root")
+        now = self.sim.now
+        self.obs.record(
+            "retry", now, now, category="runtime.recovery", track=None, sim_s=backoff
+        )
 
     def _observe_abandoned(
-        self, state: TileState, mode_name: str, attempts: int, reason: str,
-        start: float, span,
+        self, state: TileState, mode_name: str, attempts: int, reason: str, span
     ) -> None:
         """A reconfiguration given up after its last failed attempt."""
         self.obs.counter(
@@ -645,11 +642,6 @@ class ReconfigurationManager:
         ).inc(tile=state.name)
         self._emit_reconfig_failed(state, mode_name, attempts, reason, True)
         self.obs.end(span, failed=True)
-        self.obs.leaf(
-            ("runtime", "recovery", "abandon"),
-            sim_s=self.sim.now - start,
-            anchor="root",
-        )
 
     def _emit_reconfig_failed(
         self, state: TileState, mode_name: str, attempts: int, reason: str,
@@ -679,7 +671,7 @@ class ReconfigurationManager:
         while True:
             hung = faults.enabled and faults.invoke_fault(state.name, mode_name)
             exec_span = None
-            if self.obs.tracer is not None:
+            if self.obs.recorder is not None:
                 exec_span = self.obs.begin(
                     mode_name,
                     category="kernel.exec",
@@ -689,10 +681,8 @@ class ReconfigurationManager:
                 )
             if not hung:
                 yield self.sim.timeout(duration)
-                if self._observed:
-                    if exec_span is not None:
-                        self.obs.end(exec_span)
-                    self.obs.leaf(("runtime", "exec"), sim_s=duration, anchor="root")
+                if exec_span is not None:
+                    self.obs.end(exec_span, duration)
                 return hang_attempts
             # No completion interrupt: wait out the watchdog deadline.
             yield self.sim.timeout(duration * self.recovery.exec_deadline_factor)
@@ -730,12 +720,7 @@ class ReconfigurationManager:
         self.obs.counter(
             "runtime.kernel_hangs", "hung invocations caught by the watchdog"
         ).inc(tile=state.name)
-        self.obs.end(span, failed=True)
-        self.obs.leaf(
-            ("runtime", "recovery", "kernel_hang"),
-            sim_s=duration * self.recovery.exec_deadline_factor,
-            anchor="root",
-        )
+        self.obs.end(span, duration * self.recovery.exec_deadline_factor, failed=True)
         self.obs.emit(
             ev.KERNEL_HUNG,
             time=self.sim.now,
@@ -866,11 +851,6 @@ class ReconfigurationManager:
             duration_s=self.sim.now - start,
         )
         self.obs.end(span)
-        self.obs.leaf(
-            ("runtime", "recovery", "fallback"),
-            sim_s=self.sim.now - start,
-            anchor="root",
-        )
 
     def _quarantine_locked(self, state: TileState, reason: str):
         """Quarantine a persistently failing tile; caller holds the lock.
@@ -902,7 +882,10 @@ class ReconfigurationManager:
             self.obs.counter(
                 "runtime.quarantines", "tiles quarantined after persistent failures"
             ).inc(tile=state.name)
-            self.obs.leaf(("runtime", "recovery", "quarantine"), anchor="root")
+            now = self.sim.now
+            self.obs.record(
+                "quarantine", now, now, category="runtime.recovery", track=None
+            )
             self.obs.emit(
                 ev.TILE_QUARANTINED,
                 time=self.sim.now,

@@ -107,7 +107,7 @@ class PrcDevice:
         self.obs = instrumentation
         #: Read once: with every sink off a transfer builds no span
         #: names, metric labels or NoC traffic counts (and with the
-        #: tracer or the registry off, none of those it would feed).
+        #: trace or the registry off, none of those it would feed).
         self._observed = instrumentation.enabled
         #: The fault model every transfer attempt draws from. Shared
         #: with the manager (which reads it back for invoke-side draws)
@@ -142,9 +142,12 @@ class PrcDevice:
         # the frame carries both the host cost of evaluating the model
         # and the modelled NoC seconds it produces. The full transfer
         # duration is charged by the Timeout dispatch that simulates it.
-        with profiler.frame("noc.transfer"):
+        profiler.enter("noc.transfer")
+        try:
             seconds, noc_seconds = self._transfer_seconds(size_bytes, split=True)
-            profiler.add_sim(noc_seconds)
+            profiler.charge(noc_seconds)
+        finally:
+            profiler.exit()
         return seconds
 
     def _transfer_seconds(self, size_bytes: int, split: bool = False):

@@ -224,24 +224,24 @@ class Simulator:
         self._seq = 0
         # Optional observability hooks; None keeps the dispatch loop on
         # its uninstrumented fast path (a single attribute test).
-        self._profiler = None
-        self._tracer = None
+        self._recorder = None
+        self._fold = None
         # dispatch:<Type> frame names, interned per event type so the
         # instrumented loop does not rebuild the string per event.
         self._dispatch_names: dict = {}
 
     def attach_observability(self, instrumentation: "Instrumentation") -> None:
-        """Bind a probe's profiler and tracer to the dispatch loop.
+        """Bind a probe's recorder to the dispatch loop.
 
-        The loop keeps the two sinks themselves; with both off (None)
-        the hot path stays a plain loop. The profiler gets a
-        ``dispatch:<Type>`` frame per processed event (charged the
-        clock advance as simulated time) and a frame per callback site;
-        the tracer gets a zero-duration instant for every cancelled
-        event withdrawn from the queues.
+        With the recorder off (None) the hot path stays a plain loop.
+        Every cancelled event withdrawn from the queues becomes one
+        zero-duration record (a trace instant, a profile count). With
+        the profile on, each processed event counts one call of its
+        ``dispatch:<Type>`` node (charged the clock advance as
+        simulated time) and each callback runs in one frame below it.
         """
-        self._profiler = instrumentation.profiler
-        self._tracer = instrumentation.tracer
+        self._recorder = instrumentation.recorder
+        self._fold = instrumentation.profiler
 
     # ------------------------------------------------------------------
     # event construction helpers
@@ -273,17 +273,20 @@ class Simulator:
         """Account a withdrawn event taken off a queue.
 
         Cancelled events run no callbacks and never advance the clock;
-        observability still sees them — as a ``cancelled:<Type>`` leaf
-        in the profile and a zero-duration instant in the trace —
-        instead of a dangling open span.
+        observability still sees them — one ``cancelled:<Type>`` instant
+        record, which the trace exports and the profile counts under the
+        open frame — instead of a dangling open span.
         """
-        if self._profiler is not None:
-            self._profiler.record_leaf(f"cancelled:{type(event).__name__}")
-        if self._tracer is not None:
-            self._tracer.instant(
+        recorder = self._recorder
+        if recorder is not None:
+            now = recorder.now()
+            recorder.record(
                 f"cancelled:{type(event).__name__}",
+                now,
+                now,
                 category="kernel.cancelled",
                 track="sim/kernel",
+                instant=True,
             )
 
     def step(self) -> None:
@@ -327,19 +330,21 @@ class Simulator:
     def _dispatch(self, event: Event, advance: float) -> None:
         """Process ``event``: mark it, then run its callbacks.
 
-        With a profiler attached the event runs in a ``dispatch:<Type>``
-        frame charged ``advance`` — the clock advance it is the first
-        event to see — as simulated time, so the dispatch frames'
-        ``sim_s`` sums to the final simulation time; each callback runs
-        in a frame named by its qualified name (``Process._resume``,
+        With the profile on the event counts one call of its
+        ``dispatch:<Type>`` node, charged ``advance`` — the clock advance
+        it is the first event to see — as simulated time, so the
+        dispatch nodes' ``sim_s`` sums to the final simulation time;
+        each callback runs in one frame below that node, named by its
+        qualified name (``Process._resume``,
         ``AllOf.__init__.<locals>.<lambda>``, ...), which is stable run
-        to run and names the layer the time belongs to.
+        to run and names the layer the time belongs to. That is one
+        recorder enter/exit per callback and none per event.
         """
         event.processed = True
         callbacks = event.callbacks
         event.callbacks = []
-        profiler = self._profiler
-        if profiler is None:
+        fold = self._fold
+        if fold is None:
             for callback in callbacks:
                 callback(event)
             return
@@ -347,20 +352,16 @@ class Simulator:
         name = self._dispatch_names.get(event_type)
         if name is None:
             name = self._dispatch_names[event_type] = f"dispatch:{event_type.__name__}"
-        profiler.begin(name)
-        try:
-            if advance:  # adding 0.0 would leave the frame's sim_s as is
-                profiler.add_sim(advance)
-            for callback in callbacks:
-                profiler.begin(
-                    getattr(callback, "__qualname__", None) or type(callback).__name__
-                )
-                try:
-                    callback(event)
-                finally:
-                    profiler.end()
-        finally:
-            profiler.end()
+        node = fold.count(name, advance)
+        for callback in callbacks:
+            fold.enter(
+                getattr(callback, "__qualname__", None) or type(callback).__name__,
+                node,
+            )
+            try:
+                callback(event)
+            finally:
+                fold.exit()
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until both queues drain or simulated time reaches ``until``.
@@ -372,7 +373,7 @@ class Simulator:
                 raise SimulationError("until is NaN")
             if until < self.now:
                 raise SimulationError(f"until={until} is in the past (now={self.now})")
-        if self._profiler is None and self._tracer is None:
+        if self._recorder is None:
             return self._run_fast(until)
         ready = self._ready
         heap = self._heap
@@ -399,7 +400,7 @@ class Simulator:
     def _run_fast(self, until: Optional[float]) -> float:
         """The monomorphic uninstrumented dispatch loop.
 
-        With no profiler and no tracer attached there is exactly one
+        With no recorder attached there is exactly one
         shape of work per event: pop the ready queue, skip it if
         withdrawn, run its callbacks (``_dispatch`` inlined). The heap
         is touched once per distinct fire time, not once per event: it

@@ -14,8 +14,8 @@ from repro.obs.events import EventBus
 from repro.obs.export import chrome_trace_json
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import Profiler, canonical_tree, profile_document
-from repro.obs.tracer import Tracer
+from repro.obs.profiler import canonical_tree, profile_document
+from repro.obs.recorder import Recorder
 from repro.vivado.characterization import characterization_design
 from repro.vivado.faults import CadFaultModel
 from repro.vivado.runtime_model import JobKind
@@ -240,7 +240,7 @@ class TestObservationParity:
         cached_build(flow, cache, socs["soc_a"])
 
         def live():
-            return Instrumentation(tracer=Tracer(time_unit="min"), profiler=Profiler())
+            return Instrumentation(recorder=Recorder(time_unit="min"))
 
         direct = live()
         _, hit = cached_build(flow, cache, socs["soc_a"], instrumentation=direct)

@@ -186,13 +186,12 @@ class TestNullParity:
 
         import repro.obs.events as events_mod
         import repro.obs.metrics as metrics_mod
-        import repro.obs.profiler as profiler_mod
-        import repro.obs.tracer as tracer_mod
+        import repro.obs.recorder as recorder_mod
 
         monkeypatch.setattr(
             metrics_mod, "current_context", counting(metrics_mod.current_context)
         )
-        for module in (events_mod, profiler_mod, tracer_mod):
+        for module in (events_mod, recorder_mod):
             monkeypatch.setattr(
                 module,
                 "current_request_id",
@@ -206,8 +205,8 @@ class TestNullParity:
     def test_fast_dispatch_loop_survives_null_hooks(self):
         sim = Simulator()
         sim.attach_observability(OFF)
-        assert sim._profiler is None
-        assert sim._tracer is None
+        assert sim._recorder is None
+        assert sim._fold is None
 
     def test_context_changes_nothing_on_uninstrumented_deploys(self, small_soc):
         plain = api.deploy(small_soc, frames=2).to_summary_dict()

@@ -24,6 +24,7 @@ from repro.obs.profiler import (
     Profiler,
     ProfilerError,
     profile_document,
+    profile_path,
     self_time_shares,
     write_profile,
 )
@@ -48,10 +49,10 @@ def make_profile(experiment="exp", weights=None):
     for path, weight in weights.items():
         names = path.split(";")
         for name in names:
-            profiler.begin(name)
+            profiler.enter(name)
         clock.advance(weight)
         for _ in names:
-            profiler.end()
+            profiler.exit()
     return profile_document(profiler, experiment)
 
 
@@ -473,19 +474,19 @@ class TestCompareDirectories:
         results = tmp_path / "results"
         baselines = tmp_path / "baselines"
         write_baseline(baselines, PROFILE.seed("exp", self_time_shares(make_profile())))
-        write_profile(results, "exp", make_profile())
+        write_profile(profile_path(results, "exp"), make_profile())
         outcomes = compare_directories(PROFILE, results, baselines)
         assert [o.ok for o in outcomes] == [True]
 
     def test_unbaselined_profiles_are_not_judged(self, tmp_path):
         results = tmp_path / "results"
-        write_profile(results, "exp", make_profile())
+        write_profile(profile_path(results, "exp"), make_profile())
         assert compare_directories(PROFILE, results, tmp_path / "none") == []
 
     def test_bench_summaries_and_profiles_do_not_mix(self, tmp_path):
         results = tmp_path / "results"
         write_summary(results, "exp", {"m": 1.0})
-        write_profile(results, "exp", make_profile())
+        write_profile(profile_path(results, "exp"), make_profile())
         assert find_files(results, BENCH_PREFIX) == {
             "exp": results / "BENCH_exp.json"
         }

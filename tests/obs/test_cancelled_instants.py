@@ -4,8 +4,8 @@ A cancelled event withdrawn from the kernel heap runs no callbacks
 and advances no clock — but a trace that silently swallows it hides
 the runtime's recovery behaviour (the watchdog cancels the stall
 timer of every aborted transfer). The kernel therefore records each
-withdrawal as a zero-duration Chrome ``"I"`` instant plus a
-``cancelled:<Type>`` profile leaf.
+withdrawal as one zero-duration record: a Chrome ``"I"`` instant in
+the trace and a ``cancelled:<Type>`` count in the profile.
 """
 
 import json
@@ -14,7 +14,8 @@ from repro.core.designs import wami_soc_y
 from repro.core.platform import PrEspPlatform
 from repro.obs.export import chrome_trace_json
 from repro.obs.instrumentation import Instrumentation
-from repro.obs.profiler import Profiler, profile_document
+from repro.obs.profiler import profile_document
+from repro.obs.recorder import Recorder
 from repro.obs.tracer import Tracer
 from repro.runtime.faults import (
     RuntimeFaultKind,
@@ -27,13 +28,10 @@ from repro.sim.kernel import Simulator
 class TestKernelLevel:
     def observed_sim(self):
         sim = Simulator()
-        tracer = Tracer()
-        tracer.use_clock(lambda: sim.now)
-        profiler = Profiler()
-        sim.attach_observability(
-            Instrumentation(tracer=tracer, profiler=profiler)
-        )
-        return sim, tracer, profiler
+        recorder = Recorder()
+        recorder.use_clock(lambda: sim.now)
+        sim.attach_observability(Instrumentation(recorder=recorder))
+        return sim, recorder, recorder
 
     def test_cancelled_timeout_becomes_an_instant(self):
         sim, tracer, profiler = self.observed_sim()

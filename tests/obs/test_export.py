@@ -10,7 +10,6 @@ from repro.obs.export import (
     format_metric_value,
     metrics_dict,
     metrics_lines,
-    span_records,
     spans_jsonl,
     write_chrome_trace,
 )
@@ -95,7 +94,7 @@ class TestJsonl:
         assert rows[0]["duration"] == pytest.approx(1.0)
 
     def test_records_carry_attrs(self, tracer):
-        rows = span_records(tracer)
+        rows = [json.loads(line) for line in spans_jsonl(tracer).splitlines()]
         assert rows[0]["attrs"] == {"mode": "fft"}
 
 

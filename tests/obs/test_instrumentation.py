@@ -3,9 +3,10 @@
 import pytest
 
 from repro.obs.events import EventBus
-from repro.obs.instrumentation import OFF, Instrumentation
+from repro.obs.instrumentation import NO_FRAME, OFF, Instrumentation
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import Profiler, canonical_tree, profile_document
+from repro.obs.profiler import canonical_tree, profile_document
+from repro.obs.recorder import Recorder, RecordingError
 from repro.obs.tracer import Tracer
 
 
@@ -30,10 +31,10 @@ def _events_calls(probe):
 
 def _profiler_calls(probe):
     # The off frame is one shared context: nothing is allocated per call.
-    assert probe.frame("a") is probe.frame("b")
+    assert probe.frame("a") is probe.frame("b") is NO_FRAME
     with probe.frame("y") as frame:
-        result = probe.add_sim(1.0)
-    return [frame, result, probe.leaf("z", sim_s=1.0), probe.leaf(("r",), anchor="root")]
+        result = frame.charge(1.0)
+    return [result, probe.record("z", 0.0, 0.0, track=None, path=("z",))]
 
 
 @pytest.mark.parametrize(
@@ -59,10 +60,9 @@ def test_off_is_the_default_probe():
 
 def test_operations_reach_the_live_sinks():
     probe = Instrumentation(
-        tracer=Tracer(time_unit="min"),
+        recorder=Recorder(time_unit="min", host_clock=lambda: 0.0),
         metrics=MetricsRegistry(),
         events=EventBus(),
-        profiler=Profiler(host_clock=lambda: 0.0),
     )
     probe.use_clock(lambda: 2.0)
     span = probe.begin("stage", category="flow.stage")
@@ -72,10 +72,12 @@ def test_operations_reach_the_live_sinks():
     probe.gauge("g").set(3.0)
     probe.histogram("h").observe(0.5)
     event = probe.emit("k", source="x", a=1)
-    with probe.frame("outer"):
-        probe.add_sim(4.0)
-        probe.leaf("inner", sim_s=1.0)
-    probe.leaf(("runtime", "retry"), sim_s=2.0, anchor="root")
+    with probe.frame("outer") as frame:
+        frame.charge(4.0)
+        # Records without a track reach the fold only: one at an
+        # explicit path under the open frame, one by the category rule.
+        probe.record("inner", 0.0, 1.0, track=None, sim_s=1.0, path=("inner",))
+    probe.record("retry", 2.0, 2.0, category="runtime.recovery", track=None, sim_s=2.0)
 
     assert [(s.name, s.start, s.end) for s in probe.tracer.spans] == [
         ("stage", 2.0, 2.0),
@@ -103,7 +105,37 @@ def test_operations_reach_the_live_sinks():
                 "name": "runtime",
                 "calls": 0,
                 "sim_s": 0.0,
-                "children": [{"name": "retry", "calls": 1, "sim_s": 2.0}],
+                "children": [
+                    {
+                        "name": "recovery",
+                        "calls": 0,
+                        "sim_s": 0.0,
+                        "children": [{"name": "retry", "calls": 1, "sim_s": 2.0}],
+                    }
+                ],
             },
         ],
     }
+
+
+def test_one_recorder_per_probe():
+    # The trace and the profile are two exports of one recorder.
+    recorder = Recorder()
+    probe = Instrumentation(tracer=recorder, profiler=recorder)
+    assert probe.recorder is probe.tracer is probe.profiler is recorder
+    with pytest.raises(RecordingError):
+        Instrumentation(tracer=Recorder(), profiler=Recorder())
+
+
+def test_untraced_probe_shares_the_fold():
+    recorder = Recorder(host_clock=lambda: 0.0)
+    probe = Instrumentation(recorder=recorder)
+    inner = probe.untraced()
+    assert inner.tracer is None
+    with probe.frame("deploy"):
+        with inner.frame("build"):
+            inner.record("stage", 0.0, 1.0, track="flow/build")
+    assert recorder.spans == []
+    (deploy,) = canonical_tree(profile_document(recorder))["children"]
+    assert [child["name"] for child in deploy["children"]] == ["build"]
+    assert Instrumentation(recorder=Tracer()).untraced().recorder is None

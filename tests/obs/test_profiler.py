@@ -1,4 +1,4 @@
-"""Unit tests of the deterministic hierarchical profiler.
+"""Unit tests of the fold: the deterministic call-path profile.
 
 The load-bearing invariant: frames accumulate *self* host time, so the
 self times of the whole tree sum exactly (not approximately) to the
@@ -11,10 +11,11 @@ import pickle
 import pytest
 
 from repro.obs.baseline import find_files
-from repro.obs.instrumentation import OFF
+from repro.obs.events import EventBus
+from repro.obs.instrumentation import NO_FRAME, OFF, Instrumentation
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
     PROFILE_PREFIX,
-    ProfileCapsule,
     Profiler,
     ProfilerError,
     canonical_tree,
@@ -22,9 +23,11 @@ from repro.obs.profiler import (
     load_profile,
     profile_document,
     profile_json,
+    profile_path,
     self_host_total,
     write_profile,
 )
+from repro.obs.recorder import Recorder, RecordingError
 
 
 class FakeClock:
@@ -48,19 +51,23 @@ def profiler(clock):
     return Profiler(host_clock=clock)
 
 
+def tree_document(profiler, experiment="t"):
+    return profile_document(profiler, experiment)
+
+
 def tree_of(profiler, experiment="t"):
     return profile_document(profiler, experiment)["tree"]
 
 
 class TestFrames:
     def test_nested_frames_accumulate_self_time(self, profiler, clock):
-        profiler.begin("outer")
+        profiler.enter("outer")
         clock.advance(1.0)
-        profiler.begin("inner")
+        profiler.enter("inner")
         clock.advance(2.0)
-        profiler.end()
+        profiler.exit()
         clock.advance(3.0)
-        profiler.end()
+        profiler.exit()
         tree = tree_of(profiler)
         outer = tree["children"][0]
         inner = outer["children"][0]
@@ -73,13 +80,13 @@ class TestFrames:
 
     def test_self_times_sum_exactly_to_root_inclusive(self, profiler, clock):
         for _ in range(3):
-            profiler.begin("a")
+            profiler.enter("a")
             clock.advance(0.1)
             with profiler.frame("b"):
                 clock.advance(0.7)
                 with profiler.frame("c"):
                     clock.advance(0.3)
-            profiler.end()
+            profiler.exit()
         document = profile_document(profiler, "t")
         # Exact equality, not approx: self time is constructed by
         # subtraction of the very same floats.
@@ -100,49 +107,59 @@ class TestFrames:
             with profiler.frame("risky"):
                 clock.advance(1.0)
                 raise ValueError("boom")
-        assert profiler.open_frames == 0
         assert tree_of(profiler)["children"][0]["calls"] == 1
 
-    def test_current_path_tracks_open_frames(self, profiler):
-        assert profiler.current_path() == ()
-        profiler.begin("a")
-        profiler.begin("b")
-        assert profiler.current_path() == ("a", "b")
-        assert profiler.open_frames == 2
-        profiler.end()
-        profiler.end()
-
     def test_unbalanced_end_raises(self, profiler):
-        with pytest.raises(ProfilerError):
-            profiler.end()
+        with pytest.raises(RecordingError):
+            profiler.exit()
 
     def test_payload_refuses_open_frames(self, profiler):
-        profiler.begin("open")
-        with pytest.raises(ProfilerError):
+        profiler.enter("open")
+        with pytest.raises(RecordingError):
             profiler.payload()
-        profiler.end()
-        assert profiler.payload()["name"] == "root"
+        profiler.exit()
+        assert profiler.payload()["tree"]["name"] == "root"
+
+    def test_dispatch_frames_enter_under_a_counted_node(self, profiler, clock):
+        # The DES kernel's shape: one counted node per event, one frame
+        # per callback below it; the node itself gets no host time.
+        with profiler.frame("deploy"):
+            for _ in range(2):
+                node = profiler.count("dispatch:Timeout", 0.5)
+                profiler.enter("Process._resume", node)
+                clock.advance(1.0)
+                profiler.exit()
+        deploy = tree_of(profiler)["children"][0]
+        (dispatch,) = deploy["children"]
+        assert (dispatch["calls"], dispatch["self_sim_s"]) == (2, 1.0)
+        assert dispatch["self_host_s"] == 0.0
+        assert dispatch["children"][0]["self_host_s"] == pytest.approx(2.0)
+        assert deploy["self_host_s"] == 0.0
 
 
 class TestSimAttribution:
-    def test_add_sim_charges_the_open_frame(self, profiler, clock):
-        with profiler.frame("dispatch:Event"):
+    def test_frame_charge_sums_simulated_seconds(self, profiler, clock):
+        with profiler.frame("dispatch:Event") as frame:
             clock.advance(0.001)
-            profiler.add_sim(12.5)
-            profiler.add_sim(0.5)
+            frame.charge(12.5)
+            frame.charge(0.5)
         node = tree_of(profiler)["children"][0]
         assert node["self_sim_s"] == pytest.approx(13.0)
 
     def test_negative_sim_raises(self, profiler):
-        with pytest.raises(ProfilerError):
-            profiler.add_sim(-1.0)
-        with pytest.raises(ProfilerError):
-            profiler.record_leaf("x", sim_s=-0.1)
+        with profiler.frame("x") as frame:
+            with pytest.raises(RecordingError):
+                frame.charge(-1.0)
+        with pytest.raises(RecordingError):
+            profiler.record("x", 0.0, 0.0, track=None, sim_s=-0.1, path=("x",))
 
-    def test_record_leaf_anchors_under_current_frame(self, profiler, clock):
+    def test_record_path_folds_under_current_frame(self, profiler, clock):
         with profiler.frame("flow.synthesis"):
             clock.advance(0.01)
-            profiler.record_leaf("vivado.synth_rt1", sim_s=600.0)
+            profiler.record(
+                "synth_rt1", 0.0, 10.0, category="flow.job", sim_s=600.0,
+                path=("vivado.synth_rt1",),
+            )
         stage = tree_of(profiler)["children"][0]
         leaf = stage["children"][0]
         assert leaf["name"] == "vivado.synth_rt1"
@@ -151,37 +168,57 @@ class TestSimAttribution:
         # The stage's inclusive sim time includes the leaf.
         assert stage["sim_s"] == pytest.approx(600.0)
 
-    def test_record_leaf_root_anchor_escapes_the_stack(self, profiler, clock):
+    def test_runtime_records_fold_from_the_root(self, profiler, clock):
         with profiler.frame("dispatch:Event"):
             clock.advance(0.01)
-            profiler.record_leaf(
-                ("runtime", "retry"), sim_s=2.0, anchor="root"
+            profiler.record(
+                "retry", 1.0, 1.0, category="runtime.recovery", track=None,
+                sim_s=2.0,
             )
         tree = tree_of(profiler)
         names = {c["name"] for c in tree["children"]}
         assert names == {"dispatch:Event", "runtime"}
         runtime = next(c for c in tree["children"] if c["name"] == "runtime")
-        assert runtime["children"][0]["name"] == "retry"
-        assert runtime["children"][0]["self_sim_s"] == pytest.approx(2.0)
+        retry = runtime["children"][0]["children"][0]
+        assert retry["name"] == "retry"
+        assert retry["self_sim_s"] == pytest.approx(2.0)
 
-    def test_record_leaf_bad_anchor_raises(self, profiler):
-        with pytest.raises(ProfilerError):
-            profiler.record_leaf("x", anchor="parent")
+    @pytest.mark.parametrize(
+        "name, category, failed, path",
+        [
+            ("lock_wait", "kernel.lock-wait", False, "lock_wait"),
+            ("fft", "kernel.exec", False, "exec"),
+            ("fft", "kernel.exec", True, "recovery;kernel_hang"),
+            ("reconfigure:fft", "kernel.decouple", False, "reconfigure"),
+            ("reconfigure:fft", "kernel.decouple", True, "recovery;abandon"),
+            ("blank", "kernel.decouple", False, None),
+            ("blank", "kernel.decouple", True, "recovery;abandon"),
+            ("fallback:fft", "kernel.decouple", False, "recovery;fallback"),
+            ("fallback:fft", "kernel.decouple", True, None),
+            ("quarantine", "runtime.recovery", False, "recovery;quarantine"),
+            ("rt0/fft", "kernel.icap", False, None),
+        ],
+    )
+    def test_runtime_view_rule(self, profiler, name, category, failed, path):
+        record = profiler.begin(name, category=category, track="kernel/rt0")
+        profiler.end(record, **({"failed": True} if failed else {}))
+        shares = collapsed_stacks(tree_document(profiler), weight="calls")
+        assert shares == ([] if path is None else [f"runtime;{path} 1"])
 
 
 class TestMerge:
     def worker_payload(self):
         clock = FakeClock()
         worker = Profiler(host_clock=clock)
-        with worker.frame("flow.build"):
+        with worker.frame("flow.build") as frame:
             clock.advance(2.0)
-            worker.add_sim(120.0)
+            frame.charge(120.0)
         return worker.payload()
 
-    def test_merge_tree_grafts_under_path(self, profiler, clock):
+    def test_merge_grafts_under_path(self, profiler, clock):
         with profiler.frame("build_many"):
             clock.advance(0.5)
-            profiler.merge_tree(
+            profiler.merge(
                 self.worker_payload(), at=("soc_a/auto",), tag="ForkWorker-1"
             )
         tree = tree_of(profiler)
@@ -197,8 +234,8 @@ class TestMerge:
         assert many["host_s"] == pytest.approx(2.5)
 
     def test_merge_is_additive_across_workers(self, profiler):
-        profiler.merge_tree(self.worker_payload(), at=("req",), tag="w1")
-        profiler.merge_tree(self.worker_payload(), at=("req",), tag="w2")
+        profiler.merge(self.worker_payload(), at=("req",), tag="w1")
+        profiler.merge(self.worker_payload(), at=("req",), tag="w2")
         graft = tree_of(profiler)["children"][0]
         assert sorted(graft["workers"]) == ["w1", "w2"]
         build = graft["children"][0]
@@ -206,7 +243,7 @@ class TestMerge:
         assert build["self_sim_s"] == pytest.approx(240.0)
 
     def test_worker_tags_are_stripped_by_canonical_tree(self, profiler):
-        profiler.merge_tree(self.worker_payload(), at=("req",), tag="w1")
+        profiler.merge(self.worker_payload(), at=("req",), tag="w1")
         canonical = canonical_tree(profile_document(profiler, "t"))
 
         def assert_clean(node):
@@ -221,40 +258,55 @@ class TestMerge:
         for speed in (1.0, 37.0):
             clock = FakeClock()
             profiler = Profiler(host_clock=clock)
-            with profiler.frame("a"):
+            with profiler.frame("a") as frame:
                 clock.advance(speed)
-                profiler.add_sim(5.0)
+                frame.charge(5.0)
             trees.append(canonical_tree(profile_document(profiler, "t")))
         assert trees[0] == trees[1]
 
 
-class TestCapsule:
-    def test_disabled_capsule_activates_null(self):
-        assert ProfileCapsule().activate() is None
+class TestWorkerPayload:
+    def test_one_payload_carries_every_sink_through_one_merge(self):
+        worker = Instrumentation(
+            recorder=Recorder(time_unit="min", host_clock=FakeClock()),
+            metrics=MetricsRegistry(),
+            events=EventBus(),
+        )
+        assert worker.sinks == ("trace", "profile", "metrics", "events")
+        with worker.frame("build.soc_a") as frame:
+            frame.charge(60.0)
+        worker.record("build soc_a", 0.0, 1.0, category="flow.build")
+        worker.emit("flow.done", time=1.0, source="flow")
+        worker.counter("jobs").inc()
+        payload = pickle.loads(pickle.dumps(worker.payload()))
 
-    def test_enabled_capsule_activates_fresh_profiler(self):
-        capsule = ProfileCapsule(path=("req",), profile=True)
-        first = capsule.activate()
-        second = capsule.activate()
-        assert isinstance(first, Profiler) and isinstance(second, Profiler)
-        assert first is not second
+        parent = Instrumentation(
+            recorder=Recorder(time_unit="min"),
+            metrics=MetricsRegistry(),
+            events=EventBus(),
+        )
+        parent.merge(payload, at=("soc_a/auto",))
+        (graft,) = canonical_tree(profile_document(parent.recorder))["children"]
+        assert graft["name"] == "soc_a/auto"
+        assert graft["children"][0] == {"name": "build.soc_a", "calls": 1, "sim_s": 60.0}
+        (span,) = parent.recorder.spans
+        assert span.attrs == {"worker": payload["worker"]}
+        assert [e.kind for e in parent.events.events()] == ["flow.done"]
+        assert parent.metrics.snapshot()["jobs"] == 1.0
 
-    def test_capsule_pickles(self):
-        capsule = ProfileCapsule(path=("soc_a/auto",), profile=True, trace=True)
-        clone = pickle.loads(pickle.dumps(capsule))
-        assert clone == capsule
-        assert isinstance(clone.activate(), Profiler)
+    def test_partly_live_probes_name_their_sinks(self):
+        assert OFF.sinks == ()
+        assert Instrumentation(profiler=Profiler()).sinks == ("profile",)
 
 
 class TestNullProfiler:
     def test_null_profiler_is_inert(self):
         # Profiling off is the probe's ``profiler=None``.
         assert OFF.profiler is None
+        assert OFF.frame("y") is NO_FRAME
         with OFF.frame("y") as frame:
-            assert OFF.add_sim(1.0) is None
-        assert frame is None
-        assert OFF.leaf("z", sim_s=1.0) is None
-        assert OFF.leaf(("runtime", "retry"), sim_s=2.0, anchor="root") is None
+            assert frame.charge(1.0) is None
+        assert OFF.record("z", 0.0, 0.0, track=None, path=("z",)) is None
         assert OFF.enabled is False
 
 
@@ -262,9 +314,9 @@ class TestExports:
     def make_document(self):
         clock = FakeClock()
         profiler = Profiler(host_clock=clock)
-        with profiler.frame("a"):
+        with profiler.frame("a") as frame:
             clock.advance(0.5)
-            profiler.add_sim(3.0)
+            frame.charge(3.0)
             with profiler.frame("b"):
                 clock.advance(0.25)
         with profiler.frame("zero"):
@@ -290,7 +342,9 @@ class TestExports:
 
     def test_write_and_load_round_trip(self, tmp_path):
         document = self.make_document()
-        json_path, collapsed_path = write_profile(tmp_path, "exp", document)
+        json_path, collapsed_path = write_profile(
+            profile_path(tmp_path, "exp"), document, tmp_path / "exp.collapsed"
+        )
         assert json_path.name == "PROFILE_exp.json"
         assert collapsed_path.name == "exp.collapsed"
         assert load_profile(json_path) == document
@@ -309,3 +363,10 @@ class TestExports:
         document = profile_document(Profiler(), "empty")
         assert document["total_host_s"] == 0.0
         assert collapsed_stacks(document) == []
+
+    def test_write_profile_defaults_to_a_sibling_collapsed_file(self, tmp_path):
+        json_path, collapsed_path = write_profile(
+            tmp_path / "out" / "p.json", self.make_document()
+        )
+        assert collapsed_path == tmp_path / "out" / "p.collapsed"
+        assert load_profile(json_path) == self.make_document()

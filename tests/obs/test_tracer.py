@@ -1,9 +1,10 @@
-"""Tests for the span tracer and its disabled path."""
+"""Tests for the recorder's trace export and its disabled path."""
 
 import pytest
 
 from repro.obs.instrumentation import OFF
-from repro.obs.tracer import Tracer, TracingError
+from repro.obs.recorder import Recorder, RecordingError
+from repro.obs.tracer import Tracer
 
 
 class FakeClock:
@@ -39,18 +40,15 @@ class TestSpans:
         assert span.duration == 2.5
         assert span.closed
 
-    def test_context_manager(self, tracer, clock):
-        with tracer.span("work", category="test", track="t/a") as span:
-            clock.advance(1.0)
-        assert span.duration == 1.0
-        assert tracer.spans == [span]
-
     def test_nesting_assigns_parent(self, tracer, clock):
-        with tracer.span("outer") as outer:
-            clock.advance(1.0)
-            with tracer.span("inner") as inner:
-                clock.advance(1.0)
-            clock.advance(1.0)
+        outer = tracer.begin("outer")
+        clock.advance(1.0)
+        inner = tracer.begin("inner")
+        clock.advance(1.0)
+        tracer.end(inner)
+        clock.advance(1.0)
+        tracer.end(outer)
+        assert tracer.spans == [outer, inner]
         assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
         assert tracer.nesting_violations() == []
@@ -67,7 +65,7 @@ class TestSpans:
     def test_unbalanced_end_rejected(self, tracer):
         outer = tracer.begin("outer")
         tracer.begin("inner")
-        with pytest.raises(TracingError):
+        with pytest.raises(RecordingError):
             tracer.end(outer)
 
     def test_record_explicit_interval(self, tracer):
@@ -77,7 +75,7 @@ class TestSpans:
         assert span.attrs["luts"] == 1200
 
     def test_record_backwards_interval_rejected(self, tracer):
-        with pytest.raises(TracingError):
+        with pytest.raises(RecordingError):
             tracer.record("bad", 5.0, 4.0)
 
     def test_attrs_merge_on_end(self, tracer):
@@ -85,18 +83,13 @@ class TestSpans:
         tracer.end(span, failed=True)
         assert span.attrs == {"tile": "rt0", "failed": True}
 
-    def test_exception_in_context_marks_error(self, tracer, clock):
-        with pytest.raises(ValueError):
-            with tracer.span("work") as span:
-                raise ValueError("boom")
-        assert span.attrs["error"] == "ValueError"
-        assert span.closed
-
     def test_category_helpers(self, tracer, clock):
-        with tracer.span("a", category="x"):
-            clock.advance(2.0)
-        with tracer.span("b", category="y"):
-            clock.advance(3.0)
+        a = tracer.begin("a", category="x")
+        clock.advance(2.0)
+        tracer.end(a)
+        b = tracer.begin("b", category="y")
+        clock.advance(3.0)
+        tracer.end(b)
         assert tracer.total_duration("x") == 2.0
         assert [s.name for s in tracer.spans_in("y")] == ["b"]
 
@@ -106,8 +99,38 @@ class TestSpans:
         assert span.start == 42.0
 
     def test_bad_time_unit_rejected(self):
-        with pytest.raises(TracingError):
+        with pytest.raises(RecordingError):
             Tracer(time_unit="fortnights")
+
+    def test_a_recorder_records_something(self):
+        with pytest.raises(RecordingError):
+            Recorder(trace=False, profile=False)
+
+
+class TestKeptRecords:
+    def test_trackless_records_reach_the_fold_only(self, tracer):
+        hidden = tracer.record("lock_wait", 1.0, 1.0, track=None)
+        shown = tracer.record("lock_wait", 1.0, 2.0, track="kernel/rt0")
+        # Ids number the kept records only, so they stay dense.
+        assert tracer.spans == [shown]
+        assert (hidden.span_id, shown.span_id) == (None, 0)
+
+    def test_untraced_recorder_keeps_nothing(self):
+        recorder = Recorder(trace=False)
+        record = recorder.begin("work", track="t/a")
+        recorder.end(record)
+        assert recorder.spans == [] and record.span_id is None
+        assert recorder.open_spans() == []
+
+    def test_merge_replays_records_with_links_and_worker(self, tracer):
+        worker = Tracer(time_unit="s")
+        parent = worker.record("build", 0.0, 4.0, track="flow/build")
+        worker.record("stage", 0.0, 1.0, track="flow/build", parent=parent)
+        tracer.record("earlier", 0.0, 1.0)
+        tracer.merge(worker.payload(), tag="ForkWorker-1")
+        build, stage = tracer.spans[1:]
+        assert stage.parent_id == build.span_id == 1
+        assert build.attrs == {"worker": "ForkWorker-1"}
 
 
 class TestNesting:

@@ -3,8 +3,8 @@
 Each guard counts calls instead of timing them, so it holds on any
 host: a two-frame ``soc_y`` deployment must touch the event heap only
 for timeouts that fire later, must not call into an all-off probe from
-the reconfiguration manager or the PRC (nor make span, event or metric
-calls into a profiler-only one), must order the task DAG once per run
+the reconfiguration manager or the PRC (nor make event or metric calls
+into a profiler-only one), must order the task DAG once per run
 rather than once per frame, must resume no more generator frames per
 invocation than the flattened protocol needs, and must price each
 bitstream size on the NoC once however often it is streamed.
@@ -33,7 +33,7 @@ from repro.wami.app import WamiApplication
 
 #: Every operation of the probe a layer could call.
 PROBE_METHODS = (
-    "begin", "end", "record", "frame", "leaf", "add_sim",
+    "begin", "end", "record", "frame",
     "emit", "counter", "gauge", "histogram", "use_clock",
 )
 
@@ -118,12 +118,13 @@ def test_live_probe_still_hears_the_runtime(soc_y_flow):
 
 
 def test_profiler_only_probe_gets_only_profile_calls(soc_y_flow):
-    # `repro profile` runs a profiler alone: the runtime's span, event
-    # and metric calls would all do nothing, so none is made.
+    # `repro profile` runs a profiler alone: the runtime's records feed
+    # its fold, but event and metric calls would do nothing, so none is
+    # made.
     probe, calls = counting_probe(profiler=Profiler())
     deploy(soc_y_flow, instrumentation=probe)
     runtime_calls = {name for name, module in calls if module in RUNTIME_MODULES}
-    assert runtime_calls == {"leaf"}
+    assert runtime_calls == {"begin", "end", "record"}
 
 
 def test_topological_order_once_per_run(soc_y_flow, monkeypatch):
@@ -181,7 +182,7 @@ def test_one_process_per_worker_thread_per_frame(
 #: thread -> hardware instance -> invocation [-> reconfiguration ->
 #: retried transfer -> PRC transfer]. The counts include the
 #: generator expressions the deploy's setup and stats evaluate.
-GENERATOR_RESUMPTIONS = {False: (744, 20), True: (846, 20)}
+GENERATOR_RESUMPTIONS = {False: (734, 20), True: (836, 20)}
 
 
 @pytest.mark.parametrize("power_gating", [False, True], ids=["ungated", "gated"])

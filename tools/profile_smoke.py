@@ -7,9 +7,10 @@ All through the CLI entry point:
    sum reconciles with the root inclusive time within 1%, with the
    DES dispatch loop among the top hot paths;
 2. profiling overhead stays bounded (min-of-5 timings of the same
-   deployment with and without the profiler) — the bare run uses the
-   kernel's uninstrumented monomorphic dispatch loop, so the profiled
-   run pays both the frame bookkeeping and the instrumented loop;
+   deployment with and without a profile-only recorder) — the bare run
+   uses the kernel's uninstrumented monomorphic dispatch loop, so the
+   profiled run pays both the fold (one frame per DES callback) and the
+   instrumented loop;
 3. the canonical tree is identical across two runs (the committed
    profile baselines are gated by CI's bench job, not here);
 4. the exporters agree: the collapsed stacks cover exactly the
@@ -32,12 +33,12 @@ from repro.cli import main
 from repro.core.designs import wami_soc_y
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.profiler import (
-    Profiler,
     canonical_tree,
     load_profile,
     self_host_total,
     self_time_shares,
 )
+from repro.obs.recorder import Recorder
 
 
 def run_cli(argv: list) -> tuple:
@@ -72,7 +73,7 @@ def timed_workload(profiled: bool) -> float:
     best = float("inf")
     for _ in range(5):
         instrumentation = (
-            Instrumentation(profiler=Profiler()) if profiled else None
+            Instrumentation(recorder=Recorder(trace=False)) if profiled else None
         )
         platform = api.platform(instrumentation=instrumentation)
         start = time.perf_counter()
