@@ -7,10 +7,13 @@ API only. Three more verbs pin the paths where only part of the
 recording is live or nothing runs: the same deploy with a profile-only
 and with a trace-only probe (each must observe exactly what the fully
 live deploy's matching section holds), and a FlowCache memory-tier hit
-of ``soc_x``, which replays the cached build into the probe. The faulty pair pins the times and order of the retry,
-failure, degradation and checkpoint events and the ``resumed`` profile
-leaves. Each observation is
-reduced to canonical JSON and pinned by digest: the Chrome trace, the
+of ``soc_x``, which replays the cached build into the probe. The
+faulty pair pins the times and order of the retry, failure,
+degradation and checkpoint events and the ``resumed`` profile leaves.
+A two-frame ``soc_y`` deploy under a seeded runtime fault model pins
+the runtime's recovery records (``runtime;recovery;*``,
+``kernel.icap-error``, ``cancelled:*``), fully live and profile-only.
+Each observation is reduced to canonical JSON and pinned by digest: the Chrome trace, the
 profile's canonical tree (host time stripped), the ordered event
 stream as ``(kind, time, source, attrs)`` and the registry snapshot.
 A change to how instrumentation is threaded through the layers must
@@ -39,6 +42,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler, canonical_tree, profile_document
 from repro.obs.recorder import Recorder
 from repro.obs.tracer import Tracer
+from repro.runtime.faults import (
+    RuntimeFaultKind,
+    RuntimeFaultModel,
+    RuntimeFaultOptions,
+)
 from repro.vivado.faults import CadFaultModel
 from repro.vivado.runtime_model import JobKind
 
@@ -75,6 +83,16 @@ GOLDEN = {
     "deploy_trace_only": {
         "trace": "f47e17ee33226889b1698a0970b336a205e439594520ef87390df29f1d39cda2",
     },
+    "fault_deploy": {
+        "trace": "ad7a7ca6ad05390e70b536c36b141c31a3ad92240010e0cbb54e7468a1b81f4c",
+        "profile": "ccf8823d9976897241d2f7afefe3160e0f6de9a337a0359df403199e853e0367",
+        "events": "1132958c64b05c62ba17cf68b4c365c7c42c6f61b32163df6c267cb6f14df1a4",
+        "metrics": "b5490e9b366de835cc79def0bf18fbeff5698c0dbcc1ef8ba72166ad5add84af",
+    },
+    # The profile-only faulty deploy folds what the fully live one does.
+    "fault_deploy_profile_only": {
+        "profile": "ccf8823d9976897241d2f7afefe3160e0f6de9a337a0359df403199e853e0367",
+    },
     # A hit traces byte-identically to the fresh build.
     "cache_hit": {
         "trace": "19a7c5cd6c8c9200e58f8a565d595d06bdb19b614f466cd237886f16e6fcb6de",
@@ -94,12 +112,34 @@ COUNTS = {
     "deploy_profile_only": {},
     "deploy_trace_only": {"trace": 112},
     "cache_hit": {"trace": 19, "events": 1, "metrics": 0},
+    "fault_deploy": {"trace": 142, "events": 153, "metrics": 179},
+    "fault_deploy_profile_only": {},
 }
 
 
 #: Seeded CAD faults on every job kind: soc_y retries, loses a tile and
 #: completes degraded.
 FAULTS = {"seed": 7, "rates": {kind: 0.3 for kind in JobKind}}
+
+#: Seeded runtime faults: the two-frame soc_y deploy retries, abandons
+#: transfers, falls back, catches hung kernels and quarantines a tile.
+RUNTIME_FAULTS = {
+    "seed": 3,
+    "rates": {
+        RuntimeFaultKind.BITSTREAM_CORRUPTION: 0.3,
+        RuntimeFaultKind.STUCK_TRANSFER: 0.1,
+        RuntimeFaultKind.KERNEL_HANG: 0.1,
+    },
+}
+
+#: Calls of each ``runtime;recovery;*`` path the faulty deploy folds.
+RECOVERY = {
+    "retry": 6,
+    "abandon": 3,
+    "fallback": 1,
+    "kernel_hang": 2,
+    "quarantine": 1,
+}
 
 
 def _live(time_unit: str) -> api.Instrumentation:
@@ -158,6 +198,17 @@ def observe():
         api.build(
             faulty, resume=True, options=options, instrumentation=fault_resume
         )
+    fault_deploy = _live("s")
+    fault_deploy_profile_only = api.Instrumentation(profiler=Profiler())
+    for inst in (fault_deploy, fault_deploy_profile_only):
+        api.deploy(
+            faulty,
+            frames=2,
+            instrumentation=inst,
+            runtime_options=RuntimeFaultOptions(
+                faults=RuntimeFaultModel(**RUNTIME_FAULTS)
+            ),
+        )
     return {
         verb: sections(inst)
         for verb, inst in (
@@ -168,6 +219,8 @@ def observe():
             ("deploy_profile_only", deploy_profile_only),
             ("deploy_trace_only", deploy_trace_only),
             ("cache_hit", cache_hit),
+            ("fault_deploy", fault_deploy),
+            ("fault_deploy_profile_only", fault_deploy_profile_only),
         )
     }
 
@@ -197,6 +250,38 @@ def observed():
 
 def test_counts_are_pinned(observed):
     assert counts(observed) == COUNTS
+
+
+@pytest.mark.parametrize("verb", ["fault_deploy", "fault_deploy_profile_only"])
+def test_fault_deploy_reaches_every_recovery_path(observed, verb):
+    (runtime,) = [
+        node
+        for node in observed[verb]["profile"]["children"]
+        if node["name"] == "runtime"
+    ]
+    (recovery,) = [
+        node for node in runtime["children"] if node["name"] == "recovery"
+    ]
+    calls = {node["name"]: node["calls"] for node in recovery["children"]}
+    assert calls == RECOVERY
+
+
+def test_fault_deploy_traces_failures_and_cancellations(observed):
+    categories = [
+        event.get("cat") for event in observed["fault_deploy"]["trace"]["traceEvents"]
+    ]
+    assert categories.count("kernel.icap-error") > 0
+    assert categories.count("kernel.cancelled") > 0
+    metrics = observed["fault_deploy"]["metrics"]
+
+    def total(prefix):
+        return sum(value for key, value in metrics.items() if key.startswith(prefix))
+
+    assert total("runtime.reconfig_retries") == RECOVERY["retry"]
+    assert total("runtime.reconfig_failures") == RECOVERY["abandon"]
+    assert total("runtime.fallbacks") == RECOVERY["fallback"]
+    assert total("runtime.kernel_hangs") == RECOVERY["kernel_hang"]
+    assert total("runtime.quarantines") == RECOVERY["quarantine"]
 
 
 @pytest.mark.parametrize(
