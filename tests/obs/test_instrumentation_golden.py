@@ -13,9 +13,10 @@ degradation and checkpoint events and the ``resumed`` profile leaves.
 A two-frame ``soc_y`` deploy under a seeded runtime fault model pins
 the runtime's recovery records (``runtime;recovery;*``,
 ``kernel.icap-error``, ``cancelled:*``), fully live and profile-only.
-Each observation is reduced to canonical JSON and pinned by digest: the Chrome trace, the
-profile's canonical tree (host time stripped), the ordered event
-stream as ``(kind, time, source, attrs)`` and the registry snapshot.
+Each observation is reduced to canonical JSON and pinned by digest:
+the Chrome trace, the profile's canonical tree (host time stripped),
+the ordered event stream as ``(kind, time, source, attrs)`` and the
+registry snapshot.
 A change to how instrumentation is threaded through the layers must
 leave all of them unchanged.
 
