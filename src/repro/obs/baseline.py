@@ -226,14 +226,15 @@ class Gate:
         )
 
 
-#: Bench summaries: every metric pinned within 5% of its value. The
-#: models are deterministic, so the tight band does not flake.
+#: Bench summaries: every metric is modelled and deterministic, so each
+#: is pinned exactly (a drift within the few-ulp slack of
+#: :attr:`Delta.status` is float noise, anything larger a regression).
 BENCH = Gate(
     prefix=BENCH_PREFIX,
     files="experiments",
     failures="regression(s)",
     read=_read_summary,
-    tolerance=0.05,
+    tolerance=0.0,
 )
 
 #: Profiles: paths with at least a 2% share pinned within ±0.15 of it;

@@ -5,6 +5,10 @@ reconfiguration must surface as a ``critical`` verdict while the
 triggering event is still visible in the bus's ring buffer.
 """
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -139,8 +143,6 @@ class TestMonitorCli:
         assert "failure-rate" in out
 
     def test_json_payload(self, capsys):
-        import json
-
         assert main(["monitor", "soc_z", "--frames", "1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] == "ok"
@@ -203,3 +205,28 @@ class TestBenchDiffCli:
         out = capsys.readouterr().out
         assert "REGRESSION" in out
         assert "+25.0%" in out
+
+    def test_committed_baselines_pin_every_value_exactly(self, tmp_path, capsys):
+        # A scratch copy of the committed summaries passes the committed
+        # baselines (within the few-ulp float slack); a 0.1% edit to one
+        # value fails the gate.
+        benchmarks = Path(__file__).resolve().parents[2] / "benchmarks"
+        results = tmp_path / "results"
+        results.mkdir()
+        for summary in (benchmarks / "results").glob("BENCH_*.json"):
+            shutil.copy(summary, results)
+        args = [
+            "bench-diff",
+            "--results-dir", str(results),
+            "--baselines-dir", str(benchmarks / "baselines"),
+        ]
+        assert main(args) == 0
+        assert "19/19 experiments in band" in capsys.readouterr().out
+        edited = results / "BENCH_table5_vs_monolithic.json"
+        document = json.loads(edited.read_text())
+        document["metrics"]["soc_b_presp_total_min"] *= 1.001
+        edited.write_text(json.dumps(document))
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" in out
+        assert "18/19 experiments in band" in out

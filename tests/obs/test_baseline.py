@@ -1,6 +1,7 @@
 """The baseline gate: summaries, profiles, baseline files and the judge."""
 
 import json
+import math
 
 import pytest
 
@@ -71,24 +72,32 @@ def bench_baseline(experiment="demo", tolerance=0.05, **values):
 # ----------------------------------------------------------------------
 #: (case, gate, pinned values, current) -> expected verdict. ``current``
 #: is the produced map, ``None`` when no result file was produced, or
-#: an ``(experiment, map)`` pair from another experiment. The statuses
-#: match what the separate bench and profile gates returned on the
-#: same inputs, except the two ``boundary-rounding`` rows: those gates
-#: compared raw float drifts, so a drift of exactly the tolerance in
-#: decimal could read a rounding error past it and fail.
+#: an ``(experiment, map)`` pair from another experiment. The bench
+#: gate pins every value exactly: only a drift within a few ulps (one
+#: ulp off, ``0.1 + 0.2`` against ``0.3``) is in band. The profile rows
+#: match what the separate profile gate returned on the same inputs,
+#: except ``profile-boundary-rounding``: that gate compared raw float
+#: drifts, so a drift of exactly the tolerance in decimal could read a
+#: rounding error past it and fail.
 VERDICTS = [
-    ("bench-in-band", BENCH, {"m": 100.0}, {"m": 103.0}, {"m": "ok"}),
-    ("bench-exact-boundary", BENCH, {"m": 100.0}, {"m": 105.0}, {"m": "ok"}),
-    ("bench-beyond-band", BENCH, {"m": 100.0}, {"m": 106.0}, {"m": "regression"}),
-    ("bench-boundary-rounding", BENCH, {"m": 0.7}, {"m": 0.735}, {"m": "ok"}),
+    ("bench-in-band", BENCH, {"m": 100.0}, {"m": 100.0}, {"m": "ok"}),
+    (
+        "bench-exact-boundary",
+        BENCH,
+        {"m": 100.0},
+        {"m": math.nextafter(100.0, math.inf)},
+        {"m": "ok"},
+    ),
+    ("bench-beyond-band", BENCH, {"m": 100.0}, {"m": 100.1}, {"m": "regression"}),
+    ("bench-boundary-rounding", BENCH, {"m": 0.3}, {"m": 0.1 + 0.2}, {"m": "ok"}),
     (
         "bench-just-beyond-boundary",
         BENCH,
         {"m": 0.7},
-        {"m": 0.7 * (1.05 + 1e-9)},
+        {"m": 0.7 * (1 + 1e-9)},
         {"m": "regression"},
     ),
-    ("bench-zero-baseline-in-band", BENCH, {"m": 0.0}, {"m": 0.04}, {"m": "ok"}),
+    ("bench-zero-baseline-in-band", BENCH, {"m": 0.0}, {"m": 0.0}, {"m": "ok"}),
     ("bench-zero-baseline-beyond", BENCH, {"m": 0.0}, {"m": 1.0}, {"m": "regression"}),
     ("bench-missing-metric", BENCH, {"m": 100.0}, {}, {"m": "missing"}),
     (
@@ -295,7 +304,7 @@ class TestBaselineIO:
     def test_bench_seed_pins_every_metric(self):
         baseline = BENCH.seed("demo", {"a": 1.0, "b": 2.0})
         assert baseline.experiment == "demo"
-        assert baseline.entries == {"a": Entry(1.0, 0.05), "b": Entry(2.0, 0.05)}
+        assert baseline.entries == {"a": Entry(1.0, 0.0), "b": Entry(2.0, 0.0)}
         assert baseline.rules == Rules()
 
     def test_profile_seed_filters_below_min_share(self):
