@@ -52,7 +52,7 @@ def main() -> None:
     print("\nworker utilization:")
     workers = sorted({e.worker for e in report.timeline.events})
     for worker in workers:
-        busy = report.timeline.busy_time(worker)
+        busy = sum(e.duration_s for e in report.timeline.events if e.worker == worker)
         share = busy / report.timeline.makespan_s
         print(f"  {worker:6s} busy {fmt_duration(busy)} ({share:5.1%} of the run)")
 

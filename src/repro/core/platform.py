@@ -24,7 +24,6 @@ from repro.flow.dpr_flow import DprFlow, FlowResult
 from repro.flow.monolithic import MonolithicFlow, MonolithicResult
 from repro.flow.options import BuildOptions
 from repro.noc.mesh import Mesh
-from repro.obs.bridge import bridge_timeline, publish_runtime_stats
 from repro.obs.context import RequestIdFactory, TelemetryContext, activate
 from repro.obs.events import EventBus
 from repro.obs.health import HealthMonitor, HealthReport
@@ -38,6 +37,7 @@ from repro.runtime.manager import ReconfigurationManager
 from repro.runtime.memory import BitstreamStore
 from repro.runtime.prc import PrcDevice
 from repro.runtime.stats import RuntimeStats, collect_stats
+from repro.runtime.steps import project
 from repro.sim.kernel import Simulator
 from repro.soc.config import SocConfig
 from repro.soc.tiles import ReconfigurableTile, Tile, TileKind
@@ -365,20 +365,22 @@ class PrEspPlatform:
         paper processes frames without pipelining).
 
         Observability comes from ``instrumentation`` (falling back to
-        the platform's probe): the recorder is bound to the DES clock
-        (simulated seconds) and receives the kernel-level protocol
-        records (lock-wait, decouple, ICAP, exec) live plus the
-        application-level timeline records via the lossless bridge — one
-        merged Fig. 4 trace; the metrics registry receives the
-        manager/PRC counters and the `RuntimeStats` gauges; the event
-        bus receives the manager's lifecycle events (reconfig
+        the platform's probe). While the DES runs, the runtime writes
+        each protocol step once into its step log and emits only the
+        manager's lifecycle events on the bus (reconfig
         requested/started/completed/failed, driver swaps, lock waits)
         — subscribe a :class:`~repro.obs.health.HealthMonitor` for
-        live watchdogs; a live profile gets a ``deploy.<soc>``
+        live watchdogs — and a live profile gets a ``deploy.<soc>``
         call-path subtree (per-event-type DES dispatch nodes charged
         the clock advances they cause, per-callback-site frames, NoC
-        transfer windows) and the root-anchored ``runtime;*`` view the
-        fold makes of the kernel records. ``prc_setup`` is called
+        transfer windows). After the run, one projection of the step
+        log (:func:`repro.runtime.steps.project`, also when the run
+        raises) gives the recorder, bound to the DES clock (simulated
+        seconds), the kernel-level records (lock-wait, decouple, ICAP,
+        exec) and then the application-level timeline records — one
+        merged Fig. 4 trace — and the profile its root-anchored
+        ``runtime;*`` view; it gives the metrics registry the
+        manager/PRC counters and the `RuntimeStats` gauges. ``prc_setup`` is called
         with the constructed PRC before the run starts — the hook for
         installing a targeted :class:`~repro.runtime.faults.
         RuntimeFaultModel` on ``prc.faults``.
@@ -479,7 +481,12 @@ class PrEspPlatform:
         executor = AppExecutor(
             sim, api, tasks, blank_after_frame=power_gating, instrumentation=inst
         )
-        timeline = executor.run(frames=frames, pipelined=pipelined)
+        timeline = runtime_stats = None
+        try:
+            timeline = executor.run(frames=frames, pipelined=pipelined)
+            runtime_stats = collect_stats(manager, failovers=executor.failovers)
+        finally:
+            project(manager.steps, inst, timeline, runtime_stats)
 
         region_kluts: Dict[str, float] = {
             assignment.rp_name: assignment.provided.lut / 1000.0
@@ -497,9 +504,6 @@ class PrEspPlatform:
                 manager.configured_fractions() if power_gating else None
             ),
         )
-        runtime_stats = collect_stats(manager, failovers=executor.failovers)
-        bridge_timeline(timeline, inst)
-        publish_runtime_stats(runtime_stats, inst)
         return WamiRunReport(
             config=config,
             frames=frames,

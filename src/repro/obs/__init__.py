@@ -27,7 +27,6 @@ burn) with :class:`Verdict` exit-code semantics; and the Prometheus
 text / OTLP JSONL exporters expose the registry to standard scrapers.
 """
 
-from repro.obs.bridge import bridge_timeline, publish_runtime_stats
 from repro.obs.context import (
     DEFAULT_TENANT,
     RequestIdFactory,
@@ -156,7 +155,6 @@ __all__ = [
     "WindowStats",
     "activate",
     "bind",
-    "bridge_timeline",
     "bucket_quantile",
     "canonical_tree",
     "chrome_trace_dict",
@@ -179,7 +177,6 @@ __all__ = [
     "profile_json",
     "prometheus_samples",
     "prometheus_text",
-    "publish_runtime_stats",
     "self_host_total",
     "spans_jsonl",
     "unbind",

@@ -22,8 +22,8 @@ frame counts one call of its name under the innermost frame, charged
 its host *self* time (the self times sum exactly to the root's
 inclusive time); a closed record counts one untimed call, charged its
 simulated seconds (``sim_s``, by default its length), at an explicit
-``path`` or where the category rule puts it (``Recorder._fold``), or
-nowhere.
+``path`` under the innermost frame (``Recorder._fold``) or nowhere, and
+:meth:`Recorder.tally` counts a call at a path under the root.
 
 A pool worker ships its recording as one :meth:`Recorder.payload`; the
 parent replays it with one :meth:`Recorder.merge`. With a
@@ -82,33 +82,6 @@ class Record:
     def closed(self) -> bool:
         """True once the record has an end time."""
         return self.end is not None
-
-
-def _runtime_view(record: Record) -> Optional[Tuple[str, ...]]:
-    """The ``runtime;*`` path of a closed kernel record, if it has one.
-
-    By category and outcome (the manager closes a failed step with
-    ``failed=True``): a lock wait, an execution and a completed
-    reconfiguration count once; a hung execution, an abandoned transfer
-    (reconfiguration or blank), a completed fallback and the manager's
-    ``runtime.recovery`` records (retries, quarantines) count on the
-    recovery ladder. A blank and a failed fallback have no path.
-    """
-    category = record.category
-    failed = record.attrs.get("failed", False)
-    if category == "kernel.lock-wait":
-        return ("runtime", "lock_wait")
-    if category == "kernel.exec":
-        return ("runtime", "recovery", "kernel_hang") if failed else ("runtime", "exec")
-    if category == "kernel.decouple":
-        if record.name.startswith("fallback:"):
-            return None if failed else ("runtime", "recovery", "fallback")
-        if failed:
-            return ("runtime", "recovery", "abandon")
-        return None if record.name == "blank" else ("runtime", "reconfigure")
-    if category == "runtime.recovery":
-        return ("runtime", "recovery", record.name)
-    return None
 
 
 class ProfileNode:
@@ -194,7 +167,7 @@ class Recorder:
         self.spans: List[Record] = []
         self._stacks: Dict[str, List[Record]] = {}
         self.root = ProfileNode("root")
-        #: Root-anchored fold paths resolved once (the runtime view).
+        #: Root-anchored fold paths resolved once (see :meth:`tally`).
         self._view_nodes: Dict[Tuple[str, ...], ProfileNode] = {}
         # Frame entries are [node, host_start, child_host]; the root
         # entry never pops, so enter/exit always have a parent.
@@ -309,30 +282,41 @@ class Recorder:
         """Count a closed record once, at the one path the rule gives it.
 
         An explicit ``path`` and a cancelled DES event (``cancelled:<Type>``)
-        resolve under the innermost frame; the runtime's records from the
-        root (:func:`_runtime_view`), because their steps span DES
-        callbacks and would surface under arbitrary dispatch paths.
+        resolve under the innermost frame; any other record is kept for
+        the trace only.
         """
         sim_s = record.end - record.start if record.sim_s is None else record.sim_s
         if sim_s < 0:
             raise RecordingError(f"negative simulated time: {sim_s}")
         path = record.path
-        if path is None and record.category == "kernel.cancelled":
+        if path is None:
+            if record.category != "kernel.cancelled":
+                return
             path = (record.name,)
-        if path is not None:
-            node = self._frames[-1][0]
+        node = self._frames[-1][0]
+        for name in path:
+            node = node.child(name)
+        self._charge(node, sim_s)
+
+    def tally(self, path: Tuple[str, ...], sim_s: float) -> None:
+        """Count one call at ``path`` under the root, charged ``sim_s``.
+
+        The runtime's post-run projection folds its steps here (the
+        ``runtime;*`` view): their simulated time spans DES callbacks,
+        so it belongs to no host frame.
+        """
+        if sim_s < 0:
+            raise RecordingError(f"negative simulated time: {sim_s}")
+        node = self._view_nodes.get(path)
+        if node is None:
+            node = self.root
             for name in path:
                 node = node.child(name)
-        else:
-            names = _runtime_view(record)
-            if names is None:
-                return
-            node = self._view_nodes.get(names)
-            if node is None:
-                node = self.root
-                for name in names:
-                    node = node.child(name)
-                self._view_nodes[names] = node
+            self._view_nodes[path] = node
+        self._charge(node, sim_s)
+
+    @staticmethod
+    def _charge(node: ProfileNode, sim_s: float) -> None:
         node.calls += 1
         node.sim_s += sim_s
         request_id = current_request_id()

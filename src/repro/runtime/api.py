@@ -19,7 +19,10 @@ from the result itself. A DES thread that blocks on the call itself,
 as ESP's ``esp_run()`` blocks its caller, runs the protocol inline
 instead and spends no process on it::
 
-    record = yield from api.run(handle, "fft")
+    step = yield from api.run(handle, "fft")
+
+and gets the execution's step (the invocation's record is a fold of
+the runtime's step log: :meth:`DprUserApi.invocation_log`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ReconfigurationError
 from repro.runtime.manager import InvocationRecord, ReconfigurationManager
+from repro.runtime.steps import StepLog
 from repro.sim.process import Process
 
 
@@ -167,12 +171,12 @@ class DprUserApi:
     ):
         """Generator sub-routine: ``esp_run`` in the calling thread.
 
-        ``record = yield from api.run(handle, "fft")`` blocks the
-        calling DES thread through the whole protocol — tile lock, ICAP
-        queue, completion interrupt, execution — and returns the
-        :class:`InvocationRecord`, as ESP's ``esp_run()`` blocks its
-        caller. A closed handle or an unknown accelerator raises here,
-        at the call.
+        ``step = yield from api.run(handle, "fft")`` blocks the calling
+        DES thread through the whole protocol — tile lock, ICAP queue,
+        completion interrupt, execution — as ESP's ``esp_run()`` blocks
+        its caller, and returns the execution's
+        :class:`~repro.runtime.steps.Step`. A closed handle or an
+        unknown accelerator raises here, at the call.
         """
         self._check_accelerator(handle, accelerator)
         manager = self._manager
@@ -245,6 +249,11 @@ class DprUserApi:
         return self._manager.recovery
 
     # ------------------------------------------------------------------
+    @property
+    def steps(self) -> StepLog:
+        """The runtime's step log (the manager's and the PRC's)."""
+        return self._manager.steps
+
     def invocation_log(self) -> List[InvocationRecord]:
         """All invocations the manager completed (telemetry)."""
         return list(self._manager.invocations)

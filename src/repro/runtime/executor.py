@@ -30,6 +30,8 @@ from repro.errors import (
 from repro.obs import events as ev
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.runtime.api import DprUserApi, TileHandle
+from repro.runtime.manager import invocation_records
+from repro.runtime.steps import EXEC, GATE, SOFTWARE, Step
 from repro.sim.kernel import Event, Simulator
 
 
@@ -60,10 +62,7 @@ class StageTask:
 
 
 class TimelineEvent(NamedTuple):
-    """One span on the execution timeline.
-
-    A named tuple, like :class:`~repro.runtime.prc.ReconfigurationRecord`.
-    """
+    """One span on the execution timeline (a view of the step log)."""
 
     task: str
     worker: str  # tile name or "cpu"
@@ -89,10 +88,6 @@ class ExecutionTimeline:
         if kind is None:
             return list(self.events)
         return [e for e in self.events if e.kind == kind]
-
-    def busy_time(self, worker: str) -> float:
-        """Total busy time of one worker."""
-        return sum(e.duration_s for e in self.events if e.worker == worker)
 
     def reconfiguration_time(self) -> float:
         """Total time spent reconfiguring."""
@@ -176,24 +171,26 @@ class AppExecutor:
                 "blank-after-frame power gating and pipelining are exclusive: "
                 "a region is never idle at a frame boundary when pipelined"
             )
-        timeline = ExecutionTimeline()
+        steps = self.api.steps
+        first = len(steps)
         start = self.sim.now
         # The DAG does not change between frames: order it once per run.
         ordered = self._topo_order()
         if pipelined:
-            self._run_pipelined(timeline, frames, ordered)
+            labels = self._run_pipelined(frames, ordered)
         else:
             instances = [(t.name, t, t.deps) for t in ordered]
+            labels = {}
             for _ in range(frames):
-                self._execute_instances(
-                    timeline, instances, blank=self.blank_after_frame
+                labels.update(
+                    self._execute_instances(instances, blank=self.blank_after_frame)
                 )
-        timeline.makespan_s = self.sim.now - start
-        return timeline
+        return ExecutionTimeline(
+            events=self._timeline(steps[first:], labels),
+            makespan_s=self.sim.now - start,
+        )
 
-    def _run_pipelined(
-        self, timeline: ExecutionTimeline, frames: int, ordered: List[StageTask]
-    ) -> None:
+    def _run_pipelined(self, frames: int, ordered: List[StageTask]) -> Dict[int, str]:
         """All frames' task instances in flight at once."""
         instances: List[Tuple[str, StageTask, Tuple[str, ...]]] = []
         for frame in range(frames):
@@ -205,17 +202,24 @@ class AppExecutor:
                     # frame (GMM model, warp parameters, ...).
                     deps = deps + (f"f{frame - 1}:{task.name}",)
                 instances.append((name, task, deps))
-        self._execute_instances(timeline, instances)
+        return self._execute_instances(instances)
 
     def _execute_instances(
         self,
-        timeline: ExecutionTimeline,
         instances: List[Tuple[str, StageTask, Tuple[str, ...]]],
         blank: bool = False,
-    ) -> None:
+    ) -> Dict[int, str]:
+        """Run one batch of instances; return their executions' labels.
+
+        Each instance's completion event carries the step of the
+        execution that completed it (None for software), so the
+        timeline can name each execution by its instance: ``{seq:
+        instance}``.
+        """
         done: Dict[str, Event] = {
             name: self.sim.event() for name, _task, _deps in instances
         }
+        steps = self.api.steps
 
         # Partition instances onto workers: one thread per tile + one
         # CPU thread; queue order (list order) is a topological order.
@@ -231,12 +235,11 @@ class AppExecutor:
                 if task.tile_name is None:
                     sw_start = self.sim.now
                     yield self.sim.timeout(task.duration_s)
-                    timeline.events.append(
-                        TimelineEvent(name, worker, "sw", sw_start, self.sim.now)
-                    )
+                    self._software(worker, name, sw_start)
+                    done[name].succeed()
                 else:
-                    yield from self._run_hw_instance(timeline, name, task)
-                done[name].succeed()
+                    executed = yield from self._run_hw_instance(name, task)
+                    done[name].succeed(executed)
             if blank and worker != self.cpu_worker:
                 blank_start = self.sim.now
                 try:
@@ -248,14 +251,9 @@ class AppExecutor:
                     if not self.api.faults_enabled:
                         raise
                 if self.sim.now > blank_start:
-                    timeline.events.append(
-                        TimelineEvent(
-                            f"{worker}_blank",
-                            worker,
-                            "reconfig",
-                            blank_start,
-                            self.sim.now,
-                        )
+                    steps.append(
+                        Step(GATE, steps.ticket(), worker, f"{worker}_blank",
+                             blank_start, self.sim.now)
                     )
 
         threads = [
@@ -271,6 +269,51 @@ class AppExecutor:
         for thread in threads:
             if thread.exception is not None:
                 raise thread.exception
+        return {
+            event.value.seq: name
+            for name, event in done.items()
+            if event.value is not None
+        }
+
+    def _software(self, worker: str, name: str, start: float) -> None:
+        """Log a software task that ran on ``worker`` from ``start`` to now."""
+        steps = self.api.steps
+        steps.append(Step(SOFTWARE, steps.ticket(), worker, name, start, self.sim.now))
+
+    @staticmethod
+    def _timeline(steps: List[Step], labels: Dict[int, str]) -> List[TimelineEvent]:
+        """The run's timeline: its labelled executions (each after the
+        reconfiguration that preceded it), software tasks and blanks."""
+        records = invocation_records(steps)
+        events: List[TimelineEvent] = []
+        for step in steps:
+            if step.kind is EXEC and step.seq in labels:
+                name = labels[step.seq]
+                record = records[step.seq]
+                if record.reconfig_s > 0:
+                    events.append(
+                        TimelineEvent(
+                            name,
+                            step.tile,
+                            "reconfig",
+                            record.start_exec_s - record.reconfig_s,
+                            record.start_exec_s,
+                        )
+                    )
+                events.append(
+                    TimelineEvent(
+                        name, step.tile, "exec", record.start_exec_s, record.end_exec_s
+                    )
+                )
+            elif step.kind is SOFTWARE:
+                events.append(
+                    TimelineEvent(step.mode, step.tile, "sw", step.start, step.end)
+                )
+            elif step.kind is GATE:
+                events.append(
+                    TimelineEvent(step.mode, step.tile, "reconfig", step.start, step.end)
+                )
+        return events
 
     def _worker_queues(self, queues):
         """Thread spawn order (deterministic: sorted by worker name).
@@ -283,14 +326,16 @@ class AppExecutor:
     # ------------------------------------------------------------------
     # failover
     # ------------------------------------------------------------------
-    def _run_hw_instance(self, timeline: "ExecutionTimeline", name: str, task: StageTask):
+    def _run_hw_instance(self, name: str, task: StageTask):
         """Run one hardware instance, re-planning around quarantines.
 
-        Generator sub-routine of a worker thread. Retries an abandoned
-        invocation on its own tile while the fault model may still
-        recover it (bounded by the quarantine budget), re-plans onto a
-        surviving tile once the tile is quarantined, and finally falls
-        back to software when no tile can serve the mode.
+        Generator sub-routine of a worker thread; returns the step of
+        the execution that completed the instance (None when it fell
+        back to software). Retries an abandoned invocation on its own
+        tile while the fault model may still recover it (bounded by the
+        quarantine budget), re-plans onto a surviving tile once the
+        tile is quarantined, and finally falls back to software when no
+        tile can serve the mode.
         """
         tile = task.tile_name
         if self.api.tile_quarantined(tile):
@@ -299,7 +344,7 @@ class AppExecutor:
         while tile is not None:
             handle = self._handle_for(tile)
             try:
-                record = yield from self.api.run(
+                executed = yield from self.api.run(
                     handle, task.mode_name, exec_time_s=task.duration_s
                 )
             except TileQuarantinedError:
@@ -318,32 +363,12 @@ class AppExecutor:
                 ):
                     raise
                 continue
-            if record.reconfig_s > 0:
-                timeline.events.append(
-                    TimelineEvent(
-                        name,
-                        tile,
-                        "reconfig",
-                        record.start_exec_s - record.reconfig_s,
-                        record.start_exec_s,
-                    )
-                )
-            timeline.events.append(
-                TimelineEvent(
-                    name,
-                    tile,
-                    "exec",
-                    record.start_exec_s,
-                    record.end_exec_s,
-                )
-            )
-            return
+            return executed
         # Software failover: no surviving tile can serve the mode.
         sw_start = self.sim.now
         yield self.sim.timeout(task.sw_duration_s)
-        timeline.events.append(
-            TimelineEvent(name, self.cpu_worker, "sw", sw_start, self.sim.now)
-        )
+        self._software(self.cpu_worker, name, sw_start)
+        return None
 
     def _replan(
         self, name: str, task: StageTask, from_tile: str

@@ -24,13 +24,21 @@ reset) and counted as stuck, abandoned reconfigurations fall back to
 the tile's last-known-good bitstream, hung kernels are restarted, and a
 tile that keeps failing is quarantined — taken dark, blanked and closed
 to further invocations so schedulers can re-plan around it.
+
+The protocol records each step once, as one
+:class:`~repro.runtime.steps.Step` in the step log it shares with the
+PRC, and emits its lifecycle events as they happen; it makes no other
+probe call. :attr:`ReconfigurationManager.invocations` and the fault
+counters are folds of the log, and the trace, the ``runtime;*``
+profile view and the metrics are its post-run projection
+(:func:`repro.runtime.steps.project`).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import (
     KernelHangError,
@@ -44,7 +52,19 @@ from repro.obs.logconfig import get_logger
 from repro.runtime.driver import DriverRegistry
 from repro.runtime.faults import DEFAULT_RECOVERY, RecoveryPolicy, RuntimeFaultModel
 from repro.runtime.memory import BitstreamStore
-from repro.runtime.prc import PrcDevice, ReconfigurationRecord
+from repro.runtime.prc import PrcDevice
+from repro.runtime.steps import (
+    BLANK,
+    EXEC,
+    FALLBACK,
+    HANG,
+    LOCK,
+    QUARANTINE,
+    RECONFIGURE,
+    RETRY,
+    Step,
+    is_failed_attempt,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.resources import Lock
@@ -98,7 +118,7 @@ class TileState:
 class InvocationRecord(NamedTuple):
     """Telemetry of one accelerator invocation.
 
-    A named tuple, like :class:`~repro.runtime.prc.ReconfigurationRecord`.
+    A view, folded from the step log by :func:`invocation_records`.
     """
 
     tile_name: str
@@ -124,6 +144,50 @@ class InvocationRecord(NamedTuple):
         return self.start_exec_s - self.reconfig_s - self.requested_s
 
 
+def invocation_records(steps: List[Step]) -> Dict[int, InvocationRecord]:
+    """Each completed invocation's record, keyed by its execution's ``seq``.
+
+    A tile's steps run under its lock, so an invocation is the run of
+    its tile's steps from a lock wait to an execution: the
+    reconfiguration window, the retries and the hung attempts between
+    them are its own. An invocation that raised has no execution; the
+    next lock wait on the tile starts afresh.
+    """
+    open_: Dict[str, list] = {}
+    records: Dict[int, InvocationRecord] = {}
+    for step in steps:
+        kind = step.kind
+        if kind is LOCK:
+            # [requested, reconfig_s, first attempt, failed, hangs]
+            open_[step.tile] = [step.start, 0.0, step.end, 0, 0]
+            continue
+        pending = open_.get(step.tile)
+        if pending is None:
+            continue
+        if kind is RECONFIGURE:
+            pending[1] = step.end - step.start
+        elif kind is RETRY:
+            pending[3] += 1
+        elif kind is HANG:
+            if not pending[4]:
+                pending[2] = step.start
+            pending[4] += 1
+        elif kind is EXEC:
+            del open_[step.tile]
+            requested, reconfig_s, first, failed, hangs = pending
+            records[step.seq] = InvocationRecord(
+                step.tile,
+                step.mode,
+                requested,
+                reconfig_s,
+                first if hangs else step.start,
+                step.end,
+                failed,
+                hangs,
+            )
+    return records
+
+
 class ReconfigurationManager:
     """Schedules and synchronizes reconfiguration requests."""
 
@@ -140,33 +204,15 @@ class ReconfigurationManager:
         self.prc = prc
         self.store = store
         self.registry = registry
-        #: The probe. The manager's protocol runs inside DES callbacks
-        #: (whose host time lands under the kernel dispatch frames), so
-        #: it opens no frames across generator yields: the records it
-        #: closes (lock waits, decouple windows, executions, recovery
-        #: steps) are what the fold turns into the root-anchored
-        #: ``runtime;*`` view of where simulated time went.
+        #: The probe. The protocol emits its lifecycle events on it as
+        #: they happen, for a health monitor judging the run as it goes;
+        #: everything else the probe sees of the protocol is the
+        #: post-run projection of :attr:`steps`.
         self.obs = instrumentation
-        #: Read once: with every sink off the protocol skips its
-        #: ``_observe_*`` steps, and the names and attributes they
-        #: build, entirely. The fault-free steps also test the sink each
-        #: call feeds, so a partly live probe (a recorder alone, as
-        #: ``repro profile`` runs) makes no calls that would do nothing.
-        #: Logging is configured on its own and stays.
-        self._observed = instrumentation.enabled
         self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
         self.tiles: Dict[str, TileState] = {}
-        self.invocations: List[InvocationRecord] = []
-        #: Failed transfer attempts seen (telemetry for fault handling).
-        self.failed_attempts = 0
-        #: The same failures attributed to the tile that saw them.
-        self.failed_attempts_by_tile: Dict[str, int] = {}
-        #: Completed fallbacks to a last-known-good bitstream.
-        self.fallbacks = 0
-        self.fallbacks_by_tile: Dict[str, int] = {}
-        #: Hung kernel attempts the watchdog caught.
-        self.kernel_hangs = 0
-        self.kernel_hangs_by_tile: Dict[str, int] = {}
+        #: The protocol's one record, shared with the PRC.
+        self.steps = prc.steps
         #: Quarantined tiles mapped to the fault kind that tipped them.
         self.quarantined: Dict[str, str] = {}
 
@@ -211,6 +257,14 @@ class ReconfigurationManager:
             f"({self.quarantined.get(state.name, 'persistent failures')})"
         )
 
+    def _emit(self, kind: str, state: TileState, **attrs) -> None:
+        """One lifecycle event of ``state``'s tile, stamped now.
+
+        Callers test ``self.obs.events`` first, so a run without a bus
+        builds no event attributes.
+        """
+        self.obs.emit(kind, time=self.sim.now, source=state.name, **attrs)
+
     # ------------------------------------------------------------------
     # the protocol: generator sub-routines of the calling thread
     # ------------------------------------------------------------------
@@ -233,8 +287,10 @@ class ReconfigurationManager:
     ):
         """Generator sub-routine: run ``mode_name`` on ``tile_name``.
 
-        Reconfigures if needed and returns the
-        :class:`InvocationRecord`. The calling thread blocks (FIFO)
+        Reconfigures if needed and returns the execution's
+        :class:`~repro.runtime.steps.Step` (its
+        :class:`InvocationRecord` is a fold of the log). The calling
+        thread blocks (FIFO)
         while other threads hold the tile — including through their
         reconfigurations — which is the paper's locking discipline.
         Raises :class:`TileQuarantinedError` when the tile has been
@@ -252,96 +308,58 @@ class ReconfigurationManager:
         if state.quarantined:
             self._raise_quarantined(state)
         sim = self.sim
+        steps = self.steps
         tile_name = state.name
         requested = sim.now
         if self.obs.events is not None:
-            self.obs.emit(
-                ev.LOCK_REQUESTED, time=requested, source=tile_name, mode=mode_name
-            )
+            self._emit(ev.LOCK_REQUESTED, state, mode=mode_name)
         lock = state.lock
         yield lock.acquire()
-        if self._observed:
-            self._observe_lock_acquired(state, mode_name, requested)
+        acquired = sim.now
+        steps.append(Step(LOCK, steps.ticket(), tile_name, mode_name, requested, acquired))
+        if self.obs.events is not None:
+            self._emit(
+                ev.LOCK_ACQUIRED, state, mode=mode_name, wait_s=acquired - requested
+            )
         try:
             if state.quarantined:
                 self._raise_quarantined(state)
             reconfig_time = 0.0
-            failed_by_tile = self.failed_attempts_by_tile
-            failed_before = failed_by_tile.get(tile_name, 0)
             if state.loaded_mode != mode_name:
                 reconfig_time = yield from self._reconfigure_locked(state, mode_name)
             start_exec = sim.now
-            # The execution is one timeout unless a kernel can hang or a
-            # sink listens; then the watchdog step runs it.
-            if self._observed or self.faults.enabled:
-                hang_attempts = yield from self._execute_locked(
-                    state, mode_name, duration
-                )
+            # The execution is one timeout unless a kernel can hang;
+            # then the watchdog step runs it.
+            if self.faults.enabled:
+                step = yield from self._execute_locked(state, mode_name, duration)
             else:
+                seq = steps.ticket()
                 yield sim.timeout(duration)
-                hang_attempts = 0
-            record = InvocationRecord(
-                tile_name,
-                mode_name,
-                requested,
-                reconfig_time,
-                start_exec,
-                sim.now,
-                failed_by_tile.get(tile_name, 0) - failed_before,
-                hang_attempts,
-            )
-            self.invocations.append(record)
-            if self.obs.metrics is not None:
-                self.obs.counter(
-                    "runtime.invocations", "completed accelerator invocations"
-                ).inc(tile=tile_name)
+                step = self._executed(state, mode_name, seq, start_exec, duration)
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "%s: ran %s for %.6fs (reconfig %.6fs, wait %.6fs)",
                     tile_name,
                     mode_name,
-                    record.exec_time_s,
-                    record.reconfig_s,
-                    record.wait_s,
+                    sim.now - start_exec,
+                    reconfig_time,
+                    acquired - requested,
                 )
-            return record
+            return step
         finally:
             lock.release()
 
     def invoke(
         self, tile_name: str, mode_name: str, exec_time_s: Optional[float] = None
     ) -> Process:
-        """:meth:`invocation` as a process (value: the record)."""
-        return self.sim.process(self.invocation(tile_name, mode_name, exec_time_s))
+        """:meth:`invocation` as a process (value: its :class:`InvocationRecord`)."""
+        steps = self.invocation(tile_name, mode_name, exec_time_s)
 
-    def _observe_lock_acquired(
-        self, state: TileState, mode_name: str, requested: float
-    ) -> None:
-        """The tile lock is held: LOCK_ACQUIRED and the wait it took."""
-        obs = self.obs
-        acquired = self.sim.now
-        if obs.events is not None:
-            obs.emit(
-                ev.LOCK_ACQUIRED,
-                time=acquired,
-                source=state.name,
-                mode=mode_name,
-                wait_s=acquired - requested,
-            )
-        if obs.recorder is not None:
-            obs.record(
-                "lock_wait",
-                requested,
-                acquired,
-                category="kernel.lock-wait",
-                # A wait of zero is counted, but has no interval to trace.
-                track=f"kernel/{state.name}" if acquired > requested else None,
-                mode=mode_name,
-            )
-        if obs.metrics is not None:
-            obs.histogram(
-                "runtime.lock_wait_s", "queueing delay before tile acquisition"
-            ).observe(acquired - requested, tile=state.name)
+        def body():
+            step = yield from steps
+            return invocation_records(self.steps)[step.seq]
+
+        return self.sim.process(body())
 
     def blanking(self, tile_name: str):
         """Generator sub-routine: erase a tile's region (greybox image).
@@ -382,22 +400,19 @@ class ReconfigurationManager:
             return None  # already dark
         blank = self.store.lookup(state.name, "blank")
         start = self.sim.now
-        span = None
-        if self._observed:
-            span = self._observe_reconfig_requested(
-                state, "blank", blank.size_bytes, "blank"
-            )
+        seq = self.steps.ticket()
         state.decoupler.decouple()
         self.registry.swap(state.name, None)
-        if self._observed:
-            self._observe_decoupled(state, "blank", blank.size_bytes)
-        yield from self._transfer_retried(state, "blank", blank.size_bytes, span)
+        if self.obs.events is not None:
+            self._emit_window_opened(state, "blank", blank.size_bytes)
+        yield from self._transfer_retried(
+            state, "blank", blank.size_bytes, BLANK, seq, start
+        )
         state.decoupler.recouple()
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
         state.reconfigurations += 1
-        if self._observed:
-            self._observe_reconfigured(state, "blank", start, span, blanked=True)
+        self._window_closed(BLANK, seq, state, "blank", start, blank.size_bytes)
         return "blank"
 
     def preload(self, tile_name: str, mode_name: str) -> Process:
@@ -471,21 +486,16 @@ class ReconfigurationManager:
         """
         loaded = self.store.lookup(state.name, mode_name)
         start = self.sim.now
-        decouple_span = None
-        if self._observed:
-            decouple_span = self._observe_reconfig_requested(
-                state, mode_name, loaded.size_bytes, f"reconfigure:{mode_name}",
-                mode=mode_name,
-            )
+        seq = self.steps.ticket()
         # 1. software decouples the tile (disables the NoC queue inputs)
         state.decoupler.decouple()
         # 2. the old driver is unregistered while the region is dark
         self.registry.swap(state.name, None)
         # 3. queue on the PRC; it fetches and streams the bitstream
-        if self._observed:
-            self._observe_decoupled(state, mode_name, loaded.size_bytes)
+        if self.obs.events is not None:
+            self._emit_window_opened(state, mode_name, loaded.size_bytes)
         yield from self._transfer_retried(
-            state, mode_name, loaded.size_bytes, decouple_span
+            state, mode_name, loaded.size_bytes, RECONFIGURE, seq, start
         )
         # 4. interrupt received: load the new driver, re-enable queues
         self.registry.swap(state.name, mode_name)
@@ -494,42 +504,72 @@ class ReconfigurationManager:
         state.mark_configured(self.sim.now)
         state.last_good_mode = mode_name
         state.reconfigurations += 1
-        if self._observed:
-            self._observe_reconfigured(state, mode_name, start, decouple_span)
+        self._window_closed(
+            RECONFIGURE, seq, state, mode_name, start, loaded.size_bytes
+        )
         return self.sim.now - start
 
+    def _emit_window_opened(
+        self, state: TileState, mode_name: str, size_bytes: int
+    ) -> None:
+        """The tile is decoupled, its driver gone, the transfer queued."""
+        self._emit(ev.RECONFIG_REQUESTED, state, mode=mode_name, size_bytes=size_bytes)
+        self._emit(ev.DRIVER_SWAPPED, state, driver=None)
+        self._emit(ev.RECONFIG_STARTED, state, mode=mode_name, size_bytes=size_bytes)
+
+    def _window_closed(
+        self, kind: str, seq: int, state: TileState, mode_name: str, start: float,
+        size_bytes: int,
+    ) -> None:
+        """A completed reconfiguration (or blank): its step and events."""
+        now = self.sim.now
+        self.steps.append(Step(kind, seq, state.name, mode_name, start, now, size_bytes))
+        if self.obs.events is None:
+            return
+        if kind is not BLANK:
+            self._emit(ev.DRIVER_SWAPPED, state, driver=mode_name)
+        self._emit(
+            ev.RECONFIG_COMPLETED, state, mode=mode_name, duration_s=now - start
+        )
+
     def _transfer_retried(
-        self, state: TileState, mode_name: str, size_bytes: int, span
+        self, state: TileState, mode_name: str, size_bytes: int, kind: str,
+        seq: int, start: float,
     ):
         """Transfer with retries; caller holds the lock, tile decoupled.
 
-        Generator sub-routine; returns the transfer's record. A failed
-        attempt (CRC error or watchdog abort) is retried with seeded
-        exponential backoff up to the recovery policy's attempt budget;
-        if all attempts fail the region is left dark (no loaded mode,
+        Generator sub-routine for the window of ``kind`` opened at
+        ``start``; returns the transfer's step. A failed attempt (CRC
+        error or watchdog abort) is retried with seeded exponential
+        backoff up to the recovery policy's attempt budget; if all
+        attempts fail the region is left dark (no loaded mode,
         decoupler re-enabled so the blank region cannot wedge the NoC),
-        recovery runs and the error propagates.
+        the window closes failed, recovery runs and the error
+        propagates.
         """
         attempts = 0
         while True:
             try:
-                record: ReconfigurationRecord = yield from self._transfer_attempt(
-                    state, mode_name, size_bytes
-                )
-                return record
+                step = yield from self._transfer_attempt(state, mode_name, size_bytes)
+                return step
             except ReconfigurationError as exc:
                 attempts += 1
                 reason = getattr(exc, "fault_kind", "crc")
-                self._record_failed_attempt(state.name, mode_name, reason=reason)
+                logger.warning(
+                    "%s: transfer of %s failed (%s)", state.name, mode_name, reason
+                )
+                now = self.sim.now
                 if attempts >= self.recovery.max_attempts:
                     # Give up: leave the region dark but functional.
                     state.loaded_mode = None
-                    state.mark_dark(self.sim.now)
+                    state.mark_dark(now)
                     state.decoupler.recouple()
-                    if self._observed:
-                        self._observe_abandoned(
-                            state, mode_name, attempts, reason, span
-                        )
+                    self.steps.append(
+                        Step(kind, seq, state.name, mode_name, start, now,
+                             size_bytes, None, reason)
+                    )
+                    if self.obs.events is not None:
+                        self._emit_failed(state, mode_name, attempts, reason, True)
                     logger.warning(
                         "%s: reconfiguration to %s abandoned after %d attempts",
                         state.name,
@@ -541,166 +581,75 @@ class ReconfigurationManager:
                 backoff = self.recovery.backoff_before(
                     attempts + 1, self.faults.seed, state.name, mode_name
                 )
-                if self._observed:
-                    self._observe_retry(state, mode_name, attempts, reason, backoff)
+                steps = self.steps
+                steps.append(
+                    Step(RETRY, steps.ticket(), state.name, mode_name, now, now, 0,
+                         backoff, reason)
+                )
+                if self.obs.events is not None:
+                    self._emit_failed(state, mode_name, attempts, reason, False)
                 if backoff > 0.0:
                     yield self.sim.timeout(backoff)
 
-    # ------------------------------------------------------------------
-    # reconfiguration telemetry, one step each (called only when observed)
-    # ------------------------------------------------------------------
-    def _observe_reconfig_requested(
-        self, state: TileState, mode_name: str, size_bytes: int, span_name: str,
-        **span_attrs,
-    ):
-        """RECONFIG_REQUESTED and the decouple-window span it opens."""
-        obs = self.obs
-        if obs.events is not None:
-            obs.emit(
-                ev.RECONFIG_REQUESTED,
-                time=self.sim.now,
-                source=state.name,
-                mode=mode_name,
-                size_bytes=size_bytes,
-            )
-        if obs.recorder is None:
-            return None
-        return obs.begin(
-            span_name,
-            category="kernel.decouple",
-            track=f"kernel/{state.name}",
-            **span_attrs,
-            size_bytes=size_bytes,
-        )
-
-    def _observe_decoupled(
-        self, state: TileState, mode_name: str, size_bytes: int
-    ) -> None:
-        """The old driver is gone; the transfer is queued on the PRC."""
-        if self.obs.events is None:
-            return
-        self.obs.emit(
-            ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
-        )
-        self.obs.emit(
-            ev.RECONFIG_STARTED,
-            time=self.sim.now,
-            source=state.name,
-            mode=mode_name,
-            size_bytes=size_bytes,
-        )
-
-    def _observe_reconfigured(
-        self, state: TileState, mode_name: str, start: float, span,
-        blanked: bool = False,
-    ) -> None:
-        """A completed reconfiguration (or, ``blanked``, blanking)."""
-        obs = self.obs
-        duration = self.sim.now - start
-        if obs.metrics is not None:
-            obs.counter(
-                "runtime.reconfigurations", "completed tile reconfigurations"
-            ).inc(tile=state.name)
-            obs.histogram(
-                "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
-            ).observe(duration, tile=state.name)
-        if obs.events is not None:
-            if not blanked:
-                obs.emit(
-                    ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name,
-                    driver=mode_name,
-                )
-            obs.emit(
-                ev.RECONFIG_COMPLETED,
-                time=self.sim.now,
-                source=state.name,
-                mode=mode_name,
-                duration_s=duration,
-            )
-        obs.end(span)
-
-    def _observe_retry(
-        self, state: TileState, mode_name: str, attempts: int, reason: str,
-        backoff: float,
-    ) -> None:
-        """A failed transfer attempt, retried after ``backoff``."""
-        self.obs.counter(
-            "runtime.reconfig_retries", "transfer retries after CRC errors"
-        ).inc(tile=state.name)
-        self._emit_reconfig_failed(state, mode_name, attempts, reason, False)
-        now = self.sim.now
-        self.obs.record(
-            "retry", now, now, category="runtime.recovery", track=None, sim_s=backoff
-        )
-
-    def _observe_abandoned(
-        self, state: TileState, mode_name: str, attempts: int, reason: str, span
-    ) -> None:
-        """A reconfiguration given up after its last failed attempt."""
-        self.obs.counter(
-            "runtime.reconfig_failures", "reconfigurations abandoned after retries"
-        ).inc(tile=state.name)
-        self._emit_reconfig_failed(state, mode_name, attempts, reason, True)
-        self.obs.end(span, failed=True)
-
-    def _emit_reconfig_failed(
+    def _emit_failed(
         self, state: TileState, mode_name: str, attempts: int, reason: str,
         abandoned: bool,
     ) -> None:
-        self.obs.emit(
+        self._emit(
             ev.RECONFIG_FAILED,
-            time=self.sim.now,
-            source=state.name,
+            state,
             mode=mode_name,
             attempts=attempts,
             abandoned=abandoned,
             reason=reason,
         )
 
+    def _executed(
+        self, state: TileState, mode_name: str, seq: int, start: float,
+        duration: float,
+    ) -> Step:
+        """The execution that completes an invocation, now logged."""
+        step = Step(EXEC, seq, state.name, mode_name, start, self.sim.now, 0, duration)
+        self.steps.append(step)
+        return step
+
     def _execute_locked(self, state: TileState, mode_name: str, duration: float):
         """One accelerator execution under the hang watchdog.
 
-        Generator sub-routine; returns the number of hung attempts the
-        watchdog restarted. A hung attempt burns ``duration *
-        exec_deadline_factor`` of simulated time (the watchdog only
-        fires at its deadline) before the restart; exhausting the hang
-        budget resets the tile and raises :class:`KernelHangError`.
+        Generator sub-routine; returns the execution's step. A hung
+        attempt burns ``duration * exec_deadline_factor`` of simulated
+        time (the watchdog only fires at its deadline) before the
+        restart; exhausting the hang budget resets the tile and raises
+        :class:`KernelHangError`.
         """
         faults = self.faults
+        steps = self.steps
         hang_attempts = 0
         while True:
-            hung = faults.enabled and faults.invoke_fault(state.name, mode_name)
-            exec_span = None
-            if self.obs.recorder is not None:
-                exec_span = self.obs.begin(
-                    mode_name,
-                    category="kernel.exec",
-                    track=f"kernel/{state.name}",
-                    tile=state.name,
-                    mode=mode_name,
-                )
-            if not hung:
+            seq = steps.ticket()
+            start = self.sim.now
+            if not faults.invoke_fault(state.name, mode_name):
                 yield self.sim.timeout(duration)
-                if exec_span is not None:
-                    self.obs.end(exec_span, duration)
-                return hang_attempts
+                return self._executed(state, mode_name, seq, start, duration)
             # No completion interrupt: wait out the watchdog deadline.
-            yield self.sim.timeout(duration * self.recovery.exec_deadline_factor)
+            watchdog_s = duration * self.recovery.exec_deadline_factor
+            yield self.sim.timeout(watchdog_s)
             hang_attempts += 1
-            self.kernel_hangs += 1
-            self.kernel_hangs_by_tile[state.name] = (
-                self.kernel_hangs_by_tile.get(state.name, 0) + 1
+            abandoned = hang_attempts >= self.recovery.hang_max_attempts
+            steps.append(
+                Step(HANG, seq, state.name, mode_name, start, self.sim.now, 0,
+                     watchdog_s, "abandoned" if abandoned else "hang")
             )
-            if self._observed:
-                self._observe_hang(state, mode_name, hang_attempts, duration, exec_span)
+            if self.obs.events is not None:
+                self._emit(ev.KERNEL_HUNG, state, mode=mode_name, attempts=hang_attempts)
             logger.warning(
                 "%s: %s hung (attempt %d); watchdog fired after %.6fs",
                 state.name,
                 mode_name,
                 hang_attempts,
-                duration * self.recovery.exec_deadline_factor,
+                watchdog_s,
             )
-            if hang_attempts >= self.recovery.hang_max_attempts:
+            if abandoned:
                 yield from self._abandon_hung_locked(state, mode_name)
                 raise KernelHangError(
                     f"{state.name}/{mode_name}: kernel hung "
@@ -712,35 +661,13 @@ class ReconfigurationManager:
             if backoff > 0.0:
                 yield self.sim.timeout(backoff)
 
-    def _observe_hang(
-        self, state: TileState, mode_name: str, hang_attempts: int,
-        duration: float, span,
-    ) -> None:
-        """A hung execution the watchdog caught at its deadline."""
-        self.obs.counter(
-            "runtime.kernel_hangs", "hung invocations caught by the watchdog"
-        ).inc(tile=state.name)
-        self.obs.end(span, duration * self.recovery.exec_deadline_factor, failed=True)
-        self.obs.emit(
-            ev.KERNEL_HUNG,
-            time=self.sim.now,
-            source=state.name,
-            mode=mode_name,
-            attempts=hang_attempts,
-        )
-
     def _abandon_hung_locked(self, state: TileState, mode_name: str):
         """Reset a tile whose kernel would not come back; lock held."""
         self.registry.swap(state.name, None)
         state.loaded_mode = None
         state.mark_dark(self.sim.now)
-        if self._observed:
-            self.obs.emit(
-                ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=None
-            )
-            self.obs.counter(
-                "runtime.hang_abandons", "invocations abandoned after repeated hangs"
-            ).inc(tile=state.name)
+        if self.obs.events is not None:
+            self._emit(ev.DRIVER_SWAPPED, state, driver=None)
         yield from self._recover_abandoned_locked(state, mode_name, reason="hang")
 
     # ------------------------------------------------------------------
@@ -759,7 +686,7 @@ class ReconfigurationManager:
         """
         state.abandoned_ops += 1
         if state.abandoned_ops >= self.recovery.quarantine_after:
-            yield from self._quarantine_locked(state, reason)
+            yield from self._quarantine_locked(state, mode_name, reason)
             return
         if (
             self.recovery.fallback_to_last_good
@@ -772,7 +699,7 @@ class ReconfigurationManager:
             if not recovered:
                 state.abandoned_ops += 1
                 if state.abandoned_ops >= self.recovery.quarantine_after:
-                    yield from self._quarantine_locked(state, reason)
+                    yield from self._quarantine_locked(state, mode_name, reason)
 
     def _fallback_locked(self, state: TileState, failed_mode: str):
         """Reload the last-known-good bitstream; caller holds the lock.
@@ -781,27 +708,20 @@ class ReconfigurationManager:
         full retry budget again); returns True when the tile came back.
         """
         good = state.last_good_mode
-        image = self.store.lookup(state.name, good)
+        size_bytes = self.store.lookup(state.name, good).size_bytes
         start = self.sim.now
-        span = None
-        if self._observed:
-            span = self.obs.begin(
-                f"fallback:{good}",
-                category="kernel.decouple",
-                track=f"kernel/{state.name}",
-                mode=good,
-                size_bytes=image.size_bytes,
-            )
+        seq = self.steps.ticket()
         state.decoupler.decouple()
         try:
-            yield from self._transfer_attempt(state, good, image.size_bytes)
+            yield from self._transfer_attempt(state, good, size_bytes)
         except ReconfigurationError as exc:
-            self._record_failed_attempt(
-                state.name, good, reason=getattr(exc, "fault_kind", "crc")
-            )
+            reason = getattr(exc, "fault_kind", "crc")
+            logger.warning("%s: transfer of %s failed (%s)", state.name, good, reason)
             state.decoupler.recouple()
-            if self._observed:
-                self.obs.end(span, failed=True)
+            self.steps.append(
+                Step(FALLBACK, seq, state.name, good, start, self.sim.now,
+                     size_bytes, None, reason)
+            )
             logger.warning(
                 "%s: fallback to last-known-good %s failed", state.name, good
             )
@@ -811,12 +731,17 @@ class ReconfigurationManager:
         state.loaded_mode = good
         state.mark_configured(self.sim.now)
         state.reconfigurations += 1
-        self.fallbacks += 1
-        self.fallbacks_by_tile[state.name] = (
-            self.fallbacks_by_tile.get(state.name, 0) + 1
-        )
-        if self._observed:
-            self._observe_fallback(state, failed_mode, start, span)
+        now = self.sim.now
+        self.steps.append(Step(FALLBACK, seq, state.name, good, start, now, size_bytes))
+        if self.obs.events is not None:
+            self._emit(ev.DRIVER_SWAPPED, state, driver=good)
+            self._emit(
+                ev.RECONFIG_FALLBACK,
+                state,
+                mode=good,
+                failed_mode=failed_mode,
+                duration_s=now - start,
+            )
         logger.warning(
             "%s: fell back to last-known-good %s after %s failed",
             state.name,
@@ -825,34 +750,7 @@ class ReconfigurationManager:
         )
         return True
 
-    def _observe_fallback(
-        self, state: TileState, failed_mode: str, start: float, span
-    ) -> None:
-        """The tile is back on its last-known-good bitstream."""
-        good = state.loaded_mode
-        self.obs.counter(
-            "runtime.reconfigurations", "completed tile reconfigurations"
-        ).inc(tile=state.name)
-        self.obs.histogram(
-            "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
-        ).observe(self.sim.now - start, tile=state.name)
-        self.obs.counter(
-            "runtime.fallbacks", "fallbacks to a last-known-good bitstream"
-        ).inc(tile=state.name)
-        self.obs.emit(
-            ev.DRIVER_SWAPPED, time=self.sim.now, source=state.name, driver=good
-        )
-        self.obs.emit(
-            ev.RECONFIG_FALLBACK,
-            time=self.sim.now,
-            source=state.name,
-            mode=good,
-            failed_mode=failed_mode,
-            duration_s=self.sim.now - start,
-        )
-        self.obs.end(span)
-
-    def _quarantine_locked(self, state: TileState, reason: str):
+    def _quarantine_locked(self, state: TileState, mode_name: str, reason: str):
         """Quarantine a persistently failing tile; caller holds the lock.
 
         The tile is closed to further work, its driver is already
@@ -878,18 +776,16 @@ class ReconfigurationManager:
                 )
             finally:
                 state.decoupler.recouple()
-        if self._observed:
-            self.obs.counter(
-                "runtime.quarantines", "tiles quarantined after persistent failures"
-            ).inc(tile=state.name)
-            now = self.sim.now
-            self.obs.record(
-                "quarantine", now, now, category="runtime.recovery", track=None
-            )
-            self.obs.emit(
+        steps = self.steps
+        now = self.sim.now
+        steps.append(
+            Step(QUARANTINE, steps.ticket(), state.name, mode_name, now, now,
+                 0, None, reason)
+        )
+        if self.obs.events is not None:
+            self._emit(
                 ev.TILE_QUARANTINED,
-                time=self.sim.now,
-                source=state.name,
+                state,
                 reason=reason,
                 blanked=blanked,
                 abandoned_ops=state.abandoned_ops,
@@ -902,32 +798,55 @@ class ReconfigurationManager:
             blanked,
         )
 
-    def _record_failed_attempt(
-        self, tile_name: str, mode_name: str, reason: str = "crc"
-    ) -> None:
-        """Attribute one failed transfer to its tile (and the registry)."""
-        self.failed_attempts += 1
-        self.failed_attempts_by_tile[tile_name] = (
-            self.failed_attempts_by_tile.get(tile_name, 0) + 1
-        )
-        if self._observed:
-            self.obs.counter(
-                "runtime.failed_attempts", "failed bitstream transfer attempts"
-            ).inc(tile=tile_name)
-        logger.warning(
-            "%s: transfer of %s failed (%s)", tile_name, mode_name, reason
-        )
+    # ------------------------------------------------------------------
+    # telemetry: folds of the step log
+    # ------------------------------------------------------------------
+    @property
+    def invocations(self) -> List[InvocationRecord]:
+        """Every completed invocation, in completion order."""
+        return list(invocation_records(self.steps).values())
 
-    # ------------------------------------------------------------------
-    # telemetry
-    # ------------------------------------------------------------------
+    def _tally(self, counted: Callable[[Step], bool]) -> Dict[str, int]:
+        """Per-tile count of the steps ``counted`` accepts."""
+        tally: Dict[str, int] = {}
+        for step in self.steps:
+            if counted(step):
+                tally[step.tile] = tally.get(step.tile, 0) + 1
+        return tally
+
+    @property
+    def failed_attempts_by_tile(self) -> Dict[str, int]:
+        """Failed transfer attempts, attributed to the tile that saw them."""
+        return self._tally(is_failed_attempt)
+
+    @property
+    def failed_attempts(self) -> int:
+        """Failed transfer attempts seen (telemetry for fault handling)."""
+        return sum(self.failed_attempts_by_tile.values())
+
+    @property
+    def fallbacks_by_tile(self) -> Dict[str, int]:
+        """Completed fallbacks to a last-known-good bitstream, per tile."""
+        return self._tally(lambda s: s.kind is FALLBACK and s.fault is None)
+
+    @property
+    def fallbacks(self) -> int:
+        """Completed fallbacks to a last-known-good bitstream."""
+        return sum(self.fallbacks_by_tile.values())
+
+    @property
+    def kernel_hangs_by_tile(self) -> Dict[str, int]:
+        """Hung kernel attempts the watchdog caught, per tile."""
+        return self._tally(lambda s: s.kind is HANG)
+
+    @property
+    def kernel_hangs(self) -> int:
+        """Hung kernel attempts the watchdog caught."""
+        return sum(self.kernel_hangs_by_tile.values())
+
     def total_reconfigurations(self) -> int:
         """Completed reconfigurations across all tiles."""
         return sum(t.reconfigurations for t in self.tiles.values())
-
-    def reconfiguration_overhead_s(self) -> float:
-        """Total time invocations spent reconfiguring."""
-        return sum(r.reconfig_s for r in self.invocations)
 
     def configured_fractions(self, until: Optional[float] = None) -> Dict[str, float]:
         """Per-tile fraction of time the region held a configuration.

@@ -16,10 +16,10 @@ why the flow generates compressed partial bitstreams.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ReconfigurationError, StuckTransferError
-from repro.noc.analytic import AnalyticNocModel, flit_count
+from repro.noc.analytic import AnalyticNocModel
 from repro.noc.mesh import Mesh
 from repro.obs.logconfig import get_logger
 from repro.obs.instrumentation import OFF, Instrumentation
@@ -28,6 +28,7 @@ from repro.runtime.faults import (
     RuntimeFaultKind,
     RuntimeFaultModel,
 )
+from repro.runtime.steps import TRANSFER, Step, StepLog
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Lock
 
@@ -59,9 +60,7 @@ PRC_OVERHEAD_CYCLES = 2500
 class ReconfigurationRecord(NamedTuple):
     """Telemetry for one completed reconfiguration.
 
-    A named tuple: one is built per transfer, in one step rather than
-    the one ``__setattr__`` per field a frozen dataclass pays. It is
-    immutable, hashable and picklable all the same.
+    A view of a completed transfer's step (see :attr:`PrcDevice.records`).
     """
 
     tile_name: str
@@ -104,11 +103,9 @@ class PrcDevice:
         self.aux_position = aux_position
         self.clock_hz = clock_hz
         self.fetch_bytes_per_cycle = fetch_bytes_per_cycle
+        #: The probe: its profile gets a ``noc.transfer`` frame per
+        #: priced transfer; the transfers themselves are steps.
         self.obs = instrumentation
-        #: Read once: with every sink off a transfer builds no span
-        #: names, metric labels or NoC traffic counts (and with the
-        #: trace or the registry off, none of those it would feed).
-        self._observed = instrumentation.enabled
         #: The fault model every transfer attempt draws from. Shared
         #: with the manager (which reads it back for invoke-side draws)
         #: so injected and stochastic faults use one set of counters.
@@ -119,11 +116,12 @@ class PrcDevice:
         # times; the transfer window depends only on the size.
         self._transfer_cache: Dict[int, Tuple[float, float]] = {}
         self._lock = Lock(sim)
-        self.records: List[ReconfigurationRecord] = []
+        #: The runtime protocol's one record: every transfer attempt,
+        #: and the steps of the manager and executor that share it.
+        self.steps = StepLog()
         #: In-flight abort events, keyed (tile, mode) — the watchdog's
         #: handle to free the ICAP from a stuck transfer.
         self._aborts: Dict[Tuple[str, str], object] = {}
-        self.failed_transfers = 0
 
     # ------------------------------------------------------------------
     def transfer_seconds(self, size_bytes: int) -> float:
@@ -182,12 +180,12 @@ class PrcDevice:
         """Generator sub-routine: stream one partial bitstream.
 
         The single entry point of every transfer. The calling thread
-        runs it with ``yield from`` and gets the
-        :class:`ReconfigurationRecord` once the completion interrupt
-        fires; a caller that needs an event to wait on (the manager's
-        watchdog race) spawns it with ``sim.process(...)``. Serializes
-        on the single ICAP. Fails (after the full transfer window) when
-        a failure has been injected.
+        runs it with ``yield from`` and gets the transfer's
+        :class:`~repro.runtime.steps.Step` once the completion
+        interrupt fires; a caller that needs an event to wait on (the
+        manager's watchdog race) spawns it with ``sim.process(...)``.
+        Serializes on the single ICAP. Fails (after the full transfer
+        window) when a failure has been injected.
         """
         yield self._lock.acquire()
         try:
@@ -208,99 +206,42 @@ class PrcDevice:
                     # to its original 1000x expiry.
                     stall.cancel()
                     self._aborts.pop((tile_name, mode_name), None)
-                self._record_transfer_failure(
-                    tile_name, mode_name, size_bytes, start, reason="stuck"
-                )
+                self._transferred(tile_name, mode_name, size_bytes, start, "stuck")
                 raise StuckTransferError(
                     f"{tile_name}/{mode_name}: transfer stuck "
                     f"(aborted after {self.sim.now - start:.6f}s)"
                 )
             yield self.sim.timeout(duration)
-            if self.obs.metrics is not None:
-                self._count_fetch_traffic(size_bytes)
             if fault is RuntimeFaultKind.BITSTREAM_CORRUPTION:
-                self._record_transfer_failure(
-                    tile_name, mode_name, size_bytes, start, reason="crc"
-                )
+                self._transferred(tile_name, mode_name, size_bytes, start, "crc")
                 raise ReconfigurationError(
                     f"{tile_name}/{mode_name}: configuration CRC error"
                 )
-            record = ReconfigurationRecord(
-                tile_name, mode_name, size_bytes, start, self.sim.now
-            )
-            self.records.append(record)
-            if self._observed:
-                self._observe_transfer(record)
+            step = self._transferred(tile_name, mode_name, size_bytes, start)
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "icap: streamed %s/%s (%d bytes) in %.6fs",
                     tile_name,
                     mode_name,
                     size_bytes,
-                    record.duration_s,
+                    step.end - step.start,
                 )
-            return record
+            return step
         finally:
             self._lock.release()
 
-    def _observe_transfer(self, record: ReconfigurationRecord) -> None:
-        """One completed transfer: its ICAP span and the PRC counters."""
-        if self.obs.tracer is not None:
-            self.obs.record(
-                f"{record.tile_name}/{record.mode_name}",
-                record.start_s,
-                record.end_s,
-                category="kernel.icap",
-                track="kernel/icap",
-                tile=record.tile_name,
-                mode=record.mode_name,
-                size_bytes=record.size_bytes,
-            )
-        if self.obs.metrics is None:
-            return
-        self.obs.counter(
-            "prc.transfers", "completed bitstream transfers"
-        ).inc(tile=record.tile_name)
-        self.obs.counter(
-            "prc.icap_busy_s", "time the ICAP spent streaming"
-        ).inc(record.duration_s)
-
-    def _record_transfer_failure(
+    def _transferred(
         self, tile_name: str, mode_name: str, size_bytes: int, start: float,
-        reason: str,
-    ) -> None:
-        """Account one failed transfer attempt (CRC error or abort)."""
-        self.failed_transfers += 1
-        if not self._observed:
-            return
-        self.obs.counter(
-            "prc.transfer_failures", "transfers ending in a CRC error"
-        ).inc(tile=tile_name)
-        self.obs.record(
-            f"{tile_name}/{mode_name}",
-            start,
-            self.sim.now,
-            category="kernel.icap-error",
-            track="kernel/icap",
-            tile=tile_name,
-            mode=mode_name,
-            size_bytes=size_bytes,
-            reason=reason,
+        fault: Optional[str] = None,
+    ) -> Step:
+        """Log one transfer attempt, ending now (``fault``: why it failed)."""
+        steps = self.steps
+        step = Step(
+            TRANSFER, steps.ticket(), tile_name, mode_name, start, self.sim.now,
+            size_bytes, None, fault,
         )
-
-    def _count_fetch_traffic(self, size_bytes: int) -> None:
-        """Account the DFXC fetch's NoC traffic (packets, flits, bytes).
-
-        The fetch path crosses the NoC in maximum-size DMA bursts; the
-        flit count is the one the latency model charges.
-        """
-        flits = flit_count(size_bytes)
-        self.obs.counter("noc.bytes", "payload bytes crossing the NoC").inc(
-            size_bytes, source="prc"
-        )
-        self.obs.counter("noc.flits", "flits crossing the NoC").inc(
-            flits, source="prc"
-        )
+        steps.append(step)
+        return step
 
     # ------------------------------------------------------------------
     @property
@@ -308,6 +249,26 @@ class PrcDevice:
         """True while a reconfiguration is streaming."""
         return self._lock.locked
 
+    @property
+    def records(self) -> List[ReconfigurationRecord]:
+        """Every completed transfer, in completion order."""
+        return [
+            ReconfigurationRecord(s.tile, s.mode, s.size, s.start, s.end)
+            for s in self.steps
+            if s.kind is TRANSFER and s.fault is None
+        ]
+
+    @property
+    def failed_transfers(self) -> int:
+        """Transfer attempts that ended in a CRC error or an abort."""
+        return sum(
+            1 for s in self.steps if s.kind is TRANSFER and s.fault is not None
+        )
+
     def total_reconfiguration_time_s(self) -> float:
         """Sum of all completed reconfiguration durations."""
-        return sum(r.duration_s for r in self.records)
+        return sum(
+            s.end - s.start
+            for s in self.steps
+            if s.kind is TRANSFER and s.fault is None
+        )

@@ -1,9 +1,10 @@
-"""Runtime statistics: what the manager's telemetry adds up to.
+"""Runtime statistics: what the runtime's step log adds up to.
 
 The paper's runtime manager exists to keep reconfiguration overhead
-manageable; this module turns its raw records into the numbers a
-deployment engineer actually reads: per-tile utilization, queueing
-delays, reconfiguration shares, and ICAP pressure.
+manageable; this module folds its step log (through the manager's
+invocation and fault views) into the numbers a deployment engineer
+actually reads: per-tile utilization, queueing delays, reconfiguration
+shares, and ICAP pressure.
 """
 
 from __future__ import annotations
@@ -152,11 +153,15 @@ def collect_stats(
     ``failovers`` comes from the executor (the manager only sees the
     invocations that reached it, not the scheduler's re-planning).
     """
+    invocations = manager.invocations
     by_tile: Dict[str, List[InvocationRecord]] = {
         name: [] for name in manager.tiles
     }
-    for record in manager.invocations:
+    for record in invocations:
         by_tile.setdefault(record.tile_name, []).append(record)
+    failed = manager.failed_attempts_by_tile
+    fallbacks = manager.fallbacks_by_tile
+    hangs = manager.kernel_hangs_by_tile
 
     tiles = {}
     for name, records in by_tile.items():
@@ -168,22 +173,22 @@ def collect_stats(
             exec_time_s=sum(r.exec_time_s for r in records),
             reconfig_time_s=sum(r.reconfig_s for r in records),
             wait_time_s=sum(max(0.0, r.wait_s) for r in records),
-            failed_attempts=manager.failed_attempts_by_tile.get(name, 0),
-            fallbacks=manager.fallbacks_by_tile.get(name, 0),
-            kernel_hangs=manager.kernel_hangs_by_tile.get(name, 0),
+            failed_attempts=failed.get(name, 0),
+            fallbacks=fallbacks.get(name, 0),
+            kernel_hangs=hangs.get(name, 0),
             quarantined=state.quarantined if state else False,
         )
 
     end = span_s if span_s is not None else manager.sim.now
     return RuntimeStats(
         tiles=tiles,
-        total_invocations=len(manager.invocations),
+        total_invocations=len(invocations),
         total_reconfigurations=manager.total_reconfigurations(),
-        failed_attempts=manager.failed_attempts,
+        failed_attempts=sum(failed.values()),
         icap_busy_s=manager.prc.total_reconfiguration_time_s(),
         span_s=end,
-        fallbacks=manager.fallbacks,
-        kernel_hangs=manager.kernel_hangs,
+        fallbacks=sum(fallbacks.values()),
+        kernel_hangs=sum(hangs.values()),
         failovers=failovers,
         quarantined=dict(manager.quarantined),
     )

@@ -74,10 +74,11 @@ def test_operations_reach_the_live_sinks():
     event = probe.emit("k", source="x", a=1)
     with probe.frame("outer") as frame:
         frame.charge(4.0)
-        # Records without a track reach the fold only: one at an
-        # explicit path under the open frame, one by the category rule.
+        # A record without a track reaches the fold only, at its
+        # explicit path under the open frame; a tally lands under the
+        # root whatever frame is open.
         probe.record("inner", 0.0, 1.0, track=None, sim_s=1.0, path=("inner",))
-    probe.record("retry", 2.0, 2.0, category="runtime.recovery", track=None, sim_s=2.0)
+        probe.profiler.tally(("runtime", "recovery", "retry"), 2.0)
 
     assert [(s.name, s.start, s.end) for s in probe.tracer.spans] == [
         ("stage", 2.0, 2.0),

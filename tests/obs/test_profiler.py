@@ -171,10 +171,7 @@ class TestSimAttribution:
     def test_runtime_records_fold_from_the_root(self, profiler, clock):
         with profiler.frame("dispatch:Event"):
             clock.advance(0.01)
-            profiler.record(
-                "retry", 1.0, 1.0, category="runtime.recovery", track=None,
-                sim_s=2.0,
-            )
+            profiler.tally(("runtime", "recovery", "retry"), 2.0)
         tree = tree_of(profiler)
         names = {c["name"] for c in tree["children"]}
         assert names == {"dispatch:Event", "runtime"}
@@ -183,27 +180,12 @@ class TestSimAttribution:
         assert retry["name"] == "retry"
         assert retry["self_sim_s"] == pytest.approx(2.0)
 
-    @pytest.mark.parametrize(
-        "name, category, failed, path",
-        [
-            ("lock_wait", "kernel.lock-wait", False, "lock_wait"),
-            ("fft", "kernel.exec", False, "exec"),
-            ("fft", "kernel.exec", True, "recovery;kernel_hang"),
-            ("reconfigure:fft", "kernel.decouple", False, "reconfigure"),
-            ("reconfigure:fft", "kernel.decouple", True, "recovery;abandon"),
-            ("blank", "kernel.decouple", False, None),
-            ("blank", "kernel.decouple", True, "recovery;abandon"),
-            ("fallback:fft", "kernel.decouple", False, "recovery;fallback"),
-            ("fallback:fft", "kernel.decouple", True, None),
-            ("quarantine", "runtime.recovery", False, "recovery;quarantine"),
-            ("rt0/fft", "kernel.icap", False, None),
-        ],
-    )
-    def test_runtime_view_rule(self, profiler, name, category, failed, path):
-        record = profiler.begin(name, category=category, track="kernel/rt0")
-        profiler.end(record, **({"failed": True} if failed else {}))
-        shares = collapsed_stacks(tree_document(profiler), weight="calls")
-        assert shares == ([] if path is None else [f"runtime;{path} 1"])
+    def test_kernel_records_reach_the_trace_only(self, profiler):
+        # The runtime folds its own steps (``tally``); a kernel record
+        # has no fold path of its own.
+        record = profiler.begin("fft", category="kernel.exec", track="kernel/rt0")
+        profiler.end(record)
+        assert collapsed_stacks(tree_document(profiler), weight="calls") == []
 
 
 class TestMerge:

@@ -106,15 +106,18 @@ class TestRun:
         handle = api.open_tile("rt0")
 
         def thread():
-            record = yield from api.run(handle, "fft")
-            return record, sim.now
+            step = yield from api.run(handle, "fft")
+            return step, sim.now
 
         proc = sim.process(thread())
         sim.run()
-        record, finished = proc.value
+        step, finished = proc.value
+        # The call returns the execution's step; the invocation's
+        # record is the fold of the log.
+        assert (step.mode, step.end) == ("fft", finished)
+        (record,) = api.invocation_log()
         assert record.mode_name == "fft"
         assert record.end_exec_s == finished
-        assert api.invocation_log() == [record]
 
     def test_esp_load_prefetches(self, api, sim):
         handle = api.open_tile("rt0")

@@ -3,11 +3,14 @@
 Each guard counts calls instead of timing them, so it holds on any
 host: a two-frame ``soc_y`` deployment must touch the event heap only
 for timeouts that fire later, must not call into an all-off probe from
-the reconfiguration manager or the PRC (nor make event or metric calls
-into a profiler-only one), must order the task DAG once per run
-rather than once per frame, must resume no more generator frames per
-invocation than the flattened protocol needs, and must price each
-bitstream size on the NoC once however often it is streamed.
+the runtime (nor into any probe without an event bus while the
+simulation runs: the runtime's records, profile view and metrics are
+projected from its step log afterwards), must order the task DAG once
+per run rather than once per frame, must build no more record objects
+per invocation than one per protocol step, must resume no more
+generator frames per invocation than the flattened protocol needs, and
+must price each bitstream size on the NoC once however often it is
+streamed.
 """
 
 import heapq
@@ -26,8 +29,10 @@ from repro.obs.events import EventBus
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profiler
+from repro.obs.recorder import Recorder
 from repro.runtime.executor import AppExecutor
 from repro.runtime.prc import PrcDevice
+from repro.runtime.steps import Step
 from repro.sim.kernel import Simulator
 from repro.wami.app import WamiApplication
 
@@ -38,7 +43,11 @@ PROBE_METHODS = (
 )
 
 #: The layers that must stay silent while every sink is off.
-RUNTIME_MODULES = {"repro.runtime.manager", "repro.runtime.prc"}
+RUNTIME_MODULES = {
+    "repro.runtime.manager",
+    "repro.runtime.prc",
+    "repro.runtime.steps",
+}
 
 
 @pytest.fixture(scope="module")
@@ -52,15 +61,26 @@ def deploy(soc_y_flow, **kwargs):
     return api.deploy(soc, frames=2, flow_result=flow, **kwargs)
 
 
-def counting_probe(**sinks):
-    """A probe that logs (method, calling module) for every call."""
+def counting_probe(monkeypatch, **sinks):
+    """A probe that logs (method, calling module, while sim.run) per call."""
     calls = []
+    running = [False]
+    run = Simulator.run
+
+    def running_run(sim, *args, **kwargs):
+        running[0] = True
+        try:
+            return run(sim, *args, **kwargs)
+        finally:
+            running[0] = False
+
+    monkeypatch.setattr(Simulator, "run", running_run)
 
     def counted(name):
         operation = getattr(Instrumentation, name)
 
         def method(self, *args, **kwargs):
-            calls.append((name, sys._getframe(1).f_globals["__name__"]))
+            calls.append((name, sys._getframe(1).f_globals["__name__"], running[0]))
             return operation(self, *args, **kwargs)
 
         return method
@@ -101,8 +121,8 @@ def test_only_future_timeouts_touch_the_heap(soc_y_flow, monkeypatch):
     assert len(pushes) == len(timeouts)
 
 
-def test_all_off_probe_sees_no_runtime_calls(soc_y_flow):
-    probe, calls = counting_probe()
+def test_all_off_probe_sees_no_runtime_calls(soc_y_flow, monkeypatch):
+    probe, calls = counting_probe(monkeypatch)
     assert not probe.enabled
     deploy(soc_y_flow, instrumentation=probe)
     # The probe does see the platform's calls, so the count is live.
@@ -110,21 +130,45 @@ def test_all_off_probe_sees_no_runtime_calls(soc_y_flow):
     assert [call for call in calls if call[1] in RUNTIME_MODULES] == []
 
 
-def test_live_probe_still_hears_the_runtime(soc_y_flow):
-    probe, calls = counting_probe(events=EventBus(), metrics=MetricsRegistry())
+def test_live_probe_still_hears_the_runtime(soc_y_flow, monkeypatch):
+    probe, calls = counting_probe(
+        monkeypatch, events=EventBus(), metrics=MetricsRegistry()
+    )
     deploy(soc_y_flow, instrumentation=probe)
-    callers = {module for _name, module in calls}
-    assert RUNTIME_MODULES <= callers
+    # The manager emits its events live; the projection counts the
+    # manager's and the PRC's steps after the run.
+    during = {(name, module) for name, module, running in calls if running}
+    after = {(name, module) for name, module, running in calls if not running}
+    assert {module for _name, module in during if module in RUNTIME_MODULES} == {
+        "repro.runtime.manager"
+    }
+    assert {name for name, _module in during} == {"emit"}
+    assert ("counter", "repro.runtime.steps") in after
+    assert ("histogram", "repro.runtime.steps") in after
 
 
-def test_profiler_only_probe_gets_only_profile_calls(soc_y_flow):
-    # `repro profile` runs a profiler alone: the runtime's records feed
-    # its fold, but event and metric calls would do nothing, so none is
-    # made.
-    probe, calls = counting_probe(profiler=Profiler())
+def test_profiler_only_probe_gets_only_profile_calls(soc_y_flow, monkeypatch):
+    # `repro profile` runs a profiler alone: the runtime's steps feed its
+    # fold after the run, straight into the recorder (no probe call),
+    # and nothing is recorded while the simulation runs.
+    probe, calls = counting_probe(monkeypatch, profiler=Profiler())
     deploy(soc_y_flow, instrumentation=probe)
-    runtime_calls = {name for name, module in calls if module in RUNTIME_MODULES}
-    assert runtime_calls == {"begin", "end", "record"}
+    assert [call for call in calls if call[1] in RUNTIME_MODULES] == []
+    assert probe.profiler.root.children["runtime"].children["exec"].calls == 20
+
+
+def test_no_runtime_probe_call_while_the_simulation_runs(soc_y_flow, monkeypatch):
+    # Without an event bus nothing of the runtime's is live: its steps
+    # reach the trace and the registry after the run.
+    probe, calls = counting_probe(
+        monkeypatch, recorder=Recorder(), metrics=MetricsRegistry()
+    )
+    deploy(soc_y_flow, instrumentation=probe)
+    runtime_calls = [call for call in calls if call[1] in RUNTIME_MODULES]
+    assert [call for call in runtime_calls if call[2]] == []
+    assert {"record", "counter", "histogram", "gauge"} <= {
+        name for name, _module, _running in runtime_calls
+    }
 
 
 def test_topological_order_once_per_run(soc_y_flow, monkeypatch):
@@ -172,6 +216,43 @@ def test_one_process_per_worker_thread_per_frame(
     (prc,) = prcs
     assert report.reconfigurations > 0
     assert len(transfers) == len(prc.records) == report.reconfigurations
+
+
+#: Record objects the protocol builds while the two-frame ``soc_y``
+#: deploy simulates, per power-gating policy: one step per lock wait,
+#: execution, decouple window, transfer, software task and gating
+#: blank. Ungated that is exactly what the runtime built before its
+#: records were one log (20 invocation records, 20 transfer records and
+#: 44 timeline events); gated, each of the 6 blanks also logs its
+#: decouple window (96 before). The views (invocations, transfers,
+#: timeline) are folded from the steps after the run.
+RECORDS_DURING_RUN = {False: (84, 20), True: (102, 20)}
+
+
+@pytest.mark.parametrize("power_gating", [False, True], ids=["ungated", "gated"])
+def test_records_built_per_invocation(soc_y_flow, monkeypatch, power_gating):
+    built = []
+    running = [False]
+    step_new = Step.__new__
+    run = Simulator.run
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(running[0])
+        return step_new(cls, *args, **kwargs)
+
+    def running_run(sim, *args, **kwargs):
+        running[0] = True
+        try:
+            return run(sim, *args, **kwargs)
+        finally:
+            running[0] = False
+
+    monkeypatch.setattr(Step, "__new__", counting_new)
+    monkeypatch.setattr(Simulator, "run", running_run)
+    report = deploy(soc_y_flow, power_gating=power_gating)
+    assert all(built), "steps are built only while the simulation runs"
+    invocations = report.runtime_stats.total_invocations
+    assert (len(built), invocations) == RECORDS_DURING_RUN[power_gating]
 
 
 #: Generator-frame resumptions (profiler ``call`` events on generator

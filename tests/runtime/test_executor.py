@@ -145,5 +145,9 @@ class TestExecution:
             StageTask("sw", 0.05, None),
         ]
         timeline = AppExecutor(sim, api, tasks).run()
-        assert timeline.busy_time("cpu") == pytest.approx(0.05)
-        assert timeline.busy_time("rt0") > 0.02  # exec + reconfig
+
+        def busy(worker):
+            return sum(e.duration_s for e in timeline.events if e.worker == worker)
+
+        assert busy("cpu") == pytest.approx(0.05)
+        assert busy("rt0") > 0.02  # exec + reconfig

@@ -49,10 +49,12 @@ class TestSerialization:
         prc = make_prc(sim)
         proc = sim.process(prc.reconfigure("rt0", "fft", 300_000))
         sim.run()
-        assert proc.value.tile_name == "rt0"
-        assert proc.value.duration_s == pytest.approx(
+        # The transfer returns its step of the runtime's log.
+        assert proc.value.tile == "rt0"
+        assert proc.value.end - proc.value.start == pytest.approx(
             prc.transfer_seconds(300_000)
         )
+        assert prc.steps == [proc.value]
 
     def test_concurrent_requests_serialize_on_icap(self, sim):
         prc = make_prc(sim)
@@ -61,8 +63,8 @@ class TestSerialization:
         sim.run()
         ra, rb = a.value, b.value
         # The second transfer starts only after the first ends.
-        first, second = sorted((ra, rb), key=lambda r: r.start_s)
-        assert second.start_s >= first.end_s
+        first, second = sorted((ra, rb), key=lambda r: r.start)
+        assert second.start >= first.end
 
     def test_records_accumulate(self, sim):
         prc = make_prc(sim)

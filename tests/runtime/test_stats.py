@@ -40,11 +40,14 @@ class TestCollect:
     def test_warm_invocations_have_zero_reconfig_share(self, manager, sim):
         manager.invoke("rt0", "fft")
         sim.run()
-        manager.invocations.clear()
+        cold = collect_stats(manager).tiles["rt0"]
         manager.invoke("rt0", "fft", exec_time_s=0.1)
         sim.run()
-        stats = collect_stats(manager)
-        assert stats.tiles["rt0"].reconfig_time_s == 0.0
+        warm = collect_stats(manager).tiles["rt0"]
+        # The warm invocation adds execution time but no reconfiguration.
+        assert warm.invocations == 2
+        assert warm.reconfig_time_s == cold.reconfig_time_s > 0.0
+        assert manager.invocations[1].reconfig_s == 0.0
 
     def test_wait_time_from_contention(self, manager, sim):
         manager.invoke("rt0", "fft", exec_time_s=1.0)
