@@ -37,7 +37,7 @@ from repro.runtime.manager import ReconfigurationManager
 from repro.runtime.memory import BitstreamStore
 from repro.runtime.prc import PrcDevice
 from repro.runtime.stats import RuntimeStats, collect_stats
-from repro.runtime.steps import project
+from repro.runtime.steps import counted_on_read, project
 from repro.sim.kernel import Simulator
 from repro.soc.config import SocConfig
 from repro.soc.tiles import ReconfigurableTile, Tile, TileKind
@@ -483,7 +483,8 @@ class PrEspPlatform:
         )
         timeline = runtime_stats = None
         try:
-            timeline = executor.run(frames=frames, pipelined=pipelined)
+            with counted_on_read(manager.steps, inst):
+                timeline = executor.run(frames=frames, pipelined=pipelined)
             runtime_stats = collect_stats(manager, failovers=executor.failovers)
         finally:
             project(manager.steps, inst, timeline, runtime_stats)

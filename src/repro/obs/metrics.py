@@ -21,7 +21,7 @@ disabled instrumentation stays free.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import PrEspError
 from repro.obs.context import current_context
@@ -328,6 +328,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
+        #: Called before every read: a source that folds into the
+        #: registry lazily (a running deployment's step log) brings its
+        #: instruments up to date first.
+        self.collectors: List[Callable[[], None]] = []
 
     def _get(self, name: str, kind, *args, **kwargs):
         instrument = self._instruments.get(name)
@@ -366,7 +370,9 @@ class MetricsRegistry:
         ).merge(instrument)
 
     def instruments(self) -> List[object]:
-        """All registered instruments, name-ordered."""
+        """All registered instruments, name-ordered (collected first)."""
+        for collect in self.collectors:
+            collect()
         instruments = self._instruments.copy()
         return [instruments[name] for name in sorted(instruments)]
 

@@ -316,11 +316,11 @@ class ReconfigurationManager:
         lock = state.lock
         yield lock.acquire()
         acquired = sim.now
-        steps.append(Step(LOCK, steps.ticket(), tile_name, mode_name, requested, acquired))
         if self.obs.events is not None:
             self._emit(
                 ev.LOCK_ACQUIRED, state, mode=mode_name, wait_s=acquired - requested
             )
+        steps.append(Step(LOCK, steps.ticket(), tile_name, mode_name, requested, acquired))
         try:
             if state.quarantined:
                 self._raise_quarantined(state)

@@ -15,12 +15,16 @@ PRC's transfer records, the executor's timeline and the runtime
 statistics are read from it by their owners; after the run,
 :func:`project` replays it in order into the probe's recorder (the
 Chrome trace and the root-anchored ``runtime;*`` profile view) and
-registry (the ``runtime.*``, ``prc.*`` and ``noc.*`` instruments).
+registry (the ``runtime.*``, ``prc.*`` and ``noc.*`` instruments). A
+registry read while the run goes on counts the steps logged so far
+first (:func:`counted_on_read`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.noc.analytic import flit_count
@@ -115,6 +119,8 @@ class StepLog(list):
     def __init__(self) -> None:
         super().__init__()
         self.ticket = itertools.count().__next__
+        #: How many steps the registry has counted (see :func:`count`).
+        self.counted = 0
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +271,7 @@ def project(
     recorder = instrumentation.recorder
     if recorder is not None:
         if recorder.trace:
-            for step in sorted(steps, key=_seq):
+            for step in sorted(steps, key=attrgetter("seq")):
                 record = _trace_record(step)
                 if record is not None:
                     name, category, track, attrs = record
@@ -289,11 +295,37 @@ def project(
                 if path is not None:
                     recorder.tally(path, step.charged_s)
     if instrumentation.metrics is not None:
-        for step in steps:
-            _count(instrumentation, step)
+        count(steps, instrumentation)
         if stats is not None:
             _publish(instrumentation, stats)
 
 
-def _seq(step: Step) -> int:
-    return step.seq
+def count(steps: StepLog, instrumentation: Instrumentation) -> None:
+    """Count the steps the probe's registry has not counted yet."""
+    for step in steps[steps.counted:]:
+        _count(instrumentation, step)
+    steps.counted = len(steps)
+
+
+class counted_on_read:
+    """Context manager: while the block runs, a read of the probe's
+    registry counts the steps logged so far first.
+
+    The registry is the log's fold either way; this only decides when
+    it is brought up to date. A reader that samples it on the event
+    stream mid-run (the dashboard's telemetry store) so sees what the
+    run has done up to each event, and a run nobody reads is counted
+    once, by :func:`project`.
+    """
+
+    def __init__(self, steps: StepLog, instrumentation: Instrumentation) -> None:
+        self.registry = instrumentation.metrics
+        self.collector = functools.partial(count, steps, instrumentation)
+
+    def __enter__(self) -> None:
+        if self.registry is not None:
+            self.registry.collectors.append(self.collector)
+
+    def __exit__(self, *exc_info) -> None:
+        if self.registry is not None:
+            self.registry.collectors.remove(self.collector)

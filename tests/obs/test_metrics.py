@@ -262,3 +262,13 @@ class TestConcurrentSnapshots:
         assert snapshot["jobs{job=a0}"] == 1.0
         assert snapshot["latency{job=b399}.count"] == 1.0
         assert list(snapshot) == sorted(snapshot)
+
+
+def test_registry_collectors_run_before_every_read():
+    # A source folding into the registry lazily brings it up to date
+    # before any read.
+    registry = MetricsRegistry()
+    registry.collectors.append(lambda: registry.counter("c").inc())
+    assert registry.snapshot() == {"c": 1.0}
+    assert [i.name for i in registry.instruments()] == ["c"]
+    assert registry.counter("c").total() == 2.0

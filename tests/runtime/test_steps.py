@@ -149,3 +149,25 @@ def test_a_deploy_that_raises_reports_the_steps_it_completed():
         ],
     }
     assert {name: _digest(value) for name, value in observed.items()} == RAISED
+
+
+def test_a_registry_read_mid_run_counts_the_steps_so_far():
+    # The dashboard's telemetry store samples the registry on each
+    # event: every completed reconfiguration must already be counted.
+    registry = MetricsRegistry()
+    bus = EventBus()
+    seen = []
+
+    def sample(event):
+        snapshot = registry.snapshot()
+        seen.append(
+            sum(v for k, v in snapshot.items() if k.startswith("runtime.reconfigurations"))
+        )
+
+    bus.subscribe(sample, kinds=("reconfig.completed",))
+    report = api.deploy(
+        wami_soc_y(), frames=2, instrumentation=Instrumentation(metrics=registry, events=bus)
+    )
+    assert seen == list(range(1, report.reconfigurations + 1))
+    assert registry.collectors == []
+
