@@ -30,8 +30,8 @@ from repro.errors import (
 from repro.obs import events as ev
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.runtime.api import DprUserApi, TileHandle
-from repro.runtime.manager import invocation_records
-from repro.runtime.steps import EXEC, GATE, SOFTWARE, Step
+from repro.runtime.manager import Folded, fold_steps
+from repro.runtime.steps import EXEC, GATE, SOFTWARE, Step, view
 from repro.sim.kernel import Event, Simulator
 
 
@@ -172,7 +172,8 @@ class AppExecutor:
                 "a region is never idle at a frame boundary when pipelined"
             )
         steps = self.api.steps
-        first = len(steps)
+        # Every step of this run draws a later ticket than this one.
+        opened = steps.ticket()
         start = self.sim.now
         # The DAG does not change between frames: order it once per run.
         ordered = self._topo_order()
@@ -186,7 +187,7 @@ class AppExecutor:
                     self._execute_instances(instances, blank=self.blank_after_frame)
                 )
         return ExecutionTimeline(
-            events=self._timeline(steps[first:], labels),
+            events=self._timeline(steps.folded(fold_steps), opened, labels),
             makespan_s=self.sim.now - start,
         )
 
@@ -281,37 +282,49 @@ class AppExecutor:
         steps.append(Step(SOFTWARE, steps.ticket(), worker, name, start, self.sim.now))
 
     @staticmethod
-    def _timeline(steps: List[Step], labels: Dict[int, str]) -> List[TimelineEvent]:
-        """The run's timeline: its labelled executions (each after the
-        reconfiguration that preceded it), software tasks and blanks."""
-        records = invocation_records(steps)
+    def _timeline(
+        folded: Folded, opened: int, labels: Dict[int, str]
+    ) -> List[TimelineEvent]:
+        """The timeline of the task steps drawn after ticket ``opened``:
+        the labelled executions (each after the reconfiguration that
+        preceded it), software tasks and blanks, in log order."""
+        records = folded.invocations
         events: List[TimelineEvent] = []
-        for step in steps:
-            if step.kind is EXEC and step.seq in labels:
-                name = labels[step.seq]
+        for step in folded.tasks:
+            if step.seq < opened:
+                continue
+            kind = step.kind
+            if kind is EXEC:
+                name = labels.get(step.seq)
+                if name is None:
+                    continue
                 record = records[step.seq]
+                start_exec = record.start_exec_s
                 if record.reconfig_s > 0:
                     events.append(
-                        TimelineEvent(
-                            name,
-                            step.tile,
-                            "reconfig",
-                            record.start_exec_s - record.reconfig_s,
-                            record.start_exec_s,
+                        view(
+                            TimelineEvent,
+                            (
+                                name,
+                                step.tile,
+                                "reconfig",
+                                start_exec - record.reconfig_s,
+                                start_exec,
+                            ),
                         )
                     )
                 events.append(
-                    TimelineEvent(
-                        name, step.tile, "exec", record.start_exec_s, record.end_exec_s
+                    view(
+                        TimelineEvent,
+                        (name, step.tile, "exec", start_exec, record.end_exec_s),
                     )
                 )
-            elif step.kind is SOFTWARE:
+            else:
+                kind = "sw" if kind is SOFTWARE else "reconfig"
                 events.append(
-                    TimelineEvent(step.mode, step.tile, "sw", step.start, step.end)
-                )
-            elif step.kind is GATE:
-                events.append(
-                    TimelineEvent(step.mode, step.tile, "reconfig", step.start, step.end)
+                    view(
+                        TimelineEvent, (step.mode, step.tile, kind, step.start, step.end)
+                    )
                 )
         return events
 

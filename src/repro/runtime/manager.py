@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import (
     KernelHangError,
@@ -57,13 +57,15 @@ from repro.runtime.steps import (
     BLANK,
     EXEC,
     FALLBACK,
+    GATE,
     HANG,
     LOCK,
     QUARANTINE,
     RECONFIGURE,
     RETRY,
+    SOFTWARE,
     Step,
-    is_failed_attempt,
+    view as _view,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -118,7 +120,7 @@ class TileState:
 class InvocationRecord(NamedTuple):
     """Telemetry of one accelerator invocation.
 
-    A view, folded from the step log by :func:`invocation_records`.
+    A view, folded from the step log by :func:`fold_steps`.
     """
 
     tile_name: str
@@ -144,48 +146,92 @@ class InvocationRecord(NamedTuple):
         return self.start_exec_s - self.reconfig_s - self.requested_s
 
 
-def invocation_records(steps: List[Step]) -> Dict[int, InvocationRecord]:
-    """Each completed invocation's record, keyed by its execution's ``seq``.
+class Folded(NamedTuple):
+    """The manager's views of a step log (see :func:`fold_steps`)."""
+
+    #: Each completed invocation's record, keyed by its execution's
+    #: ``seq``, in completion order.
+    invocations: Dict[int, InvocationRecord]
+    #: Per tile: failed transfer attempts, completed fallbacks to a
+    #: last-known-good bitstream and hung attempts the watchdog caught.
+    failed_attempts: Dict[str, int]
+    fallbacks: Dict[str, int]
+    kernel_hangs: Dict[str, int]
+    #: The executions, software tasks and gating blanks, in log order:
+    #: what an executor's timeline is read from.
+    tasks: List[Step]
+
+
+#: The kinds of step an invocation or a fault tally reads, besides lock
+#: waits and executions.
+_COUNTED = frozenset((RECONFIGURE, BLANK, FALLBACK, RETRY, HANG))
+
+
+def fold_steps(steps: List[Step]) -> Folded:
+    """The manager's views, in one pass over the log.
 
     A tile's steps run under its lock, so an invocation is the run of
     its tile's steps from a lock wait to an execution: the
     reconfiguration window, the retries and the hung attempts between
     them are its own. An invocation that raised has no execution; the
-    next lock wait on the tile starts afresh.
+    next lock wait on the tile starts afresh. A failed transfer attempt
+    is either retried or, as the last one, fails its window.
     """
     open_: Dict[str, list] = {}
     records: Dict[int, InvocationRecord] = {}
+    failed: Dict[str, int] = {}
+    fallbacks: Dict[str, int] = {}
+    hangs: Dict[str, int] = {}
+    tasks: List[Step] = []
     for step in steps:
         kind = step.kind
         if kind is LOCK:
             # [requested, reconfig_s, first attempt, failed, hangs]
-            open_[step.tile] = [step.start, 0.0, step.end, 0, 0]
-            continue
-        pending = open_.get(step.tile)
-        if pending is None:
-            continue
-        if kind is RECONFIGURE:
-            pending[1] = step.end - step.start
-        elif kind is RETRY:
-            pending[3] += 1
-        elif kind is HANG:
-            if not pending[4]:
-                pending[2] = step.start
-            pending[4] += 1
+            open_[step.tile] = [step.start, 0.0, None, 0, 0]
+        elif kind is SOFTWARE or kind is GATE:
+            tasks.append(step)
         elif kind is EXEC:
-            del open_[step.tile]
-            requested, reconfig_s, first, failed, hangs = pending
-            records[step.seq] = InvocationRecord(
-                step.tile,
-                step.mode,
-                requested,
-                reconfig_s,
-                first if hangs else step.start,
-                step.end,
-                failed,
-                hangs,
-            )
-    return records
+            tasks.append(step)
+            pending = open_.pop(step.tile, None)
+            if pending is not None:
+                requested, reconfig_s, first, failures, hung = pending
+                records[step.seq] = _view(
+                    InvocationRecord,
+                    (
+                        step.tile,
+                        step.mode,
+                        requested,
+                        reconfig_s,
+                        step.start if first is None else first,
+                        step.end,
+                        failures,
+                        hung,
+                    ),
+                )
+        elif kind in _COUNTED:
+            tile = step.tile
+            if kind is HANG:
+                tally = hangs
+            elif kind is RETRY or step.fault is not None:
+                tally = failed
+            elif kind is FALLBACK:
+                tally = fallbacks
+            else:
+                tally = None
+            if tally is not None:
+                tally[tile] = tally.get(tile, 0) + 1
+            pending = open_.get(tile)
+            if pending is None:
+                continue
+            if kind is RECONFIGURE:
+                pending[1] = step.end - step.start
+            elif kind is RETRY:
+                pending[3] += 1
+            elif kind is HANG:
+                if pending[2] is None:
+                    pending[2] = step.start
+                pending[4] += 1
+    return Folded(records, failed, fallbacks, hangs, tasks)
 
 
 class ReconfigurationManager:
@@ -335,7 +381,8 @@ class ReconfigurationManager:
             else:
                 seq = steps.ticket()
                 yield sim.timeout(duration)
-                step = self._executed(state, mode_name, seq, start_exec, duration)
+                step = Step(EXEC, seq, tile_name, mode_name, start_exec, sim.now, 0, duration)
+                steps.append(step)
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "%s: ran %s for %.6fs (reconfig %.6fs, wait %.6fs)",
@@ -357,7 +404,7 @@ class ReconfigurationManager:
 
         def body():
             step = yield from steps
-            return invocation_records(self.steps)[step.seq]
+            return self.steps.folded(fold_steps).invocations[step.seq]
 
         return self.sim.process(body())
 
@@ -604,15 +651,6 @@ class ReconfigurationManager:
             reason=reason,
         )
 
-    def _executed(
-        self, state: TileState, mode_name: str, seq: int, start: float,
-        duration: float,
-    ) -> Step:
-        """The execution that completes an invocation, now logged."""
-        step = Step(EXEC, seq, state.name, mode_name, start, self.sim.now, 0, duration)
-        self.steps.append(step)
-        return step
-
     def _execute_locked(self, state: TileState, mode_name: str, duration: float):
         """One accelerator execution under the hang watchdog.
 
@@ -630,7 +668,10 @@ class ReconfigurationManager:
             start = self.sim.now
             if not faults.invoke_fault(state.name, mode_name):
                 yield self.sim.timeout(duration)
-                return self._executed(state, mode_name, seq, start, duration)
+                step = Step(EXEC, seq, state.name, mode_name, start, self.sim.now, 0,
+                            duration)
+                steps.append(step)
+                return step
             # No completion interrupt: wait out the watchdog deadline.
             watchdog_s = duration * self.recovery.exec_deadline_factor
             yield self.sim.timeout(watchdog_s)
@@ -804,45 +845,37 @@ class ReconfigurationManager:
     @property
     def invocations(self) -> List[InvocationRecord]:
         """Every completed invocation, in completion order."""
-        return list(invocation_records(self.steps).values())
-
-    def _tally(self, counted: Callable[[Step], bool]) -> Dict[str, int]:
-        """Per-tile count of the steps ``counted`` accepts."""
-        tally: Dict[str, int] = {}
-        for step in self.steps:
-            if counted(step):
-                tally[step.tile] = tally.get(step.tile, 0) + 1
-        return tally
+        return list(self.steps.folded(fold_steps).invocations.values())
 
     @property
     def failed_attempts_by_tile(self) -> Dict[str, int]:
         """Failed transfer attempts, attributed to the tile that saw them."""
-        return self._tally(is_failed_attempt)
+        return dict(self.steps.folded(fold_steps).failed_attempts)
 
     @property
     def failed_attempts(self) -> int:
         """Failed transfer attempts seen (telemetry for fault handling)."""
-        return sum(self.failed_attempts_by_tile.values())
+        return sum(self.steps.folded(fold_steps).failed_attempts.values())
 
     @property
     def fallbacks_by_tile(self) -> Dict[str, int]:
         """Completed fallbacks to a last-known-good bitstream, per tile."""
-        return self._tally(lambda s: s.kind is FALLBACK and s.fault is None)
+        return dict(self.steps.folded(fold_steps).fallbacks)
 
     @property
     def fallbacks(self) -> int:
         """Completed fallbacks to a last-known-good bitstream."""
-        return sum(self.fallbacks_by_tile.values())
+        return sum(self.steps.folded(fold_steps).fallbacks.values())
 
     @property
     def kernel_hangs_by_tile(self) -> Dict[str, int]:
         """Hung kernel attempts the watchdog caught, per tile."""
-        return self._tally(lambda s: s.kind is HANG)
+        return dict(self.steps.folded(fold_steps).kernel_hangs)
 
     @property
     def kernel_hangs(self) -> int:
         """Hung kernel attempts the watchdog caught."""
-        return sum(self.kernel_hangs_by_tile.values())
+        return sum(self.steps.folded(fold_steps).kernel_hangs.values())
 
     def total_reconfigurations(self) -> int:
         """Completed reconfigurations across all tiles."""

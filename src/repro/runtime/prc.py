@@ -16,7 +16,7 @@ why the flow generates compressed partial bitstreams.
 from __future__ import annotations
 
 import logging
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from repro.errors import ReconfigurationError, StuckTransferError
 from repro.noc.analytic import AnalyticNocModel
@@ -28,7 +28,7 @@ from repro.runtime.faults import (
     RuntimeFaultKind,
     RuntimeFaultModel,
 )
-from repro.runtime.steps import TRANSFER, Step, StepLog
+from repro.runtime.steps import TRANSFER, Step, StepLog, view
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Lock
 
@@ -206,18 +206,23 @@ class PrcDevice:
                     # to its original 1000x expiry.
                     stall.cancel()
                     self._aborts.pop((tile_name, mode_name), None)
-                self._transferred(tile_name, mode_name, size_bytes, start, "stuck")
+                self._failed(tile_name, mode_name, size_bytes, start, "stuck")
                 raise StuckTransferError(
                     f"{tile_name}/{mode_name}: transfer stuck "
                     f"(aborted after {self.sim.now - start:.6f}s)"
                 )
             yield self.sim.timeout(duration)
             if fault is RuntimeFaultKind.BITSTREAM_CORRUPTION:
-                self._transferred(tile_name, mode_name, size_bytes, start, "crc")
+                self._failed(tile_name, mode_name, size_bytes, start, "crc")
                 raise ReconfigurationError(
                     f"{tile_name}/{mode_name}: configuration CRC error"
                 )
-            step = self._transferred(tile_name, mode_name, size_bytes, start)
+            steps = self.steps
+            step = Step(
+                TRANSFER, steps.ticket(), tile_name, mode_name, start, self.sim.now,
+                size_bytes,
+            )
+            steps.append(step)
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "icap: streamed %s/%s (%d bytes) in %.6fs",
@@ -230,18 +235,18 @@ class PrcDevice:
         finally:
             self._lock.release()
 
-    def _transferred(
+    def _failed(
         self, tile_name: str, mode_name: str, size_bytes: int, start: float,
-        fault: Optional[str] = None,
-    ) -> Step:
-        """Log one transfer attempt, ending now (``fault``: why it failed)."""
+        fault: str,
+    ) -> None:
+        """Log one transfer attempt that failed now (``fault``: why)."""
         steps = self.steps
-        step = Step(
-            TRANSFER, steps.ticket(), tile_name, mode_name, start, self.sim.now,
-            size_bytes, None, fault,
+        steps.append(
+            Step(
+                TRANSFER, steps.ticket(), tile_name, mode_name, start, self.sim.now,
+                size_bytes, None, fault,
+            )
         )
-        steps.append(step)
-        return step
 
     # ------------------------------------------------------------------
     @property
@@ -253,7 +258,7 @@ class PrcDevice:
     def records(self) -> List[ReconfigurationRecord]:
         """Every completed transfer, in completion order."""
         return [
-            ReconfigurationRecord(s.tile, s.mode, s.size, s.start, s.end)
+            view(ReconfigurationRecord, (s.tile, s.mode, s.size, s.start, s.end))
             for s in self.steps
             if s.kind is TRANSFER and s.fault is None
         ]
@@ -268,7 +273,5 @@ class PrcDevice:
     def total_reconfiguration_time_s(self) -> float:
         """Sum of all completed reconfiguration durations."""
         return sum(
-            s.end - s.start
-            for s in self.steps
-            if s.kind is TRANSFER and s.fault is None
+            [s.end - s.start for s in self.steps if s.kind is TRANSFER and s.fault is None]
         )

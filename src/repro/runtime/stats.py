@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ReconfigurationError
-from repro.runtime.manager import InvocationRecord, ReconfigurationManager
+from repro.runtime.manager import InvocationRecord, ReconfigurationManager, fold_steps
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,15 @@ def collect_stats(
     ``failovers`` comes from the executor (the manager only sees the
     invocations that reached it, not the scheduler's re-planning).
     """
-    invocations = manager.invocations
+    folded = manager.steps.folded(fold_steps)
     by_tile: Dict[str, List[InvocationRecord]] = {
         name: [] for name in manager.tiles
     }
-    for record in invocations:
+    for record in folded.invocations.values():
         by_tile.setdefault(record.tile_name, []).append(record)
-    failed = manager.failed_attempts_by_tile
-    fallbacks = manager.fallbacks_by_tile
-    hangs = manager.kernel_hangs_by_tile
+    failed, fallbacks, hangs = (
+        folded.failed_attempts, folded.fallbacks, folded.kernel_hangs
+    )
 
     tiles = {}
     for name, records in by_tile.items():
@@ -182,7 +182,7 @@ def collect_stats(
     end = span_s if span_s is not None else manager.sim.now
     return RuntimeStats(
         tiles=tiles,
-        total_invocations=len(invocations),
+        total_invocations=len(folded.invocations),
         total_reconfigurations=manager.total_reconfigurations(),
         failed_attempts=sum(failed.values()),
         icap_busy_s=manager.prc.total_reconfiguration_time_s(),

@@ -108,6 +108,12 @@ def is_failed_attempt(step: Step) -> bool:
     return step.kind is RETRY or (step.kind in WINDOWS and step.fault is not None)
 
 
+#: Builds a named-tuple view from a tuple of all its fields, in one C
+#: call rather than through the named tuple's Python constructor: the
+#: views a deployment folds from its log number in the hundreds.
+view = tuple.__new__
+
+
 class StepLog(list):
     """One deployment's steps, in the order they closed.
 
@@ -121,6 +127,20 @@ class StepLog(list):
         self.ticket = itertools.count().__next__
         #: How many steps the registry has counted (see :func:`count`).
         self.counted = 0
+        self._folds: dict = {}
+
+    def folded(self, fold):
+        """``fold(self)``, folded again only once the log has grown.
+
+        The views a deployment reads after its run (the invocations,
+        the fault tallies) share one pass; treat the result as
+        read-only.
+        """
+        length = len(self)
+        cached = self._folds.get(fold)
+        if cached is None or cached[0] != length:
+            cached = self._folds[fold] = (length, fold(self))
+        return cached[1]
 
 
 # ----------------------------------------------------------------------
