@@ -227,8 +227,7 @@ class Gate:
 
 
 #: Bench summaries: every metric is modelled and deterministic, so each
-#: is pinned exactly (a drift within the few-ulp slack of
-#: :attr:`Delta.status` is float noise, anything larger a regression).
+#: is pinned exactly (up to :attr:`Delta.status`'s few-ulp float slack).
 BENCH = Gate(
     prefix=BENCH_PREFIX,
     files="experiments",

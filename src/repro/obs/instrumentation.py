@@ -5,7 +5,7 @@ The reproduction observes itself through three sinks: the recorder
 see :mod:`repro.obs.recorder`), a metrics registry and an event bus.
 Instrumented code never holds them separately: it takes one
 :class:`Instrumentation` (the probe) and calls the probe's operations
-— record ``begin``/``end``/``record``, host ``frame``, ``emit``, and
+— ``record``, host ``frame``, ``emit``, and
 ``counter``/``gauge``/``histogram``.
 
 A sink that is off is ``None``, and each operation on an off sink does
@@ -138,21 +138,6 @@ class Instrumentation:
     # ------------------------------------------------------------------
     # records and frames
     # ------------------------------------------------------------------
-    def begin(
-        self, name: str, category: str = "", track: str = DEFAULT_TRACK, **attrs
-    ) -> Optional[Record]:
-        """Open a record now (None while the recorder is off)."""
-        if self.recorder is None:
-            return None
-        return self.recorder.begin(name, category, track, **attrs)
-
-    def end(
-        self, record: Optional[Record], sim_s: Optional[float] = None, **attrs
-    ) -> None:
-        """Close a record :meth:`begin` returned."""
-        if record is not None:
-            self.recorder.end(record, sim_s, **attrs)
-
     def record(
         self,
         name: str,

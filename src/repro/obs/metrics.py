@@ -328,9 +328,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[str, object] = {}
-        #: Called before every read: a source that folds into the
-        #: registry lazily (a running deployment's step log) brings its
-        #: instruments up to date first.
+        #: Run before every read, to bring lazily folded sources (a
+        #: running deployment's step log) up to date.
         self.collectors: List[Callable[[], None]] = []
 
     def _get(self, name: str, kind, *args, **kwargs):

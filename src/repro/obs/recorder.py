@@ -167,8 +167,6 @@ class Recorder:
         self.spans: List[Record] = []
         self._stacks: Dict[str, List[Record]] = {}
         self.root = ProfileNode("root")
-        #: Root-anchored fold paths resolved once (see :meth:`tally`).
-        self._view_nodes: Dict[Tuple[str, ...], ProfileNode] = {}
         # Frame entries are [node, host_start, child_host]; the root
         # entry never pops, so enter/exit always have a parent.
         self._frames: List[List] = [[self.root, 0.0, 0.0]]
@@ -299,20 +297,14 @@ class Recorder:
         self._charge(node, sim_s)
 
     def tally(self, path: Tuple[str, ...], sim_s: float) -> None:
-        """Count one call at ``path`` under the root, charged ``sim_s``.
-
-        The runtime's post-run projection folds its steps here (the
-        ``runtime;*`` view): their simulated time spans DES callbacks,
-        so it belongs to no host frame.
-        """
+        """Count one call at ``path`` under the root, charged ``sim_s``
+        (the runtime's steps: their simulated time spans DES callbacks,
+        so it belongs to no host frame)."""
         if sim_s < 0:
             raise RecordingError(f"negative simulated time: {sim_s}")
-        node = self._view_nodes.get(path)
-        if node is None:
-            node = self.root
-            for name in path:
-                node = node.child(name)
-            self._view_nodes[path] = node
+        node = self.root
+        for name in path:
+            node = node.child(name)
         self._charge(node, sim_s)
 
     @staticmethod

@@ -19,10 +19,7 @@ from the result itself. A DES thread that blocks on the call itself,
 as ESP's ``esp_run()`` blocks its caller, runs the protocol inline
 instead and spends no process on it::
 
-    step = yield from api.run(handle, "fft")
-
-and gets the execution's step (the invocation's record is a fold of
-the runtime's step log: :meth:`DprUserApi.invocation_log`).
+    step = yield from api.run(handle, "fft")  # the execution's step
 """
 
 from __future__ import annotations
@@ -174,9 +171,8 @@ class DprUserApi:
         ``step = yield from api.run(handle, "fft")`` blocks the calling
         DES thread through the whole protocol — tile lock, ICAP queue,
         completion interrupt, execution — as ESP's ``esp_run()`` blocks
-        its caller, and returns the execution's
-        :class:`~repro.runtime.steps.Step`. A closed handle or an
-        unknown accelerator raises here, at the call.
+        its caller, and returns the execution's step. A closed handle or
+        an unknown accelerator raises here, at the call.
         """
         self._check_accelerator(handle, accelerator)
         manager = self._manager
@@ -251,7 +247,7 @@ class DprUserApi:
     # ------------------------------------------------------------------
     @property
     def steps(self) -> StepLog:
-        """The runtime's step log (the manager's and the PRC's)."""
+        """The runtime's step log."""
         return self._manager.steps
 
     def invocation_log(self) -> List[InvocationRecord]:

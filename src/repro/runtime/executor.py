@@ -130,6 +130,8 @@ class AppExecutor:
         #: Instances re-planned off a quarantined tile this run.
         self.failovers = 0
         self._handles: Dict[str, TileHandle] = {}
+        #: The run's executions by ``seq``, labelled with their instance.
+        self._labels: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     def _topo_order(self) -> List[StageTask]:
@@ -174,24 +176,22 @@ class AppExecutor:
         steps = self.api.steps
         # Every step of this run draws a later ticket than this one.
         opened = steps.ticket()
+        self._labels.clear()
         start = self.sim.now
         # The DAG does not change between frames: order it once per run.
         ordered = self._topo_order()
         if pipelined:
-            labels = self._run_pipelined(frames, ordered)
+            self._run_pipelined(frames, ordered)
         else:
             instances = [(t.name, t, t.deps) for t in ordered]
-            labels = {}
             for _ in range(frames):
-                labels.update(
-                    self._execute_instances(instances, blank=self.blank_after_frame)
-                )
+                self._execute_instances(instances, blank=self.blank_after_frame)
         return ExecutionTimeline(
-            events=self._timeline(steps.folded(fold_steps), opened, labels),
+            events=self._timeline(steps.folded(fold_steps), opened, self._labels),
             makespan_s=self.sim.now - start,
         )
 
-    def _run_pipelined(self, frames: int, ordered: List[StageTask]) -> Dict[int, str]:
+    def _run_pipelined(self, frames: int, ordered: List[StageTask]) -> None:
         """All frames' task instances in flight at once."""
         instances: List[Tuple[str, StageTask, Tuple[str, ...]]] = []
         for frame in range(frames):
@@ -203,20 +203,13 @@ class AppExecutor:
                     # frame (GMM model, warp parameters, ...).
                     deps = deps + (f"f{frame - 1}:{task.name}",)
                 instances.append((name, task, deps))
-        return self._execute_instances(instances)
+        self._execute_instances(instances)
 
     def _execute_instances(
         self,
         instances: List[Tuple[str, StageTask, Tuple[str, ...]]],
         blank: bool = False,
-    ) -> Dict[int, str]:
-        """Run one batch of instances; return their executions' labels.
-
-        Each instance's completion event carries the step of the
-        execution that completed it (None for software), so the
-        timeline can name each execution by its instance: ``{seq:
-        instance}``.
-        """
+    ) -> None:
         done: Dict[str, Event] = {
             name: self.sim.event() for name, _task, _deps in instances
         }
@@ -237,10 +230,9 @@ class AppExecutor:
                     sw_start = self.sim.now
                     yield self.sim.timeout(task.duration_s)
                     self._software(worker, name, sw_start)
-                    done[name].succeed()
                 else:
-                    executed = yield from self._run_hw_instance(name, task)
-                    done[name].succeed(executed)
+                    yield from self._run_hw_instance(name, task)
+                done[name].succeed()
             if blank and worker != self.cpu_worker:
                 blank_start = self.sim.now
                 try:
@@ -270,62 +262,34 @@ class AppExecutor:
         for thread in threads:
             if thread.exception is not None:
                 raise thread.exception
-        return {
-            event.value.seq: name
-            for name, event in done.items()
-            if event.value is not None
-        }
 
     def _software(self, worker: str, name: str, start: float) -> None:
-        """Log a software task that ran on ``worker`` from ``start`` to now."""
         steps = self.api.steps
         steps.append(Step(SOFTWARE, steps.ticket(), worker, name, start, self.sim.now))
 
     @staticmethod
-    def _timeline(
-        folded: Folded, opened: int, labels: Dict[int, str]
-    ) -> List[TimelineEvent]:
-        """The timeline of the task steps drawn after ticket ``opened``:
-        the labelled executions (each after the reconfiguration that
-        preceded it), software tasks and blanks, in log order."""
-        records = folded.invocations
+    def _timeline(folded: Folded, opened: int, labels: Dict[int, str]) -> List:
+        """The timeline of the task steps drawn after ticket ``opened``, in
+        log order (each execution after the reconfiguration before it)."""
         events: List[TimelineEvent] = []
         for step in folded.tasks:
             if step.seq < opened:
                 continue
-            kind = step.kind
-            if kind is EXEC:
-                name = labels.get(step.seq)
-                if name is None:
-                    continue
-                record = records[step.seq]
-                start_exec = record.start_exec_s
-                if record.reconfig_s > 0:
-                    events.append(
-                        view(
-                            TimelineEvent,
-                            (
-                                name,
-                                step.tile,
-                                "reconfig",
-                                start_exec - record.reconfig_s,
-                                start_exec,
-                            ),
-                        )
-                    )
-                events.append(
-                    view(
-                        TimelineEvent,
-                        (name, step.tile, "exec", start_exec, record.end_exec_s),
-                    )
-                )
-            else:
-                kind = "sw" if kind is SOFTWARE else "reconfig"
-                events.append(
-                    view(
-                        TimelineEvent, (step.mode, step.tile, kind, step.start, step.end)
-                    )
-                )
+            if step.kind is not EXEC:
+                kind = "sw" if step.kind is SOFTWARE else "reconfig"
+                fields = (step.mode, step.tile, kind, step.start, step.end)
+                events.append(view(TimelineEvent, fields))
+                continue
+            name = labels.get(step.seq)
+            if name is None:
+                continue
+            record = folded.invocations[step.seq]
+            start = record.start_exec_s
+            if record.reconfig_s > 0:
+                fields = (name, step.tile, "reconfig", start - record.reconfig_s, start)
+                events.append(view(TimelineEvent, fields))
+            fields = (name, step.tile, "exec", start, record.end_exec_s)
+            events.append(view(TimelineEvent, fields))
         return events
 
     def _worker_queues(self, queues):
@@ -342,13 +306,13 @@ class AppExecutor:
     def _run_hw_instance(self, name: str, task: StageTask):
         """Run one hardware instance, re-planning around quarantines.
 
-        Generator sub-routine of a worker thread; returns the step of
-        the execution that completed the instance (None when it fell
-        back to software). Retries an abandoned invocation on its own
-        tile while the fault model may still recover it (bounded by the
-        quarantine budget), re-plans onto a surviving tile once the
-        tile is quarantined, and finally falls back to software when no
-        tile can serve the mode.
+        Generator sub-routine of a worker thread: the execution that
+        completes the instance is labelled with its name for the
+        timeline. Retries an abandoned invocation on its own tile while
+        the fault model may still recover it (bounded by the quarantine
+        budget), re-plans onto a surviving tile once the tile is
+        quarantined, and finally falls back to software when no tile can
+        serve the mode.
         """
         tile = task.tile_name
         if self.api.tile_quarantined(tile):
@@ -376,12 +340,12 @@ class AppExecutor:
                 ):
                     raise
                 continue
-            return executed
+            self._labels[executed.seq] = name
+            return
         # Software failover: no surviving tile can serve the mode.
         sw_start = self.sim.now
         yield self.sim.timeout(task.sw_duration_s)
         self._software(self.cpu_worker, name, sw_start)
-        return None
 
     def _replan(
         self, name: str, task: StageTask, from_tile: str

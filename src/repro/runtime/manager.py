@@ -25,13 +25,10 @@ the tile's last-known-good bitstream, hung kernels are restarted, and a
 tile that keeps failing is quarantined — taken dark, blanked and closed
 to further invocations so schedulers can re-plan around it.
 
-The protocol records each step once, as one
-:class:`~repro.runtime.steps.Step` in the step log it shares with the
-PRC, and emits its lifecycle events as they happen; it makes no other
-probe call. :attr:`ReconfigurationManager.invocations` and the fault
-counters are folds of the log, and the trace, the ``runtime;*``
-profile view and the metrics are its post-run projection
-(:func:`repro.runtime.steps.project`).
+The protocol logs each step once (:mod:`repro.runtime.steps`) and
+emits its lifecycle events live; its invocation records and fault
+counters are folds of the log, its trace, profile and metrics a
+post-run projection.
 """
 
 from __future__ import annotations
@@ -65,6 +62,7 @@ from repro.runtime.steps import (
     RETRY,
     SOFTWARE,
     Step,
+    tally,
     view as _view,
 )
 from repro.sim.kernel import Simulator
@@ -118,10 +116,7 @@ class TileState:
 
 
 class InvocationRecord(NamedTuple):
-    """Telemetry of one accelerator invocation.
-
-    A view, folded from the step log by :func:`fold_steps`.
-    """
+    """Telemetry of one accelerator invocation (a :func:`fold_steps` view)."""
 
     tile_name: str
     mode_name: str
@@ -147,41 +142,20 @@ class InvocationRecord(NamedTuple):
 
 
 class Folded(NamedTuple):
-    """The manager's views of a step log (see :func:`fold_steps`)."""
+    """The views :func:`fold_steps` folds from a step log."""
 
-    #: Each completed invocation's record, keyed by its execution's
-    #: ``seq``, in completion order.
+    #: Completed invocations by their execution's ``seq``, in order.
     invocations: Dict[int, InvocationRecord]
-    #: Per tile: failed transfer attempts, completed fallbacks to a
-    #: last-known-good bitstream and hung attempts the watchdog caught.
-    failed_attempts: Dict[str, int]
-    fallbacks: Dict[str, int]
-    kernel_hangs: Dict[str, int]
-    #: The executions, software tasks and gating blanks, in log order:
-    #: what an executor's timeline is read from.
+    #: Executions, software tasks and gating blanks, in log order.
     tasks: List[Step]
 
 
-#: The kinds of step an invocation or a fault tally reads, besides lock
-#: waits and executions.
-_COUNTED = frozenset((RECONFIGURE, BLANK, FALLBACK, RETRY, HANG))
-
-
 def fold_steps(steps: List[Step]) -> Folded:
-    """The manager's views, in one pass over the log.
-
-    A tile's steps run under its lock, so an invocation is the run of
-    its tile's steps from a lock wait to an execution: the
-    reconfiguration window, the retries and the hung attempts between
-    them are its own. An invocation that raised has no execution; the
-    next lock wait on the tile starts afresh. A failed transfer attempt
-    is either retried or, as the last one, fails its window.
-    """
+    """The invocations and task steps of the log, in one pass: a tile's
+    steps run under its lock, so an invocation is the run of its steps
+    from a lock wait to an execution (one that raised has none)."""
     open_: Dict[str, list] = {}
     records: Dict[int, InvocationRecord] = {}
-    failed: Dict[str, int] = {}
-    fallbacks: Dict[str, int] = {}
-    hangs: Dict[str, int] = {}
     tasks: List[Step] = []
     for step in steps:
         kind = step.kind
@@ -195,43 +169,25 @@ def fold_steps(steps: List[Step]) -> Folded:
             pending = open_.pop(step.tile, None)
             if pending is not None:
                 requested, reconfig_s, first, failures, hung = pending
+                start = step.start if first is None else first
                 records[step.seq] = _view(
                     InvocationRecord,
-                    (
-                        step.tile,
-                        step.mode,
-                        requested,
-                        reconfig_s,
-                        step.start if first is None else first,
-                        step.end,
-                        failures,
-                        hung,
-                    ),
+                    (step.tile, step.mode, requested, reconfig_s, start, step.end,
+                     failures, hung),
                 )
-        elif kind in _COUNTED:
-            tile = step.tile
-            if kind is HANG:
-                tally = hangs
-            elif kind is RETRY or step.fault is not None:
-                tally = failed
-            elif kind is FALLBACK:
-                tally = fallbacks
-            else:
-                tally = None
-            if tally is not None:
-                tally[tile] = tally.get(tile, 0) + 1
-            pending = open_.get(tile)
+        elif kind is RECONFIGURE or kind is RETRY or kind is HANG:
+            pending = open_.get(step.tile)
             if pending is None:
                 continue
             if kind is RECONFIGURE:
                 pending[1] = step.end - step.start
             elif kind is RETRY:
                 pending[3] += 1
-            elif kind is HANG:
+            else:
                 if pending[2] is None:
                     pending[2] = step.start
                 pending[4] += 1
-    return Folded(records, failed, fallbacks, hangs, tasks)
+    return Folded(records, tasks)
 
 
 class ReconfigurationManager:
@@ -250,14 +206,10 @@ class ReconfigurationManager:
         self.prc = prc
         self.store = store
         self.registry = registry
-        #: The probe. The protocol emits its lifecycle events on it as
-        #: they happen, for a health monitor judging the run as it goes;
-        #: everything else the probe sees of the protocol is the
-        #: post-run projection of :attr:`steps`.
+        #: The probe: the protocol emits its lifecycle events on it live.
         self.obs = instrumentation
         self.recovery = recovery if recovery is not None else DEFAULT_RECOVERY
         self.tiles: Dict[str, TileState] = {}
-        #: The protocol's one record, shared with the PRC.
         self.steps = prc.steps
         #: Quarantined tiles mapped to the fault kind that tipped them.
         self.quarantined: Dict[str, str] = {}
@@ -304,11 +256,7 @@ class ReconfigurationManager:
         )
 
     def _emit(self, kind: str, state: TileState, **attrs) -> None:
-        """One lifecycle event of ``state``'s tile, stamped now.
-
-        Callers test ``self.obs.events`` first, so a run without a bus
-        builds no event attributes.
-        """
+        """One lifecycle event of the tile, now (callers test the bus first)."""
         self.obs.emit(kind, time=self.sim.now, source=state.name, **attrs)
 
     # ------------------------------------------------------------------
@@ -334,11 +282,9 @@ class ReconfigurationManager:
         """Generator sub-routine: run ``mode_name`` on ``tile_name``.
 
         Reconfigures if needed and returns the execution's
-        :class:`~repro.runtime.steps.Step` (its
-        :class:`InvocationRecord` is a fold of the log). The calling
-        thread blocks (FIFO)
-        while other threads hold the tile — including through their
-        reconfigurations — which is the paper's locking discipline.
+        :class:`~repro.runtime.steps.Step`. The calling thread blocks
+        (FIFO) while other threads hold the tile — including through
+        their reconfigurations — which is the paper's locking discipline.
         Raises :class:`TileQuarantinedError` when the tile has been
         quarantined (checked again after the lock is acquired, since
         quarantine can happen while queued). An unattached tile or a
@@ -366,7 +312,9 @@ class ReconfigurationManager:
             self._emit(
                 ev.LOCK_ACQUIRED, state, mode=mode_name, wait_s=acquired - requested
             )
-        steps.append(Step(LOCK, steps.ticket(), tile_name, mode_name, requested, acquired))
+        steps.append(
+            Step(LOCK, steps.ticket(), tile_name, mode_name, requested, acquired)
+        )
         try:
             if state.quarantined:
                 self._raise_quarantined(state)
@@ -381,7 +329,8 @@ class ReconfigurationManager:
             else:
                 seq = steps.ticket()
                 yield sim.timeout(duration)
-                step = Step(EXEC, seq, tile_name, mode_name, start_exec, sim.now, 0, duration)
+                step = Step(EXEC, seq, tile_name, mode_name, start_exec, sim.now, 0,
+                            duration)
                 steps.append(step)
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
@@ -556,28 +505,22 @@ class ReconfigurationManager:
         )
         return self.sim.now - start
 
-    def _emit_window_opened(
-        self, state: TileState, mode_name: str, size_bytes: int
-    ) -> None:
+    def _emit_window_opened(self, state: TileState, mode_name: str, size_bytes: int):
         """The tile is decoupled, its driver gone, the transfer queued."""
         self._emit(ev.RECONFIG_REQUESTED, state, mode=mode_name, size_bytes=size_bytes)
         self._emit(ev.DRIVER_SWAPPED, state, driver=None)
         self._emit(ev.RECONFIG_STARTED, state, mode=mode_name, size_bytes=size_bytes)
 
-    def _window_closed(
-        self, kind: str, seq: int, state: TileState, mode_name: str, start: float,
-        size_bytes: int,
-    ) -> None:
+    def _window_closed(self, kind, seq, state, mode_name, start, size_bytes) -> None:
         """A completed reconfiguration (or blank): its step and events."""
         now = self.sim.now
-        self.steps.append(Step(kind, seq, state.name, mode_name, start, now, size_bytes))
+        self.steps.append(Step(kind, seq, state.name, mode_name, start, now,
+                               size_bytes))
         if self.obs.events is None:
             return
         if kind is not BLANK:
             self._emit(ev.DRIVER_SWAPPED, state, driver=mode_name)
-        self._emit(
-            ev.RECONFIG_COMPLETED, state, mode=mode_name, duration_s=now - start
-        )
+        self._emit(ev.RECONFIG_COMPLETED, state, mode=mode_name, duration_s=now - start)
 
     def _transfer_retried(
         self, state: TileState, mode_name: str, size_bytes: int, kind: str,
@@ -586,19 +529,17 @@ class ReconfigurationManager:
         """Transfer with retries; caller holds the lock, tile decoupled.
 
         Generator sub-routine for the window of ``kind`` opened at
-        ``start``; returns the transfer's step. A failed attempt (CRC
-        error or watchdog abort) is retried with seeded exponential
-        backoff up to the recovery policy's attempt budget; if all
-        attempts fail the region is left dark (no loaded mode,
-        decoupler re-enabled so the blank region cannot wedge the NoC),
-        the window closes failed, recovery runs and the error
-        propagates.
+        ``start``. A failed attempt (CRC error or watchdog abort) is
+        retried with seeded exponential backoff up to the recovery
+        policy's attempt budget; if all attempts fail the region is left
+        dark (no loaded mode, decoupler re-enabled so the blank region
+        cannot wedge the NoC), the window closes failed, recovery runs
+        and the error propagates.
         """
         attempts = 0
         while True:
             try:
-                step = yield from self._transfer_attempt(state, mode_name, size_bytes)
-                return step
+                return (yield from self._transfer_attempt(state, mode_name, size_bytes))
             except ReconfigurationError as exc:
                 attempts += 1
                 reason = getattr(exc, "fault_kind", "crc")
@@ -606,17 +547,25 @@ class ReconfigurationManager:
                     "%s: transfer of %s failed (%s)", state.name, mode_name, reason
                 )
                 now = self.sim.now
-                if attempts >= self.recovery.max_attempts:
+                abandoned = attempts >= self.recovery.max_attempts
+                if abandoned:
                     # Give up: leave the region dark but functional.
                     state.loaded_mode = None
                     state.mark_dark(now)
                     state.decoupler.recouple()
-                    self.steps.append(
-                        Step(kind, seq, state.name, mode_name, start, now,
-                             size_bytes, None, reason)
+                    step = Step(kind, seq, state.name, mode_name, start, now,
+                                size_bytes, None, reason)
+                else:
+                    backoff = self.recovery.backoff_before(
+                        attempts + 1, self.faults.seed, state.name, mode_name
                     )
-                    if self.obs.events is not None:
-                        self._emit_failed(state, mode_name, attempts, reason, True)
+                    step = Step(RETRY, self.steps.ticket(), state.name, mode_name,
+                                now, now, 0, backoff, reason)
+                self.steps.append(step)
+                if self.obs.events is not None:
+                    self._emit(ev.RECONFIG_FAILED, state, mode=mode_name,
+                               attempts=attempts, abandoned=abandoned, reason=reason)
+                if abandoned:
                     logger.warning(
                         "%s: reconfiguration to %s abandoned after %d attempts",
                         state.name,
@@ -625,31 +574,8 @@ class ReconfigurationManager:
                     )
                     yield from self._recover_abandoned_locked(state, mode_name, reason)
                     raise
-                backoff = self.recovery.backoff_before(
-                    attempts + 1, self.faults.seed, state.name, mode_name
-                )
-                steps = self.steps
-                steps.append(
-                    Step(RETRY, steps.ticket(), state.name, mode_name, now, now, 0,
-                         backoff, reason)
-                )
-                if self.obs.events is not None:
-                    self._emit_failed(state, mode_name, attempts, reason, False)
                 if backoff > 0.0:
                     yield self.sim.timeout(backoff)
-
-    def _emit_failed(
-        self, state: TileState, mode_name: str, attempts: int, reason: str,
-        abandoned: bool,
-    ) -> None:
-        self._emit(
-            ev.RECONFIG_FAILED,
-            state,
-            mode=mode_name,
-            attempts=attempts,
-            abandoned=abandoned,
-            reason=reason,
-        )
 
     def _execute_locked(self, state: TileState, mode_name: str, duration: float):
         """One accelerator execution under the hang watchdog.
@@ -682,7 +608,8 @@ class ReconfigurationManager:
                      watchdog_s, "abandoned" if abandoned else "hang")
             )
             if self.obs.events is not None:
-                self._emit(ev.KERNEL_HUNG, state, mode=mode_name, attempts=hang_attempts)
+                self._emit(ev.KERNEL_HUNG, state, mode=mode_name,
+                           attempts=hang_attempts)
             logger.warning(
                 "%s: %s hung (attempt %d); watchdog fired after %.6fs",
                 state.name,
@@ -850,32 +777,27 @@ class ReconfigurationManager:
     @property
     def failed_attempts_by_tile(self) -> Dict[str, int]:
         """Failed transfer attempts, attributed to the tile that saw them."""
-        return dict(self.steps.folded(fold_steps).failed_attempts)
+        return dict(self.steps.folded(tally).get("runtime.failed_attempts", {}))
 
     @property
     def failed_attempts(self) -> int:
         """Failed transfer attempts seen (telemetry for fault handling)."""
-        return sum(self.steps.folded(fold_steps).failed_attempts.values())
+        return sum(self.failed_attempts_by_tile.values())
 
     @property
     def fallbacks_by_tile(self) -> Dict[str, int]:
         """Completed fallbacks to a last-known-good bitstream, per tile."""
-        return dict(self.steps.folded(fold_steps).fallbacks)
+        return dict(self.steps.folded(tally).get("runtime.fallbacks", {}))
 
     @property
     def fallbacks(self) -> int:
         """Completed fallbacks to a last-known-good bitstream."""
-        return sum(self.steps.folded(fold_steps).fallbacks.values())
-
-    @property
-    def kernel_hangs_by_tile(self) -> Dict[str, int]:
-        """Hung kernel attempts the watchdog caught, per tile."""
-        return dict(self.steps.folded(fold_steps).kernel_hangs)
+        return sum(self.fallbacks_by_tile.values())
 
     @property
     def kernel_hangs(self) -> int:
         """Hung kernel attempts the watchdog caught."""
-        return sum(self.steps.folded(fold_steps).kernel_hangs.values())
+        return sum(self.steps.folded(tally).get("runtime.kernel_hangs", {}).values())
 
     def total_reconfigurations(self) -> int:
         """Completed reconfigurations across all tiles."""

@@ -28,7 +28,7 @@ from repro.runtime.faults import (
     RuntimeFaultKind,
     RuntimeFaultModel,
 )
-from repro.runtime.steps import TRANSFER, Step, StepLog, view
+from repro.runtime.steps import TRANSFER, Step, StepLog, tally, view
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Lock
 
@@ -103,8 +103,7 @@ class PrcDevice:
         self.aux_position = aux_position
         self.clock_hz = clock_hz
         self.fetch_bytes_per_cycle = fetch_bytes_per_cycle
-        #: The probe: its profile gets a ``noc.transfer`` frame per
-        #: priced transfer; the transfers themselves are steps.
+        #: The probe: its profile times a ``noc.transfer`` frame per price.
         self.obs = instrumentation
         #: The fault model every transfer attempt draws from. Shared
         #: with the manager (which reads it back for invoke-side draws)
@@ -116,8 +115,7 @@ class PrcDevice:
         # times; the transfer window depends only on the size.
         self._transfer_cache: Dict[int, Tuple[float, float]] = {}
         self._lock = Lock(sim)
-        #: The runtime protocol's one record: every transfer attempt,
-        #: and the steps of the manager and executor that share it.
+        #: The runtime's one record, shared with the manager and executor.
         self.steps = StepLog()
         #: In-flight abort events, keyed (tile, mode) — the watchdog's
         #: handle to free the ICAP from a stuck transfer.
@@ -206,23 +204,18 @@ class PrcDevice:
                     # to its original 1000x expiry.
                     stall.cancel()
                     self._aborts.pop((tile_name, mode_name), None)
-                self._failed(tile_name, mode_name, size_bytes, start, "stuck")
+                self._logged(tile_name, mode_name, size_bytes, start, "stuck")
                 raise StuckTransferError(
                     f"{tile_name}/{mode_name}: transfer stuck "
                     f"(aborted after {self.sim.now - start:.6f}s)"
                 )
             yield self.sim.timeout(duration)
             if fault is RuntimeFaultKind.BITSTREAM_CORRUPTION:
-                self._failed(tile_name, mode_name, size_bytes, start, "crc")
+                self._logged(tile_name, mode_name, size_bytes, start, "crc")
                 raise ReconfigurationError(
                     f"{tile_name}/{mode_name}: configuration CRC error"
                 )
-            steps = self.steps
-            step = Step(
-                TRANSFER, steps.ticket(), tile_name, mode_name, start, self.sim.now,
-                size_bytes,
-            )
-            steps.append(step)
+            step = self._logged(tile_name, mode_name, size_bytes, start)
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "icap: streamed %s/%s (%d bytes) in %.6fs",
@@ -235,18 +228,13 @@ class PrcDevice:
         finally:
             self._lock.release()
 
-    def _failed(
-        self, tile_name: str, mode_name: str, size_bytes: int, start: float,
-        fault: str,
-    ) -> None:
-        """Log one transfer attempt that failed now (``fault``: why)."""
+    def _logged(self, tile_name, mode_name, size_bytes, start, fault=None) -> Step:
+        """Log one transfer attempt ending now (``fault``: why it failed)."""
         steps = self.steps
-        steps.append(
-            Step(
-                TRANSFER, steps.ticket(), tile_name, mode_name, start, self.sim.now,
-                size_bytes, None, fault,
-            )
-        )
+        step = Step(TRANSFER, steps.ticket(), tile_name, mode_name, start,
+                    self.sim.now, size_bytes, None, fault)
+        steps.append(step)
+        return step
 
     # ------------------------------------------------------------------
     @property
@@ -266,12 +254,9 @@ class PrcDevice:
     @property
     def failed_transfers(self) -> int:
         """Transfer attempts that ended in a CRC error or an abort."""
-        return sum(
-            1 for s in self.steps if s.kind is TRANSFER and s.fault is not None
-        )
+        return sum(self.steps.folded(tally).get("prc.transfer_failures", {}).values())
 
     def total_reconfiguration_time_s(self) -> float:
         """Sum of all completed reconfiguration durations."""
-        return sum(
-            [s.end - s.start for s in self.steps if s.kind is TRANSFER and s.fault is None]
-        )
+        done = [s for s in self.steps if s.kind is TRANSFER and s.fault is None]
+        return sum([s.end - s.start for s in done])

@@ -1,10 +1,9 @@
 """Runtime statistics: what the runtime's step log adds up to.
 
 The paper's runtime manager exists to keep reconfiguration overhead
-manageable; this module folds its step log (through the manager's
-invocation and fault views) into the numbers a deployment engineer
-actually reads: per-tile utilization, queueing delays, reconfiguration
-shares, and ICAP pressure.
+manageable; this module folds its step log into the numbers a
+deployment engineer actually reads: per-tile utilization, queueing
+delays, reconfiguration shares, and ICAP pressure.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ReconfigurationError
 from repro.runtime.manager import InvocationRecord, ReconfigurationManager, fold_steps
+from repro.runtime.steps import tally
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,15 @@ def collect_stats(
     ``failovers`` comes from the executor (the manager only sees the
     invocations that reached it, not the scheduler's re-planning).
     """
-    folded = manager.steps.folded(fold_steps)
-    by_tile: Dict[str, List[InvocationRecord]] = {
-        name: [] for name in manager.tiles
-    }
-    for record in folded.invocations.values():
+    invocations = manager.steps.folded(fold_steps).invocations
+    by_tile: Dict[str, List[InvocationRecord]] = {name: [] for name in manager.tiles}
+    for record in invocations.values():
         by_tile.setdefault(record.tile_name, []).append(record)
-    failed, fallbacks, hangs = (
-        folded.failed_attempts, folded.fallbacks, folded.kernel_hangs
-    )
+    counts = manager.steps.folded(tally)
+    failed, fallbacks, hangs = [
+        counts.get(f"runtime.{name}", {})
+        for name in ("failed_attempts", "fallbacks", "kernel_hangs")
+    ]
 
     tiles = {}
     for name, records in by_tile.items():
@@ -182,7 +182,7 @@ def collect_stats(
     end = span_s if span_s is not None else manager.sim.now
     return RuntimeStats(
         tiles=tiles,
-        total_invocations=len(folded.invocations),
+        total_invocations=len(invocations),
         total_reconfigurations=manager.total_reconfigurations(),
         failed_attempts=sum(failed.values()),
         icap_busy_s=manager.prc.total_reconfiguration_time_s(),

@@ -1,23 +1,13 @@
 """The runtime's one record: each protocol step, appended once.
 
-The reconfiguration manager, the PRC and the executor write what a
-deployment does into one :class:`StepLog`, one :class:`Step` tuple
-per protocol step, at the moment the step closes: a lock wait, a
-decouple window (reconfiguration, blank or fallback), a transfer
-attempt (completed, corrupted or aborted), an execution, a hung
-execution, a retry, a quarantine, a software task and a power-gating
-blank. Nothing else is written while the simulation runs, whatever
-the probe: events alone stay live, because the health monitor judges
-while the run goes on.
-
-Everything else is a fold of the log. The manager's invocations, the
-PRC's transfer records, the executor's timeline and the runtime
-statistics are read from it by their owners; after the run,
-:func:`project` replays it in order into the probe's recorder (the
-Chrome trace and the root-anchored ``runtime;*`` profile view) and
-registry (the ``runtime.*``, ``prc.*`` and ``noc.*`` instruments). A
-registry read while the run goes on counts the steps logged so far
-first (:func:`counted_on_read`).
+The manager, the PRC and the executor write a deployment into one
+:class:`StepLog`, one :class:`Step` per protocol step as it closes: a
+lock wait, a decouple window, a transfer attempt, an execution, a hang,
+a retry, a quarantine, a software task, a power-gating blank. Only the
+manager's events are emitted live (a health monitor judges the run as
+it goes). The invocations, transfer records, timeline and statistics
+are folds of the log, and :func:`project` replays it after the run into
+the probe's recorder and registry.
 """
 
 from __future__ import annotations
@@ -34,30 +24,20 @@ if TYPE_CHECKING:  # the report views are built by the layers above
     from repro.runtime.executor import ExecutionTimeline
     from repro.runtime.stats import RuntimeStats
 
-#: A tile's lock is held: ``start`` requested, ``end`` acquired.
-LOCK = "lock"
-#: Decouple windows: the tile is dark from ``start`` to ``end``.
-RECONFIGURE = "reconfigure"
-BLANK = "blank"
-FALLBACK = "fallback"
-#: One PRC transfer attempt on the ICAP (``fault``: ``crc``/``stuck``).
-TRANSFER = "transfer"
-#: The execution attempt that completed an invocation.
-EXEC = "exec"
-#: An execution attempt the watchdog caught hung (``fault`` is
-#: ``abandoned`` when it was the last the hang budget allowed).
-HANG = "hang"
-#: A failed transfer attempt, retried after ``sim_s`` of backoff.
-RETRY = "retry"
-#: A tile closed to further work (``fault``: what tipped it).
-QUARANTINE = "quarantine"
-#: Executor steps: ``tile`` is the worker, ``mode`` the task instance.
-SOFTWARE = "sw"
-GATE = "gate"
+# Step kinds. A lock wait runs from the request to the acquisition; a
+# decouple window (reconfigure, blank, fallback) while the tile is dark;
+# a transfer is one ICAP attempt (fault ``crc``/``stuck``); an execution
+# is the attempt that completed an invocation, a hang one the watchdog
+# caught (fault ``abandoned`` for the last one allowed, else ``hang``);
+# a retry charges its backoff as ``sim_s``; a quarantine's fault is what
+# tipped the tile. Executor steps name the worker as ``tile`` and the
+# task instance as ``mode``.
+LOCK, TRANSFER, EXEC, HANG, RETRY = "lock", "transfer", "exec", "hang", "retry"
+RECONFIGURE, BLANK, FALLBACK = "reconfigure", "blank", "fallback"
+WINDOWS = (RECONFIGURE, BLANK, FALLBACK)
+QUARANTINE, SOFTWARE, GATE = "quarantine", "sw", "gate"
 
-#: Where the profile's root-anchored runtime view counts each step:
-#: ``(kind, failed) -> path`` (a blank and a failed fallback count
-#: nowhere, a transfer is the ICAP's own record).
+#: Where the profile's root-anchored view counts a step, by ``(kind, failed)``.
 VIEW = {
     (LOCK, False): ("runtime", "lock_wait"),
     (EXEC, False): ("runtime", "exec"),
@@ -70,15 +50,50 @@ VIEW = {
     (QUARANTINE, True): ("runtime", "recovery", "quarantine"),
 }
 
-#: Decouple-window steps.
-WINDOWS = (RECONFIGURE, BLANK, FALLBACK)
+#: The counters a step adds one to on its tile, by ``(kind, failed)``:
+#: the registry's, and the runtime's fault tallies (:func:`tally`).
+COUNTED = {
+    (EXEC, False): ("runtime.invocations",),
+    (TRANSFER, False): ("prc.transfers",),
+    (TRANSFER, True): ("prc.transfer_failures",),
+    (RECONFIGURE, False): ("runtime.reconfigurations",),
+    (BLANK, False): ("runtime.reconfigurations",),
+    (FALLBACK, False): ("runtime.reconfigurations", "runtime.fallbacks"),
+    # A failed window's last transfer attempt failed.
+    (RECONFIGURE, True): ("runtime.reconfig_failures", "runtime.failed_attempts"),
+    (BLANK, True): ("runtime.reconfig_failures", "runtime.failed_attempts"),
+    (FALLBACK, True): ("runtime.failed_attempts",),
+    (RETRY, True): ("runtime.reconfig_retries", "runtime.failed_attempts"),
+    (HANG, True): ("runtime.kernel_hangs",),
+    (QUARANTINE, True): ("runtime.quarantines",),
+}
+
+#: Help text of the registry instruments the steps feed.
+HELP = {
+    "runtime.lock_wait_s": "queueing delay before tile acquisition",
+    "runtime.invocations": "completed accelerator invocations",
+    "runtime.reconfigurations": "completed tile reconfigurations",
+    "runtime.reconfig_seconds": "end-to-end reconfiguration latency",
+    "runtime.fallbacks": "fallbacks to a last-known-good bitstream",
+    "runtime.reconfig_failures": "reconfigurations abandoned after retries",
+    "runtime.reconfig_retries": "transfer retries after CRC errors",
+    "runtime.failed_attempts": "failed bitstream transfer attempts",
+    "runtime.kernel_hangs": "hung invocations caught by the watchdog",
+    "runtime.hang_abandons": "invocations abandoned after repeated hangs",
+    "runtime.quarantines": "tiles quarantined after persistent failures",
+    "prc.transfers": "completed bitstream transfers",
+    "prc.transfer_failures": "transfers ending in a CRC error",
+    "prc.icap_busy_s": "time the ICAP spent streaming",
+    "noc.bytes": "payload bytes crossing the NoC",
+    "noc.flits": "flits crossing the NoC",
+}
 
 
 class Step(NamedTuple):
     """One protocol step."""
 
     kind: str
-    #: Where the trace numbers the step: windows and executions take
+    #: Where the trace numbers the step: windows and executions draw
     #: theirs when they open, every other step when it is appended.
     seq: int
     tile: str
@@ -92,35 +107,15 @@ class Step(NamedTuple):
     #: Why the step failed (None: it did not).
     fault: Optional[str] = None
 
-    @property
-    def charged_s(self) -> float:
-        """What the profile charges the step."""
-        return self.end - self.start if self.sim_s is None else self.sim_s
 
-
-def is_failed_attempt(step: Step) -> bool:
-    """True for a failed transfer attempt the manager rode through.
-
-    Each failed attempt either is retried or, as the last one, fails
-    its window (an abandoned reconfiguration or blank, a fallback that
-    did not take).
-    """
-    return step.kind is RETRY or (step.kind in WINDOWS and step.fault is not None)
-
-
-#: Builds a named-tuple view from a tuple of all its fields, in one C
-#: call rather than through the named tuple's Python constructor: the
-#: views a deployment folds from its log number in the hundreds.
+#: Builds a named-tuple view from all its fields in one C call (not the
+#: Python constructor): a deployment folds its log into hundreds.
 view = tuple.__new__
 
 
 class StepLog(list):
-    """One deployment's steps, in the order they closed.
-
-    :meth:`ticket` hands out the ``seq`` a step carries: a window or
-    an execution draws it when it opens, so the trace can number the
-    records in the order they began.
-    """
+    """One deployment's steps, in the order they closed; ``ticket()``
+    hands out the ``seq`` each carries (drawn when the step opens)."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -130,16 +125,10 @@ class StepLog(list):
         self._folds: dict = {}
 
     def folded(self, fold):
-        """``fold(self)``, folded again only once the log has grown.
-
-        The views a deployment reads after its run (the invocations,
-        the fault tallies) share one pass; treat the result as
-        read-only.
-        """
-        length = len(self)
+        """``fold(self)``, read-only, folded again only once the log grew."""
         cached = self._folds.get(fold)
-        if cached is None or cached[0] != length:
-            cached = self._folds[fold] = (length, fold(self))
+        if cached is None or cached[0] != len(self):
+            cached = self._folds[fold] = (len(self), fold(self))
         return cached[1]
 
 
@@ -147,116 +136,77 @@ class StepLog(list):
 # the projection
 # ----------------------------------------------------------------------
 def _trace_record(step: Step):
-    """``(name, category, track, attrs)`` of a kernel step's trace record.
-
-    None for the steps the trace does not keep: an instant without a
-    track (a lock taken with no wait, a retry, a quarantine) and the
-    executor's steps (the timeline's ``app/*`` records carry those).
-    """
-    kind, tile, mode = step.kind, step.tile, step.mode
-    failed = {"failed": True} if step.fault is not None else {}
+    """``(name, category, track, attrs)`` of the step's trace record, if
+    the trace keeps one (not for a lock taken at once, a retry, a
+    quarantine or an executor step)."""
+    kind, tile, mode, size = step.kind, step.tile, step.mode, step.size
+    failed = {} if step.fault is None else {"failed": True}
     if kind is TRANSFER:
-        attrs = {"tile": tile, "mode": mode, "size_bytes": step.size}
+        attrs = {"tile": tile, "mode": mode, "size_bytes": size}
         if step.fault is None:
             return f"{tile}/{mode}", "kernel.icap", "kernel/icap", attrs
-        attrs["reason"] = step.fault
-        return f"{tile}/{mode}", "kernel.icap-error", "kernel/icap", attrs
+        return f"{tile}/{mode}", "kernel.icap-error", "kernel/icap", {
+            **attrs, "reason": step.fault
+        }
+    track = f"kernel/{tile}"
     if kind is EXEC or kind is HANG:
-        attrs = {"tile": tile, "mode": mode, **failed}
-        return mode, "kernel.exec", f"kernel/{tile}", attrs
-    if kind is LOCK:
-        if step.end > step.start:
-            return "lock_wait", "kernel.lock-wait", f"kernel/{tile}", {"mode": mode}
-        return None
-    if kind is RECONFIGURE:
-        attrs = {"mode": mode, "size_bytes": step.size, **failed}
-        return f"reconfigure:{mode}", "kernel.decouple", f"kernel/{tile}", attrs
-    if kind is FALLBACK:
-        attrs = {"mode": mode, "size_bytes": step.size, **failed}
-        return f"fallback:{mode}", "kernel.decouple", f"kernel/{tile}", attrs
+        return mode, "kernel.exec", track, {"tile": tile, "mode": mode, **failed}
+    if kind is LOCK and step.end > step.start:
+        return "lock_wait", "kernel.lock-wait", track, {"mode": mode}
+    if kind is RECONFIGURE or kind is FALLBACK:
+        attrs = {"mode": mode, "size_bytes": size, **failed}
+        return f"{kind}:{mode}", "kernel.decouple", track, attrs
     if kind is BLANK:
-        attrs = {"size_bytes": step.size, **failed}
-        return "blank", "kernel.decouple", f"kernel/{tile}", attrs
+        return "blank", "kernel.decouple", track, {"size_bytes": size, **failed}
     return None
 
 
+def tally(steps) -> dict:
+    """``{counter: {tile: count}}`` of the :data:`COUNTED` counters."""
+    counts: dict = {}
+    for step in steps:
+        for name in COUNTED.get((step.kind, step.fault is not None), ()):
+            per_tile = counts.setdefault(name, {})
+            per_tile[step.tile] = per_tile.get(step.tile, 0) + 1
+    return counts
+
+
 def _count(probe: Instrumentation, step: Step) -> None:
-    """Account one step on the runtime and PRC instruments."""
-    kind, tile = step.kind, step.tile
-    failed = step.fault is not None
+    """Account one step on the runtime, PRC and NoC instruments."""
+    kind, tile, fault = step.kind, step.tile, step.fault
+    length = step.end - step.start
+    for name in COUNTED.get((kind, fault is not None), ()):
+        probe.counter(name, HELP[name]).inc(tile=tile)
     if kind is LOCK:
-        probe.histogram(
-            "runtime.lock_wait_s", "queueing delay before tile acquisition"
-        ).observe(step.end - step.start, tile=tile)
-    elif kind is EXEC:
-        probe.counter(
-            "runtime.invocations", "completed accelerator invocations"
-        ).inc(tile=tile)
+        name = "runtime.lock_wait_s"
+        probe.histogram(name, HELP[name]).observe(length, tile=tile)
+    elif kind in WINDOWS and fault is None:
+        name = "runtime.reconfig_seconds"
+        probe.histogram(name, HELP[name]).observe(length, tile=tile)
+    elif kind is HANG and fault == "abandoned":
+        name = "runtime.hang_abandons"
+        probe.counter(name, HELP[name]).inc(tile=tile)
     elif kind is TRANSFER:
-        if step.fault != "stuck":
-            probe.counter("noc.bytes", "payload bytes crossing the NoC").inc(
-                step.size, source="prc"
-            )
-            probe.counter("noc.flits", "flits crossing the NoC").inc(
-                flit_count(step.size), source="prc"
-            )
-        if failed:
-            probe.counter(
-                "prc.transfer_failures", "transfers ending in a CRC error"
-            ).inc(tile=tile)
-        else:
-            probe.counter(
-                "prc.transfers", "completed bitstream transfers"
-            ).inc(tile=tile)
-            probe.counter(
-                "prc.icap_busy_s", "time the ICAP spent streaming"
-            ).inc(step.end - step.start)
-    elif kind in WINDOWS and not failed:
-        probe.counter(
-            "runtime.reconfigurations", "completed tile reconfigurations"
-        ).inc(tile=tile)
-        probe.histogram(
-            "runtime.reconfig_seconds", "end-to-end reconfiguration latency"
-        ).observe(step.end - step.start, tile=tile)
-        if kind is FALLBACK:
-            probe.counter(
-                "runtime.fallbacks", "fallbacks to a last-known-good bitstream"
-            ).inc(tile=tile)
-    elif kind is RETRY:
-        probe.counter(
-            "runtime.reconfig_retries", "transfer retries after CRC errors"
-        ).inc(tile=tile)
-    elif kind is HANG:
-        probe.counter(
-            "runtime.kernel_hangs", "hung invocations caught by the watchdog"
-        ).inc(tile=tile)
-        if step.fault == "abandoned":
-            probe.counter(
-                "runtime.hang_abandons", "invocations abandoned after repeated hangs"
-            ).inc(tile=tile)
-    elif kind is QUARANTINE:
-        probe.counter(
-            "runtime.quarantines", "tiles quarantined after persistent failures"
-        ).inc(tile=tile)
-    if kind in (RECONFIGURE, BLANK) and failed:
-        probe.counter(
-            "runtime.reconfig_failures", "reconfigurations abandoned after retries"
-        ).inc(tile=tile)
-    if is_failed_attempt(step):
-        probe.counter(
-            "runtime.failed_attempts", "failed bitstream transfer attempts"
-        ).inc(tile=tile)
+        if fault != "stuck":
+            probe.counter("noc.bytes", HELP["noc.bytes"]).inc(step.size, source="prc")
+            flits = flit_count(step.size)
+            probe.counter("noc.flits", HELP["noc.flits"]).inc(flits, source="prc")
+        if fault is None:
+            probe.counter("prc.icap_busy_s", HELP["prc.icap_busy_s"]).inc(length)
 
 
 def _publish(probe: Instrumentation, stats: "RuntimeStats") -> None:
     """The report's :class:`RuntimeStats` as ``runtime.totals``/``runtime.tile``."""
     totals = probe.gauge("runtime.totals", "whole-SoC aggregates of one deployment")
-    totals.set(stats.total_invocations, stat="invocations")
-    totals.set(stats.total_reconfigurations, stat="reconfigurations")
-    totals.set(stats.failed_attempts, stat="failed_attempts")
-    totals.set(stats.icap_busy_s, stat="icap_busy_s")
-    totals.set(stats.span_s, stat="span_s")
-    totals.set(stats.icap_utilization, stat="icap_utilization")
+    for stat, value in (
+        ("invocations", stats.total_invocations),
+        ("reconfigurations", stats.total_reconfigurations),
+        ("failed_attempts", stats.failed_attempts),
+        ("icap_busy_s", stats.icap_busy_s),
+        ("span_s", stats.span_s),
+        ("icap_utilization", stats.icap_utilization),
+    ):
+        totals.set(value, stat=stat)
     tile_gauge = probe.gauge("runtime.tile", "per-tile aggregates")
     for tile in stats.tiles.values():
         for stat, value in (
@@ -280,40 +230,36 @@ def project(
 ) -> None:
     """Replay a run's steps into the probe's recorder and registry.
 
-    The trace keeps each kernel step's record in the order the records
-    began (``seq``); the profile folds each step into the ``runtime;*``
-    view, and the registry counts it, in the order the steps closed.
-    A finished run also hands over its ``timeline`` (kept as the
-    ``app/<worker>`` records, after the kernel's) and its ``stats``
-    (published as gauges); a run that raised has neither, and reports
-    the steps it completed.
+    The trace keeps the steps' records in the order they began
+    (``seq``); the profile's ``runtime;*`` view and the registry count
+    them in the order they closed. A finished run adds its ``timeline``
+    (the ``app/<worker>`` records) and ``stats`` (gauges).
     """
     recorder = instrumentation.recorder
-    if recorder is not None:
-        if recorder.trace:
-            for step in sorted(steps, key=attrgetter("seq")):
-                record = _trace_record(step)
-                if record is not None:
-                    name, category, track, attrs = record
-                    instrumentation.record(
-                        name, step.start, step.end, category, track, **attrs
-                    )
-            if timeline is not None:
-                for event in timeline.events:
-                    instrumentation.record(
-                        event.task,
-                        event.start_s,
-                        event.end_s,
-                        category=f"app.{event.kind}",
-                        track=f"app/{event.worker}",
-                        worker=event.worker,
-                        kind=event.kind,
-                    )
-        if recorder.profile:
-            for step in steps:
-                path = VIEW.get((step.kind, step.fault is not None))
-                if path is not None:
-                    recorder.tally(path, step.charged_s)
+    if recorder is not None and recorder.trace:
+        for step in sorted(steps, key=attrgetter("seq")):
+            record = _trace_record(step)
+            if record is not None:
+                name, category, track, attrs = record
+                instrumentation.record(
+                    name, step.start, step.end, category, track, **attrs
+                )
+        for event in timeline.events if timeline is not None else ():
+            instrumentation.record(
+                event.task,
+                event.start_s,
+                event.end_s,
+                category=f"app.{event.kind}",
+                track=f"app/{event.worker}",
+                worker=event.worker,
+                kind=event.kind,
+            )
+    if recorder is not None and recorder.profile:
+        for step in steps:
+            path = VIEW.get((step.kind, step.fault is not None))
+            if path is not None:
+                charged = step.end - step.start if step.sim_s is None else step.sim_s
+                recorder.tally(path, charged)
     if instrumentation.metrics is not None:
         count(steps, instrumentation)
         if stats is not None:
@@ -328,15 +274,9 @@ def count(steps: StepLog, instrumentation: Instrumentation) -> None:
 
 
 class counted_on_read:
-    """Context manager: while the block runs, a read of the probe's
-    registry counts the steps logged so far first.
-
-    The registry is the log's fold either way; this only decides when
-    it is brought up to date. A reader that samples it on the event
-    stream mid-run (the dashboard's telemetry store) so sees what the
-    run has done up to each event, and a run nobody reads is counted
-    once, by :func:`project`.
-    """
+    """While the block runs, a read of the probe's registry counts the
+    steps logged so far first: a reader sampling it on the event stream
+    (the dashboard's telemetry store) sees the run as of each event."""
 
     def __init__(self, steps: StepLog, instrumentation: Instrumentation) -> None:
         self.registry = instrumentation.metrics

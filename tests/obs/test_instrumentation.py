@@ -11,8 +11,10 @@ from repro.obs.tracer import Tracer
 
 
 def _tracer_calls(probe):
-    span = probe.begin("work", category="x", track="t/a")
-    return [span, probe.end(span, failed=True), probe.record("b", 0.0, 1.0)]
+    return [
+        probe.record("work", 0.0, 1.0, category="x", track="t/a", failed=True),
+        probe.record("b", 0.0, 1.0),
+    ]
 
 
 def _metrics_calls(probe):
@@ -65,8 +67,7 @@ def test_operations_reach_the_live_sinks():
         events=EventBus(),
     )
     probe.use_clock(lambda: 2.0)
-    span = probe.begin("stage", category="flow.stage")
-    probe.end(span, ok=True)
+    span = probe.record("stage", 2.0, 2.0, category="flow.stage", ok=True)
     probe.record("job", 0.0, 1.0, category="flow.job", parent=span)
     probe.counter("c").inc(2.0, stage="s")
     probe.gauge("g").set(3.0)

@@ -153,7 +153,6 @@ class TestNullTracer:
         # The disabled path allocates nothing per call: tracing off
         # hands out no spans and one shared frame context.
         assert OFF.tracer is None
-        assert OFF.begin("a") is None
         assert OFF.record("b", 0.0, 1.0) is None
         assert OFF.frame("a") is OFF.frame("b")
 

@@ -38,7 +38,7 @@ from repro.wami.app import WamiApplication
 
 #: Every operation of the probe a layer could call.
 PROBE_METHODS = (
-    "begin", "end", "record", "frame",
+    "record", "frame",
     "emit", "counter", "gauge", "histogram", "use_clock",
 )
 
