@@ -62,7 +62,7 @@ from repro.runtime.steps import (
     RETRY,
     SOFTWARE,
     Step,
-    tally,
+    fault_tally,
     view as _view,
 )
 from repro.sim.kernel import Simulator
@@ -777,7 +777,7 @@ class ReconfigurationManager:
     @property
     def failed_attempts_by_tile(self) -> Dict[str, int]:
         """Failed transfer attempts, attributed to the tile that saw them."""
-        return dict(self.steps.folded(tally).get("runtime.failed_attempts", {}))
+        return dict(self.steps.folded(fault_tally).get("runtime.failed_attempts", {}))
 
     @property
     def failed_attempts(self) -> int:
@@ -787,7 +787,7 @@ class ReconfigurationManager:
     @property
     def fallbacks_by_tile(self) -> Dict[str, int]:
         """Completed fallbacks to a last-known-good bitstream, per tile."""
-        return dict(self.steps.folded(tally).get("runtime.fallbacks", {}))
+        return dict(self.steps.folded(fault_tally).get("runtime.fallbacks", {}))
 
     @property
     def fallbacks(self) -> int:
@@ -797,7 +797,8 @@ class ReconfigurationManager:
     @property
     def kernel_hangs(self) -> int:
         """Hung kernel attempts the watchdog caught."""
-        return sum(self.steps.folded(tally).get("runtime.kernel_hangs", {}).values())
+        hangs = self.steps.folded(fault_tally).get("runtime.kernel_hangs", {})
+        return sum(hangs.values())
 
     def total_reconfigurations(self) -> int:
         """Completed reconfigurations across all tiles."""

@@ -28,7 +28,7 @@ from repro.runtime.faults import (
     RuntimeFaultKind,
     RuntimeFaultModel,
 )
-from repro.runtime.steps import TRANSFER, Step, StepLog, tally, view
+from repro.runtime.steps import TRANSFER, Step, StepLog, fault_tally, view
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Lock
 
@@ -254,7 +254,8 @@ class PrcDevice:
     @property
     def failed_transfers(self) -> int:
         """Transfer attempts that ended in a CRC error or an abort."""
-        return sum(self.steps.folded(tally).get("prc.transfer_failures", {}).values())
+        failures = self.steps.folded(fault_tally).get("prc.transfer_failures", {})
+        return sum(failures.values())
 
     def total_reconfiguration_time_s(self) -> float:
         """Sum of all completed reconfiguration durations."""

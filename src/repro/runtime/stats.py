@@ -13,7 +13,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import ReconfigurationError
 from repro.runtime.manager import InvocationRecord, ReconfigurationManager, fold_steps
-from repro.runtime.steps import tally
+from repro.runtime.steps import fault_tally
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def collect_stats(
     by_tile: Dict[str, List[InvocationRecord]] = {name: [] for name in manager.tiles}
     for record in invocations.values():
         by_tile.setdefault(record.tile_name, []).append(record)
-    counts = manager.steps.folded(tally)
+    counts = manager.steps.folded(fault_tally)
     failed, fallbacks, hangs = [
         counts.get(f"runtime.{name}", {})
         for name in ("failed_attempts", "fallbacks", "kernel_hangs")

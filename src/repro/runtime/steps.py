@@ -51,7 +51,7 @@ VIEW = {
 }
 
 #: The counters a step adds one to on its tile, by ``(kind, failed)``:
-#: the registry's, and the runtime's fault tallies (:func:`tally`).
+#: the registry's, and the runtime's fault tallies (:func:`fault_tally`).
 COUNTED = {
     (EXEC, False): ("runtime.invocations",),
     (TRANSFER, False): ("prc.transfers",),
@@ -161,10 +161,13 @@ def _trace_record(step: Step):
     return None
 
 
-def tally(steps) -> dict:
-    """``{counter: {tile: count}}`` of the :data:`COUNTED` counters."""
+def fault_tally(steps) -> dict:
+    """``{counter: {tile: count}}`` of the :data:`COUNTED` counters over
+    the failed steps and fallbacks: complete for the fault counters."""
     counts: dict = {}
     for step in steps:
+        if step.fault is None and step.kind is not FALLBACK:
+            continue
         for name in COUNTED.get((step.kind, step.fault is not None), ()):
             per_tile = counts.setdefault(name, {})
             per_tile[step.tile] = per_tile.get(step.tile, 0) + 1
@@ -246,20 +249,15 @@ def project(
                 )
         for event in timeline.events if timeline is not None else ():
             instrumentation.record(
-                event.task,
-                event.start_s,
-                event.end_s,
-                category=f"app.{event.kind}",
-                track=f"app/{event.worker}",
-                worker=event.worker,
-                kind=event.kind,
+                event.task, event.start_s, event.end_s, f"app.{event.kind}",
+                f"app/{event.worker}", worker=event.worker, kind=event.kind,
             )
     if recorder is not None and recorder.profile:
         for step in steps:
             path = VIEW.get((step.kind, step.fault is not None))
             if path is not None:
-                charged = step.end - step.start if step.sim_s is None else step.sim_s
-                recorder.tally(path, charged)
+                sim_s = step.sim_s
+                recorder.tally(path, step.end - step.start if sim_s is None else sim_s)
     if instrumentation.metrics is not None:
         count(steps, instrumentation)
         if stats is not None:
