@@ -180,12 +180,19 @@ class AppExecutor:
         start = self.sim.now
         # The DAG does not change between frames: order it once per run.
         ordered = self._topo_order()
-        if pipelined:
-            self._run_pipelined(frames, ordered)
-        else:
-            instances = [(t.name, t, t.deps) for t in ordered]
-            for _ in range(frames):
-                self._execute_instances(instances, blank=self.blank_after_frame)
+        try:
+            if pipelined:
+                self._run_pipelined(frames, ordered)
+            else:
+                instances = [(t.name, t, t.deps) for t in ordered]
+                for _ in range(frames):
+                    self._execute_instances(instances, blank=self.blank_after_frame)
+        finally:
+            # Close the tiles the run opened (a handle refers back to the
+            # API): a finished deployment then frees without the GC.
+            for handle in list(self._handles.values()):
+                handle.close()
+            self._handles.clear()
         return ExecutionTimeline(
             events=self._timeline(steps.folded(fold_steps), opened, self._labels),
             makespan_s=self.sim.now - start,
@@ -306,13 +313,11 @@ class AppExecutor:
     def _run_hw_instance(self, name: str, task: StageTask):
         """Run one hardware instance, re-planning around quarantines.
 
-        Generator sub-routine of a worker thread: the execution that
-        completes the instance is labelled with its name for the
-        timeline. Retries an abandoned invocation on its own tile while
-        the fault model may still recover it (bounded by the quarantine
-        budget), re-plans onto a surviving tile once the tile is
-        quarantined, and finally falls back to software when no tile can
-        serve the mode.
+        Generator sub-routine of a worker thread (labels the completing
+        execution with the instance). Retries an abandoned invocation on
+        its own tile while the fault model may still recover it (bounded
+        by the quarantine budget), re-plans onto a surviving tile once
+        the tile is quarantined, and finally falls back to software.
         """
         tile = task.tile_name
         if self.api.tile_quarantined(tile):

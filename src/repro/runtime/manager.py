@@ -309,9 +309,8 @@ class ReconfigurationManager:
         yield lock.acquire()
         acquired = sim.now
         if self.obs.events is not None:
-            self._emit(
-                ev.LOCK_ACQUIRED, state, mode=mode_name, wait_s=acquired - requested
-            )
+            self._emit(ev.LOCK_ACQUIRED, state, mode=mode_name,
+                       wait_s=acquired - requested)
         steps.append(
             Step(LOCK, steps.ticket(), tile_name, mode_name, requested, acquired)
         )
@@ -322,8 +321,7 @@ class ReconfigurationManager:
             if state.loaded_mode != mode_name:
                 reconfig_time = yield from self._reconfigure_locked(state, mode_name)
             start_exec = sim.now
-            # The execution is one timeout unless a kernel can hang;
-            # then the watchdog step runs it.
+            # One timeout, unless a kernel can hang: then the watchdog runs it.
             if self.faults.enabled:
                 step = yield from self._execute_locked(state, mode_name, duration)
             else:
@@ -500,9 +498,7 @@ class ReconfigurationManager:
         state.mark_configured(self.sim.now)
         state.last_good_mode = mode_name
         state.reconfigurations += 1
-        self._window_closed(
-            RECONFIGURE, seq, state, mode_name, start, loaded.size_bytes
-        )
+        self._window_closed(RECONFIGURE, seq, state, mode_name, start, loaded.size_bytes)
         return self.sim.now - start
 
     def _emit_window_opened(self, state: TileState, mode_name: str, size_bytes: int):

@@ -145,9 +145,8 @@ def _trace_record(step: Step):
         attrs = {"tile": tile, "mode": mode, "size_bytes": size}
         if step.fault is None:
             return f"{tile}/{mode}", "kernel.icap", "kernel/icap", attrs
-        return f"{tile}/{mode}", "kernel.icap-error", "kernel/icap", {
-            **attrs, "reason": step.fault
-        }
+        attrs["reason"] = step.fault
+        return f"{tile}/{mode}", "kernel.icap-error", "kernel/icap", attrs
     track = f"kernel/{tile}"
     if kind is EXEC or kind is HANG:
         return mode, "kernel.exec", track, {"tile": tile, "mode": mode, **failed}
