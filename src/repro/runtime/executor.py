@@ -30,8 +30,7 @@ from repro.errors import (
 from repro.obs import events as ev
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.runtime.api import DprUserApi, TileHandle
-from repro.runtime.manager import Folded, fold_steps
-from repro.runtime.steps import EXEC, GATE, SOFTWARE, Step, view
+from repro.runtime.steps import EXEC, GATE, SOFTWARE, Folded, Step, view
 from repro.sim.kernel import Event, Simulator
 
 
@@ -194,7 +193,7 @@ class AppExecutor:
                 handle.close()
             self._handles.clear()
         return ExecutionTimeline(
-            events=self._timeline(steps.folded(fold_steps), opened, self._labels),
+            events=self._timeline(steps.folded(), opened, self._labels),
             makespan_s=self.sim.now - start,
         )
 

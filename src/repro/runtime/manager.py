@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, Optional
 
 from repro.errors import (
     KernelHangError,
@@ -54,16 +54,13 @@ from repro.runtime.steps import (
     BLANK,
     EXEC,
     FALLBACK,
-    GATE,
     HANG,
     LOCK,
     QUARANTINE,
     RECONFIGURE,
     RETRY,
-    SOFTWARE,
+    InvocationRecord,
     Step,
-    fault_tally,
-    view as _view,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -113,81 +110,6 @@ class TileState:
         if self.configured_since is not None:
             total += until - self.configured_since
         return total
-
-
-class InvocationRecord(NamedTuple):
-    """Telemetry of one accelerator invocation (a :func:`fold_steps` view)."""
-
-    tile_name: str
-    mode_name: str
-    requested_s: float
-    reconfig_s: float  # time spent reconfiguring (0 when already loaded)
-    start_exec_s: float
-    end_exec_s: float
-    #: Failed transfer attempts this invocation rode through (the
-    #: user-facing ``degraded`` signal).
-    failed_attempts: int = 0
-    #: Hung execution attempts the watchdog restarted before success.
-    hang_attempts: int = 0
-
-    @property
-    def exec_time_s(self) -> float:
-        """Accelerator execution time (including hung attempts)."""
-        return self.end_exec_s - self.start_exec_s
-
-    @property
-    def wait_s(self) -> float:
-        """Queueing delay before the tile was acquired."""
-        return self.start_exec_s - self.reconfig_s - self.requested_s
-
-
-class Folded(NamedTuple):
-    """The views :func:`fold_steps` folds from a step log."""
-
-    #: Completed invocations by their execution's ``seq``, in order.
-    invocations: Dict[int, InvocationRecord]
-    #: Executions, software tasks and gating blanks, in log order.
-    tasks: List[Step]
-
-
-def fold_steps(steps: List[Step]) -> Folded:
-    """The invocations and task steps of the log, in one pass: a tile's
-    steps run under its lock, so an invocation is the run of its steps
-    from a lock wait to an execution (one that raised has none)."""
-    open_: Dict[str, list] = {}
-    records: Dict[int, InvocationRecord] = {}
-    tasks: List[Step] = []
-    for step in steps:
-        kind = step.kind
-        if kind is LOCK:
-            # [requested, reconfig_s, first attempt, failed, hangs]
-            open_[step.tile] = [step.start, 0.0, None, 0, 0]
-        elif kind is SOFTWARE or kind is GATE:
-            tasks.append(step)
-        elif kind is EXEC:
-            tasks.append(step)
-            pending = open_.pop(step.tile, None)
-            if pending is not None:
-                requested, reconfig_s, first, failures, hung = pending
-                start = step.start if first is None else first
-                records[step.seq] = _view(
-                    InvocationRecord,
-                    (step.tile, step.mode, requested, reconfig_s, start, step.end,
-                     failures, hung),
-                )
-        elif kind is RECONFIGURE or kind is RETRY or kind is HANG:
-            pending = open_.get(step.tile)
-            if pending is None:
-                continue
-            if kind is RECONFIGURE:
-                pending[1] = step.end - step.start
-            elif kind is RETRY:
-                pending[3] += 1
-            else:
-                if pending[2] is None:
-                    pending[2] = step.start
-                pending[4] += 1
-    return Folded(records, tasks)
 
 
 class ReconfigurationManager:
@@ -351,7 +273,7 @@ class ReconfigurationManager:
 
         def body():
             step = yield from steps
-            return self.steps.folded(fold_steps).invocations[step.seq]
+            return self.steps.folded().invocations[step.seq]
 
         return self.sim.process(body())
 
@@ -768,12 +690,12 @@ class ReconfigurationManager:
     @property
     def invocations(self) -> List[InvocationRecord]:
         """Every completed invocation, in completion order."""
-        return list(self.steps.folded(fold_steps).invocations.values())
+        return list(self.steps.folded().invocations.values())
 
     @property
     def failed_attempts_by_tile(self) -> Dict[str, int]:
         """Failed transfer attempts, attributed to the tile that saw them."""
-        return dict(self.steps.folded(fault_tally).get("runtime.failed_attempts", {}))
+        return dict(self.steps.folded().faults.get("runtime.failed_attempts", {}))
 
     @property
     def failed_attempts(self) -> int:
@@ -783,7 +705,7 @@ class ReconfigurationManager:
     @property
     def fallbacks_by_tile(self) -> Dict[str, int]:
         """Completed fallbacks to a last-known-good bitstream, per tile."""
-        return dict(self.steps.folded(fault_tally).get("runtime.fallbacks", {}))
+        return dict(self.steps.folded().faults.get("runtime.fallbacks", {}))
 
     @property
     def fallbacks(self) -> int:
@@ -793,7 +715,7 @@ class ReconfigurationManager:
     @property
     def kernel_hangs(self) -> int:
         """Hung kernel attempts the watchdog caught."""
-        hangs = self.steps.folded(fault_tally).get("runtime.kernel_hangs", {})
+        hangs = self.steps.folded().faults.get("runtime.kernel_hangs", {})
         return sum(hangs.values())
 
     def total_reconfigurations(self) -> int:

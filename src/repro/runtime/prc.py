@@ -28,7 +28,7 @@ from repro.runtime.faults import (
     RuntimeFaultKind,
     RuntimeFaultModel,
 )
-from repro.runtime.steps import TRANSFER, Step, StepLog, fault_tally, view
+from repro.runtime.steps import TRANSFER, Step, StepLog, view
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Lock
 
@@ -247,17 +247,15 @@ class PrcDevice:
         """Every completed transfer, in completion order."""
         return [
             view(ReconfigurationRecord, (s.tile, s.mode, s.size, s.start, s.end))
-            for s in self.steps
-            if s.kind is TRANSFER and s.fault is None
+            for s in self.steps.folded().transfers
         ]
 
     @property
     def failed_transfers(self) -> int:
         """Transfer attempts that ended in a CRC error or an abort."""
-        failures = self.steps.folded(fault_tally).get("prc.transfer_failures", {})
+        failures = self.steps.folded().faults.get("prc.transfer_failures", {})
         return sum(failures.values())
 
     def total_reconfiguration_time_s(self) -> float:
         """Sum of all completed reconfiguration durations."""
-        done = [s for s in self.steps if s.kind is TRANSFER and s.fault is None]
-        return sum([s.end - s.start for s in done])
+        return sum([s.end - s.start for s in self.steps.folded().transfers])

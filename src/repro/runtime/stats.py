@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import ReconfigurationError
-from repro.runtime.manager import InvocationRecord, ReconfigurationManager, fold_steps
-from repro.runtime.steps import fault_tally
+from repro.runtime.manager import ReconfigurationManager
+from repro.runtime.steps import InvocationRecord
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,13 @@ def collect_stats(
     ``failovers`` comes from the executor (the manager only sees the
     invocations that reached it, not the scheduler's re-planning).
     """
-    invocations = manager.steps.folded(fold_steps).invocations
+    folded = manager.steps.folded()
+    invocations = folded.invocations
     by_tile: Dict[str, List[InvocationRecord]] = {name: [] for name in manager.tiles}
     for record in invocations.values():
         by_tile.setdefault(record.tile_name, []).append(record)
-    counts = manager.steps.folded(fault_tally)
     failed, fallbacks, hangs = [
-        counts.get(f"runtime.{name}", {})
+        folded.faults.get(f"runtime.{name}", {})
         for name in ("failed_attempts", "fallbacks", "kernel_hangs")
     ]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import attrgetter
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from repro.noc.analytic import flit_count
 from repro.obs.instrumentation import Instrumentation
@@ -51,7 +51,7 @@ VIEW = {
 }
 
 #: The counters a step adds one to on its tile, by ``(kind, failed)``:
-#: the registry's, and the runtime's fault tallies (:func:`fault_tally`).
+#: the registry's, and the runtime's fault tallies (:attr:`Folded.faults`).
 COUNTED = {
     (EXEC, False): ("runtime.invocations",),
     (TRANSFER, False): ("prc.transfers",),
@@ -122,14 +122,100 @@ class StepLog(list):
         self.ticket = itertools.count().__next__
         #: How many steps the registry has counted (see :func:`count`).
         self.counted = 0
-        self._folds: dict = {}
+        self._folded = (0, None)
 
-    def folded(self, fold):
-        """``fold(self)``, read-only, folded again only once the log grew."""
-        cached = self._folds.get(fold)
-        if cached is None or cached[0] != len(self):
-            cached = self._folds[fold] = (len(self), fold(self))
-        return cached[1]
+    def folded(self) -> "Folded":
+        """The log's views (read-only), folded again once the log grew."""
+        if self._folded[1] is None or self._folded[0] != len(self):
+            self._folded = (len(self), fold_steps(self))
+        return self._folded[1]
+
+
+class InvocationRecord(NamedTuple):
+    """Telemetry of one accelerator invocation (a :func:`fold_steps` view)."""
+
+    tile_name: str
+    mode_name: str
+    requested_s: float
+    reconfig_s: float  # time spent reconfiguring (0 when already loaded)
+    start_exec_s: float
+    end_exec_s: float
+    #: Failed transfer attempts this invocation rode through (the
+    #: user-facing ``degraded`` signal).
+    failed_attempts: int = 0
+    #: Hung execution attempts the watchdog restarted before success.
+    hang_attempts: int = 0
+
+    @property
+    def exec_time_s(self) -> float:
+        """Accelerator execution time (including hung attempts)."""
+        return self.end_exec_s - self.start_exec_s
+
+    @property
+    def wait_s(self) -> float:
+        """Queueing delay before the tile was acquired."""
+        return self.start_exec_s - self.reconfig_s - self.requested_s
+
+
+class Folded(NamedTuple):
+    """The runtime's views of a step log (see :func:`fold_steps`)."""
+
+    #: Completed invocations by their execution's ``seq``, in order.
+    invocations: Dict[int, InvocationRecord]
+    #: Executions, software tasks and gating blanks, in log order.
+    tasks: List[Step]
+    #: Completed transfers, in log order.
+    transfers: List[Step]
+    #: ``{counter: {tile: count}}`` of the :data:`COUNTED` counters over
+    #: the failed steps and fallbacks (complete for the fault counters).
+    faults: Dict[str, Dict[str, int]]
+
+
+def fold_steps(steps: List[Step]) -> Folded:
+    """The runtime's views of the log, in one pass: a tile's steps run
+    under its lock, so an invocation is the run of its steps from a lock
+    wait to an execution (one that raised has none)."""
+    open_: Dict[str, list] = {}
+    records: Dict[int, InvocationRecord] = {}
+    tasks: List[Step] = []
+    transfers: List[Step] = []
+    faults: Dict[str, Dict[str, int]] = {}
+    for step in steps:
+        kind, fault = step.kind, step.fault
+        if kind is LOCK:
+            # [requested, reconfig_s, first attempt, failed, hangs]
+            open_[step.tile] = [step.start, 0.0, None, 0, 0]
+        elif kind is EXEC:
+            tasks.append(step)
+            pending = open_.pop(step.tile, None)
+            if pending is not None:
+                requested, reconfig_s, first, failures, hung = pending
+                start = step.start if first is None else first
+                records[step.seq] = view(
+                    InvocationRecord,
+                    (step.tile, step.mode, requested, reconfig_s, start, step.end,
+                     failures, hung),
+                )
+        elif kind is TRANSFER and fault is None:
+            transfers.append(step)
+        elif kind is SOFTWARE or kind is GATE:
+            tasks.append(step)
+        else:
+            pending = open_.get(step.tile)
+            if pending is not None:
+                if kind is RECONFIGURE:
+                    pending[1] = step.end - step.start
+                elif kind is RETRY:
+                    pending[3] += 1
+                elif kind is HANG:
+                    if pending[2] is None:
+                        pending[2] = step.start
+                    pending[4] += 1
+            if fault is not None or kind is FALLBACK:
+                for name in COUNTED.get((kind, fault is not None), ()):
+                    per_tile = faults.setdefault(name, {})
+                    per_tile[step.tile] = per_tile.get(step.tile, 0) + 1
+    return Folded(records, tasks, transfers, faults)
 
 
 # ----------------------------------------------------------------------
@@ -158,19 +244,6 @@ def _trace_record(step: Step):
     if kind is BLANK:
         return "blank", "kernel.decouple", track, {"size_bytes": size, **failed}
     return None
-
-
-def fault_tally(steps) -> dict:
-    """``{counter: {tile: count}}`` of the :data:`COUNTED` counters over
-    the failed steps and fallbacks: complete for the fault counters."""
-    counts: dict = {}
-    for step in steps:
-        if step.fault is None and step.kind is not FALLBACK:
-            continue
-        for name in COUNTED.get((step.kind, step.fault is not None), ()):
-            per_tile = counts.setdefault(name, {})
-            per_tile[step.tile] = per_tile.get(step.tile, 0) + 1
-    return counts
 
 
 def _count(probe: Instrumentation, step: Step) -> None:
