@@ -250,10 +250,9 @@ class AppExecutor:
                     if not self.api.faults_enabled:
                         raise
                 if self.sim.now > blank_start:
-                    steps.append(
-                        Step(GATE, steps.ticket(), worker, f"{worker}_blank",
-                             blank_start, self.sim.now)
-                    )
+                    steps.append(view(Step, (GATE, steps.ticket(), worker,
+                                             f"{worker}_blank", blank_start,
+                                             self.sim.now, 0, None, None)))
 
         threads = [
             self.sim.process(thread_body(worker, assigned))
@@ -271,7 +270,8 @@ class AppExecutor:
 
     def _software(self, worker: str, name: str, start: float) -> None:
         steps = self.api.steps
-        steps.append(Step(SOFTWARE, steps.ticket(), worker, name, start, self.sim.now))
+        steps.append(view(Step, (SOFTWARE, steps.ticket(), worker, name, start,
+                                 self.sim.now, 0, None, None)))
 
     @staticmethod
     def _timeline(folded: Folded, opened: int, labels: Dict[int, str]) -> List:

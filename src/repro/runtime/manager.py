@@ -61,6 +61,7 @@ from repro.runtime.steps import (
     RETRY,
     InvocationRecord,
     Step,
+    view,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -233,9 +234,8 @@ class ReconfigurationManager:
         if self.obs.events is not None:
             self._emit(ev.LOCK_ACQUIRED, state, mode=mode_name,
                        wait_s=acquired - requested)
-        steps.append(
-            Step(LOCK, steps.ticket(), tile_name, mode_name, requested, acquired)
-        )
+        steps.append(view(Step, (LOCK, steps.ticket(), tile_name, mode_name,
+                                 requested, acquired, 0, None, None)))
         try:
             if state.quarantined:
                 self._raise_quarantined(state)
@@ -249,8 +249,8 @@ class ReconfigurationManager:
             else:
                 seq = steps.ticket()
                 yield sim.timeout(duration)
-                step = Step(EXEC, seq, tile_name, mode_name, start_exec, sim.now, 0,
-                            duration)
+                step = view(Step, (EXEC, seq, tile_name, mode_name, start_exec,
+                                   sim.now, 0, duration, None))
                 steps.append(step)
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
@@ -432,8 +432,8 @@ class ReconfigurationManager:
     def _window_closed(self, kind, seq, state, mode_name, start, size_bytes) -> None:
         """A completed reconfiguration (or blank): its step and events."""
         now = self.sim.now
-        self.steps.append(Step(kind, seq, state.name, mode_name, start, now,
-                               size_bytes))
+        self.steps.append(view(Step, (kind, seq, state.name, mode_name, start, now,
+                                      size_bytes, None, None)))
         if self.obs.events is None:
             return
         if kind is not BLANK:

@@ -231,8 +231,8 @@ class PrcDevice:
     def _logged(self, tile_name, mode_name, size_bytes, start, fault=None) -> Step:
         """Log one transfer attempt ending now (``fault``: why it failed)."""
         steps = self.steps
-        step = Step(TRANSFER, steps.ticket(), tile_name, mode_name, start,
-                    self.sim.now, size_bytes, None, fault)
+        step = view(Step, (TRANSFER, steps.ticket(), tile_name, mode_name, start,
+                           self.sim.now, size_bytes, None, fault))
         steps.append(step)
         return step
 

@@ -108,8 +108,9 @@ class Step(NamedTuple):
     fault: Optional[str] = None
 
 
-#: Builds a named-tuple view from all its fields in one C call (not the
-#: Python constructor): a deployment folds its log into hundreds.
+#: Builds a named tuple from all its fields in one C call, not through
+#: its Python constructor: the hot protocol steps and the views folded
+#: from the log number in the hundreds per deployment.
 view = tuple.__new__
 
 

@@ -225,20 +225,16 @@ def test_one_process_per_worker_thread_per_frame(
 #: records were one log (20 invocation records, 20 transfer records and
 #: 44 timeline events); gated, each of the 6 blanks also logs its
 #: decouple window (96 before). The views (invocations, transfers,
-#: timeline) are folded from the steps after the run.
+#: timeline) are folded from the steps after the run. Every named tuple
+#: is built by ``tuple.__new__``, through its constructor or directly.
 RECORDS_DURING_RUN = {False: (84, 20), True: (102, 20)}
 
 
 @pytest.mark.parametrize("power_gating", [False, True], ids=["ungated", "gated"])
 def test_records_built_per_invocation(soc_y_flow, monkeypatch, power_gating):
-    built = []
+    built = [0]
     running = [False]
-    step_new = Step.__new__
     run = Simulator.run
-
-    def counting_new(cls, *args, **kwargs):
-        built.append(running[0])
-        return step_new(cls, *args, **kwargs)
 
     def running_run(sim, *args, **kwargs):
         running[0] = True
@@ -247,12 +243,22 @@ def test_records_built_per_invocation(soc_y_flow, monkeypatch, power_gating):
         finally:
             running[0] = False
 
-    monkeypatch.setattr(Step, "__new__", counting_new)
+    def profile(_frame, event, arg):
+        if running[0] and event == "c_call" and arg is tuple.__new__:
+            built[0] += 1
+
     monkeypatch.setattr(Simulator, "run", running_run)
-    report = deploy(soc_y_flow, power_gating=power_gating)
-    assert all(built), "steps are built only while the simulation runs"
+    prcs = []
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        report = deploy(soc_y_flow, power_gating=power_gating, prc_setup=prcs.append)
+    finally:
+        sys.setprofile(outer)
+    (prc,) = prcs
     invocations = report.runtime_stats.total_invocations
-    assert (len(built), invocations) == RECORDS_DURING_RUN[power_gating]
+    assert (built[0], invocations) == RECORDS_DURING_RUN[power_gating]
+    assert len(prc.steps) == built[0] and all(type(s) is Step for s in prc.steps)
 
 
 #: Generator-frame resumptions (profiler ``call`` events on generator
