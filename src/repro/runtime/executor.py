@@ -30,7 +30,7 @@ from repro.errors import (
 from repro.obs import events as ev
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.runtime.api import DprUserApi, TileHandle
-from repro.runtime.steps import EXEC, GATE, SOFTWARE, Folded, Step, view
+from repro.runtime.steps import EXEC, GATE, SOFTWARE, Folded, Step, build
 from repro.sim.kernel import Event, Simulator
 
 
@@ -250,7 +250,7 @@ class AppExecutor:
                     if not self.api.faults_enabled:
                         raise
                 if self.sim.now > blank_start:
-                    steps.append(view(Step, (GATE, steps.ticket(), worker,
+                    steps.append(build(Step, (GATE, steps.ticket(), worker,
                                              f"{worker}_blank", blank_start,
                                              self.sim.now, 0, None, None)))
 
@@ -270,7 +270,7 @@ class AppExecutor:
 
     def _software(self, worker: str, name: str, start: float) -> None:
         steps = self.api.steps
-        steps.append(view(Step, (SOFTWARE, steps.ticket(), worker, name, start,
+        steps.append(build(Step, (SOFTWARE, steps.ticket(), worker, name, start,
                                  self.sim.now, 0, None, None)))
 
     @staticmethod
@@ -284,7 +284,7 @@ class AppExecutor:
             if step.kind is not EXEC:
                 kind = "sw" if step.kind is SOFTWARE else "reconfig"
                 fields = (step.mode, step.tile, kind, step.start, step.end)
-                events.append(view(TimelineEvent, fields))
+                events.append(build(TimelineEvent, fields))
                 continue
             name = labels.get(step.seq)
             if name is None:
@@ -293,9 +293,9 @@ class AppExecutor:
             start = record.start_exec_s
             if record.reconfig_s > 0:
                 fields = (name, step.tile, "reconfig", start - record.reconfig_s, start)
-                events.append(view(TimelineEvent, fields))
+                events.append(build(TimelineEvent, fields))
             fields = (name, step.tile, "exec", start, record.end_exec_s)
-            events.append(view(TimelineEvent, fields))
+            events.append(build(TimelineEvent, fields))
         return events
 
     def _worker_queues(self, queues):

@@ -61,7 +61,7 @@ from repro.runtime.steps import (
     RETRY,
     InvocationRecord,
     Step,
-    view,
+    build,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -234,7 +234,7 @@ class ReconfigurationManager:
         if self.obs.events is not None:
             self._emit(ev.LOCK_ACQUIRED, state, mode=mode_name,
                        wait_s=acquired - requested)
-        steps.append(view(Step, (LOCK, steps.ticket(), tile_name, mode_name,
+        steps.append(build(Step, (LOCK, steps.ticket(), tile_name, mode_name,
                                  requested, acquired, 0, None, None)))
         try:
             if state.quarantined:
@@ -249,7 +249,7 @@ class ReconfigurationManager:
             else:
                 seq = steps.ticket()
                 yield sim.timeout(duration)
-                step = view(Step, (EXEC, seq, tile_name, mode_name, start_exec,
+                step = build(Step, (EXEC, seq, tile_name, mode_name, start_exec,
                                    sim.now, 0, duration, None))
                 steps.append(step)
             if logger.isEnabledFor(logging.DEBUG):
@@ -420,7 +420,9 @@ class ReconfigurationManager:
         state.mark_configured(self.sim.now)
         state.last_good_mode = mode_name
         state.reconfigurations += 1
-        self._window_closed(RECONFIGURE, seq, state, mode_name, start, loaded.size_bytes)
+        self._window_closed(
+            RECONFIGURE, seq, state, mode_name, start, loaded.size_bytes
+        )
         return self.sim.now - start
 
     def _emit_window_opened(self, state: TileState, mode_name: str, size_bytes: int):
@@ -432,7 +434,7 @@ class ReconfigurationManager:
     def _window_closed(self, kind, seq, state, mode_name, start, size_bytes) -> None:
         """A completed reconfiguration (or blank): its step and events."""
         now = self.sim.now
-        self.steps.append(view(Step, (kind, seq, state.name, mode_name, start, now,
+        self.steps.append(build(Step, (kind, seq, state.name, mode_name, start, now,
                                       size_bytes, None, None)))
         if self.obs.events is None:
             return

@@ -28,7 +28,7 @@ from repro.runtime.faults import (
     RuntimeFaultKind,
     RuntimeFaultModel,
 )
-from repro.runtime.steps import TRANSFER, Step, StepLog, view
+from repro.runtime.steps import TRANSFER, Step, StepLog, build
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Lock
 
@@ -231,7 +231,7 @@ class PrcDevice:
     def _logged(self, tile_name, mode_name, size_bytes, start, fault=None) -> Step:
         """Log one transfer attempt ending now (``fault``: why it failed)."""
         steps = self.steps
-        step = view(Step, (TRANSFER, steps.ticket(), tile_name, mode_name, start,
+        step = build(Step, (TRANSFER, steps.ticket(), tile_name, mode_name, start,
                            self.sim.now, size_bytes, None, fault))
         steps.append(step)
         return step
@@ -246,7 +246,7 @@ class PrcDevice:
     def records(self) -> List[ReconfigurationRecord]:
         """Every completed transfer, in completion order."""
         return [
-            view(ReconfigurationRecord, (s.tile, s.mode, s.size, s.start, s.end))
+            build(ReconfigurationRecord, (s.tile, s.mode, s.size, s.start, s.end))
             for s in self.steps.folded().transfers
         ]
 

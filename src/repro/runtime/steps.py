@@ -111,7 +111,7 @@ class Step(NamedTuple):
 #: Builds a named tuple from all its fields in one C call, not through
 #: its Python constructor: the hot protocol steps and the views folded
 #: from the log number in the hundreds per deployment.
-view = tuple.__new__
+build = tuple.__new__
 
 
 class StepLog(list):
@@ -192,7 +192,7 @@ def fold_steps(steps: List[Step]) -> Folded:
             if pending is not None:
                 requested, reconfig_s, first, failures, hung = pending
                 start = step.start if first is None else first
-                records[step.seq] = view(
+                records[step.seq] = build(
                     InvocationRecord,
                     (step.tile, step.mode, requested, reconfig_s, start, step.end,
                      failures, hung),

@@ -159,15 +159,13 @@ def test_a_registry_read_mid_run_counts_the_steps_so_far():
     seen = []
 
     def sample(event):
-        snapshot = registry.snapshot()
-        seen.append(
-            sum(v for k, v in snapshot.items() if k.startswith("runtime.reconfigurations"))
-        )
+        series = registry.snapshot().items()
+        counts = [v for k, v in series if k.startswith("runtime.reconfigurations{")]
+        seen.append(sum(counts))
 
     bus.subscribe(sample, kinds=("reconfig.completed",))
-    report = api.deploy(
-        wami_soc_y(), frames=2, instrumentation=Instrumentation(metrics=registry, events=bus)
-    )
+    probe = Instrumentation(metrics=registry, events=bus)
+    report = api.deploy(wami_soc_y(), frames=2, instrumentation=probe)
     assert seen == list(range(1, report.reconfigurations + 1))
     assert registry.collectors == []
 
