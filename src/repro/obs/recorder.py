@@ -70,7 +70,8 @@ class Record:
     instant: bool = False
     #: Simulated seconds the fold charges (None: the record's length).
     sim_s: Optional[float] = None
-    #: Fold path under the innermost frame (None: the category rule).
+    #: Fold path under the innermost frame (None: a cancelled event folds
+    #: at its name, any other record nowhere).
     path: Optional[Tuple[str, ...]] = None
 
     @property

@@ -11,6 +11,10 @@ three channels plus a fixed controller setup/trigger overhead. The
 sustained fetch rate of the DFXC through the NoC adapter is the
 bottleneck in practice (see :data:`FETCH_BYTES_PER_CYCLE`), which is
 why the flow generates compressed partial bitstreams.
+
+Each transfer attempt is logged once, as a step of the runtime's log
+(:mod:`repro.runtime.steps`), which the PRC owns and the manager and
+executor share; its records and ICAP total are folds of that log.
 """
 
 from __future__ import annotations
