@@ -380,10 +380,11 @@ class PrEspPlatform:
         exec) and then the application-level timeline records — one
         merged Fig. 4 trace — and the profile its root-anchored
         ``runtime;*`` view; it gives the metrics registry the
-        manager/PRC counters and the `RuntimeStats` gauges. ``prc_setup`` is called
-        with the constructed PRC before the run starts — the hook for
-        installing a targeted :class:`~repro.runtime.faults.
-        RuntimeFaultModel` on ``prc.faults``.
+        manager/PRC counters and the `RuntimeStats` gauges.
+        ``prc_setup`` is called with the constructed PRC before the run
+        starts — the hook for installing a targeted
+        :class:`~repro.runtime.faults.RuntimeFaultModel` on
+        ``prc.faults``.
 
         ``runtime_options`` (falling back to the platform's bundle)
         carries the runtime fault model and watchdog/recovery policy.
