@@ -207,3 +207,98 @@ class TestCommandLine:
         path.write_text(VALID.replace(old, new))
         assert main(["build", str(path)]) == 1
         assert message in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# parity corpus: the esp_config language as it is read today
+# ----------------------------------------------------------------------
+
+#: ``parse_esp_config(VALID).to_dict()``.
+VALID_DICT = {
+    "name": "demo",
+    "board": "vc707",
+    "rows": 2,
+    "cols": 3,
+    "tiles": [
+        {"kind": "cpu", "name": "cpu0", "cpu_core": "leon3"},
+        {"kind": "mem", "name": "mem0"},
+        {"kind": "aux", "name": "aux0"},
+        {"kind": "reconf", "name": "rt0", "modes": ["fft", "gemm"], "host_cpu": False},
+        {"kind": "empty", "name": "empty_0"},
+        {"kind": "empty", "name": "empty_1"},
+    ],
+}
+
+MALFORMED = "malformed esp_config:"
+
+
+def _edit(old, new):
+    return VALID.replace(old, new)
+
+
+#: ``(id, text, expected)``: ``expected`` is the parsed config's
+#: ``to_dict()``, or a prefix of the ``ConfigurationError`` message.
+PARITY_CASES = [
+    ("valid", VALID, VALID_DICT),
+    (
+        "comments",
+        "# an SoC\n; described in full\n"
+        + _edit("[tile mem0]", "  # an indented comment\n[tile mem0]\n; inside"),
+        VALID_DICT,
+    ),
+    ("colon", _edit("name = demo", "name: demo").replace("type = aux", "type:aux"), VALID_DICT),
+    ("upper_case_keys", _edit("name =", "NAME =").replace("type = cpu", "Type = cpu"), VALID_DICT),
+    ("continued_modes", _edit("modes = fft, gemm", "modes = fft,\n    gemm"), VALID_DICT),
+    # An empty line inside a value is kept; a comment line is skipped.
+    ("continued_after_blank", _edit("modes = fft, gemm", "modes = fft,\n\n    gemm"), VALID_DICT),
+    ("continued_after_comment", _edit("modes = fft, gemm", "modes = fft,\n# c\n    gemm"), VALID_DICT),
+    # An indented line after a key continues that key's value.
+    ("indented_key_continues", _edit("name = demo\nboard", "  name = demo\n    board"),
+     "[soc] section is missing 'board'"),
+    ("indented_header_continues", _edit("[tile mem0]", "   [tile mem0]"), MALFORMED),
+    ("crlf", VALID.replace("\n", "\r\n"), VALID_DICT),
+    ("percent", _edit("name = demo", "name = 50%(x)s"), dict(VALID_DICT, name="50%(x)s")),
+    ("header_text_after_bracket", _edit("[tile mem0]", "[tile mem0] trailing"), VALID_DICT),
+    ("tile_name_padding", _edit("[tile mem0]", "[tile   mem0  ]"), VALID_DICT),
+    ("host_cpu_no", _edit("fft, gemm", "fft, gemm\nhost_cpu = No"), VALID_DICT),
+    ("inline_semicolon", _edit("fft, gemm", "fft, gemm ; two modes"),
+     "unknown accelerator 'gemm ; two modes' in esp_config"),
+    ("inline_hash", _edit("core = leon3", "core = leon3 # default"),
+     "[tile cpu0] core must be one of leon3, cva6, got 'leon3 # default'"),
+    ("empty_value", _edit("type = mem", "type ="), "[tile mem0] has unknown tile type ''"),
+    ("duplicate_section", VALID + "\n[tile cpu0]\ntype = cpu\n", MALFORMED),
+    ("duplicate_key", _edit("core = leon3", "core = leon3\ncore = cva6"), MALFORMED),
+    ("duplicate_key_other_case", _edit("core = leon3", "core = leon3\nCORE = cva6"), MALFORMED),
+    ("upper_case_section", _edit("[soc]", "[SOC]"), "esp_config needs a [soc] section"),
+    ("no_section", "name = demo\nboard = vc707\n", MALFORMED),
+    ("empty_text", "", "esp_config needs a [soc] section"),
+    ("only_comments", "# nothing\n; here\n", "esp_config needs a [soc] section"),
+    ("bare_word", _edit("type = mem", "type = mem\njustaword"), MALFORMED),
+    ("empty_key", _edit("type = mem", "type = mem\n= x"), MALFORMED),
+    ("empty_brackets", _edit("type = mem", "type = mem\n[]"), MALFORMED),
+]
+
+
+def _paper_cases():
+    """The 11 paper designs, Fig. 4's three included, rendered."""
+    from repro.core.designs import paper_designs
+
+    return [
+        (f"paper_{name}", render_esp_config(config), config.to_dict())
+        for name, config in paper_designs().items()
+    ]
+
+
+CORPUS = PARITY_CASES + _paper_cases()
+
+
+@pytest.mark.parametrize(
+    "text, expected", [case[1:] for case in CORPUS], ids=[case[0] for case in CORPUS]
+)
+def test_parity_corpus(text, expected):
+    if isinstance(expected, dict):
+        assert parse_esp_config(text).to_dict() == expected
+    else:
+        with pytest.raises(ConfigurationError) as error:
+            parse_esp_config(text)
+        assert str(error.value).startswith(expected)

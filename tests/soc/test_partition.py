@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.designs import paper_designs
 from repro.errors import FlowError
 from repro.soc.partition import partition_design
+from tests.soc.test_rtl import MODULE_ORDER
 
 
 class TestPartitioning:
@@ -41,6 +43,11 @@ class TestPartitioning:
         assert f"{tile.name}_wrapper" not in partition.static.module_names
         # The static socket of the reconfigurable tile stays static.
         assert f"{tile.name}_socket" in partition.static.module_names
+
+    @pytest.mark.parametrize("design", sorted(MODULE_ORDER))
+    def test_static_module_list_excludes_rp_contents_in_order(self, design):
+        partition = partition_design(paper_designs()[design])
+        assert list(partition.static.module_names) == MODULE_ORDER[design]["static"]
 
     def test_mode_names_exposed(self, socy):
         partition = partition_design(socy)

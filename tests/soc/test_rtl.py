@@ -1,17 +1,29 @@
 """Tests for RTL hierarchy generation and DPR rule checking."""
 
+import json
 import pickle
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
 
+from repro.core.designs import paper_designs
 from repro.soc.rtl import Module, generate_rtl
+
+#: Pre-order module names and static module lists of two generated
+#: designs (``soc_d`` hosts its CPU in a reconfigurable tile).
+MODULE_ORDER = json.loads((Path(__file__).parent / "data" / "module_order.json").read_text())
 
 
 class TestModuleTree:
     def test_walk_is_preorder(self):
         root = Module("root", children=[Module("a", children=[Module("a1")]), Module("b")])
         assert [m.name for m in root.walk()] == ["root", "a", "a1", "b"]
+
+    @pytest.mark.parametrize("design", sorted(MODULE_ORDER))
+    def test_walk_is_preorder_on_generated_rtl(self, design):
+        rtl = generate_rtl(paper_designs()[design])
+        assert [m.name for m in rtl.walk()] == MODULE_ORDER[design]["walk"]
 
     def test_total_luts_sums_subtree(self):
         root = Module(
