@@ -27,11 +27,38 @@ Example::
     [tile rt0]
     type = reconf
     modes = fft, gemm
+
+Grammar, read line by line in one pass:
+
+- A line whose first non-blank character is ``#`` or ``;`` is a
+  comment. There are no inline comments: ``core = leon3 ; x`` has the
+  value ``leon3 ; x``, and ``%`` is an ordinary character.
+- A line that starts with ``[`` and has a ``]`` after at least one
+  character is a section header; the name runs to the last ``]``.
+  ``[soc]`` is required; every other section is ``[tile NAME]``, and a
+  section name is case-sensitive.
+- Any other line is ``key = value`` or ``key: value``, split at the
+  first ``=`` or ``:``. Keys are case-insensitive; keys and values are
+  stripped of surrounding blanks.
+- A line indented deeper than the key line before it continues that
+  value: the pieces are joined with a newline (``modes = fft,`` then
+  ``    gemm`` reads as two modes). Blank lines inside such a value are
+  kept, comment lines are skipped.
+
+Rejected as ``malformed esp_config: line N: ...``: text before the
+first header, a line without a delimiter or with an empty key, a
+repeated section and a repeated key in one section. After reading, a
+missing ``[soc]``, any other section name (``[DEFAULT]`` included), a
+missing required key, a key the section does not read (``[soc]`` reads
+``name``, ``board``, ``rows``, ``cols``; every tile reads ``type``; a
+``cpu`` tile also ``core``, an ``acc`` tile ``accelerator``, a
+``reconf`` tile ``modes`` and ``host_cpu``) and a malformed value each
+raise a :class:`~repro.errors.ConfigurationError` that names the
+section and the key.
 """
 
 from __future__ import annotations
 
-import configparser
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional
@@ -40,6 +67,24 @@ from repro.errors import ConfigurationError
 from repro.soc.config import SocConfig
 from repro.soc.esp_library import AcceleratorIP, STOCK_ACCELERATORS
 from repro.soc.tiles import CpuCore, ReconfigurableTile, Tile, TileKind
+
+#: The keys each section reads; a tile's depend on its type.
+_SOC_KEYS = ("name", "board", "rows", "cols")
+_TILE_KEYS = {
+    "cpu": ("type", "core"),
+    "acc": ("type", "accelerator"),
+    "reconf": ("type", "modes", "host_cpu"),
+}
+
+#: Value -> member, looked up without the enum constructor.
+_KINDS = {kind.value: kind for kind in TileKind}
+_CORES = {core.value: core for core in CpuCore}
+
+#: The spellings of a boolean value, compared lower-cased.
+_BOOLEANS = {
+    "1": True, "yes": True, "true": True, "on": True,
+    "0": False, "no": False, "false": False, "off": False,
+}
 
 
 @lru_cache(maxsize=None)
@@ -59,24 +104,78 @@ def default_catalog() -> Dict[str, AcceleratorIP]:
     return dict(_shared_catalog())
 
 
+def _malformed(number: int, problem: str) -> ConfigurationError:
+    return ConfigurationError(f"malformed esp_config: line {number}: {problem}")
+
+
+def _read_sections(text: str) -> Dict[str, Dict[str, str]]:
+    """Section name -> {lower-cased key: value}, in file order.
+
+    One pass over the lines (see the module docstring for the grammar).
+    """
+    sections: Dict[str, Dict[str, str]] = {}
+    section: Optional[Dict[str, str]] = None
+    name = ""
+    key: Optional[str] = None  # the value an indented line continues
+    indent = 0  # of the last header or key line
+    blanks = 0  # blank lines seen inside the current value
+    for number, line in enumerate(text.split("\n"), 1):
+        stripped = line.strip()
+        if not stripped:
+            blanks += 1
+            continue
+        if stripped[0] in "#;":
+            continue
+        depth = len(line) - len(line.lstrip())
+        if key is not None and depth > indent:
+            section[key] += "\n" * (blanks + 1) + stripped  # type: ignore[index]
+            blanks = 0
+            continue
+        indent = depth
+        blanks = 0
+        close = stripped.rfind("]")
+        if stripped[0] == "[" and close > 1:
+            name = stripped[1:close]
+            if name in sections:
+                raise _malformed(number, f"duplicate section [{name}]")
+            section = sections[name] = {}
+            key = None
+            continue
+        if section is None:
+            raise _malformed(number, f"{stripped!r} comes before any section")
+        cut = stripped.find("=")
+        colon = stripped.find(":", 0, cut) if cut >= 0 else stripped.find(":")
+        if colon >= 0:
+            cut = colon
+        key = stripped[:cut].rstrip().lower() if cut > 0 else ""
+        if not key:
+            raise _malformed(number, f"cannot parse {stripped!r}")
+        if key in section:
+            raise _malformed(number, f"duplicate key {key!r} in [{name}]")
+        section[key] = stripped[cut + 1:].lstrip()
+    return sections
+
+
+def _reject_unknown_keys(section: str, body: Mapping[str, str], known) -> None:
+    for key in body:
+        if key not in known:
+            raise ConfigurationError(f"[{section}] unknown key {key!r}")
+
+
 def parse_esp_config(
     text: str, catalog: Optional[Mapping[str, AcceleratorIP]] = None
 ) -> SocConfig:
     """Parse an ``.esp_config``-style description into a SocConfig."""
     catalog = catalog if catalog is not None else _shared_catalog()
-    # The format has no interpolation: a '%' in a value is literal.
-    parser = configparser.ConfigParser(interpolation=None)
-    try:
-        parser.read_string(text)
-    except configparser.Error as error:
-        raise ConfigurationError(f"malformed esp_config: {error}") from None
+    sections = _read_sections(text)
 
-    if "soc" not in parser:
+    soc = sections.get("soc")
+    if soc is None:
         raise ConfigurationError("esp_config needs a [soc] section")
-    soc = parser["soc"]
-    for key in ("name", "board", "rows", "cols"):
+    for key in _SOC_KEYS:
         if key not in soc:
             raise ConfigurationError(f"[soc] section is missing {key!r}")
+    _reject_unknown_keys("soc", soc, _SOC_KEYS)
 
     def resolve(mode: str) -> AcceleratorIP:
         mode = mode.strip().lower()
@@ -85,39 +184,40 @@ def parse_esp_config(
         return catalog[mode]
 
     tiles: List[Tile] = []
-    for section in parser.sections():
+    for section, body in sections.items():
         if not section.startswith("tile "):
             if section != "soc":
                 raise ConfigurationError(f"unknown section [{section}]")
             continue
         tile_name = section[len("tile "):].strip()
-        body = parser[section]
         if "type" not in body:
             raise ConfigurationError(f"[{section}] is missing 'type'")
         kind_text = body["type"].strip().lower()
-        if kind_text == "reconf":
+        kind = _KINDS.get(kind_text)
+        if kind is None:
+            raise ConfigurationError(f"[{section}] has unknown tile type {kind_text!r}")
+        _reject_unknown_keys(section, body, _TILE_KEYS.get(kind_text, ("type",)))
+        if kind is TileKind.RECONF:
             modes_text = body.get("modes", "").strip()
             modes = [resolve(m) for m in modes_text.split(",") if m.strip()]
-            try:
-                host_cpu = body.getboolean("host_cpu", fallback=False)
-            except ValueError:
+            host_cpu = _BOOLEANS.get(body.get("host_cpu", "false").lower())
+            if host_cpu is None:
                 raise ConfigurationError(
                     f"[{section}] host_cpu must be a boolean, got {body['host_cpu']!r}"
-                ) from None
+                )
             tiles.append(
                 ReconfigurableTile(name=tile_name, modes=modes, host_cpu=host_cpu)
             )
-        elif kind_text == "cpu":
+        elif kind is TileKind.CPU:
             core_text = body.get("core", "leon3").strip().lower()
-            try:
-                core = CpuCore(core_text)
-            except ValueError:
-                choices = ", ".join(member.value for member in CpuCore)
+            core = _CORES.get(core_text)
+            if core is None:
                 raise ConfigurationError(
-                    f"[{section}] core must be one of {choices}, got {core_text!r}"
-                ) from None
+                    f"[{section}] core must be one of {', '.join(_CORES)}, "
+                    f"got {core_text!r}"
+                )
             tiles.append(Tile(kind=TileKind.CPU, name=tile_name, cpu_core=core))
-        elif kind_text == "acc":
+        elif kind is TileKind.ACC:
             if "accelerator" not in body:
                 raise ConfigurationError(f"[{section}] acc tile needs 'accelerator'")
             tiles.append(
@@ -128,12 +228,6 @@ def parse_esp_config(
                 )
             )
         else:
-            try:
-                kind = TileKind(kind_text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"[{section}] has unknown tile type {kind_text!r}"
-                ) from None
             tiles.append(Tile(kind=kind, name=tile_name))
 
     def grid_size(key: str) -> int:

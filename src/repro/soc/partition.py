@@ -73,11 +73,13 @@ class DesignPartition:
 def partition_design(config: SocConfig) -> DesignPartition:
     """Partition ``config`` into its static part and RPs.
 
-    The returned static size agrees with ``config.static_luts()``; a
-    mismatch would indicate an RTL-generation bug and raises.
+    One walk of the generated RTL that stops at reconfigurable roots
+    gives the wrappers, the static modules and their LUTs. The returned
+    static size agrees with ``config.static_luts()``; a mismatch would
+    indicate an RTL-generation bug and raises.
     """
     rtl = generate_rtl(config)
-    wrapper_roots = rtl.reconfigurable_roots()
+    static_modules, wrapper_roots = rtl.split()
     reconf_tiles = config.reconfigurable_tiles
     if len(wrapper_roots) != len(reconf_tiles):
         raise FlowError(
@@ -101,16 +103,14 @@ def partition_design(config: SocConfig) -> DesignPartition:
             )
         )
 
-    static_luts = rtl.static_luts()
+    static_luts = sum([m.luts for m in static_modules])
     expected = config.static_luts()
     if static_luts != expected:
         raise FlowError(
             f"static size mismatch: RTL says {static_luts}, config accounting "
             f"says {expected}"
         )
-    reconf_module_ids = {id(m) for root in wrapper_roots for m in root.walk()}
-    static_modules = tuple(
-        m.name for m in rtl.walk() if id(m) not in reconf_module_ids
+    static = StaticPartition(
+        luts=static_luts, module_names=tuple([m.name for m in static_modules])
     )
-    static = StaticPartition(luts=static_luts, module_names=static_modules)
     return DesignPartition(config=config, rtl=rtl, static=static, rps=tuple(rps))

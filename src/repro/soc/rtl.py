@@ -11,7 +11,7 @@ to produce netlist checkpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, DprRuleViolation
 from repro.soc.config import SocConfig
@@ -27,7 +27,7 @@ from repro.soc.tiles import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Module:
     """A node of the RTL hierarchy.
 
@@ -39,6 +39,8 @@ class Module:
 
     Modules are immutable (trees are built bottom-up, ``children`` is
     stored as a tuple), so a generated hierarchy can be shared freely.
+    Every traversal keeps an explicit stack: a generated SoC has ~70
+    modules, and a build visits them several times.
     """
 
     name: str
@@ -49,8 +51,27 @@ class Module:
     clock_modifying: bool = False
     route_through: bool = False
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(
+        self,
+        name: str,
+        luts: int = 0,
+        children: Sequence["Module"] = (),
+        reconfigurable: bool = False,
+        black_box: bool = False,
+        clock_modifying: bool = False,
+        route_through: bool = False,
+    ) -> None:
+        # One dict update instead of a frozen __setattr__ per field: a
+        # build constructs every module of its hierarchy.
+        self.__dict__.update(
+            name=name,
+            luts=luts,
+            children=children if type(children) is tuple else tuple(children),
+            reconfigurable=reconfigurable,
+            black_box=black_box,
+            clock_modifying=clock_modifying,
+            route_through=route_through,
+        )
 
     def __setstate__(self, state: Dict) -> None:
         # Pickles of the earlier mutable Module carry list children.
@@ -58,9 +79,12 @@ class Module:
 
     def walk(self) -> Iterator["Module"]:
         """Pre-order traversal of the subtree."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            module = stack.pop()
+            yield module
+            if module.children:
+                stack += module.children[::-1]
 
     def total_luts(self) -> int:
         """LUTs of the whole subtree."""
@@ -73,25 +97,33 @@ class Module:
                 return module
         return None
 
-    def reconfigurable_roots(self) -> List["Module"]:
-        """Roots of reconfigurable partitions in this subtree."""
-        roots: List[Module] = []
+    def split(self) -> Tuple[List["Module"], List["Module"]]:
+        """``(static modules, reconfigurable roots)`` of the subtree.
 
-        def visit(module: "Module") -> None:
+        One pre-order walk that does not enter a reconfigurable
+        partition: each root is listed, nothing under it is (nested RPs
+        are not supported by the flow).
+        """
+        static: List[Module] = []
+        roots: List[Module] = []
+        stack = [self]
+        while stack:
+            module = stack.pop()
             if module.reconfigurable:
                 roots.append(module)
-                return  # nested RPs are not supported by the flow
-            for child in module.children:
-                visit(child)
+            else:
+                static.append(module)
+                if module.children:
+                    stack += module.children[::-1]
+        return static, roots
 
-        visit(self)
-        return roots
+    def reconfigurable_roots(self) -> List["Module"]:
+        """Roots of reconfigurable partitions in this subtree."""
+        return self.split()[1]
 
     def static_luts(self) -> int:
         """LUTs of the subtree excluding reconfigurable partitions."""
-        if self.reconfigurable:
-            return 0
-        return self.luts + sum(c.static_luts() for c in self.children)
+        return sum([m.luts for m in self.split()[0]])
 
     def check_dpr_rules(self) -> List[str]:
         """Xilinx DPR rule violations inside reconfigurable partitions.
@@ -132,69 +164,59 @@ _AUX_SUBBLOCKS = [
 
 def _socket_module(tile: Tile) -> Module:
     """The static socket (router + proxies [+ decoupler]) of a tile."""
-    if tile.kind is TileKind.RECONF:
-        buffer = Module(name=f"{tile.name}_decoupler", luts=20)
-    else:
-        buffer = Module(name=f"{tile.name}_queues", luts=20)
+    name = tile.name
+    buffer = "decoupler" if tile.kind is TileKind.RECONF else "queues"
     return Module(
-        name=f"{tile.name}_socket",
+        f"{name}_socket",
         children=(
-            Module(name=f"{tile.name}_router", luts=ROUTER_SOCKET_LUTS - 120),
-            Module(name=f"{tile.name}_proxies", luts=100),
-            buffer,
+            Module(f"{name}_router", ROUTER_SOCKET_LUTS - 120),
+            Module(f"{name}_proxies", 100),
+            Module(f"{name}_{buffer}", 20),
         ),
     )
 
 
 def _tile_module(tile: Tile) -> Module:
     """Build the subtree of one tile."""
-    children = [_socket_module(tile)]
-    if tile.kind is TileKind.CPU:
+    name = tile.name
+    kind = tile.kind
+    socket = _socket_module(tile)
+    if kind is TileKind.CPU:
         assert tile.cpu_core is not None
-        children.append(Module(name=f"{tile.name}_{tile.cpu_core.value}_core",
-                               luts=CPU_TILE_LUTS[tile.cpu_core]))
-    elif tile.kind is TileKind.ACC:
+        core = tile.cpu_core
+        children: Tuple[Module, ...] = (
+            socket,
+            Module(f"{name}_{core.value}_core", CPU_TILE_LUTS[core]),
+        )
+    elif kind is TileKind.ACC:
         assert tile.accelerator is not None
-        children.append(Module(name=f"{tile.name}_{tile.accelerator.name}",
-                               luts=tile.accelerator.luts))
-    elif tile.kind is TileKind.AUX:
-        children.append(
-            Module(
-                name=f"{tile.name}_aux_logic",
-                children=[
-                    Module(name=f"{tile.name}_{sub_name}", luts=sub_luts)
-                    for sub_name, sub_luts in _AUX_SUBBLOCKS
-                ],
-            )
+        ip = tile.accelerator
+        children = (socket, Module(f"{name}_{ip.name}", ip.luts))
+    elif kind is TileKind.AUX:
+        aux_logic = Module(
+            f"{name}_aux_logic",
+            children=tuple(
+                [Module(f"{name}_{sub}", sub_luts) for sub, sub_luts in _AUX_SUBBLOCKS]
+            ),
         )
-    elif tile.kind in (TileKind.MEM, TileKind.SLM):
-        children.append(Module(name=f"{tile.name}_{tile.kind.value}_ctrl",
-                               luts=TILE_BASE_LUTS[tile.kind]))
-    elif tile.kind is TileKind.RECONF:
+        children = (socket, aux_logic)
+    elif kind in (TileKind.MEM, TileKind.SLM):
+        children = (socket, Module(f"{name}_{kind.value}_ctrl", TILE_BASE_LUTS[kind]))
+    elif kind is TileKind.RECONF:
         assert isinstance(tile, ReconfigurableTile)
-        modes = [
-            Module(name=f"{tile.name}_{ip.name}", luts=ip.luts) for ip in tile.modes
-        ]
+        modes = [Module(f"{name}_{ip.name}", ip.luts) for ip in tile.modes]
         if tile.host_cpu:
-            modes.append(
-                Module(
-                    name=f"{tile.name}_{tile.hosted_cpu_core.value}_core",
-                    luts=CPU_TILE_LUTS[tile.hosted_cpu_core],
-                )
-            )
-        children.append(
-            Module(
-                name=f"{tile.name}_wrapper",
-                luts=RECONF_WRAPPER_LUTS,
-                children=modes,
-                reconfigurable=True,
-            )
+            core = tile.hosted_cpu_core
+            modes.append(Module(f"{name}_{core.value}_core", CPU_TILE_LUTS[core]))
+        wrapper = Module(
+            f"{name}_wrapper", RECONF_WRAPPER_LUTS, tuple(modes), reconfigurable=True
         )
-    elif tile.kind is TileKind.EMPTY:
-        pass
+        children = (socket, wrapper)
+    elif kind is TileKind.EMPTY:
+        children = (socket,)
     else:  # pragma: no cover - exhaustive over TileKind
         raise ConfigurationError(f"unhandled tile kind {tile.kind}")
-    return Module(name=tile.name, children=children)
+    return Module(name, children=children)
 
 
 def generate_rtl(config: SocConfig) -> Module:
@@ -205,9 +227,9 @@ def generate_rtl(config: SocConfig) -> Module:
     tile contributes one reconfigurable wrapper subtree.
     """
     top = Module(
-        name=f"{config.name}_top",
-        children=[Module(name="soc_misc", luts=SOC_MISC_LUTS)]
-        + [_tile_module(tile) for tile in config.tiles],
+        f"{config.name}_top",
+        children=(Module("soc_misc", SOC_MISC_LUTS),)
+        + tuple([_tile_module(tile) for tile in config.tiles]),
     )
     violations = top.check_dpr_rules()
     if violations:  # cannot happen for generated trees; guards extensions

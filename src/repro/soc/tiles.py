@@ -86,6 +86,8 @@ class Tile:
     accelerator: Optional[AcceleratorIP] = None
 
     def __post_init__(self) -> None:
+        if not self.name.strip():
+            raise ConfigurationError(f"{self.kind.value} tile needs a non-empty name")
         if self.kind is TileKind.CPU and self.cpu_core is None:
             object.__setattr__(self, "cpu_core", CpuCore.LEON3)
         if self.kind is not TileKind.CPU and self.cpu_core is not None:
@@ -158,11 +160,9 @@ class ReconfigurableTile(Tile):
 
     def partition_resources(self) -> ResourceVector:
         """Demand of the reconfigurable partition: max over modes + wrapper."""
-        demand = ResourceVector.zero()
-        for ip in self.modes:
-            demand = demand.component_max(ip.resources)
+        demands = [ip.resources for ip in self.modes]
         if self.host_cpu:
-            demand = demand.component_max(
+            demands.append(
                 ResourceVector(
                     lut=CPU_TILE_LUTS[self.hosted_cpu_core],
                     ff=int(CPU_TILE_LUTS[self.hosted_cpu_core] * 1.2),
@@ -170,7 +170,13 @@ class ReconfigurableTile(Tile):
                     dsp=8,
                 )
             )
-        return demand + ResourceVector(lut=RECONF_WRAPPER_LUTS, ff=RECONF_WRAPPER_LUTS)
+        # One vector for the component-wise maximum, not one per mode.
+        return ResourceVector(
+            lut=max([d.lut for d in demands], default=0) + RECONF_WRAPPER_LUTS,
+            ff=max([d.ff for d in demands], default=0) + RECONF_WRAPPER_LUTS,
+            bram=max([d.bram for d in demands], default=0),
+            dsp=max([d.dsp for d in demands], default=0),
+        )
 
     def synthesis_luts(self) -> int:
         """Sum of LUTs of everything synthesized for this tile.

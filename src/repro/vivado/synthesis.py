@@ -49,18 +49,15 @@ class SynthesisEngine:
         black_set = set(black_box_names)
         found: set = set()
         luts = 0
-
-        def visit(node: Module) -> None:
+        stack = [module]
+        while stack:
+            node = stack.pop()
             if node.name in black_set:
                 found.add(node.name)
-                return
-            luts_here = node.luts
-            nonlocal luts
-            luts += luts_here
-            for child in node.children:
-                visit(child)
-
-        visit(module)
+                continue
+            luts += node.luts
+            if node.children:
+                stack += node.children
         missing = black_set - found
         if missing:
             raise SynthesisError(

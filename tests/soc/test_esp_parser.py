@@ -116,6 +116,46 @@ host_cpu = true
         with pytest.raises(ConfigurationError, match=message):
             parse_esp_config(VALID.replace(old, new))
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("core = leon3", "cores = cva6", r"\[tile cpu0\] unknown key 'cores'"),
+            ("core = leon3", "core = leon3\nhost_cpu = true", r"\[tile cpu0\] unknown key 'host_cpu'"),
+            ("type = mem", "type = mem\nmodes = fft", r"\[tile mem0\] unknown key 'modes'"),
+            ("cols = 3", "cols = 3\nclock = 78", r"\[soc\] unknown key 'clock'"),
+            ("modes = fft", "Mode = fft", r"\[tile rt0\] unknown key 'mode'"),
+        ],
+    )
+    def test_unknown_key_rejected(self, old, new, message):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_esp_config(VALID.replace(old, new))
+
+    def test_empty_tile_name_rejected(self):
+        with pytest.raises(ConfigurationError, match="mem tile needs a non-empty name"):
+            parse_esp_config(VALID.replace("[tile mem0]", "[tile ]"))
+
+    def test_default_section_is_an_unknown_section(self):
+        with pytest.raises(ConfigurationError, match=r"unknown section \[DEFAULT\]"):
+            parse_esp_config("[DEFAULT]\ntype = mem\n" + VALID)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("name = demo\n[soc]\n", "line 1: 'name = demo' comes before any section"),
+            (VALID + "\n[tile cpu0]\n", "line 22: duplicate section [tile cpu0]"),
+            (
+                VALID.replace("core = leon3", "core = leon3\nCORE = cva6"),
+                "line 11: duplicate key 'core' in [tile cpu0]",
+            ),
+            (VALID.replace("type = mem", "type = mem\nmem"), "line 14: cannot parse 'mem'"),
+        ],
+        ids=["before_section", "duplicate_section", "duplicate_key", "no_delimiter"],
+    )
+    def test_malformed_text_names_the_line(self, text, message):
+        with pytest.raises(ConfigurationError) as error:
+            parse_esp_config(text)
+        assert str(error.value) == f"malformed esp_config: {message}"
+
     @pytest.mark.parametrize("name", ["50%", "a%b", "x%(rows)s", "%%"])
     def test_percent_is_literal(self, name):
         config = parse_esp_config(VALID.replace("name = demo", f"name = {name}"))

@@ -27,6 +27,13 @@ class TestStaticTiles:
         with pytest.raises(ConfigurationError):
             Tile(kind=TileKind.ACC, name="a")
 
+    @pytest.mark.parametrize("name", ["", "  "])
+    def test_empty_name_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="mem tile needs a non-empty name"):
+            Tile(kind=TileKind.MEM, name=name)
+        with pytest.raises(ConfigurationError, match="reconf tile needs a non-empty name"):
+            ReconfigurableTile(name=name, modes=[stock_accelerator("mac")])
+
     def test_non_acc_tile_rejects_accelerator(self):
         with pytest.raises(ConfigurationError):
             Tile(kind=TileKind.MEM, name="m", accelerator=stock_accelerator("mac"))

@@ -12,7 +12,9 @@ regression:
    ~82% (the placer must not reclaim the workload).
 
 The deploy path's cost is guarded without a wall clock, by call
-counts in ``tests/runtime/test_deploy_cost.py``, and end to end by the
+counts in ``tests/runtime/test_deploy_cost.py``; a cold build's front
+end (reading the esp_config text, partitioning the RTL) the same way,
+in ``tests/flow/test_build_cost.py``; both end to end by the
 repository benchmark (``perfbench/``). The closed-form NoC model is
 checked against the flit-level reference on every fig4 fetch path by
 ``tests/noc/test_analytic.py``.
