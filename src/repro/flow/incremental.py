@@ -131,9 +131,10 @@ class IncrementalFlow:
             wrapper = Module(
                 name=f"{tile.name}_wrapper",
                 luts=RECONF_WRAPPER_LUTS,
-                children=tuple(
-                    [Module(name=f"{tile.name}_{ip.name}", luts=ip.luts) for ip in tile.modes]
-                ),
+                children=[
+                    Module(name=f"{tile.name}_{ip.name}", luts=ip.luts)
+                    for ip in tile.modes
+                ],
                 reconfigurable=True,
             )
             netlist = tool.synth_design(wrapper, ooc=True)

@@ -34,9 +34,9 @@ Grammar, read line by line in one pass:
   comment. There are no inline comments: ``core = leon3 ; x`` has the
   value ``leon3 ; x``, and ``%`` is an ordinary character.
 - A line that starts with ``[`` and has a ``]`` after at least one
-  character is a section header; the name runs to the last ``]``.
-  ``[soc]`` is required; every other section is ``[tile NAME]``, and a
-  section name is case-sensitive.
+  character is a section header. The name runs to the last ``]`` (text
+  after it is ignored) and is case-sensitive: ``[soc]`` is required,
+  and every other section is ``[tile NAME]``.
 - Any other line is ``key = value`` or ``key: value``, split at the
   first ``=`` or ``:``. Keys are case-insensitive; keys and values are
   stripped of surrounding blanks.
@@ -47,21 +47,21 @@ Grammar, read line by line in one pass:
 
 Rejected as ``malformed esp_config: line N: ...``: text before the
 first header, a line without a delimiter or with an empty key, a
-repeated section and a repeated key in one section. After reading, a
-missing ``[soc]``, any other section name (``[DEFAULT]`` included), a
-missing required key, a key the section does not read (``[soc]`` reads
-``name``, ``board``, ``rows``, ``cols``; every tile reads ``type``; a
-``cpu`` tile also ``core``, an ``acc`` tile ``accelerator``, a
-``reconf`` tile ``modes`` and ``host_cpu``) and a malformed value each
-raise a :class:`~repro.errors.ConfigurationError` that names the
-section and the key.
+repeated section and a repeated key in one section. After reading,
+each of these raises its own :class:`~repro.errors.ConfigurationError`:
+a missing ``[soc]``; any other section name, ``[DEFAULT]`` included; an
+empty tile name; a missing required key; a key the section does not
+read (``[soc]`` reads ``name``, ``board``, ``rows`` and ``cols``; every
+tile reads ``type``; a ``cpu`` tile also ``core``, an ``acc`` tile
+``accelerator``, a ``reconf`` tile ``modes`` and ``host_cpu``); and a
+malformed value, named with its section and key.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.soc.config import SocConfig
@@ -156,7 +156,10 @@ def _read_sections(text: str) -> Dict[str, Dict[str, str]]:
     return sections
 
 
-def _reject_unknown_keys(section: str, body: Mapping[str, str], known) -> None:
+def _reject_unknown_keys(
+    section: str, body: Mapping[str, str], known: Tuple[str, ...]
+) -> None:
+    """Name the first key of ``[section]`` that it does not read."""
     for key in body:
         if key not in known:
             raise ConfigurationError(f"[{section}] unknown key {key!r}")

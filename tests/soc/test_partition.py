@@ -37,17 +37,16 @@ class TestPartitioning:
             for ip in rp.tile.modes:
                 assert ip.resources.fits_in(rp.demand)
 
-    def test_static_module_list_excludes_rp_contents(self, soc2):
-        partition = partition_design(soc2)
-        tile = soc2.reconfigurable_tiles[0]
-        assert f"{tile.name}_wrapper" not in partition.static.module_names
-        # The static socket of the reconfigurable tile stays static.
-        assert f"{tile.name}_socket" in partition.static.module_names
-
-    @pytest.mark.parametrize("design", sorted(MODULE_ORDER))
-    def test_static_module_list_excludes_rp_contents_in_order(self, design):
-        partition = partition_design(paper_designs()[design])
-        assert list(partition.static.module_names) == MODULE_ORDER[design]["static"]
+    @pytest.mark.parametrize("design", ["soc_2", *sorted(MODULE_ORDER)])
+    def test_static_module_list_excludes_rp_contents(self, design):
+        config = paper_designs()[design]
+        names = partition_design(config).static.module_names
+        for tile in config.reconfigurable_tiles:
+            assert f"{tile.name}_wrapper" not in names
+            # The static socket of the reconfigurable tile stays static.
+            assert f"{tile.name}_socket" in names
+        if design in MODULE_ORDER:
+            assert list(names) == MODULE_ORDER[design]["static"]
 
     def test_mode_names_exposed(self, socy):
         partition = partition_design(socy)

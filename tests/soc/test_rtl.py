@@ -16,14 +16,22 @@ MODULE_ORDER = json.loads((Path(__file__).parent / "data" / "module_order.json")
 
 
 class TestModuleTree:
-    def test_walk_is_preorder(self):
-        root = Module("root", children=[Module("a", children=[Module("a1")]), Module("b")])
-        assert [m.name for m in root.walk()] == ["root", "a", "a1", "b"]
-
-    @pytest.mark.parametrize("design", sorted(MODULE_ORDER))
-    def test_walk_is_preorder_on_generated_rtl(self, design):
-        rtl = generate_rtl(paper_designs()[design])
-        assert [m.name for m in rtl.walk()] == MODULE_ORDER[design]["walk"]
+    @pytest.mark.parametrize(
+        "root, expected",
+        [
+            (
+                Module("root", children=[Module("a", children=[Module("a1")]), Module("b")]),
+                ["root", "a", "a1", "b"],
+            ),
+            *[
+                (generate_rtl(paper_designs()[design]), MODULE_ORDER[design]["walk"])
+                for design in sorted(MODULE_ORDER)
+            ],
+        ],
+        ids=["toy", *sorted(MODULE_ORDER)],
+    )
+    def test_walk_is_preorder(self, root, expected):
+        assert [m.name for m in root.walk()] == expected
 
     def test_total_luts_sums_subtree(self):
         root = Module(
