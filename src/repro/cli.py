@@ -238,13 +238,11 @@ def fault_model(args):
     return model
 
 
-def recorder_from_args(args, time_unit: str) -> Optional[Recorder]:
+def recorder_from_args(args) -> Optional[Recorder]:
     """The recorder ``--trace``/``--profile`` ask for, or None."""
     if not (args.trace or args.profile):
         return None
-    return Recorder(
-        trace=bool(args.trace), profile=bool(args.profile), time_unit=time_unit
-    )
+    return Recorder(trace=bool(args.trace), profile=bool(args.profile))
 
 
 def write_observations(args, recorder: Optional[Recorder], experiment: str) -> None:
@@ -271,7 +269,7 @@ def cmd_build(args) -> int:
         checkpoint_dir=args.checkpoint_dir,
         resume=args.resume,
     )
-    recorder = recorder_from_args(args, time_unit="min")
+    recorder = recorder_from_args(args)
     platform = api.platform(
         options=options,
         instrumentation=Instrumentation(recorder),
@@ -396,7 +394,7 @@ def cmd_compare(args) -> int:
 def cmd_deploy(args) -> int:
     config = resolve_config(args.config)
     want_metrics = args.metrics or args.json
-    recorder = recorder_from_args(args, time_unit="s")
+    recorder = recorder_from_args(args)
     registry = MetricsRegistry() if want_metrics else None
     report = api.deploy(
         config,

@@ -357,7 +357,9 @@ class PrEspPlatform:
     ) -> WamiRunReport:
         """Program a built SoC and run WAMI for ``frames`` frames.
 
-        Builds the SoC first when ``flow_result`` is not supplied.
+        Builds the SoC first when ``flow_result`` is not supplied; a
+        live trace then shows that build on its ``flow/*`` rows, in CAD
+        minutes.
         ``power_gating`` enables the blank-after-frame policy: each tile
         erases its region once its frame work completes, and the energy
         account charges region power only for configured windows.
@@ -375,7 +377,7 @@ class PrEspPlatform:
         the clock advances they cause, per-callback-site frames, NoC
         transfer windows). After the run, one projection of the step
         log (:func:`repro.runtime.steps.project`, also when the run
-        raises) gives the recorder, bound to the DES clock (simulated
+        raises) gives the recorder, on the DES clock (simulated
         seconds), the kernel-level records (lock-wait, decouple, ICAP,
         exec) and then the application-level timeline records — one
         merged Fig. 4 trace — and the profile its root-anchored
@@ -418,9 +420,7 @@ class PrEspPlatform:
         runtime_options: Optional[RuntimeFaultOptions],
     ) -> WamiRunReport:
         if flow_result is None:
-            # The flow's spans run on the CAD-minute clock, so they stay
-            # out of the deployment's simulated-second trace.
-            flow_result = self.flow.build(config, instrumentation=inst.untraced())
+            flow_result = self.flow.build(config, instrumentation=inst)
         if flow_result.config.name != config.name:
             raise ConfigurationError(
                 "flow result belongs to a different SoC "

@@ -126,11 +126,7 @@ def _activate(sinks: Tuple[str, ...]) -> Instrumentation:
     """Fresh worker-side sinks of the kinds live in the parent."""
     trace, profile = "trace" in sinks, "profile" in sinks
     return Instrumentation(
-        recorder=(
-            Recorder(trace=trace, profile=profile, time_unit="min")
-            if trace or profile
-            else None
-        ),
+        recorder=Recorder(trace=trace, profile=profile) if trace or profile else None,
         metrics=MetricsRegistry() if "metrics" in sinks else None,
         events=EventBus(capacity=_WORKER_EVENT_CAPACITY) if "events" in sinks else None,
     )

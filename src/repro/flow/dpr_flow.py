@@ -53,7 +53,7 @@ from repro.fabric.resources import ResourceVector
 from repro.obs import events as ev
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
-from repro.obs.recorder import Recorder
+from repro.obs.recorder import CAD_MIN, Recorder
 from repro.floorplan.constraints import validate_floorplan
 from repro.floorplan.flora import Floorplan, FloraFloorplanner
 from repro.flow.blackbox import BlackBoxWrapper, generate_blackboxes
@@ -412,6 +412,7 @@ class DprFlow:
             f"build {result.config.name}",
             0.0,
             result.total_minutes,
+            CAD_MIN,
             category="flow.build",
             track="flow/build",
             sim_s=0.0,
@@ -433,6 +434,7 @@ class DprFlow:
                 stage.stage,
                 offset,
                 offset + stage.wall_minutes,
+                CAD_MIN,
                 category="flow.stage",
                 track="flow/build",
                 parent=root,
@@ -456,6 +458,7 @@ class DprFlow:
                     placed.job.name,
                     base + placed.start_minutes,
                     base + placed.end_minutes,
+                    CAD_MIN,
                     category="flow.job",
                     track=f"flow/vivado{placed.instance:02d}",
                     parent=stage_span,
@@ -507,7 +510,7 @@ class BuildState:
             self.stages.append(StageTrace(stage=name, wall_minutes=wall, detail=detail))
             self.resumed.append(name)
             inst.record(
-                f"flow.{name}", start, start + wall, track=None,
+                f"flow.{name}", start, start + wall, CAD_MIN, track=None,
                 sim_s=wall * 60.0, path=(f"flow.{name}", "resumed"),
             )
             inst.emit(
@@ -648,7 +651,7 @@ class ToolJobs:
                 build.planner.restore(job["execution"])
             cpu_minutes = job["cpu_minutes"]
             build.instrumentation.record(
-                f"vivado.{name}", 0.0, cpu_minutes, track=None,
+                f"vivado.{name}", 0.0, cpu_minutes, CAD_MIN, track=None,
                 sim_s=cpu_minutes * 60.0, path=(f"vivado.{name}", "resumed"),
             )
         else:

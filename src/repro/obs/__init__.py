@@ -4,10 +4,10 @@ The reproduction's two performance stories — the flow's compile-time
 makespan (modelled CAD minutes) and the runtime manager's
 reconfiguration overhead (DES simulated seconds) — share one
 telemetry substrate. A :class:`Recorder` keeps one stream of
-:class:`Record` facts against an injected layer clock, plus
-host-clocked frames; two exporters read it: the Chrome trace-event
-JSON (Perfetto / ``chrome://tracing``, also JSONL rows) and the
-call-path profile, a fold of the stream by name path into calls, host
+:class:`Record` facts, each on the clock its layer names (CAD minutes
+or simulated seconds), plus host-clocked frames; two exporters read
+it: the Chrome trace-event JSON (Perfetto / ``chrome://tracing``,
+each process row on one clock) and the call-path profile, a fold of the stream by name path into calls, host
 self time and simulated seconds (JSON documents and collapsed
 flamegraph stacks). A :class:`Tracer` is the recorder with the profile
 off, a :class:`Profiler` the recorder with the trace off. A
@@ -54,7 +54,6 @@ from repro.obs.export import (
     parse_prometheus_text,
     prometheus_samples,
     prometheus_text,
-    spans_jsonl,
     write_chrome_trace,
     write_otlp_jsonl,
     write_prometheus_text,
@@ -178,7 +177,6 @@ __all__ = [
     "prometheus_samples",
     "prometheus_text",
     "self_host_total",
-    "spans_jsonl",
     "unbind",
     "write_chrome_trace",
     "write_otlp_jsonl",

@@ -1,6 +1,6 @@
 """Trace and metrics exporters.
 
-Five formats, all deterministic (stable ordering, no wall-clock or
+Four formats, all deterministic (stable ordering, no wall-clock or
 object-identity leakage) so that two runs of the same seeded workload
 export byte-identical files:
 
@@ -8,8 +8,10 @@ export byte-identical files:
   ``chrome://tracing``. Spans become complete (``"ph": "X"``) events,
   instant markers (cancelled DES events) become ``"ph": "I"`` events;
   tracks (``"process/thread"``) map onto pid/tid pairs announced with
-  ``process_name``/``thread_name`` metadata events.
-* **JSONL** — one record object per line, for ad-hoc ``jq`` analysis.
+  ``process_name``/``thread_name`` metadata events. Each record is
+  scaled to microseconds by its own clock (a CAD minute or a simulated
+  second), and ``metadata.clocks`` names the clock of each process row;
+  a row holds records on one clock only.
 * **Metrics dict** — the registry snapshot, flat and JSON-ready.
 * **Prometheus text exposition** — the registry rendered in the
   text-format a Prometheus server scrapes (``_total`` counters,
@@ -29,10 +31,7 @@ import re
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import LabelKey, MetricsRegistry
-from repro.obs.recorder import Record, Recorder
-
-#: Microseconds per recorder time unit.
-_US_PER_UNIT = {"s": 1e6, "min": 60e6}
+from repro.obs.recorder import CLOCKS, Recorder, RecordingError
 
 
 def _jsonable(value) -> object:
@@ -54,10 +53,27 @@ def _split_track(track: str) -> Tuple[str, str]:
     return track, track
 
 
+def _process_clocks(tracer: Recorder) -> Dict[str, str]:
+    """``{process row: clock}`` for the recorder's kept records.
+
+    Raises :class:`RecordingError` if one row holds records on two
+    clocks: its timeline would mix minutes and seconds.
+    """
+    clocks: Dict[str, str] = {}
+    for span in tracer.spans:
+        proc = _split_track(span.track)[0]
+        clock = clocks.setdefault(proc, span.clock)
+        if clock != span.clock:
+            raise RecordingError(
+                f"process row {proc!r} holds records on two clocks "
+                f"({clock!r} and {span.clock!r}, at {span.name!r})"
+            )
+    return clocks
+
+
 def chrome_trace_events(tracer: Recorder) -> List[Dict]:
-    """The ``traceEvents`` list for the recorder's closed kept records."""
-    spans = [s for s in tracer.spans if s.closed]
-    scale = _US_PER_UNIT[tracer.time_unit]
+    """The ``traceEvents`` list for the recorder's kept records."""
+    spans = tracer.spans
 
     processes: Dict[str, int] = {}
     threads: Dict[Tuple[str, str], int] = {}
@@ -88,6 +104,7 @@ def chrome_trace_events(tracer: Recorder) -> List[Dict]:
         )
     for span in spans:
         proc, thread = _split_track(span.track)
+        scale = CLOCKS[span.clock]
         args = {k: _jsonable(v) for k, v in sorted(span.attrs.items())}
         args["span_id"] = span.span_id
         if span.parent_id is not None:
@@ -131,7 +148,7 @@ def chrome_trace_dict(tracer: Recorder, profile: Union[Dict, None] = None) -> Di
     trace metadata, so one file carries both the merged timeline and
     the call-path attribution.
     """
-    metadata: Dict = {"time_unit": tracer.time_unit, "tool": "pr-esp-repro"}
+    metadata: Dict = {"clocks": _process_clocks(tracer), "tool": "pr-esp-repro"}
     if profile is not None:
         metadata["profile"] = profile
     return {
@@ -153,35 +170,6 @@ def write_chrome_trace(
     with open(path, "w") as handle:
         handle.write(chrome_trace_json(tracer, profile))
         handle.write("\n")
-
-
-# ----------------------------------------------------------------------
-def _span_row(span: Record) -> Dict:
-    """One record as a plain dict (the JSONL row)."""
-    row = {
-        "span_id": span.span_id,
-        "name": span.name,
-        "category": span.category,
-        "track": span.track,
-        "start": span.start,
-        "end": span.end,
-        "duration": span.duration,
-        "parent_id": span.parent_id,
-    }
-    if span.instant:
-        row["instant"] = True
-    if span.attrs:
-        row["attrs"] = {k: _jsonable(v) for k, v in sorted(span.attrs.items())}
-    return row
-
-
-def spans_jsonl(tracer: Recorder) -> str:
-    """One JSON object per line, one line per closed kept record."""
-    return "\n".join(
-        json.dumps(_span_row(span), sort_keys=True)
-        for span in tracer.spans
-        if span.closed
-    )
 
 
 # ----------------------------------------------------------------------

@@ -122,18 +122,9 @@ class Instrumentation:
         return tuple(name for name, sink in live if sink is not None)
 
     def use_clock(self, clock: Callable[[], float]) -> None:
-        """Rebind the recorder's and the bus's time source (e.g. to a DES)."""
-        if self.recorder is not None:
-            self.recorder.use_clock(clock)
+        """Rebind the bus's time source (e.g. to a DES)."""
         if self.events is not None:
             self.events.use_clock(clock)
-
-    def untraced(self) -> "Instrumentation":
-        """This probe with the trace off (the fold and other sinks stay)."""
-        if self.tracer is None:
-            return self
-        view = self.recorder.untraced() if self.recorder.profile else None
-        return Instrumentation(view, self.metrics, self.events)
 
     # ------------------------------------------------------------------
     # records and frames
@@ -143,6 +134,7 @@ class Instrumentation:
         name: str,
         start: float,
         end: float,
+        clock: str,
         category: str = "",
         track: Optional[str] = DEFAULT_TRACK,
         parent: Optional[Record] = None,
@@ -150,11 +142,11 @@ class Instrumentation:
         path: Optional[Sequence[str]] = None,
         **attrs,
     ) -> Optional[Record]:
-        """Record a closed record with explicit bounds."""
+        """Record ``[start, end]`` on ``clock`` (see :meth:`Recorder.record`)."""
         if self.recorder is None:
             return None
         return self.recorder.record(
-            name, start, end, category, track, parent, sim_s, path, **attrs
+            name, start, end, clock, category, track, parent, sim_s, path, **attrs
         )
 
     def frame(self, name: str):

@@ -1,15 +1,17 @@
 """One record stream, two exporters: the Chrome trace and the fold.
 
 The flow's stages elapse in *modelled CAD minutes* and the runtime
-manager's protocol in *simulated seconds*, so a :class:`Recorder`
-stamps records from an injected layer clock (rebindable with
-:meth:`Recorder.use_clock`), never a wall clock. It observes:
+manager's protocol in *simulated seconds*, so each :class:`Record`
+carries the clock its bounds are on (:data:`CAD_MIN` or :data:`DES_S`,
+see :data:`CLOCKS`), named by the layer that stamps it; the recorder
+holds no clock and no unit, and never reads a wall clock for a record.
+It observes:
 
-* **records** — one :class:`Record` per observed fact: name, category,
-  ``"process/thread"`` track, parent (the open record of its track),
-  start/end on the layer clock and attributes. A record without a
-  track has no place on a timeline (a lock taken with no wait, a
-  resumed stage) and reaches the fold only;
+* **records** — one :class:`Record` per observed fact: name,
+  category, ``"process/thread"`` track, parent, start/end on its clock
+  and attributes. A record without a track has no place on a timeline
+  (a lock taken with no wait, a resumed stage) and reaches the fold
+  only;
 * **frames** — host-clocked call-stack entries (``deploy.soc_x`` →
   ``dispatch:Timeout`` → ``Process._resume``).
 
@@ -20,7 +22,7 @@ online into a call-path tree of :class:`ProfileNode` (exported by
 :mod:`repro.obs.profiler`), so no per-DES-event record is kept: a
 frame counts one call of its name under the innermost frame, charged
 its host *self* time (the self times sum exactly to the root's
-inclusive time); a closed record counts one untimed call, charged its
+inclusive time); a record counts one untimed call, charged its
 simulated seconds (``sim_s``, by default its length), at an explicit
 ``path`` under the innermost frame (``Recorder._fold``) or nowhere, and
 :meth:`Recorder.tally` counts a call at a path under the root.
@@ -35,7 +37,6 @@ recorder off (the probe's ``recorder=None``) no record is allocated.
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import time
 from dataclasses import dataclass, field
@@ -46,22 +47,30 @@ from repro.obs.context import current_request_id
 
 
 class RecordingError(PrEspError):
-    """Misuse of the recorder (unbalanced begin/end or frames, bad interval)."""
+    """Misuse of the recorder (unbalanced frames, bad interval or clock)."""
 
 
-#: Default track for records begun without an explicit one.
+#: Default track for records made without an explicit one.
 DEFAULT_TRACK = "main/main"
+
+#: The flow's clock: modelled CAD minutes.
+CAD_MIN = "cad_min"
+#: The deployment's clock: simulated DES seconds.
+DES_S = "des_s"
+#: Microseconds per tick of each clock a record can be on.
+CLOCKS = {CAD_MIN: 60e6, DES_S: 1e6}
 
 
 @dataclass(eq=False, slots=True)
 class Record:
-    """One observed interval (or instant) on the layer clock."""
+    """One observed interval (or instant) on its ``clock``."""
 
     name: str
     category: str
     track: Optional[str]
+    clock: str
     start: float
-    end: Optional[float] = None
+    end: float
     parent_id: Optional[int] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
     #: Position in the Chrome export (None unless the trace keeps it).
@@ -76,13 +85,8 @@ class Record:
 
     @property
     def duration(self) -> float:
-        """Length in the recorder's time unit (0 while open)."""
-        return 0.0 if self.end is None else self.end - self.start
-
-    @property
-    def closed(self) -> bool:
-        """True once the record has an end time."""
-        return self.end is not None
+        """Length in ticks of the record's clock."""
+        return self.end - self.start
 
 
 class ProfileNode:
@@ -141,55 +145,27 @@ class ProfileNode:
 class Recorder:
     """The one recorder: records kept for the trace, records and frames folded.
 
-    ``trace`` keeps records, stamped from ``clock`` in ``time_unit``
-    (``"s"`` for DES simulated seconds, ``"min"`` for modelled CAD
-    minutes). ``profile`` runs the fold, timing frames on ``host_clock``
-    (``time.perf_counter`` by default).
+    ``trace`` keeps records; ``profile`` runs the fold, timing frames
+    on ``host_clock`` (``time.perf_counter`` by default).
     """
 
     def __init__(
         self,
         trace: bool = True,
         profile: bool = True,
-        time_unit: str = "s",
         host_clock: Optional[Callable[[], float]] = None,
-        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         if not (trace or profile):
             raise RecordingError("a recorder records a trace, a profile or both")
-        if time_unit not in ("s", "min"):
-            raise RecordingError(f"unknown time unit {time_unit!r} (use 's' or 'min')")
         self.trace = trace
         self.profile = profile
-        self.time_unit = time_unit
-        self._clock = clock if clock is not None else (lambda: 0.0)
         self._host = host_clock if host_clock is not None else time.perf_counter
         #: The records the Chrome export reads (kept only with ``trace``).
         self.spans: List[Record] = []
-        self._stacks: Dict[str, List[Record]] = {}
         self.root = ProfileNode("root")
         # Frame entries are [node, host_start, child_host]; the root
         # entry never pops, so enter/exit always have a parent.
         self._frames: List[List] = [[self.root, 0.0, 0.0]]
-
-    def use_clock(self, clock: Callable[[], float]) -> None:
-        """Rebind the layer clock (e.g. to a freshly built simulator)."""
-        self._clock = clock
-
-    def now(self) -> float:
-        """Current time on the layer clock."""
-        return self._clock()
-
-    def untraced(self) -> "Recorder":
-        """This recorder with the trace off: the same fold, nothing kept.
-
-        A deployment builds its flow through it, so the build's frames
-        nest under the deployment's while its CAD-minute records stay
-        out of the simulated-second trace.
-        """
-        view = copy.copy(self)
-        view.trace = False
-        return view
 
     # ------------------------------------------------------------------
     # records
@@ -204,42 +180,12 @@ class Recorder:
             self.spans.append(record)
         return record
 
-    def begin(
-        self, name: str, category: str = "", track: str = DEFAULT_TRACK, **attrs
-    ) -> Record:
-        """Open a record now; it nests under its track's open record."""
-        record = Record(name, category, track, self._clock(), None, None, attrs)
-        if not self.trace:
-            return record
-        stack = self._stacks.setdefault(track, [])
-        record.parent_id = stack[-1].span_id if stack else None
-        stack.append(self._keep(record))
-        return record
-
-    def end(self, record: Record, sim_s: Optional[float] = None, **attrs) -> Record:
-        """Close ``record`` now; ``sim_s`` overrides what the fold charges."""
-        if self.trace:
-            stack = self._stacks.get(record.track, [])
-            if not stack or stack[-1] is not record:
-                raise RecordingError(
-                    f"record {record.name!r} is not the innermost open record "
-                    f"of track {record.track!r}"
-                )
-            stack.pop()
-        if attrs:
-            record.attrs.update(attrs)
-        if sim_s is not None:
-            record.sim_s = sim_s
-        record.end = self._clock()
-        if self.profile:
-            self._fold(record)
-        return record
-
     def record(
         self,
         name: str,
         start: float,
         end: float,
+        clock: str,
         category: str = "",
         track: Optional[str] = DEFAULT_TRACK,
         parent: Optional[Record] = None,
@@ -248,7 +194,7 @@ class Recorder:
         instant: bool = False,
         **attrs,
     ) -> Record:
-        """Record a closed record with explicit bounds (modelled intervals).
+        """Record ``[start, end]`` on ``clock`` (:data:`CAD_MIN` or :data:`DES_S`).
 
         ``track=None`` keeps it out of the trace; ``path`` names where
         the fold counts it (see :meth:`_fold`); ``instant`` marks a
@@ -256,10 +202,13 @@ class Recorder:
         """
         if end < start:
             raise RecordingError(f"record {name!r}: end {end} before start {start}")
+        if clock not in CLOCKS:
+            raise RecordingError(f"record {name!r}: unknown clock {clock!r}")
         record = Record(
             name,
             category,
             track,
+            clock,
             start,
             end,
             parent.span_id if parent is not None else None,
@@ -278,7 +227,7 @@ class Recorder:
     # the fold
     # ------------------------------------------------------------------
     def _fold(self, record: Record) -> None:
-        """Count a closed record once, at the one path the rule gives it.
+        """Count a record once, at the one path the rule gives it.
 
         An explicit ``path`` and a cancelled DES event (``cancelled:<Type>``)
         resolve under the innermost frame; any other record is kept for
@@ -383,7 +332,7 @@ class Recorder:
                 f"cannot export with {len(self._frames) - 1} frame(s) still open"
             )
         return {
-            "spans": [s for s in self.spans if s.closed] if self.trace else None,
+            "spans": list(self.spans) if self.trace else None,
             "tree": self.root.document() if self.profile else None,
         }
 
@@ -419,16 +368,12 @@ class Recorder:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    def open_spans(self) -> List[Record]:
-        """Records begun but not yet ended (any track)."""
-        return [s for stack in self._stacks.values() for s in stack]
-
     def spans_in(self, category: str) -> List[Record]:
-        """Closed kept records of one category."""
-        return [s for s in self.spans if s.category == category and s.closed]
+        """Kept records of one category."""
+        return [s for s in self.spans if s.category == category]
 
     def total_duration(self, category: str) -> float:
-        """Summed duration of a category's closed kept records."""
+        """Summed duration of a category's kept records."""
         return sum(s.duration for s in self.spans_in(category))
 
     def nesting_violations(self) -> List[str]:
@@ -437,7 +382,7 @@ class Recorder:
         problems: List[str] = []
         for span in self.spans:
             parent = by_id.get(span.parent_id)
-            if parent is None or not (span.closed and parent.closed):
+            if parent is None:
                 continue
             if span.start < parent.start or span.end > parent.end:
                 problems.append(

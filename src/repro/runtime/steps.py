@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional
 
 from repro.noc.analytic import flit_count
 from repro.obs.instrumentation import Instrumentation
+from repro.obs.recorder import DES_S
 
 if TYPE_CHECKING:  # the report views are built by the layers above
     from repro.runtime.executor import ExecutionTimeline
@@ -318,11 +319,11 @@ def project(
             if record is not None:
                 name, category, track, attrs = record
                 instrumentation.record(
-                    name, step.start, step.end, category, track, **attrs
+                    name, step.start, step.end, DES_S, category, track, **attrs
                 )
         for event in timeline.events if timeline is not None else ():
             instrumentation.record(
-                event.task, event.start_s, event.end_s, f"app.{event.kind}",
+                event.task, event.start_s, event.end_s, DES_S, f"app.{event.kind}",
                 f"app/{event.worker}", worker=event.worker, kind=event.kind,
             )
     if recorder is not None and recorder.profile:

@@ -27,6 +27,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
+from repro.obs.recorder import DES_S
 
 if TYPE_CHECKING:
     from repro.obs.instrumentation import Instrumentation
@@ -279,11 +280,11 @@ class Simulator:
         """
         recorder = self._recorder
         if recorder is not None:
-            now = recorder.now()
             recorder.record(
                 f"cancelled:{type(event).__name__}",
-                now,
-                now,
+                self.now,
+                self.now,
+                DES_S,
                 category="kernel.cancelled",
                 track="sim/kernel",
                 instant=True,

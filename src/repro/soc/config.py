@@ -151,13 +151,8 @@ class SocConfig:
         sockets of reconfigurable tiles stay static: only the wrapper
         reconfigures), and the SoC-level miscellaneous logic.
         """
-        tile_luts = sum(
-            t.base_luts() for t in self.static_tiles if t.kind is not TileKind.EMPTY
-        )
-        empties = sum(
-            t.base_luts() for t in self.static_tiles if t.kind is TileKind.EMPTY
-        )
-        return tile_luts + empties + ROUTER_SOCKET_LUTS * self.num_tiles + SOC_MISC_LUTS
+        tile_luts = sum(t.base_luts() for t in self.static_tiles)
+        return tile_luts + ROUTER_SOCKET_LUTS * self.num_tiles + SOC_MISC_LUTS
 
     def reconfigurable_luts(self) -> List[int]:
         """:math:`lut_i` per reconfigurable tile (synthesis LUTs)."""

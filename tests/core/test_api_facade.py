@@ -117,10 +117,10 @@ class TestRetiredKwargs:
     def test_build_tracer_kwarg_is_rejected(self, small_soc):
         platform = PrEspPlatform()
         with pytest.raises(TypeError, match="tracer"):
-            platform.build(small_soc, tracer=Tracer(time_unit="min"))
+            platform.build(small_soc, tracer=Tracer())
 
     def test_build_instrumentation_tracer_still_works(self, small_soc):
-        tracer = Tracer(time_unit="min")
+        tracer = Tracer()
         platform = PrEspPlatform(
             instrumentation=Instrumentation(tracer=tracer)
         )

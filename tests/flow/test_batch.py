@@ -240,7 +240,7 @@ class TestObservationParity:
         cached_build(flow, cache, socs["soc_a"])
 
         def live():
-            return Instrumentation(recorder=Recorder(time_unit="min"))
+            return Instrumentation(recorder=Recorder())
 
         direct = live()
         _, hit = cached_build(flow, cache, socs["soc_a"], instrumentation=direct)

@@ -123,13 +123,13 @@ class TestCorrectness:
 
     def test_cached_trace_identical_to_fresh(self, flow, soc):
         """A replayed trace must be byte-identical to a live one."""
-        live_tracer = Tracer(time_unit="min")
+        live_tracer = Tracer()
         fresh = flow.build(soc, instrumentation=Instrumentation(tracer=live_tracer))
         cache = FlowCache()
         cache.put(flow_cache_key(flow, soc), fresh)
 
         served = cache.get(flow_cache_key(flow, soc))
-        replay_tracer = Tracer(time_unit="min")
+        replay_tracer = Tracer()
         flow.record_trace(served, replay_tracer)
         assert chrome_trace_json(replay_tracer) == chrome_trace_json(live_tracer)
 

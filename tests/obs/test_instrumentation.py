@@ -6,14 +6,13 @@ from repro.obs.events import EventBus
 from repro.obs.instrumentation import NO_FRAME, OFF, Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import canonical_tree, profile_document
-from repro.obs.recorder import Recorder, RecordingError
-from repro.obs.tracer import Tracer
+from repro.obs.recorder import CAD_MIN, DES_S, Recorder, RecordingError
 
 
 def _tracer_calls(probe):
     return [
-        probe.record("work", 0.0, 1.0, category="x", track="t/a", failed=True),
-        probe.record("b", 0.0, 1.0),
+        probe.record("work", 0.0, 1.0, DES_S, category="x", track="t/a", failed=True),
+        probe.record("b", 0.0, 1.0, DES_S),
     ]
 
 
@@ -36,7 +35,7 @@ def _profiler_calls(probe):
     assert probe.frame("a") is probe.frame("b") is NO_FRAME
     with probe.frame("y") as frame:
         result = frame.charge(1.0)
-    return [result, probe.record("z", 0.0, 0.0, track=None, path=("z",))]
+    return [result, probe.record("z", 0.0, 0.0, DES_S, track=None, path=("z",))]
 
 
 @pytest.mark.parametrize(
@@ -62,13 +61,13 @@ def test_off_is_the_default_probe():
 
 def test_operations_reach_the_live_sinks():
     probe = Instrumentation(
-        recorder=Recorder(time_unit="min", host_clock=lambda: 0.0),
+        recorder=Recorder(host_clock=lambda: 0.0),
         metrics=MetricsRegistry(),
         events=EventBus(),
     )
     probe.use_clock(lambda: 2.0)
-    span = probe.record("stage", 2.0, 2.0, category="flow.stage", ok=True)
-    probe.record("job", 0.0, 1.0, category="flow.job", parent=span)
+    span = probe.record("stage", 2.0, 2.0, CAD_MIN, category="flow.stage", ok=True)
+    probe.record("job", 0.0, 1.0, CAD_MIN, category="flow.job", parent=span)
     probe.counter("c").inc(2.0, stage="s")
     probe.gauge("g").set(3.0)
     probe.histogram("h").observe(0.5)
@@ -78,7 +77,7 @@ def test_operations_reach_the_live_sinks():
         # A record without a track reaches the fold only, at its
         # explicit path under the open frame; a tally lands under the
         # root whatever frame is open.
-        probe.record("inner", 0.0, 1.0, track=None, sim_s=1.0, path=("inner",))
+        probe.record("inner", 0.0, 1.0, CAD_MIN, track=None, sim_s=1.0, path=("inner",))
         probe.profiler.tally(("runtime", "recovery", "retry"), 2.0)
 
     assert [(s.name, s.start, s.end) for s in probe.tracer.spans] == [
@@ -128,16 +127,3 @@ def test_one_recorder_per_probe():
     with pytest.raises(RecordingError):
         Instrumentation(tracer=Recorder(), profiler=Recorder())
 
-
-def test_untraced_probe_shares_the_fold():
-    recorder = Recorder(host_clock=lambda: 0.0)
-    probe = Instrumentation(recorder=recorder)
-    inner = probe.untraced()
-    assert inner.tracer is None
-    with probe.frame("deploy"):
-        with inner.frame("build"):
-            inner.record("stage", 0.0, 1.0, track="flow/build")
-    assert recorder.spans == []
-    (deploy,) = canonical_tree(profile_document(recorder))["children"]
-    assert [child["name"] for child in deploy["children"]] == ["build"]
-    assert Instrumentation(recorder=Tracer()).untraced().recorder is None

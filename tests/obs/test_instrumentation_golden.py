@@ -53,25 +53,25 @@ from repro.vivado.runtime_model import JobKind
 
 GOLDEN = {
     "build": {
-        "trace": "19a7c5cd6c8c9200e58f8a565d595d06bdb19b614f466cd237886f16e6fcb6de",
+        "trace": "f7475abc9d8962c8822bd48deb3cf79929967d224c89ae40d28aca5d18d63efe",
         "profile": "24380ab86aab25bc7d54cbf03af7b1828709a974f7ee02b67cfdab8e451668eb",
         "events": "52785e1c2e4d71b62ed421a612b9ef350044f0a414164fb96ed6b46f756585aa",
         "metrics": "b7b4557c3b481fe29f5973d8e500e1eb266c7022e85ea2b79a59efba9f5f5b02",
     },
     "deploy": {
-        "trace": "f47e17ee33226889b1698a0970b336a205e439594520ef87390df29f1d39cda2",
+        "trace": "ae9a126359cd69d1d379378eeaa794f23031da162a9f8b614f0d22f5fced82d8",
         "profile": "c9c5078c7906df0f6ba5e7953612da19f9f55f1d191e89d92aceaf3aa4288460",
         "events": "6991d501094525e39431fb10dddf45a1b4e3716bd75fcd5828ed00310d2b4447",
         "metrics": "64d9efe570e8d98e1d0191f2f839a1c1ceca72f81b105a1a7d9b69f1badd007c",
     },
     "fault_build": {
-        "trace": "5e37b8d05087abedd9685af2954c909447daa8772a4dc1e96a50840808a5f29e",
+        "trace": "d4882c7ea78106e9b011ae54a04349431562b94c936b173dbb623bf02f9ebd81",
         "profile": "0cdef7302cb3a8625f7207d3d69019c244c45e21bedcd50a0f700593be173e7b",
         "events": "14111829074c795bd519a3da0896242c2177ac97446c007e21c01d535328cbe8",
         "metrics": "43680cb1b7a55f605ba05f3373edd3055949322bb8324c5ded92f8dde198ccc2",
     },
     "fault_resume": {
-        "trace": "5e37b8d05087abedd9685af2954c909447daa8772a4dc1e96a50840808a5f29e",
+        "trace": "d4882c7ea78106e9b011ae54a04349431562b94c936b173dbb623bf02f9ebd81",
         "profile": "676e1d2ce2d35001dbcc61fc5a9c0718b3bc7a7ca48ada1d21ea62340330a4cf",
         "events": "d5b6d2756d7138ee82d34aded0d777c8d369fe1684b4381e0165992ce4bfb0ee",
         "metrics": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
@@ -82,14 +82,14 @@ GOLDEN = {
         "profile": "c9c5078c7906df0f6ba5e7953612da19f9f55f1d191e89d92aceaf3aa4288460",
     },
     "deploy_trace_only": {
-        "trace": "f47e17ee33226889b1698a0970b336a205e439594520ef87390df29f1d39cda2",
+        "trace": "ae9a126359cd69d1d379378eeaa794f23031da162a9f8b614f0d22f5fced82d8",
     },
-    # The kernel's cancelled:* instants are kept live, the runtime's
-    # records by the post-run projection, so the instants number first;
-    # the events themselves (span ids aside) are those the runtime kept
-    # live before its records became a projection.
+    # A deploy traces the build it runs on the flow/* rows (CAD
+    # minutes), so those records number first; then the kernel's
+    # cancelled:* instants, kept live, and the runtime's records, kept
+    # by the post-run projection (DES seconds).
     "fault_deploy": {
-        "trace": "0e9bb5ef5ba19ce2bdfbdd97cf28a38a2062d0cdcaeb89143539e68777581253",
+        "trace": "9174d27570d0756eb6a1f72cbc8d7726898024b84f622a0170f924927c697295",
         "profile": "ccf8823d9976897241d2f7afefe3160e0f6de9a337a0359df403199e853e0367",
         "events": "1132958c64b05c62ba17cf68b4c365c7c42c6f61b32163df6c267cb6f14df1a4",
         "metrics": "b5490e9b366de835cc79def0bf18fbeff5698c0dbcc1ef8ba72166ad5add84af",
@@ -100,7 +100,7 @@ GOLDEN = {
     },
     # A hit traces byte-identically to the fresh build.
     "cache_hit": {
-        "trace": "19a7c5cd6c8c9200e58f8a565d595d06bdb19b614f466cd237886f16e6fcb6de",
+        "trace": "f7475abc9d8962c8822bd48deb3cf79929967d224c89ae40d28aca5d18d63efe",
         "profile": "e48520dd4f56d67835af97346630bc4ea511c2ff0244f7ef657934c5469bce2f",
         "events": "dbf1d16dff7a110359532c08cfc2ef0634f1cfae226bcd1cdd3b87f7f444c24b",
         "metrics": "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a",
@@ -111,13 +111,13 @@ GOLDEN = {
 #: says whether records went missing or only changed.
 COUNTS = {
     "build": {"trace": 19, "events": 14, "metrics": 2},
-    "deploy": {"trace": 112, "events": 154, "metrics": 113},
+    "deploy": {"trace": 131, "events": 154, "metrics": 113},
     "fault_build": {"trace": 22, "events": 28, "metrics": 5},
     "fault_resume": {"trace": 22, "events": 8, "metrics": 0},
     "deploy_profile_only": {},
-    "deploy_trace_only": {"trace": 112},
+    "deploy_trace_only": {"trace": 131},
     "cache_hit": {"trace": 19, "events": 1, "metrics": 0},
-    "fault_deploy": {"trace": 142, "events": 153, "metrics": 179},
+    "fault_deploy": {"trace": 164, "events": 153, "metrics": 179},
     "fault_deploy_profile_only": {},
 }
 
@@ -147,9 +147,9 @@ RECOVERY = {
 }
 
 
-def _live(time_unit: str) -> api.Instrumentation:
+def _live() -> api.Instrumentation:
     return api.Instrumentation(
-        recorder=Recorder(time_unit=time_unit),
+        recorder=Recorder(),
         metrics=MetricsRegistry(),
         events=EventBus(capacity=100_000),
     )
@@ -180,9 +180,9 @@ def sections(inst):
 def observe():
     """Run every verb; return {verb: {section: value}}."""
     soc = wami_deployment_socs()["soc_x"]
-    build = _live("min")
+    build = _live()
     api.build(soc, instrumentation=build)
-    deploy = _live("s")
+    deploy = _live()
     api.deploy(soc, frames=2, instrumentation=deploy)
     deploy_profile_only = api.Instrumentation(profiler=Profiler())
     api.deploy(soc, frames=2, instrumentation=deploy_profile_only)
@@ -190,11 +190,11 @@ def observe():
     api.deploy(soc, frames=2, instrumentation=deploy_trace_only)
     cache = BuildOptions(cache=FlowCache())
     api.build(soc, options=cache)
-    cache_hit = _live("min")
+    cache_hit = _live()
     api.build(soc, options=cache, instrumentation=cache_hit)
     faulty = wami_deployment_socs()["soc_y"]
-    fault_build = _live("min")
-    fault_resume = _live("min")
+    fault_build = _live()
+    fault_resume = _live()
     with tempfile.TemporaryDirectory() as ckpt:
         options = BuildOptions(
             faults=CadFaultModel(**FAULTS), checkpoint_dir=ckpt
@@ -203,7 +203,7 @@ def observe():
         api.build(
             faulty, resume=True, options=options, instrumentation=fault_resume
         )
-    fault_deploy = _live("s")
+    fault_deploy = _live()
     fault_deploy_profile_only = api.Instrumentation(profiler=Profiler())
     for inst in (fault_deploy, fault_deploy_profile_only):
         api.deploy(

@@ -27,7 +27,7 @@ from repro.obs.profiler import (
     self_host_total,
     write_profile,
 )
-from repro.obs.recorder import Recorder, RecordingError
+from repro.obs.recorder import CAD_MIN, DES_S, Recorder, RecordingError
 
 
 class FakeClock:
@@ -151,13 +151,13 @@ class TestSimAttribution:
             with pytest.raises(RecordingError):
                 frame.charge(-1.0)
         with pytest.raises(RecordingError):
-            profiler.record("x", 0.0, 0.0, track=None, sim_s=-0.1, path=("x",))
+            profiler.record("x", 0.0, 0.0, DES_S, track=None, sim_s=-0.1, path=("x",))
 
     def test_record_path_folds_under_current_frame(self, profiler, clock):
         with profiler.frame("flow.synthesis"):
             clock.advance(0.01)
             profiler.record(
-                "synth_rt1", 0.0, 10.0, category="flow.job", sim_s=600.0,
+                "synth_rt1", 0.0, 10.0, CAD_MIN, category="flow.job", sim_s=600.0,
                 path=("vivado.synth_rt1",),
             )
         stage = tree_of(profiler)["children"][0]
@@ -183,8 +183,7 @@ class TestSimAttribution:
     def test_kernel_records_reach_the_trace_only(self, profiler):
         # The runtime folds its own steps (``tally``); a kernel record
         # has no fold path of its own.
-        record = profiler.begin("fft", category="kernel.exec", track="kernel/rt0")
-        profiler.end(record)
+        profiler.record("fft", 0.0, 1.0, DES_S, category="kernel.exec", track="kernel/rt0")
         assert collapsed_stacks(tree_document(profiler), weight="calls") == []
 
 
@@ -250,20 +249,20 @@ class TestMerge:
 class TestWorkerPayload:
     def test_one_payload_carries_every_sink_through_one_merge(self):
         worker = Instrumentation(
-            recorder=Recorder(time_unit="min", host_clock=FakeClock()),
+            recorder=Recorder(host_clock=FakeClock()),
             metrics=MetricsRegistry(),
             events=EventBus(),
         )
         assert worker.sinks == ("trace", "profile", "metrics", "events")
         with worker.frame("build.soc_a") as frame:
             frame.charge(60.0)
-        worker.record("build soc_a", 0.0, 1.0, category="flow.build")
+        worker.record("build soc_a", 0.0, 1.0, CAD_MIN, category="flow.build")
         worker.emit("flow.done", time=1.0, source="flow")
         worker.counter("jobs").inc()
         payload = pickle.loads(pickle.dumps(worker.payload()))
 
         parent = Instrumentation(
-            recorder=Recorder(time_unit="min"),
+            recorder=Recorder(),
             metrics=MetricsRegistry(),
             events=EventBus(),
         )
@@ -288,7 +287,7 @@ class TestNullProfiler:
         assert OFF.frame("y") is NO_FRAME
         with OFF.frame("y") as frame:
             assert frame.charge(1.0) is None
-        assert OFF.record("z", 0.0, 0.0, track=None, path=("z",)) is None
+        assert OFF.record("z", 0.0, 0.0, DES_S, track=None, path=("z",)) is None
         assert OFF.enabled is False
 
 

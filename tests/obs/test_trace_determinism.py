@@ -50,7 +50,7 @@ class TestDeterminism:
         platform, config, _ = built_socy
         texts = []
         for _ in range(2):
-            tracer = Tracer(time_unit="min")
+            tracer = Tracer()
             platform.flow.build(
                 config, instrumentation=Instrumentation(tracer=tracer)
             )
@@ -62,11 +62,10 @@ class TestWellFormedness:
     def test_deploy_spans_nest(self, built_socy):
         _, tracer, _ = traced_deploy(built_socy)
         assert tracer.nesting_violations() == []
-        assert tracer.open_spans() == []
 
     def test_flow_spans_nest(self, built_socy):
         platform, config, _ = built_socy
-        tracer = Tracer(time_unit="min")
+        tracer = Tracer()
         result = platform.flow.build(
             config, instrumentation=Instrumentation(tracer=tracer)
         )
@@ -78,7 +77,7 @@ class TestWellFormedness:
 
     def test_flow_stage_spans_match_report(self, built_socy):
         platform, config, _ = built_socy
-        tracer = Tracer(time_unit="min")
+        tracer = Tracer()
         result = platform.flow.build(
             config, instrumentation=Instrumentation(tracer=tracer)
         )

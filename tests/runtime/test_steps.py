@@ -106,11 +106,12 @@ def _digest(value) -> str:
 #: records became a post-run projection: the registry snapshot, the
 #: profile (host time stripped) and the Chrome trace without the
 #: kernel's cancelled:* instants (which stay live and so now number
-#: before the runtime's records).
+#: before the runtime's records). The trace also holds the build the
+#: deploy ran, on its flow/* rows in CAD minutes, ahead of the rest.
 RAISED = {
     "metrics": "4fd00d0830ec19706c8603c1cff69334eed57a3c24e254d062310a90f955054d",
     "profile": "69b4d15449e32a8948bcfc92e24f301cb9a6969b39201ca58ddb72d01d31f3b8",
-    "trace": "676339803aaefd199d4455a5a679827500817f1f9f5c8106ea017cd5fdf8a3ea",
+    "trace": "c103f2fcde006f0934374c060f94bef3ff7ff3c210bfe07da21538f022309cbd",
 }
 
 
