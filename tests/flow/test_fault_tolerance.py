@@ -8,6 +8,8 @@ checkpointed build resumed with ``resume=True`` matches the
 uninterrupted one bit for bit.
 """
 
+import json
+
 import pytest
 
 from repro.core.strategy import ImplementationStrategy
@@ -23,6 +25,7 @@ from repro.obs.events import (
     FLOW_DEGRADED,
     FLOW_STAGE_RESUMED,
 )
+from repro.obs.recorder import CAD_MIN, Recorder
 from repro.soc.config import SocConfig
 from repro.soc.esp_library import stock_accelerator
 from repro.soc.tiles import ReconfigurableTile, Tile, TileKind
@@ -189,6 +192,32 @@ class TestCheckpointResume:
         )
         assert resumed.resumed_stages == tuple(s.stage for s in first.stages)
         assert resumed.to_summary_dict() == first.to_summary_dict()
+
+    def test_resumed_records_are_on_cad_minutes(self, duo_soc, tmp_path):
+        class ClockLog(Recorder):
+            """A recorder noting the clock each record is stamped on."""
+
+            def record(self, name, start, end, clock, *args, **attrs):
+                self.clocks[name] = clock
+                return super().record(name, start, end, clock, *args, **attrs)
+
+        ckpt = tmp_path / "ckpt"
+        DprFlow().build(duo_soc, checkpoint_dir=ckpt)
+        # Keep the first two stages: the rest resume job by job.
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["stages"] = manifest["stages"][:2]
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        recorder = ClockLog()
+        recorder.clocks = {}
+        resumed = DprFlow().build(
+            duo_soc, checkpoint_dir=ckpt, resume=True,
+            instrumentation=Instrumentation(recorder=recorder),
+        )
+        assert resumed.resumed_stages == ("parse", "blackbox_gen")
+        assert {"flow.parse", "vivado.synth_rt0", "vivado.impl_static"} <= set(
+            recorder.clocks
+        )
+        assert set(recorder.clocks.values()) == {CAD_MIN}
 
     def test_interrupted_build_resumes_to_identical_summary(
         self, duo_soc, tmp_path, monkeypatch
