@@ -213,8 +213,8 @@ def monitor(
     (the probe's own bus when ``instrumentation`` carries one).
     ``runtime_options`` supplies the runtime fault model and recovery
     policy under which the deployment runs. Extra keyword arguments
-    (the watchdog thresholds) pass through to
-    :meth:`PrEspPlatform.monitor_wami`.
+    (the watchdog thresholds, the SLO rules' ``telemetry`` store and
+    ``slo_window_s``) pass through to :meth:`PrEspPlatform.monitor_wami`.
     """
     return _platform_for(platform, options, instrumentation).monitor_wami(
         config,

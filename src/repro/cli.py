@@ -10,7 +10,7 @@ evaluation entry points:
 * ``deploy CONFIG``        run WAMI on a built SoC (Fig. 4 methodology)
 * ``monitor CONFIG``       deploy with the health monitor attached
 * ``dashboard CONFIG``     deploy with full request telemetry: SLO/error
-                           budgets plus Prometheus/OTLP exposition
+                           budgets plus Prometheus exposition
 * ``bench-diff``           compare BENCH_*.json summaries against baselines
 * ``profile TARGET``       call-path profile of a Fig. 4 workload, or the
                            Fig. 3-style profile of one WAMI accelerator
@@ -63,10 +63,8 @@ from repro.obs.events import EventBus
 from repro.obs.export import (
     metrics_lines,
     write_chrome_trace,
-    write_otlp_jsonl,
     write_prometheus_text,
 )
-from repro.obs.health import Verdict, _worst
 from repro.obs.logconfig import (
     LEVELS,
     configure_logging,
@@ -82,7 +80,6 @@ from repro.obs.profiler import (
     write_profile,
 )
 from repro.obs.recorder import Recorder
-from repro.obs.slo import SloTracker
 from repro.service.schema import envelope
 from repro.obs.tsdb import TelemetryStore
 from repro.runtime.faults import (
@@ -447,19 +444,10 @@ def cmd_monitor(args) -> int:
         runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
         instrumentation=Instrumentation(metrics=registry),
     )
-    # One end-of-run snapshot is enough for the SLO verdict, but burn
-    # over a single sample is all-or-nothing, so a breached budget
-    # folds into the exit code as DEGRADED at most — the dashboard's
-    # sampled stream is where a CRITICAL burn carries evidence.
-    store = TelemetryStore()
-    store.record(registry, time=report.timeline.makespan_s)
-    slo = SloTracker(store).evaluate()
-    slo_fold = Verdict.DEGRADED if slo.verdict is Verdict.CRITICAL else slo.verdict
-    verdict = _worst(health.verdict, slo_fold)
     if args.json:
         payload = health.to_dict()
-        payload["slo"] = slo.to_dict()
-        payload["verdict"] = verdict.value
+        payload["slo"] = health.slo.to_dict()
+        payload["verdict"] = health.overall.value
         payload["deploy"] = {
             "config": config.name,
             "frames": report.frames,
@@ -477,7 +465,7 @@ def cmd_monitor(args) -> int:
             for event in bus.last(args.events)
         ]
         print(json.dumps(envelope("monitor", payload), indent=2))
-        return verdict.exit_code
+        return health.overall.exit_code
     print(f"{config.name}: {report.frames} frames, "
           f"{report.reconfigurations} reconfigurations")
     print(f"  frame latency : {report.seconds_per_frame * 1000:.1f} ms")
@@ -485,7 +473,7 @@ def cmd_monitor(args) -> int:
     for line in health.summary_lines():
         print(line)
     print()
-    for line in slo.summary_lines():
+    for line in health.slo.summary_lines():
         print(line)
     if args.events:
         shown = bus.last(args.events)
@@ -494,35 +482,7 @@ def cmd_monitor(args) -> int:
               f"{bus.dropped} dropped):")
         for event in shown:
             print(f"  {event}")
-    return verdict.exit_code
-
-
-def _dashboard_frames(store: TelemetryStore, window_s) -> list:
-    """Deterministic replay of the run: one SLO evaluation per sample.
-
-    Re-records the store's samples one at a time into a scratch store
-    and evaluates the SLOs after each, yielding the dashboard's
-    ``--follow`` timeline — the same frames a live refresh would have
-    shown, without any wall clock involved.
-    """
-    replay = TelemetryStore(
-        capacity=store.capacity, series_capacity=store.series_capacity
-    )
-    tracker = SloTracker(replay)
-    frames = []
-    for sample in store.samples():
-        replay.record(dict(sample.values), time=sample.time)
-        report = tracker.evaluate(window_s=window_s)
-        frames.append(
-            {
-                "time": sample.time,
-                "verdict": report.verdict.value,
-                "burn": {
-                    status.spec.name: status.burn for status in report.statuses
-                },
-            }
-        )
-    return frames
+    return health.overall.exit_code
 
 
 def cmd_dashboard(args) -> int:
@@ -548,34 +508,25 @@ def cmd_dashboard(args) -> int:
         flow_result=built.flow,
         runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
         platform=plat,
+        telemetry=store,
+        slo_window_s=args.window,
     )
-    # One final snapshot: the end-of-run runtime gauges are published
-    # after the last bus event, so the sampler never sees them.
-    end_time = report.timeline.makespan_s
-    latest = store.latest()
-    if latest is not None and latest.time > end_time:
-        end_time = latest.time
-    store.record(registry, time=end_time)
-    slo = SloTracker(store).evaluate(window_s=args.window)
-    verdict = _worst(health.verdict, slo.verdict)
     if args.prom:
         write_prometheus_text(args.prom, registry)
-    if args.otlp:
-        write_otlp_jsonl(args.otlp, registry, time_s=end_time)
     if args.json:
         payload = {
             "soc": config.name,
             "frames": report.frames,
-            "verdict": verdict.value,
+            "verdict": health.overall.value,
             "requests": {"minted": factory.minted, "tenant": factory.tenant},
             "health": health.to_dict(),
-            "slo": slo.to_dict(),
+            "slo": health.slo.to_dict(),
             "store": store.to_dict(),
         }
         if args.follow:
-            payload["replay"] = _dashboard_frames(store, args.window)
+            payload["replay"] = health.slo.replay()
         print(json.dumps(envelope("dashboard", payload), indent=2))
-        return verdict.exit_code
+        return health.overall.exit_code
     print(f"{config.name}: {report.frames} frames, "
           f"{report.reconfigurations} reconfigurations")
     print(f"  requests      : {factory.minted} minted (tenant {factory.tenant})")
@@ -584,7 +535,7 @@ def cmd_dashboard(args) -> int:
         print()
         print("replay:")
         last = None
-        for frame in _dashboard_frames(store, args.window):
+        for frame in health.slo.replay():
             stamp = frame["verdict"].upper()
             burns = " ".join(
                 f"{name}={burn:.0%}" for name, burn in frame["burn"].items()
@@ -596,15 +547,13 @@ def cmd_dashboard(args) -> int:
     for line in health.summary_lines():
         print(line)
     print()
-    for line in slo.summary_lines():
+    for line in health.slo.summary_lines():
         print(line)
     print()
-    print(f"overall       : {verdict.value.upper()}")
+    print(f"overall       : {health.overall.value.upper()}")
     if args.prom:
         print(f"prometheus exposition written to {args.prom}")
-    if args.otlp:
-        print(f"otlp metrics written to {args.otlp}")
-    return verdict.exit_code
+    return health.overall.exit_code
 
 
 def cmd_baseline_diff(args) -> int:
@@ -1147,8 +1096,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="deploy WAMI with the health monitor attached",
         description=(
             "Run a WAMI deployment with the event bus and health monitor "
-            "wired in, then print the health dashboard. Exit code follows "
-            "the verdict: 0 ok, 1 degraded, 2 critical."
+            "wired in, then print the health dashboard. The judge folds the "
+            "watchdog rules and the SLOs over one end-of-run metrics "
+            "snapshot (where an SLO counts as degraded at most) into the "
+            "exit code: 0 ok, 1 degraded, 2 critical."
         ),
     )
     monitor.add_argument("config", help="design name or esp_config path")
@@ -1203,12 +1154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     dashboard = sub.add_parser(
         "dashboard",
-        help="deploy with request telemetry, SLO budgets and exporters",
+        help="deploy with request telemetry, SLO budgets and a Prometheus page",
         description=(
             "Build and deploy under a request-scoped telemetry context, "
-            "sample the metrics registry along the run's event stream, "
-            "evaluate the SLO error budgets and print the dashboard. "
-            "Exit code folds the health and SLO verdicts: 0 ok, 1 "
+            "sample the metrics registry along the run's event stream "
+            "and print the dashboard. One health judge folds the watchdog "
+            "rules and the SLO error budgets into the exit code: 0 ok, 1 "
             "degraded, 2 critical."
         ),
     )
@@ -1250,11 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--prom",
         metavar="PATH",
         help="write the Prometheus text exposition page to PATH",
-    )
-    dashboard.add_argument(
-        "--otlp",
-        metavar="PATH",
-        help="write OTLP-shaped JSONL metrics to PATH",
     )
     dashboard.add_argument(
         "--json", action="store_true", help="emit the dashboard as JSON"

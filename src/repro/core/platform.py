@@ -154,9 +154,9 @@ class PrEspPlatform:
         so the live instrumentation stamps each span, event, metric
         sample and profile leaf with the request ID. ``telemetry``
         attaches a :class:`~repro.obs.tsdb.TelemetryStore` that
-        snapshots the metrics registry after every verb — the series
-        the SLO tracker and the ``repro dashboard`` verb read. Both
-        default off, preserving context-free label keys.
+        snapshots the metrics registry after every verb — the samples
+        a health judge's SLO rules read. Both default off, preserving
+        context-free label keys.
         """
         self.options = options if options is not None else BuildOptions()
         self.runtime_options = (
@@ -529,6 +529,8 @@ class PrEspPlatform:
         instrumentation: Optional[Instrumentation] = None,
         runtime_options: Optional[RuntimeFaultOptions] = None,
         context: Optional[TelemetryContext] = None,
+        telemetry: Optional[TelemetryStore] = None,
+        slo_window_s: Optional[float] = None,
     ) -> Tuple[WamiRunReport, HealthReport, EventBus]:
         """Deploy WAMI with a health monitor attached (``repro monitor``).
 
@@ -537,11 +539,18 @@ class PrEspPlatform:
         platform's probe; a fresh :class:`~repro.obs.events.EventBus`
         joins it when it has none), runs :meth:`deploy_wami` through
         that probe and returns the run report, the end-of-run health
-        verdict, and the bus (its ring buffer holds the recent events
+        report, and the bus (its ring buffer holds the recent events
         for the dashboard). ``runtime_options`` (falling back to
         the platform's bundle) supplies the fault model and recovery
         policy; arm targeted faults on its model to exercise the
         failure-rate watchdog deliberately.
+
+        The judge's SLO rules read ``telemetry`` (``repro dashboard``
+        samples it along the bus) over ``slo_window_s``; without a
+        store they judge one end-of-run snapshot. Either way the run
+        ends with a snapshot of the probe's metrics: the end-of-run
+        runtime gauges are published after the last bus event, so a
+        bus-driven sampler never sees them.
         """
         inst = (
             instrumentation if instrumentation is not None else self.instrumentation
@@ -556,6 +565,8 @@ class PrEspPlatform:
             failure_rate_degraded=failure_rate_degraded,
             failure_rate_critical=failure_rate_critical,
             queue_depth_degraded=queue_depth_degraded,
+            store=telemetry,
+            slo_window_s=slo_window_s,
         )
         with self._request("monitor", context) as ctx:
             report = self.deploy_wami(
@@ -566,4 +577,10 @@ class PrEspPlatform:
                 runtime_options=runtime_options,
                 context=ctx,
             )
+        end_time = report.timeline.makespan_s
+        latest = monitor.store.latest()
+        if latest is not None:
+            end_time = max(end_time, latest.time)
+        metrics = inst.metrics if inst.metrics is not None else {}
+        monitor.store.record(metrics, time=end_time)
         return report, monitor.report(), bus

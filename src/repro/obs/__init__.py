@@ -21,10 +21,11 @@ Request-scoped telemetry joins all of it: a
 :class:`TelemetryContext` (deterministic seeded IDs, contextvars
 propagation) stamps every record, event, metric sample, profile node
 and log record; a :class:`TelemetryStore` keeps a bounded ring of
-registry snapshots with windowed rate/delta queries; an
-:class:`SloTracker` evaluates declarative SLO specs (error-budget
-burn) with :class:`Verdict` exit-code semantics; and the Prometheus
-text / OTLP JSONL exporters expose the registry to standard scrapers.
+registry snapshots; the :class:`HealthMonitor` is the one health
+judge, folding bus events into watchdog rules and the store's samples
+into declarative SLO rules (error-budget burn) with :class:`Verdict`
+exit-code semantics; and the Prometheus text exporter exposes the
+registry to standard scrapers.
 """
 
 from repro.obs.context import (
@@ -49,13 +50,10 @@ from repro.obs.export import (
     format_metric_value,
     metrics_dict,
     metrics_lines,
-    otlp_metrics_dict,
-    otlp_metrics_lines,
     parse_prometheus_text,
     prometheus_samples,
     prometheus_text,
     write_chrome_trace,
-    write_otlp_jsonl,
     write_prometheus_text,
 )
 from repro.obs.health import (
@@ -63,6 +61,8 @@ from repro.obs.health import (
     HealthFinding,
     HealthMonitor,
     HealthReport,
+    SloReport,
+    SloStatus,
     Verdict,
     WindowStats,
 )
@@ -102,10 +102,7 @@ from repro.obs.recorder import (
 from repro.obs.slo import (
     DEFAULT_SLOS,
     SloError,
-    SloReport,
     SloSpec,
-    SloStatus,
-    SloTracker,
 )
 from repro.obs.tracer import Tracer
 from repro.obs.tsdb import (
@@ -145,7 +142,6 @@ __all__ = [
     "SloReport",
     "SloSpec",
     "SloStatus",
-    "SloTracker",
     "TelemetryContext",
     "TelemetryStore",
     "TelemetryStoreError",
@@ -169,8 +165,6 @@ __all__ = [
     "load_profile",
     "metrics_dict",
     "metrics_lines",
-    "otlp_metrics_dict",
-    "otlp_metrics_lines",
     "parse_prometheus_text",
     "profile_document",
     "profile_json",
@@ -179,7 +173,6 @@ __all__ = [
     "self_host_total",
     "unbind",
     "write_chrome_trace",
-    "write_otlp_jsonl",
     "write_prometheus_text",
     "write_profile",
 ]

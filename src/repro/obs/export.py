@@ -1,6 +1,6 @@
 """Trace and metrics exporters.
 
-Four formats, all deterministic (stable ordering, no wall-clock or
+Three formats, all deterministic (stable ordering, no wall-clock or
 object-identity leakage) so that two runs of the same seeded workload
 export byte-identical files:
 
@@ -17,11 +17,6 @@ export byte-identical files:
   text-format a Prometheus server scrapes (``_total`` counters,
   cumulative ``_bucket{le=...}`` histograms); a round-trip parser
   (:func:`parse_prometheus_text`) keeps the renderer honest in tests.
-* **OTLP-shaped JSON/JSONL** — the registry as an OpenTelemetry
-  ``ExportMetricsServiceRequest`` document (``resourceMetrics`` →
-  ``scopeMetrics`` → ``metrics``), one envelope per line in the JSONL
-  form, with ``timeUnixNano`` derived from the caller's *simulated*
-  instant so exports stay byte-stable.
 """
 
 from __future__ import annotations
@@ -411,145 +406,3 @@ def prometheus_samples(text: str) -> Dict[str, float]:
                 rendered = f"{rendered}{{{labels}}}"
             flat[rendered] = sample["value"]
     return flat
-
-
-# ----------------------------------------------------------------------
-# OTLP-shaped metrics export
-# ----------------------------------------------------------------------
-#: Cumulative aggregation temporality (AGGREGATION_TEMPORALITY_CUMULATIVE).
-_OTLP_CUMULATIVE = 2
-
-#: The instrumentation scope stamped into every export.
-_OTLP_SCOPE = {"name": "repro.obs", "version": "1"}
-
-
-def _otlp_attributes(key: LabelKey) -> List[Dict]:
-    return [
-        {"key": name, "value": {"stringValue": str(value)}} for name, value in key
-    ]
-
-
-def _otlp_metric(instrument, time_unix_nano: int) -> Dict:
-    """One OTLP ``Metric`` object for one registry instrument."""
-    stamp = str(time_unix_nano)
-    metric: Dict = {
-        "name": instrument.name,
-        "description": instrument.description,
-        "unit": "",
-    }
-    if instrument.kind in ("counter", "gauge"):
-        points = [
-            {
-                "attributes": _otlp_attributes(key),
-                "timeUnixNano": stamp,
-                "asDouble": float(value),
-            }
-            for key, value in instrument.items()
-        ]
-        if instrument.kind == "counter":
-            metric["sum"] = {
-                "dataPoints": points,
-                "aggregationTemporality": _OTLP_CUMULATIVE,
-                "isMonotonic": True,
-            }
-        else:
-            metric["gauge"] = {"dataPoints": points}
-        return metric
-    if instrument.kind == "histogram":
-        points = []
-        for key, series in instrument.items():
-            point = {
-                "attributes": _otlp_attributes(key),
-                "timeUnixNano": stamp,
-                "count": str(series.count),
-                "sum": float(series.total),
-                "bucketCounts": [str(c) for c in series.bucket_counts],
-                "explicitBounds": [float(b) for b in instrument.buckets],
-            }
-            if series.count:
-                point["min"] = float(series.minimum)
-                point["max"] = float(series.maximum)
-            points.append(point)
-        metric["histogram"] = {
-            "dataPoints": points,
-            "aggregationTemporality": _OTLP_CUMULATIVE,
-        }
-        return metric
-    raise ValueError(  # pragma: no cover - registries only hold three kinds
-        f"cannot export instrument kind {instrument.kind!r}"
-    )
-
-
-def _otlp_envelope(metrics: List[Dict], resource: Dict[str, str]) -> Dict:
-    return {
-        "resourceMetrics": [
-            {
-                "resource": {
-                    "attributes": [
-                        {"key": key, "value": {"stringValue": str(value)}}
-                        for key, value in sorted(resource.items())
-                    ]
-                },
-                "scopeMetrics": [
-                    {"scope": dict(_OTLP_SCOPE), "metrics": metrics}
-                ],
-            }
-        ]
-    }
-
-
-def otlp_metrics_dict(
-    registry: MetricsRegistry,
-    time_s: float = 0.0,
-    resource: Optional[Dict[str, str]] = None,
-) -> Dict:
-    """The registry as one OTLP ``ExportMetricsServiceRequest`` document.
-
-    ``time_s`` is the caller's *simulated* instant — ``timeUnixNano``
-    derives from it (never from a wall clock), so two identical seeded
-    runs export byte-identical documents.
-    """
-    if resource is None:
-        resource = {"service.name": "pr-esp-repro"}
-    stamp = int(round(float(time_s) * 1e9))
-    metrics = [
-        _otlp_metric(instrument, stamp) for instrument in registry.instruments()
-    ]
-    return _otlp_envelope(metrics, resource)
-
-
-def otlp_metrics_lines(
-    registry: MetricsRegistry,
-    time_s: float = 0.0,
-    resource: Optional[Dict[str, str]] = None,
-) -> List[str]:
-    """One JSON envelope per instrument — the JSONL rows.
-
-    Each line is a complete, self-describing OTLP document (the shape
-    the OpenTelemetry file exporter emits), so consumers can stream or
-    ``jq`` one family at a time.
-    """
-    if resource is None:
-        resource = {"service.name": "pr-esp-repro"}
-    stamp = int(round(float(time_s) * 1e9))
-    return [
-        json.dumps(
-            _otlp_envelope([_otlp_metric(instrument, stamp)], resource),
-            sort_keys=True,
-        )
-        for instrument in registry.instruments()
-    ]
-
-
-def write_otlp_jsonl(
-    path: str,
-    registry: MetricsRegistry,
-    time_s: float = 0.0,
-    resource: Optional[Dict[str, str]] = None,
-) -> None:
-    """Write the OTLP JSONL metrics log to ``path``."""
-    lines = otlp_metrics_lines(registry, time_s=time_s, resource=resource)
-    with open(path, "w") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")

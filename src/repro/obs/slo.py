@@ -1,4 +1,4 @@
-"""Declarative SLOs with rolling error-budget burn.
+"""Declarative SLO specs: the indicators the health judge folds.
 
 An :class:`SloSpec` names a service-level indicator — one metric
 series (p95 reconfiguration latency) or a ratio of two counter sets
@@ -6,15 +6,13 @@ series (p95 reconfiguration latency) or a ratio of two counter sets
 stay within, and an error budget: the fraction of observations allowed
 to violate the objective before the SLO is breached.
 
-The :class:`SloTracker` evaluates specs against the
-:class:`~repro.obs.tsdb.TelemetryStore`'s sample history: each stored
-snapshot yields one SLI observation, burn is the fraction of
-observations in violation, and the remaining budget is
-``1 - burn/budget``. Verdicts reuse the exact
-:class:`~repro.obs.health.Verdict` semantics the health monitor
-established (``ok``/``degraded``/``critical`` → exit 0/1/2), so
-``repro dashboard`` and ``repro monitor`` fold SLO state into their
-exit codes with the same ``_worst`` merge the watchdog rules use.
+The specs are rules of the one health judge,
+:class:`~repro.obs.health.HealthMonitor`: it computes each
+:class:`~repro.obs.tsdb.TelemetryStore` sample's SLI once per spec,
+keeps running observation/violation counts, and judges burn (the
+fraction of observations in violation) and the remaining budget
+``1 - burn/budget`` with the same ``ok``/``degraded``/``critical``
+verdicts as its bus rules.
 
 Series are selected by ``fnmatch`` pattern, not exact key: request
 telemetry injects ``request``/``tenant`` labels into series names, so
@@ -32,44 +30,26 @@ from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import PrEspError
-from repro.obs.health import Verdict, _worst
-from repro.obs.tsdb import Sample, TelemetryStore
+from repro.obs.tsdb import Sample
 
 
 class SloError(PrEspError):
     """Misuse of the SLO API (bad objective, budget, or selector)."""
 
 
-def _match_sum(sample: Sample, patterns: Sequence[str]) -> Optional[float]:
-    """Sum of all sample values matching any pattern (None if no match)."""
-    total = 0.0
-    matched = False
-    for key, value in sample.values.items():
-        for pattern in patterns:
-            if fnmatch.fnmatchcase(key, pattern):
-                total += value
-                matched = True
-                break
-    return total if matched else None
-
-
-def _match_fold(sample: Sample, pattern: str, how: str) -> Optional[float]:
-    """Fold sample values matching ``pattern`` (None if no match)."""
-    values = [
+def _matching(sample: Sample, patterns: Sequence[str]) -> List[float]:
+    """Sample values whose key matches any of ``patterns``, in key order."""
+    return [
         value
         for key, value in sample.values.items()
-        if fnmatch.fnmatchcase(key, pattern)
+        if any(fnmatch.fnmatchcase(key, pattern) for pattern in patterns)
     ]
-    if not values:
-        return None
-    if how == "max":
-        return max(values)
-    if how == "min":
-        return min(values)
-    return sum(values)
+
+
+_FOLDS = {"max": max, "min": min, "sum": sum}
 
 
 @dataclass(frozen=True)
@@ -101,7 +81,7 @@ class SloSpec:
             raise SloError(
                 f"SLO {self.name}: budget must be in (0, 1], got {self.budget}"
             )
-        if self.agg not in ("max", "min", "sum"):
+        if self.agg not in _FOLDS:
             raise SloError(f"SLO {self.name}: unknown aggregation {self.agg!r}")
         if self.denominator is not None and not isinstance(self.denominator, tuple):
             # Normalize a single pattern or a list into a tuple so the
@@ -122,12 +102,12 @@ class SloSpec:
         observation (there was no traffic to judge).
         """
         if self.denominator is not None:
-            numerator = _match_sum(sample, (self.series,))
-            denominator = _match_sum(sample, self.denominator)
-            if denominator is None or denominator <= 0:
+            denominator = sum(_matching(sample, self.denominator))
+            if denominator <= 0:
                 return None
-            return (numerator if numerator is not None else 0.0) / denominator
-        return _match_fold(sample, self.series, self.agg)
+            return sum(_matching(sample, (self.series,))) / denominator
+        values = _matching(sample, (self.series,))
+        return _FOLDS[self.agg](values) if values else None
 
 
 #: The platform's serving SLOs: reconfiguration tail latency, deploy
@@ -161,129 +141,3 @@ DEFAULT_SLOS: Tuple[SloSpec, ...] = (
     ),
 )
 
-
-@dataclass(frozen=True)
-class SloStatus:
-    """One spec's evaluation against the store."""
-
-    spec: SloSpec
-    verdict: Verdict
-    #: Latest SLI observation (None = no data in the window).
-    sli: Optional[float]
-    observations: int
-    violations: int
-    #: Fraction of observations violating the objective.
-    burn: float
-    #: ``1 - burn/budget``: positive = headroom, <= 0 = breached.
-    budget_remaining: float
-
-    def to_dict(self) -> Dict:
-        return {
-            "name": self.spec.name,
-            "description": self.spec.description,
-            "objective": self.spec.objective,
-            "budget": self.spec.budget,
-            "verdict": self.verdict.value,
-            "sli": self.sli,
-            "observations": self.observations,
-            "violations": self.violations,
-            "burn": self.burn,
-            "budget_remaining": self.budget_remaining,
-        }
-
-    def summary(self) -> str:
-        unit = self.spec.unit
-        if self.observations == 0:
-            state = "no data"
-        else:
-            sli = "n/a" if self.sli is None else f"{self.sli:.6g}{unit}"
-            state = (
-                f"sli={sli} objective<={self.spec.objective:g}{unit} "
-                f"burn={self.burn * 100:.1f}% of {self.spec.budget * 100:g}% "
-                f"budget ({self.budget_remaining * 100:+.1f}% left)"
-            )
-        return f"[{self.verdict.value}] {self.spec.name}: {state}"
-
-
-@dataclass(frozen=True)
-class SloReport:
-    """All specs evaluated at one instant."""
-
-    statuses: Tuple[SloStatus, ...]
-    window_s: Optional[float] = None
-
-    @property
-    def verdict(self) -> Verdict:
-        worst = Verdict.OK
-        for status in self.statuses:
-            worst = _worst(worst, status.verdict)
-        return worst
-
-    def to_dict(self) -> Dict:
-        return {
-            "verdict": self.verdict.value,
-            "window_s": self.window_s,
-            "objectives": [status.to_dict() for status in self.statuses],
-        }
-
-    def summary_lines(self) -> List[str]:
-        lines = [f"slo verdict   : {self.verdict.value.upper()}"]
-        lines.extend(f"  {status.summary()}" for status in self.statuses)
-        return lines
-
-
-class SloTracker:
-    """Evaluates SLO specs against a telemetry store's history."""
-
-    def __init__(
-        self,
-        store: TelemetryStore,
-        specs: Sequence[SloSpec] = DEFAULT_SLOS,
-    ) -> None:
-        names = [spec.name for spec in specs]
-        if len(set(names)) != len(names):
-            raise SloError(f"duplicate SLO names: {names}")
-        self.store = store
-        self.specs: Tuple[SloSpec, ...] = tuple(specs)
-
-    def _status(self, spec: SloSpec, samples: List[Sample]) -> SloStatus:
-        observations = 0
-        violations = 0
-        latest: Optional[float] = None
-        for sample in samples:
-            sli = spec.sli(sample)
-            if sli is None:
-                continue
-            observations += 1
-            latest = sli
-            if sli > spec.objective:
-                violations += 1
-        burn = violations / observations if observations else 0.0
-        budget_remaining = 1.0 - burn / spec.budget
-        if observations == 0:
-            verdict = Verdict.OK
-        elif burn >= 1.0:
-            # Every observation violated: the SLI never met the
-            # objective at all — not just budget exhaustion.
-            verdict = Verdict.CRITICAL
-        elif budget_remaining <= 0.0:
-            verdict = Verdict.DEGRADED
-        else:
-            verdict = Verdict.OK
-        return SloStatus(
-            spec=spec,
-            verdict=verdict,
-            sli=latest,
-            observations=observations,
-            violations=violations,
-            burn=burn,
-            budget_remaining=budget_remaining,
-        )
-
-    def evaluate(self, window_s: Optional[float] = None) -> SloReport:
-        """One report over the store's (optionally windowed) history."""
-        samples = self.store.samples(window_s)
-        return SloReport(
-            statuses=tuple(self._status(spec, samples) for spec in self.specs),
-            window_s=window_s,
-        )

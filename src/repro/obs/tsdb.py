@@ -1,24 +1,22 @@
-"""A clock-injected, bounded time-series store over metrics snapshots.
+"""A bounded time-series store over metrics snapshots.
 
 The :class:`~repro.obs.metrics.MetricsRegistry` answers "what are the
-counters *now*"; the :class:`TelemetryStore` answers "how did they get
-there": it keeps a fixed-capacity ring of periodic registry snapshots
-plus a bounded per-series history, and derives windowed deltas and
-rates from them. This is the substrate the SLO tracker and the
-``repro dashboard`` verb read, and the surface a future multi-tenant
-service daemon will account per-tenant quotas against.
+counters *now*"; the :class:`TelemetryStore` keeps a fixed-capacity
+ring of registry snapshots: how they got there. The health judge
+(:class:`~repro.obs.health.HealthMonitor`) folds each sample into its
+SLO rules once.
 
-Like every obs layer the store never reads a wall clock. Sample times
-come from an injected clock (the dashboard attaches the store to an
-:class:`~repro.obs.events.EventBus` and stamps samples from the
-events' own simulated-seconds timestamps); without a clock the store
-falls back to a deterministic sample counter, so two identical seeded
-runs produce byte-identical stores.
+Like every obs layer the store never reads a wall clock. A sample is
+stamped with the time its caller passes (the dashboard attaches the
+store to an :class:`~repro.obs.events.EventBus` and stamps samples
+from the events' own simulated-seconds timestamps); without one the
+sample index is the time, so two identical seeded runs produce
+byte-identical stores.
 
 Retention is two-level, both bounded:
 
 * the **snapshot ring** keeps the last ``capacity`` full snapshots
-  (drop-oldest, drops counted) — the dashboard's replay source;
+  (drop-oldest, drops counted) — what the health judge reads;
 * the **per-series history** keeps the last ``series_capacity`` points
   of every label-set series independently, so a chatty series (one
   request's counter) cannot evict a quiet one's history.
@@ -26,7 +24,6 @@ Retention is two-level, both bounded:
 
 from __future__ import annotations
 
-import fnmatch
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Tuple
@@ -35,7 +32,7 @@ from repro.errors import PrEspError
 
 
 class TelemetryStoreError(PrEspError):
-    """Misuse of the telemetry store API (bad capacity or window)."""
+    """Misuse of the telemetry store API (bad capacity or sample time)."""
 
 
 @dataclass(frozen=True)
@@ -62,14 +59,9 @@ def _snapshot_of(source) -> Dict[str, float]:
 
 
 class TelemetryStore:
-    """Bounded ring of metrics snapshots with windowed queries."""
+    """Bounded ring of metrics snapshots."""
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        series_capacity: int = 1024,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
+    def __init__(self, capacity: int = 256, series_capacity: int = 1024) -> None:
         if capacity <= 0:
             raise TelemetryStoreError(f"snapshot capacity must be positive: {capacity}")
         if series_capacity <= 0:
@@ -78,7 +70,6 @@ class TelemetryStore:
             )
         self.capacity = capacity
         self.series_capacity = series_capacity
-        self._clock = clock
         self._ring: Deque[Sample] = deque(maxlen=capacity)
         self._series: Dict[str, Deque[Tuple[float, float]]] = {}
         #: Snapshots evicted from the ring (per-series history may
@@ -90,19 +81,12 @@ class TelemetryStore:
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
-    def use_clock(self, clock: Callable[[], float]) -> None:
-        """Rebind the fallback time source."""
-        self._clock = clock
-
-    def _next_time(self) -> float:
-        if self._clock is not None:
-            return float(self._clock())
-        # Deterministic fallback: the sample index is the timestamp.
-        return float(self.recorded)
-
     def record(self, source, time: Optional[float] = None) -> Sample:
-        """Snapshot ``source`` (registry or dict) at ``time`` (or now)."""
-        when = self._next_time() if time is None else float(time)
+        """Snapshot ``source`` (registry or dict) at ``time``.
+
+        Without a time the sample index is the timestamp.
+        """
+        when = float(self.recorded if time is None else time)
         last = self._ring[-1].time if self._ring else None
         if last is not None and when < last:
             raise TelemetryStoreError(
@@ -158,80 +142,9 @@ class TelemetryStore:
         """The most recent sample (None when empty)."""
         return self._ring[-1] if self._ring else None
 
-    def samples(self, window_s: Optional[float] = None) -> List[Sample]:
-        """Buffered samples oldest-first (optionally the last window)."""
-        if window_s is None:
-            return list(self._ring)
-        if window_s < 0:
-            raise TelemetryStoreError(f"window must be >= 0: {window_s}")
-        if not self._ring:
-            return []
-        horizon = self._ring[-1].time - window_s
-        return [s for s in self._ring if s.time >= horizon]
-
-    def window(self, start: float, end: float) -> List[Sample]:
-        """Samples with ``start <= time <= end``, oldest-first."""
-        if end < start:
-            raise TelemetryStoreError(f"window end {end} precedes start {start}")
-        return [s for s in self._ring if start <= s.time <= end]
-
-    def keys(self, pattern: Optional[str] = None) -> List[str]:
-        """Known series keys, sorted (optionally fnmatch-filtered)."""
-        names = sorted(self._series)
-        if pattern is None:
-            return names
-        return [name for name in names if fnmatch.fnmatchcase(name, pattern)]
-
-    def series(
-        self, key: str, window_s: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """``(time, value)`` points of one series, oldest-first."""
-        points = list(self._series.get(key, ()))
-        if window_s is None or not points:
-            return points
-        horizon = points[-1][0] - window_s
-        return [(t, v) for t, v in points if t >= horizon]
-
-    def delta(self, key: str, window_s: Optional[float] = None) -> float:
-        """last - first value of a series over the window (0 if < 2 points)."""
-        points = self.series(key, window_s)
-        if len(points) < 2:
-            return 0.0
-        return points[-1][1] - points[0][1]
-
-    def rate(self, key: str, window_s: Optional[float] = None) -> float:
-        """Windowed delta per unit time (0 for a degenerate window)."""
-        points = self.series(key, window_s)
-        if len(points) < 2:
-            return 0.0
-        elapsed = points[-1][0] - points[0][0]
-        if elapsed <= 0:
-            return 0.0
-        return (points[-1][1] - points[0][1]) / elapsed
-
-    def aggregate(
-        self, pattern: str, sample: Optional[Sample] = None, how: str = "sum"
-    ) -> Optional[float]:
-        """Fold one sample's values matching ``pattern`` (fnmatch).
-
-        ``how`` is ``"sum"`` or ``"max"``. Defaults to the latest
-        sample; returns None when the sample has no matching key — the
-        caller distinguishes "no data yet" from a true zero.
-        """
-        if how not in ("sum", "max"):
-            raise TelemetryStoreError(f"unknown aggregation {how!r}")
-        if sample is None:
-            sample = self.latest()
-        if sample is None:
-            return None
-        matched = [
-            value
-            for key, value in sample.values.items()
-            if fnmatch.fnmatchcase(key, pattern)
-        ]
-        if not matched:
-            return None
-        return sum(matched) if how == "sum" else max(matched)
+    def samples(self) -> List[Sample]:
+        """Buffered samples, oldest first (one atomic copy of the ring)."""
+        return list(self._ring)
 
     def to_dict(self) -> Dict:
         """JSON-serializable view (dashboard ``--json``)."""

@@ -71,11 +71,10 @@ from repro.obs.events import (
     SERVICE_JOB_TIMED_OUT,
     EventBus,
 )
-from repro.obs.health import HealthMonitor, Verdict, _worst
+from repro.obs.health import HealthMonitor, Verdict
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.slo import SloTracker
 from repro.obs.tsdb import TelemetryStore
 from repro.service.breaker import BreakerPolicy, CircuitBreaker
 from repro.service.faults import (
@@ -171,8 +170,7 @@ class Supervisor:
         # monitor's events-dropped rule trips; about 420 bytes an event.
         self.events = EventBus(capacity=32768)
         self.telemetry = TelemetryStore()
-        self.health = HealthMonitor(self.events)
-        self.slo = SloTracker(self.telemetry)
+        self.health = HealthMonitor(self.events, store=self.telemetry)
         probe = Instrumentation(metrics=self.registry, events=self.events)
 
         #: Admission breaker: executed-job outcomes open it, half-open
@@ -547,16 +545,15 @@ class Supervisor:
     def health_verdict(self) -> Tuple[str, Verdict]:
         """The live ``/healthz`` verdict.
 
-        The worst of the event-driven health monitor and the SLO
-        tracker, with a ``recovering`` state (reported as critical →
-        503) while crash-recovered jobs are still draining: a client
-        must not read results as current until the replay converges.
+        The health judge's overall verdict (its bus rules and its SLO
+        rules over the per-job telemetry samples), with a
+        ``recovering`` state (reported as critical → 503) while
+        crash-recovered jobs are still draining: a client must not read
+        results as current until the replay converges.
         """
         if self.recovering() > 0:
             return "recovering", Verdict.CRITICAL
-        verdict = self.health.report().verdict
-        if len(self.telemetry):
-            verdict = _worst(verdict, self.slo.evaluate().verdict)
+        verdict = self.health.report().overall
         return verdict.value, verdict
 
     # ------------------------------------------------------------------

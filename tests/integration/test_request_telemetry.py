@@ -21,6 +21,7 @@ from repro.obs.events import EventBus
 from repro.obs.export import parse_prometheus_text
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import SloSpec
 from repro.obs.tsdb import TelemetryStore
 from repro.sim.kernel import Simulator
 from repro.soc.config import SocConfig
@@ -253,7 +254,6 @@ class TestDashboardCli:
 
     def test_prometheus_scrape_file_parses(self, tmp_path, capsys):
         prom = tmp_path / "dash.prom"
-        otlp = tmp_path / "dash.otlp.jsonl"
         code = main([
             "dashboard",
             "soc_y",
@@ -261,17 +261,11 @@ class TestDashboardCli:
             "2",
             "--prom",
             str(prom),
-            "--otlp",
-            str(otlp),
         ])
         assert code == 0
         families = parse_prometheus_text(prom.read_text())
         assert families  # non-empty scrape
         assert any(name.startswith("flow_") for name in families)
-        lines = otlp.read_text().splitlines()
-        assert lines
-        for line in lines:
-            json.loads(line)
 
     def test_follow_replays_verdict_timeline(self, capsys):
         code = main([
@@ -293,3 +287,17 @@ class TestDashboardCli:
             frame["verdict"] in ("ok", "degraded", "critical")
             for frame in replay
         )
+
+    def test_follow_computes_each_sli_once(self, capsys, monkeypatch):
+        """One SLI evaluation per sample per spec, replay included."""
+        calls = []
+        sli = SloSpec.sli
+        monkeypatch.setattr(
+            SloSpec, "sli", lambda spec, sample: calls.append(1) or sli(spec, sample)
+        )
+        argv = ["dashboard", "soc_y", "--frames", "2", "--seed", "7", "--follow", "--json"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        samples = payload["store"]["recorded"]
+        assert len(payload["replay"]) == samples
+        assert len(calls) == samples * len(payload["slo"]["objectives"]) == 141 * 3

@@ -1,15 +1,20 @@
-"""Tests for the SLO / error-budget tracker."""
+"""Tests for the SLO specs and the health judge's error-budget rules."""
 
 import pytest
 
-from repro.obs.health import Verdict
+from repro.obs.events import EventBus
+from repro.obs.health import HealthError, HealthMonitor, Verdict
 from repro.obs.slo import (
     DEFAULT_SLOS,
     SloError,
     SloSpec,
-    SloTracker,
 )
 from repro.obs.tsdb import Sample, TelemetryStore
+
+
+def judge(store, specs, **kwargs):
+    """The SLO section of one health report over ``store``."""
+    return HealthMonitor(EventBus(), store=store, slos=specs, **kwargs).report().slo
 
 
 def value_spec(**overrides):
@@ -101,7 +106,7 @@ class TestEvaluation:
         store = TelemetryStore()
         for time, values in samples:
             store.record(values, time=time)
-        return SloTracker(store, specs=specs).evaluate()
+        return judge(store, specs)
 
     def test_empty_store_is_ok_no_data(self):
         report = self.track((value_spec(),), [])
@@ -158,15 +163,18 @@ class TestEvaluation:
         store.record({"latency.p95": 5.0}, time=0.0)  # old violation
         for t in (100.0, 101.0, 102.0):
             store.record({"latency.p95": 0.5}, time=t)
-        tracker = SloTracker(store, specs=(value_spec(),))
-        assert tracker.evaluate().verdict is Verdict.DEGRADED
-        windowed = tracker.evaluate(window_s=5.0)
+        assert judge(store, (value_spec(),)).verdict is Verdict.DEGRADED
+        windowed = judge(store, (value_spec(),), slo_window_s=5.0)
         assert windowed.verdict is Verdict.OK
         assert windowed.window_s == 5.0
 
+    def test_negative_window_rejected(self):
+        with pytest.raises(HealthError):
+            HealthMonitor(EventBus(), slo_window_s=-1.0)
+
     def test_duplicate_spec_names_rejected(self):
         with pytest.raises(SloError):
-            SloTracker(TelemetryStore(), specs=(value_spec(), value_spec()))
+            HealthMonitor(EventBus(), slos=(value_spec(), value_spec()))
 
     def test_to_dict_shape(self):
         report = self.track((value_spec(),), [(0.0, {"latency.p95": 0.5})])
@@ -214,3 +222,65 @@ class TestDefaultSlos:
         assert by_name["reconfig-latency-p95"].sli(sample) == 0.004
         assert by_name["deploy-failure-rate"].sli(sample) == pytest.approx(1 / 11)
         assert by_name["cad-retry-rate"].sli(sample) == pytest.approx(1 / 8)
+
+
+class TestRunningFold:
+    """The judge folds each sample once and keeps running counts."""
+
+    def test_live_counts_match_a_fresh_judge(self):
+        # Samples arrive between reports; capacity and window both evict.
+        for window in (None, 2.5):
+            store = TelemetryStore(capacity=4)
+            specs = (value_spec(), ratio_spec())
+            live = HealthMonitor(EventBus(), store=store, slos=specs, slo_window_s=window)
+            for index in range(12):
+                store.record(
+                    {
+                        "latency.p95": 2.0 if index % 3 == 0 else 0.5,
+                        "failed": float(index % 2),
+                        "attempts": 10.0,
+                    },
+                    time=float(index),
+                )
+                if index % 2:
+                    continue  # two samples fold in one report
+                fresh = judge(store, specs, slo_window_s=window)
+                assert live.report().slo.to_dict() == fresh.to_dict()
+
+    def test_each_sample_sli_is_computed_once(self, monkeypatch):
+        calls = []
+        sli = SloSpec.sli
+        monkeypatch.setattr(SloSpec, "sli", lambda spec, sample: calls.append(1) or sli(spec, sample))
+        store = TelemetryStore()
+        monitor = HealthMonitor(EventBus(), store=store, slos=(value_spec(), ratio_spec()))
+        for index in range(5):
+            store.record({"latency.p95": 0.5}, time=float(index))
+            monitor.report()
+            monitor.report()
+        assert len(calls) == 5 * 2
+
+    def test_replay_starts_at_the_first_buffered_sample(self):
+        store = TelemetryStore(capacity=3)
+        for index, value in enumerate([5.0, 5.0, 0.5, 5.0, 0.5]):
+            store.record({"latency.p95": value}, time=float(index))
+        slo = judge(store, (value_spec(),))
+        frames = slo.replay()
+        assert [frame["time"] for frame in frames] == [2.0, 3.0, 4.0]
+        assert [frame["burn"]["latency-p95"] for frame in frames] == pytest.approx(
+            [0.0, 0.5, 1 / 3]
+        )
+        assert frames[-1]["verdict"] == slo.verdict.value
+
+    def test_one_snapshot_judge_counts_slo_critical_as_degraded(self):
+        # Without a store the judge judges one end-of-run snapshot:
+        # burn over a single sample is all-or-nothing.
+        own = HealthMonitor(EventBus(), slos=(value_spec(),))
+        own.store.record({"latency.p95": 5.0}, time=0.0)
+        report = own.report()
+        assert report.slo.verdict is Verdict.CRITICAL
+        assert report.overall is Verdict.DEGRADED
+
+        store = TelemetryStore()
+        store.record({"latency.p95": 5.0}, time=0.0)
+        report = HealthMonitor(EventBus(), store=store, slos=(value_spec(),)).report()
+        assert report.overall is Verdict.CRITICAL
