@@ -323,6 +323,10 @@ def cmd_sweep(args) -> int:
                 + ", ".join(s.value for s in ImplementationStrategy)
                 + ", or use 'auto'/'all'"
             ) from None
+        if not strategies:
+            raise PrEspError(
+                f"--strategies {args.strategies!r} names no strategy"
+            )
     requests = [
         BuildRequest(config=config, strategy_override=strategy)
         for config in configs
@@ -934,6 +938,14 @@ def _add_fault_options(command: argparse.ArgumentParser, tier: str) -> None:
     )
 
 
+def _non_negative(text: str) -> int:
+    """argparse type: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_cache_options(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--cache",
@@ -1141,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "--events",
-        type=int,
+        type=_non_negative,
         default=10,
         metavar="N",
         help="show the last N bus events (0 hides them)",
@@ -1258,7 +1270,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "--top",
-        type=int,
+        type=_non_negative,
         default=15,
         metavar="N",
         help="hot paths to show in the text report",

@@ -50,8 +50,6 @@ from repro.obs.export import (
     format_metric_value,
     metrics_dict,
     metrics_lines,
-    parse_prometheus_text,
-    prometheus_samples,
     prometheus_text,
     write_chrome_trace,
     write_prometheus_text,
@@ -165,10 +163,8 @@ __all__ = [
     "load_profile",
     "metrics_dict",
     "metrics_lines",
-    "parse_prometheus_text",
     "profile_document",
     "profile_json",
-    "prometheus_samples",
     "prometheus_text",
     "self_host_total",
     "unbind",

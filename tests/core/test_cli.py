@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main, paper_designs, resolve_config
+from repro.flow import dpr_flow
 
 
 class TestResolve:
@@ -207,6 +208,13 @@ class TestSweep:
         assert main(["sweep", "soc_a", "--strategies", "bogus"]) == 1
         assert "unknown strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategies", ["", ","])
+    def test_sweep_empty_strategy_list_fails_cleanly(self, capsys, strategies):
+        assert main(["sweep", "soc_1", "--strategies", strategies]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
 
 class TestFaultFlags:
     def test_degraded_build_exits_zero(self, capsys):
@@ -260,3 +268,31 @@ class TestCheckpointFlags:
         capsys.readouterr()
         assert main(["build", "soc_3", "--checkpoint-dir", ckpt, "--resume"]) == 0
         assert "resumed 7 checkpointed stage(s)" in capsys.readouterr().out
+
+    def test_killed_build_resumes_to_the_uninterrupted_summary(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        faults = ["--fault", "cad=0.3@7"]
+        assert main(["build", "soc_3", *faults, "--json"]) == 0
+        baseline = json.loads(capsys.readouterr().out)
+
+        def killed(build):
+            raise KeyboardInterrupt("killed mid-flow")
+
+        monkeypatch.setattr(
+            dpr_flow,
+            "STAGES",
+            tuple(
+                (name, killed if name == "implementation" else stage)
+                for name, stage in dpr_flow.STAGES
+            ),
+        )
+        ckpt = str(tmp_path / "ckpt")
+        with pytest.raises(KeyboardInterrupt):
+            main(["build", "soc_3", *faults, "--checkpoint-dir", ckpt])
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(
+            ["build", "soc_3", *faults, "--checkpoint-dir", ckpt, "--resume", "--json"]
+        ) == 0
+        assert json.loads(capsys.readouterr().out) == baseline

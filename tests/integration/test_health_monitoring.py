@@ -157,6 +157,12 @@ class TestMonitorCli:
         assert main(["monitor", "soc_z", "--inject", "runtime:rt1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_event_count_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["monitor", "soc_x", "--events", "-1"])
+        assert exc.value.code == 2
+        assert "--events: must be >= 0" in capsys.readouterr().err
+
 
 class TestBenchDiffCli:
     def write_demo_summary(self, results, value):

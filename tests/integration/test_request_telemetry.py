@@ -18,7 +18,6 @@ from repro.core.platform import PrEspPlatform
 from repro.flow.batch import BuildRequest
 from repro.obs.context import RequestIdFactory, TelemetryContext, activate
 from repro.obs.events import EventBus
-from repro.obs.export import parse_prometheus_text
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloSpec
@@ -27,6 +26,8 @@ from repro.sim.kernel import Simulator
 from repro.soc.config import SocConfig
 from repro.soc.esp_library import stock_accelerator
 from repro.soc.tiles import ReconfigurableTile, Tile, TileKind
+
+from tests.obs.prometheus import parse_prometheus_text
 
 
 def tiny_soc(name: str) -> SocConfig:
@@ -225,16 +226,20 @@ class TestDashboardCli:
 
     def test_breached_budget_exits_nonzero(self, capsys):
         code = main([
-            "dashboard",
-            "soc_y",
-            "--frames",
-            "2",
-            "--inject",
-            "runtime:rt1:change_detection:crc:2",
+            "dashboard", "soc_y", "--frames", "2", "--seed", "7", "--json",
+            "--inject", "runtime:rt1:change_detection:crc:2",
         ])
-        assert code != 0
-        out = capsys.readouterr().out
-        assert "deploy-failure-rate" in out
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "degraded"
+        failure = next(
+            s for s in payload["slo"]["objectives"]
+            if s["name"] == "deploy-failure-rate"
+        )
+        # The budget is spent, but some attempts still land.
+        assert failure["budget_remaining"] is not None
+        assert failure["budget_remaining"] <= 0
+        assert failure["burn"] < 1.0
 
     def test_json_output_is_deterministic(self, capsys):
         def run():
@@ -251,6 +256,10 @@ class TestDashboardCli:
             "deploy-failure-rate",
             "cad-retry-rate",
         }
+        assert all(
+            s["budget_remaining"] is None or s["budget_remaining"] > 0
+            for s in payload["slo"]["objectives"]
+        )
 
     def test_prometheus_scrape_file_parses(self, tmp_path, capsys):
         prom = tmp_path / "dash.prom"
@@ -266,6 +275,7 @@ class TestDashboardCli:
         families = parse_prometheus_text(prom.read_text())
         assert families  # non-empty scrape
         assert any(name.startswith("flow_") for name in families)
+        assert any(name.startswith("runtime_") for name in families)
 
     def test_follow_replays_verdict_timeline(self, capsys):
         code = main([

@@ -38,9 +38,13 @@ class TestProfileCommand:
         # (by construction they are exactly equal).
         assert abs(self_host_total(document) - total) / total < 0.01
         assert "reconciliation" in out
-        # Collapsed lines cover the same tree.
+        # Collapsed lines cover the same tree: every path with a visible
+        # share (sub-microsecond self times round to zero there).
         lines = collapsed.read_text().splitlines()
         assert lines and all(" " in line for line in lines)
+        collapsed_paths = {line.rsplit(" ", 1)[0] for line in lines}
+        shares = self_time_shares(document)
+        assert collapsed_paths >= {p for p, share in shares.items() if share >= 0.01}
 
     def test_des_dispatch_is_among_the_hot_paths(self, tmp_path, capsys):
         code, _ = run_profile(tmp_path, capsys)
@@ -52,6 +56,33 @@ class TestProfileCommand:
             for path, _ in sorted(shares.items(), key=lambda kv: -kv[1])[:10]
         ]
         assert any("dispatch:" in path for path in top)
+        assert any("noc.transfer" in path for path in shares)
+
+    @pytest.mark.parametrize(
+        "target, ceiling",
+        [
+            # The fig4_smoke share before the placer was vectorized.
+            ("fig4_smoke", 0.872),
+            # Far below the old ~82% across the three deployments, far
+            # above today's share and the jitter of any single frame.
+            ("fig4_wami_runtime", 0.50),
+        ],
+    )
+    def test_floorplan_stays_off_the_old_hot_path(
+        self, tmp_path, capsys, target, ceiling
+    ):
+        assert main(["profile", target, "--out", str(tmp_path)]) == 0
+        shares = self_time_shares(load_profile(tmp_path / f"PROFILE_{target}.json"))
+        floorplan = sum(
+            share for path, share in shares.items() if "flow.floorplan" in path
+        )
+        assert floorplan < ceiling
+
+    def test_negative_top_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "fig4_smoke", "--top", "-3"])
+        assert exc.value.code == 2
+        assert "--top: must be >= 0" in capsys.readouterr().err
 
     def test_json_flag_prints_the_document(self, tmp_path, capsys):
         code, out = run_profile(tmp_path, capsys, extra=["--json"])

@@ -9,14 +9,14 @@ import pytest
 from repro import api
 from repro.obs.context import TelemetryContext, activate
 from repro.obs.export import (
-    parse_prometheus_text,
     prometheus_name,
-    prometheus_samples,
     prometheus_text,
     write_prometheus_text,
 )
 from repro.obs.instrumentation import Instrumentation
 from repro.obs.metrics import MetricsRegistry
+
+from tests.obs.prometheus import parse_prometheus_text, prometheus_samples
 
 
 @pytest.fixture

@@ -15,6 +15,7 @@ import urllib.request
 from repro.service.httpd import MAX_BODY_BYTES
 from repro.service.schema import envelope
 
+from tests.obs.prometheus import parse_prometheus_text
 from tests.service.contracts import assert_valid, contract, job_contract
 
 
@@ -230,3 +231,5 @@ class TestHealthAndMetrics:
             page = response.read().decode()
         assert "service_submits_total" in page
         assert "service_queue_depth" in page
+        families = parse_prometheus_text(page)
+        assert {"service_submits_total", "service_queue_depth"} <= set(families)

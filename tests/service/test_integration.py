@@ -9,15 +9,11 @@ claim.
 
 import gc
 import json
-import os
-import re
 import signal
 import statistics
 import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -29,7 +25,7 @@ from repro.service.queue import TenantQuota
 from repro.service.supervisor import JOB_FINISHED, Supervisor
 from repro.vivado.tool import VivadoInstance
 
-REPO_ROOT = Path(__file__).resolve().parents[2]
+from tests.service.launcher import start_daemon
 
 CONFIGS = ["soc_1", "soc_2", "soc_3", "soc_4"]
 
@@ -211,6 +207,7 @@ class TestWarmCache:
             after_cold = dict(calls)
             warm = client.wait(client.submit("soc_1")["job_id"])
         assert (cold["cached"], warm["cached"]) == (False, True)
+        assert warm["result"] == cold["result"]
         assert after_cold["build"] == 1 and after_cold["tool"] > 0
         assert calls == after_cold
 
@@ -224,38 +221,6 @@ class TestWarmCache:
             cold, warm = cold_then_warm(tmp_path / f"state{pair}")
             ratios.append(cold["elapsed_s"] / warm["elapsed_s"])
         assert statistics.median(ratios) >= 10, ratios
-
-
-def start_daemon(state_dir, *extra_args):
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--state-dir", str(state_dir),
-            "--port", "0", "--workers", "1", "--jobs", "1",
-            *extra_args,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        cwd=REPO_ROOT,
-        env=env,
-    )
-    banner = []
-    while True:
-        line = proc.stdout.readline()
-        if not line:
-            raise AssertionError(
-                "daemon died before listening:\n" + "".join(banner)
-            )
-        banner.append(line)
-        match = re.search(r"service listening on http://[^:]+:(\d+)", line)
-        if match:
-            return proc, int(match.group(1))
 
 
 class TestKillRestart:
