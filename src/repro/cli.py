@@ -136,13 +136,13 @@ def _count(spec: str, parts: list, default: int) -> int:
         raise PrEspError(f"bad --inject count in {spec!r}; expected an integer") from None
 
 
-def _arm_cad(model: CadFaultModel, spec: str, parts: list) -> None:
+def _arm_cad(model: CadFaultModel, spec: str, parts: list, config) -> None:
     if len(parts) not in (2, 3) or not parts[0] or not parts[1]:
         raise PrEspError(f"bad --inject {spec!r}; expected cad:STAGE:JOB[:N]")
     model.inject_fault(parts[0], parts[1], count=_count(spec, parts[2:], 1))
 
 
-def _arm_runtime(model: RuntimeFaultModel, spec: str, parts: list) -> None:
+def _arm_runtime(model: RuntimeFaultModel, spec: str, parts: list, config) -> None:
     kinds = {k.value: k for k in RuntimeFaultKind}
     if not 2 <= len(parts) <= 4 or not parts[0] or not parts[1]:
         raise PrEspError(
@@ -153,12 +153,24 @@ def _arm_runtime(model: RuntimeFaultModel, spec: str, parts: list) -> None:
         raise PrEspError(
             f"bad --inject kind in {spec!r}; choose from " + ", ".join(sorted(kinds))
         )
+    # An injection on a tile or mode the design lacks would never fire.
+    modes = {tile.name: tile.mode_names() for tile in config.reconfigurable_tiles}
+    if parts[0] not in modes:
+        raise PrEspError(
+            f"bad --inject tile in {spec!r}; {config.name} has the "
+            "reconfigurable tiles " + ", ".join(modes)
+        )
+    if parts[1] not in modes[parts[0]]:
+        raise PrEspError(
+            f"bad --inject mode in {spec!r}; {parts[0]} loads "
+            + ", ".join(modes[parts[0]])
+        )
     model.inject(
         parts[0], parts[1], kinds[kind], count=_count(spec, parts[3:], PERSISTENT)
     )
 
 
-def _arm_service(model: ServiceFaultModel, spec: str, parts: list) -> None:
+def _arm_service(model: ServiceFaultModel, spec: str, parts: list, config) -> None:
     kinds = {k.value: k for k in ServiceFaultKind}
     if len(parts) not in (1, 2) or parts[0] not in kinds:
         raise PrEspError(
@@ -169,7 +181,8 @@ def _arm_service(model: ServiceFaultModel, spec: str, parts: list) -> None:
 
 
 #: The fault tiers ``--fault``/``--inject`` address: the tier's model
-#: class, its shared null model, and how an ``--inject`` target arms it.
+#: class, its shared null model, and how an ``--inject`` target arms it
+#: (given the design the command runs, or None).
 FAULT_TIERS = {
     "cad": (CadFaultModel, NO_FAULTS, _arm_cad),
     "runtime": (RuntimeFaultModel, NO_RUNTIME_FAULTS, _arm_runtime),
@@ -181,14 +194,16 @@ _FAULT_SPEC = re.compile(
 )
 
 
-def fault_model(args):
+def fault_model(args, config=None):
     """The fault model the ``--fault``/``--inject`` flags ask for.
 
     ``--fault TIER[:KIND]=RATE[@SEED]`` sets a per-attempt failure rate
     (every kind of the tier without ``:KIND``) and the tier's seed;
     ``--inject TIER:TARGET[:N]`` arms targeted faults. Every flag must
-    name the tier the subcommand runs (``args.fault_tier``). With no
-    positive rate and no injection the tier's shared null model is used.
+    name the tier the subcommand runs (``args.fault_tier``); a runtime
+    target must name a reconfigurable tile of ``config`` and a mode it
+    loads. With no positive rate and no injection the tier's shared
+    null model is used.
     """
     tier = args.fault_tier
     model_class, null_model, arm = FAULT_TIERS[tier]
@@ -231,7 +246,7 @@ def fault_model(args):
     except PrEspError as error:
         raise PrEspError(f"bad --fault for the {tier} tier: {error}") from None
     for spec, parts in injections:
-        arm(model, spec, parts)
+        arm(model, spec, parts, config)
     return model
 
 
@@ -401,7 +416,7 @@ def cmd_deploy(args) -> int:
         config,
         frames=args.frames,
         instrumentation=Instrumentation(recorder, metrics=registry),
-        runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
+        runtime_options=RuntimeFaultOptions(faults=fault_model(args, config)),
     )
     write_observations(args, recorder, f"deploy_{config.name}")
     if args.json:
@@ -445,7 +460,7 @@ def cmd_monitor(args) -> int:
         failure_rate_degraded=args.failure_rate_degraded,
         failure_rate_critical=args.failure_rate_critical,
         queue_depth_degraded=args.queue_depth_degraded,
-        runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
+        runtime_options=RuntimeFaultOptions(faults=fault_model(args, config)),
         instrumentation=Instrumentation(metrics=registry),
     )
     if args.json:
@@ -491,6 +506,7 @@ def cmd_monitor(args) -> int:
 
 def cmd_dashboard(args) -> int:
     config = resolve_config(args.config)
+    faults = fault_model(args, config)
     registry = MetricsRegistry()
     bus = EventBus()
     factory = RequestIdFactory(seed=args.seed, tenant=args.tenant)
@@ -510,7 +526,7 @@ def cmd_dashboard(args) -> int:
         config,
         frames=args.frames,
         flow_result=built.flow,
-        runtime_options=RuntimeFaultOptions(faults=fault_model(args)),
+        runtime_options=RuntimeFaultOptions(faults=faults),
         platform=plat,
         telemetry=store,
         slo_window_s=args.window,

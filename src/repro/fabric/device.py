@@ -15,6 +15,7 @@ paper targets.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -175,9 +176,11 @@ class Device:
             LevelTable.of(self._prefix[:, k]) for k in range(len(kinds))
         )
         self._forbidden = [c.x for c in self.columns if c.kind in FORBIDDEN_IN_RP]
-        self._forbidden_mask = np.zeros(self.num_columns, dtype=bool)
-        self._forbidden_mask[self._forbidden] = True
-        self._forbidden_mask.flags.writeable = False
+        self._forbidden_prefix = tuple(
+            itertools.accumulate(
+                (c.kind in FORBIDDEN_IN_RP for c in self.columns), initial=0
+            )
+        )
 
     # ------------------------------------------------------------------
     # geometry
@@ -274,9 +277,11 @@ class Device:
         ascending order."""
         return list(self._forbidden)
 
-    def forbidden_mask(self) -> np.ndarray:
-        """Read-only boolean mask of :meth:`forbidden_columns`."""
-        return self._forbidden_mask
+    def forbidden_prefix(self) -> Tuple[int, ...]:
+        """Forbidden columns counted by prefix: entry ``x`` is how many
+        of :meth:`forbidden_columns` lie in ``[0, x)``, so columns
+        ``[lo, hi)`` hold one iff entries ``hi`` and ``lo`` differ."""
+        return self._forbidden_prefix
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -7,7 +7,7 @@ column avoidance, non-overlap — with a deterministic best-fit heuristic
 in place of the MILP (the flow only needs *a* legal floorplan; pblock
 geometry does not feed the runtime model).
 
-Each placement runs in two vectorized steps:
+Each placement runs in two steps:
 
 1. **Window search.** Whether a window covers the inflated demand does
    not depend on occupancy, so its result is read from the device's
@@ -26,15 +26,18 @@ Each placement runs in two vectorized steps:
    Only the ``FIRST_BATCH`` smallest keys are ordered
    (``np.argpartition``, then a sort of that *best-first head*); the
    table stores the ``col_end`` grid, the feasible count and the head.
-2. **Free-band check.** The head is tested against per-row column
-   prefixes of blocked cells (occupied, or in a forbidden column): a
-   row band is free iff its blocked count is zero. If no window of the
-   head is free, the keys are rebuilt from the stored grid, sorted
-   whole and tested in batches that double. The first free window fixes
-   (area, col_lo); its tie group, the other heights of the same area in
-   the same grid column, picks the lowest free row, then the shorter
-   band — the lexicographic minimum of (area, col_lo, row_lo, height):
-   leftmost, bottom-most, then shortest on equal area.
+2. **Free-band check.** The head is walked best first in Python,
+   against the list of rectangles placed so far (a plan holds a few):
+   a window over a forbidden column is one lookup in the device's
+   forbidden-column prefix; otherwise its lowest free row band comes
+   from one sweep over the placed rectangles whose columns overlap it,
+   sorted by row. If no window of the head is free, the keys are
+   rebuilt from the stored grid, sorted whole and walked in batches
+   that double. The first free window fixes (area, col_lo); its tie
+   group, the other heights of the same area in the same grid column,
+   picks the lowest free row, then the shorter band — the
+   lexicographic minimum of (area, col_lo, row_lo, height): leftmost,
+   bottom-most, then shortest on equal area.
 
 The scalar two-pointer search this replaces lives on in the tests as
 the executable specification the plans are pinned to.
@@ -42,6 +45,7 @@ the executable specification the plans are pinned to.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from collections import OrderedDict
@@ -56,9 +60,9 @@ from repro.fabric.device import Device
 from repro.fabric.pblock import Pblock
 from repro.fabric.resources import ResourceKind, ResourceVector
 
-#: Windows ordered and tested against the occupancy first; only if none
-#: of them is free is the whole grid sorted and tested in batches that
-#: double from there.
+#: Windows ordered and tested against the placed rectangles first; only
+#: if none of them is free is the whole grid sorted and tested in
+#: batches that double from there.
 FIRST_BATCH = 64
 
 #: Entries a device's window table keeps, least recently used evicted
@@ -207,19 +211,16 @@ class FloraFloorplanner:
         self.max_height = min(max_height_regions or device.region_rows, device.region_rows)
         self._kinds = list(ResourceKind)
         # Per-resource prefix sums over column segments (prefix[x][k] is
-        # the sum of resource k over columns [0, x)) and the level tables
-        # the window search gathers from. The device builds both once,
-        # with the forbidden-column mask, so a planner costs nothing to
-        # construct.
+        # the sum of resource k over columns [0, x)), the level tables
+        # the window search gathers from and the forbidden-column prefix
+        # the free-band check reads. The device builds all three once,
+        # so a planner costs nothing to construct.
         self._prefix = device.resource_prefix()
         self._level_tables = device.level_tables()
-        (
-            self._heights,
-            self._anchors,
-            self._rows,
-            self._key_scale,
-            self._key_offset,
-        ) = _search_axes(device.num_columns, device.region_rows, self.max_height)
+        self._forbidden_prefix = device.forbidden_prefix()
+        self._heights, self._anchors, self._key_scale, self._key_offset = _search_axes(
+            device.num_columns, self.max_height
+        )
         self._table = window_table(device)
 
     # ------------------------------------------------------------------
@@ -235,18 +236,16 @@ class FloraFloorplanner:
         if len(set(names)) != len(names):
             raise FloorplanError("RP names must be unique")
 
-        device = self.device
-        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
-        placed: Dict[str, RegionAssignment] = {}
+        placed: List[Pblock] = []
+        assignments: Dict[str, RegionAssignment] = {}
         order = sorted(demands, key=lambda item: (-item[1].lut, item[0]))
         for rp_name, demand in order:
-            assignment = self._place_with_relaxation(rp_name, demand, occupied)
-            placed[rp_name] = assignment
-            pb = assignment.pblock
-            occupied[pb.col_lo : pb.col_hi + 1, pb.row_lo : pb.row_hi + 1] = True
+            assignment = self._place_with_relaxation(rp_name, demand, placed)
+            assignments[rp_name] = assignment
+            placed.append(assignment.pblock)
         return Floorplan(
-            device_name=device.name,
-            assignments=tuple(placed[name] for name in names),
+            device_name=self.device.name,
+            assignments=tuple(assignments[name] for name in names),
         )
 
     # ------------------------------------------------------------------
@@ -254,7 +253,7 @@ class FloraFloorplanner:
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: np.ndarray,
+        placed: Sequence[Pblock],
     ) -> RegionAssignment:
         """Place one RP, relaxing the routability headroom if needed.
 
@@ -266,7 +265,7 @@ class FloraFloorplanner:
         last_error: Optional[FloorplanError] = None
         for utilization in self._relaxation_ladder():
             try:
-                return self._place_one(rp_name, demand, occupied, utilization)
+                return self._place_one(rp_name, demand, placed, utilization)
             except FloorplanError as error:
                 last_error = error
         assert last_error is not None
@@ -286,8 +285,8 @@ class FloraFloorplanner:
         BRAM/DSP are column-quantized and need no slack)."""
         utilization = utilization or self.target_utilization
         return ResourceVector(
-            lut=int(np.ceil(demand.lut / utilization)),
-            ff=int(np.ceil(demand.ff / utilization)),
+            lut=math.ceil(demand.lut / utilization),
+            ff=math.ceil(demand.ff / utilization),
             bram=demand.bram,
             dsp=demand.dsp,
         )
@@ -352,65 +351,38 @@ class FloraFloorplanner:
             array.flags.writeable = False
         return self._table.put(key, Windows(col_end, feasible, head))
 
-    def _lowest_free_rows(
-        self,
-        blocked_cols: np.ndarray,
-        col_lo: np.ndarray,
-        col_end: np.ndarray,
-        height: np.ndarray,
-    ) -> np.ndarray:
-        """Lowest free ``row_lo`` of each window, or ``region_rows`` if none.
+    def _lowest_free_row(
+        self, rects: List[Tuple[int, int, int, int]], col_lo: int, col_end: int, height: int
+    ) -> Optional[int]:
+        """Lowest ``row_lo`` at which the window of columns ``[col_lo,
+        col_end)`` and ``height`` rows is free, or None.
 
-        ``blocked_cols[c, r]`` counts the blocked cells of row ``r`` in
-        columns ``[0, c)``, so one difference gives each row's count
-        inside a window's columns; a prefix of those over the rows makes
-        a band's blocked count one more difference.
+        ``rects`` holds the placed rectangles as (row_lo, row_hi, col_lo,
+        col_hi), sorted. A window over a forbidden column is never free.
+        Otherwise one sweep over the rectangles whose columns overlap the
+        window moves the candidate row past each one its band meets; the
+        first rectangle starting above the band ends the sweep.
         """
-        region_rows = self.device.region_rows
-        count = height.size
-        width = region_rows + self.max_height
-        # Prefix entries past region_rows are -1, which no count equals:
-        # a band that would run off the top is never free.
-        band = np.empty((count, width), dtype=np.int64)
-        band[:, 0] = 0
-        (blocked_cols[col_end] - blocked_cols[col_lo]).cumsum(
-            axis=1, out=band[:, 1 : region_rows + 1]
-        )
-        band[:, region_rows + 1 :] = -1
-        top = self._rows + height[:, None]
-        top += np.arange(0, count * width, width)[:, None]
-        # A last column of True makes argmax say region_rows when no band
-        # is free.
-        free = np.ones((count, region_rows + 1), dtype=bool)
-        np.equal(band.ravel()[top], band[:, :region_rows], out=free[:, :region_rows])
-        return free.argmax(axis=1)
-
-    def _first_free(
-        self,
-        blocked_cols: np.ndarray,
-        col_end: np.ndarray,
-        order: np.ndarray,
-    ) -> Optional[Tuple[int, int]]:
-        """The first window in ``order`` (flat window indices, best
-        first) with a free row band, as (flat index, lowest free row),
-        or None."""
-        height_index, col_lo = np.divmod(order, self.device.num_columns)
-        rows = self._lowest_free_rows(
-            blocked_cols, col_lo, col_end.ravel()[order], height_index + 1
-        )
-        (hits,) = (rows < self.device.region_rows).nonzero()
-        if not hits.size:
+        forbidden = self._forbidden_prefix
+        if forbidden[col_end] != forbidden[col_lo]:
             return None
-        return int(order[hits[0]]), int(rows[hits[0]])
+        row = 0
+        for rect_row_lo, rect_row_hi, rect_col_lo, rect_col_hi in rects:
+            if rect_row_lo >= row + height:
+                break
+            if rect_row_hi >= row and rect_col_lo < col_end and rect_col_hi >= col_lo:
+                row = rect_row_hi + 1
+        return row if row + height <= self.device.region_rows else None
 
     def _place_one(
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: np.ndarray,
+        placed: Sequence[Pblock],
         utilization: Optional[float] = None,
     ) -> RegionAssignment:
-        """Smallest legal rectangle covering the inflated demand.
+        """Smallest legal rectangle covering the inflated demand that
+        overlaps none of the ``placed`` pblocks.
 
         Ties on area prefer the leftmost, bottom-most anchor so regions
         pack densely instead of fragmenting the fabric; area ties
@@ -420,26 +392,26 @@ class FloraFloorplanner:
         windows = self._window_entry(inflated)
         col_end = windows.col_end
         device = self.device
-        blocked_cols = np.zeros(
-            (device.num_columns + 1, device.region_rows), dtype=np.int64
-        )
-        (occupied | device.forbidden_mask()[:, None]).cumsum(
-            axis=0, out=blocked_cols[1:]
-        )
+        rects = sorted((pb.row_lo, pb.row_hi, pb.col_lo, pb.col_hi) for pb in placed)
 
-        # Best first: only the head is sorted; the whole grid is sorted
-        # only if none of the head has a free band.
-        order = windows.head
-        winner = self._first_free(blocked_cols, col_end, order)
-        if winner is None and windows.feasible > order.size:
-            start, size = order.size, 2 * order.size
-            order = _smallest(self._keys(col_end), windows.feasible)
-            while winner is None and start < windows.feasible:
-                winner = self._first_free(
-                    blocked_cols, col_end, order[start : start + size]
-                )
-                start, size = start + size, size * 2
-        if winner is None:
+        # Best first: only the head is sorted. If none of it has a free
+        # band, the whole grid is sorted and walked on in batches that
+        # double, each converted to Python at once.
+        num_columns = device.num_columns
+        flat_end = col_end.ravel()
+        order, start, size = windows.head, 0, windows.head.size
+        row_lo: Optional[int] = None
+        while row_lo is None and start < windows.feasible:
+            if start == order.size:
+                order = _smallest(self._keys(col_end), windows.feasible)
+            batch = order[start : start + size]
+            for index, end in zip(batch.tolist(), flat_end[batch].tolist()):
+                height_index, col_lo = divmod(index, num_columns)
+                row_lo = self._lowest_free_row(rects, col_lo, end, height_index + 1)
+                if row_lo is not None:
+                    break
+            start, size = start + size, 2 * size
+        if row_lo is None:
             raise FloorplanError(
                 f"cannot place RP {rp_name!r}: demand {demand} (inflated "
                 f"{inflated}) does not fit the remaining fabric of {device.name}"
@@ -449,25 +421,22 @@ class FloraFloorplanner:
         # at most one window per height, all in the winner's grid column:
         # the heights whose window there has the same area and stays on
         # the fabric. Within a group the lowest free row wins, then the
-        # shorter band (argmin keeps the first minimum).
-        index, row_lo = winner
-        height_index, col_lo = divmod(index, device.num_columns)
-        ends = col_end[:, col_lo]
-        area = (ends - col_lo) * self._heights[:, 0]
-        (group,) = ((area == area[height_index]) & (ends <= device.num_columns)).nonzero()
-        if group.size > 1:
-            rows = self._lowest_free_rows(
-                blocked_cols,
-                np.full(group.size, col_lo),
-                ends[group],
-                group + 1,
-            )
-            pick = int(np.argmin(rows))
-            height_index, row_lo = int(group[pick]), int(rows[pick])
+        # shorter band: the minimum of (row_lo, height).
+        ends = col_end[:, col_lo].tolist()
+        area = (ends[height_index] - col_lo) * (height_index + 1)
+        for other, end in enumerate(ends):
+            if (
+                end <= num_columns
+                and (end - col_lo) * (other + 1) == area
+                and other != height_index
+            ):
+                row = self._lowest_free_row(rects, col_lo, end, other + 1)
+                if row is not None and (row, other) < (row_lo, height_index):
+                    height_index, row_lo = other, row
         pblock = Pblock(
             name=f"pblock_{rp_name}",
             col_lo=col_lo,
-            col_hi=int(col_end[height_index, col_lo]) - 1,
+            col_hi=ends[height_index] - 1,
             row_lo=row_lo,
             row_hi=row_lo + height_index,
         )
@@ -480,21 +449,17 @@ class FloraFloorplanner:
 
 
 @lru_cache(maxsize=64)
-def _search_axes(
-    num_columns: int, region_rows: int, max_height: int
-) -> Tuple[np.ndarray, ...]:
+def _search_axes(num_columns: int, max_height: int) -> Tuple[np.ndarray, ...]:
     """The read-only arrays a planner broadcasts over: band heights
-    down, anchor columns across, the row indices, and the key's scale
-    and offset."""
+    down, anchor columns across, and the key's scale and offset."""
     heights = np.arange(1, max_height + 1, dtype=np.int64)[:, None]
     anchors = np.arange(num_columns, dtype=np.int64)
-    rows = np.arange(region_rows, dtype=np.int64)
     # The sort key (area * num_columns + col_lo) * max_height +
     # height - 1, with area = (col_end - col_lo) * height, expanded to
     # col_end * scale + offset: two operations per grid.
     key_scale = heights * (num_columns * max_height)
     key_offset = anchors * (max_height - key_scale) + heights - 1
-    axes = (heights, anchors, rows, key_scale, key_offset)
+    axes = (heights, anchors, key_scale, key_offset)
     for array in axes:
         array.flags.writeable = False
     return axes

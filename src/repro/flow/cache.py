@@ -46,7 +46,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import io
-import itertools
 import json
 import os
 import pickle
@@ -60,6 +59,7 @@ from repro.errors import FlowError
 from repro.fabric.pblock import Pblock
 from repro.fabric.resources import ResourceVector
 from repro.floorplan.flora import RegionAssignment
+from repro.flow.checkpoint import atomic_write
 from repro.obs.instrumentation import OFF, Instrumentation
 from repro.obs.logconfig import get_logger
 from repro.soc.config import SocConfig
@@ -327,11 +327,8 @@ class FlowCache:
         self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         # The service daemon's worker threads share one cache; the lock
         # keeps the LRU bookkeeping (move_to_end/popitem) and the stat
-        # mirrors coherent under concurrent get/put. Disk-tier tmp
-        # files are named per writer from this counter (itertools.count
-        # is GIL-atomic), so two writers never share a tmp path.
+        # mirrors coherent under concurrent get/put.
         self._lock = threading.RLock()
-        self._tmp_ids = itertools.count()
         self._requests = instrumentation.counter(
             "flow_cache_requests_total", "flow-cache lookups"
         )
@@ -460,33 +457,18 @@ class FlowCache:
             return None
 
     def _disk_write(self, key: str, payload: bytes) -> None:
-        """Publish one entry via a writer-unique tmp + atomic rename.
-
-        Two concurrent writers of the same key (service worker threads,
-        or two daemon processes sharing a disk dir) used to race on one
-        shared ``<key>.tmp`` name: writer B could truncate the file
-        while writer A's ``os.replace`` was in flight, publishing a
-        torn entry. Naming the tmp per writer (pid + per-cache counter)
-        makes each rename claim atomic and complete; both writers
-        serialize the identical pickled payload for a given content
-        digest, so whichever rename lands last is equally correct.
-        """
+        """Publish one entry through :func:`~repro.flow.checkpoint.
+        atomic_write`: concurrent writers of one key (service worker
+        threads, or two daemon processes sharing a disk dir) each rename
+        a whole tmp file of their own. Both serialize the identical
+        pickled payload for a given content digest, so whichever rename
+        lands last is equally correct."""
         if self.disk_dir is None:
             return
-        final = self._disk_path(key)
-        tmp = final.with_name(
-            f".{key}.{os.getpid()}.{next(self._tmp_ids)}.tmp"
-        )
         try:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(payload)
-            os.replace(tmp, final)
+            atomic_write(self._disk_path(key), payload)
         except OSError:
             self._count_disk_error()
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
 
     def _disk_evict(self, key: str) -> None:
         if self.disk_dir is None:

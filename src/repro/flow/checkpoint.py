@@ -23,13 +23,16 @@ another key or schema version means the directory belongs to some
 other build (or to none), so the checkpointer clears it, job files
 included, exactly as a non-resume build does: ``repro build --resume``
 only restores work of the same (config, model, options, request,
-fault/retry policy) digest. Writes are atomic (tmp-then-rename), and
+fault/retry policy) digest. Writes are atomic (a writer-unique tmp
+file, then a rename; see :func:`atomic_write`), and
 the manifest is rewritten after every stage so the directory is always
 consistent with *some* prefix of the build.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import pickle
@@ -46,6 +49,31 @@ logger = get_logger("flow.checkpoint")
 CHECKPOINT_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
+
+#: Per-process tmp-file counter of :func:`atomic_write`.
+_TMP_IDS = itertools.count()
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Publish ``data`` at ``path`` through a writer-unique tmp file and
+    one atomic rename (the parent directory is made if missing).
+
+    Two writers of one path (threads, or processes sharing a directory)
+    must not share a tmp name: one could truncate it while the other's
+    rename was in flight, publishing a torn file. Naming the tmp file
+    per writer (pid and a per-process counter) makes every rename
+    publish one whole file. A failed write removes its tmp file and
+    re-raises.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TMP_IDS)}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 class FlowCheckpointer:
@@ -99,16 +127,9 @@ class FlowCheckpointer:
             "key": self.key,
             "stages": list(self._stages.values()),
         }
-        self._atomic_write(
+        atomic_write(
             self._manifest_path(), json.dumps(payload, indent=2).encode("utf-8")
         )
-
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
 
     # ------------------------------------------------------------------
     # stages
@@ -118,7 +139,7 @@ class FlowCheckpointer:
     ) -> None:
         """Persist one completed stage (payload first, then manifest)."""
         file_name = f"{stage}.pkl"
-        self._atomic_write(
+        atomic_write(
             self.directory / file_name,
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
         )
@@ -157,7 +178,7 @@ class FlowCheckpointer:
 
     def save_job(self, job_name: str, payload: object) -> None:
         """Persist one completed tool job inside a running stage."""
-        self._atomic_write(
+        atomic_write(
             self._job_path(job_name),
             pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
         )

@@ -40,11 +40,6 @@ class ImplementationRun:
     rp_names: Tuple[str, ...]
     depends_on: Tuple[str, ...] = ()
 
-    @property
-    def is_parallelizable(self) -> bool:
-        """True for runs that execute concurrently with their siblings."""
-        return self.kind is RunKind.IN_CONTEXT
-
 
 @dataclass(frozen=True)
 class ImplementationPlan:

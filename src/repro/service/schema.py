@@ -23,8 +23,6 @@ JSON-Schema's open-world default.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.errors import PrEspError
@@ -175,14 +173,6 @@ def ensure_valid(instance: object, schema: Dict, label: str = "payload") -> None
     errors = validate(instance, schema)
     if errors:
         raise SchemaError(f"invalid {label}: " + "; ".join(errors))
-
-
-def load_schema(path: Path) -> Dict:
-    """Read one committed ``*.schema.json`` contract."""
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, ValueError) as error:
-        raise SchemaError(f"unreadable schema {path}: {error}") from error
 
 
 # ----------------------------------------------------------------------

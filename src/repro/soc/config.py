@@ -10,6 +10,7 @@ the size-driven model needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -151,7 +152,13 @@ class SocConfig:
         sockets of reconfigurable tiles stay static: only the wrapper
         reconfigures), and the SoC-level miscellaneous logic.
         """
-        tile_luts = sum(t.base_luts() for t in self.static_tiles)
+        return self._static_luts
+
+    @cached_property
+    def _static_luts(self) -> int:
+        # Counted once per config: a build asks while partitioning and
+        # again for its metrics. The tiles are immutable, so the sum is.
+        tile_luts = sum([t.base_luts() for t in self.static_tiles])
         return tile_luts + ROUTER_SOCKET_LUTS * self.num_tiles + SOC_MISC_LUTS
 
     def reconfigurable_luts(self) -> List[int]:

@@ -36,6 +36,11 @@ class TileKind(enum.Enum):
     RECONF = "reconf"  # PR-ESP reconfigurable tile
     EMPTY = "empty"
 
+    # Members are singletons, so hashing by identity agrees with enum
+    # equality and keeps dict lookups keyed on members in C (Enum's own
+    # __hash__ is a Python-level call on every lookup).
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
 
@@ -45,6 +50,8 @@ class CpuCore(enum.Enum):
 
     LEON3 = "leon3"  # 32-bit SPARC
     CVA6 = "cva6"  # 64-bit RISC-V (Ariane)
+
+    __hash__ = object.__hash__  # as TileKind's
 
 
 #: Post-synthesis LUT cost of each CPU core including tile glue.

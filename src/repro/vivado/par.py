@@ -35,6 +35,11 @@ class ParMode(enum.Enum):
     FULL_SERIAL = "full_serial"
     MONOLITHIC = "monolithic"  # standard-flow single-instance DPR compile
 
+    # Members are singletons, so hashing by identity agrees with enum
+    # equality and keeps dict lookups keyed on members in C (Enum's own
+    # __hash__ is a Python-level call on every lookup).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ParResult:

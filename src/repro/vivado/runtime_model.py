@@ -38,6 +38,11 @@ class JobKind(enum.Enum):
     MONO_DPR_PAR = "mono_dpr_par"  # standard Xilinx DPR single-instance P&R
     BITGEN = "bitgen"  # bitstream generation
 
+    # Members are singletons, so hashing by identity agrees with enum
+    # equality and keeps dict lookups keyed on members in C (Enum's own
+    # __hash__ is a Python-level call on every lookup).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class RuntimeCurve:
@@ -91,10 +96,6 @@ class RuntimeModel:
     def job_minutes(self, kind: JobKind, kluts: float) -> float:
         """Minutes for one job of ``kind`` over ``kluts``."""
         return self.curves[kind].minutes(kluts)
-
-    def job_seconds(self, kind: JobKind, kluts: float) -> float:
-        """Seconds for one job of ``kind`` over ``kluts``."""
-        return self.curves[kind].seconds(kluts)
 
     # ------------------------------------------------------------------
     # strategy-level P&R estimates (the quantities of Tables III/IV)

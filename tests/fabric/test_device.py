@@ -130,10 +130,12 @@ class TestForbiddenColumns:
         dev = tiny_device(cols=2)
         assert dev.forbidden_columns() == [4, 10]
 
-    def test_mask_matches_the_list(self):
+    def test_prefix_counts_the_list(self):
         dev = tiny_device(cols=2)
-        assert np.flatnonzero(dev.forbidden_mask()).tolist() == [4, 10]
-        assert not dev.forbidden_mask().flags.writeable
+        prefix = dev.forbidden_prefix()
+        assert len(prefix) == dev.num_columns + 1
+        steps = [x for x in range(dev.num_columns) if prefix[x + 1] != prefix[x]]
+        assert steps == [4, 10] and prefix[-1] == 2
 
     def test_callers_get_their_own_list(self):
         dev = tiny_device(cols=2)

@@ -2,15 +2,16 @@
 
 :class:`ReferenceFloraFloorplanner` enumerates every candidate window
 with a two-pointer sweep and an O(1) prefix-sum check per step, reading
-the occupancy grid one cell at a time. It is orders of magnitude slower
-than :class:`~repro.floorplan.flora.FloraFloorplanner` but trivially
+an occupancy grid, built from the placed pblocks, one cell at a time.
+It is orders of magnitude slower than
+:class:`~repro.floorplan.flora.FloraFloorplanner` but trivially
 auditable; the equivalence tests assert both produce identical
 :class:`~repro.floorplan.flora.Floorplan`s (relaxation ladder included)
 on seeded random demand sets. Only ``_place_one`` differs: plan order,
 relaxation ladder and demand inflation are shared.
 """
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,12 +49,15 @@ class ReferenceFloraFloorplanner(FloraFloorplanner):
         self,
         rp_name: str,
         demand: ResourceVector,
-        occupied: np.ndarray,
+        placed: Sequence[Pblock],
         utilization: Optional[float] = None,
     ) -> RegionAssignment:
         inflated = self._inflated(demand, utilization)
         need = np.array([inflated.get(kind) for kind in self._kinds], dtype=np.int64)
         device = self.device
+        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
+        for pb in placed:
+            occupied[pb.col_lo : pb.col_hi + 1, pb.row_lo : pb.row_hi + 1] = True
         forbidden = set(device.forbidden_columns())
         best: Optional[Pblock] = None
         best_key: Optional[Tuple[int, int, int]] = None

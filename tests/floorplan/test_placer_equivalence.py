@@ -1,6 +1,6 @@
 """Vectorized placer vs the scalar reference, output for output.
 
-The numpy ``FloraFloorplanner._place_one`` is an optimization, not a
+The fast ``FloraFloorplanner._place_one`` is an optimization, not a
 behavior change: for every demand set the plan it produces must be
 *identical* — same pblocks, same order, same relaxation outcomes — to
 the original two-pointer sweep kept alive as
@@ -18,6 +18,7 @@ import pytest
 
 from repro.errors import FloorplanError
 from repro.fabric.parts import PART_CATALOG, make_device
+from repro.fabric.pblock import Pblock
 from repro.fabric.resources import ResourceVector
 from repro.floorplan import flora
 from repro.floorplan.flora import FloraFloorplanner
@@ -267,18 +268,23 @@ def rank_of(planner, need, pblock):
     return int(np.flatnonzero((col_lo == pblock.col_lo) & (height == pblock.height))[0])
 
 
-def place_both(device, demand, occupied):
-    """One placement by both planners: same assignment, or both fail
-    (the assignment is then None)."""
+def block(col_lo, col_hi, row_lo, row_hi, name="used"):
+    """A placed pblock over the inclusive rectangle."""
+    return Pblock(name=name, col_lo=col_lo, col_hi=col_hi, row_lo=row_lo, row_hi=row_hi)
+
+
+def place_both(device, demand, placed):
+    """One placement by both planners beside the ``placed`` pblocks:
+    same assignment, or both fail (the assignment is then None)."""
     fast = FloraFloorplanner(device)
     reference = ReferenceFloraFloorplanner(device)
     try:
-        expected = reference._place_one("rp", demand, occupied)
+        expected = reference._place_one("rp", demand, placed)
     except FloorplanError:
         with pytest.raises(FloorplanError):
-            fast._place_one("rp", demand, occupied)
+            fast._place_one("rp", demand, placed)
         return fast, None
-    assert fast._place_one("rp", demand, occupied) == expected
+    assert fast._place_one("rp", demand, placed) == expected
     return fast, expected
 
 
@@ -287,10 +293,9 @@ class TestFreeBandBatches:
         # Only the rightmost 40 columns are free: every window that
         # starts further left, best ones included, is blocked.
         device = make_device("vcu118")
-        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
-        occupied[: device.num_columns - 40, :] = True
+        placed = [block(0, device.num_columns - 41, 0, device.region_rows - 1)]
         demand = ResourceVector(lut=6000, ff=6000)
-        fast, assignment = place_both(device, demand, occupied)
+        fast, assignment = place_both(device, demand, placed)
         assert rank_of(fast, need_of(fast, demand), assignment.pblock) >= flora.FIRST_BATCH
 
     def test_crowded_plan_matches_reference(self):
@@ -299,14 +304,11 @@ class TestFreeBandBatches:
         rng = random.Random("crowded")
         demands = random_demands(rng, device, count=6, utilization=0.45)
         plan = FloraFloorplanner(device).plan(demands)
-        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
-        for pb in plan.pblocks():
-            occupied[pb.col_lo : pb.col_hi + 1, pb.row_lo : pb.row_hi + 1] = True
-        placed = [
-            place_both(device, ResourceVector(lut=lut, ff=lut, bram=4), occupied)[1]
+        assignments = [
+            place_both(device, ResourceVector(lut=lut, ff=lut, bram=4), plan.pblocks())[1]
             for lut in (500, 3000, 12000, 40000)
         ]
-        assert placed[0] is not None and placed[-1] is None
+        assert assignments[0] is not None and assignments[-1] is None
 
     @pytest.mark.parametrize("first_batch", [1, 2, 64])
     def test_tie_group_straddling_a_batch_boundary(self, monkeypatch, first_batch):
@@ -321,10 +323,9 @@ class TestFreeBandBatches:
         area, col_lo, col_end, height = best_first(planner, need_of(planner, demand))
         assert (area[1], col_lo[1]) == (area[0], col_lo[0])
         assert height[0] < height[1] and col_end[1] < col_end[0]
-        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
-        occupied[col_end[0] - 1, 0] = True
+        corner = int(col_end[0]) - 1
         monkeypatch.setattr(flora, "FIRST_BATCH", first_batch)
-        _, assignment = place_both(device, demand, occupied)
+        _, assignment = place_both(device, demand, [block(corner, corner, 0, 0)])
         pblock = assignment.pblock
         assert (pblock.col_lo, pblock.col_hi) == (col_lo[1], col_end[1] - 1)
         assert (pblock.row_lo, pblock.height) == (0, height[1])
@@ -360,8 +361,7 @@ class TestSearchCost:
             return windows(need)
 
         monkeypatch.setattr(planner, "_windows", counting_windows)
-        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
-        occupied[: device.num_columns // 2, :] = True
+        placed = [block(0, device.num_columns // 2 - 1, 0, device.region_rows - 1)]
         cases = (
             (ResourceVector(lut=800, ff=800), True),
             (ResourceVector(lut=40000, ff=30000, bram=40, dsp=60), True),
@@ -372,8 +372,8 @@ class TestSearchCost:
                 searches.clear()
                 grids.clear()
                 if fits:
-                    planner._place_one("rp", demand, occupied)
+                    planner._place_one("rp", demand, placed)
                 else:
                     with pytest.raises(FloorplanError):
-                        planner._place_one("rp", demand, occupied)
+                        planner._place_one("rp", demand, placed)
                 assert (len(grids), len(searches)) == (1 - seen, 0)

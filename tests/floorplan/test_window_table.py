@@ -102,10 +102,9 @@ class TestKey:
     def test_the_head_size_is_part_of_the_key(self, monkeypatch):
         device = make_device("vc707")
         demand = ResourceVector(lut=2000, ff=2000)
-        occupied = np.zeros((device.num_columns, device.region_rows), dtype=bool)
-        FloraFloorplanner(device)._place_one("rp", demand, occupied)
+        FloraFloorplanner(device)._place_one("rp", demand, [])
         monkeypatch.setattr(flora, "FIRST_BATCH", 1)
-        FloraFloorplanner(device)._place_one("rp", demand, occupied)
+        FloraFloorplanner(device)._place_one("rp", demand, [])
         heads = sorted(entry.head.size for entry in window_table(device)._entries.values())
         assert heads == [1, 64]
 

@@ -54,9 +54,11 @@ RESOLVE_CALLS = 64
 
 #: Calls of ``partition_design`` on ``soc_a``: 63 module constructors,
 #: the tile and resource accounting, the DPR-rule check and one walk
-#: that stops at the reconfigurable roots (215 here; 942 with recursive
-#: generator walks and one traversal per question).
-PARTITION_CALLS = 215
+#: that stops at the reconfigurable roots (173 here; 215 while the
+#: static size was recounted on every call and each enum-keyed lookup
+#: called ``Enum.__hash__``; 942 with recursive generator walks and one
+#: traversal per question).
+PARTITION_CALLS = 173
 
 
 def count_calls(function, *args):

@@ -9,6 +9,8 @@ path (``deploy``/``monitor`` exit semantics included).
 
 import json
 
+import pytest
+
 from repro import api
 from repro.cli import main
 from repro.core.designs import wami_soc_y
@@ -204,6 +206,26 @@ class TestDeployCli:
         assert "error:" in capsys.readouterr().err
         assert main(["deploy", "soc_y", "--fault", "runtime:crc=2.0"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, spec, named",
+        [
+            # soc_x's rt1 loads no accelerator named x...
+            ("monitor", "runtime:rt1:x:hang", "rt1 loads debayer, warp"),
+            # ...and soc_x has no tile rt9.
+            ("monitor", "runtime:rt9:warp:hang", "tiles rt1, rt2"),
+            ("deploy", "runtime:rt2:warp", "rt2 loads grayscale"),
+            ("dashboard", "runtime:aux0:warp", "tiles rt1, rt2"),
+        ],
+    )
+    def test_targets_the_design_lacks_are_errors(self, capsys, verb, spec, named):
+        # An injection that can never fire would run a healthy deploy
+        # and exit 0, so it is refused before the run.
+        assert main([verb, "soc_x", "--frames", "1", "--inject", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: bad --inject ")
+        assert named in captured.err
 
 
 class TestMonitorCli:
